@@ -15,7 +15,7 @@ all: build vet test
 # must stay within BENCH_GATE_PCT (default 25%) of the baseline, the
 # core placement benches are likewise diffed and gated against
 # BENCH_core.json, and the recorder-enabled/disabled ratio is reported
-# (scripts/benchstat.sh) — the large-placement race smoke (bench-large),
+# (scripts/benchstat.sh) — the large-placement pins (bench-large),
 # the decor-serve end-to-end smoke (throughput + graceful drain), the
 # chaos sweep (invariants + determinism under fault injection), and the
 # field-session soak (byte-identical delta streams across two seeded
@@ -31,14 +31,13 @@ check:
 	$(MAKE) snapshot-smoke
 	$(MAKE) session-smoke
 
-# Large-placement smoke: a downscaled (1e5-point) million-point-regime
-# deployment under the race detector, asserting the tile-parallel
-# conflict-resolution path places byte-identically to the sequential
-# tiled path and honors a resident-tile budget. Bounded wall-clock via
-# -timeout; the full 1e6 benchmarks stay behind DECOR_PLACE_LARGE=1 in
-# `make bench-json`.
+# Large-placement pins: the 1e5-point BenchmarkPlace deployments of
+# grid-small and the centralized greedy, run under the race detector,
+# must reproduce the SHA-256 digests of their placements
+# (TestPlaceLargeGolden). Bounded wall-clock via -timeout; the full 1e6
+# benchmarks stay behind DECOR_PLACE_LARGE=1 in `make bench-json`.
 bench-large:
-	DECOR_BENCH_LARGE=1 $(GO) test -race -run '^TestPlaceLargeSmoke$$' -timeout 600s ./internal/core/
+	DECOR_BENCH_LARGE=1 $(GO) test -race -run '^TestPlaceLargeGolden$$' -timeout 600s ./internal/core/
 
 # Chaos property gate: sweep 16 seeds per architecture under the race
 # detector, each run repeated to verify a byte-identical replay. The

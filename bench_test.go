@@ -175,15 +175,11 @@ func BenchmarkFig14Restore(b *testing.B) {
 // --- Ablations (DESIGN.md §5) ---
 
 // BenchmarkAblationIncrementalBenefit measures the centralized greedy
-// with incremental benefit maintenance (the shipped configuration).
+// with incremental benefit maintenance (the shipped configuration). Its
+// full-rescan counterpart, BenchmarkAblationFullRescan, lives in
+// internal/core next to the rescan oracle it runs.
 func BenchmarkAblationIncrementalBenefit(b *testing.B) {
 	benchCentralized(b, core.Centralized{})
-}
-
-// BenchmarkAblationFullRescan measures the same algorithm recomputing
-// every candidate benefit at every step. Same placements, more work.
-func BenchmarkAblationFullRescan(b *testing.B) {
-	benchCentralized(b, core.Centralized{FullRescan: true})
 }
 
 func benchCentralized(b *testing.B, meth core.Centralized) {

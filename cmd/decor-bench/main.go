@@ -36,9 +36,6 @@ func main() {
 		deployK    = flag.Int("deployments", 0, "run each method once at this coverage requirement and report per-deployment metrics (0 = off)")
 		jsonOut    = flag.String("json", "", `with -deployments, write the deployments as a JSON array to this file ("-" = stdout)`)
 		parallel   = flag.Int("parallel", 0, "worker goroutines for the independent experiment cells (0 = GOMAXPROCS); output is identical for any value")
-		tiled      = flag.Bool("tiled", false, "use tiled coverage storage and the tile-parallel placement engines (DESIGN.md §13); output is identical either way")
-		placeW     = flag.Int("place-workers", 0, "with -tiled, worker goroutines inside each placement (0 = GOMAXPROCS); output is identical for any value")
-		maxTiles   = flag.Int("max-resident-tiles", 0, "with -tiled, bound materialized count pages per coverage map (0 = unlimited)")
 	)
 	var ofl obs.RunFlags
 	ofl.Register(flag.CommandLine)
@@ -68,11 +65,6 @@ func main() {
 	}
 	if *parallel > 0 {
 		cfg.Parallel = *parallel
-	}
-	if *tiled {
-		cfg.Tiled = true
-		cfg.PlaceWorkers = *placeW
-		cfg.MaxResidentTiles = *maxTiles
 	}
 
 	if *deployK > 0 {

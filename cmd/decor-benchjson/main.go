@@ -19,8 +19,10 @@
 //
 // Adding -gate turns the report into a CI gate for matching benchmarks:
 // exit 1 if any of them regressed in mean ns/op beyond -max-regress
-// percent (the tracing-overhead gate in `make check` uses this to pin
-// the recorder-disabled engine hot path):
+// percent, if a matching baseline benchmark is missing from the new
+// file, or if the regexp matches no baseline benchmark at all (the
+// tracing-overhead gate in `make check` uses this to pin the
+// recorder-disabled engine hot path):
 //
 //	decor-benchjson -diff -gate 'EngineRun/actors=64$' -max-regress 25 old.json new.json
 package main
@@ -62,7 +64,7 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+(.*)$`)
 func main() {
 	out := flag.String("o", "-", `output file ("-" = stdout)`)
 	diff := flag.Bool("diff", false, "compare two benchmark JSON files (args: old new) and print a ratio table")
-	gate := flag.String("gate", "", "with -diff: regexp of benchmark names to gate on; exit 1 if any regresses past -max-regress")
+	gate := flag.String("gate", "", "with -diff: regexp of benchmark names to gate on; exit 1 if any regresses past -max-regress, is missing from the new file, or nothing matches")
 	maxRegress := flag.Float64("max-regress", 25, "with -gate: allowed mean ns/op regression in percent")
 	flag.Parse()
 
@@ -190,7 +192,9 @@ func loadEntries(path string) []*Entry {
 // factor. Benchmarks present in only one file are listed but not
 // compared. Without a gate it is a report and returns 0; with gateRe set
 // it returns 1 when any matching benchmark's mean ns/op regressed by more
-// than maxRegress percent.
+// than maxRegress percent, when a matching old benchmark has no new
+// counterpart, or when gateRe matches no old benchmark — a renamed or
+// dropped benchmark must not pass the gate by comparing nothing.
 func runDiff(oldPath, newPath string, gateRe *regexp.Regexp, maxRegress float64) int {
 	oldList, newList := loadEntries(oldPath), loadEntries(newPath)
 	oldBy := map[string]*Entry{}
@@ -237,13 +241,26 @@ func runDiff(oldPath, newPath string, gateRe *regexp.Regexp, maxRegress float64)
 		fmt.Printf("%-44s %14.0f %14.0f %9s %12s %12s %9s\n",
 			e.Name, o.NsPerOp.Mean, e.NsPerOp.Mean, speed, oa, na, factor)
 	}
+	gated := 0
 	for _, e := range oldList {
+		matched := gateRe != nil && gateRe.MatchString(e.Name)
+		if matched {
+			gated++
+		}
 		if !seen[e.Pkg+"\t"+e.Name] {
 			fmt.Printf("%-44s %14.0f %14s\n", e.Name, e.NsPerOp.Mean, "(gone)")
+			if matched {
+				failures++
+				fmt.Printf("GATE FAIL %s: missing from %s\n", e.Name, newPath)
+			}
 		}
 	}
+	if gateRe != nil && gated == 0 {
+		failures++
+		fmt.Printf("GATE FAIL -gate %q matches no benchmark in %s\n", gateRe, oldPath)
+	}
 	if failures > 0 {
-		fmt.Fprintf(os.Stderr, "decor-benchjson: %d benchmark(s) regressed past the gate\n", failures)
+		fmt.Fprintf(os.Stderr, "decor-benchjson: %d gate failure(s)\n", failures)
 		return 1
 	}
 	return 0

@@ -105,6 +105,13 @@ func run() int {
 		EnablePprof: *enablePprof,
 	})
 
+	// Install every signal handler before the listener exists: a TERM
+	// that arrives right after the readiness line must drain, not kill.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
+	quit := make(chan os.Signal, 1)
+	signal.Notify(quit, syscall.SIGQUIT)
+
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -123,8 +130,6 @@ func run() int {
 
 	// SIGQUIT is a live post-mortem, not a shutdown: dump the flight
 	// recorder and recent traces to stderr and keep serving.
-	quit := make(chan os.Signal, 1)
-	signal.Notify(quit, syscall.SIGQUIT)
 	go func() {
 		for range quit {
 			fmt.Fprintln(os.Stderr, "decor-serve: SIGQUIT flight timeline (newest 100):")
@@ -140,8 +145,6 @@ func run() int {
 		}
 	}()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case s := <-sig:
 		fmt.Printf("decor-serve: %s, draining (max %s)\n", s, *drainTimeout)

@@ -57,3 +57,29 @@ func BenchmarkRestore(b *testing.B) {
 		(VoronoiDECOR{Rc: 8}).Deploy(m, rng.New(8), Options{})
 	}
 }
+
+// BenchmarkAblationFullRescan is the incremental-benefit ablation
+// (DESIGN.md §5): the centralized greedy through the rescan oracle,
+// which recomputes every candidate's benefit at every step, against the
+// production engine on the same paper-scale field. Same placements,
+// more work.
+func BenchmarkAblationFullRescan(b *testing.B) {
+	for _, v := range []struct {
+		name   string
+		deploy func(m *coverage.Map) Result
+	}{
+		{"rescan", func(m *coverage.Map) Result { return centralizedRescan(Centralized{}, m, Options{}) }},
+		{"engine", func(m *coverage.Map) Result { return Centralized{}.Deploy(m, rng.New(7), Options{}) }},
+	} {
+		b.Run(v.name, func(b *testing.B) {
+			var placed int
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				m := paperMap(b, 3)
+				b.StartTimer()
+				placed = v.deploy(m).NumPlaced()
+			}
+			b.ReportMetric(float64(placed), "placed")
+		})
+	}
+}

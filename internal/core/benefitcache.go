@@ -16,17 +16,16 @@ var (
 )
 
 // benefitCache maintains, for every sample point, the benefit (Eq. 1) a
-// new sensor of radius rs placed there would have against the current
-// round-start snapshot — the distributed extension of the incremental
-// maintenance Centralized.deployIncremental has always had (DESIGN.md §8).
+// new sensor of radius rs placed there would have against the map's
+// current coverage counts (DESIGN.md §8).
 //
-// Invariant, restored after every applyPlacement call:
+// Invariant, restored after every applyPlacement + map update pair:
 //
-//	benefit[i] = Σ_{j ∈ ball(i, rs), visible(i, j)} max(k − snap[j], 0)
+//	benefit[i] = Σ_{j ∈ ball(i, rs), visible(i, j)} max(k − count[j], 0)
 //
-// where snap mirrors the map's coverage counts (the distributed rounds
-// evaluate a round-start snapshot, and all mutations during a deployment
-// flow through applyPlacement) and visible() encodes the scheme's
+// The distributed rounds decide against round-start state, which is the
+// map itself: a round's placements reach the map (and the cache) only
+// after every node has decided. visible() encodes the scheme's
 // knowledge model:
 //
 //   - Grid (cellOf != nil): a leader only knows points of the cell under
@@ -48,16 +47,16 @@ type benefitCache struct {
 	rs      float64
 	k       int
 	nb      *index.Neighborhoods
-	snap    []int
-	benefit []int
-	cellOf  []int // nil for the Voronoi (unrestricted) cache
-	deltas  int64 // benefit entries touched; flushed to obs at Deploy end
+	benefit []int32
+	cellOf  []int   // nil for the Voronoi (unrestricted) cache
+	cellDef []int32 // grid only: per cell, points with count < k
+	deltas  int64   // benefit entries touched; flushed to obs at Deploy end
 }
 
 // newBenefitCache builds the cache for new-sensor radius rs. cellOf maps
-// each sample point to its grid cell for the cell-restricted variant, or
-// is nil for the unrestricted one.
-func newBenefitCache(m *coverage.Map, rs float64, cellOf []int) *benefitCache {
+// each sample point to one of cells grid cells for the cell-restricted
+// variant, or is nil for the unrestricted one.
+func newBenefitCache(m *coverage.Map, rs float64, cellOf []int, cells int) *benefitCache {
 	span := obs.StartSpan(obs.CoreCacheBuildSeconds)
 	defer span.End()
 	n := m.NumPoints()
@@ -66,25 +65,28 @@ func newBenefitCache(m *coverage.Map, rs float64, cellOf []int) *benefitCache {
 		rs:      rs,
 		k:       m.K(),
 		nb:      m.PointNeighborhoods(rs),
-		snap:    m.CountsInto(nil),
-		benefit: make([]int, n),
+		benefit: make([]int32, n),
 		cellOf:  cellOf,
 	}
+	if cellOf != nil {
+		c.cellDef = make([]int32, cells)
+	}
 	for j := 0; j < n; j++ {
-		d := c.k - c.snap[j]
-		if d <= 0 {
+		d := int32(m.Deficit(j))
+		if d == 0 {
 			continue
 		}
 		if cellOf == nil {
 			for _, i := range c.nb.At(j) {
 				c.benefit[i] += d
 			}
-		} else {
-			cj := cellOf[j]
-			for _, i := range c.nb.At(j) {
-				if cellOf[i] == cj {
-					c.benefit[i] += d
-				}
+			continue
+		}
+		cj := cellOf[j]
+		c.cellDef[cj]++
+		for _, i := range c.nb.At(j) {
+			if cellOf[i] == cj {
+				c.benefit[i] += d
 			}
 		}
 	}
@@ -92,31 +94,35 @@ func newBenefitCache(m *coverage.Map, rs float64, cellOf []int) *benefitCache {
 }
 
 // applyPlacement folds one new sensor of radius rs placed at sample
-// point ptIdx into the snapshot and the cached benefits. Call it once per
-// placement, in any order within a round — the resulting state equals a
-// rebuild against the post-round counts.
+// point ptIdx into the cached benefits. Call it once per placement, just
+// before the map update, in any order within a round — the resulting
+// state equals a rebuild against the post-round counts.
 func (c *benefitCache) applyPlacement(ptIdx int) {
 	for _, jj := range c.nb.At(ptIdx) {
 		j := int(jj)
-		if c.snap[j] < c.k {
-			// The point's deficit shrinks by one, so every candidate
-			// whose (visible) ball contains it loses one benefit.
-			if c.cellOf == nil {
-				for _, i := range c.nb.At(j) {
-					c.benefit[i]--
-				}
-				c.deltas += int64(len(c.nb.At(j)))
-			} else {
-				cj := c.cellOf[j]
-				for _, i := range c.nb.At(j) {
-					if c.cellOf[i] == cj {
-						c.benefit[i]--
-						c.deltas++
-					}
-				}
+		kp := c.m.Count(j)
+		if kp >= c.k {
+			continue
+		}
+		// The point's deficit shrinks by one, so every candidate whose
+		// (visible) ball contains it loses one benefit.
+		if c.cellOf == nil {
+			for _, i := range c.nb.At(j) {
+				c.benefit[i]--
+			}
+			c.deltas += int64(len(c.nb.At(j)))
+			continue
+		}
+		cj := c.cellOf[j]
+		if kp == c.k-1 {
+			c.cellDef[cj]--
+		}
+		for _, i := range c.nb.At(j) {
+			if c.cellOf[i] == cj {
+				c.benefit[i]--
+				c.deltas++
 			}
 		}
-		c.snap[j]++
 	}
 }
 
@@ -129,24 +135,25 @@ func (c *benefitCache) flush() {
 	}
 }
 
-// best returns the deficient candidate with maximum cached benefit, ties
-// broken by lowest point index — the cached equivalent of
-// bestCandidateRadius under a cell-local perceive. candidates must be
-// sorted ascending (the grid's per-cell lists are).
-func (c *benefitCache) best(candidates []int) (idx, benefit int, ok bool) {
-	bestV, bestIdx := 0, -1
+// bestInCell returns the grid cell's deficient candidate with maximum cached
+// benefit, ties broken by lowest point index. candidates are the cell's
+// points, ascending. A cell without deficient points is skipped in O(1);
+// any other has a positive-benefit candidate, because a deficient
+// point's ball holds its own deficit.
+func (c *benefitCache) bestInCell(cell int, candidates []int) (idx int, ok bool) {
+	if c.cellDef[cell] == 0 {
+		return 0, false
+	}
+	bestV, bestIdx := int32(0), -1
 	for _, i := range candidates {
-		if c.snap[i] >= c.k {
+		if c.m.Count(i) >= c.k {
 			continue
 		}
 		if b := c.benefit[i]; b > bestV {
 			bestV, bestIdx = b, i
 		}
 	}
-	if bestIdx < 0 {
-		return 0, 0, false
-	}
-	return bestIdx, bestV, true
+	return bestIdx, bestIdx >= 0
 }
 
 // bestOwned returns the deficient point owned by Voronoi node id at
@@ -155,35 +162,32 @@ func (c *benefitCache) best(candidates []int) (idx, benefit int, ok bool) {
 // whatever order the ownership set yields — determinism comes from the
 // explicit tie-break below. Candidates whose ball provably lies inside
 // the node's knowledge disk read the cache; the boundary band is
-// evaluated exactly against the snapshot, restricted to the node's
+// evaluated exactly against the map, restricted to the node's
 // knowledge — so the result is identical to the full rescan.
-func (c *benefitCache) bestOwned(nodePos geom.Point, rc float64, vor *partition.Voronoi, id int) (idx, benefit int, ok bool) {
+func (c *benefitCache) bestOwned(nodePos geom.Point, rc float64, vor *partition.Voronoi, id int) (idx int, ok bool) {
 	fastR := rc - c.rs - 1e-9 // slack absorbs float rounding at the rim
 	fast2 := fastR * fastR
 	if fastR < 0 {
 		fast2 = -1
 	}
 	rc2 := rc * rc
-	bestV, bestIdx := 0, -1
+	bestV, bestIdx := int32(0), -1
 	fallbacks := int64(0)
 	vor.VisitOwnedPoints(id, func(i int) bool {
-		if c.snap[i] >= c.k {
+		if c.m.Count(i) >= c.k {
 			return true
 		}
-		var b int
+		var b int32
 		if nodePos.Dist2(c.m.Point(i)) <= fast2 {
 			b = c.benefit[i]
 		} else {
 			fallbacks++
-			b = 0
 			for _, jj := range c.nb.At(i) {
 				j := int(jj)
 				if nodePos.Dist2(c.m.Point(j)) > rc2 {
 					continue // outside the node's knowledge
 				}
-				if d := c.k - c.snap[j]; d > 0 {
-					b += d
-				}
+				b += int32(c.m.Deficit(j))
 			}
 		}
 		if b > bestV || (b == bestV && bestIdx >= 0 && i < bestIdx) {
@@ -194,8 +198,5 @@ func (c *benefitCache) bestOwned(nodePos geom.Point, rc float64, vor *partition.
 	if fallbacks > 0 {
 		obsCacheFallbacks.Add(fallbacks)
 	}
-	if bestIdx < 0 {
-		return 0, 0, false
-	}
-	return bestIdx, bestV, true
+	return bestIdx, bestIdx >= 0
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"decor/internal/coverage"
 	"decor/internal/obs"
@@ -14,29 +15,11 @@ import (
 // than DECOR. However, having global knowledge of the field is not
 // possible in many cases" (§4).
 type Centralized struct {
-	// FullRescan disables the incremental benefit maintenance and
-	// recomputes every candidate's benefit from scratch at each step.
-	// Results are identical; this exists for the ablation benchmark in
-	// DESIGN.md §5.
-	FullRescan bool
 	// NewRs overrides the sensing radius of the sensors this run
 	// deploys (0 = the map's default), supporting the paper's
 	// heterogeneous setting where new hardware may out-range the
 	// original deployment.
 	NewRs float64
-	// Workers parallelizes the one-time benefit build of the tiled path
-	// (shard semantics: non-positive = GOMAXPROCS). Only consulted on
-	// maps with tiled coverage storage; the result is worker-count-
-	// independent either way.
-	Workers int
-}
-
-// newRadius resolves the radius of newly placed sensors for a map.
-func (c Centralized) newRadius(m *coverage.Map) float64 {
-	if c.NewRs > 0 {
-		return c.NewRs
-	}
-	return m.Rs()
 }
 
 // Name implements Method.
@@ -45,17 +28,13 @@ func (Centralized) Name() string { return "centralized" }
 // Deploy implements Method.
 func (c Centralized) Deploy(m *coverage.Map, r *rng.RNG, opt Options) Result {
 	validateDeployInputs(m, r)
-	res := Result{Method: c.Name(), NodeMessages: map[int]int{}, Cells: 1}
+	res := Result{Method: c.Name(), NodeMessages: map[int]int{}, Cells: 1, Rounds: 1}
 	_, depSpan := obs.StartSpanCtx(opt.Ctx, "core.deploy")
-	switch {
-	case c.FullRescan:
-		c.deployRescan(m, opt, &res)
-	case m.Tiles() != nil:
-		c.deployTiled(m, opt, &res)
-	default:
-		c.deployIncremental(m, opt, &res)
+	rs := c.NewRs
+	if rs <= 0 {
+		rs = m.Rs()
 	}
-	res.Rounds = 1
+	place(m, rs, opt, &res)
 	if depSpan != nil {
 		depSpan.SetAttr(fmt.Sprintf("method=%s placed=%d", res.Method, len(res.Placed)))
 		depSpan.End()
@@ -63,10 +42,50 @@ func (c Centralized) Deploy(m *coverage.Map, r *rng.RNG, opt Options) Result {
 	return res
 }
 
-// deployRescan is the straightforward O(placements · N · ball) variant.
-func (c Centralized) deployRescan(m *coverage.Map, opt Options, res *Result) {
+// tileArgmax memoizes one coverage tile's best deficient candidate.
+type tileArgmax struct {
+	idx, val int32 // idx -1: no deficient candidate
+	valid    bool
+}
+
+// coveredBenefit replaces the benefit of a k-covered candidate: far below
+// any deficient candidate's (which is at least 1), so the argmax reads
+// one array, and far enough above the int32 floor that the decrements
+// the point still receives cannot wrap it.
+const coveredBenefit = math.MinInt32 / 2
+
+// place is the centralized greedy: repeatedly deploy a sensor of radius
+// rs at the deficient sample point with maximum benefit (Eq. 1), lowest
+// index on ties. Benefits are maintained incrementally over the rs
+// adjacency, so one placement costs O(points-in-disk²) updates
+// (DESIGN.md §5). The global argmax keeps a per-tile memo: fully
+// k-covered tiles are skipped in O(1) through the map's tile summaries,
+// and only tiles within 2·rs of a placement — the reach of its benefit
+// updates — are rescanned. Only deficient candidates carry a real
+// benefit; covered ones hold coveredBenefit.
+func place(m *coverage.Map, rs float64, opt Options, res *Result) {
+	nb := m.PointNeighborhoods(rs)
+	k := m.K()
+	span := obs.StartSpan(obs.CoreCacheBuildSeconds)
+	benefit := make([]int32, m.NumPoints())
+	for t := 0; t < m.NumTiles(); t++ {
+		if m.DeficientInTile(t) == 0 {
+			continue // all candidates covered: their benefit is never read
+		}
+		for _, i := range m.TilePoints(t) {
+			if m.Count(int(i)) >= k {
+				benefit[i] = coveredBenefit
+				continue
+			}
+			for _, j := range nb.At(int(i)) {
+				benefit[i] += int32(m.Deficit(int(j)))
+			}
+		}
+	}
+	span.End()
+
+	memo := make([]tileArgmax, m.NumTiles())
 	id := nextSensorID(m)
-	newRs := c.newRadius(m)
 	for !m.FullyCovered() {
 		if len(res.Placed) >= opt.maxPlacements() {
 			res.Capped = true
@@ -76,92 +95,53 @@ func (c Centralized) deployRescan(m *coverage.Map, opt Options, res *Result) {
 			res.Interrupted = true
 			return
 		}
-		// Select the deficient candidate with maximum benefit for the
-		// new sensor's footprint, lowest index on ties.
 		scoreSpan := obs.StartSpan(obs.CoreCandidateScoringSeconds)
-		bestIdx, best := -1, 0
-		for i := 0; i < m.NumPoints(); i++ {
-			if m.Count(i) >= m.K() {
-				continue
+		bestIdx, bestV := -1, int32(0)
+		for t := range memo {
+			if m.DeficientInTile(t) == 0 {
+				continue // O(1) skip; counts never shrink mid-run
 			}
-			if b := m.BenefitRadius(m.Point(i), newRs); b > best {
-				best, bestIdx = b, i
+			e := &memo[t]
+			if !e.valid {
+				*e = tileArgmax{idx: -1, valid: true}
+				for _, i := range m.TilePoints(t) {
+					if benefit[i] > e.val {
+						e.idx, e.val = i, benefit[i]
+					}
+				}
+			}
+			// Lexicographic (benefit, -index) max across tiles restores
+			// the global scan's lowest-index tie-break: tile order is
+			// spatial, not index order.
+			if e.idx >= 0 && (e.val > bestV || e.val == bestV && int(e.idx) < bestIdx) {
+				bestIdx, bestV = int(e.idx), e.val
 			}
 		}
 		scoreSpan.End()
 		if bestIdx < 0 {
 			return // unreachable: a deficient point always benefits itself
 		}
-		p := m.Point(bestIdx)
-		m.AddSensorRadius(id, p, newRs)
-		res.Placed = append(res.Placed, Placement{ID: id, Pos: p})
-		id++
-	}
-}
-
-// deployIncremental maintains a benefit value per candidate point and
-// updates only the neighborhood of each placement (DESIGN.md §5), making
-// one placement O(points-in-disk²) instead of O(N · points-in-disk).
-func (c Centralized) deployIncremental(m *coverage.Map, opt Options, res *Result) {
-	n := m.NumPoints()
-	rs := c.newRadius(m)
-	// Candidates sit on sample points, so all three ball queries of the
-	// incremental scheme (initial accumulation, affected set, delta
-	// update) walk the precomputed within-rs adjacency.
-	nb := m.PointNeighborhoods(rs)
-	benefit := make([]int, n)
-	for j := 0; j < n; j++ {
-		if d := m.Deficit(j); d > 0 {
-			for _, i := range nb.At(j) {
-				benefit[i] += d
-			}
-		}
-	}
-	id := nextSensorID(m)
-	var affected []int32
-	for !m.FullyCovered() {
-		if len(res.Placed) >= opt.maxPlacements() {
-			res.Capped = true
-			return
-		}
-		if opt.interrupted() {
-			res.Interrupted = true
-			return
-		}
-		// Select the deficient candidate with max benefit, lowest index
-		// on ties — identical criterion to bestCandidate.
-		scoreSpan := obs.StartSpan(obs.CoreCandidateScoringSeconds)
-		bestIdx, best := -1, 0
-		for i := 0; i < n; i++ {
-			if m.Count(i) >= m.K() {
+		// Every candidate whose ball holds a point this placement covers
+		// short of k loses one benefit; points it lifts to k drop out.
+		for _, j := range nb.At(bestIdx) {
+			c := m.Count(int(j))
+			if c >= k {
 				continue
 			}
-			if benefit[i] > best {
-				best, bestIdx = benefit[i], i
+			for _, i := range nb.At(int(j)) {
+				benefit[i]--
 			}
-		}
-		scoreSpan.End()
-		if bestIdx < 0 {
-			return
+			if c == k-1 {
+				benefit[j] = coveredBenefit
+			}
 		}
 		p := m.Point(bestIdx)
-		// Points whose deficit will shrink by this placement.
-		affected = affected[:0]
-		for _, j := range nb.At(bestIdx) {
-			if m.Deficit(int(j)) > 0 {
-				affected = append(affected, j)
-			}
-		}
 		if rs == m.Rs() {
 			m.AddSensorAtPoint(id, bestIdx)
 		} else {
 			m.AddSensorRadius(id, p, rs)
 		}
-		for _, j := range affected {
-			for _, i := range nb.At(int(j)) {
-				benefit[i]--
-			}
-		}
+		m.VisitTilesInDisk(p, 2*rs, func(t int) { memo[t].valid = false })
 		res.Placed = append(res.Placed, Placement{ID: id, Pos: p})
 		id++
 	}

@@ -62,7 +62,7 @@ func TestPlaceLargeGolden(t *testing.T) {
 		{GridDECOR{CellSize: 5}, "4e850d1cd3e87b74f2a90f2481491fb422f751bc71c64ceb553702fd1d9c7480"},
 		{Centralized{}, "8142fd6128911fee8dd88378d500bc6b09b07bea46b0db79db278c1453918b96"},
 	} {
-		m := s.flatProto().Clone()
+		m := s.proto().Clone()
 		res := tc.meth.Deploy(m, rng.New(7), Options{})
 		if !m.FullyCovered() {
 			t.Fatalf("%s left %d deficient points", tc.meth.Name(), m.NumDeficient())

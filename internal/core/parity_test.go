@@ -13,7 +13,7 @@ import (
 
 // Differential tests: the incremental benefit cache must be a pure
 // optimization. For every scheme, seed, and k the cached deployment has to
-// produce byte-identical results to the FullRescan reference path.
+// produce byte-identical results to the rescan oracle (oracle_test.go).
 
 // parityMap builds a deterministic scenario: Halton sample points on a
 // square field, random initial sensors.
@@ -64,8 +64,7 @@ func TestGridCacheParity(t *testing.T) {
 				for seed := uint64(1); seed <= 4; seed++ {
 					mRef := parityMap(seed, k)
 					mCached := parityMap(seed, k)
-					ref := GridDECOR{CellSize: cell, Sequential: seq, FullRescan: true}.
-						Deploy(mRef, rng.New(seed), Options{})
+					ref := gridRescan(GridDECOR{CellSize: cell, Sequential: seq}, mRef, Options{})
 					got := GridDECOR{CellSize: cell, Sequential: seq}.
 						Deploy(mCached, rng.New(seed), Options{})
 					label := "grid cell=" + ref.Method
@@ -83,8 +82,7 @@ func TestVoronoiCacheParity(t *testing.T) {
 				for seed := uint64(1); seed <= 4; seed++ {
 					mRef := parityMap(seed, k)
 					mCached := parityMap(seed, k)
-					ref := VoronoiDECOR{Rc: rc, Sequential: seq, FullRescan: true}.
-						Deploy(mRef, rng.New(seed), Options{})
+					ref := voronoiRescan(VoronoiDECOR{Rc: rc, Sequential: seq}, mRef, Options{})
 					got := VoronoiDECOR{Rc: rc, Sequential: seq}.
 						Deploy(mCached, rng.New(seed), Options{})
 					label := "voronoi " + ref.Method
@@ -102,16 +100,14 @@ func TestCacheParityHeterogeneousRs(t *testing.T) {
 		for seed := uint64(1); seed <= 3; seed++ {
 			mRef := parityMap(seed, 2)
 			mCached := parityMap(seed, 2)
-			ref := GridDECOR{CellSize: 5, NewRs: newRs, FullRescan: true}.
-				Deploy(mRef, rng.New(seed), Options{})
+			ref := gridRescan(GridDECOR{CellSize: 5, NewRs: newRs}, mRef, Options{})
 			got := GridDECOR{CellSize: 5, NewRs: newRs}.
 				Deploy(mCached, rng.New(seed), Options{})
 			assertSameResult(t, "grid newRs", ref, got)
 
 			mRef = parityMap(seed, 2)
 			mCached = parityMap(seed, 2)
-			refV := VoronoiDECOR{Rc: 8, NewRs: newRs, FullRescan: true}.
-				Deploy(mRef, rng.New(seed), Options{})
+			refV := voronoiRescan(VoronoiDECOR{Rc: 8, NewRs: newRs}, mRef, Options{})
 			gotV := VoronoiDECOR{Rc: 8, NewRs: newRs}.
 				Deploy(mCached, rng.New(seed), Options{})
 			assertSameResult(t, "voronoi newRs", refV, gotV)
@@ -125,16 +121,14 @@ func TestCacheParityWithCap(t *testing.T) {
 	for _, capN := range []int{1, 3, 17} {
 		mRef := parityMap(11, 3)
 		mCached := parityMap(11, 3)
-		ref := GridDECOR{CellSize: 5, FullRescan: true}.
-			Deploy(mRef, rng.New(11), Options{MaxPlacements: capN})
+		ref := gridRescan(GridDECOR{CellSize: 5}, mRef, Options{MaxPlacements: capN})
 		got := GridDECOR{CellSize: 5}.
 			Deploy(mCached, rng.New(11), Options{MaxPlacements: capN})
 		assertSameResult(t, "grid cap", ref, got)
 
 		mRef = parityMap(11, 3)
 		mCached = parityMap(11, 3)
-		refV := VoronoiDECOR{Rc: 8, FullRescan: true}.
-			Deploy(mRef, rng.New(11), Options{MaxPlacements: capN})
+		refV := voronoiRescan(VoronoiDECOR{Rc: 8}, mRef, Options{MaxPlacements: capN})
 		gotV := VoronoiDECOR{Rc: 8}.
 			Deploy(mCached, rng.New(11), Options{MaxPlacements: capN})
 		assertSameResult(t, "voronoi cap", refV, gotV)
@@ -207,12 +201,12 @@ func BenchmarkBenefitRadius(b *testing.B) {
 		}
 	})
 	b.Run("grid-cached", func(b *testing.B) {
-		cache := newBenefitCache(m, rs, cellOf)
+		cache := newBenefitCache(m, rs, cellOf, len(cells))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for c := range cells {
-				if idx, _, ok := cache.best(cells[c]); ok {
+				if idx, ok := cache.bestInCell(c, cells[c]); ok {
 					sink += idx
 				}
 			}
@@ -241,7 +235,7 @@ func BenchmarkBenefitRadius(b *testing.B) {
 		}
 	})
 	b.Run("voronoi-cached", func(b *testing.B) {
-		cache := newBenefitCache(m, rs, nil)
+		cache := newBenefitCache(m, rs, nil, 0)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -249,7 +243,7 @@ func BenchmarkBenefitRadius(b *testing.B) {
 				if vor.NumOwned(id) == 0 {
 					continue
 				}
-				if idx, _, ok := cache.bestOwned(pos[id], 8, vor, id); ok {
+				if idx, ok := cache.bestOwned(pos[id], 8, vor, id); ok {
 					sink += idx
 				}
 			}
@@ -258,18 +252,18 @@ func BenchmarkBenefitRadius(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkDeployAblation runs full distributed deployments through both
-// evaluation paths — the end-to-end view of what the cache buys,
-// including its build cost.
+// BenchmarkDeployAblation runs full distributed deployments through the
+// rescan oracles and the production engines — the end-to-end view of
+// what the cache buys, including its build cost.
 func BenchmarkDeployAblation(b *testing.B) {
 	for _, bc := range []struct {
-		name string
-		meth Method
+		name   string
+		deploy func(m *coverage.Map) Result
 	}{
-		{"grid-rescan", GridDECOR{CellSize: 5, FullRescan: true}},
-		{"grid-cached", GridDECOR{CellSize: 5}},
-		{"voronoi-rescan", VoronoiDECOR{Rc: 8, FullRescan: true}},
-		{"voronoi-cached", VoronoiDECOR{Rc: 8}},
+		{"grid-rescan", func(m *coverage.Map) Result { return gridRescan(GridDECOR{CellSize: 5}, m, Options{}) }},
+		{"grid-cached", func(m *coverage.Map) Result { return GridDECOR{CellSize: 5}.Deploy(m, rng.New(7), Options{}) }},
+		{"voronoi-rescan", func(m *coverage.Map) Result { return voronoiRescan(VoronoiDECOR{Rc: 8}, m, Options{}) }},
+		{"voronoi-cached", func(m *coverage.Map) Result { return VoronoiDECOR{Rc: 8}.Deploy(m, rng.New(7), Options{}) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -277,7 +271,7 @@ func BenchmarkDeployAblation(b *testing.B) {
 				b.StopTimer()
 				m := benchDeployMap(2, 30)
 				b.StartTimer()
-				bc.meth.Deploy(m, rng.New(7), Options{})
+				bc.deploy(m)
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"decor/internal/coverage"
@@ -10,180 +11,157 @@ import (
 	"decor/internal/rng"
 )
 
-// Differential tests for the tile-parallel engines (tiled.go): tiled
-// storage plus concurrent scoring must be a pure optimization — for
-// every scheme, seed, k, and worker count, placements, rounds, and
-// message accounting have to be byte-identical to the seed path on a
-// flat map.
+// Differential tests on fields that span several coverage tiles: the
+// engines' tile shortcuts (the centralized per-tile argmax memo, the
+// tile-summary base-station seed) must place byte-identically to the
+// oracles when sensing disks, grid cells and the centralized 2·rs
+// invalidation disks straddle tile borders. The centralized engine is
+// checked against the full-scan incremental oracle here: the rescan
+// oracle costs seconds per deployment at this size.
 
-// tiledParityMap mirrors parityMap's generator exactly (same rng
-// consumption) but can build the map in tiled mode. TilePoints is kept
-// small so sensing disks (rs = 4) routinely cross tile boundaries.
-func tiledParityMap(seed uint64, k int, tiled bool, opt coverage.TileOptions) *coverage.Map {
+// multiTileMap builds a field of 12000–14000 Halton points at the
+// paper's density (0.2 points per unit², rs = 4) — several default-size
+// tiles — with initial random sensors (-1 = n/40).
+func multiTileMap(t testing.TB, seed uint64, k, initial int) *coverage.Map {
 	r := rng.New(seed)
-	side := 35 + r.Float64()*15
-	field := geom.Square(side)
-	pts := lowdisc.Halton{}.Points(250+r.Intn(200), field)
-	var m *coverage.Map
-	if tiled {
-		m = coverage.NewTiled(field, pts, 4, k, opt)
-	} else {
-		m = coverage.New(field, pts, 4, k)
+	n := 12000 + r.Intn(2000)
+	field := geom.Square(math.Sqrt(float64(n) / 0.2))
+	m := coverage.New(field, lowdisc.Halton{}.Points(n, field), 4, k)
+	if initial < 0 {
+		initial = n / 40
 	}
-	initial := 5 + r.Intn(40)
 	for id := 0; id < initial; id++ {
 		m.AddSensor(id, r.PointInRect(field))
+	}
+	occupied := 0
+	for tl := 0; tl < m.NumTiles(); tl++ {
+		if len(m.TilePoints(tl)) > 0 {
+			occupied++
+		}
+	}
+	if occupied < 4 {
+		t.Fatalf("field of %d points spans %d tiles, want >= 4", n, occupied)
 	}
 	return m
 }
 
 func TestTiledGridParity(t *testing.T) {
 	for _, cell := range []float64{5, 10} {
-		for _, workers := range []int{1, 4} {
-			for k := 1; k <= 3; k++ {
-				for seed := uint64(1); seed <= 3; seed++ {
-					mRef := tiledParityMap(seed, k, false, coverage.TileOptions{})
-					opt := coverage.TileOptions{TilePoints: 16}
-					if seed == 2 {
-						opt.MaxResidentTiles = 3 // evict mid-deploy too
-					}
-					mTiled := tiledParityMap(seed, k, true, opt)
-					ref := GridDECOR{CellSize: cell}.Deploy(mRef, rng.New(seed), Options{})
-					got := GridDECOR{CellSize: cell, Workers: workers}.Deploy(mTiled, rng.New(seed), Options{})
-					assertSameResult(t, "tiled grid", ref, got)
-					if rf, gf := mRef.CoverageFrac(k), mTiled.CoverageFrac(k); rf != gf {
-						t.Fatalf("final coverage diverges: flat %v, tiled %v", rf, gf)
-					}
-					if max := opt.MaxResidentTiles; max > 0 && mTiled.Tiles().Resident() > max {
-						t.Fatalf("deploy left %d resident tiles, limit %d", mTiled.Tiles().Resident(), max)
-					}
-				}
-			}
+		for k := 1; k <= 3; k++ {
+			seed := uint64(k)
+			ref := gridRescan(GridDECOR{CellSize: cell}, multiTileMap(t, seed, k, -1), Options{})
+			got := GridDECOR{CellSize: cell}.Deploy(multiTileMap(t, seed, k, -1), rng.New(seed), Options{})
+			assertSameResult(t, "multi-tile grid", ref, got)
 		}
 	}
 }
 
 func TestTiledGridParityNewRs(t *testing.T) {
-	for _, newRs := range []float64{2, 3, 6} {
-		for seed := uint64(1); seed <= 3; seed++ {
-			mRef := tiledParityMap(seed, 2, false, coverage.TileOptions{})
-			mTiled := tiledParityMap(seed, 2, true, coverage.TileOptions{TilePoints: 16})
-			ref := GridDECOR{CellSize: 5, NewRs: newRs}.Deploy(mRef, rng.New(seed), Options{})
-			got := GridDECOR{CellSize: 5, NewRs: newRs, Workers: 4}.Deploy(mTiled, rng.New(seed), Options{})
-			assertSameResult(t, "tiled grid newRs", ref, got)
+	for _, newRs := range []float64{2, 6} {
+		ref := gridRescan(GridDECOR{CellSize: 5, NewRs: newRs}, multiTileMap(t, 3, 2, -1), Options{})
+		got := GridDECOR{CellSize: 5, NewRs: newRs}.Deploy(multiTileMap(t, 3, 2, -1), rng.New(3), Options{})
+		assertSameResult(t, "multi-tile grid newRs", ref, got)
+	}
+}
+
+// Placement caps cut a round's decided batch mid-apply; the cache and
+// the cell deficit counts must only see the placements that landed.
+func TestTiledGridParityWithCap(t *testing.T) {
+	for _, capN := range []int{1, 17, 400} {
+		ref := gridRescan(GridDECOR{CellSize: 5}, multiTileMap(t, 11, 3, -1), Options{MaxPlacements: capN})
+		got := GridDECOR{CellSize: 5}.Deploy(multiTileMap(t, 11, 3, -1), rng.New(11), Options{MaxPlacements: capN})
+		assertSameResult(t, "multi-tile grid cap", ref, got)
+	}
+}
+
+// TestTiledMapSeedPathParity starts from sparse networks so the base
+// station has to seed empty regions: the engines find the lowest
+// deficient point through the tile summaries, the oracles through
+// UncoveredPoints()[0].
+func TestTiledMapSeedPathParity(t *testing.T) {
+	for _, initial := range []int{0, 3} {
+		ref := gridRescan(GridDECOR{CellSize: 10}, multiTileMap(t, 5, 1, initial), Options{})
+		got := GridDECOR{CellSize: 10}.Deploy(multiTileMap(t, 5, 1, initial), rng.New(5), Options{})
+		assertSameResult(t, "multi-tile grid seeding", ref, got)
+		if initial == 0 && got.Seeded == 0 {
+			t.Fatal("grid on an empty field seeded nothing")
+		}
+		refV := voronoiRescan(VoronoiDECOR{Rc: 8}, multiTileMap(t, 5, 1, initial), Options{})
+		gotV := VoronoiDECOR{Rc: 8}.Deploy(multiTileMap(t, 5, 1, initial), rng.New(5), Options{})
+		assertSameResult(t, "multi-tile voronoi seeding", refV, gotV)
+		if initial == 0 && gotV.Seeded == 0 {
+			t.Fatal("voronoi on an empty field seeded nothing")
 		}
 	}
-}
-
-// Placement caps cut a round's decided batch mid-apply; the fold must
-// only see the placements that actually landed.
-func TestTiledGridParityWithCap(t *testing.T) {
-	for _, capN := range []int{1, 3, 17} {
-		mRef := tiledParityMap(11, 3, false, coverage.TileOptions{})
-		mTiled := tiledParityMap(11, 3, true, coverage.TileOptions{TilePoints: 16})
-		ref := GridDECOR{CellSize: 5}.Deploy(mRef, rng.New(11), Options{MaxPlacements: capN})
-		got := GridDECOR{CellSize: 5, Workers: 4}.Deploy(mTiled, rng.New(11), Options{MaxPlacements: capN})
-		assertSameResult(t, "tiled grid cap", ref, got)
-	}
-}
-
-// Workers = 0 must leave tiled maps on the seed path (benefitCache over
-// the compatibility layer) and still match the flat reference.
-func TestTiledMapSeedPathParity(t *testing.T) {
-	mRef := tiledParityMap(5, 2, false, coverage.TileOptions{})
-	mTiled := tiledParityMap(5, 2, true, coverage.TileOptions{TilePoints: 16})
-	ref := GridDECOR{CellSize: 5}.Deploy(mRef, rng.New(5), Options{})
-	got := GridDECOR{CellSize: 5}.Deploy(mTiled, rng.New(5), Options{})
-	assertSameResult(t, "tiled map, seed engine", ref, got)
 }
 
 func TestTiledCentralizedParity(t *testing.T) {
 	for k := 1; k <= 3; k++ {
-		for seed := uint64(1); seed <= 3; seed++ {
-			mRef := tiledParityMap(seed, k, false, coverage.TileOptions{})
-			mTiled := tiledParityMap(seed, k, true, coverage.TileOptions{TilePoints: 16})
-			ref := Centralized{}.Deploy(mRef, rng.New(seed), Options{})
-			got := Centralized{Workers: 4}.Deploy(mTiled, rng.New(seed), Options{})
-			assertSameResult(t, "tiled centralized", ref, got)
-		}
+		seed := uint64(k)
+		ref := centralizedIncremental(Centralized{}, multiTileMap(t, seed, k, -1), Options{})
+		got := Centralized{}.Deploy(multiTileMap(t, seed, k, -1), rng.New(seed), Options{})
+		assertSameResult(t, "multi-tile centralized", ref, got)
 	}
 	// Heterogeneous radius and cap variants.
 	for _, newRs := range []float64{2, 6} {
-		mRef := tiledParityMap(4, 2, false, coverage.TileOptions{})
-		mTiled := tiledParityMap(4, 2, true, coverage.TileOptions{TilePoints: 16})
-		ref := Centralized{NewRs: newRs}.Deploy(mRef, rng.New(4), Options{})
-		got := Centralized{NewRs: newRs}.Deploy(mTiled, rng.New(4), Options{})
-		assertSameResult(t, "tiled centralized newRs", ref, got)
+		ref := centralizedIncremental(Centralized{NewRs: newRs}, multiTileMap(t, 4, 2, -1), Options{})
+		got := Centralized{NewRs: newRs}.Deploy(multiTileMap(t, 4, 2, -1), rng.New(4), Options{})
+		assertSameResult(t, "multi-tile centralized newRs", ref, got)
 	}
 	for _, capN := range []int{1, 5} {
-		mRef := tiledParityMap(4, 3, false, coverage.TileOptions{})
-		mTiled := tiledParityMap(4, 3, true, coverage.TileOptions{TilePoints: 16})
-		ref := Centralized{}.Deploy(mRef, rng.New(4), Options{MaxPlacements: capN})
-		got := Centralized{}.Deploy(mTiled, rng.New(4), Options{MaxPlacements: capN})
-		assertSameResult(t, "tiled centralized cap", ref, got)
+		ref := centralizedIncremental(Centralized{}, multiTileMap(t, 4, 3, -1), Options{MaxPlacements: capN})
+		got := Centralized{}.Deploy(multiTileMap(t, 4, 3, -1), rng.New(4), Options{MaxPlacements: capN})
+		assertSameResult(t, "multi-tile centralized cap", ref, got)
 	}
 }
 
-// Voronoi has no tiled engine, but it must keep working through the
-// compatibility layer on tiled maps.
 func TestTiledMapVoronoiParity(t *testing.T) {
-	mRef := tiledParityMap(6, 2, false, coverage.TileOptions{})
-	mTiled := tiledParityMap(6, 2, true, coverage.TileOptions{TilePoints: 16})
-	ref := VoronoiDECOR{Rc: 8}.Deploy(mRef, rng.New(6), Options{})
-	got := VoronoiDECOR{Rc: 8}.Deploy(mTiled, rng.New(6), Options{})
-	assertSameResult(t, "tiled map, voronoi", ref, got)
+	for _, rc := range []float64{8, 14.142135623730951} {
+		ref := voronoiRescan(VoronoiDECOR{Rc: rc}, multiTileMap(t, 6, 2, -1), Options{})
+		got := VoronoiDECOR{Rc: rc}.Deploy(multiTileMap(t, 6, 2, -1), rng.New(6), Options{})
+		assertSameResult(t, "multi-tile voronoi", ref, got)
+	}
 }
 
-// An already-expired context aborts the tiled engines before any
-// placement — cancellation is polled inside the per-tile build and the
-// per-cell scoring loops, not just at round boundaries.
+// An already-expired context aborts every engine before any placement.
 func TestTiledCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	mG := tiledParityMap(1, 2, true, coverage.TileOptions{TilePoints: 16})
-	res := GridDECOR{CellSize: 5, Workers: 4}.Deploy(mG, rng.New(1), Options{Ctx: ctx})
-	if !res.Interrupted || len(res.Placed) != 0 {
-		t.Fatalf("grid: expected interrupted empty run, got interrupted=%v placed=%d",
-			res.Interrupted, len(res.Placed))
-	}
-	mC := tiledParityMap(1, 2, true, coverage.TileOptions{TilePoints: 16})
-	resC := Centralized{Workers: 4}.Deploy(mC, rng.New(1), Options{Ctx: ctx})
-	if !resC.Interrupted || len(resC.Placed) != 0 {
-		t.Fatalf("centralized: expected interrupted empty run, got interrupted=%v placed=%d",
-			resC.Interrupted, len(resC.Placed))
+	for _, meth := range []Method{GridDECOR{CellSize: 5}, Centralized{}, VoronoiDECOR{Rc: 8}} {
+		res := meth.Deploy(multiTileMap(t, 1, 2, -1), rng.New(1), Options{Ctx: ctx})
+		if !res.Interrupted || len(res.Placed) != 0 {
+			t.Fatalf("%s: expected interrupted empty run, got interrupted=%v placed=%d",
+				meth.Name(), res.Interrupted, len(res.Placed))
+		}
 	}
 }
 
-// FuzzTileBoundaryConflict drives the disk-crosses-tile-boundary
-// conflict resolution with fuzz-chosen geometry: arbitrary tile sizes
-// (down to a handful of points per tile), worker counts, cell sizes,
-// and requirements must never diverge from the seed path.
+// FuzzTileBoundaryConflict drives the grid and centralized engines with
+// fuzz-chosen fields, requirements, cell sizes and new-sensor radii on
+// multi-tile fields; they must never diverge from the oracles.
 func FuzzTileBoundaryConflict(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint8(0), uint8(0), uint8(0))
 	f.Add(uint64(7), uint8(2), uint8(1), uint8(3), uint8(200))
 	f.Add(uint64(42), uint8(1), uint8(0), uint8(40), uint8(7))
-	f.Fuzz(func(t *testing.T, seed uint64, kRaw, cellRaw, tpRaw, wRaw uint8) {
+	f.Fuzz(func(t *testing.T, seed uint64, kRaw, cellRaw, rsRaw, initRaw uint8) {
 		k := 1 + int(kRaw)%3
 		cell := 5.0
 		if cellRaw%2 == 1 {
 			cell = 10
 		}
-		tp := 4 + int(tpRaw)%60 // tiny tiles: disks span many
-		workers := 1 + int(wRaw)%4
-		opt := coverage.TileOptions{TilePoints: tp}
-		if wRaw%3 == 0 {
-			opt.MaxResidentTiles = 1 + int(wRaw)%5
+		newRs := []float64{0, 3, 5}[int(rsRaw)%3]
+		initial := -1
+		if initRaw%4 == 3 {
+			initial = int(initRaw) % 16 // sparse: base-station seeds
 		}
-		mRef := tiledParityMap(seed, k, false, coverage.TileOptions{})
-		mTiled := tiledParityMap(seed, k, true, opt)
-		ref := GridDECOR{CellSize: cell}.Deploy(mRef, rng.New(seed), Options{})
-		got := GridDECOR{CellSize: cell, Workers: workers}.Deploy(mTiled, rng.New(seed), Options{})
-		assertSameResult(t, "fuzz tiled grid", ref, got)
+		g := GridDECOR{CellSize: cell, NewRs: newRs}
+		ref := gridRescan(g, multiTileMap(t, seed, k, initial), Options{})
+		got := g.Deploy(multiTileMap(t, seed, k, initial), rng.New(seed), Options{})
+		assertSameResult(t, "fuzz multi-tile grid", ref, got)
 
-		mRefC := tiledParityMap(seed, k, false, coverage.TileOptions{})
-		mTiledC := tiledParityMap(seed, k, true, opt)
-		refC := Centralized{}.Deploy(mRefC, rng.New(seed), Options{})
-		gotC := Centralized{Workers: workers}.Deploy(mTiledC, rng.New(seed), Options{})
-		assertSameResult(t, "fuzz tiled centralized", refC, gotC)
+		c := Centralized{NewRs: newRs}
+		refC := centralizedIncremental(c, multiTileMap(t, seed, k, initial), Options{})
+		gotC := c.Deploy(multiTileMap(t, seed, k, initial), rng.New(seed), Options{})
+		assertSameResult(t, "fuzz multi-tile centralized", refC, gotC)
 	})
 }

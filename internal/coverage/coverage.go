@@ -27,11 +27,10 @@ type Map struct {
 	counts    []int
 	deficient int // number of points with counts[i] < k
 
-	// tiles, when non-nil, replaces counts/deficient with the tiled
-	// uint8 store (DESIGN.md §13) for million-point fields: maps built
-	// with NewTiled keep counts nil and route every count access
-	// through it. Exactly one of counts/tiles is active.
-	tiles *TileStore
+	// tiles partitions the points into square tiles (tiles.go); tileDef
+	// holds each tile's number of points with counts[i] < k.
+	tiles   tiling
+	tileDef []int32
 
 	sensors   map[int]geom.Point
 	sensorIdx *index.Grid
@@ -73,57 +72,36 @@ func New(field geom.Rect, pts []geom.Point, rs float64, k int) *Map {
 		ptIdx:     index.NewGrid(field, rs),
 		counts:    make([]int, len(pts)),
 		deficient: len(pts),
+		tiles:     newTiling(field, pts),
 		sensors:   make(map[int]geom.Point),
 		sensorIdx: index.NewGrid(field, rs),
 		sensorRs:  make(map[int]float64),
 		maxRs:     rs,
 	}
+	m.tileDef = make([]int32, len(m.tiles.start)-1)
+	for t := range m.tileDef {
+		m.tileDef[t] = m.tiles.start[t+1] - m.tiles.start[t]
+	}
 	m.ptIdx.InsertDense(m.pts)
 	return m
 }
 
-// NewTiled creates a coverage map whose counts live in the tiled uint8
-// store instead of a flat []int: cache-dense pages sized for ~opt.
-// TilePoints samples each, per-tile deficiency summaries for O(1)
-// fully-covered-tile skips, and optional eviction to a TileBacking under
-// opt.MaxResidentTiles. Observable behavior is identical to New — the
-// tiled parity suite holds the two modes byte-identical — but k must fit
-// the requirement in a uint8 page (k <= 255; counts themselves are exact
-// past 255 via an overflow sidecar). It panics on invalid rs or k.
-func NewTiled(field geom.Rect, pts []geom.Point, rs float64, k int, opt TileOptions) *Map {
-	if rs <= 0 {
-		panic("coverage: rs must be positive")
+// inc and dec move point i's count by one, keeping the deficiency
+// totals in step.
+func (m *Map) inc(i int) {
+	m.counts[i]++
+	if m.counts[i] == m.k {
+		m.deficient--
+		m.tileDef[m.tiles.tileOf[i]]--
 	}
-	if k < 1 {
-		panic("coverage: k must be >= 1")
-	}
-	m := &Map{
-		field:     field,
-		rs:        rs,
-		k:         k,
-		pts:       append([]geom.Point(nil), pts...),
-		ptIdx:     index.NewGrid(field, rs),
-		sensors:   make(map[int]geom.Point),
-		sensorIdx: index.NewGrid(field, rs),
-		sensorRs:  make(map[int]float64),
-		maxRs:     rs,
-	}
-	m.tiles = newTileStore(field, m.pts, k, opt)
-	m.ptIdx.InsertDense(m.pts)
-	return m
 }
 
-// Tiles returns the tiled count store, or nil for a flat map. Engines
-// use it to branch onto the tile-parallel paths and to reach the
-// per-tile deficiency summaries.
-func (m *Map) Tiles() *TileStore { return m.tiles }
-
-// cnt returns point i's coverage count in either storage mode.
-func (m *Map) cnt(i int) int {
-	if m.tiles != nil {
-		return m.tiles.Count(i)
+func (m *Map) dec(i int) {
+	if m.counts[i] == m.k {
+		m.deficient++
+		m.tileDef[m.tiles.tileOf[i]]++
 	}
-	return m.counts[i]
+	m.counts[i]--
 }
 
 // Field returns the monitored rectangle.
@@ -149,14 +127,12 @@ func (m *Map) SetK(k int) {
 		return
 	}
 	m.k = k
-	if m.tiles != nil {
-		m.tiles.SetK(k)
-		return
-	}
 	m.deficient = 0
-	for _, c := range m.counts {
+	clear(m.tileDef)
+	for i, c := range m.counts {
 		if c < k {
 			m.deficient++
+			m.tileDef[m.tiles.tileOf[i]]++
 		}
 	}
 }
@@ -168,16 +144,11 @@ func (m *Map) NumPoints() int { return len(m.pts) }
 func (m *Map) Point(i int) geom.Point { return m.pts[i] }
 
 // Count returns the current coverage count k_p of sample point i.
-func (m *Map) Count(i int) int { return m.cnt(i) }
+func (m *Map) Count(i int) int { return m.counts[i] }
 
 // Counts returns a copy of all coverage counts (a snapshot, used by the
 // round-based distributed simulation).
 func (m *Map) Counts() []int {
-	if m.tiles != nil {
-		out := make([]int, len(m.pts))
-		m.tiles.CountsInto(out)
-		return out
-	}
 	return append([]int(nil), m.counts...)
 }
 
@@ -190,29 +161,20 @@ func (m *Map) CountsInto(dst []int) []int {
 		dst = make([]int, len(m.pts))
 	}
 	dst = dst[:len(m.pts)]
-	if m.tiles != nil {
-		m.tiles.CountsInto(dst)
-		return dst
-	}
 	copy(dst, m.counts)
 	return dst
 }
 
 // Deficit returns max(k - k_p, 0) for sample point i.
 func (m *Map) Deficit(i int) int {
-	if d := m.k - m.cnt(i); d > 0 {
+	if d := m.k - m.counts[i]; d > 0 {
 		return d
 	}
 	return 0
 }
 
 // NumDeficient returns the number of sample points with k_p < k.
-func (m *Map) NumDeficient() int {
-	if m.tiles != nil {
-		return m.tiles.Deficient()
-	}
-	return m.deficient
-}
+func (m *Map) NumDeficient() int { return m.deficient }
 
 // FullyCovered reports whether every sample point is k-covered.
 func (m *Map) FullyCovered() bool { return m.NumDeficient() == 0 }
@@ -294,18 +256,8 @@ func (m *Map) AddSensorRadius(id int, p geom.Point, rs float64) {
 	if rs > m.maxRs {
 		m.maxRs = rs
 	}
-	if m.tiles != nil {
-		m.ptIdx.VisitBall(p, rs, func(i int, _ geom.Point) bool {
-			m.tiles.Inc(i)
-			return true
-		})
-		return
-	}
 	m.ptIdx.VisitBall(p, rs, func(i int, _ geom.Point) bool {
-		m.counts[i]++
-		if m.counts[i] == m.k {
-			m.deficient--
-		}
+		m.inc(i)
 		return true
 	})
 }
@@ -328,17 +280,8 @@ func (m *Map) AddSensorAtPoint(id, ptIdx int) {
 	m.sensors[id] = p
 	m.sensorIdx.Insert(id, p)
 	m.insertSortedID(id)
-	if m.tiles != nil {
-		for _, j := range nb.At(ptIdx) {
-			m.tiles.Inc(int(j))
-		}
-		return
-	}
 	for _, j := range nb.At(ptIdx) {
-		m.counts[j]++
-		if m.counts[j] == m.k {
-			m.deficient--
-		}
+		m.inc(int(j))
 	}
 }
 
@@ -371,18 +314,8 @@ func (m *Map) RemoveSensor(id int) bool {
 	delete(m.sensorRs, id)
 	m.sensorIdx.Remove(id)
 	m.removeSortedID(id)
-	if m.tiles != nil {
-		m.ptIdx.VisitBall(p, rs, func(i int, _ geom.Point) bool {
-			m.tiles.Dec(i)
-			return true
-		})
-		return true
-	}
 	m.ptIdx.VisitBall(p, rs, func(i int, _ geom.Point) bool {
-		if m.counts[i] == m.k {
-			m.deficient++
-		}
-		m.counts[i]--
+		m.dec(i)
 		return true
 	})
 	return true
@@ -396,17 +329,9 @@ func (m *Map) CoverageFrac(level int) float64 {
 		return 1
 	}
 	n := 0
-	if m.tiles != nil {
-		m.tiles.ForEachCount(func(_, c int) {
-			if c >= level {
-				n++
-			}
-		})
-	} else {
-		for _, c := range m.counts {
-			if c >= level {
-				n++
-			}
+	for _, c := range m.counts {
+		if c >= level {
+			n++
 		}
 	}
 	return float64(n) / float64(len(m.pts))
@@ -506,15 +431,6 @@ func (m *Map) Benefit(c geom.Point) int {
 // radius differs from the map default (heterogeneous deployments, §2).
 func (m *Map) BenefitRadius(c geom.Point, rs float64) int {
 	b := 0
-	if m.tiles != nil {
-		m.ptIdx.VisitBall(c, rs, func(i int, _ geom.Point) bool {
-			if d := m.k - m.tiles.Count(i); d > 0 {
-				b += d
-			}
-			return true
-		})
-		return b
-	}
 	m.ptIdx.VisitBall(c, rs, func(i int, _ geom.Point) bool {
 		if d := m.k - m.counts[i]; d > 0 {
 			b += d
@@ -553,17 +469,6 @@ func (m *Map) BenefitWithRadius(c geom.Point, rs float64, perceived func(i int) 
 // sorted ascending.
 func (m *Map) UncoveredPoints() []int {
 	var out []int
-	if m.tiles != nil {
-		// Tile-major scan (one page fault per tile), then sort to
-		// restore the ascending order the flat path produces.
-		m.tiles.ForEachCount(func(i, c int) {
-			if c < m.k {
-				out = append(out, i)
-			}
-		})
-		sort.Ints(out)
-		return out
-	}
 	for i, c := range m.counts {
 		if c < m.k {
 			out = append(out, i)
@@ -590,7 +495,7 @@ func (m *Map) IsRedundant(id int) bool {
 		// Removing the sensor lowers this point's count by one. The node
 		// "contributes" if that would take a currently >=k point below k,
 		// or reduce an under-covered point further.
-		if m.cnt(i) <= m.k {
+		if m.counts[i] <= m.k {
 			redundant = false
 			return false
 		}
@@ -639,11 +544,11 @@ func (m *Map) RedundantSensors() []int {
 
 // Clone returns an independent copy of the map, including sensors and
 // their individual radii. Only immutable state is shared: the sample
-// points, their spatial index (never mutated after construction), and
-// the shared neighborhood cache. Sensors can be added to or removed from
-// the clone without affecting the original — an experiment builds the
-// initial deployment once and hands each method a private copy, skipping
-// the per-method ball queries of re-scattering.
+// points, their spatial index and tile partition (never mutated after
+// construction), and the shared neighborhood cache. Sensors can be added
+// to or removed from the clone without affecting the original — an
+// experiment builds the initial deployment once and hands each method a
+// private copy, skipping the per-method ball queries of re-scattering.
 func (m *Map) Clone() *Map {
 	c := &Map{
 		field:     m.field,
@@ -653,15 +558,14 @@ func (m *Map) Clone() *Map {
 		ptIdx:     m.ptIdx,
 		counts:    append([]int(nil), m.counts...),
 		deficient: m.deficient,
+		tiles:     m.tiles,
+		tileDef:   append([]int32(nil), m.tileDef...),
 		sensors:   make(map[int]geom.Point, len(m.sensors)),
 		sensorIdx: m.sensorIdx.Clone(),
 		sortedIDs: append([]int(nil), m.sortedIDs...),
 		sensorRs:  make(map[int]float64, len(m.sensorRs)),
 		maxRs:     m.maxRs,
 		nbShared:  m.nbShared,
-	}
-	if m.tiles != nil {
-		c.tiles = m.tiles.Clone()
 	}
 	for id, p := range m.sensors {
 		c.sensors[id] = p
@@ -675,16 +579,6 @@ func (m *Map) Clone() *Map {
 // CoverageHistogram returns counts[j] = number of sample points covered by
 // exactly j sensors, for j in [0, max].
 func (m *Map) CoverageHistogram() []int {
-	if m.tiles != nil {
-		hist := []int{0}
-		m.tiles.ForEachCount(func(_, c int) {
-			for c >= len(hist) {
-				hist = append(hist, 0)
-			}
-			hist[c]++
-		})
-		return hist
-	}
 	maxC := 0
 	for _, c := range m.counts {
 		if c > maxC {

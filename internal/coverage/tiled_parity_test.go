@@ -1,6 +1,7 @@
 package coverage
 
 import (
+	"maps"
 	"reflect"
 	"testing"
 
@@ -9,233 +10,215 @@ import (
 	"decor/internal/rng"
 )
 
-// tiledPair builds the same field in flat and tiled mode. TilePoints is
-// kept tiny so even a 400-point field spans many tiles and sensing
-// disks routinely cross tile boundaries.
-func tiledPair(t *testing.T, n, k int, opt TileOptions) (*Map, *Map) {
-	t.Helper()
-	field := geom.Square(50)
-	pts := lowdisc.Halton{}.Points(n, field)
-	return New(field, pts, 4, k), NewTiled(field, pts, 4, k, opt)
+// disk is one live sensor of a brute-force recount.
+type disk struct {
+	p geom.Point
+	r float64
 }
 
-// assertSameState compares every observable count-derived quantity of
-// the two storage modes.
-func assertSameState(t *testing.T, flat, tiled *Map) {
+// assertRecount checks every count-derived quantity of m against a
+// brute-force recount from the live sensors: per-point counts, the
+// deficient totals per tile and overall, the lowest deficient point,
+// and the scans built on the counts.
+func assertRecount(t *testing.T, m *Map, live map[int]disk) {
 	t.Helper()
-	if got, want := tiled.NumDeficient(), flat.NumDeficient(); got != want {
-		t.Fatalf("NumDeficient: tiled %d, flat %d", got, want)
+	k := m.K()
+	want := make([]int, m.NumPoints())
+	tileOf := make([]int, m.NumPoints())
+	for tl := 0; tl < m.NumTiles(); tl++ {
+		for _, i := range m.TilePoints(tl) {
+			tileOf[i] = tl
+		}
 	}
-	if got, want := tiled.Counts(), flat.Counts(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Counts diverge: tiled %v, flat %v", got, want)
+	tileDef := make([]int, m.NumTiles())
+	deficient, lowest, hist := 0, -1, []int{0}
+	for i := range want {
+		for _, s := range live {
+			if s.p.Dist2(m.Point(i)) <= s.r*s.r {
+				want[i]++
+			}
+		}
+		if want[i] < k {
+			deficient++
+			tileDef[tileOf[i]]++
+			if lowest < 0 {
+				lowest = i
+			}
+		}
+		for want[i] >= len(hist) {
+			hist = append(hist, 0)
+		}
+		hist[want[i]]++
 	}
-	if got, want := tiled.CoverageFrac(flat.K()), flat.CoverageFrac(flat.K()); got != want {
-		t.Fatalf("CoverageFrac: tiled %v, flat %v", got, want)
+	if got := m.Counts(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("counts diverge from the recount:\n got %v\nwant %v", got, want)
 	}
-	if got, want := tiled.UncoveredPoints(), flat.UncoveredPoints(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("UncoveredPoints: tiled %v, flat %v", got, want)
+	if m.NumDeficient() != deficient || m.FullyCovered() != (deficient == 0) {
+		t.Fatalf("NumDeficient = %d, want %d", m.NumDeficient(), deficient)
 	}
-	if got, want := tiled.CoverageHistogram(), flat.CoverageHistogram(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("CoverageHistogram: tiled %v, flat %v", got, want)
+	for tl, d := range tileDef {
+		if m.DeficientInTile(tl) != d {
+			t.Fatalf("tile %d: DeficientInTile = %d, want %d", tl, m.DeficientInTile(tl), d)
+		}
+	}
+	if got := m.LowestDeficient(); got != lowest {
+		t.Fatalf("LowestDeficient = %d, want %d", got, lowest)
+	}
+	if unc := m.UncoveredPoints(); len(unc) != deficient || (deficient > 0 && unc[0] != lowest) {
+		t.Fatalf("UncoveredPoints has %d points, want %d from %d", len(unc), deficient, lowest)
+	}
+	if got := m.CoverageHistogram(); !reflect.DeepEqual(got, hist) {
+		t.Fatalf("CoverageHistogram = %v, want %v", got, hist)
+	}
+	if got, want := m.CoverageFrac(k), float64(len(want)-deficient)/float64(len(want)); got != want {
+		t.Fatalf("CoverageFrac(k) = %v, want %v", got, want)
 	}
 }
 
-// TestTiledParityRandomOps drives both storage modes through an
-// identical randomized add/remove/SetK sequence and checks every
-// observable after each step.
+// multiTileMap builds a 12000-point field spanning several tiles.
+func multiTileMap(k int) *Map {
+	field := geom.Square(100)
+	return New(field, lowdisc.Halton{}.Points(12000, field), 4, k)
+}
+
+// TestTiledParityRandomOps drives a multi-tile map through a randomized
+// add/remove/SetK/Clone sequence and checks every count-derived
+// quantity against a brute-force recount. Clones must evolve
+// independently of the maps they were taken from.
 func TestTiledParityRandomOps(t *testing.T) {
-	for _, opt := range []TileOptions{
-		{TilePoints: 16},
-		{TilePoints: 16, MaxResidentTiles: 2},
-		{TilePoints: 64, MaxResidentTiles: 1},
-	} {
-		flat, tiled := tiledPair(t, 400, 2, opt)
-		r := rng.New(7)
-		live := []int{}
-		next := 0
-		for step := 0; step < 200; step++ {
-			switch {
-			case len(live) > 0 && r.Bool(0.3):
-				i := r.Intn(len(live))
-				id := live[i]
-				live = append(live[:i], live[i+1:]...)
-				if !flat.RemoveSensor(id) || !tiled.RemoveSensor(id) {
-					t.Fatalf("remove %d failed", id)
-				}
-			case r.Bool(0.1):
-				k := 1 + r.Intn(4)
-				flat.SetK(k)
-				tiled.SetK(k)
-			default:
-				p := r.PointInRect(flat.Field())
-				rs := 2 + 4*r.Float64()
-				flat.AddSensorRadius(next, p, rs)
-				tiled.AddSensorRadius(next, p, rs)
-				live = append(live, next)
-				next++
+	m := multiTileMap(2)
+	if m.NumTiles() < 4 {
+		t.Fatalf("field spans %d tiles, want several", m.NumTiles())
+	}
+	r := rng.New(7)
+	live := map[int]disk{}
+	type frozen struct {
+		m    *Map
+		live map[int]disk
+	}
+	var originals []frozen
+	next := 0
+	for step := 0; step < 240; step++ {
+		switch {
+		case len(live) > 0 && r.Bool(0.3):
+			ids := m.SensorIDs()
+			id := ids[r.Intn(len(ids))]
+			delete(live, id)
+			if !m.RemoveSensor(id) {
+				t.Fatalf("remove %d failed", id)
 			}
-			if step%17 == 0 {
-				assertSameState(t, flat, tiled)
-			}
+		case r.Bool(0.08):
+			m.SetK(1 + r.Intn(4))
+		case r.Bool(0.05):
+			originals = append(originals, frozen{m, maps.Clone(live)})
+			m = m.Clone()
+		default:
+			s := disk{r.PointInRect(m.Field()), 2 + 4*r.Float64()}
+			m.AddSensorRadius(next, s.p, s.r)
+			live[next] = s
+			next++
 		}
-		assertSameState(t, flat, tiled)
-		if got, want := tiled.RedundantSensors(), flat.RedundantSensors(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("RedundantSensors: tiled %v, flat %v", got, want)
+		if step%20 == 0 {
+			assertRecount(t, m, live)
 		}
-		assertSameState(t, flat, tiled) // RedundantSensors must restore state
-		if max := opt.MaxResidentTiles; max > 0 && tiled.Tiles().Resident() > max {
-			t.Fatalf("resident tiles %d exceed limit %d", tiled.Tiles().Resident(), max)
-		}
+	}
+	assertRecount(t, m, live)
+	m.RedundantSensors()
+	assertRecount(t, m, live) // RedundantSensors must restore state
+	if len(originals) == 0 {
+		t.Fatal("the op sequence took no clone")
+	}
+	for _, o := range originals {
+		assertRecount(t, o.m, o.live)
 	}
 }
 
-// TestTiledOverflowExact stacks enough sensors on one spot to push
-// counts past the uint8 saturation point and checks counts stay exact
-// through the overflow sidecar, including back down through removal.
+// TestTiledOverflowExact stacks sensors on one spot until counts pass
+// 255, with a requirement past 255 too, and checks counts and deficits
+// stay exact on the way up and back down.
 func TestTiledOverflowExact(t *testing.T) {
 	field := geom.Square(10)
-	pts := lowdisc.Halton{}.Points(50, field)
-	flat := New(field, pts, 4, 1)
-	tiled := NewTiled(field, pts, 4, 1, TileOptions{TilePoints: 8})
+	m := New(field, lowdisc.Halton{}.Points(50, field), 4, 300)
 	center := geom.Point{X: 5, Y: 5}
+	live := map[int]disk{}
 	for id := 0; id < 300; id++ {
-		flat.AddSensor(id, center)
-		tiled.AddSensor(id, center)
+		m.AddSensor(id, center)
+		live[id] = disk{center, 4}
 	}
-	assertSameState(t, flat, tiled)
+	assertRecount(t, m, live)
+	m.SetK(280)
+	assertRecount(t, m, live)
 	for id := 0; id < 300; id += 2 {
-		flat.RemoveSensor(id)
-		tiled.RemoveSensor(id)
+		m.RemoveSensor(id)
+		delete(live, id)
 	}
-	assertSameState(t, flat, tiled)
-	for id := 0; id < 300; id++ {
-		flat.RemoveSensor(id)
-		tiled.RemoveSensor(id)
+	assertRecount(t, m, live)
+	for id := range live {
+		m.RemoveSensor(id)
+		delete(live, id)
 	}
-	assertSameState(t, flat, tiled)
-	if tiled.NumDeficient() != tiled.NumPoints() {
+	assertRecount(t, m, live)
+	if m.NumDeficient() != m.NumPoints() {
 		t.Fatalf("expected all points deficient after removing everything")
 	}
 }
 
-// TestTiledEvictionRoundTrip forces page eviction with a 1-page budget
-// and verifies counts survive the backing round-trip.
-func TestTiledEvictionRoundTrip(t *testing.T) {
-	flat, tiled := tiledPair(t, 300, 1, TileOptions{TilePoints: 8, MaxResidentTiles: 1})
-	r := rng.New(3)
-	for id := 0; id < 40; id++ {
-		p := r.PointInRect(flat.Field())
-		flat.AddSensor(id, p)
-		tiled.AddSensor(id, p)
-	}
-	ts := tiled.Tiles()
-	if ts.Resident() > 1 {
-		t.Fatalf("resident %d with MaxResidentTiles=1", ts.Resident())
-	}
-	// Per-point reads in index order deliberately hop between tiles,
-	// exercising fault/evict on nearly every access.
-	for i := 0; i < tiled.NumPoints(); i++ {
-		if got, want := tiled.Count(i), flat.Count(i); got != want {
-			t.Fatalf("point %d: tiled count %d, flat %d", i, got, want)
-		}
-	}
-	assertSameState(t, flat, tiled)
-}
-
-// TestTiledCloneIndependent checks Clone copies tiled state deeply
-// enough that the original and the clone evolve independently, even
-// when some source pages are evicted at clone time.
+// TestTiledCloneIndependent checks Clone copies the counts and the tile
+// summaries deeply enough that the original and the clone evolve
+// independently.
 func TestTiledCloneIndependent(t *testing.T) {
-	flat, tiled := tiledPair(t, 300, 2, TileOptions{TilePoints: 8, MaxResidentTiles: 2})
+	m := multiTileMap(2)
 	r := rng.New(11)
+	live := map[int]disk{}
 	for id := 0; id < 30; id++ {
-		p := r.PointInRect(flat.Field())
-		flat.AddSensor(id, p)
-		tiled.AddSensor(id, p)
+		s := disk{r.PointInRect(m.Field()), 4}
+		m.AddSensor(id, s.p)
+		live[id] = s
 	}
-	flatC, tiledC := flat.Clone(), tiled.Clone()
-	assertSameState(t, flatC, tiledC)
-	// Diverge the clones; originals must not move.
-	p := geom.Point{X: 25, Y: 25}
-	flatC.AddSensor(1000, p)
-	tiledC.AddSensor(1000, p)
-	assertSameState(t, flatC, tiledC)
-	assertSameState(t, flat, tiled)
+	c := m.Clone()
+	cLive := maps.Clone(live)
+	assertRecount(t, c, cLive)
+	// Diverge the clone; the original must not move.
+	c.AddSensor(1000, geom.Point{X: 50, Y: 50})
+	cLive[1000] = disk{geom.Point{X: 50, Y: 50}, 4}
+	c.SetK(3)
+	assertRecount(t, c, cLive)
+	assertRecount(t, m, live)
 	// And the other direction.
-	flat.RemoveSensor(0)
-	tiled.RemoveSensor(0)
-	assertSameState(t, flat, tiled)
-	assertSameState(t, flatC, tiledC)
-}
-
-// TestTiledZeroTilesStayCold verifies reading counts of an untouched
-// region materializes no pages.
-func TestTiledZeroTilesStayCold(t *testing.T) {
-	field := geom.Square(100)
-	pts := lowdisc.Halton{}.Points(1000, field)
-	tiled := NewTiled(field, pts, 4, 1, TileOptions{TilePoints: 16})
-	for i := 0; i < tiled.NumPoints(); i++ {
-		if tiled.Count(i) != 0 {
-			t.Fatalf("fresh map has nonzero count at %d", i)
-		}
-	}
-	if got := tiled.Tiles().Resident(); got != 0 {
-		t.Fatalf("reading a fresh map materialized %d pages", got)
-	}
-	// One sensor touches only the tiles its disk overlaps.
-	tiled.AddSensor(0, geom.Point{X: 50, Y: 50})
-	if got, all := tiled.Tiles().Resident(), tiled.Tiles().NumTiles(); got == 0 || got >= all {
-		t.Fatalf("one sensor materialized %d of %d pages", got, all)
-	}
-}
-
-// TestTiledKValidation: tiled storage requires k <= 255 at construction
-// and through SetK.
-func TestTiledKValidation(t *testing.T) {
-	field := geom.Square(10)
-	pts := lowdisc.Halton{}.Points(20, field)
-	for _, bad := range []func(){
-		func() { NewTiled(field, pts, 4, 256, TileOptions{}) },
-		func() { NewTiled(field, pts, 4, 1, TileOptions{}).SetK(300) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic for k > 255 in tiled mode")
-				}
-			}()
-			bad()
-		}()
-	}
+	m.RemoveSensor(0)
+	delete(live, 0)
+	assertRecount(t, m, live)
+	assertRecount(t, c, cLive)
 }
 
 // TestTileGeometry sanity-checks the CSR point bucketing: every point
-// in exactly one tile, ascending within the tile, consistent with
-// TileOf, and VisitTilesInDisk covers the tiles of all points in range.
+// in exactly one tile, ascending within the tile, and VisitTilesInDisk
+// covers the tiles of all points in range.
 func TestTileGeometry(t *testing.T) {
 	field := geom.Square(40)
-	pts := lowdisc.Halton{}.Points(500, field)
-	m := NewTiled(field, pts, 4, 1, TileOptions{TilePoints: 32})
-	ts := m.Tiles()
-	seen := make([]bool, m.NumPoints())
-	for tl := 0; tl < ts.NumTiles(); tl++ {
+	m := New(field, lowdisc.Halton{}.Points(20000, field), 4, 1)
+	if m.NumTiles() < 9 {
+		t.Fatalf("20000 points span %d tiles, want several per axis", m.NumTiles())
+	}
+	tileOf := make([]int, m.NumPoints())
+	for i := range tileOf {
+		tileOf[i] = -1
+	}
+	for tl := 0; tl < m.NumTiles(); tl++ {
 		prev := int32(-1)
-		for _, i := range ts.TilePoints(tl) {
+		for _, i := range m.TilePoints(tl) {
 			if i <= prev {
 				t.Fatalf("tile %d point list not ascending: %d after %d", tl, i, prev)
 			}
 			prev = i
-			if seen[i] {
-				t.Fatalf("point %d in two tiles", i)
+			if tileOf[i] >= 0 {
+				t.Fatalf("point %d in tiles %d and %d", i, tileOf[i], tl)
 			}
-			seen[i] = true
-			if ts.TileOf(int(i)) != tl {
-				t.Fatalf("TileOf(%d)=%d, listed in %d", i, ts.TileOf(int(i)), tl)
-			}
+			tileOf[i] = tl
 		}
 	}
-	for i, ok := range seen {
-		if !ok {
+	for i, tl := range tileOf {
+		if tl < 0 {
 			t.Fatalf("point %d in no tile", i)
 		}
 	}
@@ -245,10 +228,10 @@ func TestTileGeometry(t *testing.T) {
 		c := r.PointInRect(field)
 		rad := 1 + 9*r.Float64()
 		hit := map[int]bool{}
-		ts.VisitTilesInDisk(c, rad, func(tl int) { hit[tl] = true })
+		m.VisitTilesInDisk(c, rad, func(tl int) { hit[tl] = true })
 		m.VisitPointsInBall(c, rad, func(i int, _ geom.Point) bool {
-			if !hit[ts.TileOf(i)] {
-				t.Fatalf("VisitTilesInDisk missed tile %d of in-range point %d", ts.TileOf(i), i)
+			if !hit[tileOf[i]] {
+				t.Fatalf("VisitTilesInDisk missed tile %d of in-range point %d", tileOf[i], i)
 			}
 			return true
 		})

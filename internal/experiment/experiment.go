@@ -37,19 +37,6 @@ type Config struct {
 	// (method, k, run) cells across goroutines; 0 means GOMAXPROCS.
 	// Results are byte-identical for any value (see parallel.go).
 	Parallel int
-	// Tiled switches coverage maps to the tiled uint8 count store and
-	// the grid/centralized methods to their tile-parallel engines
-	// (DESIGN.md §13). Figure output is byte-identical either way (the
-	// experiment parity test asserts it); the point is million-point
-	// fields, where the flat store stops fitting in cache.
-	Tiled bool
-	// PlaceWorkers is the within-placement worker count for the tiled
-	// engines (0 = GOMAXPROCS, only meaningful with Tiled). Distinct
-	// from Parallel, which fans whole experiment cells.
-	PlaceWorkers int
-	// MaxResidentTiles bounds materialized count pages per map
-	// (0 = unlimited; only meaningful with Tiled).
-	MaxResidentTiles int
 }
 
 // Default returns the paper's configuration.
@@ -120,8 +107,6 @@ type fieldCache struct {
 type protoKey struct {
 	k, run, init int
 	rs           float64
-	tiled        bool
-	maxResident  int
 }
 
 // NewMap builds the coverage map for requirement k and pre-deploys the
@@ -132,16 +117,11 @@ func (c Config) NewMap(k, run int) *coverage.Map {
 		&fieldCache{})
 	fc := shared.(*fieldCache)
 	fc.once.Do(func() { fc.pts = c.Points() })
-	pk := protoKey{k, run, c.InitialSensors, c.Rs, c.Tiled, c.MaxResidentTiles}
+	pk := protoKey{k, run, c.InitialSensors, c.Rs}
 	fc.mu.Lock()
 	proto := fc.proto[pk]
 	if proto == nil {
-		if c.Tiled {
-			proto = coverage.NewTiled(c.Field(), fc.pts, c.Rs, k,
-				coverage.TileOptions{MaxResidentTiles: c.MaxResidentTiles})
-		} else {
-			proto = coverage.New(c.Field(), fc.pts, c.Rs, k)
-		}
+		proto = coverage.New(c.Field(), fc.pts, c.Rs, k)
 		proto.ShareNeighborhoods(&fc.nb)
 		r := rng.New(c.Seed + uint64(run)*1000003)
 		for id := 0; id < c.InitialSensors; id++ {
@@ -161,29 +141,13 @@ func (c Config) DeployRNG(run int) *rng.RNG {
 	return rng.New(c.Seed + uint64(run)*7777777 + 13)
 }
 
-// Methods returns the paper's six evaluated methods. With Tiled set,
-// the grid and centralized methods get their tile-parallel engines
-// enabled (placements are byte-identical; only the execution changes).
+// Methods returns the paper's six evaluated methods.
 func (c Config) Methods() []core.Method {
 	out := make([]core.Method, 0, 6)
 	for _, name := range core.AllMethodNames() {
 		m, err := core.MethodByName(name, c.Rs)
 		if err != nil {
 			panic(err)
-		}
-		if c.Tiled {
-			w := c.PlaceWorkers
-			if w == 0 {
-				w = -1 // GridDECOR.Workers: negative = GOMAXPROCS, 0 = off
-			}
-			switch v := m.(type) {
-			case core.GridDECOR:
-				v.Workers = w
-				m = v
-			case core.Centralized:
-				v.Workers = w
-				m = v
-			}
 		}
 		out = append(out, m)
 	}

@@ -45,13 +45,6 @@ const (
 	CoreCacheDeltaUpdates = "decor_core_benefit_cache_delta_updates_total"
 	CoreCacheFallbacks    = "decor_core_benefit_cache_fallback_evals_total"
 
-	// internal/coverage tiled count store (DESIGN.md §13): materialized
-	// count tiles currently resident, and cumulative evictions to the
-	// tile backing when a resident limit is set. Together they make the
-	// memory footprint of a million-point field observable.
-	CoreTilesResident = "decor_core_tiles_resident"
-	CoreTileEvictions = "decor_core_tile_evictions_total"
-
 	// internal/service request-path counters and gauges (decor-serve).
 	ServePlanRequests   = "decor_serve_plan_requests_total"
 	ServeRepairRequests = "decor_serve_repair_requests_total"
@@ -122,12 +115,11 @@ func RegisterStandard(r *Registry) {
 		SimDelayed, SimDuplicated, SimPartitionDropped, SimCrashes, SimRestarts,
 		ProtoHeartbeats, ProtoPlacementsAnnounced, ProtoPlacementsReceived,
 		ProtoFailuresDetected, ProtoLeaderChanges,
-		CoreCacheDeltaUpdates, CoreCacheFallbacks, CoreTileEvictions,
+		CoreCacheDeltaUpdates, CoreCacheFallbacks,
 	} {
 		r.Counter(name)
 	}
 	r.Gauge(SimQueueDepth)
-	r.Gauge(CoreTilesResident)
 	for _, name := range []string{
 		CoreRoundSeconds, CoreBenefitEvalSeconds, CoreCandidateScoringSeconds,
 		CoreCacheBuildSeconds,

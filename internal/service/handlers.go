@@ -181,40 +181,57 @@ func (s *Server) recordResponse(route string, status int, tenant string) {
 	c.Inc()
 }
 
-// statusWriter captures the status code a handler wrote so the response
-// counter and the 5xx flight capture can see it. Instances are pooled;
-// nothing retains one past its request (http.MaxBytesReader holds a
-// reference but only type-asserts it, never touching fields).
+// statusWriter captures the status code a handler wrote and counts the
+// response under (route, status, tenant) the moment the status is
+// committed — before any byte reaches the client, so a scrape issued
+// after a response always sees it counted. The 5xx flight capture reads
+// the status after the handler returns. Instances are pooled; nothing
+// retains one past its request (http.MaxBytesReader holds a reference
+// but only type-asserts it, never touching fields).
 type statusWriter struct {
 	http.ResponseWriter
-	status int
+	status        int
+	srv           *Server
+	route, tenant string
 }
 
 var swPool = sync.Pool{New: func() any { return new(statusWriter) }}
 
-func getStatusWriter(w http.ResponseWriter) *statusWriter {
+func (s *Server) getStatusWriter(w http.ResponseWriter, route, tenant string) *statusWriter {
 	sw := swPool.Get().(*statusWriter)
 	sw.ResponseWriter = w
 	sw.status = 0
+	sw.srv, sw.route, sw.tenant = s, route, tenant
 	return sw
 }
 
 func putStatusWriter(sw *statusWriter) {
-	sw.ResponseWriter = nil
+	sw.ResponseWriter, sw.srv = nil, nil
 	swPool.Put(sw)
 }
 
-func (sw *statusWriter) WriteHeader(code int) {
+// commit records the response status on its first call.
+func (sw *statusWriter) commit(code int) {
 	if sw.status == 0 {
 		sw.status = code
+		sw.srv.recordResponse(sw.route, code, sw.tenant)
 	}
+}
+
+// finish commits the implicit 200 of a handler that wrote nothing and
+// returns the response status.
+func (sw *statusWriter) finish() int {
+	sw.commit(http.StatusOK)
+	return sw.status
+}
+
+func (sw *statusWriter) WriteHeader(code int) {
+	sw.commit(code)
 	sw.ResponseWriter.WriteHeader(code)
 }
 
 func (sw *statusWriter) Write(b []byte) (int, error) {
-	if sw.status == 0 {
-		sw.status = http.StatusOK
-	}
+	sw.commit(http.StatusOK)
 	return sw.ResponseWriter.Write(b)
 }
 
@@ -222,9 +239,7 @@ func (sw *statusWriter) Write(b []byte) (int, error) {
 // streaming handlers still flush through the metrics wrapper.
 func (sw *statusWriter) Flush() {
 	if f, ok := sw.ResponseWriter.(http.Flusher); ok {
-		if sw.status == 0 {
-			sw.status = http.StatusOK
-		}
+		sw.commit(http.StatusOK)
 		f.Flush()
 	}
 }
@@ -295,7 +310,7 @@ func (s *Server) servePlanLike(w http.ResponseWriter, r *http.Request, ep planEn
 	start := time.Now()
 	route := r.URL.Path
 	tctx, root := s.cfg.Tracer.StartTrace(r.Context(), route)
-	sw := getStatusWriter(w)
+	sw := s.getStatusWriter(w, route, r.Header.Get(tenantHeader))
 	defer putStatusWriter(sw) // registered first: runs after the metrics defer reads sw
 	w = sw
 	if root != nil {
@@ -303,10 +318,7 @@ func (s *Server) servePlanLike(w http.ResponseWriter, r *http.Request, ep planEn
 	}
 	defer func() {
 		root.End()
-		status := sw.status
-		if status == 0 {
-			status = http.StatusOK
-		}
+		status := sw.finish()
 		sec := time.Since(start).Seconds()
 		if root != nil {
 			// The exemplar ties this latency bucket to the trace: a p99
@@ -315,7 +327,6 @@ func (s *Server) servePlanLike(w http.ResponseWriter, r *http.Request, ep planEn
 		} else {
 			s.hRequestSeconds.Observe(sec)
 		}
-		s.recordResponse(route, status, r.Header.Get(tenantHeader))
 		if status >= 500 {
 			s.captureFlight()
 		}

@@ -97,15 +97,10 @@ func (s *Server) writeSessionError(w http.ResponseWriter, err error) {
 // label (the raw path would explode on field IDs).
 func (s *Server) withSessionMetrics(route string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		sw := getStatusWriter(w)
+		sw := s.getStatusWriter(w, route, r.Header.Get(tenantHeader))
 		defer putStatusWriter(sw)
 		h(sw, r)
-		status := sw.status
-		if status == 0 {
-			status = http.StatusOK
-		}
-		s.recordResponse(route, status, r.Header.Get(tenantHeader))
-		if status >= 500 {
+		if sw.finish() >= 500 {
 			s.captureFlight()
 		}
 	}

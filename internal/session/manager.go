@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math/bits"
 	"runtime"
 	"sync"
 	"time"
@@ -237,11 +238,15 @@ func skey(tenant, id string) string { return tenant + "\x00" + id }
 
 // shardFor pins a session key to a shard by FNV-1a hash. With the shard
 // count fixed for a manager's lifetime, the pinning is consistent: the
-// same field always lands on the same goroutine.
+// same field always lands on the same goroutine. The shard comes from
+// the hash's high bits (h·n / 2^64): FNV-1a's low bits depend only on
+// the low bits of the key bytes, so a modulus would pile keys such as
+// "f0-…", "f2-…" and "f4-…" onto one shard.
 func (m *Manager) shardFor(key string) *shardLoop {
 	h := fnv.New64a()
 	h.Write([]byte(key))
-	return m.shards[h.Sum64()%uint64(len(m.shards))]
+	i, _ := bits.Mul64(h.Sum64(), uint64(len(m.shards)))
+	return m.shards[i]
 }
 
 // send dispatches o to the owning shard and waits for its reply.

@@ -14,11 +14,11 @@
 #    (BenchmarkBenefitRadius micro-benches + the 1e5-point
 #    BenchmarkPlace deployments; the env-gated 1e6 sizes stay skipped
 #    here — `make bench-json` refreshes those), compare against
-#    BENCH_core.json, and FAIL if a 1e5 tiled placement variant
-#    regressed beyond BENCH_CORE_GATE_PCT percent. Full deployments are
-#    the gate (hundreds of ms per op, stable at -benchtime=1x) rather
-#    than the microsecond-scale micro-benches, which flap on shared
-#    hosts.
+#    BENCH_core.json, and FAIL if the 1e5 grid or centralized placement
+#    regressed beyond BENCH_CORE_GATE_PCT percent or is missing from
+#    either file. Full deployments are the gate (hundreds of ms per op,
+#    stable at -benchtime=1x) rather than the microsecond-scale
+#    micro-benches, which flap on shared hosts.
 #
 # 3. Selfheal allocations: gate BenchmarkChaosScenario/selfheal's
 #    allocs/op against the committed baseline with a tight band
@@ -128,19 +128,18 @@ END {
 }' "$BASELINE" "$FRESH"
 
 # Core placement section: micro-benches are reported, the 1e5-point
-# deployments are gated (flat seed path AND the tiled engines, so
-# neither side of the compatibility layer regresses silently). Each
-# bench is one full deployment per sample, so take BENCH_CORE_COUNT
-# samples (default 3, ~1 s each) and gate on the mean — a single draw
-# lands anywhere in a ±30% band on shared hosts. The baseline also
-# holds env-gated 1e6 entries; they are absent from the fresh run and
-# the diff tolerates that.
+# deployments of each method's engine are gated. Each bench is one full
+# deployment per sample, so take BENCH_CORE_COUNT samples (default 3,
+# ~1 s each) and gate on the mean — a single draw lands anywhere in a
+# ±30% band on shared hosts. The baseline also holds env-gated 1e6
+# entries; they are absent from the fresh run and fall outside the
+# gate, so the diff only lists them.
 CORE_COUNT=${BENCH_CORE_COUNT:-3}
 $GO test -run '^$' -bench 'BenchmarkBenefitRadius|BenchmarkPlace' \
 	-benchmem -benchtime=1x -count="$CORE_COUNT" ./internal/core/ |
 	$GO run ./cmd/decor-benchjson -o "$CORE_FRESH"
 $GO run ./cmd/decor-benchjson -diff \
-	-gate 'BenchmarkPlace/pts=1e5/(grid-flat|grid-seq|grid-par4|centralized-tiled)$' \
+	-gate 'BenchmarkPlace/pts=1e5/(grid|centralized)$' \
 	-max-regress "$CORE_GATE_PCT" \
 	"$CORE_BASELINE" "$CORE_FRESH"
 
