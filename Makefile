@@ -2,11 +2,12 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short check bench bench-json bench-large serve-smoke chaos-smoke session-smoke snapshot-smoke cover figures extensions summary clean
+.PHONY: all build vet fmt-check test test-short check bench bench-json bench-large serve-smoke chaos-smoke session-smoke snapshot-smoke cover figures extensions summary clean
 
 all: build vet test
 
-# The CI gate: static analysis, the full suite under the race detector
+# The CI gate: static analysis, gofmt-clean sources, the full suite
+# under the race detector
 # (the obs registry, tracer, flight recorder, engine instrumentation,
 # and the shard worker pool are concurrent), a one-iteration bench smoke
 # so the benchmarks never rot, the engine benchmark diff against the
@@ -22,6 +23,7 @@ all: build vet test
 # multi-tenant runs; see session-smoke).
 check:
 	$(GO) vet ./...
+	$(MAKE) fmt-check
 	$(GO) test -race ./...
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
 	sh scripts/benchstat.sh
@@ -30,6 +32,10 @@ check:
 	$(MAKE) chaos-smoke
 	$(MAKE) snapshot-smoke
 	$(MAKE) session-smoke
+
+# Formatting gate: fails when gofmt would change any file.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 # Large-placement pins: the 1e5-point BenchmarkPlace deployments of
 # grid-small and the centralized greedy, run under the race detector,
@@ -106,7 +112,7 @@ bench:
 bench-json:
 	DECOR_PLACE_LARGE=1 $(GO) test -run '^$$' -bench 'BenchmarkBenefitRadius|BenchmarkIndexBall|BenchmarkDeployAblation|BenchmarkPlace' -benchtime=1x -count=3 -timeout 60m ./internal/... | $(GO) run ./cmd/decor-benchjson -o BENCH_core.json
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineRun|BenchmarkEngineSchedule|BenchmarkChaosScenario' -benchmem -benchtime=50x -count=3 ./internal/sim/ ./internal/chaos/ | $(GO) run ./cmd/decor-benchjson -o BENCH_sim.json
-	$(GO) test -run '^$$' -bench 'BenchmarkSessionDelta|BenchmarkStatelessRepair' -benchmem -benchtime=1x -count=3 -timeout 30m ./internal/session/ | $(GO) run ./cmd/decor-benchjson -o BENCH_session.json
+	$(GO) test -run '^$$' -bench 'BenchmarkSessionDelta|BenchmarkStatelessRepair|BenchmarkSessionRepair' -benchmem -benchtime=1x -count=3 -timeout 30m ./internal/session/ | $(GO) run ./cmd/decor-benchjson -o BENCH_session.json
 	$(GO) test -run '^$$' -bench 'BenchmarkServePlanCacheHit|BenchmarkServePlanCacheMiss|BenchmarkServeFieldEvent|BenchmarkServeSSEFrame|BenchmarkServeErrorBody|BenchmarkDeltaEncode' -benchmem -benchtime=50x -count=3 ./internal/service/ ./internal/session/ | $(GO) run ./cmd/decor-benchjson -o BENCH_serve_allocs.json
 
 # Regenerate the paper's evaluation tables (full parameters, ~4 s).

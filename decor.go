@@ -160,12 +160,17 @@ func (d *Deployment) AddSensorID(id int, pos Point) error {
 // FailSensors destroys exactly the identified sensors — the
 // deterministic counterpart of FailRandom/FailArea for callers that know
 // which devices died (a monitoring report, a /v1/repair request). It is
-// atomic: if any ID is unknown, nothing is destroyed.
+// atomic: if any ID is unknown or repeated, nothing is destroyed.
 func (d *Deployment) FailSensors(ids ...int) error {
+	seen := make(map[int]bool, len(ids))
 	for _, id := range ids {
 		if _, ok := d.m.SensorPos(id); !ok {
 			return fmt.Errorf("decor: unknown sensor id %d", id)
 		}
+		if seen[id] {
+			return fmt.Errorf("decor: duplicate sensor id %d", id)
+		}
+		seen[id] = true
 	}
 	failure.Apply(d.m, ids)
 	return nil
@@ -334,9 +339,8 @@ func RunFigure(id string, quick bool) (string, error) {
 }
 
 func nextID(m *coverage.Map) int {
-	ids := m.SensorIDs()
-	if len(ids) == 0 {
-		return 0
+	if id, ok := m.MaxSensorID(); ok {
+		return id + 1
 	}
-	return ids[len(ids)-1] + 1
+	return 0
 }

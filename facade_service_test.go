@@ -71,6 +71,13 @@ func TestAddSensorIDAndFailSensors(t *testing.T) {
 	if d.NumSensors() != 1 {
 		t.Errorf("failed FailSensors still destroyed sensors: %d left", d.NumSensors())
 	}
+	// A repeated reference is rejected the same way.
+	if err := d.FailSensors(5, 5); err == nil {
+		t.Error("repeated sensor id accepted")
+	}
+	if d.NumSensors() != 1 {
+		t.Errorf("rejected repeated id still destroyed sensors: %d left", d.NumSensors())
+	}
 	if err := d.FailSensors(5); err != nil {
 		t.Fatal(err)
 	}

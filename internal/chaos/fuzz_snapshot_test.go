@@ -35,8 +35,8 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	for _, arch := range Archs() {
 		real := realCheckpoint(f, arch)
 		f.Add(real)
-		f.Add(real[:len(real)/2])     // truncated
-		f.Add(real[:4])               // magic only
+		f.Add(real[:len(real)/2]) // truncated
+		f.Add(real[:4])           // magic only
 		bumped := append([]byte(nil), real...)
 		bumped[4]++
 		f.Add(bumped) // future version

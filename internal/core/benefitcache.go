@@ -156,15 +156,14 @@ func (c *benefitCache) bestInCell(cell int, candidates []int) (idx int, ok bool)
 	return bestIdx, bestIdx >= 0
 }
 
-// bestOwned returns the deficient point owned by Voronoi node id at
-// nodePos (communication radius rc) with maximum perceived benefit, ties
-// broken by lowest point index. The owned candidates are visited in
-// whatever order the ownership set yields — determinism comes from the
-// explicit tie-break below. Candidates whose ball provably lies inside
-// the node's knowledge disk read the cache; the boundary band is
-// evaluated exactly against the map, restricted to the node's
-// knowledge — so the result is identical to the full rescan.
-func (c *benefitCache) bestOwned(nodePos geom.Point, rc float64, vor *partition.Voronoi, id int) (idx int, ok bool) {
+// bestOwned returns the deficient point with maximum perceived benefit
+// among the tracked points node n owns in cells (the node sits at
+// nodePos with communication radius rc), ties broken by lowest point
+// index — so the list order does not matter. Candidates whose ball
+// provably lies inside the node's knowledge disk read the cache; the
+// boundary band is evaluated exactly against the map, restricted to the
+// node's knowledge — so the result is identical to the full rescan.
+func (c *benefitCache) bestOwned(nodePos geom.Point, rc float64, cells *partition.LocalVoronoi, n int) (idx int, ok bool) {
 	fastR := rc - c.rs - 1e-9 // slack absorbs float rounding at the rim
 	fast2 := fastR * fastR
 	if fastR < 0 {
@@ -173,9 +172,10 @@ func (c *benefitCache) bestOwned(nodePos geom.Point, rc float64, vor *partition.
 	rc2 := rc * rc
 	bestV, bestIdx := int32(0), -1
 	fallbacks := int64(0)
-	vor.VisitOwnedPoints(id, func(i int) bool {
+	for s := cells.First(n); s >= 0; s = cells.Next(s) {
+		i := cells.SlotPoint(s)
 		if c.m.Count(i) >= c.k {
-			return true
+			continue
 		}
 		var b int32
 		if nodePos.Dist2(c.m.Point(i)) <= fast2 {
@@ -193,8 +193,7 @@ func (c *benefitCache) bestOwned(nodePos geom.Point, rc float64, vor *partition.
 		if b > bestV || (b == bestV && bestIdx >= 0 && i < bestIdx) {
 			bestV, bestIdx = b, i
 		}
-		return true
-	})
+	}
 	if fallbacks > 0 {
 		obsCacheFallbacks.Add(fallbacks)
 	}

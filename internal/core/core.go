@@ -132,11 +132,10 @@ type Method interface {
 // existing sensor's, so placements never collide with the pre-deployed
 // network.
 func nextSensorID(m *coverage.Map) int {
-	ids := m.SensorIDs()
-	if len(ids) == 0 {
-		return 0
+	if id, ok := m.MaxSensorID(); ok {
+		return id + 1
 	}
-	return ids[len(ids)-1] + 1
+	return 0
 }
 
 // validateDeployInputs panics on nil inputs — programmer errors shared by

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"sort"
+
 	"decor/internal/coverage"
 	"decor/internal/geom"
-	"decor/internal/partition"
+	"decor/internal/index"
 )
 
 // Reference implementations ("oracles") for the differential tests.
@@ -142,7 +144,8 @@ func (g GridDECOR) decideRescan(st *gridState, snap []int, newRs float64, round 
 
 // voronoiRescan is the reference VoronoiDECOR deployment: every node
 // rescans its owned candidates against the round snapshot, restricted
-// to the points within its communication radius.
+// to the points within its communication radius. Ownership comes from
+// the eager whole-field partition below, updated on every placement.
 func voronoiRescan(v VoronoiDECOR, m *coverage.Map, opt Options) Result {
 	newRs := v.NewRs
 	if newRs <= 0 {
@@ -153,15 +156,23 @@ func voronoiRescan(v VoronoiDECOR, m *coverage.Map, opt Options) Result {
 	for i := range pts {
 		pts[i] = m.Point(i)
 	}
-	vor := partition.NewVoronoi(m.Field(), pts, v.Rc)
-	var nodes []voronoiNode
+	vor := newVoronoiPartition(m.Field(), pts, v.Rc)
+	type node struct {
+		id  int
+		pos geom.Point
+	}
+	var nodes []node
 	for _, id := range m.SensorIDs() {
 		p, _ := m.SensorPos(id)
 		vor.AddSensor(id, p)
-		nodes = append(nodes, voronoiNode{id, p})
+		nodes = append(nodes, node{id, p})
+	}
+	type placement struct {
+		owner int // sensor id, -1 = base-station seed
+		pos   geom.Point
 	}
 	nextID := nextSensorID(m)
-	var decided []voronoiPlacement
+	var decided []placement
 	var snapBuf []int
 	for round := 0; !m.FullyCovered() && round < opt.maxRounds(); round++ {
 		if res.Capped {
@@ -192,7 +203,7 @@ func voronoiRescan(v VoronoiDECOR, m *coverage.Map, opt Options) Result {
 				return snap[i]
 			}
 			if idx, _, ok := bestCandidateRadius(m, newRs, owned, perceive); ok {
-				decided = append(decided, voronoiPlacement{owner: nd.id, pos: m.Point(idx), ptIdx: idx})
+				decided = append(decided, placement{owner: nd.id, pos: m.Point(idx)})
 			}
 		}
 		if len(decided) == 0 {
@@ -200,7 +211,7 @@ func voronoiRescan(v VoronoiDECOR, m *coverage.Map, opt Options) Result {
 			if len(unc) == 0 {
 				break
 			}
-			decided = append(decided, voronoiPlacement{owner: -1, pos: m.Point(unc[0]), ptIdx: unc[0]})
+			decided = append(decided, placement{owner: -1, pos: m.Point(unc[0])})
 			res.Seeded++
 		}
 		for _, d := range decided {
@@ -217,13 +228,105 @@ func voronoiRescan(v VoronoiDECOR, m *coverage.Map, opt Options) Result {
 			nextID++
 			m.AddSensorRadius(id, d.pos, newRs)
 			vor.AddSensor(id, d.pos)
-			nodes = append(nodes, voronoiNode{id, d.pos})
+			nodes = append(nodes, node{id, d.pos})
 			res.Placed = append(res.Placed, Placement{ID: id, Pos: d.pos, Round: round})
 		}
 		res.Rounds = round + 1
 	}
 	res.Cells = m.NumSensors()
 	return res
+}
+
+// voronoiPartition is the eager local Voronoi partition (Definition 1)
+// over every sample point: each point is owned by the nearest sensor
+// within rc, orphaned (owner -1) when no sensor is that close. Every
+// AddSensor reassigns the points within rc that are now nearest to the
+// new sensor. Sensors must be added in ascending id order, so that an
+// equal-distance incumbent (the lower id) keeps its point.
+type voronoiPartition struct {
+	rc      float64
+	ptIdx   *index.Grid
+	sensors map[int]geom.Point
+	sIdx    *index.Grid
+	owner   []int
+	// ownerD2 caches each point's squared distance to its owner; pos
+	// holds each point's index within its owner's list, making
+	// dispossession an O(1) swap-delete.
+	ownerD2 []float64
+	pos     []int
+	owned   map[int][]int // sensor id -> owned point indices, unordered
+}
+
+func newVoronoiPartition(field geom.Rect, pts []geom.Point, rc float64) *voronoiPartition {
+	v := &voronoiPartition{
+		rc:      rc,
+		ptIdx:   index.NewGrid(field, rc/2),
+		sensors: make(map[int]geom.Point),
+		sIdx:    index.NewGrid(field, rc/2),
+		owner:   make([]int, len(pts)),
+		ownerD2: make([]float64, len(pts)),
+		pos:     make([]int, len(pts)),
+		owned:   make(map[int][]int),
+	}
+	v.ptIdx.InsertDense(pts)
+	for i := range v.owner {
+		v.owner[i] = -1
+	}
+	return v
+}
+
+// OwnedPoints returns the sample points owned by sensor id, ascending.
+func (v *voronoiPartition) OwnedPoints(id int) []int {
+	out := append([]int(nil), v.owned[id]...)
+	sort.Ints(out)
+	return out
+}
+
+// AddSensor registers a sensor and takes over the points within rc that
+// are now nearest to it.
+func (v *voronoiPartition) AddSensor(id int, p geom.Point) {
+	v.sensors[id] = p
+	v.sIdx.Insert(id, p)
+	v.ptIdx.VisitBall(p, v.rc, func(i int, pp geom.Point) bool {
+		cur := v.owner[i]
+		d2 := p.Dist2(pp)
+		// The incumbent keeps the point when strictly closer, or at
+		// equal distance with the lower id.
+		if cur >= 0 && (d2 > v.ownerD2[i] || (d2 == v.ownerD2[i] && cur < id)) {
+			return true
+		}
+		if cur >= 0 {
+			v.detach(cur, i)
+		}
+		v.owner[i] = id
+		v.ownerD2[i] = d2
+		v.pos[i] = len(v.owned[id])
+		v.owned[id] = append(v.owned[id], i)
+		return true
+	})
+}
+
+// detach removes point i from its current owner's list by swap-delete.
+func (v *voronoiPartition) detach(owner, i int) {
+	ids := v.owned[owner]
+	j, last := v.pos[i], len(ids)-1
+	ids[j] = ids[last]
+	v.pos[ids[j]] = j
+	v.owned[owner] = ids[:last]
+}
+
+// NeighborCount returns the number of sensors within rc of sensor id,
+// excluding id.
+func (v *voronoiPartition) NeighborCount(id int) int {
+	p := v.sensors[id]
+	n := 0
+	v.sIdx.VisitBall(p, v.rc, func(sid int, _ geom.Point) bool {
+		if sid != id {
+			n++
+		}
+		return true
+	})
+	return n
 }
 
 // centralizedRescan is the reference centralized greedy, the

@@ -173,8 +173,9 @@ func BenchmarkBenefitRadius(b *testing.B) {
 		}
 	}
 
-	// Voronoi bookkeeping: ownership for the initial sensors.
-	vor := partition.NewVoronoi(m.Field(), pts, 8)
+	// Voronoi bookkeeping: ownership for the initial sensors, eager for
+	// the rescan, deficit-only for the cache.
+	vor := newVoronoiPartition(m.Field(), pts, 8)
 	ids := m.SensorIDs()
 	pos := make(map[int]geom.Point, len(ids))
 	for _, id := range ids {
@@ -182,6 +183,7 @@ func BenchmarkBenefitRadius(b *testing.B) {
 		vor.AddSensor(id, p)
 		pos[id] = p
 	}
+	vcells := newVoronoiCells(m, 8)
 
 	b.Run("grid-rescan", func(b *testing.B) {
 		b.ReportAllocs()
@@ -239,11 +241,9 @@ func BenchmarkBenefitRadius(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			for _, id := range ids {
-				if vor.NumOwned(id) == 0 {
-					continue
-				}
-				if idx, ok := cache.bestOwned(pos[id], 8, vor, id); ok {
+			for n := 0; n < vcells.NumNodes(); n++ {
+				_, pos := vcells.Node(n)
+				if idx, ok := cache.bestOwned(pos, 8, vcells, n); ok {
 					sink += idx
 				}
 			}

@@ -38,17 +38,51 @@ func (v VoronoiDECOR) Name() string {
 	return "voronoi-big"
 }
 
-// voronoiNode is one acting sensor, tracked in an ascending-id slice so
-// the round loop never re-sorts the sensor set.
-type voronoiNode struct {
-	id  int
-	pos geom.Point
+// newVoronoiCells tracks m's deficient points in a local Voronoi
+// partition (Definition 1), offering each the sensors the map's sensor
+// index finds within rc. Placements only raise counts, so no other
+// point can become a candidate during the run, and a sensor owning none
+// of these points never decides. The nodes are the run-start owners
+// ascending by id, then each new sensor as placed: the decision order.
+func newVoronoiCells(m *coverage.Map, rc float64) *partition.LocalVoronoi {
+	cells := partition.NewLocalVoronoi(m.NumPoints(), m.NumDeficient(), rc)
+	for t := 0; t < m.NumTiles(); t++ {
+		if m.DeficientInTile(t) == 0 {
+			continue
+		}
+		for _, i := range m.TilePoints(t) {
+			if m.Count(int(i)) >= m.K() {
+				continue
+			}
+			q := m.Point(int(i))
+			cells.Track(int(i))
+			m.VisitSensorsInBall(q, rc, func(id int, p geom.Point) bool {
+				cells.Candidate(int(i), id, p.Dist2(q))
+				return true
+			})
+		}
+	}
+	cells.Link(func(id int) geom.Point {
+		p, _ := m.SensorPos(id)
+		return p
+	})
+	return cells
+}
+
+// addVoronoiNode registers sensor id, placed at p, as the newest node
+// of cells and offers it every point of m within rc, through the map's
+// point index.
+func addVoronoiNode(m *coverage.Map, cells *partition.LocalVoronoi, rc float64, id int, p geom.Point) {
+	n := cells.AddNode(id, p)
+	m.VisitPointsInBall(p, rc, func(i int, q geom.Point) bool {
+		cells.Offer(i, n, p.Dist2(q))
+		return true
+	})
 }
 
 // voronoiPlacement is one node decision within a round.
 type voronoiPlacement struct {
-	owner int
-	pos   geom.Point
+	node  int // node index in the local Voronoi partition, -1 = base-station seed
 	ptIdx int
 }
 
@@ -68,26 +102,9 @@ func (v VoronoiDECOR) Deploy(m *coverage.Map, r *rng.RNG, opt Options) Result {
 	res := Result{Method: v.Name(), NodeMessages: map[int]int{}}
 	tctx, depSpan := obs.StartSpanCtx(opt.Ctx, "core.deploy")
 
-	pts := make([]geom.Point, m.NumPoints())
-	for i := range pts {
-		pts[i] = m.Point(i)
-	}
-	vor := partition.NewVoronoi(m.Field(), pts, v.Rc)
-	// nodes stays ascending by id: the initial sensors are sorted and
-	// every placed id exceeds all previous ones.
-	var nodes []voronoiNode
-	for _, id := range m.SensorIDs() {
-		p, _ := m.SensorPos(id)
-		vor.AddSensor(id, p)
-		nodes = append(nodes, voronoiNode{id, p})
-	}
-
+	cells := newVoronoiCells(m, v.Rc)
 	cache := newBenefitCache(m, newRs, nil, 0)
 	defer cache.flush()
-	// The rc adjacency turns each placement's ownership claim into a
-	// precomputed-list walk (AddSensorAt); shared across deployments via
-	// the map's neighborhood cache.
-	nbRc := m.PointNeighborhoods(v.Rc)
 
 	nextID := nextSensorID(m)
 	var decided []voronoiPlacement
@@ -105,15 +122,16 @@ func (v VoronoiDECOR) Deploy(m *coverage.Map, r *rng.RNG, opt Options) Result {
 		evalSpan := obs.StartSpan(obs.CoreBenefitEvalSeconds)
 		// Every sensor alive at round start acts concurrently on the
 		// round-start coverage and ownership.
-		for _, nd := range nodes {
+		for n := 0; n < cells.NumNodes(); n++ {
 			if v.Sequential && len(decided) > 0 {
 				break
 			}
-			if vor.NumOwned(nd.id) == 0 {
+			if cells.First(n) < 0 {
 				continue
 			}
-			if idx, ok := cache.bestOwned(nd.pos, v.Rc, vor, nd.id); ok {
-				decided = append(decided, voronoiPlacement{owner: nd.id, pos: m.Point(idx), ptIdx: idx})
+			_, pos := cells.Node(n)
+			if idx, ok := cache.bestOwned(pos, v.Rc, cells, n); ok {
+				decided = append(decided, voronoiPlacement{node: n, ptIdx: idx})
 			}
 		}
 		evalSpan.End()
@@ -127,7 +145,7 @@ func (v VoronoiDECOR) Deploy(m *coverage.Map, r *rng.RNG, opt Options) Result {
 				trSpan.End()
 				break
 			}
-			decided = append(decided, voronoiPlacement{owner: -1, pos: m.Point(u), ptIdx: u})
+			decided = append(decided, voronoiPlacement{node: -1, ptIdx: u})
 			res.Seeded++
 		}
 		// Apply placements at the end of the round; ownership and
@@ -137,26 +155,28 @@ func (v VoronoiDECOR) Deploy(m *coverage.Map, r *rng.RNG, opt Options) Result {
 				res.Capped = true
 				break
 			}
-			if d.owner >= 0 {
+			if d.node >= 0 {
 				// The placing node announces the new sensor to its 1-hop
 				// neighborhood: one message per communication neighbor,
-				// plus one to initialize the new node. Message cost is
+				// plus one to initialize the new node (the count below
+				// includes the placing node itself). Message cost is
 				// therefore proportional to rc, as in Fig. 10.
-				n := vor.NeighborCount(d.owner) + 1
+				ownerID, ownerPos := cells.Node(d.node)
+				n := m.CountSensorsInBall(ownerPos, v.Rc)
 				res.Messages += n
-				res.NodeMessages[d.owner] += n
+				res.NodeMessages[ownerID] += n
 			}
 			id := nextID
 			nextID++
+			pos := m.Point(d.ptIdx)
 			cache.applyPlacement(d.ptIdx)
 			if newRs == m.Rs() {
 				m.AddSensorAtPoint(id, d.ptIdx)
 			} else {
-				m.AddSensorRadius(id, d.pos, newRs)
+				m.AddSensorRadius(id, pos, newRs)
 			}
-			vor.AddSensorAt(id, d.ptIdx, nbRc)
-			nodes = append(nodes, voronoiNode{id, d.pos})
-			res.Placed = append(res.Placed, Placement{ID: id, Pos: d.pos, Round: round})
+			addVoronoiNode(m, cells, v.Rc, id, pos)
+			res.Placed = append(res.Placed, Placement{ID: id, Pos: pos, Round: round})
 		}
 		res.Rounds = round + 1
 		roundSpan.End()

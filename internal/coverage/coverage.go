@@ -187,6 +187,15 @@ func (m *Map) SensorIDs() []int {
 	return append([]int(nil), m.sortedIDs...)
 }
 
+// MaxSensorID returns the largest deployed sensor ID, and false when the
+// map has no sensors. It is O(1), unlike reading SensorIDs' last element.
+func (m *Map) MaxSensorID() (int, bool) {
+	if len(m.sortedIDs) == 0 {
+		return 0, false
+	}
+	return m.sortedIDs[len(m.sortedIDs)-1], true
+}
+
 // VisitSensors calls fn for every deployed sensor in ascending ID order
 // with its position and effective sensing radius — the allocation-free
 // sibling of SensorIDs for hot rebuild loops and snapshot encoders.
@@ -328,6 +337,9 @@ func (m *Map) CoverageFrac(level int) float64 {
 	if len(m.pts) == 0 {
 		return 1
 	}
+	if level == m.k {
+		return float64(len(m.pts)-m.deficient) / float64(len(m.pts))
+	}
 	n := 0
 	for _, c := range m.counts {
 		if c >= level {
@@ -375,6 +387,18 @@ func (m *Map) AppendSensorsInBall(dst []int, c geom.Point, r float64) []int {
 	dst = m.sensorIdx.AppendBall(dst, c, r)
 	sort.Ints(dst[n:])
 	return dst
+}
+
+// VisitSensorsInBall calls fn(id, p) for each sensor within r of c
+// (closed ball), in unspecified order; returning false stops the visit.
+// It allocates nothing, unlike SensorsInBall.
+func (m *Map) VisitSensorsInBall(c geom.Point, r float64, fn func(id int, p geom.Point) bool) {
+	m.sensorIdx.VisitBall(c, r, fn)
+}
+
+// CountSensorsInBall returns the number of sensors within r of c.
+func (m *Map) CountSensorsInBall(c geom.Point, r float64) int {
+	return m.sensorIdx.CountBall(c, r)
 }
 
 // PointNeighborhoods precomputes, for every sample point, the indices of

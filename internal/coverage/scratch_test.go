@@ -72,6 +72,23 @@ func TestAppendBallVariantsMatchSorted(t *testing.T) {
 				t.Fatalf("trial %d: sensor %d = %d, want %d", trial, i, sBuf[i], wantS[i])
 			}
 		}
+		visited := map[int]bool{}
+		m.VisitSensorsInBall(c, rad, func(id int, p geom.Point) bool {
+			if sp, _ := m.SensorPos(id); sp != p || visited[id] {
+				t.Fatalf("trial %d: visited sensor %d at %v (stored %v, repeat %v)", trial, id, p, sp, visited[id])
+			}
+			visited[id] = true
+			return true
+		})
+		if len(visited) != len(wantS) || m.CountSensorsInBall(c, rad) != len(wantS) {
+			t.Fatalf("trial %d: visited %d, counted %d sensors, want %d",
+				trial, len(visited), m.CountSensorsInBall(c, rad), len(wantS))
+		}
+		for _, id := range wantS {
+			if !visited[id] {
+				t.Fatalf("trial %d: sensor %d not visited", trial, id)
+			}
+		}
 	}
 	// Appending after a non-empty prefix sorts only the appended tail.
 	pre := []int{999}

@@ -73,6 +73,13 @@ func assertRecount(t *testing.T, m *Map, live map[int]disk) {
 	if got, want := m.CoverageFrac(k), float64(len(want)-deficient)/float64(len(want)); got != want {
 		t.Fatalf("CoverageFrac(k) = %v, want %v", got, want)
 	}
+	maxID, some := -1, false
+	for id := range live {
+		maxID, some = max(maxID, id), true
+	}
+	if got, ok := m.MaxSensorID(); ok != some || (ok && got != maxID) {
+		t.Fatalf("MaxSensorID = %d, %v; want %d, %v", got, ok, maxID, some)
+	}
 }
 
 // multiTileMap builds a 12000-point field spanning several tiles.

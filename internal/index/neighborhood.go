@@ -18,7 +18,6 @@ import (
 // reflected (DECOR's sample-point set is fixed for a deployment's
 // lifetime, so this is the common case).
 type Neighborhoods struct {
-	r   float64
 	off []int32
 	ids []int32
 }
@@ -29,7 +28,7 @@ type Neighborhoods struct {
 // within any non-negative radius of itself. It panics if an ID in the
 // range is missing from the index.
 func (g *Grid) BuildNeighborhoods(n int, r float64) *Neighborhoods {
-	nb := &Neighborhoods{r: r, off: make([]int32, n+1)}
+	nb := &Neighborhoods{off: make([]int32, n+1)}
 	// One geometric pass: record every source's ball once (in visit
 	// order) while counting row sizes; the fill below is then a pure
 	// array transpose with no second round of ball queries.
@@ -71,9 +70,6 @@ func (g *Grid) BuildNeighborhoods(n int, r float64) *Neighborhoods {
 	}
 	return nb
 }
-
-// Radius returns the adjacency radius the structure was built with.
-func (nb *Neighborhoods) Radius() float64 { return nb.r }
 
 // Len returns the number of IDs covered.
 func (nb *Neighborhoods) Len() int { return len(nb.off) - 1 }

@@ -63,9 +63,6 @@ func TestNeighborhoodsMatchBall(t *testing.T) {
 	if nb.Len() != n {
 		t.Fatalf("Len = %d, want %d", nb.Len(), n)
 	}
-	if nb.Radius() != 4 {
-		t.Fatalf("Radius = %g", nb.Radius())
-	}
 	for i := 0; i < n; i++ {
 		want := g.Ball(pts[i], 4)
 		sort.Ints(want)

@@ -27,7 +27,7 @@ func TestFlightShardRingOverwrite(t *testing.T) {
 func TestFlightDumpMergesShardsBySeq(t *testing.T) {
 	r := NewFlightRecorder(3, 32)
 	for i := 0; i < 30; i++ {
-		r.Shard(i % 3).Record(float64(i), "ev", i, "d")
+		r.Shard(i%3).Record(float64(i), "ev", i, "d")
 	}
 	got := r.Dump()
 	if len(got) != 30 {

@@ -44,7 +44,7 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 		base, labels := name, ""
 		if i := len(seriesFamily(name)); i < len(name) {
 			base = name[:i]
-			labels = name[i+1 : len(name)-1] + "," // strip {}, keep pairs
+			labels = name[i+1:len(name)-1] + "," // strip {}, keep pairs
 		}
 		var cum uint64
 		for i, ub := range h.Buckets {

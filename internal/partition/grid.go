@@ -1,7 +1,7 @@
-// Package partition implements DECOR's two field-partitioning schemes
-// (paper §3.1): fixed grid cells with one leader per cell, and local
-// Voronoi cells where each sensor owns the sample points nearest to it
-// among its communication neighbors.
+// Package partition implements DECOR's two partitions of the sample
+// points (paper §3.1): fixed grid cells with one leader per cell, and
+// local Voronoi cells (Definition 1), which the Voronoi engine in
+// internal/core tracks for the points a run repairs.
 package partition
 
 import (

@@ -5,7 +5,6 @@ import (
 
 	"decor/internal/geom"
 	"decor/internal/lowdisc"
-	"decor/internal/rng"
 )
 
 func TestNewGridDimensions(t *testing.T) {
@@ -117,131 +116,5 @@ func TestMaxLeaderDistance(t *testing.T) {
 	// Paper: rc = 10·sqrt(2) ≈ 14.14 for 5x5 cells.
 	if got := g.MaxLeaderDistance(); got < 14.14 || got > 14.15 {
 		t.Errorf("MaxLeaderDistance = %v", got)
-	}
-}
-
-func TestVoronoiBasics(t *testing.T) {
-	field := geom.Square(100)
-	pts := []geom.Point{{X: 10, Y: 10}, {X: 20, Y: 10}, {X: 90, Y: 90}}
-	v := NewVoronoi(field, pts, 15)
-	if v.NumPoints() != 3 {
-		t.Fatalf("NumPoints = %d", v.NumPoints())
-	}
-	if len(v.Orphans()) != 3 {
-		t.Error("all points should start orphaned")
-	}
-	acq := v.AddSensor(1, geom.Pt(12, 10))
-	if len(acq) != 2 || acq[0] != 0 || acq[1] != 1 {
-		t.Errorf("acquired = %v", acq)
-	}
-	if v.Owner(2) != -1 {
-		t.Error("far point should remain orphan")
-	}
-	// A closer sensor steals point 1.
-	acq = v.AddSensor(2, geom.Pt(19, 10))
-	if len(acq) != 1 || acq[0] != 1 {
-		t.Errorf("steal acquired = %v", acq)
-	}
-	if v.Owner(1) != 2 || v.Owner(0) != 1 {
-		t.Errorf("owners = %d %d", v.Owner(0), v.Owner(1))
-	}
-	if got := v.OwnedPoints(1); len(got) != 1 || got[0] != 0 {
-		t.Errorf("OwnedPoints(1) = %v", got)
-	}
-	if ok, msg := v.CheckInvariants(); !ok {
-		t.Error(msg)
-	}
-}
-
-func TestVoronoiTieBreaksByID(t *testing.T) {
-	field := geom.Square(100)
-	pts := []geom.Point{{X: 50, Y: 50}}
-	v := NewVoronoi(field, pts, 20)
-	v.AddSensor(7, geom.Pt(45, 50))
-	v.AddSensor(3, geom.Pt(55, 50)) // same distance, lower id
-	if v.Owner(0) != 3 {
-		t.Errorf("tie should go to lower id, got %d", v.Owner(0))
-	}
-}
-
-func TestVoronoiRemoveReassigns(t *testing.T) {
-	field := geom.Square(100)
-	pts := []geom.Point{{X: 10, Y: 10}}
-	v := NewVoronoi(field, pts, 15)
-	v.AddSensor(1, geom.Pt(11, 10))
-	v.AddSensor(2, geom.Pt(15, 10))
-	if v.Owner(0) != 1 {
-		t.Fatalf("owner = %d", v.Owner(0))
-	}
-	if !v.RemoveSensor(1) {
-		t.Fatal("remove failed")
-	}
-	if v.Owner(0) != 2 {
-		t.Errorf("after removal owner = %d, want 2", v.Owner(0))
-	}
-	v.RemoveSensor(2)
-	if v.Owner(0) != -1 {
-		t.Error("point should be orphaned after all sensors removed")
-	}
-	if v.RemoveSensor(99) {
-		t.Error("removing unknown sensor should report false")
-	}
-}
-
-func TestVoronoiNeighbors(t *testing.T) {
-	field := geom.Square(100)
-	v := NewVoronoi(field, nil, 10)
-	v.AddSensor(1, geom.Pt(50, 50))
-	v.AddSensor(2, geom.Pt(55, 50))
-	v.AddSensor(3, geom.Pt(75, 50))
-	n := v.Neighbors(1)
-	if len(n) != 1 || n[0] != 2 {
-		t.Errorf("Neighbors(1) = %v", n)
-	}
-	if v.Neighbors(42) != nil {
-		t.Error("unknown sensor should have nil neighbors")
-	}
-}
-
-func TestVoronoiDuplicatePanics(t *testing.T) {
-	v := NewVoronoi(geom.Square(10), nil, 5)
-	v.AddSensor(1, geom.Pt(5, 5))
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate sensor should panic")
-		}
-	}()
-	v.AddSensor(1, geom.Pt(6, 6))
-}
-
-// Property: after a random add/remove workload, invariants hold and every
-// owner is genuinely the nearest in-range sensor.
-func TestVoronoiInvariantsUnderChurn(t *testing.T) {
-	r := rng.New(31)
-	field := geom.Square(100)
-	pts := lowdisc.Halton{}.Points(400, field)
-	v := NewVoronoi(field, pts, 12)
-	alive := map[int]bool{}
-	next := 0
-	for step := 0; step < 300; step++ {
-		if len(alive) == 0 || r.Float64() < 0.65 {
-			v.AddSensor(next, r.PointInRect(field))
-			alive[next] = true
-			next++
-		} else {
-			for id := range alive {
-				v.RemoveSensor(id)
-				delete(alive, id)
-				break
-			}
-		}
-		if step%50 == 0 {
-			if ok, msg := v.CheckInvariants(); !ok {
-				t.Fatalf("step %d: %s", step, msg)
-			}
-		}
-	}
-	if ok, msg := v.CheckInvariants(); !ok {
-		t.Fatal(msg)
 	}
 }

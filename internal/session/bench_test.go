@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"math"
 	"testing"
+
+	"decor/internal/chaos"
+	"decor/internal/sim"
 )
 
 // The 1e5-point session-vs-stateless comparison (ISSUE 8 acceptance):
@@ -87,6 +90,57 @@ func BenchmarkSessionDelta(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.step(b)
+	}
+}
+
+// BenchmarkSessionRepair measures one incremental repair per method on
+// a resident field of perfbench field-events' shape: side 200, k 3,
+// rs 4, 20000 Halton points, 800 scattered sensors. Each iteration
+// applies the next 1–3-sensor failure event of a chaos.TrafficFromPlan
+// schedule over the session's initial sensors. Setup, including a
+// fresh session when the schedule runs out, is excluded from the timing.
+func BenchmarkSessionRepair(b *testing.B) {
+	for _, method := range []string{"grid-small", "grid-big", "voronoi-small", "voronoi-big", "centralized", "random"} {
+		b.Run("method="+method, func(b *testing.B) {
+			spec := Spec{
+				FieldSide: 200, K: 3, Rs: 4, NumPoints: 20000,
+				Generator: "halton", Seed: 14, Scatter: 800, Method: method,
+			}
+			var st *state
+			var events []chaos.FailureEvent
+			reset := func() {
+				var initial Delta
+				var err error
+				if st, initial, err = newState(context.Background(), "bench", "f", spec, 0); err != nil {
+					b.Fatalf("build session: %v", err)
+				}
+				// Scattered sensors and the initial placements hold the
+				// IDs 0..TotalSensors-1.
+				ids := make([]int, initial.TotalSensors)
+				for j := range ids {
+					ids[j] = j
+				}
+				events = chaos.TrafficFromPlan(sim.FaultPlan{Seed: 7}, ids, 1<<20)
+			}
+			reset()
+			apply := func() {
+				if _, err := st.apply(context.Background(), events[0].IDs, 0); err != nil {
+					b.Fatalf("apply: %v", err)
+				}
+				events = events[1:]
+			}
+			apply() // warm the repair path before measuring
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if len(events) == 0 {
+					b.StopTimer()
+					reset()
+					b.StartTimer()
+				}
+				apply()
+			}
+		})
 	}
 }
 

@@ -24,7 +24,7 @@ func TestDeltaAppendJSONParity(t *testing.T) {
 		{FieldID: "f1", Seq: 0, Method: "voronoi-big", Placements: []Point{}},
 		{FieldID: "f-2", Seq: 7, Method: "centralized",
 			Failed: []int{3, 1, 2}, Placed: 2,
-			Placements: []Point{{X: 1.5, Y: 2.25}, {X: 0, Y: -3.125}},
+			Placements:   []Point{{X: 1.5, Y: 2.25}, {X: 0, Y: -3.125}},
 			TotalSensors: 41, Messages: 120, Rounds: 3,
 			CoverageK: 0.987654321, Covered: false},
 		{FieldID: `needs "escaping" <&> ` + "\n\t", Method: "m\x00ethod",

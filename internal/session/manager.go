@@ -100,10 +100,10 @@ type Manager struct {
 
 	now func() time.Time // test seam; never influences outputs
 
-	gLive                                     *obs.Gauge
-	cCreated, cEvicted, cRestored, cDropped   *obs.Counter
-	cDeltas, cQuotaRejected, cSubsDropped     *obs.Counter
-	hDeltaSeconds, hRestoreSeconds            *obs.Histogram
+	gLive                                   *obs.Gauge
+	cCreated, cEvicted, cRestored, cDropped *obs.Counter
+	cDeltas, cQuotaRejected, cSubsDropped   *obs.Counter
+	hDeltaSeconds, hRestoreSeconds          *obs.Histogram
 }
 
 // New builds a Manager and starts its shard goroutines (and the idle

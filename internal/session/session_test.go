@@ -48,6 +48,64 @@ func mustJSON(t *testing.T, v any) []byte {
 	return b
 }
 
+// An event naming one sensor twice is rejected like an unknown ID: the
+// sequence number and the replay log stay as they were, and the same
+// sensor can still fail in a later, valid event.
+func TestRepeatedFailedIDRejected(t *testing.T) {
+	m := newTestManager(t, Config{})
+	if _, _, err := m.Create("acme", "field-1", testSpec(1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Apply("acme", "field-1", []int{0, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if d, err := m.Apply("acme", "field-1", []int{5, 5}); err == nil {
+		t.Fatalf("repeated sensor id accepted: delta %+v", d)
+	}
+	if got, err := m.Get("acme", "field-1"); err != nil || got.Seq != 1 {
+		t.Fatalf("after the rejected event: info = %+v, err %v", got, err)
+	}
+	d, err := m.Apply("acme", "field-1", []int{5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Seq != 2 || !reflect.DeepEqual(d.Failed, []int{5}) {
+		t.Fatalf("delta after the rejected event = %+v", d)
+	}
+	raw, err := m.Export("acme", "field-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sn Snapshot
+	if err := json.Unmarshal(raw, &sn); err != nil {
+		t.Fatal(err)
+	}
+	if want := [][]int{{0, 3}, {5}}; !reflect.DeepEqual(sn.Events, want) {
+		t.Fatalf("replay log = %v, want %v", sn.Events, want)
+	}
+}
+
+// A replay log written before repeated IDs were rejected may hold an
+// event like [5, 5], which destroyed sensor 5 once. Replay-restoring it
+// must succeed and rebuild the session that logged [5].
+func TestRestoreLogWithRepeatedID(t *testing.T) {
+	spec := testSpec(1)
+	replay := func(events [][]int) *state {
+		st, err := restore(context.Background(), mustJSON(t, Snapshot{
+			Tenant: "t", ID: "f", Spec: spec, Events: events,
+		}), 64, false)
+		if err != nil {
+			t.Fatalf("restore %v: %v", events, err)
+		}
+		return st
+	}
+	old := replay([][]int{{0, 3}, {5, 5}, {7}})
+	want := replay([][]int{{0, 3}, {5}, {7}})
+	if old.seq != 3 || !bytes.Equal(old.snapshot(), want.snapshot()) {
+		t.Fatalf("restored log with [5, 5] differs from the log with [5]:\n%s\n%s", old.snapshot(), want.snapshot())
+	}
+}
+
 func TestSessionLifecycle(t *testing.T) {
 	m := newTestManager(t, Config{})
 	info, initial, err := m.Create("acme", "field-1", testSpec(1))

@@ -86,11 +86,26 @@ func restore(ctx context.Context, raw []byte, ringCap int, fast bool) (*state, e
 		return nil, fmt.Errorf("session: restore build: %w", err)
 	}
 	for i, failed := range sn.Events {
-		if _, err := st.apply(ctx, failed, ringCap); err != nil {
+		if _, err := st.apply(ctx, dropRepeats(failed), ringCap); err != nil {
 			return nil, fmt.Errorf("session: restore replay event %d: %w", i, err)
 		}
 	}
 	return st, nil
+}
+
+// dropRepeats returns ids without its repeated entries, in first-seen
+// order. Managers that predate the repeated-ID check on failure lists
+// logged an event like [5, 5] as received; it destroyed sensor 5 once.
+func dropRepeats(ids []int) []int {
+	seen := make(map[int]bool, len(ids))
+	out := make([]int, 0, len(ids))
+	for _, id := range ids {
+		if !seen[id] {
+			seen[id] = true
+			out = append(out, id)
+		}
+	}
+	return out
 }
 
 // restoreFast decodes the Fast section. The sequence number must agree

@@ -34,7 +34,9 @@
 #    noisy single-CPU host), and HARD-gate the structural acceptance
 #    criterion — the incremental delta path must stay >= 10x fewer
 #    allocs/op than a stateless full replan. Allocs are deterministic,
-#    so that gate holds even when timings flap.
+#    so that gate holds even when timings flap. Each method's
+#    BenchmarkSessionRepair (one 1–3-failure repair on a resident
+#    20000-point field) is gated on allocs/op at +10% over its baseline.
 #
 # 5. Serving allocations: run the end-to-end handler alloc benches
 #    fresh (BenchmarkServe* in internal/service plus the delta wire
@@ -149,7 +151,7 @@ $GO run ./cmd/decor-benchjson -diff \
 # is exact — it is the structural property the session subsystem exists
 # to provide, and allocs/op do not flap.
 SESSION_COUNT=${BENCH_SESSION_COUNT:-3}
-$GO test -run '^$' -bench 'BenchmarkSessionDelta|BenchmarkStatelessRepair' \
+$GO test -run '^$' -bench 'BenchmarkSessionDelta|BenchmarkStatelessRepair|BenchmarkSessionRepair' \
 	-benchmem -benchtime=1x -count="$SESSION_COUNT" ./internal/session/ |
 	$GO run ./cmd/decor-benchjson -o "$SESSION_FRESH"
 $GO run ./cmd/decor-benchjson -diff \
@@ -173,6 +175,33 @@ END {
 		exit 1
 	}
 }' "$SESSION_FRESH"
+
+# Per-method repair allocs: a Voronoi repair once cost ~45k allocs
+# because it rebuilt every cell; a band over the baseline keeps each
+# method's repair proportional to the hole it fills.
+awk -v pct=10 '
+/"name":/ { name = $0; sub(/.*: "/, "", name); sub(/".*/, "", name) }
+/"allocs_per_op":/ { a = $0; sub(/.*: /, "", a); sub(/[^0-9.].*/, "", a)
+	if (name !~ /^BenchmarkSessionRepair\//) next
+	if (NR == FNR) base[name] = a + 0; else fresh[name] = a + 0
+}
+END {
+	split("grid-small grid-big voronoi-small voronoi-big centralized random", methods, " ")
+	for (i = 1; i <= 6; i++) {
+		nm = "BenchmarkSessionRepair/method=" methods[i]
+		if (!(nm in base) || !(nm in fresh)) {
+			printf "session repair gate: %s missing from baseline or fresh run\n", nm > "/dev/stderr"
+			fail = 1
+			continue
+		}
+		printf "%s allocs/op: baseline %d, fresh %d [+%d%% band]\n", nm, base[nm], fresh[nm], pct
+		if (fresh[nm] > base[nm] * (1 + pct / 100)) {
+			printf "session repair gate: FAIL %s %d allocs/op over baseline %d (+%d%% allowed)\n", nm, fresh[nm], base[nm], pct > "/dev/stderr"
+			fail = 1
+		}
+	}
+	exit fail
+}' "$SESSION_BASELINE" "$SESSION_FRESH"
 
 # Serving-alloc section: handler-level allocs/request through the real
 # codecs. One combined run covers the service benches and the session
