@@ -113,7 +113,7 @@ bench-json:
 	DECOR_PLACE_LARGE=1 $(GO) test -run '^$$' -bench 'BenchmarkBenefitRadius|BenchmarkIndexBall|BenchmarkDeployAblation|BenchmarkPlace' -benchtime=1x -count=3 -timeout 60m ./internal/... | $(GO) run ./cmd/decor-benchjson -o BENCH_core.json
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineRun|BenchmarkEngineSchedule|BenchmarkChaosScenario' -benchmem -benchtime=50x -count=3 ./internal/sim/ ./internal/chaos/ | $(GO) run ./cmd/decor-benchjson -o BENCH_sim.json
 	$(GO) test -run '^$$' -bench 'BenchmarkSessionDelta|BenchmarkStatelessRepair|BenchmarkSessionRepair' -benchmem -benchtime=1x -count=3 -timeout 30m ./internal/session/ | $(GO) run ./cmd/decor-benchjson -o BENCH_session.json
-	$(GO) test -run '^$$' -bench 'BenchmarkServePlanCacheHit|BenchmarkServePlanCacheMiss|BenchmarkServeFieldEvent|BenchmarkServeSSEFrame|BenchmarkServeErrorBody|BenchmarkDeltaEncode' -benchmem -benchtime=50x -count=3 ./internal/service/ ./internal/session/ | $(GO) run ./cmd/decor-benchjson -o BENCH_serve_allocs.json
+	$(GO) test -run '^$$' -bench 'BenchmarkServePlanCacheHit|BenchmarkServeRepairCacheHit|BenchmarkServePlanCacheMiss|BenchmarkServeFieldEvent|BenchmarkServeSSEFrame|BenchmarkServeErrorBody|BenchmarkDeltaEncode' -benchmem -benchtime=50x -count=3 ./internal/service/ ./internal/session/ | $(GO) run ./cmd/decor-benchjson -o BENCH_serve_allocs.json
 
 # Regenerate the paper's evaluation tables (full parameters, ~4 s).
 figures:

@@ -12,6 +12,7 @@ import (
 
 	"decor/internal/jsonx"
 	"decor/internal/obs"
+	"decor/internal/rng"
 	"decor/internal/session"
 )
 
@@ -58,33 +59,81 @@ func newBenchServer(tb testing.TB, cfg Config) *Server {
 	return svc
 }
 
-// planRig drives s.handlePlan directly with a fixed body. Calling the
-// handler (not mux.ServeHTTP) avoids the per-match request clone the
-// Go 1.22 pattern mux performs, which is outside the codec layer.
+// planRig drives s.handlePlan or s.handleRepair directly with a fixed
+// body. Calling the handler (not mux.ServeHTTP) avoids the per-match
+// request clone the Go 1.22 pattern mux performs, which is outside the
+// codec layer.
 type planRig struct {
-	svc *Server
-	w   *benchWriter
-	req *http.Request
-	rd  *bytes.Reader
-	rc  io.ReadCloser
+	svc    *Server
+	handle http.HandlerFunc
+	w      *benchWriter
+	req    *http.Request
+	rd     *bytes.Reader
+	rc     io.ReadCloser
 }
 
 func newPlanRig(tb testing.TB, cfg Config, body string) *planRig {
 	tb.Helper()
+	svc := newBenchServer(tb, cfg)
+	return newRig(svc, svc.handlePlan, "/v1/plan", body)
+}
+
+func newRepairRig(tb testing.TB, cfg Config, body string) *planRig {
+	tb.Helper()
+	svc := newBenchServer(tb, cfg)
+	return newRig(svc, svc.handleRepair, "/v1/repair", body)
+}
+
+func newRig(svc *Server, handle http.HandlerFunc, path, body string) *planRig {
 	rd := bytes.NewReader([]byte(body))
 	return &planRig{
-		svc: newBenchServer(tb, cfg),
-		w:   newBenchWriter(),
-		req: httptest.NewRequest(http.MethodPost, "/v1/plan", nil),
-		rd:  rd,
-		rc:  rewindCloser{rd},
+		svc:    svc,
+		handle: handle,
+		w:      newBenchWriter(),
+		req:    httptest.NewRequest(http.MethodPost, path, nil),
+		rd:     rd,
+		rc:     rewindCloser{rd},
 	}
 }
 
 func (p *planRig) run() {
 	p.rd.Seek(0, io.SeekStart)
 	p.req.Body = p.rc
-	p.svc.handlePlan(p.w, p.req)
+	p.handle(p.w, p.req)
+}
+
+// warmHit runs the rig until its body is a cache hit: the first run
+// plans and fills the cache, the second warms every pool on the hit
+// path.
+func (p *planRig) warmHit(tb testing.TB) {
+	tb.Helper()
+	p.run()
+	p.run()
+	if p.w.status != http.StatusOK || p.w.h.Get(cacheStatusHeader) != "hit" {
+		tb.Fatalf("warmup: status %d, %s %q", p.w.status, cacheStatusHeader, p.w.h.Get(cacheStatusHeader))
+	}
+}
+
+// repairBody is shaped like the repair-cached workload's bodies: a
+// paper-scale field (side 100, k 3, rs 4, 2000 Halton points) with n
+// explicit sensors, IDs 0..n-1 scattered by a fixed-seed RNG, and two
+// failed IDs.
+func repairBody(n int) string {
+	r := rng.New(15)
+	b := []byte(`{"field_side":100,"k":3,"rs":4,"num_points":2000,"generator":"halton","seed":3,"sensors":[`)
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"id":`...)
+		b = strconv.AppendInt(b, int64(i), 10)
+		b = append(b, `,"x":`...)
+		b = strconv.AppendFloat(b, r.Float64()*100, 'f', -1, 64)
+		b = append(b, `,"y":`...)
+		b = strconv.AppendFloat(b, r.Float64()*100, 'f', -1, 64)
+		b = append(b, '}')
+	}
+	return string(append(b, `],"method":"voronoi-big","failed":[3,7]}`...))
 }
 
 // BenchmarkServePlanCacheHit is the acceptance hot path: a warm
@@ -96,6 +145,20 @@ func BenchmarkServePlanCacheHit(b *testing.B) {
 	if p.w.status != 0 && p.w.status != http.StatusOK {
 		b.Fatalf("warmup status = %d", p.w.status)
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.run()
+	}
+}
+
+// BenchmarkServeRepairCacheHit is the repair-cached workload's hot
+// path: a warm cache-hit /v1/repair carrying 900 explicit sensors
+// (~34 KB), where decode, validation and the cache key each walk the
+// whole sensor list. Gated exactly in benchstat.sh.
+func BenchmarkServeRepairCacheHit(b *testing.B) {
+	p := newRepairRig(b, Config{Workers: 1}, repairBody(900))
+	p.warmHit(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -133,6 +196,37 @@ func TestServePlanCacheHitAllocs(t *testing.T) {
 	t.Logf("cache-hit /v1/plan: %.1f allocs/request", avg)
 	if avg > 10 {
 		t.Errorf("cache-hit /v1/plan costs %.1f allocs/request, want <= 10", avg)
+	}
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestServeRepairCacheHitAllocs pins that a cache hit pays for its
+// sensor list per list, not per sensor: a warm 900-sensor /v1/repair
+// hit costs at most 16 allocations, and at most 2 more than the same
+// request with 9 sensors. GC is paused as in TestServePlanCacheHitAllocs.
+// Under -race the pools drop entries at random, so the 50-KB body
+// buffer and the decode scratch regrow on some hits; plain `go test`
+// and the exact BENCH_serve_allocs.json gate enforce the count.
+func TestServeRepairCacheHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	hit := func(n int) float64 {
+		p := newRepairRig(t, Config{Workers: 1}, repairBody(n))
+		p.warmHit(t)
+		return testing.AllocsPerRun(100, p.run)
+	}
+	small, large := hit(9), hit(900)
+	t.Logf("cache-hit /v1/repair: %.1f allocs/request with 9 sensors, %.1f with 900", small, large)
+	if large > 16 {
+		t.Errorf("900-sensor cache hit costs %.1f allocs/request, want <= 16", large)
+	}
+	if large > small+2 {
+		t.Errorf("900-sensor cache hit costs %.1f allocs/request, %.1f more than with 9 sensors; want <= 2",
+			large, large-small)
 	}
 }
 

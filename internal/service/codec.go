@@ -3,10 +3,12 @@ package service
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sync"
 
@@ -22,12 +24,9 @@ import (
 // path (miss, hit, coalesced, replayed delta) produced it.
 
 // reqKey is the canonical request hash used by the plan cache and the
-// flight group: sha256 over endpoint + 0x00 + the canonical JSON of the
-// normalized request. A fixed-size array key costs no allocation per
-// lookup, unlike the old hex string.
+// flight group (requestKey). A fixed-size array key costs no allocation
+// per lookup, unlike a hex string.
 type reqKey [32]byte
-
-var zeroReqKey reqKey
 
 // ---------------------------------------------------------------------
 // Response encoders
@@ -115,128 +114,72 @@ func errNonFinite(field string, v float64) error {
 }
 
 // ---------------------------------------------------------------------
-// Canonical request encoding (cache-key input)
+// Cache key
 // ---------------------------------------------------------------------
 
-// appendPlanRequest appends pr exactly as json.Marshal renders it. The
-// request is already normalized (finite floats everywhere), so there is
-// no error path; a non-finite float would have been rejected upstream.
-func appendPlanRequest(b []byte, pr *PlanRequest) []byte {
-	b = append(b, `{"field_side":`...)
-	b = mustAppendFloat(b, pr.FieldSide)
-	b = append(b, `,"k":`...)
-	b = jsonx.AppendInt(b, int64(pr.K))
-	b = append(b, `,"rs":`...)
-	b = mustAppendFloat(b, pr.Rs)
-	if pr.Rc != 0 {
-		b = append(b, `,"rc":`...)
-		b = mustAppendFloat(b, pr.Rc)
-	}
-	if pr.NumPoints != 0 {
-		b = append(b, `,"num_points":`...)
-		b = jsonx.AppendInt(b, int64(pr.NumPoints))
-	}
-	if pr.Generator != "" {
-		b = append(b, `,"generator":`...)
-		b = jsonx.AppendString(b, pr.Generator)
-	}
-	if pr.Seed != 0 {
-		b = append(b, `,"seed":`...)
-		b = jsonx.AppendUint(b, pr.Seed)
-	}
-	if len(pr.Sensors) > 0 {
-		b = append(b, `,"sensors":[`...)
-		for i := range pr.Sensors {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			s := &pr.Sensors[i]
-			b = append(b, '{')
-			if s.ID != nil {
-				b = append(b, `"id":`...)
-				b = jsonx.AppendInt(b, int64(*s.ID))
-				b = append(b, ',')
-			}
-			b = append(b, `"x":`...)
-			b = mustAppendFloat(b, s.X)
-			b = append(b, `,"y":`...)
-			b = mustAppendFloat(b, s.Y)
-			b = append(b, '}')
-		}
-		b = append(b, ']')
-	}
-	if pr.Scatter != 0 {
-		b = append(b, `,"scatter":`...)
-		b = jsonx.AppendInt(b, int64(pr.Scatter))
-	}
-	if pr.Method != "" {
-		b = append(b, `,"method":`...)
-		b = jsonx.AppendString(b, pr.Method)
-	}
-	if pr.TimeoutMS != 0 {
-		b = append(b, `,"timeout_ms":`...)
-		b = jsonx.AppendInt(b, int64(pr.TimeoutMS))
-	}
-	return append(b, '}')
-}
+// Endpoint tags: the first byte of every key's binary form, so /v1/plan
+// and /v1/repair keys stay disjoint even for identical field bodies.
+const (
+	keyTagPlan   byte = 'P'
+	keyTagRepair byte = 'R'
+)
 
-// appendRepairRequest appends rr exactly as json.Marshal renders it:
-// the embedded PlanRequest fields inline, then "failed" (not omitempty,
-// so nil renders null and empty renders []).
-func appendRepairRequest(b []byte, rr *RepairRequest) []byte {
-	b = appendPlanRequest(b, &rr.PlanRequest)
-	b = b[:len(b)-1] // reopen the object to add the repair field
-	b = append(b, `,"failed":`...)
-	if rr.Failed == nil {
-		b = append(b, "null"...)
+// requestKey hashes a normalized request into its cache key: SHA-256
+// over a fixed-width binary form of the values, never a re-rendering of
+// them. Fixed-width numbers and length-prefixed names make the form
+// injective, and it tracks json.Marshal's identity exactly: float64 bits
+// tell -0 from 0 as the rendered "-0" does, an empty and an absent
+// sensor list both encode as count 0 (omitempty drops both), while
+// failed carries a presence byte because Marshal renders nil as null and
+// empty as []. timeout_ms is left out: it bounds how long a client
+// waits, never what the plan contains. A plan's failed section is
+// always "absent", so the tag alone separates it from a repair.
+func requestKey(tag byte, pr *PlanRequest, failed []int) reqKey {
+	buf := jsonx.GetBuf()
+	defer jsonx.PutBuf(buf)
+	b := append((*buf)[:0], tag)
+	b = appendKeyFloat(b, pr.FieldSide)
+	b = appendKeyInt(b, pr.K)
+	b = appendKeyFloat(b, pr.Rs)
+	b = appendKeyFloat(b, pr.Rc)
+	b = appendKeyInt(b, pr.NumPoints)
+	b = appendKeyName(b, pr.Generator)
+	b = binary.LittleEndian.AppendUint64(b, pr.Seed)
+	b = appendKeyInt(b, len(pr.Sensors))
+	for i := range pr.Sensors {
+		s := &pr.Sensors[i]
+		if s.ID == nil {
+			b = append(b, 0)
+		} else {
+			b = appendKeyInt(append(b, 1), *s.ID)
+		}
+		b = appendKeyFloat(b, s.X)
+		b = appendKeyFloat(b, s.Y)
+	}
+	b = appendKeyInt(b, pr.Scatter)
+	b = appendKeyName(b, pr.Method)
+	if failed == nil {
+		b = append(b, 0)
 	} else {
-		b = append(b, '[')
-		for i, id := range rr.Failed {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = jsonx.AppendInt(b, int64(id))
+		b = appendKeyInt(append(b, 1), len(failed))
+		for _, id := range failed {
+			b = appendKeyInt(b, id)
 		}
-		b = append(b, ']')
 	}
-	return append(b, '}')
-}
-
-// mustAppendFloat is for already-validated finite values.
-func mustAppendFloat(b []byte, f float64) []byte {
-	b, ok := jsonx.AppendFloat(b, f)
-	if !ok {
-		panic(fmt.Sprintf("service: canonical encode of non-finite %v", f))
-	}
-	return b
-}
-
-// keyPlan hashes the normalized plan request into its cache key
-// (timeout excluded — see the key() doc in request.go).
-func keyPlan(pr *PlanRequest) reqKey {
-	buf := jsonx.GetBuf()
-	b := append((*buf)[:0], "plan\x00"...)
-	save := pr.TimeoutMS
-	pr.TimeoutMS = 0
-	b = appendPlanRequest(b, pr)
-	pr.TimeoutMS = save
 	*buf = b
-	k := sha256.Sum256(b)
-	jsonx.PutBuf(buf)
-	return k
+	return sha256.Sum256(b)
 }
 
-func keyRepair(rr *RepairRequest) reqKey {
-	buf := jsonx.GetBuf()
-	b := append((*buf)[:0], "repair\x00"...)
-	save := rr.TimeoutMS
-	rr.TimeoutMS = 0
-	b = appendRepairRequest(b, rr)
-	rr.TimeoutMS = save
-	*buf = b
-	k := sha256.Sum256(b)
-	jsonx.PutBuf(buf)
-	return k
+func appendKeyInt(b []byte, v int) []byte {
+	return binary.LittleEndian.AppendUint64(b, uint64(v))
+}
+
+func appendKeyFloat(b []byte, f float64) []byte {
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+}
+
+func appendKeyName(b []byte, s string) []byte {
+	return append(appendKeyInt(b, len(s)), s...)
 }
 
 // ---------------------------------------------------------------------
@@ -330,7 +273,7 @@ func decInt(d *jsonx.Dec) (int, bool) {
 // to encoding/json's reading — escapes, nulls, case-folded keys,
 // unknown fields — reports false, and the caller MUST rerun the stdlib
 // decoder over the same bytes for exact acceptance and error parity.
-func fastParsePlanFields(d *jsonx.Dec, pr *PlanRequest, extra func(key []byte, d *jsonx.Dec) bool) bool {
+func fastParsePlanFields(d *decoder, pr *PlanRequest, extra func(key []byte, d *decoder) bool) bool {
 	if !d.Consume('{') {
 		return false
 	}
@@ -348,7 +291,7 @@ func fastParsePlanFields(d *jsonx.Dec, pr *PlanRequest, extra func(key []byte, d
 				return false
 			}
 		case "k":
-			if pr.K, ok = decInt(d); !ok {
+			if pr.K, ok = decInt(&d.Dec); !ok {
 				return false
 			}
 		case "rs":
@@ -360,7 +303,7 @@ func fastParsePlanFields(d *jsonx.Dec, pr *PlanRequest, extra func(key []byte, d
 				return false
 			}
 		case "num_points":
-			if pr.NumPoints, ok = decInt(d); !ok {
+			if pr.NumPoints, ok = decInt(&d.Dec); !ok {
 				return false
 			}
 		case "generator":
@@ -374,11 +317,11 @@ func fastParsePlanFields(d *jsonx.Dec, pr *PlanRequest, extra func(key []byte, d
 				return false
 			}
 		case "sensors":
-			if pr.Sensors, ok = fastParseSensors(d); !ok {
+			if pr.Sensors, ok = d.sensorList(); !ok {
 				return false
 			}
 		case "scatter":
-			if pr.Scatter, ok = decInt(d); !ok {
+			if pr.Scatter, ok = decInt(&d.Dec); !ok {
 				return false
 			}
 		case "method":
@@ -388,7 +331,7 @@ func fastParsePlanFields(d *jsonx.Dec, pr *PlanRequest, extra func(key []byte, d
 			}
 			pr.Method = internName(s)
 		case "timeout_ms":
-			if pr.TimeoutMS, ok = decInt(d); !ok {
+			if pr.TimeoutMS, ok = decInt(&d.Dec); !ok {
 				return false
 			}
 		default:
@@ -403,16 +346,18 @@ func fastParsePlanFields(d *jsonx.Dec, pr *PlanRequest, extra func(key []byte, d
 	}
 }
 
-func fastParseSensors(d *jsonx.Dec) ([]SensorSpec, bool) {
+// sensorList parses a sensor array into the decoder's scratch, then
+// hands it to internSensors.
+func (d *decoder) sensorList() ([]SensorSpec, bool) {
 	if !d.Consume('[') {
 		return nil, false
 	}
-	out := []SensorSpec{} // "[]" decodes to a non-nil empty slice, like stdlib
+	raw := d.sensors[:0]
 	if d.Consume(']') {
-		return out, true
+		return internSensors(raw), true
 	}
 	for {
-		var s SensorSpec
+		var s rawSensor
 		if !d.Consume('{') {
 			return nil, false
 		}
@@ -424,17 +369,16 @@ func fastParseSensors(d *jsonx.Dec) ([]SensorSpec, bool) {
 				}
 				switch string(key) {
 				case "id":
-					v, ok := decInt(d)
-					if !ok {
+					if s.id, ok = decInt(&d.Dec); !ok {
 						return nil, false
 					}
-					s.ID = intPtr(v)
+					s.hasID = true
 				case "x":
-					if s.X, ok = d.Float(); !ok {
+					if s.x, ok = d.Float(); !ok {
 						return nil, false
 					}
 				case "y":
-					if s.Y, ok = d.Float(); !ok {
+					if s.y, ok = d.Float(); !ok {
 						return nil, false
 					}
 				default:
@@ -449,15 +393,50 @@ func fastParseSensors(d *jsonx.Dec) ([]SensorSpec, bool) {
 				return nil, false
 			}
 		}
-		out = append(out, s)
+		raw = append(raw, s)
 		if d.Consume(',') {
 			continue
 		}
 		if d.Consume(']') {
-			return out, true
+			d.sensors = raw
+			return internSensors(raw), true
 		}
 		return nil, false
 	}
+}
+
+// internSensors copies parsed sensors out at their exact size, with
+// every explicit ID interned in one backing array: a list costs two
+// allocations whatever its length, and never reserves room for sensors
+// the body does not contain.
+func internSensors(raw []rawSensor) []SensorSpec {
+	nIDs := 0
+	for i := range raw {
+		if raw[i].hasID {
+			nIDs++
+		}
+	}
+	out := make([]SensorSpec, len(raw)) // "[]" decodes to a non-nil empty slice, like stdlib
+	ids := make([]int, 0, nIDs)
+	for i, r := range raw {
+		out[i] = SensorSpec{X: r.x, Y: r.y}
+		if r.hasID {
+			ids = append(ids, r.id)
+			out[i].ID = &ids[len(ids)-1]
+		}
+	}
+	return out
+}
+
+// intList parses an integer array through the decoder's scratch and
+// copies it out at its exact size.
+func (d *decoder) intList() ([]int, bool) {
+	v, ok := fastParseInts(&d.Dec, d.ints)
+	if !ok {
+		return nil, false
+	}
+	d.ints = v[:0]
+	return append(make([]int, 0, len(v)), v...), true
 }
 
 // fastParseInts parses a JSON array of integers into scratch's backing
@@ -498,18 +477,34 @@ func finishFast(d *jsonx.Dec) error {
 	return nil
 }
 
-// decPool recycles decoder state. A stack Dec would be free, but the
-// field-hook closure in fastParsePlanFields makes escape analysis move
-// it to the heap on every call — pooling gets the alloc back.
-var decPool = sync.Pool{New: func() any { return new(jsonx.Dec) }}
+// decoder is the per-body decode state: the cursor, plus the scratch a
+// sensor or failed list is parsed into before it is copied out. It is
+// pooled: a stack value would be free, but the field-hook closure in
+// fastParsePlanFields makes escape analysis move it to the heap on every
+// call, and the pool also keeps the scratch warm. The scratch a pooled
+// decoder retains is bounded by the body size limit.
+type decoder struct {
+	jsonx.Dec
+	sensors []rawSensor
+	ints    []int
+}
 
-func getDec(data []byte) *jsonx.Dec {
-	d := decPool.Get().(*jsonx.Dec)
-	*d = jsonx.Dec{Data: data}
+// rawSensor is one parsed sensor object before its ID is interned.
+type rawSensor struct {
+	x, y  float64
+	id    int
+	hasID bool
+}
+
+var decPool = sync.Pool{New: func() any { return new(decoder) }}
+
+func getDecoder(data []byte) *decoder {
+	d := decPool.Get().(*decoder)
+	d.Dec = jsonx.Dec{Data: data}
 	return d
 }
 
-func putDec(d *jsonx.Dec) {
+func putDecoder(d *decoder) {
 	d.Data = nil // don't pin the (pooled) body buffer
 	decPool.Put(d)
 }
@@ -517,10 +512,10 @@ func putDec(d *jsonx.Dec) {
 // decodePlanRequest decodes one /v1/plan body: fast path first, stdlib
 // fallback (over the identical bytes, after resetting pr) on any bail.
 func decodePlanRequest(data []byte, pr *PlanRequest) error {
-	d := getDec(data)
-	defer putDec(d)
+	d := getDecoder(data)
+	defer putDecoder(d)
 	if fastParsePlanFields(d, pr, nil) {
-		return finishFast(d)
+		return finishFast(&d.Dec)
 	}
 	*pr = PlanRequest{}
 	return decodeJSON(bytes.NewReader(data), pr)
@@ -528,18 +523,18 @@ func decodePlanRequest(data []byte, pr *PlanRequest) error {
 
 // decodeRepairRequest decodes one /v1/repair body the same way.
 func decodeRepairRequest(data []byte, rr *RepairRequest) error {
-	d := getDec(data)
-	defer putDec(d)
-	ok := fastParsePlanFields(d, &rr.PlanRequest, func(key []byte, d *jsonx.Dec) bool {
+	d := getDecoder(data)
+	defer putDecoder(d)
+	ok := fastParsePlanFields(d, &rr.PlanRequest, func(key []byte, d *decoder) bool {
 		if string(key) != "failed" {
 			return false
 		}
 		var ok bool
-		rr.Failed, ok = fastParseInts(d, nil)
+		rr.Failed, ok = d.intList()
 		return ok
 	})
 	if ok {
-		return finishFast(d)
+		return finishFast(&d.Dec)
 	}
 	*rr = RepairRequest{}
 	return decodeJSON(bytes.NewReader(data), rr)
@@ -547,9 +542,9 @@ func decodeRepairRequest(data []byte, rr *RepairRequest) error {
 
 // decodeFieldRequest decodes one POST /v1/fields body.
 func decodeFieldRequest(data []byte, fr *FieldRequest) error {
-	d := getDec(data)
-	defer putDec(d)
-	ok := fastParsePlanFields(d, &fr.PlanRequest, func(key []byte, d *jsonx.Dec) bool {
+	d := getDecoder(data)
+	defer putDecoder(d)
+	ok := fastParsePlanFields(d, &fr.PlanRequest, func(key []byte, d *decoder) bool {
 		if string(key) != "field_id" {
 			return false
 		}
@@ -561,7 +556,7 @@ func decodeFieldRequest(data []byte, fr *FieldRequest) error {
 		return true
 	})
 	if ok {
-		return finishFast(d)
+		return finishFast(&d.Dec)
 	}
 	*fr = FieldRequest{}
 	return decodeJSON(bytes.NewReader(data), fr)

@@ -1,8 +1,14 @@
 package service
 
 import (
+	"encoding/json"
+	"math"
 	"strings"
 	"testing"
+
+	"decor/internal/core"
+	"decor/internal/geom"
+	"decor/internal/partition"
 )
 
 // FuzzDecodePlanRequest drives arbitrary bytes through the exact
@@ -21,6 +27,12 @@ func FuzzDecodePlanRequest(f *testing.F) {
 	f.Add(`[1,2,3]`)
 	f.Add(`null`)
 	f.Add(``)
+	// An explicit ID at MaxInt left the scattered sensors after it no
+	// room: their IDs wrapped, and a worker panicked on a duplicate.
+	f.Add(`{"field_side":50,"k":1,"rs":4,"num_points":200,"sensors":[{"id":9223372036854775807,"x":1,"y":1}],"scatter":2,"method":"centralized"}`)
+	// A 1e5 field at rs 4 asked for two 625-million-bucket index grids.
+	f.Add(`{"field_side":1e5,"k":1,"rs":4,"num_points":200,"scatter":20,"method":"random"}`)
+	f.Add(`{"field_side":3000,"k":1,"rs":100,"num_points":200,"scatter":20,"method":"grid-small"}`)
 	f.Fuzz(func(t *testing.T, body string) {
 		lim := DefaultLimits()
 		var pr PlanRequest
@@ -50,11 +62,45 @@ func FuzzDecodePlanRequest(f *testing.F) {
 			if !isFinite(s.X) || !isFinite(s.Y) {
 				t.Fatalf("accepted non-finite sensor %d: %+v", i, s)
 			}
+			if *s.ID < 0 || *s.ID > 1<<53-1 {
+				t.Fatalf("accepted sensor %d id %d outside [0, 2^53-1]", i, *s.ID)
+			}
+		}
+		// Every cell grid the planner builds stays within the cap: the
+		// coverage map's two rs-spaced index grids (index.NewGrid's
+		// (⌈side/rs⌉+1)² buckets) and a grid method's partition.
+		if c := math.Ceil(norm.FieldSide/norm.Rs) + 1; c*c > maxGridCells {
+			t.Fatalf("accepted field_side %g at rs %g: %g index cells", norm.FieldSide, norm.Rs, c*c)
+		}
+		m, err := core.MethodByName(norm.Method, norm.Rs)
+		if err != nil {
+			t.Fatalf("accepted method %q: %v", norm.Method, err)
+		}
+		if g, ok := m.(core.GridDECOR); ok {
+			if n := partition.NewGrid(geom.Square(norm.FieldSide), g.CellSize).NumCells(); n > maxGridCells {
+				t.Fatalf("accepted field_side %g with %s: %d cells", norm.FieldSide, norm.Method, n)
+			}
 		}
 		// The canonical key must be stable and cheap for anything accepted
-		// (a sha256 digest is never the zero array).
-		if norm.key() == (reqKey{}) {
+		// (a sha256 digest is never the zero array), and must survive a
+		// round trip through the request's own JSON form.
+		k := norm.key()
+		if k == (reqKey{}) {
 			t.Fatal("empty cache key")
+		}
+		b, err := json.Marshal(norm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var again PlanRequest
+		if err := decodePlanRequest(b, &again); err != nil {
+			t.Fatalf("re-decoding %s: %v", b, err)
+		}
+		if again, err = again.normalize(lim); err != nil {
+			t.Fatalf("re-normalizing %s: %v", b, err)
+		}
+		if again.key() != k {
+			t.Fatalf("key changed across a JSON round trip of %s", b)
 		}
 	})
 }
@@ -65,15 +111,34 @@ func FuzzDecodeRepairRequest(f *testing.F) {
 	f.Add(`{"field_side":50,"k":1,"rs":4,"sensors":[{"x":1,"y":1}],"failed":[0]}`)
 	f.Add(`{"field_side":50,"k":1,"rs":4,"failed":[99999999]}`)
 	f.Add(`{"field_side":50,"k":1,"rs":4,"scatter":3,"failed":[2,2]}`)
+	f.Add(`{"field_side":50,"k":1,"rs":4,"sensors":[{"id":7,"x":1,"y":1}],"scatter":3,"failed":[10,7,8]}`)
+	f.Add(`{"field_side":50,"k":1,"rs":4,"scatter":3,"failed":[]}`)
 	f.Fuzz(func(t *testing.T, body string) {
 		var rr RepairRequest
 		if err := decodeJSON(strings.NewReader(body), &rr); err != nil {
 			return
 		}
-		if norm, err := rr.normalize(DefaultLimits()); err == nil {
-			if norm.key() == (reqKey{}) {
-				t.Fatal("empty cache key")
-			}
+		norm, err := rr.normalize(DefaultLimits())
+		if err != nil {
+			return
+		}
+		k := norm.key()
+		if k == (reqKey{}) {
+			t.Fatal("empty cache key")
+		}
+		b, err := json.Marshal(norm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var again RepairRequest
+		if err := decodeRepairRequest(b, &again); err != nil {
+			t.Fatalf("re-decoding %s: %v", b, err)
+		}
+		if again, err = again.normalize(DefaultLimits()); err != nil {
+			t.Fatalf("re-normalizing %s: %v", b, err)
+		}
+		if again.key() != k {
+			t.Fatalf("key changed across a JSON round trip of %s", b)
 		}
 	})
 }

@@ -341,7 +341,8 @@ func (s *Server) servePlanLike(w http.ResponseWriter, r *http.Request, ep planEn
 
 	// Decode and normalize into a pooled runner: the fast-path codec
 	// reads the pooled body buffer, so a cache hit allocates nothing
-	// here beyond the parse span itself.
+	// here beyond the parse span and one exact-size copy of each sensor
+	// or failed-ID list.
 	var key reqKey
 	var timeout time.Duration
 	var runner jobRunner

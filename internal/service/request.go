@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"sync"
 	"time"
 
 	"decor/internal/core"
@@ -207,10 +208,46 @@ func validMethod(name string, rs float64) bool {
 	return err == nil
 }
 
+// maxSensorID caps explicit sensor IDs at 2^53-1, the top of the
+// integer range I-JSON (RFC 7493) readers handle exactly. It keeps IDs
+// echoed in session deltas exact in any reader, and leaves room above
+// the largest explicit ID for the IDs the server assigns (scattered and
+// placed sensors count up from it) without wrapping.
+const maxSensorID = 1<<53 - 1
+
+// maxGridCells caps each cell grid a request makes the planner build:
+// the two rs-spaced index grids of its coverage map, of
+// (⌈field_side/rs⌉+1)² buckets each, and a grid method's
+// ⌈field_side/cell⌉² cells. 2^18 holds one index grid to about 6 MB and
+// is 100× the largest grid any workload, test or tool builds.
+const maxGridCells = 1 << 18
+
+// methodCellSize memoizes each grid method's cell edge, read from the
+// method constructor so the cell-grid cap can never drift from it.
+var methodCellSize = func() map[string]float64 {
+	m := make(map[string]float64)
+	for n := range validMethodSet {
+		if g, err := core.MethodByName(n, 1); err == nil {
+			if grid, ok := g.(core.GridDECOR); ok {
+				m[n] = grid.CellSize
+			}
+		}
+	}
+	return m
+}()
+
 // normalize validates pr against lim and fills defaults, returning the
 // canonical form that execution and request hashing share. Every
 // rejection is an *apiError carrying the client-facing message.
 func (pr PlanRequest) normalize(lim Limits) (PlanRequest, error) {
+	ids := getIDSet()
+	defer putIDSet(ids)
+	return pr.normalizeIDs(lim, ids)
+}
+
+// normalizeIDs is normalize, leaving the sensor IDs in ids so a repair
+// can check its failed list against the same set.
+func (pr PlanRequest) normalizeIDs(lim Limits, ids map[int]bool) (PlanRequest, error) {
 	if !isFinite(pr.FieldSide) || pr.FieldSide <= 0 {
 		return pr, badRequest("field_side must be positive and finite")
 	}
@@ -262,10 +299,23 @@ func (pr PlanRequest) normalize(lim Limits) (PlanRequest, error) {
 	if pr.TimeoutMS < 0 {
 		return pr, badRequest("timeout_ms must be non-negative")
 	}
+	// The grids sized from the field: index.NewGrid's (⌈side/rs⌉+1)²
+	// buckets, and an upper bound on partition.NewGrid's cells.
+	if c := math.Ceil(pr.FieldSide/pr.Rs) + 1; c*c > maxGridCells {
+		return pr, badRequest("field_side %g at rs %g needs index grids of %g cells each, over the limit of %d cells",
+			pr.FieldSide, pr.Rs, c*c, maxGridCells)
+	}
+	if cell := methodCellSize[pr.Method]; cell > 0 {
+		if c := math.Ceil(pr.FieldSide / cell); c*c > maxGridCells {
+			return pr, badRequest("field_side %g needs a %s grid of %g cells, over the limit of %d cells",
+				pr.FieldSide, pr.Method, c*c, maxGridCells)
+		}
+	}
 
 	// Sensors: finite in-field positions; IDs all explicit or all
-	// implicit, non-negative and distinct. Normalizing to explicit IDs
-	// here keeps the request hash and the repair ID space canonical.
+	// implicit, non-negative, at most maxSensorID and distinct.
+	// Normalizing to explicit IDs here keeps the request hash and the
+	// repair ID space canonical.
 	if len(pr.Sensors) == 0 {
 		return pr, nil
 	}
@@ -278,8 +328,12 @@ func (pr PlanRequest) normalize(lim Limits) (PlanRequest, error) {
 	if explicit != 0 && explicit != len(pr.Sensors) {
 		return pr, badRequest("either every sensor carries an id or none does")
 	}
-	norm := make([]SensorSpec, len(pr.Sensors))
-	seen := make(map[int]struct{}, len(pr.Sensors))
+	// Explicit IDs keep the decoded slice; implicit ones are numbered
+	// into one new slice whose IDs share one backing array.
+	norm, implicit := pr.Sensors, []int(nil)
+	if explicit == 0 {
+		norm, implicit = make([]SensorSpec, len(pr.Sensors)), make([]int, len(pr.Sensors))
+	}
 	for i, s := range pr.Sensors {
 		if !isFinite(s.X) || !isFinite(s.Y) {
 			return pr, badRequest("sensor %d has a non-finite coordinate", i)
@@ -293,12 +347,18 @@ func (pr PlanRequest) normalize(lim Limits) (PlanRequest, error) {
 			if id < 0 {
 				return pr, badRequest("sensor %d has negative id %d", i, id)
 			}
+			if id > maxSensorID {
+				return pr, badRequest("sensor %d id %d exceeds the limit %d (2^53-1)", i, id, maxSensorID)
+			}
 		}
-		if _, dup := seen[id]; dup {
+		if _, dup := ids[id]; dup {
 			return pr, badRequest("duplicate sensor id %d", id)
 		}
-		seen[id] = struct{}{}
-		norm[i] = SensorSpec{ID: intPtr(id), X: s.X, Y: s.Y}
+		ids[id] = false
+		if implicit != nil {
+			implicit[i] = id
+			norm[i] = SensorSpec{ID: &implicit[i], X: s.X, Y: s.Y}
+		}
 	}
 	pr.Sensors = norm
 	return pr, nil
@@ -308,7 +368,9 @@ func (pr PlanRequest) normalize(lim Limits) (PlanRequest, error) {
 // the failed-ID references, which must name existing sensors (explicit
 // or scattered) exactly once each.
 func (rr RepairRequest) normalize(lim Limits) (RepairRequest, error) {
-	pr, err := rr.PlanRequest.normalize(lim)
+	ids := getIDSet()
+	defer putIDSet(ids)
+	pr, err := rr.PlanRequest.normalizeIDs(lim, ids)
 	if err != nil {
 		return rr, err
 	}
@@ -318,29 +380,35 @@ func (rr RepairRequest) normalize(lim Limits) (RepairRequest, error) {
 		return rr, nil
 	}
 	// Scattered sensors take sequential IDs after the largest explicit
-	// one — the facade's nextID rule.
+	// one — the facade's nextID rule — so they are checked as a range;
+	// the set holds the sensor IDs and marks each failed one.
 	maxID := -1
-	known := make(map[int]struct{}, len(pr.Sensors)+pr.Scatter)
 	for _, s := range pr.Sensors {
-		known[*s.ID] = struct{}{}
-		if *s.ID > maxID {
-			maxID = *s.ID
-		}
+		maxID = max(maxID, *s.ID)
 	}
-	for i := 0; i < pr.Scatter; i++ {
-		known[maxID+1+i] = struct{}{}
-	}
-	seen := make(map[int]struct{}, len(rr.Failed))
 	for _, id := range rr.Failed {
-		if _, ok := known[id]; !ok {
+		failed, listed := ids[id]
+		if !listed && (id <= maxID || id > maxID+pr.Scatter) {
 			return rr, badRequest("failed sensor id %d does not exist in the deployment", id)
 		}
-		if _, dup := seen[id]; dup {
+		if failed {
 			return rr, badRequest("duplicate failed sensor id %d", id)
 		}
-		seen[id] = struct{}{}
+		ids[id] = true
 	}
 	return rr, nil
+}
+
+// The one ID set a request's validation builds maps each sensor ID to
+// whether a repair has named it failed. It comes from a pool and goes
+// back cleared, so a request allocates no set of its own.
+var idSetPool = sync.Pool{New: func() any { return make(map[int]bool) }}
+
+func getIDSet() map[int]bool { return idSetPool.Get().(map[int]bool) }
+
+func putIDSet(ids map[int]bool) {
+	clear(ids)
+	idSetPool.Put(ids)
 }
 
 // timeout resolves the request's effective deadline under lim.
@@ -356,20 +424,17 @@ func (pr PlanRequest) timeout(lim Limits) time.Duration {
 }
 
 // key hashes the canonical (normalized) request into the plan-cache
-// key. The timeout is excluded: it bounds how long a client waits, never
-// what a completed plan contains, so requests differing only in
-// timeout_ms share one cache entry. The endpoint tag keeps /v1/plan and
-// /v1/repair keys disjoint even for structurally identical bodies. The
-// canonical bytes are rendered by the append codec (codec.go), which is
-// byte-identical to json.Marshal, so keys survive the codec swap.
+// key (requestKey in codec.go). Two normalized requests share a key
+// exactly when their json.Marshal forms, timeout zeroed, are equal and
+// they came to the same endpoint. The timeout is excluded: it bounds
+// how long a client waits, never what a completed plan contains, so
+// requests differing only in timeout_ms share one cache entry.
 func (pr PlanRequest) key() reqKey {
-	return keyPlan(&pr)
+	return requestKey(keyTagPlan, &pr, nil)
 }
 
 func (rr RepairRequest) key() reqKey {
-	return keyRepair(&rr)
+	return requestKey(keyTagRepair, &rr.PlanRequest, rr.Failed)
 }
 
 func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
-
-func intPtr(i int) *int { return &i }

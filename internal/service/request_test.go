@@ -50,6 +50,43 @@ func TestNormalizeAssignsSequentialIDs(t *testing.T) {
 	}
 }
 
+// TestNormalizeSizeLimits walks the edges of the two size caps that
+// are constants rather than Limits: explicit sensor IDs up to 2^53-1,
+// and at most maxGridCells cells in each index grid and in a grid
+// method's partition.
+func TestNormalizeSizeLimits(t *testing.T) {
+	lim := DefaultLimits()
+	withID := func(id int) PlanRequest {
+		return PlanRequest{FieldSide: 50, K: 1, Rs: 4, Scatter: 3,
+			Sensors: []SensorSpec{{ID: intPtr(id), X: 1, Y: 1}}}
+	}
+	field := func(side, rs float64, method string) PlanRequest {
+		return PlanRequest{FieldSide: side, K: 1, Rs: rs, Method: method}
+	}
+	cases := []struct {
+		name string
+		pr   PlanRequest
+		ok   bool
+	}{
+		{"id 2^53-1", withID(1<<53 - 1), true},
+		{"id 2^53", withID(1 << 53), false},
+		{"index 512x512", field(2044, 4, "voronoi-big"), true},
+		{"index 513x513", field(2044.5, 4, "voronoi-big"), false},
+		{"grid-small 512x512", field(2560, 100, "grid-small"), true},
+		{"grid-small 513x513", field(2560.5, 100, "grid-small"), false},
+		{"grid-big 512x512", field(5120, 100, "grid-big"), true},
+		{"grid-big 513x513", field(5120.5, 100, "grid-big"), false},
+		{"centralized has no cell grid", field(5120.5, 100, "centralized"), true},
+		{"side/rs overflows", field(math.MaxFloat64, 1e-300, "random"), false},
+	}
+	for _, tc := range cases {
+		_, err := tc.pr.normalize(lim)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: err = %v, want accepted %v", tc.name, err, tc.ok)
+		}
+	}
+}
+
 func TestCacheKeySemantics(t *testing.T) {
 	lim := DefaultLimits()
 	base := PlanRequest{FieldSide: 100, K: 3, Rs: 4, Seed: 1}

@@ -356,6 +356,41 @@ func TestValidationRejections(t *testing.T) {
 	}
 }
 
+// postEverywhere posts one plan-shaped body to every route that builds
+// a deployment from it — /v1/plan, /v1/repair and /v1/fields (with a
+// field_id) — and requires a 400 whose message contains want.
+func postEverywhere(t *testing.T, body, want string) {
+	t.Helper()
+	s := newTestServer(t, Config{})
+	for _, path := range []string{"/v1/plan", "/v1/repair", "/v1/fields"} {
+		b := body
+		if path == "/v1/fields" {
+			b = `{"field_id":"f",` + body[1:]
+		}
+		status, _, resp := s.post(t, path, b)
+		if status != http.StatusBadRequest || !strings.Contains(string(resp), want) {
+			t.Errorf("%s: status %d, body %s; want 400 naming %s", path, status, resp, want)
+		}
+	}
+}
+
+// TestSensorIDLimit: scattered and placed sensors are numbered up from
+// the largest explicit ID, so an ID at MaxInt made them wrap to MinInt
+// and a worker goroutine panicked on the duplicate. Explicit IDs are
+// capped at 2^53-1 instead.
+func TestSensorIDLimit(t *testing.T) {
+	postEverywhere(t, `{"field_side":50,"k":1,"rs":4,"num_points":200,"sensors":[{"id":9223372036854775807,"x":1,"y":1}],"scatter":2,"method":"centralized"}`,
+		"9007199254740991")
+}
+
+// TestGridCellLimit: a 1e5 field at rs 4 asked the coverage map for two
+// index grids of 625 million buckets each and ran the process out of
+// memory. Every grid a request sizes is capped at 2^18 cells.
+func TestGridCellLimit(t *testing.T) {
+	postEverywhere(t, `{"field_side":1e5,"k":1,"rs":4,"num_points":200,"scatter":20,"method":"random"}`,
+		"262144")
+}
+
 func TestMethodNotAllowed(t *testing.T) {
 	s := newTestServer(t, Config{})
 	resp, err := http.Get(s.ts.URL + "/v1/plan")

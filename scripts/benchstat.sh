@@ -43,8 +43,10 @@
 #    codec pair in internal/session), compare against
 #    BENCH_serve_allocs.json, and gate allocs/op EXACTLY where the
 #    number is structural — BenchmarkServePlanCacheHit (also capped at
-#    the ISSUE's 10 allocs/request ceiling), BenchmarkServeSSEFrame and
-#    BenchmarkServeErrorBody (both must stay 0) — with a small band
+#    a 10 allocs/request ceiling), BenchmarkServeRepairCacheHit
+#    (a 900-sensor hit: per-list, not per-sensor, allocations),
+#    BenchmarkServeSSEFrame and BenchmarkServeErrorBody (both must stay
+#    0) — with a small band
 #    (BENCH_SERVE_ALLOC_PCT, default 10) for the miss/event paths whose
 #    planner work evolves field state between iterations. The delta
 #    encode must also stay >= 10x fewer allocs/op than reflection
@@ -207,7 +209,7 @@ END {
 # codecs. One combined run covers the service benches and the session
 # wire-codec pair (BenchmarkDeltaEncode vs its stdlib baseline).
 SERVE_ALLOC_COUNT=${BENCH_SERVE_ALLOC_COUNT:-3}
-$GO test -run '^$' -bench 'BenchmarkServePlanCacheHit|BenchmarkServePlanCacheMiss|BenchmarkServeFieldEvent|BenchmarkServeSSEFrame|BenchmarkServeErrorBody|BenchmarkDeltaEncode' \
+$GO test -run '^$' -bench 'BenchmarkServePlanCacheHit|BenchmarkServeRepairCacheHit|BenchmarkServePlanCacheMiss|BenchmarkServeFieldEvent|BenchmarkServeSSEFrame|BenchmarkServeErrorBody|BenchmarkDeltaEncode' \
 	-benchmem -benchtime=50x -count="$SERVE_ALLOC_COUNT" ./internal/service/ ./internal/session/ |
 	$GO run ./cmd/decor-benchjson -o "$SERVE_ALLOC_FRESH"
 $GO run ./cmd/decor-benchjson -diff \
@@ -229,7 +231,7 @@ END {
 	# Exact gates: these allocs/op are structural (pooled buffers, no
 	# data-dependent work), so any drift is a leak. Round to absorb the
 	# rare mid-run sync.Pool flush (a fraction of an alloc on average).
-	split("BenchmarkServePlanCacheHit BenchmarkServeSSEFrame BenchmarkServeErrorBody", exact, " ")
+	split("BenchmarkServePlanCacheHit BenchmarkServeRepairCacheHit BenchmarkServeSSEFrame BenchmarkServeErrorBody", exact, " ")
 	for (i in exact) {
 		nm = exact[i]
 		if (!have(nm)) continue
