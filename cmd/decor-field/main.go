@@ -55,7 +55,7 @@ func main() {
 	opts := render.SVGOptions{ShowPoints: true}
 	switch *what {
 	case "points":
-		m = coverage.New(cfg.Field(), cfg.Points(), cfg.Rs, *k)
+		m = coverage.NewMap(cfg.PointSet(), *k)
 	case "voronoi":
 		m = cfg.NewMap(*k, 0)
 		(core.VoronoiDECOR{Rc: 2 * cfg.Rs}).Deploy(m, rng.New(cfg.Seed+7), core.Options{})

@@ -67,7 +67,6 @@ func run() int {
 		sessMax       = flag.Int("session-max", 0, "global live field-session cap (0 = default 4096)")
 		sessMaxTenant = flag.Int("session-max-per-tenant", 0, "per-tenant field-session cap (0 = default 64); excess creates get 429")
 		sessIdleTTL   = flag.Duration("session-idle-ttl", 0, "idle time before a session is snapshotted and evicted (0 = built-in default)")
-		sessNoFast    = flag.Bool("session-no-fast-restore", false, "restore evicted sessions by full event-log replay instead of the binary fast path")
 	)
 	var ofl obs.RunFlags
 	ofl.Register(flag.CommandLine)
@@ -99,7 +98,6 @@ func run() int {
 			MaxSessions:          *sessMax,
 			MaxSessionsPerTenant: *sessMaxTenant,
 			IdleTTL:              *sessIdleTTL,
-			DisableFastRestore:   *sessNoFast,
 		},
 		Tracer:      tracer,
 		EnablePprof: *enablePprof,

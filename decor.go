@@ -113,7 +113,10 @@ type Deployment struct {
 	r      *rng.RNG
 }
 
-// NewDeployment validates params and builds an empty field.
+// NewDeployment validates params and builds an empty field. Its sample
+// points, their index and adjacencies come from the process-wide
+// registry (coverage.SharedPointSet), so deployments over the same
+// points and Rs build them once; the counts and sensors are private.
 func NewDeployment(params Params) (*Deployment, error) {
 	p, err := params.normalize()
 	if err != nil {
@@ -123,11 +126,10 @@ func NewDeployment(params Params) (*Deployment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("decor: %w", err)
 	}
-	field := geom.Square(p.FieldSide)
-	pts := gen.Points(p.NumPoints, field)
+	ps := coverage.SharedPointSet(gen, p.NumPoints, geom.Square(p.FieldSide), p.Rs)
 	return &Deployment{
 		params: p,
-		m:      coverage.New(field, pts, p.Rs, p.K),
+		m:      coverage.NewMap(ps, p.K),
 		r:      rng.New(p.Seed),
 	}, nil
 }
@@ -273,11 +275,12 @@ func (d *Deployment) DeployContext(ctx context.Context, method string) (Report, 
 }
 
 // Clone returns an independent copy of the deployment: private coverage
-// counts, sensor set and RNG state, sharing only immutable structure (the
-// sample points and their spatial index). Clone and original may then be
-// used concurrently from different goroutines; the clone replays the
-// original's random stream, so equal operation sequences on both yield
-// identical results.
+// counts, sensor set and RNG state, sharing only the immutable point set
+// (the sample points, their index, tiles and adjacencies), which every
+// deployment over the same points already shares. Clone and original
+// may then be used concurrently from different goroutines; the clone
+// replays the original's random stream, so equal operation sequences on
+// both yield identical results.
 func (d *Deployment) Clone() *Deployment {
 	return &Deployment{params: d.params, m: d.m.Clone(), r: d.r.Clone()}
 }

@@ -9,7 +9,6 @@ import (
 
 	"decor/internal/coverage"
 	"decor/internal/geom"
-	"decor/internal/index"
 	"decor/internal/lowdisc"
 	"decor/internal/rng"
 )
@@ -22,13 +21,12 @@ import (
 // `make bench-json` sets it when refreshing BENCH_core.json.
 
 // placeScenario caches the expensive immutable pieces of one field size
-// — points, the prototype map and its neighborhood build — so benchmark
-// iterations only pay for Clone + Deploy.
+// — the point set with its neighborhood build, and the prototype map —
+// so benchmark iterations only pay for Clone + Deploy.
 type placeScenario struct {
 	n     int
 	field geom.Rect
-	pts   []geom.Point
-	nb    index.NeighborhoodCache
+	ps    *coverage.PointSet
 	m     *coverage.Map
 }
 
@@ -48,7 +46,7 @@ func getPlaceScenario(n int) *placeScenario {
 	}
 	s := &placeScenario{n: n}
 	s.field = geom.Square(math.Sqrt(float64(n) / placeDensity))
-	s.pts = lowdisc.Halton{}.Points(n, s.field)
+	s.ps = coverage.NewPointSet(s.field, lowdisc.Halton{}.Points(n, s.field), 4)
 	placeScenarios[n] = s
 	return s
 }
@@ -61,15 +59,14 @@ func (s *placeScenario) proto() *coverage.Map {
 	if s.m != nil {
 		return s.m
 	}
-	m := coverage.New(s.field, s.pts, 4, 1)
-	m.ShareNeighborhoods(&s.nb)
+	m := coverage.NewMap(s.ps, 1)
 	r := rng.New(99)
 	for id := 0; id < s.n/40; id++ {
 		m.AddSensor(id, r.PointInRect(s.field))
 	}
-	// Force the rs=4 point adjacency now: it is lazily built on first use
-	// and shared with every clone, so without this the first benchmarked Deploy
-	// would pay for it alone.
+	// Force the rs=4 point adjacency now: the point set builds it lazily
+	// on first use and shares it with every clone, so without this the
+	// first benchmarked Deploy would pay for it alone.
 	m.PointNeighborhoods(4)
 	s.m = m
 	return m

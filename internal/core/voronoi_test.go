@@ -6,7 +6,6 @@ import (
 	"decor/internal/coverage"
 	"decor/internal/failure"
 	"decor/internal/geom"
-	"decor/internal/index"
 	"decor/internal/lowdisc"
 	"decor/internal/partition"
 	"decor/internal/rng"
@@ -223,16 +222,15 @@ func TestVoronoiRepairParity(t *testing.T) {
 
 // A Voronoi run never builds an rc adjacency: new sensors claim points
 // through the map's point index. Only the new-sensor radius's adjacency
-// (the benefit cache's) lands in the shared neighborhood cache.
+// (the benefit cache's) lands in the map's point set.
 func TestVoronoiDeployBuildsNoRcAdjacency(t *testing.T) {
-	var shared index.NeighborhoodCache
 	m := parityMap(3, 2)
-	m.ShareNeighborhoods(&shared)
 	VoronoiDECOR{Rc: 8}.Deploy(m, rng.New(3), Options{})
-	if shared.Peek(8) != nil {
+	ps := m.PointSet()
+	if ps.BuiltNeighborhoods(8) != nil {
 		t.Fatal("Deploy built the rc adjacency")
 	}
-	if shared.Peek(m.Rs()) == nil {
+	if ps.BuiltNeighborhoods(m.Rs()) == nil {
 		t.Fatal("Deploy built no rs adjacency: the check above proves nothing")
 	}
 }

@@ -15,21 +15,17 @@ import (
 	"decor/internal/index"
 )
 
-// Map is the coverage state of one field. It is not safe for concurrent
-// mutation.
+// Map is the coverage state of one field: a shared, immutable PointSet
+// plus this map's own counts, deficits and sensors. It is not safe for
+// concurrent mutation.
 type Map struct {
-	field geom.Rect
-	rs    float64
-	k     int
+	ps *PointSet
+	k  int
 
-	pts       []geom.Point
-	ptIdx     *index.Grid
 	counts    []int
 	deficient int // number of points with counts[i] < k
-
-	// tiles partitions the points into square tiles (tiles.go); tileDef
-	// holds each tile's number of points with counts[i] < k.
-	tiles   tiling
+	// tileDef holds each tile's number of points with counts[i] < k
+	// (tiles.go).
 	tileDef []int32
 
 	sensors   map[int]geom.Point
@@ -44,45 +40,37 @@ type Map struct {
 	// from the map use the default rs.
 	sensorRs map[int]float64
 	maxRs    float64 // largest radius ever added; bounds ball queries
-
-	// nbCache memoizes PointNeighborhoods per radius: the adjacency
-	// depends only on the immutable sample-point set, so a restoration
-	// pass on the same map reuses the deployment's build. nbShared,
-	// when set via ShareNeighborhoods, replaces it with a cache shared
-	// between maps with identical point sets.
-	nbCache  map[float64]*index.Neighborhoods
-	nbShared *index.NeighborhoodCache
 }
 
 // New creates a coverage map over field, approximated by pts, with sensing
-// radius rs and reliability requirement k. It panics on invalid rs or k —
+// radius rs and reliability requirement k: NewMap over a private
+// NewPointSet holding a copy of pts. It panics on invalid rs or k —
 // these are programmer errors, not runtime conditions.
 func New(field geom.Rect, pts []geom.Point, rs float64, k int) *Map {
-	if rs <= 0 {
-		panic("coverage: rs must be positive")
-	}
+	return NewMap(NewPointSet(field, append([]geom.Point(nil), pts...), rs), k)
+}
+
+// NewMap creates a sensorless coverage map over ps, with the set's
+// sensing radius and reliability requirement k. It panics on k < 1.
+func NewMap(ps *PointSet, k int) *Map {
 	if k < 1 {
 		panic("coverage: k must be >= 1")
 	}
+	n := len(ps.pts)
 	m := &Map{
-		field:     field,
-		rs:        rs,
+		ps:        ps,
 		k:         k,
-		pts:       append([]geom.Point(nil), pts...),
-		ptIdx:     index.NewGrid(field, rs),
-		counts:    make([]int, len(pts)),
-		deficient: len(pts),
-		tiles:     newTiling(field, pts),
+		counts:    make([]int, n),
+		deficient: n,
+		tileDef:   make([]int32, len(ps.tiles.start)-1),
 		sensors:   make(map[int]geom.Point),
-		sensorIdx: index.NewGrid(field, rs),
+		sensorIdx: index.NewGrid(ps.field, ps.rs),
 		sensorRs:  make(map[int]float64),
-		maxRs:     rs,
+		maxRs:     ps.rs,
 	}
-	m.tileDef = make([]int32, len(m.tiles.start)-1)
 	for t := range m.tileDef {
-		m.tileDef[t] = m.tiles.start[t+1] - m.tiles.start[t]
+		m.tileDef[t] = ps.tiles.start[t+1] - ps.tiles.start[t]
 	}
-	m.ptIdx.InsertDense(m.pts)
 	return m
 }
 
@@ -92,23 +80,26 @@ func (m *Map) inc(i int) {
 	m.counts[i]++
 	if m.counts[i] == m.k {
 		m.deficient--
-		m.tileDef[m.tiles.tileOf[i]]--
+		m.tileDef[m.ps.tiles.tileOf[i]]--
 	}
 }
 
 func (m *Map) dec(i int) {
 	if m.counts[i] == m.k {
 		m.deficient++
-		m.tileDef[m.tiles.tileOf[i]]++
+		m.tileDef[m.ps.tiles.tileOf[i]]++
 	}
 	m.counts[i]--
 }
 
+// PointSet returns the map's sample-point set.
+func (m *Map) PointSet() *PointSet { return m.ps }
+
 // Field returns the monitored rectangle.
-func (m *Map) Field() geom.Rect { return m.field }
+func (m *Map) Field() geom.Rect { return m.ps.field }
 
 // Rs returns the sensing radius.
-func (m *Map) Rs() float64 { return m.rs }
+func (m *Map) Rs() float64 { return m.ps.rs }
 
 // K returns the reliability requirement.
 func (m *Map) K() int { return m.k }
@@ -132,16 +123,16 @@ func (m *Map) SetK(k int) {
 	for i, c := range m.counts {
 		if c < k {
 			m.deficient++
-			m.tileDef[m.tiles.tileOf[i]]++
+			m.tileDef[m.ps.tiles.tileOf[i]]++
 		}
 	}
 }
 
 // NumPoints returns the number of sample points.
-func (m *Map) NumPoints() int { return len(m.pts) }
+func (m *Map) NumPoints() int { return len(m.ps.pts) }
 
 // Point returns sample point i.
-func (m *Map) Point(i int) geom.Point { return m.pts[i] }
+func (m *Map) Point(i int) geom.Point { return m.ps.pts[i] }
 
 // Count returns the current coverage count k_p of sample point i.
 func (m *Map) Count(i int) int { return m.counts[i] }
@@ -157,10 +148,10 @@ func (m *Map) Counts() []int {
 // snapshot every iteration pass the previous round's slice back in and
 // stop allocating after the first round.
 func (m *Map) CountsInto(dst []int) []int {
-	if cap(dst) < len(m.pts) {
-		dst = make([]int, len(m.pts))
+	if cap(dst) < len(m.counts) {
+		dst = make([]int, len(m.counts))
 	}
-	dst = dst[:len(m.pts)]
+	dst = dst[:len(m.counts)]
 	copy(dst, m.counts)
 	return dst
 }
@@ -206,7 +197,7 @@ func (m *Map) VisitSensors(fn func(id int, pos geom.Point, rs float64)) {
 	for _, id := range m.sortedIDs {
 		rs, ok := m.sensorRs[id]
 		if !ok {
-			rs = m.rs
+			rs = m.ps.rs
 		}
 		fn(id, m.sensors[id], rs)
 	}
@@ -242,7 +233,7 @@ func (m *Map) SensorPos(id int) (geom.Point, bool) {
 // default sensing radius, incrementing the coverage counts of all sample
 // points within it. It panics on duplicate id.
 func (m *Map) AddSensor(id int, p geom.Point) {
-	m.AddSensorRadius(id, p, m.rs)
+	m.AddSensorRadius(id, p, m.ps.rs)
 }
 
 // AddSensorRadius deploys a sensor with its own sensing radius — the
@@ -259,13 +250,13 @@ func (m *Map) AddSensorRadius(id int, p geom.Point, rs float64) {
 	m.sensors[id] = p
 	m.sensorIdx.Insert(id, p)
 	m.insertSortedID(id)
-	if rs != m.rs {
+	if rs != m.ps.rs {
 		m.sensorRs[id] = rs
 	}
 	if rs > m.maxRs {
 		m.maxRs = rs
 	}
-	m.ptIdx.VisitBall(p, rs, func(i int, _ geom.Point) bool {
+	m.ps.idx.VisitBall(p, rs, func(i int, _ geom.Point) bool {
 		m.inc(i)
 		return true
 	})
@@ -277,8 +268,8 @@ func (m *Map) AddSensorRadius(id int, p geom.Point, rs float64) {
 // coverage update walks the precomputed neighbor list instead of a
 // geometric ball query; otherwise it behaves exactly like AddSensor.
 func (m *Map) AddSensorAtPoint(id, ptIdx int) {
-	p := m.pts[ptIdx]
-	nb := m.cachedNeighborhoods(m.rs)
+	p := m.ps.pts[ptIdx]
+	nb := m.ps.BuiltNeighborhoods(m.ps.rs)
 	if nb == nil {
 		m.AddSensor(id, p)
 		return
@@ -308,7 +299,7 @@ func (m *Map) SensorRadius(id int) (float64, bool) {
 	if r, ok := m.sensorRs[id]; ok {
 		return r, true
 	}
-	return m.rs, true
+	return m.ps.rs, true
 }
 
 // RemoveSensor removes the sensor, decrementing coverage counts, and
@@ -323,7 +314,7 @@ func (m *Map) RemoveSensor(id int) bool {
 	delete(m.sensorRs, id)
 	m.sensorIdx.Remove(id)
 	m.removeSortedID(id)
-	m.ptIdx.VisitBall(p, rs, func(i int, _ geom.Point) bool {
+	m.ps.idx.VisitBall(p, rs, func(i int, _ geom.Point) bool {
 		m.dec(i)
 		return true
 	})
@@ -334,11 +325,11 @@ func (m *Map) RemoveSensor(id int) bool {
 // level sensors. CoverageFrac(k) is the paper's "percentage of k-covered
 // points" metric; CoverageFrac(1) its "covered" metric under failures.
 func (m *Map) CoverageFrac(level int) float64 {
-	if len(m.pts) == 0 {
+	if len(m.counts) == 0 {
 		return 1
 	}
 	if level == m.k {
-		return float64(len(m.pts)-m.deficient) / float64(len(m.pts))
+		return float64(len(m.counts)-m.deficient) / float64(len(m.counts))
 	}
 	n := 0
 	for _, c := range m.counts {
@@ -346,18 +337,18 @@ func (m *Map) CoverageFrac(level int) float64 {
 			n++
 		}
 	}
-	return float64(n) / float64(len(m.pts))
+	return float64(n) / float64(len(m.counts))
 }
 
 // VisitPointsInBall calls fn(i, p) for each sample point within r of c.
 func (m *Map) VisitPointsInBall(c geom.Point, r float64, fn func(i int, p geom.Point) bool) {
-	m.ptIdx.VisitBall(c, r, fn)
+	m.ps.idx.VisitBall(c, r, fn)
 }
 
 // PointsInBall returns the indices of sample points within r of c, sorted
 // ascending for determinism.
 func (m *Map) PointsInBall(c geom.Point, r float64) []int {
-	out := m.ptIdx.Ball(c, r)
+	out := m.ps.idx.Ball(c, r)
 	sort.Ints(out)
 	return out
 }
@@ -368,7 +359,7 @@ func (m *Map) PointsInBall(c geom.Point, r float64) []int {
 // a round loop makes the query allocation-free.
 func (m *Map) AppendPointsInBall(dst []int, c geom.Point, r float64) []int {
 	n := len(dst)
-	dst = m.ptIdx.AppendBall(dst, c, r)
+	dst = m.ps.idx.AppendBall(dst, c, r)
 	sort.Ints(dst[n:])
 	return dst
 }
@@ -401,46 +392,12 @@ func (m *Map) CountSensorsInBall(c geom.Point, r float64) int {
 	return m.sensorIdx.CountBall(c, r)
 }
 
-// PointNeighborhoods precomputes, for every sample point, the indices of
-// sample points within r of it (ascending, self included) — the fixed
-// adjacency the incremental benefit caches walk on every delta update.
-// The result is immutable and safe for concurrent readers. Builds are
-// memoized per radius: the adjacency depends only on the sample points,
-// never on sensors, so restoring coverage on a map reuses the
-// deployment pass's build for free.
+// PointNeighborhoods returns the point set's within-r adjacency
+// (PointSet.Neighborhoods): built once per radius and point set, so a
+// restoration pass — and every other map over the same points — reuses
+// the first deployment's build.
 func (m *Map) PointNeighborhoods(r float64) *index.Neighborhoods {
-	if m.nbShared != nil {
-		return m.nbShared.Get(r, func() *index.Neighborhoods {
-			return m.ptIdx.BuildNeighborhoods(len(m.pts), r)
-		})
-	}
-	if nb, ok := m.nbCache[r]; ok {
-		return nb
-	}
-	nb := m.ptIdx.BuildNeighborhoods(len(m.pts), r)
-	if m.nbCache == nil {
-		m.nbCache = make(map[float64]*index.Neighborhoods)
-	}
-	m.nbCache[r] = nb
-	return nb
-}
-
-// ShareNeighborhoods routes PointNeighborhoods through shared, a cache
-// that outlives this map. Experiment sweeps attach one cache to every
-// cell's map: all cells sample the field identically, so the adjacency
-// is built once per process instead of once per deployment. The caller
-// must guarantee the sharing maps have identical sample-point sets.
-func (m *Map) ShareNeighborhoods(shared *index.NeighborhoodCache) {
-	m.nbShared = shared
-}
-
-// cachedNeighborhoods returns the adjacency for radius r only if it has
-// already been built, never triggering a build.
-func (m *Map) cachedNeighborhoods(r float64) *index.Neighborhoods {
-	if m.nbShared != nil {
-		return m.nbShared.Peek(r)
-	}
-	return m.nbCache[r]
+	return m.ps.Neighborhoods(r)
 }
 
 // Benefit computes the paper's Eq. 1 for a candidate sensor position c
@@ -448,14 +405,14 @@ func (m *Map) cachedNeighborhoods(r float64) *index.Neighborhoods {
 //
 //	b(c) = Σ_{p: d(p,c) <= rs} max(k − k_p, 0)
 func (m *Map) Benefit(c geom.Point) int {
-	return m.BenefitRadius(c, m.rs)
+	return m.BenefitRadius(c, m.ps.rs)
 }
 
 // BenefitRadius computes Eq. 1 for a candidate sensor whose sensing
 // radius differs from the map default (heterogeneous deployments, §2).
 func (m *Map) BenefitRadius(c geom.Point, rs float64) int {
 	b := 0
-	m.ptIdx.VisitBall(c, rs, func(i int, _ geom.Point) bool {
+	m.ps.idx.VisitBall(c, rs, func(i int, _ geom.Point) bool {
 		if d := m.k - m.counts[i]; d > 0 {
 			b += d
 		}
@@ -469,14 +426,14 @@ func (m *Map) BenefitRadius(c geom.Point, rs float64) int {
 // stale or partial) knowledge. Points for which perceived returns a
 // negative value are treated as unknown and skipped.
 func (m *Map) BenefitWith(c geom.Point, perceived func(i int) int) int {
-	return m.BenefitWithRadius(c, m.rs, perceived)
+	return m.BenefitWithRadius(c, m.ps.rs, perceived)
 }
 
 // BenefitWithRadius is BenefitWith for a candidate sensor with its own
 // sensing radius (heterogeneous distributed deployments).
 func (m *Map) BenefitWithRadius(c geom.Point, rs float64, perceived func(i int) int) int {
 	b := 0
-	m.ptIdx.VisitBall(c, rs, func(i int, _ geom.Point) bool {
+	m.ps.idx.VisitBall(c, rs, func(i int, _ geom.Point) bool {
 		kp := perceived(i)
 		if kp < 0 {
 			return true
@@ -515,7 +472,7 @@ func (m *Map) IsRedundant(id int) bool {
 	}
 	rs, _ := m.SensorRadius(id)
 	redundant := true
-	m.ptIdx.VisitBall(p, rs, func(i int, _ geom.Point) bool {
+	m.ps.idx.VisitBall(p, rs, func(i int, _ geom.Point) bool {
 		// Removing the sensor lowers this point's count by one. The node
 		// "contributes" if that would take a currently >=k point below k,
 		// or reduce an under-covered point further.
@@ -567,29 +524,23 @@ func (m *Map) RedundantSensors() []int {
 }
 
 // Clone returns an independent copy of the map, including sensors and
-// their individual radii. Only immutable state is shared: the sample
-// points, their spatial index and tile partition (never mutated after
-// construction), and the shared neighborhood cache. Sensors can be added
-// to or removed from the clone without affecting the original — an
-// experiment builds the initial deployment once and hands each method a
-// private copy, skipping the per-method ball queries of re-scattering.
+// their individual radii. Only the immutable PointSet is shared.
+// Sensors can be added to or removed from the clone without affecting
+// the original — an experiment builds the initial deployment once and
+// hands each method a private copy, skipping the per-method ball
+// queries of re-scattering.
 func (m *Map) Clone() *Map {
 	c := &Map{
-		field:     m.field,
-		rs:        m.rs,
+		ps:        m.ps,
 		k:         m.k,
-		pts:       m.pts,
-		ptIdx:     m.ptIdx,
 		counts:    append([]int(nil), m.counts...),
 		deficient: m.deficient,
-		tiles:     m.tiles,
 		tileDef:   append([]int32(nil), m.tileDef...),
 		sensors:   make(map[int]geom.Point, len(m.sensors)),
 		sensorIdx: m.sensorIdx.Clone(),
 		sortedIDs: append([]int(nil), m.sortedIDs...),
 		sensorRs:  make(map[int]float64, len(m.sensorRs)),
 		maxRs:     m.maxRs,
-		nbShared:  m.nbShared,
 	}
 	for id, p := range m.sensors {
 		c.sensors[id] = p

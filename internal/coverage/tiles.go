@@ -18,7 +18,7 @@ import (
 // enough that the per-tile summaries stay negligible.
 const tilePoints = 4096
 
-// tiling is the immutable point→tile partition; clones share its slices.
+// tiling is the immutable point→tile partition, part of the PointSet.
 type tiling struct {
 	bounds     geom.Rect
 	side       float64 // tile edge length in field units
@@ -68,6 +68,11 @@ func newTiling(bounds geom.Rect, pts []geom.Point) tiling {
 	return g
 }
 
+// bytes returns the size of the partition's arrays.
+func (g *tiling) bytes() int64 {
+	return 4 * int64(len(g.tileOf)+len(g.start)+len(g.order))
+}
+
 func (g *tiling) cell(x, y float64) (int, int) {
 	cx := int((x - g.bounds.Min.X) / g.side)
 	cy := int((y - g.bounds.Min.Y) / g.side)
@@ -85,7 +90,8 @@ func (m *Map) NumTiles() int { return len(m.tileDef) }
 // TilePoints returns tile t's sample-point indices, ascending. The
 // slice aliases shared immutable state: callers must not modify it.
 func (m *Map) TilePoints(t int) []int32 {
-	return m.tiles.order[m.tiles.start[t]:m.tiles.start[t+1]]
+	g := &m.ps.tiles
+	return g.order[g.start[t]:g.start[t+1]]
 }
 
 // DeficientInTile returns the number of tile t's points with count < k
@@ -96,7 +102,7 @@ func (m *Map) DeficientInTile(t int) int { return int(m.tileDef[t]) }
 // bounding box of the disk centered at c with radius r — a superset of
 // the tiles holding points within r of c.
 func (m *Map) VisitTilesInDisk(c geom.Point, r float64, fn func(t int)) {
-	g := &m.tiles
+	g := &m.ps.tiles
 	x0, y0 := g.cell(c.X-r, c.Y-r)
 	x1, y1 := g.cell(c.X+r, c.Y+r)
 	for cy := y0; cy <= y1; cy++ {

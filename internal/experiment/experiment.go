@@ -14,7 +14,6 @@ import (
 	"decor/internal/core"
 	"decor/internal/coverage"
 	"decor/internal/geom"
-	"decor/internal/index"
 	"decor/internal/lowdisc"
 	"decor/internal/rng"
 )
@@ -69,70 +68,48 @@ func Quick() Config {
 // Field returns the monitored rectangle.
 func (c Config) Field() geom.Rect { return geom.Square(c.FieldSide) }
 
-// Points returns the sample-point approximation of the field.
-func (c Config) Points() []geom.Point {
+// PointSet returns the field's sample-point approximation, indexed for
+// Rs: the process-wide shared set (coverage.SharedPointSet), so every
+// cell of a sweep builds the points, their index and adjacencies once.
+func (c Config) PointSet() *coverage.PointSet {
 	gen, err := lowdisc.ByName(c.Generator, c.Seed)
 	if err != nil {
 		panic(err) // configs are produced by Default/Quick or validated by callers
 	}
-	return gen.Points(c.NumPoints, c.Field())
+	return coverage.SharedPointSet(gen, c.NumPoints, c.Field(), c.Rs)
 }
 
-// nbShare caches per-field work across experiment cells: every cell of
-// a sweep samples the field with the same generator, seed, point count
-// and bounds, so the sample-point set and the radius-keyed adjacency are
-// built once per process and shared between all cells (and workers — the
-// cache is concurrency-safe, its contents immutable; coverage.New copies
-// the point slice it is given).
-var nbShare sync.Map // nbShareKey -> *fieldCache
-
-type nbShareKey struct {
-	gen  string
-	seed uint64
-	n    int
-	side float64
-}
-
-type fieldCache struct {
-	nb   index.NeighborhoodCache
-	once sync.Once
-	pts  []geom.Point
-	// proto holds the fully initialized pre-deployment map per (k, run):
-	// every method of a sweep cell starts from the same initial random
-	// scatter, so it is built once and cloned per method.
-	mu    sync.Mutex
-	proto map[protoKey]*coverage.Map
-}
+// protos holds the fully initialized pre-deployment map per field and
+// (k, run): every method of a sweep cell starts from the same initial
+// random scatter, so it is built once and cloned per method.
+var (
+	protoMu sync.Mutex
+	protos  = map[protoKey]*coverage.Map{}
+)
 
 type protoKey struct {
+	gen          string
+	seed         uint64
+	n            int
+	side, rs     float64
 	k, run, init int
-	rs           float64
 }
 
 // NewMap builds the coverage map for requirement k and pre-deploys the
 // initial random sensors for the given run index.
 func (c Config) NewMap(k, run int) *coverage.Map {
-	shared, _ := nbShare.LoadOrStore(
-		nbShareKey{c.Generator, c.Seed, c.NumPoints, c.FieldSide},
-		&fieldCache{})
-	fc := shared.(*fieldCache)
-	fc.once.Do(func() { fc.pts = c.Points() })
-	pk := protoKey{k, run, c.InitialSensors, c.Rs}
-	fc.mu.Lock()
-	proto := fc.proto[pk]
+	pk := protoKey{c.Generator, c.Seed, c.NumPoints, c.FieldSide, c.Rs, k, run, c.InitialSensors}
+	protoMu.Lock()
+	defer protoMu.Unlock()
+	proto := protos[pk]
 	if proto == nil {
-		proto = coverage.New(c.Field(), fc.pts, c.Rs, k)
-		proto.ShareNeighborhoods(&fc.nb)
+		proto = coverage.NewMap(c.PointSet(), k)
 		r := rng.New(c.Seed + uint64(run)*1000003)
 		for id := 0; id < c.InitialSensors; id++ {
 			proto.AddSensor(id, r.PointInRect(c.Field()))
 		}
-		if fc.proto == nil {
-			fc.proto = map[protoKey]*coverage.Map{}
-		}
-		fc.proto[pk] = proto
+		protos[pk] = proto
 	}
-	fc.mu.Unlock()
 	return proto.Clone()
 }
 

@@ -7,6 +7,7 @@ package index
 
 import (
 	"math"
+	"unsafe"
 
 	"decor/internal/geom"
 )
@@ -99,13 +100,14 @@ func (g *Grid) Insert(id int, p geom.Point) {
 // InsertDense bulk-loads points with IDs 0..len(pts)-1 into an empty
 // grid, presizing every bucket into one backing array — the
 // construction fast path for the fixed sample-point set, whose
-// one-at-a-time insertion otherwise dominates map setup. The dense
-// prefix is immutable: Remove on those IDs panics.
+// one-at-a-time insertion otherwise dominates map setup. The grid keeps
+// pts as its dense prefix, so the caller must not modify it afterwards.
+// The dense prefix is immutable: Remove on those IDs panics.
 func (g *Grid) InsertDense(pts []geom.Point) {
 	if g.Len() != 0 {
 		panic("index: InsertDense on non-empty grid")
 	}
-	g.dense = append([]geom.Point(nil), pts...)
+	g.dense = pts
 	counts := make([]int, len(g.buckets))
 	for _, p := range pts {
 		counts[g.bucketIdx(p)]++
@@ -120,6 +122,13 @@ func (g *Grid) InsertDense(pts []geom.Point) {
 		b := g.bucketIdx(p)
 		g.buckets[b] = append(g.buckets[b], entry{i, p})
 	}
+}
+
+// DenseBytes returns the bytes a grid holding only InsertDense points
+// adds beside the points themselves: its bucket headers and entries.
+func (g *Grid) DenseBytes() int64 {
+	return int64(len(g.buckets))*int64(unsafe.Sizeof([]entry(nil))) +
+		int64(len(g.dense))*int64(unsafe.Sizeof(entry{}))
 }
 
 // Clone returns an independent copy of the index. The dense prefix is

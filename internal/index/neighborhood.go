@@ -71,6 +71,9 @@ func (g *Grid) BuildNeighborhoods(n int, r float64) *Neighborhoods {
 	return nb
 }
 
+// Bytes returns the size of the adjacency's arrays.
+func (nb *Neighborhoods) Bytes() int64 { return 4 * int64(len(nb.off)+len(nb.ids)) }
+
 // Len returns the number of IDs covered.
 func (nb *Neighborhoods) Len() int { return len(nb.off) - 1 }
 

@@ -12,6 +12,7 @@ package lowdisc
 
 import (
 	"fmt"
+	"sort"
 
 	"decor/internal/geom"
 	"decor/internal/rng"
@@ -232,27 +233,35 @@ func (l LatinHypercube) Points(n int, rect geom.Rect) []geom.Point {
 	return pts
 }
 
-// ByName returns the generator with the given name; seeded generators use
-// the provided seed. Recognized names: halton, hammersley, sobol, uniform,
-// jittered, lhs, faure, halton-scrambled.
+// byName maps every name ByName accepts to its constructor.
+var byName = map[string]func(seed uint64) Generator{
+	"halton":           func(uint64) Generator { return Halton{} },
+	"hammersley":       func(uint64) Generator { return Hammersley{} },
+	"sobol":            func(uint64) Generator { return Sobol2D{} },
+	"uniform":          func(seed uint64) Generator { return Uniform{Seed: seed} },
+	"jittered":         func(seed uint64) Generator { return Jittered{Seed: seed} },
+	"lhs":              func(seed uint64) Generator { return LatinHypercube{Seed: seed} },
+	"faure":            func(uint64) Generator { return Faure2D{} },
+	"halton-scrambled": func(seed uint64) Generator { return ScrambledHalton{Seed: seed} },
+}
+
+// ByName returns the generator with the given name, one of Names;
+// seeded generators use the provided seed. Generators are comparable
+// values, and two built from different seeds compare equal exactly
+// when the generator ignores its seed.
 func ByName(name string, seed uint64) (Generator, error) {
-	switch name {
-	case "halton":
-		return Halton{}, nil
-	case "hammersley":
-		return Hammersley{}, nil
-	case "sobol":
-		return Sobol2D{}, nil
-	case "uniform":
-		return Uniform{Seed: seed}, nil
-	case "jittered":
-		return Jittered{Seed: seed}, nil
-	case "lhs":
-		return LatinHypercube{Seed: seed}, nil
-	case "faure":
-		return Faure2D{}, nil
-	case "halton-scrambled":
-		return ScrambledHalton{Seed: seed}, nil
+	if mk, ok := byName[name]; ok {
+		return mk(seed), nil
 	}
 	return nil, fmt.Errorf("lowdisc: unknown generator %q", name)
+}
+
+// Names lists the generator names ByName accepts, sorted.
+func Names() []string {
+	names := make([]string, 0, len(byName))
+	for n := range byName {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
 }

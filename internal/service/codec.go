@@ -271,8 +271,10 @@ func decInt(d *jsonx.Dec) (int, bool) {
 // fields into pr. Keys outside the plan vocabulary go to extra (nil
 // extra means bail); any grammar the fast path cannot prove equivalent
 // to encoding/json's reading — escapes, nulls, case-folded keys,
-// unknown fields — reports false, and the caller MUST rerun the stdlib
-// decoder over the same bytes for exact acceptance and error parity.
+// unknown fields, a repeated key — reports false, and the caller MUST
+// rerun the stdlib decoder over the same bytes for exact acceptance and
+// error parity. (On a repeated "sensors" key encoding/json decodes the
+// second array into the first array's elements.)
 func fastParsePlanFields(d *decoder, pr *PlanRequest, extra func(key []byte, d *decoder) bool) bool {
 	if !d.Consume('{') {
 		return false
@@ -280,65 +282,59 @@ func fastParsePlanFields(d *decoder, pr *PlanRequest, extra func(key []byte, d *
 	if d.Consume('}') {
 		return true
 	}
+	var seen uint16 // one bit per key; every extra hook takes one key
 	for {
 		key, ok := d.Key()
 		if !ok {
 			return false
 		}
+		var bit uint16
 		switch string(key) {
 		case "field_side":
-			if pr.FieldSide, ok = d.Float(); !ok {
-				return false
-			}
+			bit = 1 << 0
+			pr.FieldSide, ok = d.Float()
 		case "k":
-			if pr.K, ok = decInt(&d.Dec); !ok {
-				return false
-			}
+			bit = 1 << 1
+			pr.K, ok = decInt(&d.Dec)
 		case "rs":
-			if pr.Rs, ok = d.Float(); !ok {
-				return false
-			}
+			bit = 1 << 2
+			pr.Rs, ok = d.Float()
 		case "rc":
-			if pr.Rc, ok = d.Float(); !ok {
-				return false
-			}
+			bit = 1 << 3
+			pr.Rc, ok = d.Float()
 		case "num_points":
-			if pr.NumPoints, ok = decInt(&d.Dec); !ok {
-				return false
-			}
+			bit = 1 << 4
+			pr.NumPoints, ok = decInt(&d.Dec)
 		case "generator":
-			s, ok := d.Str()
-			if !ok {
-				return false
-			}
+			bit = 1 << 5
+			var s []byte
+			s, ok = d.Str()
 			pr.Generator = internName(s)
 		case "seed":
-			if pr.Seed, ok = d.Uint(); !ok {
-				return false
-			}
+			bit = 1 << 6
+			pr.Seed, ok = d.Uint()
 		case "sensors":
-			if pr.Sensors, ok = d.sensorList(); !ok {
-				return false
-			}
+			bit = 1 << 7
+			pr.Sensors, ok = d.sensorList()
 		case "scatter":
-			if pr.Scatter, ok = decInt(&d.Dec); !ok {
-				return false
-			}
+			bit = 1 << 8
+			pr.Scatter, ok = decInt(&d.Dec)
 		case "method":
-			s, ok := d.Str()
-			if !ok {
-				return false
-			}
+			bit = 1 << 9
+			var s []byte
+			s, ok = d.Str()
 			pr.Method = internName(s)
 		case "timeout_ms":
-			if pr.TimeoutMS, ok = decInt(&d.Dec); !ok {
-				return false
-			}
+			bit = 1 << 10
+			pr.TimeoutMS, ok = decInt(&d.Dec)
 		default:
-			if extra == nil || !extra(key, d) {
-				return false
-			}
+			bit = 1 << 15
+			ok = extra != nil && extra(key, d)
 		}
+		if !ok || seen&bit != 0 {
+			return false
+		}
+		seen |= bit
 		if d.Consume(',') {
 			continue
 		}

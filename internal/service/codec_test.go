@@ -251,6 +251,12 @@ var decodeBodies = []string{
 	`{"field_side":100,"k":3,"rs":4,"sensors":[{"id":1,"x":5,"y":6},{"x":7,"y":8}]}`,
 	`{"field_side":100,"k":3,"rs":4,"sensors":null}`,
 	`{"k":1,"k":2}`,
+	// A repeated "sensors" key: encoding/json decodes the second array
+	// into the first array's elements ({id:1 x:5 y:2}), so the fast path
+	// bails on every repeated key.
+	`{"field_side":50,"k":1,"rs":4,"num_points":200,"sensors":[{"id":1,"x":1,"y":2}],"sensors":[{"x":5}],"method":"centralized"}`,
+	`{"failed":[1,2],"failed":[3]}`,
+	`{"field_id":"a","field_id":"b"}`,
 	`{"K":1}`,
 	`{"generator":"hal\u0074on"}`,
 	`{"method":"custom-method"}`,

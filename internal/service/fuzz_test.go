@@ -33,6 +33,11 @@ func FuzzDecodePlanRequest(f *testing.F) {
 	// A 1e5 field at rs 4 asked for two 625-million-bucket index grids.
 	f.Add(`{"field_side":1e5,"k":1,"rs":4,"num_points":200,"scatter":20,"method":"random"}`)
 	f.Add(`{"field_side":3000,"k":1,"rs":100,"num_points":200,"scatter":20,"method":"grid-small"}`)
+	// 6000 points at rs 100 on side 100 built a 1-GB point adjacency.
+	f.Add(`{"field_side":100,"k":1,"rs":100,"num_points":6000,"scatter":20,"method":"centralized"}`)
+	// A repeated "sensors" key, which the fast decoder once read apart
+	// from encoding/json.
+	f.Add(`{"field_side":50,"k":1,"rs":4,"num_points":200,"sensors":[{"id":1,"x":1,"y":2}],"sensors":[{"x":5}],"method":"centralized"}`)
 	f.Fuzz(func(t *testing.T, body string) {
 		lim := DefaultLimits()
 		var pr PlanRequest
@@ -71,6 +76,12 @@ func FuzzDecodePlanRequest(f *testing.F) {
 		// (⌈side/rs⌉+1)² buckets) and a grid method's partition.
 		if c := math.Ceil(norm.FieldSide/norm.Rs) + 1; c*c > maxGridCells {
 			t.Fatalf("accepted field_side %g at rs %g: %g index cells", norm.FieldSide, norm.Rs, c*c)
+		}
+		// The point adjacency, n·min(n, n·π·rs²/side²) entries, stays
+		// within its cap.
+		n := float64(norm.NumPoints)
+		if e := n * math.Min(n, n*math.Pi*norm.Rs*norm.Rs/(norm.FieldSide*norm.FieldSide)); e > maxAdjacencyEntries {
+			t.Fatalf("accepted %d points at rs %g on side %g: about %g adjacency entries", norm.NumPoints, norm.Rs, norm.FieldSide, e)
 		}
 		m, err := core.MethodByName(norm.Method, norm.Rs)
 		if err != nil {

@@ -163,21 +163,16 @@ func decodeJSON(r io.Reader, dst any) error {
 }
 
 // validGenSet / validMethodSet memoize the accepted name vocabularies at
-// init (probed through the real constructors, so they can never drift),
-// turning per-request validation into an alloc-free map probe instead of
-// boxing a generator/method value into an interface every time. Names
-// outside the sets still go through the constructor, so a vocabulary
-// addition the init probe missed only costs the old boxing, never a
-// wrong rejection.
+// init (read from lowdisc.Names and probed through the method
+// constructor, so they can never drift), turning per-request validation
+// into an alloc-free map probe instead of boxing a generator/method
+// value into an interface every time. Method names outside the set
+// still go through the constructor, so a vocabulary addition the init
+// probe missed only costs the old boxing, never a wrong rejection.
 var validGenSet = func() map[string]bool {
 	m := make(map[string]bool)
-	for _, n := range []string{
-		"halton", "hammersley", "sobol", "uniform",
-		"jittered", "lhs", "faure", "halton-scrambled",
-	} {
-		if _, err := lowdisc.ByName(n, 0); err == nil {
-			m[n] = true
-		}
+	for _, n := range lowdisc.Names() {
+		m[n] = true
 	}
 	return m
 }()
@@ -192,13 +187,7 @@ var validMethodSet = func() map[string]bool {
 	return m
 }()
 
-func validGenerator(name string) bool {
-	if validGenSet[name] {
-		return true
-	}
-	_, err := lowdisc.ByName(name, 0)
-	return err == nil
-}
+func validGenerator(name string) bool { return validGenSet[name] }
 
 func validMethod(name string, rs float64) bool {
 	if validMethodSet[name] {
@@ -221,6 +210,15 @@ const maxSensorID = 1<<53 - 1
 // ⌈field_side/cell⌉² cells. 2^18 holds one index grid to about 6 MB and
 // is 100× the largest grid any workload, test or tool builds.
 const maxGridCells = 1 << 18
+
+// maxAdjacencyEntries caps the point adjacency a request makes the
+// planner build: about n·min(n, n·π·rs²/side²) entries for n sample
+// points, 4 bytes each. The build grows with n² and no deadline stops
+// it (deadlines are polled at round boundaries), and a shared point set
+// keeps it resident after the request. 2^24 entries is 64 MiB, 33× the
+// largest adjacency any workload, test or tool builds (field-events:
+// 20000 points on side 200 at rs 4, about 5·10^5 entries).
+const maxAdjacencyEntries = 1 << 24
 
 // methodCellSize memoizes each grid method's cell edge, read from the
 // method constructor so the cell-grid cap can never drift from it.
@@ -310,6 +308,11 @@ func (pr PlanRequest) normalizeIDs(lim Limits, ids map[int]bool) (PlanRequest, e
 			return pr, badRequest("field_side %g needs a %s grid of %g cells, over the limit of %d cells",
 				pr.FieldSide, pr.Method, c*c, maxGridCells)
 		}
+	}
+	n := float64(pr.NumPoints)
+	if e := n * math.Min(n, n*math.Pi*pr.Rs*pr.Rs/(pr.FieldSide*pr.FieldSide)); e > maxAdjacencyEntries {
+		return pr, badRequest("num_points %d at rs %g on field_side %g needs a point adjacency of about %.4g entries, over the limit of %d entries",
+			pr.NumPoints, pr.Rs, pr.FieldSide, e, maxAdjacencyEntries)
 	}
 
 	// Sensors: finite in-field positions; IDs all explicit or all

@@ -50,10 +50,10 @@ func TestNormalizeAssignsSequentialIDs(t *testing.T) {
 	}
 }
 
-// TestNormalizeSizeLimits walks the edges of the two size caps that
+// TestNormalizeSizeLimits walks the edges of the three size caps that
 // are constants rather than Limits: explicit sensor IDs up to 2^53-1,
-// and at most maxGridCells cells in each index grid and in a grid
-// method's partition.
+// at most maxGridCells cells in each index grid and in a grid method's
+// partition, and at most maxAdjacencyEntries point-adjacency entries.
 func TestNormalizeSizeLimits(t *testing.T) {
 	lim := DefaultLimits()
 	withID := func(id int) PlanRequest {
@@ -62,6 +62,9 @@ func TestNormalizeSizeLimits(t *testing.T) {
 	}
 	field := func(side, rs float64, method string) PlanRequest {
 		return PlanRequest{FieldSide: side, K: 1, Rs: rs, Method: method}
+	}
+	points := func(n int, rs float64) PlanRequest {
+		return PlanRequest{FieldSide: 100, K: 1, Rs: rs, NumPoints: n}
 	}
 	cases := []struct {
 		name string
@@ -78,6 +81,13 @@ func TestNormalizeSizeLimits(t *testing.T) {
 		{"grid-big 513x513", field(5120.5, 100, "grid-big"), false},
 		{"centralized has no cell grid", field(5120.5, 100, "centralized"), true},
 		{"side/rs overflows", field(math.MaxFloat64, 1e-300, "random"), false},
+		// n·min(n, n·π·rs²/side²) against 2^24: the disk term at 20000
+		// points (4e4·π·rs² entries), then the whole-field term n².
+		{"adjacency 20000 pts rs 11.55", points(20000, 11.55), true},
+		{"adjacency 20000 pts rs 11.56", points(20000, 11.56), false},
+		{"adjacency 4096² entries", points(4096, 100), true},
+		{"adjacency 4097² entries", points(4097, 100), false},
+		{"adjacency 4097 pts small disk", points(4097, 4), true},
 	}
 	for _, tc := range cases {
 		_, err := tc.pr.normalize(lim)

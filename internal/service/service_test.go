@@ -391,6 +391,15 @@ func TestGridCellLimit(t *testing.T) {
 		"262144")
 }
 
+// TestAdjacencyLimit: the point adjacency grows with num_points², and
+// no deadline poll interrupts its build: a centralized plan at rs 100
+// on side 100 allocates about 100 MB at 2000 points, so 6000 need 3.6e7
+// entries and about 1 GB. It is capped at 2^24 entries.
+func TestAdjacencyLimit(t *testing.T) {
+	postEverywhere(t, `{"field_side":100,"k":1,"rs":100,"num_points":6000,"scatter":20,"method":"centralized"}`,
+		"16777216")
+}
+
 func TestMethodNotAllowed(t *testing.T) {
 	s := newTestServer(t, Config{})
 	resp, err := http.Get(s.ts.URL + "/v1/plan")

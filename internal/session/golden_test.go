@@ -7,6 +7,9 @@ import (
 	"testing"
 
 	"decor/internal/chaos"
+	"decor/internal/coverage"
+	"decor/internal/geom"
+	"decor/internal/lowdisc"
 )
 
 // goldenDeltaStreams pins the SHA-256 of one seeded session delta
@@ -22,42 +25,100 @@ var goldenDeltaStreams = map[string]string{
 	"random":        "18d900c6fe86fab44a2e3d8815a30956a3e3f3d5c6271f249c6f0a36e22e8afc",
 }
 
+// goldenSpec is the field every pinned stream runs on.
+func goldenSpec(method string) Spec {
+	return Spec{
+		FieldSide: 245,
+		K:         2,
+		Rs:        4,
+		NumPoints: 12000,
+		Generator: "halton",
+		Seed:      77,
+		Scatter:   300,
+		Method:    method,
+	}
+}
+
+// goldenEvents is the pinned streams' failure-event list.
+func goldenEvents() []chaos.FailureEvent {
+	spec := goldenSpec("")
+	ids := make([]int, spec.Scatter)
+	for i := range ids {
+		ids[i] = i
+	}
+	return chaos.TrafficFromPlan(chaos.BoundedPlan(chaos.DefaultScenario(chaos.ArchGrid, spec.Seed)), ids, 8)
+}
+
+// createGolden opens one method's pinned session and writes its initial
+// delta to stream.
+func createGolden(t *testing.T, m *Manager, method string, stream *bytes.Buffer) {
+	t.Helper()
+	_, initial, err := m.Create("golden", method, goldenSpec(method))
+	if err != nil {
+		t.Fatalf("%s create: %v", method, err)
+	}
+	stream.Write(mustJSON(t, initial))
+	stream.WriteByte('\n')
+}
+
+// applyGolden applies events to one method's pinned session, writing
+// each delta to stream.
+func applyGolden(t *testing.T, m *Manager, method string, events []chaos.FailureEvent, stream *bytes.Buffer) {
+	t.Helper()
+	for ei, ev := range events {
+		d, err := m.Apply("golden", method, ev.IDs)
+		if err != nil {
+			t.Fatalf("%s event %d: %v", method, ei, err)
+		}
+		stream.Write(mustJSON(t, d))
+		stream.WriteByte('\n')
+	}
+}
+
+func checkGolden(t *testing.T, method string, stream *bytes.Buffer) {
+	t.Helper()
+	sum := sha256.Sum256(stream.Bytes())
+	if got, want := hex.EncodeToString(sum[:]), goldenDeltaStreams[method]; got != want {
+		t.Errorf("%s delta stream hash = %s, want %s", method, got, want)
+	}
+}
+
 func TestGoldenDeltaStreams(t *testing.T) {
 	m := newTestManager(t, Config{Shards: 2})
-	for method, want := range goldenDeltaStreams {
-		spec := Spec{
-			FieldSide: 245,
-			K:         2,
-			Rs:        4,
-			NumPoints: 12000,
-			Generator: "halton",
-			Seed:      77,
-			Scatter:   300,
-			Method:    method,
-		}
-		ids := make([]int, spec.Scatter)
-		for i := range ids {
-			ids[i] = i
-		}
-		plan := chaos.BoundedPlan(chaos.DefaultScenario(chaos.ArchGrid, spec.Seed))
+	events := goldenEvents()
+	for method := range goldenDeltaStreams {
 		var stream bytes.Buffer
-		_, initial, err := m.Create("golden", method, spec)
-		if err != nil {
-			t.Fatalf("%s create: %v", method, err)
-		}
-		stream.Write(mustJSON(t, initial))
-		stream.WriteByte('\n')
-		for ei, ev := range chaos.TrafficFromPlan(plan, ids, 8) {
-			d, err := m.Apply("golden", method, ev.IDs)
-			if err != nil {
-				t.Fatalf("%s event %d: %v", method, ei, err)
-			}
-			stream.Write(mustJSON(t, d))
-			stream.WriteByte('\n')
-		}
-		sum := sha256.Sum256(stream.Bytes())
-		if got := hex.EncodeToString(sum[:]); got != want {
-			t.Errorf("%s delta stream hash = %s, want %s", method, got, want)
-		}
+		createGolden(t, m, method, &stream)
+		applyGolden(t, m, method, events, &stream)
+		checkGolden(t, method, &stream)
+	}
+}
+
+// Sessions created before the registry evicts their point set keep
+// using it: filling the registry with distinct sets between two halves
+// of the event list leaves every pinned stream unchanged.
+func TestGoldenDeltaStreamsSurvivePointSetEviction(t *testing.T) {
+	m := newTestManager(t, Config{Shards: 2})
+	events := goldenEvents()
+	half := len(events) / 2
+	streams := make(map[string]*bytes.Buffer)
+	for method := range goldenDeltaStreams {
+		streams[method] = new(bytes.Buffer)
+		createGolden(t, m, method, streams[method])
+		applyGolden(t, m, method, events[:half], streams[method])
+	}
+	spec := goldenSpec("")
+	field := geom.Square(spec.FieldSide)
+	held := coverage.SharedPointSet(lowdisc.Halton{}, spec.NumPoints, field, spec.Rs)
+	// 64 distinct sets of about 1 MB each: twice the registry's budget.
+	for n := 20000; n < 20064; n++ {
+		coverage.SharedPointSet(lowdisc.Halton{}, n, geom.Square(200), spec.Rs)
+	}
+	if coverage.SharedPointSet(lowdisc.Halton{}, spec.NumPoints, field, spec.Rs) == held {
+		t.Fatal("the sessions' point set was not evicted: the check below proves nothing")
+	}
+	for method, stream := range streams {
+		applyGolden(t, m, method, events[half:], stream)
+		checkGolden(t, method, stream)
 	}
 }

@@ -41,11 +41,6 @@ type Config struct {
 	// IdleTTL evicts sessions idle longer than this to snapshots (0
 	// disables the janitor; EvictIdle can still be called manually).
 	IdleTTL time.Duration
-	// DisableFastRestore forces every restore through full event-log
-	// replay, ignoring the snapshot's binary fast section. The zero value
-	// (fast restore ON) is the production shape; replay-only mode is the
-	// differential oracle the fast path is tested against.
-	DisableFastRestore bool
 	// Registry receives the decor_session_* instruments (default:
 	// obs.Default()).
 	Registry *obs.Registry
@@ -99,6 +94,10 @@ type Manager struct {
 	closed   bool
 
 	now func() time.Time // test seam; never influences outputs
+	// replayRestore makes every restore replay the event log, ignoring
+	// the snapshot's fast section: the oracle the fast path is tested
+	// against (set by tests only, before the first operation).
+	replayRestore bool
 
 	gLive                                   *obs.Gauge
 	cCreated, cEvicted, cRestored, cDropped *obs.Counter
@@ -544,7 +543,7 @@ func (sh *shardLoop) lookup(tenant, id string) (*state, error) {
 		return nil, ErrNotFound
 	}
 	t0 := time.Now()
-	st, err := restore(context.Background(), ent.raw, sh.m.cfg.RingDeltas, !sh.m.cfg.DisableFastRestore)
+	st, err := restore(context.Background(), ent.raw, sh.m.cfg.RingDeltas, !sh.m.replayRestore)
 	if err != nil {
 		return nil, err
 	}

@@ -167,7 +167,8 @@ func TestSessionMigrationDeltaParity(t *testing.T) {
 
 	// The same migration with fast restore disabled on the importer —
 	// the replay oracle — must produce the same stream too.
-	c := newTestManager(t, Config{DisableFastRestore: true})
+	c := newTestManager(t, Config{})
+	c.replayRestore = true
 	var slow bytes.Buffer
 	if err := c.Import("t", blob); err != nil {
 		t.Fatal(err)
