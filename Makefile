@@ -7,26 +7,24 @@ GO ?= go
 all: build vet test
 
 # The CI gate: static analysis, gofmt-clean sources, the full suite
-# under the race detector
-# (the obs registry, tracer, flight recorder, engine instrumentation,
-# and the shard worker pool are concurrent), a one-iteration bench smoke
-# so the benchmarks never rot, the engine benchmark diff against the
-# committed BENCH_sim.json baseline — which now GATES the tracing
-# overhead: the recorder-disabled BenchmarkEngineRun/actors=64 hot path
-# must stay within BENCH_GATE_PCT (default 25%) of the baseline, the
-# core placement benches are likewise diffed and gated against
-# BENCH_core.json, and the recorder-enabled/disabled ratio is reported
-# (scripts/benchstat.sh) — the large-placement pins (bench-large),
-# the decor-serve end-to-end smoke (throughput + graceful drain), the
-# chaos sweep (invariants + determinism under fault injection), and the
-# field-session soak (byte-identical delta streams across two seeded
-# multi-tenant runs; see session-smoke).
+# under the race detector (the obs registry, tracer, flight recorder,
+# engine instrumentation and the shard worker pool are concurrent), the
+# perfbench harness's own vet and tests (its go.mod keeps it out of the
+# root ./... patterns, though it builds against this module), a
+# one-iteration bench smoke so the benchmarks never rot, the benchmark
+# gates of BENCH_gates.txt (scripts/benchstat.sh: every row checked
+# against the committed BENCH_*.json baselines), the large-placement
+# pins (bench-large), the decor-serve end-to-end smoke (throughput +
+# graceful drain), the chaos sweep (invariants + determinism under fault
+# injection), and the field-session soak (byte-identical delta streams
+# across two seeded multi-tenant runs; see session-smoke).
 check:
 	$(GO) vet ./...
 	$(MAKE) fmt-check
 	$(GO) test -race ./...
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
-	sh scripts/benchstat.sh
+	GO=$(GO) sh scripts/benchstat.sh
 	$(MAKE) bench-large
 	$(MAKE) serve-smoke
 	$(MAKE) chaos-smoke
@@ -81,9 +79,8 @@ cover:
 	sh scripts/cover.sh
 
 # End-to-end service gate: boot decor-serve on GOMAXPROCS=4, drive a
-# decor-load burst (>= 500 plans/s, bounded p99, zero 5xx), refresh
-# BENCH_serve.json, and assert SIGTERM drains cleanly. Tunable via
-# SMOKE_DURATION / SMOKE_MIN_RPS / SMOKE_MAX_P99 / SMOKE_JSON.
+# 5-s decor-load burst (>= 500 plans/s, p99 <= 250 ms, zero errors), and
+# assert SIGTERM drains cleanly. It writes nothing into the checkout.
 serve-smoke:
 	sh scripts/serve-smoke.sh
 
@@ -103,17 +100,11 @@ test-short:
 bench:
 	$(GO) test -bench . -benchmem ./...
 
-# Refresh the committed benchmark baselines: BENCH_core.json (placement
-# hot path: micro-benches plus the large-field BenchmarkPlace
-# deployments, with DECOR_PLACE_LARGE=1 so the 1e6-point entries are
-# included) and BENCH_sim.json (simulator engine + chaos scenario
-# benches, real iteration counts so ns/op and allocs/op are meaningful
-# for scripts/benchstat.sh comparisons).
+# Refresh the committed BENCH_*.json baselines through the run lines of
+# BENCH_gates.txt, with DECOR_PLACE_LARGE=1 so BENCH_core.json also
+# carries the 1e6-point placements.
 bench-json:
-	DECOR_PLACE_LARGE=1 $(GO) test -run '^$$' -bench 'BenchmarkBenefitRadius|BenchmarkIndexBall|BenchmarkDeployAblation|BenchmarkPlace' -benchtime=1x -count=3 -timeout 60m ./internal/... | $(GO) run ./cmd/decor-benchjson -o BENCH_core.json
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineRun|BenchmarkEngineSchedule|BenchmarkChaosScenario' -benchmem -benchtime=50x -count=3 ./internal/sim/ ./internal/chaos/ | $(GO) run ./cmd/decor-benchjson -o BENCH_sim.json
-	$(GO) test -run '^$$' -bench 'BenchmarkSessionDelta|BenchmarkStatelessRepair|BenchmarkSessionRepair' -benchmem -benchtime=1x -count=3 -timeout 30m ./internal/session/ | $(GO) run ./cmd/decor-benchjson -o BENCH_session.json
-	$(GO) test -run '^$$' -bench 'BenchmarkServePlanCacheHit|BenchmarkServeRepairCacheHit|BenchmarkServePlanCacheMiss|BenchmarkServeFieldEvent|BenchmarkServeSSEFrame|BenchmarkServeErrorBody|BenchmarkDeltaEncode' -benchmem -benchtime=50x -count=3 ./internal/service/ ./internal/session/ | $(GO) run ./cmd/decor-benchjson -o BENCH_serve_allocs.json
+	DECOR_PLACE_LARGE=1 GO=$(GO) sh scripts/benchstat.sh refresh
 
 # Regenerate the paper's evaluation tables (full parameters, ~4 s).
 figures:

@@ -1,38 +1,36 @@
 // Command decor-benchjson converts `go test -bench` text output (read
 // from stdin) into a stable JSON document, so benchmark baselines can be
-// committed and diffed — the `make bench-json` target writes
-// BENCH_core.json with it.
+// committed and diffed, and gates fresh documents against them.
 //
 // Repeated samples of the same benchmark (-count=N) are aggregated into
-// min/mean/max ns/op; B/op, allocs/op and any custom metrics keep the
-// values of the last sample (they are deterministic for these benches).
+// min/mean/max ns/op and the minimum B/op and allocs/op: a collection or
+// a pool flush landing in one sample inflates it, none deflates it. Any
+// custom metrics keep the values of the last sample.
 //
 // Usage:
 //
-//	go test -bench=. -benchtime=1x -count=3 ./... | decor-benchjson -o BENCH_core.json
+//	go test -run '^$' -bench=. -benchmem -count=3 ./internal/sim/ | decor-benchjson -o BENCH_sim.json
 //
-// With -diff, it instead compares two committed benchmark JSON files and
-// prints an old-vs-new ratio table (scripts/benchstat.sh drives this as
-// the `make check` performance smoke — report only by default):
+// With -gate it reads a gate table (BENCH_gates.tsv, whose header
+// documents the format). For each run line it prints the committed
+// baseline beside the table against the same-named file in FRESHDIR,
+// then one verdict line per gate row, and exits 1 if any row fails.
+// Every file and row is checked before the exit status is decided;
+// scripts/benchstat.sh fills FRESHDIR and calls it:
 //
-//	decor-benchjson -diff BENCH_sim.json /tmp/fresh.json
-//
-// Adding -gate turns the report into a CI gate for matching benchmarks:
-// exit 1 if any of them regressed in mean ns/op beyond -max-regress
-// percent, if a matching baseline benchmark is missing from the new
-// file, or if the regexp matches no baseline benchmark at all (the
-// tracing-overhead gate in `make check` uses this to pin the
-// recorder-disabled engine hot path):
-//
-//	decor-benchjson -diff -gate 'EngineRun/actors=64$' -max-regress 25 old.json new.json
+//	decor-benchjson -gate BENCH_gates.tsv FRESHDIR
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strconv"
@@ -63,30 +61,50 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+(.*)$`)
 
 func main() {
 	out := flag.String("o", "-", `output file ("-" = stdout)`)
-	diff := flag.Bool("diff", false, "compare two benchmark JSON files (args: old new) and print a ratio table")
-	gate := flag.String("gate", "", "with -diff: regexp of benchmark names to gate on; exit 1 if any regresses past -max-regress, is missing from the new file, or nothing matches")
-	maxRegress := flag.Float64("max-regress", 25, "with -gate: allowed mean ns/op regression in percent")
+	table := flag.String("gate", "", "gate table; check the BENCH files in the one argument, FRESHDIR, against the baselines beside the table and exit 1 if any row fails")
 	flag.Parse()
 
-	if *diff {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "decor-benchjson: -diff needs exactly two JSON files (old new)")
+	if *table != "" {
+		if flag.NArg() != 1 {
+			fmt.Fprintln(os.Stderr, "decor-benchjson: -gate needs exactly one FRESHDIR argument")
 			os.Exit(2)
 		}
-		var gateRe *regexp.Regexp
-		if *gate != "" {
-			var err error
-			if gateRe, err = regexp.Compile(*gate); err != nil {
-				fmt.Fprintf(os.Stderr, "decor-benchjson: bad -gate %q: %v\n", *gate, err)
-				os.Exit(2)
-			}
+		failed, err := runGate(*table, flag.Arg(0), os.Stdout)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "decor-benchjson:", err)
+			os.Exit(2)
 		}
-		os.Exit(runDiff(flag.Arg(0), flag.Arg(1), gateRe, *maxRegress))
+		if failed > 0 {
+			fmt.Fprintf(os.Stderr, "decor-benchjson: %d gate failure(s)\n", failed)
+			os.Exit(1)
+		}
+		return
 	}
 
+	list, err := parse(os.Stdin)
+	if err == nil {
+		var b []byte
+		if b, err = json.MarshalIndent(list, "", "  "); err == nil {
+			b = append(b, '\n')
+			if *out == "-" {
+				_, err = os.Stdout.Write(b)
+			} else {
+				err = os.WriteFile(*out, b, 0o644)
+			}
+		}
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "decor-benchjson:", err)
+		os.Exit(1)
+	}
+}
+
+// parse aggregates `go test -bench` output into one Entry per package
+// and benchmark, sorted by package, then name.
+func parse(r io.Reader) ([]*Entry, error) {
 	entries := map[string]*Entry{} // keyed by pkg + "\t" + name
 	pkg := ""
-	sc := bufio.NewScanner(os.Stdin)
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
 		line := sc.Text()
@@ -126,11 +144,9 @@ func main() {
 				// Accumulate the mean incrementally in Mean.
 				e.NsPerOp.Mean += (v - e.NsPerOp.Mean) / float64(e.Samples)
 			case "B/op":
-				b := v
-				e.BytesPerOp = &b
+				e.BytesPerOp = lower(e.BytesPerOp, v)
 			case "allocs/op":
-				a := v
-				e.AllocsPerOp = &a
+				e.AllocsPerOp = lower(e.AllocsPerOp, v)
 			default:
 				if e.Metrics == nil {
 					e.Metrics = map[string]float64{}
@@ -140,10 +156,8 @@ func main() {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return nil, err
 	}
-
 	keys := make([]string, 0, len(entries))
 	for k := range entries {
 		keys = append(keys, k)
@@ -153,115 +167,221 @@ func main() {
 	for i, k := range keys {
 		list[i] = entries[k]
 	}
+	return list, nil
+}
 
-	w := os.Stdout
-	if *out != "-" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = f
+// lower returns the smaller of *p and v, or v for the first sample.
+func lower(p *float64, v float64) *float64 {
+	if p == nil || v < *p {
+		return &v
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(list); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	return p
 }
 
 // loadEntries reads one committed benchmark JSON document.
-func loadEntries(path string) []*Entry {
+func loadEntries(path string) ([]*Entry, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return nil, err
 	}
 	var list []*Entry
 	if err := json.Unmarshal(b, &list); err != nil {
-		fmt.Fprintf(os.Stderr, "decor-benchjson: %s: %v\n", path, err)
-		os.Exit(1)
+		return nil, fmt.Errorf("%s: %v", path, err)
 	}
-	return list
+	return list, nil
 }
 
-// runDiff prints an old-vs-new comparison of two benchmark JSON files:
-// mean ns/op with the speedup ratio, and allocs/op with its reduction
-// factor. Benchmarks present in only one file are listed but not
-// compared. Without a gate it is a report and returns 0; with gateRe set
-// it returns 1 when any matching benchmark's mean ns/op regressed by more
-// than maxRegress percent, when a matching old benchmark has no new
-// counterpart, or when gateRe matches no old benchmark — a renamed or
-// dropped benchmark must not pass the gate by comparing nothing.
-func runDiff(oldPath, newPath string, gateRe *regexp.Regexp, maxRegress float64) int {
-	oldList, newList := loadEntries(oldPath), loadEntries(newPath)
-	oldBy := map[string]*Entry{}
-	for _, e := range oldList {
-		oldBy[e.Pkg+"\t"+e.Name] = e
+// gateRun is one run line of the gate table and the rows under it.
+type gateRun struct {
+	file      string // BENCH file, beside the table and in FRESHDIR
+	selection string // the run's -bench regexp
+	rows      []gateRow
+}
+
+// gateRow is one gate: bench's metric must hold kind's bound.
+type gateRow struct {
+	bench, metric, kind string
+	limit               float64 // band percent, ceiling, or ratio factor
+	other               string  // ratio: the benchmark bench is compared with
+}
+
+// kindArgs is the number of arguments each gate kind takes.
+var kindArgs = map[string]int{"exact": 0, "band": 1, "ceiling": 1, "ratio": 2}
+
+// readTable parses the gate table at path: run lines
+// `run FILE BENCHTIME COUNT SELECTION PACKAGE...`, each followed by its
+// rows `BENCH METRIC KIND [LIMIT [OTHER]]`; blanks and # comments skip.
+func readTable(path string) ([]*gateRun, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
 	}
-	fmt.Printf("%-44s %14s %14s %9s %12s %12s %9s\n",
-		"benchmark ("+oldPath+" vs "+newPath+")", "old ns/op", "new ns/op", "speedup", "old allocs", "new allocs", "factor")
-	seen := map[string]bool{}
-	failures := 0
-	for _, e := range newList {
-		key := e.Pkg + "\t" + e.Name
-		seen[key] = true
-		o := oldBy[key]
-		if o == nil {
-			fmt.Printf("%-44s %14s %14.0f %9s\n", e.Name, "(new)", e.NsPerOp.Mean, "-")
+	var runs []*gateRun
+	for i, line := range strings.Split(string(b), "\n") {
+		f := strings.Fields(line)
+		if len(f) == 0 || strings.HasPrefix(f[0], "#") {
 			continue
 		}
-		if gateRe != nil && gateRe.MatchString(e.Name) && o.NsPerOp.Mean > 0 {
-			regress := (e.NsPerOp.Mean/o.NsPerOp.Mean - 1) * 100
-			if regress > maxRegress {
-				failures++
-				fmt.Printf("GATE FAIL %s: mean ns/op %.0f -> %.0f (+%.1f%%, allowed %.1f%%)\n",
-					e.Name, o.NsPerOp.Mean, e.NsPerOp.Mean, regress, maxRegress)
+		if f[0] == "run" {
+			if len(f) < 6 {
+				return nil, fmt.Errorf("%s:%d: want run FILE BENCHTIME COUNT SELECTION PACKAGE...", path, i+1)
+			}
+			runs = append(runs, &gateRun{file: f[1], selection: f[4]})
+			continue
+		}
+		r, err := parseRow(f)
+		if err == nil && len(runs) == 0 {
+			err = errors.New("gate row before the first run line")
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%s:%d: %v", path, i+1, err)
+		}
+		runs[len(runs)-1].rows = append(runs[len(runs)-1].rows, r)
+	}
+	return runs, nil
+}
+
+func parseRow(f []string) (gateRow, error) {
+	if len(f) < 3 || (f[1] != "ns" && f[1] != "allocs" && f[1] != "bytes") {
+		return gateRow{}, errors.New("want BENCH ns|allocs|bytes KIND")
+	}
+	r := gateRow{bench: f[0], metric: f[1], kind: f[2]}
+	n, ok := kindArgs[r.kind]
+	if !ok || len(f) != 3+n {
+		return r, errors.New("want KIND exact | band PCT | ceiling N | ratio FACTOR BENCH")
+	}
+	if n > 0 {
+		v, err := strconv.ParseFloat(f[3], 64)
+		if err != nil {
+			return r, err
+		}
+		r.limit = v
+	}
+	if n == 2 {
+		r.other = f[4]
+	}
+	return r, nil
+}
+
+// value returns e's figure for metric: the minimum over the samples.
+func value(e *Entry, metric string) (float64, bool) {
+	switch {
+	case e == nil:
+	case metric == "ns":
+		return e.NsPerOp.Min, true
+	case metric == "allocs" && e.AllocsPerOp != nil:
+		return *e.AllocsPerOp, true
+	case metric == "bytes" && e.BytesPerOp != nil:
+		return *e.BytesPerOp, true
+	}
+	return 0, false
+}
+
+// runGate checks every row of the table at tablePath against the
+// baselines beside it and the same-named files in freshDir. It prints
+// each file's diff and one verdict per row to w, and returns the number
+// of failures: failing rows plus unreadable files. A bench or metric
+// missing from either file fails its row.
+func runGate(tablePath, freshDir string, w io.Writer) (int, error) {
+	runs, err := readTable(tablePath)
+	if err != nil {
+		return 0, err
+	}
+	failed := 0
+	for _, run := range runs {
+		var sides [2]map[string]*Entry
+		for i, path := range []string{filepath.Join(filepath.Dir(tablePath), run.file), filepath.Join(freshDir, run.file)} {
+			list, err := loadEntries(path)
+			if err != nil {
+				fmt.Fprintf(w, "FAIL %v\n", err)
+				failed++
+			}
+			sides[i] = map[string]*Entry{}
+			for _, e := range list {
+				sides[i][e.Name] = e
 			}
 		}
-		speed := "-"
-		if e.NsPerOp.Mean > 0 {
-			speed = fmt.Sprintf("%.2fx", o.NsPerOp.Mean/e.NsPerOp.Mean)
-		}
-		oa, na := "-", "-"
-		factor := "-"
-		if o.AllocsPerOp != nil && e.AllocsPerOp != nil {
-			oa = fmt.Sprintf("%.0f", *o.AllocsPerOp)
-			na = fmt.Sprintf("%.0f", *e.AllocsPerOp)
-			if *e.AllocsPerOp > 0 {
-				factor = fmt.Sprintf("%.1fx", *o.AllocsPerOp / *e.AllocsPerOp)
-			} else if *o.AllocsPerOp > 0 {
-				factor = "inf"
-			} else {
-				factor = "1.0x"
-			}
-		}
-		fmt.Printf("%-44s %14.0f %14.0f %9s %12s %12s %9s\n",
-			e.Name, o.NsPerOp.Mean, e.NsPerOp.Mean, speed, oa, na, factor)
-	}
-	gated := 0
-	for _, e := range oldList {
-		matched := gateRe != nil && gateRe.MatchString(e.Name)
-		if matched {
-			gated++
-		}
-		if !seen[e.Pkg+"\t"+e.Name] {
-			fmt.Printf("%-44s %14.0f %14s\n", e.Name, e.NsPerOp.Mean, "(gone)")
-			if matched {
-				failures++
-				fmt.Printf("GATE FAIL %s: missing from %s\n", e.Name, newPath)
+		base, fresh := sides[0], sides[1]
+		printDiff(w, run.file, base, fresh)
+		for _, r := range run.rows {
+			if !check(w, r, base, fresh) {
+				failed++
 			}
 		}
 	}
-	if gateRe != nil && gated == 0 {
-		failures++
-		fmt.Printf("GATE FAIL -gate %q matches no benchmark in %s\n", gateRe, oldPath)
+	return failed, nil
+}
+
+// printDiff prints one file's baseline against its fresh run: min ns/op
+// with the speedup, allocs/op and B/op. Benchmarks in only one file are
+// listed as new or gone.
+func printDiff(w io.Writer, file string, base, fresh map[string]*Entry) {
+	names := make([]string, 0, len(base)+len(fresh))
+	for n := range base {
+		names = append(names, n)
 	}
-	if failures > 0 {
-		fmt.Fprintf(os.Stderr, "decor-benchjson: %d gate failure(s)\n", failures)
-		return 1
+	for n := range fresh {
+		if base[n] == nil {
+			names = append(names, n)
+		}
 	}
-	return 0
+	sort.Strings(names)
+	fmt.Fprintf(w, "%-44s %13s %13s %8s %10s %10s %10s %10s\n", file+" min ns/op",
+		"old", "new", "speedup", "old allocs", "new allocs", "old B/op", "new B/op")
+	for _, n := range names {
+		o, e := base[n], fresh[n]
+		speed := "(gone)"
+		if o == nil {
+			speed = "(new)"
+		} else if e != nil {
+			speed = fmt.Sprintf("%.2fx", o.NsPerOp.Min/e.NsPerOp.Min)
+		}
+		fmt.Fprintf(w, "%-44s %13s %13s %8s %10s %10s %10s %10s\n", n,
+			show(value(o, "ns")), show(value(e, "ns")), speed,
+			show(value(o, "allocs")), show(value(e, "allocs")),
+			show(value(o, "bytes")), show(value(e, "bytes")))
+	}
+}
+
+// check prints r's verdict line and reports whether the row holds.
+func check(w io.Writer, r gateRow, base, fresh map[string]*Entry) bool {
+	b, okB := value(base[r.bench], r.metric)
+	f, okF := value(fresh[r.bench], r.metric)
+	ok := okB && okF
+	var bound string
+	switch r.kind {
+	case "exact":
+		ok = ok && f == b
+		bound = "== " + show(b, okB)
+	case "band":
+		limit := b * (1 + r.limit/100)
+		ok = ok && f <= limit
+		bound = "<= " + show(limit, okB)
+	case "ceiling":
+		ok = ok && f <= r.limit
+		bound = "<= " + show(r.limit, true)
+	case "ratio":
+		o, okO := value(fresh[r.other], r.metric)
+		ok = ok && okO && f >= r.limit*o
+		bound = fmt.Sprintf(">= %s (%gx %s)", show(r.limit*o, okO), r.limit, r.other)
+	}
+	kind := r.kind
+	if r.kind == "band" {
+		kind = fmt.Sprintf("band +%g%%", r.limit)
+	}
+	verdict := "ok  "
+	if !ok {
+		verdict = "FAIL"
+	}
+	fmt.Fprintf(w, "%s %-44s %-6s %-10s baseline %-10s fresh %-10s limit %s\n",
+		verdict, r.bench, r.metric, kind, show(b, okB), show(f, okF), bound)
+	return ok
+}
+
+// show formats a metric to one decimal, or "missing" when absent.
+func show(v float64, ok bool) string {
+	if !ok {
+		return "missing"
+	}
+	return strconv.FormatFloat(math.Round(v*10)/10, 'f', -1, 64)
 }

@@ -1,7 +1,9 @@
 // Command decor-load is a closed-loop load generator for decor-serve:
 // -c workers each keep exactly one POST /v1/plan in flight against -url
 // for -d, then the tool reports throughput, latency percentiles, status
-// classes and cache behaviour, optionally as BENCH_serve.json.
+// classes and cache behaviour, optionally as a JSON summary (-json).
+// The service's measured numbers come from perfbench (BENCHMARK.json);
+// this tool explores and smoke-tests.
 //
 // Closed-loop means offered load adapts to service speed — the tool
 // measures sustainable throughput rather than piling up an open-loop
@@ -13,7 +15,7 @@
 //
 //	decor-load -url http://127.0.0.1:8080 -c 8 -d 10s
 //	decor-load -url http://127.0.0.1:8080 -c 4 -d 5s -unique 4 \
-//	    -json BENCH_serve.json -min-rps 500 -max-p99 200ms -max-errors 0
+//	    -json load.json -min-rps 500 -max-p99 200ms -max-errors 0
 //
 // With assertion flags set, a violated threshold exits non-zero — that
 // is what `make serve-smoke` relies on.
@@ -94,7 +96,7 @@ func run() int {
 	flag.DurationVar(&cfg.timeout, "timeout", 10*time.Second, "per-request HTTP client timeout")
 	flag.IntVar(&cfg.sessions, "sessions", 0, "drive this many stateful field sessions instead of /v1/plan (0 = plan mode)")
 	flag.IntVar(&cfg.tenants, "tenants", 3, "tenants the -sessions drivers are spread across")
-	flag.StringVar(&cfg.jsonPath, "json", "", "write the summary as JSON to this file (e.g. BENCH_serve.json)")
+	flag.StringVar(&cfg.jsonPath, "json", "", "write the summary as JSON to this file")
 	flag.Float64Var(&cfg.minRPS, "min-rps", 0, "fail (exit 1) when throughput is below this many plans/s")
 	flag.DurationVar(&cfg.maxP99, "max-p99", 0, "fail (exit 1) when p99 latency exceeds this")
 	flag.IntVar(&cfg.maxErrors, "max-errors", -1, "fail (exit 1) when 5xx+transport errors exceed this (-1 disables)")
@@ -270,7 +272,7 @@ func doOne(client *http.Client, url string, body []byte, rd *bytes.Reader, buf [
 	}
 }
 
-// summary is the run's aggregate, also the BENCH_serve.json schema.
+// summary is the run's aggregate, also the -json schema.
 // Session mode ("mode": "sessions") reuses the same shape: plans_per_sec
 // then counts delta plans streamed per second, and the cache block stays
 // zero (sessions never touch the plan cache).

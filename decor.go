@@ -25,6 +25,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"decor/internal/core"
 	"decor/internal/coverage"
@@ -71,17 +72,20 @@ type Params struct {
 }
 
 func (p Params) normalize() (Params, error) {
-	if p.FieldSide <= 0 {
-		return p, errors.New("decor: FieldSide must be positive")
+	if !positiveFinite(p.FieldSide) {
+		return p, errors.New("decor: FieldSide must be positive and finite")
 	}
 	if p.K < 1 {
 		return p, errors.New("decor: K must be at least 1")
 	}
-	if p.Rs <= 0 {
-		return p, errors.New("decor: Rs must be positive")
+	if !positiveFinite(p.Rs) {
+		return p, errors.New("decor: Rs must be positive and finite")
 	}
 	if p.Rc == 0 {
 		p.Rc = 2 * p.Rs
+	}
+	if !positiveFinite(p.Rc) {
+		return p, errors.New("decor: Rc must be positive and finite")
 	}
 	if p.Rc < p.Rs {
 		return p, errors.New("decor: Rc must be at least Rs (paper §2)")
@@ -94,6 +98,9 @@ func (p Params) normalize() (Params, error) {
 	}
 	return p, nil
 }
+
+// positiveFinite reports whether x is a usable length: NaN fails x > 0.
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // Deployment is a live field: sample points, sensors and coverage state.
 //

@@ -1,6 +1,7 @@
 package decor
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -33,6 +34,32 @@ func TestNewDeploymentValidation(t *testing.T) {
 	}
 	if d.Params().Generator != "halton" {
 		t.Errorf("generator default = %q", d.Params().Generator)
+	}
+}
+
+// TestNewDeploymentRejectsNonFiniteGeometry: NaN and +Inf pass a bare
+// "<= 0" check, and a field built from them places nothing without an
+// error. -Inf must stay rejected.
+func TestNewDeploymentRejectsNonFiniteGeometry(t *testing.T) {
+	for _, field := range []string{"FieldSide", "Rs", "Rc"} {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			p := Params{FieldSide: 100, K: 1, Rs: 4, NumPoints: 10}
+			switch field {
+			case "FieldSide":
+				p.FieldSide = v
+			case "Rs":
+				p.Rs = v
+			case "Rc":
+				p.Rc = v
+			}
+			_, err := NewDeployment(p)
+			switch {
+			case err == nil:
+				t.Errorf("%s = %v accepted", field, v)
+			case !math.IsInf(v, -1) && !strings.Contains(err.Error(), field+" must be positive and finite"):
+				t.Errorf("%s = %v: error %q, want %q", field, v, err, field+" must be positive and finite")
+			}
+		}
 	}
 }
 

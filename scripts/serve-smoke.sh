@@ -1,22 +1,13 @@
 #!/bin/sh
-# serve-smoke: end-to-end gate for the decor-serve service (ISSUE 3
-# acceptance): boot the server, drive a short decor-load burst, assert
-# throughput/latency/zero-5xx, then verify SIGTERM drains cleanly.
-#
-# Environment knobs:
-#   SMOKE_DURATION  load burst length           (default 5s)
-#   SMOKE_MIN_RPS   required plans/s            (default 500)
-#   SMOKE_MAX_P99   p99 latency ceiling         (default 250ms)
-#   SMOKE_JSON      where to write the summary  (default BENCH_serve.json)
+# serve-smoke: end-to-end gate for the decor-serve service: boot the
+# server, drive a 5-s decor-load burst, require >= 500 plans/s, a p99 of
+# at most 250 ms and no errors, then verify SIGTERM drains cleanly. The
+# load summary goes to a temp dir; throughput and latency are measured
+# by perfbench (BENCHMARK.json), not by this smoke.
 #
 # Concurrency 8 is far below the default 256-deep admission queue, so any
 # 5xx here is a real service bug, not deliberate load shedding.
 set -eu
-
-DURATION="${SMOKE_DURATION:-5s}"
-MIN_RPS="${SMOKE_MIN_RPS:-500}"
-MAX_P99="${SMOKE_MAX_P99:-250ms}"
-JSON_OUT="${SMOKE_JSON:-BENCH_serve.json}"
 
 TMP="$(mktemp -d)"
 SERVER_PID=""
@@ -30,7 +21,7 @@ echo "serve-smoke: building binaries"
 go build -o "$TMP/decor-serve" ./cmd/decor-serve
 go build -o "$TMP/decor-load" ./cmd/decor-load
 
-# GOMAXPROCS=4 pins the acceptance environment: the >= $MIN_RPS bar must
+# GOMAXPROCS=4 pins the acceptance environment: the >= 500 plans/s bar must
 # hold on four cores, not however many this machine has.
 GOMAXPROCS=4 "$TMP/decor-serve" -addr 127.0.0.1:0 >"$TMP/serve.out" 2>&1 &
 SERVER_PID=$!
@@ -47,10 +38,10 @@ done
 [ -n "$URL" ] || { echo "serve-smoke: server never printed its address" >&2; exit 1; }
 echo "serve-smoke: server up at $URL (pid $SERVER_PID)"
 
-"$TMP/decor-load" -url "$URL" -c 8 -d "$DURATION" -unique 4 \
-    -json "$JSON_OUT" -min-rps "$MIN_RPS" -max-p99 "$MAX_P99" -max-errors 0
+"$TMP/decor-load" -url "$URL" -c 8 -d 5s -unique 4 \
+    -json "$TMP/load.json" -min-rps 500 -max-p99 250ms -max-errors 0
 
-echo "serve-smoke: wrote $JSON_OUT; sending SIGTERM"
+echo "serve-smoke: load floors held; sending SIGTERM"
 kill -TERM "$SERVER_PID"
 DRAIN_OK=1
 wait "$SERVER_PID" || DRAIN_OK=0
