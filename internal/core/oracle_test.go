@@ -247,7 +247,6 @@ type voronoiPartition struct {
 	rc      float64
 	ptIdx   *index.Grid
 	sensors map[int]geom.Point
-	sIdx    *index.Grid
 	owner   []int
 	// ownerD2 caches each point's squared distance to its owner; pos
 	// holds each point's index within its owner's list, making
@@ -260,15 +259,13 @@ type voronoiPartition struct {
 func newVoronoiPartition(field geom.Rect, pts []geom.Point, rc float64) *voronoiPartition {
 	v := &voronoiPartition{
 		rc:      rc,
-		ptIdx:   index.NewGrid(field, rc/2),
+		ptIdx:   index.NewGrid(field, rc/2, pts),
 		sensors: make(map[int]geom.Point),
-		sIdx:    index.NewGrid(field, rc/2),
 		owner:   make([]int, len(pts)),
 		ownerD2: make([]float64, len(pts)),
 		pos:     make([]int, len(pts)),
 		owned:   make(map[int][]int),
 	}
-	v.ptIdx.InsertDense(pts)
 	for i := range v.owner {
 		v.owner[i] = -1
 	}
@@ -286,7 +283,6 @@ func (v *voronoiPartition) OwnedPoints(id int) []int {
 // are now nearest to it.
 func (v *voronoiPartition) AddSensor(id int, p geom.Point) {
 	v.sensors[id] = p
-	v.sIdx.Insert(id, p)
 	v.ptIdx.VisitBall(p, v.rc, func(i int, pp geom.Point) bool {
 		cur := v.owner[i]
 		d2 := p.Dist2(pp)
@@ -316,16 +312,15 @@ func (v *voronoiPartition) detach(owner, i int) {
 }
 
 // NeighborCount returns the number of sensors within rc of sensor id,
-// excluding id.
+// excluding id, by a scan of every sensor.
 func (v *voronoiPartition) NeighborCount(id int) int {
 	p := v.sensors[id]
 	n := 0
-	v.sIdx.VisitBall(p, v.rc, func(sid int, _ geom.Point) bool {
-		if sid != id {
+	for sid, q := range v.sensors {
+		if sid != id && q.Dist2(p) <= v.rc*v.rc {
 			n++
 		}
-		return true
-	})
+	}
 	return n
 }
 

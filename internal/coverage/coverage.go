@@ -8,7 +8,6 @@
 package coverage
 
 import (
-	"fmt"
 	"sort"
 
 	"decor/internal/geom"
@@ -28,18 +27,12 @@ type Map struct {
 	// (tiles.go).
 	tileDef []int32
 
-	sensors   map[int]geom.Point
-	sensorIdx *index.Grid
-	// sortedIDs mirrors the key set of sensors in ascending order, kept
-	// in step on every add/remove so SensorIDs never sorts. Failure
-	// models draw from it thousands of times per experiment cell.
-	sortedIDs []int
-	// sensorRs holds per-sensor sensing radii for heterogeneous
-	// deployments (paper §2: radii "may vary, depending on the type of
-	// the sensors and on the deployment conditions"). Sensors absent
-	// from the map use the default rs.
-	sensorRs map[int]float64
-	maxRs    float64 // largest radius ever added; bounds ball queries
+	// sensors holds every deployed sensor with its own sensing radius
+	// (paper §2: radii "may vary, depending on the type of the sensors
+	// and on the deployment conditions"), chained through the point
+	// index's buckets (sensors.go).
+	sensors sensorTable
+	maxRs   float64 // largest radius ever added; bounds ball queries
 }
 
 // New creates a coverage map over field, approximated by pts, with sensing
@@ -63,9 +56,7 @@ func NewMap(ps *PointSet, k int) *Map {
 		counts:    make([]int, n),
 		deficient: n,
 		tileDef:   make([]int32, len(ps.tiles.start)-1),
-		sensors:   make(map[int]geom.Point),
-		sensorIdx: index.NewGrid(ps.field, ps.rs),
-		sensorRs:  make(map[int]float64),
+		sensors:   newSensorTable(&ps.idx.Buckets),
 		maxRs:     ps.rs,
 	}
 	for t := range m.tileDef {
@@ -171,20 +162,21 @@ func (m *Map) NumDeficient() int { return m.deficient }
 func (m *Map) FullyCovered() bool { return m.NumDeficient() == 0 }
 
 // NumSensors returns the number of deployed sensors.
-func (m *Map) NumSensors() int { return len(m.sensors) }
+func (m *Map) NumSensors() int { return len(m.sensors.ids) }
 
 // SensorIDs returns all sensor IDs in ascending order.
 func (m *Map) SensorIDs() []int {
-	return append([]int(nil), m.sortedIDs...)
+	return append([]int(nil), m.sensors.ids...)
 }
 
 // MaxSensorID returns the largest deployed sensor ID, and false when the
 // map has no sensors. It is O(1), unlike reading SensorIDs' last element.
 func (m *Map) MaxSensorID() (int, bool) {
-	if len(m.sortedIDs) == 0 {
+	ids := m.sensors.ids
+	if len(ids) == 0 {
 		return 0, false
 	}
-	return m.sortedIDs[len(m.sortedIDs)-1], true
+	return ids[len(ids)-1], true
 }
 
 // VisitSensors calls fn for every deployed sensor in ascending ID order
@@ -194,39 +186,18 @@ func (m *Map) MaxSensorID() (int, bool) {
 // replaying the visited (id, pos, rs) triples into a fresh map via
 // AddSensorRadius reconstructs an observably identical coverage state.
 func (m *Map) VisitSensors(fn func(id int, pos geom.Point, rs float64)) {
-	for _, id := range m.sortedIDs {
-		rs, ok := m.sensorRs[id]
-		if !ok {
-			rs = m.ps.rs
-		}
-		fn(id, m.sensors[id], rs)
-	}
-}
-
-// insertSortedID keeps sortedIDs ascending. Placement engines allocate
-// IDs in increasing order, so the append path is the common case.
-func (m *Map) insertSortedID(id int) {
-	if n := len(m.sortedIDs); n == 0 || id > m.sortedIDs[n-1] {
-		m.sortedIDs = append(m.sortedIDs, id)
-		return
-	}
-	i := sort.SearchInts(m.sortedIDs, id)
-	m.sortedIDs = append(m.sortedIDs, 0)
-	copy(m.sortedIDs[i+1:], m.sortedIDs[i:])
-	m.sortedIDs[i] = id
-}
-
-func (m *Map) removeSortedID(id int) {
-	i := sort.SearchInts(m.sortedIDs, id)
-	if i < len(m.sortedIDs) && m.sortedIDs[i] == id {
-		m.sortedIDs = append(m.sortedIDs[:i], m.sortedIDs[i+1:]...)
+	for _, id := range m.sensors.ids {
+		s := m.sensors.get(id)
+		fn(id, s.pos, s.rs)
 	}
 }
 
 // SensorPos returns the position of a sensor and whether it exists.
 func (m *Map) SensorPos(id int) (geom.Point, bool) {
-	p, ok := m.sensors[id]
-	return p, ok
+	if s := m.sensors.get(id); s != nil {
+		return s.pos, true
+	}
+	return geom.Point{}, false
 }
 
 // AddSensor deploys a sensor with the given id at p with the map's
@@ -241,18 +212,11 @@ func (m *Map) AddSensor(id int, p geom.Point) {
 // and deployment conditions. It panics on duplicate id or non-positive
 // radius.
 func (m *Map) AddSensorRadius(id int, p geom.Point, rs float64) {
-	if _, ok := m.sensors[id]; ok {
-		panic(fmt.Sprintf("coverage: duplicate sensor id %d", id))
-	}
+	m.sensors.mustBeNew(id)
 	if rs <= 0 {
 		panic("coverage: sensor radius must be positive")
 	}
-	m.sensors[id] = p
-	m.sensorIdx.Insert(id, p)
-	m.insertSortedID(id)
-	if rs != m.ps.rs {
-		m.sensorRs[id] = rs
-	}
+	m.sensors.add(id, p, rs)
 	if rs > m.maxRs {
 		m.maxRs = rs
 	}
@@ -274,12 +238,8 @@ func (m *Map) AddSensorAtPoint(id, ptIdx int) {
 		m.AddSensor(id, p)
 		return
 	}
-	if _, ok := m.sensors[id]; ok {
-		panic(fmt.Sprintf("coverage: duplicate sensor id %d", id))
-	}
-	m.sensors[id] = p
-	m.sensorIdx.Insert(id, p)
-	m.insertSortedID(id)
+	m.sensors.mustBeNew(id)
+	m.sensors.add(id, p, m.ps.rs)
 	for _, j := range nb.At(ptIdx) {
 		m.inc(int(j))
 	}
@@ -293,28 +253,20 @@ func (m *Map) MaxSensorRadius() float64 { return m.maxRs }
 // SensorRadius returns the sensing radius of sensor id (the map default
 // if the sensor was added homogeneously) and whether the sensor exists.
 func (m *Map) SensorRadius(id int) (float64, bool) {
-	if _, ok := m.sensors[id]; !ok {
-		return 0, false
+	if s := m.sensors.get(id); s != nil {
+		return s.rs, true
 	}
-	if r, ok := m.sensorRs[id]; ok {
-		return r, true
-	}
-	return m.ps.rs, true
+	return 0, false
 }
 
 // RemoveSensor removes the sensor, decrementing coverage counts, and
 // reports whether it existed.
 func (m *Map) RemoveSensor(id int) bool {
-	p, ok := m.sensors[id]
+	s, ok := m.sensors.remove(id)
 	if !ok {
 		return false
 	}
-	rs, _ := m.SensorRadius(id)
-	delete(m.sensors, id)
-	delete(m.sensorRs, id)
-	m.sensorIdx.Remove(id)
-	m.removeSortedID(id)
-	m.ps.idx.VisitBall(p, rs, func(i int, _ geom.Point) bool {
+	m.ps.idx.VisitBall(s.pos, s.rs, func(i int, _ geom.Point) bool {
 		m.dec(i)
 		return true
 	})
@@ -348,9 +300,7 @@ func (m *Map) VisitPointsInBall(c geom.Point, r float64, fn func(i int, p geom.P
 // PointsInBall returns the indices of sample points within r of c, sorted
 // ascending for determinism.
 func (m *Map) PointsInBall(c geom.Point, r float64) []int {
-	out := m.ps.idx.Ball(c, r)
-	sort.Ints(out)
-	return out
+	return m.AppendPointsInBall(nil, c, r)
 }
 
 // AppendPointsInBall is PointsInBall with a caller-supplied buffer:
@@ -366,16 +316,17 @@ func (m *Map) AppendPointsInBall(dst []int, c geom.Point, r float64) []int {
 
 // SensorsInBall returns the IDs of sensors within r of c, sorted.
 func (m *Map) SensorsInBall(c geom.Point, r float64) []int {
-	out := m.sensorIdx.Ball(c, r)
-	sort.Ints(out)
-	return out
+	return m.AppendSensorsInBall(nil, c, r)
 }
 
 // AppendSensorsInBall is SensorsInBall with a caller-supplied buffer,
 // mirroring AppendPointsInBall.
 func (m *Map) AppendSensorsInBall(dst []int, c geom.Point, r float64) []int {
 	n := len(dst)
-	dst = m.sensorIdx.AppendBall(dst, c, r)
+	m.VisitSensorsInBall(c, r, func(id int, _ geom.Point) bool {
+		dst = append(dst, id)
+		return true
+	})
 	sort.Ints(dst[n:])
 	return dst
 }
@@ -384,12 +335,29 @@ func (m *Map) AppendSensorsInBall(dst []int, c geom.Point, r float64) []int {
 // (closed ball), in unspecified order; returning false stops the visit.
 // It allocates nothing, unlike SensorsInBall.
 func (m *Map) VisitSensorsInBall(c geom.Point, r float64, fn func(id int, p geom.Point) bool) {
-	m.sensorIdx.VisitBall(c, r, fn)
+	if r < 0 {
+		return
+	}
+	t := &m.sensors
+	r2 := r * r
+	x0, x1, y0, y1 := t.geo.Span(c, r)
+	for cy := y0; cy <= y1; cy++ {
+		row := cy * t.geo.Cols()
+		for b := row + x0; b <= row+x1; b++ {
+			for s := t.heads[b]; s >= 0; s = t.slots[s].next {
+				if sl := &t.slots[s]; sl.pos.Dist2(c) <= r2 && !fn(sl.id, sl.pos) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // CountSensorsInBall returns the number of sensors within r of c.
 func (m *Map) CountSensorsInBall(c geom.Point, r float64) int {
-	return m.sensorIdx.CountBall(c, r)
+	n := 0
+	m.VisitSensorsInBall(c, r, func(int, geom.Point) bool { n++; return true })
+	return n
 }
 
 // PointNeighborhoods returns the point set's within-r adjacency
@@ -466,13 +434,12 @@ func (m *Map) UncoveredPoints() []int {
 // the coverage of the area": eliminating it still achieves k-coverage of
 // every point it covers to at least the level the point had.
 func (m *Map) IsRedundant(id int) bool {
-	p, ok := m.sensors[id]
-	if !ok {
+	s := m.sensors.get(id)
+	if s == nil {
 		return false
 	}
-	rs, _ := m.SensorRadius(id)
 	redundant := true
-	m.ps.idx.VisitBall(p, rs, func(i int, _ geom.Point) bool {
+	m.ps.idx.VisitBall(s.pos, s.rs, func(i int, _ geom.Point) bool {
 		// Removing the sensor lowers this point's count by one. The node
 		// "contributes" if that would take a currently >=k point below k,
 		// or reduce an under-covered point further.
@@ -492,11 +459,7 @@ func (m *Map) IsRedundant(id int) bool {
 func (m *Map) RedundantSensors() []int {
 	var removed []int
 	ids := m.SensorIDs()
-	type saved struct {
-		pos geom.Point
-		rs  float64
-	}
-	state := make(map[int]saved, len(ids))
+	state := make(map[int]sensorSlot, len(ids))
 	for {
 		progress := false
 		for _, id := range ids {
@@ -504,8 +467,7 @@ func (m *Map) RedundantSensors() []int {
 				continue
 			}
 			if m.IsRedundant(id) {
-				rs, _ := m.SensorRadius(id)
-				state[id] = saved{pos: m.sensors[id], rs: rs}
+				state[id] = *m.sensors.get(id)
 				m.RemoveSensor(id)
 				removed = append(removed, id)
 				progress = true
@@ -530,25 +492,15 @@ func (m *Map) RedundantSensors() []int {
 // hands each method a private copy, skipping the per-method ball
 // queries of re-scattering.
 func (m *Map) Clone() *Map {
-	c := &Map{
+	return &Map{
 		ps:        m.ps,
 		k:         m.k,
 		counts:    append([]int(nil), m.counts...),
 		deficient: m.deficient,
 		tileDef:   append([]int32(nil), m.tileDef...),
-		sensors:   make(map[int]geom.Point, len(m.sensors)),
-		sensorIdx: m.sensorIdx.Clone(),
-		sortedIDs: append([]int(nil), m.sortedIDs...),
-		sensorRs:  make(map[int]float64, len(m.sensorRs)),
+		sensors:   m.sensors.clone(),
 		maxRs:     m.maxRs,
 	}
-	for id, p := range m.sensors {
-		c.sensors[id] = p
-	}
-	for id, r := range m.sensorRs {
-		c.sensorRs[id] = r
-	}
-	return c
 }
 
 // CoverageHistogram returns counts[j] = number of sample points covered by

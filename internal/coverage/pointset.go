@@ -23,7 +23,7 @@ type PointSet struct {
 	field geom.Rect
 	rs    float64
 	pts   []geom.Point
-	idx   *index.Grid // dense over pts, bucket edge rs
+	idx   *index.Grid // over pts, bucket edge rs
 	tiles tiling
 
 	mu    sync.Mutex                  // serializes adjacency builds
@@ -52,12 +52,11 @@ func NewPointSet(field geom.Rect, pts []geom.Point, rs float64) *PointSet {
 		field: field,
 		rs:    rs,
 		pts:   pts,
-		idx:   index.NewGrid(field, rs),
+		idx:   index.NewGrid(field, rs, pts),
 		tiles: newTiling(field, pts),
 	}
-	ps.idx.InsertDense(pts)
 	ps.bytes.Store(int64(len(pts))*int64(unsafe.Sizeof(geom.Point{})) +
-		ps.idx.DenseBytes() + ps.tiles.bytes())
+		ps.idx.Bytes() + ps.tiles.bytes())
 	return ps
 }
 
@@ -74,7 +73,7 @@ func (ps *PointSet) Neighborhoods(r float64) *index.Neighborhoods {
 	nb := ps.BuiltNeighborhoods(r)
 	var grown int64
 	if nb == nil {
-		nb = ps.idx.BuildNeighborhoods(len(ps.pts), r)
+		nb = ps.idx.BuildNeighborhoods(r)
 		var next []adjacency
 		if cur := ps.nbs.Load(); cur != nil {
 			next = append(next, *cur...)

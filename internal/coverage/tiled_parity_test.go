@@ -2,6 +2,7 @@ package coverage
 
 import (
 	"maps"
+	"math"
 	"reflect"
 	"testing"
 
@@ -242,5 +243,58 @@ func TestTileGeometry(t *testing.T) {
 			}
 			return true
 		})
+	}
+}
+
+// TestTileSizeFollowsSqrtN checks the tile rule at n = 1, 64, 2000 and
+// 1e5: tiles are sized for about √n points, clamped to [64, 4096], every
+// point sits in exactly one tile (the tile of its position), and on a
+// low-discrepancy set a tile inside the field holds about that many.
+func TestTileSizeFollowsSqrtN(t *testing.T) {
+	field := geom.Square(100)
+	for _, tc := range []struct {
+		n, target, nonEmpty int
+	}{
+		{1, 64, 1},
+		{64, 64, 1},
+		{2000, 64, 36}, // paper scale: √2000 ≈ 45, clamped up
+		{100_000, 316, 324},
+	} {
+		pts := lowdisc.Halton{}.Points(tc.n, field)
+		g := newTiling(field, pts)
+		target := min(max(math.Sqrt(float64(tc.n)), 64), 4096)
+		if int(target) != tc.target {
+			t.Fatalf("n=%d: √n rule gives %g points per tile, want %d", tc.n, target, tc.target)
+		}
+		if got := g.side * g.side * float64(tc.n) / field.Area(); math.Abs(got-target) > 1e-9*target {
+			t.Fatalf("n=%d: tile side %g holds %g points at uniform density, want %g", tc.n, g.side, got, target)
+		}
+		seen := make([]int, tc.n)
+		nonEmpty := 0
+		for tl := 0; tl+1 < len(g.start); tl++ {
+			own := g.order[g.start[tl]:g.start[tl+1]]
+			if len(own) > 0 {
+				nonEmpty++
+			}
+			for _, i := range own {
+				seen[i]++
+				if g.tileIdx(pts[i]) != tl || int(g.tileOf[i]) != tl {
+					t.Fatalf("n=%d: point %d listed in tile %d, belongs in %d (tileOf %d)", tc.n, i, tl, g.tileIdx(pts[i]), g.tileOf[i])
+				}
+			}
+			cx, cy := tl%g.cols, tl/g.cols
+			inside := float64(cx+1)*g.side <= field.W() && float64(cy+1)*g.side <= field.H()
+			if tc.n >= 2000 && inside && math.Abs(float64(len(own))-target) > 0.25*target {
+				t.Fatalf("n=%d: interior tile %d holds %d points, want about %g", tc.n, tl, len(own), target)
+			}
+		}
+		for i, c := range seen {
+			if c != 1 {
+				t.Fatalf("n=%d: point %d sits in %d tiles", tc.n, i, c)
+			}
+		}
+		if nonEmpty != tc.nonEmpty {
+			t.Fatalf("n=%d: %d non-empty tiles, want %d", tc.n, nonEmpty, tc.nonEmpty)
+		}
 	}
 }

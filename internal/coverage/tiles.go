@@ -1,8 +1,8 @@
 // Tile partition of the sample points (DESIGN.md §13).
 //
 // Beside its flat per-point counts, a Map groups the sample points into
-// square tiles of about tilePoints points each and keeps every tile's
-// number of deficient points (count < k). The placement engines use
+// square tiles of about √n points each and keeps every tile's number of
+// deficient points (count < k). The placement engines use
 // those summaries to skip fully k-covered tiles in O(1) and to find the
 // lowest deficient point without scanning the whole field.
 package coverage
@@ -13,10 +13,15 @@ import (
 	"decor/internal/geom"
 )
 
-// tilePoints is the target number of sample points per tile: small
-// enough that a placement disk touches only a handful of tiles, large
-// enough that the per-tile summaries stay negligible.
-const tilePoints = 4096
+// tilePoints returns the target number of sample points per tile of an
+// n-point set: √n, so a scan of every tile summary and a rescan of the
+// few tiles a placement disk touches cost about the same, clamped to
+// [64, 4096] so that small sets keep tiles worth a summary and huge sets
+// keep the rescans bounded. A paper-scale set (2000 points) gets about
+// 36 tiles of 64 points, a 1e6-point set about 1000 of 1000.
+func tilePoints(n int) float64 {
+	return min(max(math.Sqrt(float64(n)), 64), 4096)
+}
 
 // tiling is the immutable point→tile partition, part of the PointSet.
 type tiling struct {
@@ -29,10 +34,10 @@ type tiling struct {
 }
 
 // newTiling buckets pts into square tiles over bounds sized so a
-// uniform point set averages tilePoints points per tile.
+// uniform point set averages tilePoints(n) points per tile.
 func newTiling(bounds geom.Rect, pts []geom.Point) tiling {
 	n := len(pts)
-	side := math.Sqrt(bounds.W() * bounds.H() * tilePoints / math.Max(float64(n), 1))
+	side := math.Sqrt(bounds.W() * bounds.H() * tilePoints(n) / math.Max(float64(n), 1))
 	if side <= 0 || math.IsNaN(side) || math.IsInf(side, 0) {
 		side = math.Max(bounds.W(), bounds.H())
 	}

@@ -115,15 +115,20 @@ func (a *Accountant) DeadNodes() []int {
 // sender, received by the sender's communication neighbors at that
 // time. Receiver counts are approximated with the final topology (the
 // network only grows during deployment, so this is an upper bound).
-// Returns energy per node for nodes that transmitted, plus the total.
+// Returns energy per node for nodes that transmitted, plus the total,
+// summed in ascending node ID so one run always gives the same float.
 func DeploymentCost(m *coverage.Map, res core.Result, model Model, rc float64) (perNode map[int]float64, total float64) {
 	perNode = make(map[int]float64, len(res.NodeMessages))
-	for id, msgs := range res.NodeMessages {
-		pos, ok := m.SensorPos(id)
+	ids := make([]int, 0, len(res.NodeMessages))
+	for id := range res.NodeMessages {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	for _, id := range ids {
+		msgs := res.NodeMessages[id]
 		cost := model.TxCost(rc) * float64(msgs)
-		if ok {
-			receivers := len(m.SensorsInBall(pos, rc)) - 1
-			if receivers > 0 {
+		if pos, ok := m.SensorPos(id); ok {
+			if receivers := m.CountSensorsInBall(pos, rc) - 1; receivers > 0 {
 				cost += model.RxCost() * float64(msgs*receivers)
 			}
 		}

@@ -2,6 +2,7 @@ package energy
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"decor/internal/core"
@@ -100,6 +101,42 @@ func TestDeploymentCost(t *testing.T) {
 	res2 := (core.Centralized{}).Deploy(m2, rng.New(4), core.Options{})
 	if _, tot2 := DeploymentCost(m2, res2, Default(), 8); tot2 != 0 {
 		t.Errorf("centralized deployment energy = %v, want 0", tot2)
+	}
+}
+
+// TestDeploymentCostBitStable calls DeploymentCost repeatedly on one
+// grid-small deployment: every call must return the same total, bit for
+// bit, and that total must be the ascending-ID sum of the per-node
+// costs. Summed in map order, the total varied by a few ulps from call
+// to call.
+func TestDeploymentCostBitStable(t *testing.T) {
+	field := geom.Square(100)
+	m := coverage.New(field, lowdisc.Halton{}.Points(2000, field), 4, 3)
+	r := rng.New(1)
+	for id := 0; id < 200; id++ {
+		m.AddSensor(id, r.PointInRect(field))
+	}
+	res := (core.GridDECOR{CellSize: 5}).Deploy(m, rng.New(7), core.Options{})
+	if len(res.NodeMessages) < 50 {
+		t.Fatalf("only %d senders; the sum order would not matter", len(res.NodeMessages))
+	}
+	perNode, total := DeploymentCost(m, res, Default(), 8)
+	ids := make([]int, 0, len(perNode))
+	for id := range perNode {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	want := 0.0
+	for _, id := range ids {
+		want += perNode[id]
+	}
+	if math.Float64bits(total) != math.Float64bits(want) {
+		t.Fatalf("total %v is not the ascending-ID sum %v", total, want)
+	}
+	for call := 0; call < 200; call++ {
+		if _, got := DeploymentCost(m, res, Default(), 8); math.Float64bits(got) != math.Float64bits(total) {
+			t.Fatalf("call %d: total %v (bits %x), first call %v (bits %x)", call, got, math.Float64bits(got), total, math.Float64bits(total))
+		}
 	}
 }
 

@@ -1,9 +1,5 @@
 package index
 
-import (
-	"decor/internal/geom"
-)
-
 // Neighborhoods is a precomputed fixed-radius adjacency over a dense ID
 // range [0, n): for every id i it stores the IDs within distance r of
 // i's position, ascending, in one shared compressed (CSR) layout. DECOR's
@@ -13,38 +9,39 @@ import (
 // distance arithmetic from the hot path, and allocates nothing after
 // construction.
 //
-// The structure is immutable and safe for concurrent readers. It snapshots
-// the index at construction time; points inserted or removed later are not
-// reflected (DECOR's sample-point set is fixed for a deployment's
-// lifetime, so this is the common case).
+// The structure is immutable and safe for concurrent readers, like the
+// grid it is built from.
 type Neighborhoods struct {
 	off []int32
 	ids []int32
 }
 
-// BuildNeighborhoods precomputes the within-r adjacency for the dense IDs
-// 0..n-1, which must all be indexed in g (the sample-point convention:
-// point index == ID). Every list contains its own ID, since a point is
-// within any non-negative radius of itself. It panics if an ID in the
-// range is missing from the index.
-func (g *Grid) BuildNeighborhoods(n int, r float64) *Neighborhoods {
+// BuildNeighborhoods precomputes the within-r adjacency of every
+// indexed point. Every list contains its own ID, since a point is
+// within any non-negative radius of itself.
+func (g *Grid) BuildNeighborhoods(r float64) *Neighborhoods {
+	n := len(g.pts)
 	nb := &Neighborhoods{off: make([]int32, n+1)}
+	if r < 0 {
+		return nb // no point is within a negative radius, not even itself
+	}
 	// One geometric pass: record every source's ball once (in visit
 	// order) while counting row sizes; the fill below is then a pure
 	// array transpose with no second round of ball queries.
 	counts := make([]int32, n)
 	stream := make([]int32, 0, n*8)
 	rowEnd := make([]int32, n)
-	for j := 0; j < n; j++ {
-		p, ok := g.At(j)
-		if !ok {
-			panic("index: BuildNeighborhoods requires dense IDs 0..n-1")
+	r2 := r * r
+	for j, c := range g.pts {
+		x0, x1, y0, y1 := g.Span(c, r)
+		for cy := y0; cy <= y1; cy++ {
+			for _, e := range g.row(cy, x0, x1) {
+				if e.p.Dist2(c) <= r2 {
+					stream = append(stream, e.id)
+					counts[e.id]++
+				}
+			}
 		}
-		g.VisitBall(p, r, func(i int, _ geom.Point) bool {
-			stream = append(stream, int32(i))
-			counts[i]++
-			return true
-		})
 		rowEnd[j] = int32(len(stream))
 	}
 	total := int32(0)

@@ -9,14 +9,8 @@ import (
 )
 
 func randomPointGrid(n int, side, cell float64, seed uint64) (*Grid, []geom.Point) {
-	r := rng.New(seed)
-	g := NewGrid(geom.Square(side), cell)
-	pts := make([]geom.Point, n)
-	for i := range pts {
-		pts[i] = r.PointInRect(geom.Square(side))
-		g.Insert(i, pts[i])
-	}
-	return g, pts
+	pts := randomPoints(n, geom.Square(side), seed)
+	return NewGrid(geom.Square(side), cell, pts), pts
 }
 
 func TestAppendBallMatchesBall(t *testing.T) {
@@ -59,7 +53,7 @@ func TestAppendBallNegativeRadiusAndPrefix(t *testing.T) {
 func TestNeighborhoodsMatchBall(t *testing.T) {
 	const n = 250
 	g, pts := randomPointGrid(n, 40, 4, 21)
-	nb := g.BuildNeighborhoods(n, 4)
+	nb := g.BuildNeighborhoods(4)
 	if nb.Len() != n {
 		t.Fatalf("Len = %d, want %d", nb.Len(), n)
 	}
@@ -88,18 +82,6 @@ func TestNeighborhoodsMatchBall(t *testing.T) {
 	}
 }
 
-func TestBuildNeighborhoodsSparsePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("sparse IDs should panic")
-		}
-	}()
-	g := NewGrid(geom.Square(10), 1)
-	g.Insert(0, geom.Pt(1, 1))
-	g.Insert(2, geom.Pt(2, 2)) // id 1 missing
-	g.BuildNeighborhoods(3, 2)
-}
-
 // BenchmarkIndexBall contrasts the allocating Ball query with the
 // reusable-buffer AppendBall and the precomputed Neighborhoods lookup at
 // DECOR's paper density (2000 points, rs = 4) — the before/after pair
@@ -122,7 +104,7 @@ func BenchmarkIndexBall(b *testing.B) {
 		}
 	})
 	b.Run("neighborhoods", func(b *testing.B) {
-		nb := g.BuildNeighborhoods(n, 4)
+		nb := g.BuildNeighborhoods(4)
 		b.ReportAllocs()
 		b.ResetTimer()
 		acc := 0

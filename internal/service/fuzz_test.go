@@ -72,8 +72,9 @@ func FuzzDecodePlanRequest(f *testing.F) {
 			}
 		}
 		// Every cell grid the planner builds stays within the cap: the
-		// coverage map's two rs-spaced index grids (index.NewGrid's
-		// (⌈side/rs⌉+1)² buckets) and a grid method's partition.
+		// coverage map's rs-spaced buckets (index.NewGrid's
+		// (⌈side/rs⌉+1)², under the point index and the sensor table)
+		// and a grid method's partition.
 		if c := math.Ceil(norm.FieldSide/norm.Rs) + 1; c*c > maxGridCells {
 			t.Fatalf("accepted field_side %g at rs %g: %g index cells", norm.FieldSide, norm.Rs, c*c)
 		}

@@ -297,8 +297,10 @@ func (pr PlanRequest) normalizeIDs(lim Limits, ids map[int]bool) (PlanRequest, e
 	if pr.TimeoutMS < 0 {
 		return pr, badRequest("timeout_ms must be non-negative")
 	}
-	// The grids sized from the field: index.NewGrid's (⌈side/rs⌉+1)²
-	// buckets, and an upper bound on partition.NewGrid's cells.
+	// The grids sized from the field: the (⌈side/rs⌉+1)² buckets of
+	// index.NewGrid, which the point index's offsets and the sensor
+	// table's chain heads span, and an upper bound on partition.NewGrid's
+	// cells.
 	if c := math.Ceil(pr.FieldSide/pr.Rs) + 1; c*c > maxGridCells {
 		return pr, badRequest("field_side %g at rs %g needs index grids of %g cells each, over the limit of %d cells",
 			pr.FieldSide, pr.Rs, c*c, maxGridCells)
