@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test test-short check bench bench-json bench-large serve-smoke chaos-smoke session-smoke snapshot-smoke cover figures extensions summary clean
+.PHONY: all build vet fmt-check test test-short check bench bench-json bench-large serve-smoke chaos-smoke session-smoke snapshot-smoke fuzz-smoke cover figures extensions summary clean
 
 all: build vet test
 
@@ -16,8 +16,9 @@ all: build vet test
 # against the committed BENCH_*.json baselines), the large-placement
 # pins (bench-large), the decor-serve end-to-end smoke (throughput +
 # graceful drain), the chaos sweep (invariants + determinism under fault
-# injection), and the field-session soak (byte-identical delta streams
-# across two seeded multi-tenant runs; see session-smoke).
+# injection), the field-session soak (byte-identical delta streams
+# across two seeded multi-tenant runs; see session-smoke), and a fixed
+# number of fresh inputs for the decode parity fuzzers (fuzz-smoke).
 check:
 	$(GO) vet ./...
 	$(MAKE) fmt-check
@@ -30,6 +31,7 @@ check:
 	$(MAKE) chaos-smoke
 	$(MAKE) snapshot-smoke
 	$(MAKE) session-smoke
+	$(MAKE) fuzz-smoke
 
 # Formatting gate: fails when gofmt would change any file.
 fmt-check:
@@ -71,6 +73,16 @@ snapshot-smoke:
 # package run.
 session-smoke:
 	$(GO) test -race -run '^TestSessionSoak$$|^TestSoakQuotaIsolation$$|^TestFastRestoreMatchesReplay$$|^TestSessionMigrationDeltaParity$$' -count=1 -timeout 300s ./internal/session/
+
+# Fuzz smoke: the number parser's and the request decoders' parity
+# fuzzers each run 20000 generated inputs past their committed corpora,
+# so the fast paths keep being explored against their oracles (the
+# number() + strconv readers, encoding/json). A failing input is written
+# under the package's testdata/fuzz/ for replay with plain `go test`.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecNumberParity$$' -fuzztime 20000x ./internal/jsonx/
+	$(GO) test -run '^$$' -fuzz '^FuzzRequestDecodeParity$$' -fuzztime 20000x ./internal/service/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRepairRequest$$' -fuzztime 20000x ./internal/service/
 
 # Coverage gate: combined statement coverage of internal/sim and
 # internal/protocol must stay at or above the post-chaos-PR baseline

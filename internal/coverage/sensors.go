@@ -3,6 +3,7 @@ package coverage
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 
 	"decor/internal/geom"
@@ -81,7 +82,7 @@ func (t *sensorTable) add(id int, p geom.Point, rs float64) {
 		t.free = t.slots[s].next
 	} else {
 		s = int32(len(t.slots))
-		t.slots = append(t.slots, sensorSlot{})
+		t.slots = append(grow(t.slots), sensorSlot{})
 	}
 	b := t.geo.Of(p)
 	t.slots[s] = sensorSlot{id: id, pos: p, rs: rs, next: t.heads[b]}
@@ -90,13 +91,24 @@ func (t *sensorTable) add(id int, p geom.Point, rs float64) {
 	// Placement engines allocate IDs in increasing order, so the append
 	// path is the common case.
 	if n := len(t.ids); n == 0 || id > t.ids[n-1] {
-		t.ids = append(t.ids, id)
+		t.ids = append(grow(t.ids), id)
 		return
 	}
 	i := sort.SearchInts(t.ids, id)
-	t.ids = append(t.ids, 0)
+	t.ids = append(grow(t.ids), 0)
 	copy(t.ids[i+1:], t.ids[i:])
 	t.ids[i] = id
+}
+
+// grow returns s with room for one more element. A full slice doubles
+// (to at least 64): past 256 elements append adds only about a quarter,
+// and a clone starts full, so a map that doubles its sensors would copy
+// them several times over.
+func grow[E any](s []E) []E {
+	if len(s) < cap(s) {
+		return s
+	}
+	return slices.Grow(s, max(len(s), 64))
 }
 
 // remove withdraws sensor id and returns what its slot held, reporting

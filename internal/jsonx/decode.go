@@ -1,16 +1,12 @@
 package jsonx
 
-import (
-	"strconv"
-	"unsafe"
-)
-
 // Dec is a fast-path tokenizer over a fully buffered JSON value. Every
 // primitive returns ok=false the moment the input leaves the common
 // grammar (escapes, non-ASCII strings, nulls, case-folded keys, exotic
 // numbers); the caller must then re-decode the same bytes with
 // encoding/json, so behavior on the bail path is the stdlib's, verbatim.
-// Nothing here allocates: strings come back as sub-slices of Data.
+// Nothing here allocates: strings come back as sub-slices of Data, and
+// the number table is built once per process.
 type Dec struct {
 	Data []byte
 	Pos  int
@@ -87,110 +83,4 @@ func (d *Dec) Str() (s []byte, ok bool) {
 		d.Pos++
 	}
 	return nil, false
-}
-
-// number scans one strict JSON number literal starting at d.Pos
-// (whitespace already skipped) and reports whether it carried a
-// fraction or exponent. It stops at the first byte outside the number
-// grammar ("01" scans as "0" leaving "1"), so callers must keep
-// checking structure afterwards — a leftover byte fails the next
-// Consume and routes the request to the stdlib fallback.
-func (d *Dec) number() (tok []byte, isInt, ok bool) {
-	start := d.Pos
-	i := d.Pos
-	data := d.Data
-	if i < len(data) && data[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(data) && data[i] == '0':
-		i++
-	case i < len(data) && data[i] >= '1' && data[i] <= '9':
-		for i < len(data) && data[i] >= '0' && data[i] <= '9' {
-			i++
-		}
-	default:
-		return nil, false, false
-	}
-	isInt = true
-	if i < len(data) && data[i] == '.' {
-		isInt = false
-		i++
-		if i >= len(data) || data[i] < '0' || data[i] > '9' {
-			return nil, false, false
-		}
-		for i < len(data) && data[i] >= '0' && data[i] <= '9' {
-			i++
-		}
-	}
-	if i < len(data) && (data[i] == 'e' || data[i] == 'E') {
-		isInt = false
-		i++
-		if i < len(data) && (data[i] == '+' || data[i] == '-') {
-			i++
-		}
-		if i >= len(data) || data[i] < '0' || data[i] > '9' {
-			return nil, false, false
-		}
-		for i < len(data) && data[i] >= '0' && data[i] <= '9' {
-			i++
-		}
-	}
-	d.Pos = i
-	return data[start:i], isInt, true
-}
-
-// Int consumes an integer literal that fits in int64. Fractions,
-// exponents and overflow bail (stdlib rejects those into Go ints too,
-// so the fallback reproduces its exact error).
-func (d *Dec) Int() (v int64, ok bool) {
-	d.SkipWS()
-	tok, isInt, ok := d.number()
-	if !ok || !isInt {
-		return 0, false
-	}
-	v, err := strconv.ParseInt(noCopyString(tok), 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return v, true
-}
-
-// Uint consumes a non-negative integer literal that fits in uint64.
-func (d *Dec) Uint() (v uint64, ok bool) {
-	d.SkipWS()
-	tok, isInt, ok := d.number()
-	if !ok || !isInt || tok[0] == '-' {
-		return 0, false
-	}
-	v, err := strconv.ParseUint(noCopyString(tok), 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return v, true
-}
-
-// Float consumes any strict JSON number. The value comes from
-// strconv.ParseFloat, the same routine encoding/json uses, so accepted
-// values are bit-identical; a range error bails to the stdlib's error.
-func (d *Dec) Float() (f float64, ok bool) {
-	d.SkipWS()
-	tok, _, ok := d.number()
-	if !ok {
-		return 0, false
-	}
-	f, err := strconv.ParseFloat(noCopyString(tok), 64)
-	if err != nil {
-		return 0, false
-	}
-	return f, true
-}
-
-// noCopyString views b as a string without copying. Safe only for
-// immediate, non-retaining consumers (strconv parsers); never store it.
-func noCopyString(b []byte) string {
-	if len(b) == 0 {
-		return ""
-	}
-	return unsafe.String(unsafe.SliceData(b), len(b))
 }

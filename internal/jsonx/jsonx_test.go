@@ -3,6 +3,8 @@ package jsonx
 import (
 	"encoding/json"
 	"math"
+	"math/rand/v2"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -227,4 +229,318 @@ func TestBufPool(t *testing.T) {
 	big := make([]byte, 0, maxPooledBuf+1)
 	PutBuf(&big) // must not retain; nothing observable, just must not panic
 	PutBuf(nil)
+}
+
+// number returns the strict JSON literal at d.Pos (whitespace already
+// skipped) without converting it, for strconv to read a second time.
+// With the strconv readers below it is the oracle the one-pass scanner
+// is held to: same value bits, same ok, same stop byte.
+func (d *Dec) number() (tok []byte, isInt, ok bool) {
+	start := d.Pos
+	i := d.Pos
+	data := d.Data
+	if i < len(data) && data[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(data) && data[i] == '0':
+		i++
+	case i < len(data) && data[i] >= '1' && data[i] <= '9':
+		for i < len(data) && data[i] >= '0' && data[i] <= '9' {
+			i++
+		}
+	default:
+		return nil, false, false
+	}
+	isInt = true
+	if i < len(data) && data[i] == '.' {
+		isInt = false
+		i++
+		if i >= len(data) || data[i] < '0' || data[i] > '9' {
+			return nil, false, false
+		}
+		for i < len(data) && data[i] >= '0' && data[i] <= '9' {
+			i++
+		}
+	}
+	if i < len(data) && (data[i] == 'e' || data[i] == 'E') {
+		isInt = false
+		i++
+		if i < len(data) && (data[i] == '+' || data[i] == '-') {
+			i++
+		}
+		if i >= len(data) || data[i] < '0' || data[i] > '9' {
+			return nil, false, false
+		}
+		for i < len(data) && data[i] >= '0' && data[i] <= '9' {
+			i++
+		}
+	}
+	d.Pos = i
+	return data[start:i], isInt, true
+}
+
+func strconvFloat(d *Dec) (float64, bool) {
+	d.SkipWS()
+	tok, _, ok := d.number()
+	if !ok {
+		return 0, false
+	}
+	f, err := strconv.ParseFloat(noCopyString(tok), 64)
+	if err != nil {
+		return 0, false
+	}
+	return f, true
+}
+
+func strconvInt(d *Dec) (int64, bool) {
+	d.SkipWS()
+	tok, isInt, ok := d.number()
+	if !ok || !isInt {
+		return 0, false
+	}
+	v, err := strconv.ParseInt(noCopyString(tok), 10, 64)
+	if err != nil {
+		return 0, false
+	}
+	return v, true
+}
+
+func strconvUint(d *Dec) (uint64, bool) {
+	d.SkipWS()
+	tok, isInt, ok := d.number()
+	if !ok || !isInt || tok[0] == '-' {
+		return 0, false
+	}
+	v, err := strconv.ParseUint(noCopyString(tok), 10, 64)
+	if err != nil {
+		return 0, false
+	}
+	return v, true
+}
+
+// checkNumberParity reads data with Float, Int and Uint and with their
+// oracles, and fails unless value bits, ok and stop position agree.
+func checkNumberParity(t testing.TB, data []byte) {
+	a, b := Dec{Data: data}, Dec{Data: data}
+	f, ok := a.Float()
+	wf, wok := strconvFloat(&b)
+	if ok != wok || math.Float64bits(f) != math.Float64bits(wf) || a.Pos != b.Pos {
+		t.Fatalf("Float(%q) = %v (%#x), ok=%v, pos %d; strconv: %v (%#x), ok=%v, pos %d",
+			data, f, math.Float64bits(f), ok, a.Pos, wf, math.Float64bits(wf), wok, b.Pos)
+	}
+	a, b = Dec{Data: data}, Dec{Data: data}
+	i, ok := a.Int()
+	wi, wok := strconvInt(&b)
+	if ok != wok || i != wi || a.Pos != b.Pos {
+		t.Fatalf("Int(%q) = %d, ok=%v, pos %d; strconv: %d, ok=%v, pos %d", data, i, ok, a.Pos, wi, wok, b.Pos)
+	}
+	a, b = Dec{Data: data}, Dec{Data: data}
+	u, ok := a.Uint()
+	wu, wok := strconvUint(&b)
+	if ok != wok || u != wu || a.Pos != b.Pos {
+		t.Fatalf("Uint(%q) = %d, ok=%v, pos %d; strconv: %d, ok=%v, pos %d", data, u, ok, a.Pos, wu, wok, b.Pos)
+	}
+}
+
+// numberEdges are literals at the edges of the grammar and of float64,
+// int64 and uint64.
+var numberEdges = []string{
+	"0", "-0", "0e5", "-0e-5", "0.0", "-0.000", "0E+0", "1e2", "1E2", "1e+2", "1E-2",
+	"0.000123", "0.0001230", "1e007", "1.5e-007", "100", "1000000000000000000000",
+	"1e400", "-1e400", "1e-400", "-1e-400", "1e99999999999", "1e-99999999999",
+	"5e-324", "4.9406564584124654e-324", "2.4703282292062327e-324",
+	"2.4703282292062328e-324", "2.2250738585072011e-308", "2.2250738585072012e-308",
+	"2.2250738585072014e-308", "1.7976931348623157e308", "1.7976931348623158e308",
+	"1.7976931348623159e308", "1e23", "8.98846567431158e307", "9007199254740993",
+	"9007199254740992.5", "4503599627370496.5", "123456789012345678901234567890",
+	"1.00000000000000011102230246251565404236316680908203125",
+	"1.00000000000000011102230246251565404236316680908203124",
+	"0.1", "0.30000000000000004", "22.222222222222222", "1e22", "1e-22", "9e22",
+	"4503599627370495e22", "4503599627370496e-22",
+	"9223372036854775807", "9223372036854775808", "-9223372036854775808",
+	"-9223372036854775809", "18446744073709551615", "18446744073709551616",
+	"99999999999999999999", "-18446744073709551615",
+	"01", "-", "-a", "1.", "1.e5", ".5", "+1", "1e", "1e+", "1ee5", "1.5.5", "--1", "-01", "1x",
+}
+
+// genNumber appends one generated literal to b, drawn from the shapes
+// request bodies carry and from the conversions' hard cases, with a
+// stray byte after it a quarter of the time to exercise the stop position.
+func genNumber(r *rand.Rand, b []byte) []byte {
+	switch r.IntN(8) {
+	case 0: // shortest forms of random bit patterns
+		f := math.Float64frombits(r.Uint64())
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			f = float64(r.Int64())
+		}
+		b = strconv.AppendFloat(b, f, "eg"[r.IntN(2)], -1, 64)
+	case 1: // repair-body coordinates, rendered as encoding/json does
+		b, _ = AppendFloat(b, r.Float64()*100)
+	case 2: // 'e' and 'f' forms with 0–30 digits
+		f := r.Float64() * math.Pow(10, float64(r.IntN(60)-30))
+		if r.IntN(2) == 0 {
+			f = -f
+		}
+		b = strconv.AppendFloat(b, f, "ef"[r.IntN(2)], r.IntN(31), 64)
+	case 3: // mantissas of more than 19 digits
+		if r.IntN(2) == 0 {
+			b = append(b, '-')
+		}
+		n := 20 + r.IntN(30)
+		dot := r.IntN(n + 1)
+		b = append(b, byte('1'+r.IntN(9)))
+		for i := 1; i < n; i++ {
+			if i == dot {
+				b = append(b, '.')
+			}
+			d := byte('0' + r.IntN(10))
+			if r.IntN(4) == 0 {
+				d = "09"[r.IntN(2)] // runs of zeros and nines sit near ties
+			}
+			b = append(b, d)
+		}
+		if r.IntN(2) == 0 {
+			b = strconv.AppendInt(append(b, 'e'), int64(r.IntN(700)-350), 10)
+		}
+	case 4: // the smallest normals; 1 in 32 a subnormal or a few ulps of 2^-1074
+		f := math.Float64frombits(1<<52 + r.Uint64N(1<<56))
+		if r.IntN(32) == 0 {
+			// Both sides parse these with strconv's slow path, which
+			// costs 25–35 µs a literal.
+			f = math.Float64frombits(r.Uint64N(1 << 52))
+			if r.IntN(4) == 0 {
+				f = math.Float64frombits(r.Uint64N(16))
+			}
+		}
+		b = strconv.AppendFloat(b, f, 'e', r.IntN(31)-1, 64)
+	case 5: // integers near 0 and the int64 and uint64 boundaries
+		base := [...]uint64{0, 1 << 63, math.MaxUint64, 1 << 53}[r.IntN(4)]
+		v := base + uint64(r.IntN(2001)) - 1000
+		if r.IntN(2) == 0 {
+			b = append(b, '-')
+		}
+		b = strconv.AppendUint(b, v, 10)
+	case 6: // random mantissas of 1–19 digits across the exponent range
+		if r.IntN(2) == 0 {
+			b = append(b, '-')
+		}
+		b = strconv.AppendUint(b, r.Uint64N(uint64(math.Pow10(1+r.IntN(19)))), 10)
+		if r.IntN(3) == 0 {
+			b = strconv.AppendUint(append(b, '.'), r.Uint64N(1000), 10)
+		}
+		b = append(b, "eE"[r.IntN(2)])
+		b = append(b, "+-"[r.IntN(2)])
+		b = strconv.AppendInt(b, int64(r.IntN(720)), 10)
+	case 7: // grammar soup
+		for n := 1 + r.IntN(8); n > 0; n-- {
+			b = append(b, "0123456789-+.eE"[r.IntN(15)])
+		}
+	}
+	if r.IntN(4) == 0 {
+		b = append(b, ",]} \t.eE+-0x"[r.IntN(12)])
+	}
+	return b
+}
+
+func TestDecNumberParity(t *testing.T) {
+	for _, s := range numberEdges {
+		checkNumberParity(t, []byte(s))
+	}
+	r := rand.New(rand.NewPCG(19, 2007))
+	var b []byte
+	for i := 0; i < 1<<20; i++ {
+		b = genNumber(r, b[:0])
+		checkNumberParity(t, b)
+	}
+	// The integer boundaries, against strconv itself.
+	for _, s := range []string{
+		"0", "-0", "9223372036854775807", "9223372036854775808", "-9223372036854775808",
+		"-9223372036854775809", "18446744073709551615", "18446744073709551616",
+	} {
+		i, ok := (&Dec{Data: []byte(s)}).Int()
+		wi, err := strconv.ParseInt(s, 10, 64)
+		if ok != (err == nil) || ok && i != wi {
+			t.Errorf("Int(%s) = %d, %v; strconv.ParseInt: %d, %v", s, i, ok, wi, err)
+		}
+		u, ok := (&Dec{Data: []byte(s)}).Uint()
+		wu, err := strconv.ParseUint(s, 10, 64)
+		if ok != (err == nil) || ok && u != wu {
+			t.Errorf("Uint(%s) = %d, %v; strconv.ParseUint: %d, %v", s, u, ok, wu, err)
+		}
+	}
+}
+
+// FuzzDecNumberParity holds Float, Int and Uint to their oracles on any
+// input, starting from a committed corpus of float64, int64 and uint64
+// boundary literals.
+func FuzzDecNumberParity(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) { checkNumberParity(t, data) })
+}
+
+// TestPow10Table pins entries of the computed table to the published
+// Eisel–Lemire values.
+func TestPow10Table(t *testing.T) {
+	for _, c := range []struct {
+		e      int
+		lo, hi uint64
+	}{
+		{-348, 0x1732C869CD60E453, 0xFA8FD5A0081C0288},
+		{0, 0, 0x8000000000000000},
+		{23, 0, 0xA968163F0A57B400},
+		{347, 0x4B7195F2D2D1A9FB, 0xD13EB46469447567},
+	} {
+		if got := pow10Table()[c.e-pow10Min]; got != [2]uint64{c.lo, c.hi} {
+			t.Errorf("1e%d = {%#x, %#x}, want {%#x, %#x}", c.e, got[0], got[1], c.lo, c.hi)
+		}
+	}
+}
+
+// repairCoords returns 1 024 literals shaped like a repair body's
+// coordinates: r.Float64()*100 rendered as encoding/json does.
+func repairCoords() [][]byte {
+	r := rand.New(rand.NewPCG(1, 1))
+	lits := make([][]byte, 1024)
+	for i := range lits {
+		lits[i], _ = AppendFloat(nil, r.Float64()*100)
+	}
+	return lits
+}
+
+// floatSink keeps the benchmarks' conversions from being optimized away.
+var floatSink float64
+
+// BenchmarkDecFloat reads the 1 024 repairCoords literals per op with
+// the one-pass Float; BenchmarkDecFloatStrconv reads them with the
+// oracle. BENCH_gates.txt holds their ratio from one run.
+func BenchmarkDecFloat(b *testing.B) {
+	lits := repairCoords()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, lit := range lits {
+			d := Dec{Data: lit}
+			f, ok := d.Float()
+			if !ok {
+				b.Fatalf("Float(%s) bailed", lit)
+			}
+			floatSink = f
+		}
+	}
+}
+
+func BenchmarkDecFloatStrconv(b *testing.B) {
+	lits := repairCoords()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, lit := range lits {
+			d := Dec{Data: lit}
+			f, ok := strconvFloat(&d)
+			if !ok {
+				b.Fatalf("strconvFloat(%s) bailed", lit)
+			}
+			floatSink = f
+		}
+	}
 }
