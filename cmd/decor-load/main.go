@@ -19,14 +19,6 @@
 //
 // With assertion flags set, a violated threshold exits non-zero — that
 // is what `make serve-smoke` relies on.
-//
-// -sessions N switches to stateful field-session traffic (see
-// sessions.go): N drivers across -tenants tenants each own one
-// long-lived POST /v1/fields session and stream chaos-scheduled failure
-// events in, delta plans out:
-//
-//	decor-load -url http://127.0.0.1:8080 -sessions 8 -tenants 3 \
-//	    -method centralized -points 2000 -d 10s
 package main
 
 import (
@@ -65,9 +57,6 @@ type config struct {
 	method  string
 	timeout time.Duration
 
-	sessions int
-	tenants  int
-
 	jsonPath  string
 	minRPS    float64
 	maxP99    time.Duration
@@ -94,8 +83,6 @@ func run() int {
 	flag.IntVar(&cfg.scatter, "scatter", 200, "request scatter count")
 	flag.StringVar(&cfg.method, "method", "voronoi-big", "request method")
 	flag.DurationVar(&cfg.timeout, "timeout", 10*time.Second, "per-request HTTP client timeout")
-	flag.IntVar(&cfg.sessions, "sessions", 0, "drive this many stateful field sessions instead of /v1/plan (0 = plan mode)")
-	flag.IntVar(&cfg.tenants, "tenants", 3, "tenants the -sessions drivers are spread across")
 	flag.StringVar(&cfg.jsonPath, "json", "", "write the summary as JSON to this file")
 	flag.Float64Var(&cfg.minRPS, "min-rps", 0, "fail (exit 1) when throughput is below this many plans/s")
 	flag.DurationVar(&cfg.maxP99, "max-p99", 0, "fail (exit 1) when p99 latency exceeds this")
@@ -105,20 +92,7 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "decor-load: -c and -unique must be >= 1, -d > 0")
 		return 1
 	}
-	if cfg.sessions < 0 || (cfg.sessions > 0 && cfg.tenants < 1) {
-		fmt.Fprintln(os.Stderr, "decor-load: -sessions must be >= 0, -tenants >= 1")
-		return 1
-	}
-
-	var (
-		sum *summary
-		err error
-	)
-	if cfg.sessions > 0 {
-		sum, err = measureSessions(cfg)
-	} else {
-		sum, err = measure(cfg)
-	}
+	sum, err := measure(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "decor-load:", err)
 		return 1
@@ -273,14 +247,8 @@ func doOne(client *http.Client, url string, body []byte, rd *bytes.Reader, buf [
 }
 
 // summary is the run's aggregate, also the -json schema.
-// Session mode ("mode": "sessions") reuses the same shape: plans_per_sec
-// then counts delta plans streamed per second, and the cache block stays
-// zero (sessions never touch the plan cache).
 type summary struct {
 	Target      string  `json:"target"`
-	Mode        string  `json:"mode,omitempty"`
-	Sessions    int     `json:"sessions,omitempty"`
-	Tenants     int     `json:"tenants,omitempty"`
 	Method      string  `json:"method"`
 	Concurrency int     `json:"concurrency"`
 	Unique      int     `json:"unique_requests"`
@@ -363,15 +331,9 @@ func summarize(cfg config, samples []sample, elapsed time.Duration) *summary {
 }
 
 func (s *summary) print(w io.Writer) {
-	if s.Mode == "sessions" {
-		fmt.Fprintf(w, "decor-load: %d session events in %.2fs against %s (sessions=%d, tenants=%d, %s)\n",
-			s.Requests, s.DurationS, s.Target, s.Sessions, s.Tenants, s.Method)
-		fmt.Fprintf(w, "  throughput: %.1f deltas/s\n", s.PlansPerSec)
-	} else {
-		fmt.Fprintf(w, "decor-load: %d requests in %.2fs against %s (c=%d, unique=%d, %s)\n",
-			s.Requests, s.DurationS, s.Target, s.Concurrency, s.Unique, s.Method)
-		fmt.Fprintf(w, "  throughput: %.1f plans/s\n", s.PlansPerSec)
-	}
+	fmt.Fprintf(w, "decor-load: %d requests in %.2fs against %s (c=%d, unique=%d, %s)\n",
+		s.Requests, s.DurationS, s.Target, s.Concurrency, s.Unique, s.Method)
+	fmt.Fprintf(w, "  throughput: %.1f plans/s\n", s.PlansPerSec)
 	fmt.Fprintf(w, "  status:     %d 2xx, %d 4xx, %d 5xx, %d transport errors\n",
 		s.Status.OK2xx, s.Status.Client4xx, s.Status.Server5xx, s.Status.Transport)
 	fmt.Fprintf(w, "  cache:      %d hit, %d miss, %d coalesced\n",

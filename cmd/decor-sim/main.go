@@ -74,10 +74,11 @@ func main() {
 
 	// Each method is an independent scenario over its own deployment, so
 	// a list fans out across workers; buffered reports print in list
-	// order, making the output independent of the worker count.
+	// order, making the output independent of the worker count. Jobs
+	// write only to their own result slots.
 	outs := make([]string, len(methods))
 	errs := make([]error, len(methods))
-	forEach(len(methods), *parallel, func(i int) {
+	shard.ForEach(len(methods), *parallel, func(i int) {
 		var b strings.Builder
 		errs[i] = sc.run(&b, methods[i])
 		outs[i] = b.String()
@@ -92,12 +93,6 @@ func main() {
 			os.Exit(2)
 		}
 	}
-}
-
-// forEach runs job(0..n-1) across up to workers goroutines (0 =
-// GOMAXPROCS). Jobs write only to their own result slots.
-func forEach(n, workers int, job func(i int)) {
-	shard.ForEach(n, workers, job)
 }
 
 // scenario is one full deploy/fail/restore run, written to w.

@@ -410,8 +410,8 @@ func runDeploy(sc Scenario, reg *obs.Registry, ck *ckpt, res *snap.Reader) (Verd
 	}
 
 	chk := invariant.New().
-		Add(invariant.AccountingName, invariant.Accounting(eng)).
-		Add(invariant.BudgetName, invariant.Budget(m, sc.Budget))
+		Add(invariant.Accounting(eng)).
+		Add(invariant.Budget(m, sc.Budget))
 
 	seeds := 0
 	if res != nil {
@@ -460,7 +460,7 @@ func runDeploy(sc Scenario, reg *obs.Registry, ck *ckpt, res *snap.Reader) (Verd
 	}
 	// Deployment over: coverage must hold now (the "eventually" is the
 	// run itself).
-	chk.Add(invariant.KCoverageName, invariant.KCoverage(m, actorFor))
+	chk.Add(invariant.KCoverage(m, actorFor))
 	chk.RunAt(eng.Now())
 
 	v := verdict(sc, eng, chk, m.FullyCovered(), h, *lines, fr)
@@ -585,9 +585,9 @@ func runSelfheal(sc Scenario, reg *obs.Registry, ck *ckpt, res *snap.Reader) (Ve
 		})(now)
 	}
 	chk := invariant.New().
-		Add(invariant.AccountingName, invariant.Accounting(eng)).
-		Add(invariant.BudgetName, invariant.Budget(m, sc.Budget)).
-		Add(invariant.KCoverageName, invariant.After(sc.Horizon, liveKCoverage))
+		Add(invariant.Accounting(eng)).
+		Add(invariant.Budget(m, sc.Budget)).
+		Add(invariant.After(sc.Horizon, liveKCoverage))
 	if res != nil {
 		chk.RestoreState(res)
 		if err := res.Close(); err != nil {

@@ -297,16 +297,10 @@ func (m *Map) VisitPointsInBall(c geom.Point, r float64, fn func(i int, p geom.P
 	m.ps.idx.VisitBall(c, r, fn)
 }
 
-// PointsInBall returns the indices of sample points within r of c, sorted
-// ascending for determinism.
-func (m *Map) PointsInBall(c geom.Point, r float64) []int {
-	return m.AppendPointsInBall(nil, c, r)
-}
-
-// AppendPointsInBall is PointsInBall with a caller-supplied buffer:
-// matching indices are appended to dst (sorted ascending among
-// themselves) and the extended slice returned. Reusing the buffer across
-// a round loop makes the query allocation-free.
+// AppendPointsInBall appends the indices of sample points within r of c
+// to dst, sorted ascending among themselves, and returns the extended
+// slice. Reusing the buffer across a round loop makes the query
+// allocation-free.
 func (m *Map) AppendPointsInBall(dst []int, c geom.Point, r float64) []int {
 	n := len(dst)
 	dst = m.ps.idx.AppendBall(dst, c, r)
@@ -501,20 +495,4 @@ func (m *Map) Clone() *Map {
 		sensors:   m.sensors.clone(),
 		maxRs:     m.maxRs,
 	}
-}
-
-// CoverageHistogram returns counts[j] = number of sample points covered by
-// exactly j sensors, for j in [0, max].
-func (m *Map) CoverageHistogram() []int {
-	maxC := 0
-	for _, c := range m.counts {
-		if c > maxC {
-			maxC = c
-		}
-	}
-	hist := make([]int, maxC+1)
-	for _, c := range m.counts {
-		hist[c]++
-	}
-	return hist
 }

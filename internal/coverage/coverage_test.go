@@ -198,18 +198,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestCoverageHistogram(t *testing.T) {
-	field := geom.Square(20)
-	pts := []geom.Point{{X: 5, Y: 5}, {X: 15, Y: 15}}
-	m := New(field, pts, 4, 1)
-	m.AddSensor(1, geom.Pt(5, 5))
-	m.AddSensor(2, geom.Pt(5.2, 5))
-	h := m.CoverageHistogram()
-	if len(h) != 3 || h[0] != 1 || h[1] != 0 || h[2] != 1 {
-		t.Errorf("histogram = %v", h)
-	}
-}
-
 // Property: counts always equal the brute-force recomputation after a
 // random add/remove workload.
 func TestCountsMatchBruteForce(t *testing.T) {

@@ -52,7 +52,7 @@ func TestAppendBallVariantsMatchSorted(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		c := r.PointInRect(m.Field())
 		rad := r.Float64() * 12
-		wantPts := m.PointsInBall(c, rad)
+		wantPts := m.AppendPointsInBall(nil, c, rad)
 		ptBuf = m.AppendPointsInBall(ptBuf[:0], c, rad)
 		if len(ptBuf) != len(wantPts) {
 			t.Fatalf("trial %d: points %d, want %d", trial, len(ptBuf), len(wantPts))
@@ -110,7 +110,7 @@ func TestPointNeighborhoodsMatchPointsInBall(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", nb.Len(), m.NumPoints())
 	}
 	for i := 0; i < m.NumPoints(); i += 17 {
-		want := m.PointsInBall(m.Point(i), 4)
+		want := m.AppendPointsInBall(nil, m.Point(i), 4)
 		got := nb.At(i)
 		if len(got) != len(want) {
 			t.Fatalf("point %d: %d neighbors, want %d", i, len(got), len(want))

@@ -32,7 +32,7 @@ func assertRecount(t *testing.T, m *Map, live map[int]disk) {
 		}
 	}
 	tileDef := make([]int, m.NumTiles())
-	deficient, lowest, hist := 0, -1, []int{0}
+	deficient, lowest := 0, -1
 	for i := range want {
 		for _, s := range live {
 			if s.p.Dist2(m.Point(i)) <= s.r*s.r {
@@ -46,10 +46,6 @@ func assertRecount(t *testing.T, m *Map, live map[int]disk) {
 				lowest = i
 			}
 		}
-		for want[i] >= len(hist) {
-			hist = append(hist, 0)
-		}
-		hist[want[i]]++
 	}
 	if got := m.Counts(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("counts diverge from the recount:\n got %v\nwant %v", got, want)
@@ -67,9 +63,6 @@ func assertRecount(t *testing.T, m *Map, live map[int]disk) {
 	}
 	if unc := m.UncoveredPoints(); len(unc) != deficient || (deficient > 0 && unc[0] != lowest) {
 		t.Fatalf("UncoveredPoints has %d points, want %d from %d", len(unc), deficient, lowest)
-	}
-	if got := m.CoverageHistogram(); !reflect.DeepEqual(got, hist) {
-		t.Fatalf("CoverageHistogram = %v, want %v", got, hist)
 	}
 	if got, want := m.CoverageFrac(k), float64(len(want)-deficient)/float64(len(want)); got != want {
 		t.Fatalf("CoverageFrac(k) = %v, want %v", got, want)

@@ -67,25 +67,6 @@ func NewAccountant(model Model, capacity float64) *Accountant {
 	return &Accountant{model: model, capacity: capacity, spent: map[int]float64{}}
 }
 
-// ChargeTx debits one transmission over distance d.
-func (a *Accountant) ChargeTx(id int, d float64) { a.spent[id] += a.model.TxCost(d) }
-
-// ChargeRx debits one reception.
-func (a *Accountant) ChargeRx(id int) { a.spent[id] += a.model.RxCost() }
-
-// ChargeActive debits dur seconds of awake operation.
-func (a *Accountant) ChargeActive(id int, dur float64) {
-	a.spent[id] += a.model.ActivePerSec * dur
-}
-
-// ChargeSleep debits dur seconds of sleep.
-func (a *Accountant) ChargeSleep(id int, dur float64) {
-	a.spent[id] += a.model.SleepPerSec * dur
-}
-
-// Spent returns the energy node id has consumed.
-func (a *Accountant) Spent(id int) float64 { return a.spent[id] }
-
 // Remaining returns the node's remaining budget (never negative).
 func (a *Accountant) Remaining(id int) float64 {
 	r := a.capacity - a.spent[id]
@@ -97,18 +78,6 @@ func (a *Accountant) Remaining(id int) float64 {
 
 // Depleted reports whether the node has exhausted its budget.
 func (a *Accountant) Depleted(id int) bool { return a.spent[id] >= a.capacity }
-
-// DeadNodes returns all depleted nodes, ascending.
-func (a *Accountant) DeadNodes() []int {
-	var out []int
-	for id := range a.spent {
-		if a.Depleted(id) {
-			out = append(out, id)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
 
 // DeploymentCost estimates the radio energy of a finished deployment
 // run: every protocol message is one broadcast at range rc by its

@@ -22,17 +22,6 @@ func (d Disk) Area() float64 { return math.Pi * d.R * d.R }
 // Contains reports whether p lies in the closed disk.
 func (d Disk) Contains(p Point) bool { return d.Center.Dist2(p) <= d.R*d.R }
 
-// ContainsDisk reports whether the closed disk e lies entirely inside d.
-func (d Disk) ContainsDisk(e Disk) bool {
-	return d.Center.Dist(e.Center)+e.R <= d.R+1e-12
-}
-
-// Intersects reports whether the two closed disks share at least one point.
-func (d Disk) Intersects(e Disk) bool {
-	s := d.R + e.R
-	return d.Center.Dist2(e.Center) <= s*s
-}
-
 // IntersectsRect reports whether the closed disk intersects the rectangle.
 func (d Disk) IntersectsRect(r Rect) bool {
 	return r.DistToPoint(d.Center) <= d.R
@@ -53,24 +42,6 @@ func (d Disk) PointAt(theta float64) Point {
 
 // String implements fmt.Stringer.
 func (d Disk) String() string { return fmt.Sprintf("disk(%s, r=%.3f)", d.Center, d.R) }
-
-// LensArea returns the area of the intersection of two disks.
-func LensArea(a, b Disk) float64 {
-	d := a.Center.Dist(b.Center)
-	if d >= a.R+b.R {
-		return 0
-	}
-	if d <= math.Abs(a.R-b.R) {
-		r := math.Min(a.R, b.R)
-		return math.Pi * r * r
-	}
-	// Standard circular-lens formula.
-	r1, r2 := a.R, b.R
-	d2 := d * d
-	alpha := math.Acos(clamp((d2+r1*r1-r2*r2)/(2*d*r1), -1, 1))
-	beta := math.Acos(clamp((d2+r2*r2-r1*r1)/(2*d*r2), -1, 1))
-	return r1*r1*(alpha-math.Sin(2*alpha)/2) + r2*r2*(beta-math.Sin(2*beta)/2)
-}
 
 // IntersectionArea returns the exact area of d ∩ r. It is used to convert
 // the point-sampled coverage fraction into an analytic one (tests validate

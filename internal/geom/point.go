@@ -36,9 +36,6 @@ func (p Point) Dot(q Point) float64 { return p.X*q.X + p.Y*q.Y }
 // Cross returns the z-component of the cross product p×q.
 func (p Point) Cross(q Point) float64 { return p.X*q.Y - p.Y*q.X }
 
-// Norm returns the Euclidean length of p viewed as a vector.
-func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
-
 // Norm2 returns the squared Euclidean length of p viewed as a vector.
 func (p Point) Norm2() float64 { return p.X*p.X + p.Y*p.Y }
 
@@ -60,28 +57,8 @@ func (p Point) Lerp(q Point, t float64) Point {
 // Eq reports whether p and q are exactly equal.
 func (p Point) Eq(q Point) bool { return p.X == q.X && p.Y == q.Y }
 
-// AlmostEq reports whether p and q are within eps of each other in both
-// coordinates.
-func (p Point) AlmostEq(q Point, eps float64) bool {
-	return math.Abs(p.X-q.X) <= eps && math.Abs(p.Y-q.Y) <= eps
-}
-
 // String implements fmt.Stringer.
 func (p Point) String() string { return fmt.Sprintf("(%.3f, %.3f)", p.X, p.Y) }
 
 // Midpoint returns the midpoint of p and q.
 func Midpoint(p, q Point) Point { return Point{(p.X + q.X) / 2, (p.Y + q.Y) / 2} }
-
-// Centroid returns the arithmetic mean of pts; the zero Point if pts is
-// empty.
-func Centroid(pts []Point) Point {
-	if len(pts) == 0 {
-		return Point{}
-	}
-	var c Point
-	for _, p := range pts {
-		c.X += p.X
-		c.Y += p.Y
-	}
-	return Point{c.X / float64(len(pts)), c.Y / float64(len(pts))}
-}

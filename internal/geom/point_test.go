@@ -8,6 +8,12 @@ import (
 
 func almostEq(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 
+// near reports whether p and q are within eps of each other in both
+// coordinates.
+func near(p, q Point, eps float64) bool {
+	return almostEq(p.X, q.X, eps) && almostEq(p.Y, q.Y, eps)
+}
+
 func TestPointArithmetic(t *testing.T) {
 	p := Pt(1, 2)
 	q := Pt(4, 6)
@@ -66,34 +72,5 @@ func TestLerpEndpoints(t *testing.T) {
 	}
 	if got := p.Lerp(q, 0.5); !got.Eq(Midpoint(p, q)) {
 		t.Errorf("Lerp(0.5) = %v, want midpoint", got)
-	}
-}
-
-func TestCentroid(t *testing.T) {
-	if got := Centroid(nil); !got.Eq(Pt(0, 0)) {
-		t.Errorf("Centroid(nil) = %v", got)
-	}
-	pts := []Point{{0, 0}, {2, 0}, {2, 2}, {0, 2}}
-	if got := Centroid(pts); !got.Eq(Pt(1, 1)) {
-		t.Errorf("Centroid = %v, want (1,1)", got)
-	}
-}
-
-func TestAlmostEq(t *testing.T) {
-	if !Pt(1, 1).AlmostEq(Pt(1+1e-10, 1-1e-10), 1e-9) {
-		t.Error("AlmostEq too strict")
-	}
-	if Pt(1, 1).AlmostEq(Pt(1.1, 1), 1e-9) {
-		t.Error("AlmostEq too lax")
-	}
-}
-
-func TestNorm(t *testing.T) {
-	p := Pt(3, 4)
-	if p.Norm() != 5 {
-		t.Errorf("Norm = %v, want 5", p.Norm())
-	}
-	if p.Norm2() != 25 {
-		t.Errorf("Norm2 = %v, want 25", p.Norm2())
 	}
 }

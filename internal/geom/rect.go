@@ -12,15 +12,6 @@ type Rect struct {
 	Min, Max Point
 }
 
-// NewRect returns the rectangle spanning the two corner points in any
-// order.
-func NewRect(a, b Point) Rect {
-	return Rect{
-		Min: Point{math.Min(a.X, b.X), math.Min(a.Y, b.Y)},
-		Max: Point{math.Max(a.X, b.X), math.Max(a.Y, b.Y)},
-	}
-}
-
 // RectWH returns the rectangle with lower-left corner (x, y), width w and
 // height h.
 func RectWH(x, y, w, h float64) Rect {
@@ -52,13 +43,6 @@ func (r Rect) Contains(p Point) bool {
 	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
 }
 
-// ContainsHalfOpen reports whether p lies in the half-open rectangle
-// [Min.X, Max.X) × [Min.Y, Max.Y). Used by grid partitioning so each point
-// belongs to exactly one cell.
-func (r Rect) ContainsHalfOpen(p Point) bool {
-	return p.X >= r.Min.X && p.X < r.Max.X && p.Y >= r.Min.Y && p.Y < r.Max.Y
-}
-
 // Intersect returns the intersection of r and s, which may be empty.
 func (r Rect) Intersect(s Rect) Rect {
 	out := Rect{
@@ -69,20 +53,6 @@ func (r Rect) Intersect(s Rect) Rect {
 		return Rect{}
 	}
 	return out
-}
-
-// Union returns the smallest rectangle containing both r and s.
-func (r Rect) Union(s Rect) Rect {
-	if r.Empty() {
-		return s
-	}
-	if s.Empty() {
-		return r
-	}
-	return Rect{
-		Min: Point{math.Min(r.Min.X, s.Min.X), math.Min(r.Min.Y, s.Min.Y)},
-		Max: Point{math.Max(r.Max.X, s.Max.X), math.Max(r.Max.Y, s.Max.Y)},
-	}
 }
 
 // Inset shrinks r by d on every side; a negative d grows it.

@@ -6,13 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestNewRectNormalizes(t *testing.T) {
-	r := NewRect(Pt(5, 1), Pt(2, 7))
-	if !r.Min.Eq(Pt(2, 1)) || !r.Max.Eq(Pt(5, 7)) {
-		t.Errorf("NewRect = %v", r)
-	}
-}
-
 func TestRectBasics(t *testing.T) {
 	r := RectWH(1, 2, 3, 4)
 	if r.W() != 3 || r.H() != 4 || r.Area() != 12 {
@@ -32,28 +25,24 @@ func TestRectBasics(t *testing.T) {
 func TestRectContains(t *testing.T) {
 	r := Square(10)
 	cases := []struct {
-		p    Point
-		in   bool
-		half bool
+		p  Point
+		in bool
 	}{
-		{Pt(5, 5), true, true},
-		{Pt(0, 0), true, true},
-		{Pt(10, 10), true, false}, // on Max edge: closed yes, half-open no
-		{Pt(10, 5), true, false},
-		{Pt(-0.001, 5), false, false},
-		{Pt(5, 10.001), false, false},
+		{Pt(5, 5), true},
+		{Pt(0, 0), true},
+		{Pt(10, 10), true}, // on the Max edge: closed
+		{Pt(10, 5), true},
+		{Pt(-0.001, 5), false},
+		{Pt(5, 10.001), false},
 	}
 	for _, c := range cases {
 		if got := r.Contains(c.p); got != c.in {
 			t.Errorf("Contains(%v) = %v, want %v", c.p, got, c.in)
 		}
-		if got := r.ContainsHalfOpen(c.p); got != c.half {
-			t.Errorf("ContainsHalfOpen(%v) = %v, want %v", c.p, got, c.half)
-		}
 	}
 }
 
-func TestRectIntersectUnion(t *testing.T) {
+func TestRectIntersect(t *testing.T) {
 	a := RectWH(0, 0, 4, 4)
 	b := RectWH(2, 2, 4, 4)
 	got := a.Intersect(b)
@@ -62,13 +51,6 @@ func TestRectIntersectUnion(t *testing.T) {
 	}
 	if !a.Intersect(RectWH(10, 10, 1, 1)).Empty() {
 		t.Error("disjoint rects should intersect to empty")
-	}
-	u := a.Union(b)
-	if !u.Min.Eq(Pt(0, 0)) || !u.Max.Eq(Pt(6, 6)) {
-		t.Errorf("Union = %v", u)
-	}
-	if !a.Union(Rect{}).Min.Eq(a.Min) {
-		t.Error("union with empty should be identity")
 	}
 }
 
@@ -115,15 +97,13 @@ func TestRectCorners(t *testing.T) {
 	}
 }
 
-// Property: Intersect result is contained in both operands; Union contains
-// both.
-func TestRectIntersectUnionProperties(t *testing.T) {
+// Property: Intersect result is contained in both operands.
+func TestRectIntersectProperties(t *testing.T) {
 	f := func(ax, ay, aw, ah, bx, by, bw, bh float64) bool {
 		norm := func(v float64) float64 { return math.Mod(math.Abs(v), 100) }
 		a := RectWH(norm(ax), norm(ay), norm(aw), norm(ah))
 		b := RectWH(norm(bx), norm(by), norm(bw), norm(bh))
 		in := a.Intersect(b)
-		u := a.Union(b)
 		if !in.Empty() {
 			if in.Area() > a.Area()+1e-9 || in.Area() > b.Area()+1e-9 {
 				return false
@@ -132,7 +112,7 @@ func TestRectIntersectUnionProperties(t *testing.T) {
 				return false
 			}
 		}
-		return u.Area() >= a.Area()-1e-9 && u.Area() >= b.Area()-1e-9
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

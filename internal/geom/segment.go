@@ -10,9 +10,6 @@ type Segment struct {
 // Len returns the length of s.
 func (s Segment) Len() float64 { return s.A.Dist(s.B) }
 
-// Midpoint returns the midpoint of s.
-func (s Segment) Midpoint() Point { return Midpoint(s.A, s.B) }
-
 // ClosestPoint returns the point on s closest to p.
 func (s Segment) ClosestPoint(p Point) Point {
 	ab := s.B.Sub(s.A)
@@ -27,12 +24,6 @@ func (s Segment) ClosestPoint(p Point) Point {
 // DistToPoint returns the distance from p to the segment.
 func (s Segment) DistToPoint(p Point) float64 {
 	return p.Dist(s.ClosestPoint(p))
-}
-
-// IntersectsDisk reports whether any point of the segment lies in the
-// closed disk d.
-func (s Segment) IntersectsDisk(d Disk) bool {
-	return s.DistToPoint(d.Center) <= d.R
 }
 
 // Intersect returns the intersection point of segments s and t and whether
@@ -52,110 +43,4 @@ func (s Segment) Intersect(t Segment) (Point, bool) {
 		return Point{}, false
 	}
 	return s.A.Add(r.Scale(u)), true
-}
-
-// ConvexHull returns the convex hull of pts in counter-clockwise order
-// using Andrew's monotone chain. The input slice is not modified. Returns
-// nil for fewer than 1 point; collinear interior points are dropped.
-func ConvexHull(pts []Point) []Point {
-	n := len(pts)
-	if n == 0 {
-		return nil
-	}
-	sorted := make([]Point, n)
-	copy(sorted, pts)
-	// Sort by X then Y (insertion into sorted order; n is small in all
-	// callers, but use an O(n log n) sort for safety).
-	sortPoints(sorted)
-	// Dedupe.
-	uniq := sorted[:1]
-	for _, p := range sorted[1:] {
-		if !p.Eq(uniq[len(uniq)-1]) {
-			uniq = append(uniq, p)
-		}
-	}
-	sorted = uniq
-	n = len(sorted)
-	if n < 3 {
-		out := make([]Point, n)
-		copy(out, sorted)
-		return out
-	}
-	hull := make([]Point, 0, 2*n)
-	// Lower hull.
-	for _, p := range sorted {
-		for len(hull) >= 2 && cross3(hull[len(hull)-2], hull[len(hull)-1], p) <= 0 {
-			hull = hull[:len(hull)-1]
-		}
-		hull = append(hull, p)
-	}
-	// Upper hull.
-	lower := len(hull) + 1
-	for i := n - 2; i >= 0; i-- {
-		p := sorted[i]
-		for len(hull) >= lower && cross3(hull[len(hull)-2], hull[len(hull)-1], p) <= 0 {
-			hull = hull[:len(hull)-1]
-		}
-		hull = append(hull, p)
-	}
-	return hull[:len(hull)-1]
-}
-
-// PolygonArea returns the (positive) area of the simple polygon given by
-// its vertices in order.
-func PolygonArea(poly []Point) float64 {
-	if len(poly) < 3 {
-		return 0
-	}
-	sum := 0.0
-	for i, p := range poly {
-		q := poly[(i+1)%len(poly)]
-		sum += p.Cross(q)
-	}
-	return math.Abs(sum) / 2
-}
-
-func cross3(o, a, b Point) float64 {
-	return a.Sub(o).Cross(b.Sub(o))
-}
-
-// sortPoints sorts by X, breaking ties by Y (simple in-place quicksort via
-// stdlib-free insertion for tiny n would be slow for big n, so implement a
-// small recursive sort).
-func sortPoints(pts []Point) {
-	if len(pts) < 2 {
-		return
-	}
-	if len(pts) < 16 {
-		for i := 1; i < len(pts); i++ {
-			for j := i; j > 0 && pointLess(pts[j], pts[j-1]); j-- {
-				pts[j], pts[j-1] = pts[j-1], pts[j]
-			}
-		}
-		return
-	}
-	pivot := pts[len(pts)/2]
-	lt, i, gt := 0, 0, len(pts)
-	for i < gt {
-		switch {
-		case pointLess(pts[i], pivot):
-			pts[i], pts[lt] = pts[lt], pts[i]
-			lt++
-			i++
-		case pointLess(pivot, pts[i]):
-			gt--
-			pts[i], pts[gt] = pts[gt], pts[i]
-		default:
-			i++
-		}
-	}
-	sortPoints(pts[:lt])
-	sortPoints(pts[gt:])
-}
-
-func pointLess(a, b Point) bool {
-	if a.X != b.X {
-		return a.X < b.X
-	}
-	return a.Y < b.Y
 }

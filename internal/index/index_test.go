@@ -379,7 +379,11 @@ func TestRectMatchesBruteForce(t *testing.T) {
 	pts := randomPoints(400, bounds, 54)
 	g := NewGrid(bounds, 4, pts)
 	for trial := 0; trial < 100; trial++ {
-		q := geom.NewRect(r.PointInRect(bounds), r.PointInRect(bounds))
+		a, b := r.PointInRect(bounds), r.PointInRect(bounds)
+		q := geom.Rect{
+			Min: geom.Pt(math.Min(a.X, b.X), math.Min(a.Y, b.Y)),
+			Max: geom.Pt(math.Max(a.X, b.X), math.Max(a.Y, b.Y)),
+		}
 		got := g.Rect(q)
 		sort.Ints(got)
 		var want []int

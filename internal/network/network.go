@@ -63,16 +63,6 @@ func (n *Network) Fail(id int) bool {
 	return true
 }
 
-// Revive marks a failed node alive again (e.g. after repair).
-func (n *Network) Revive(id int) bool {
-	nd, ok := n.nodes[id]
-	if !ok || nd.Alive {
-		return false
-	}
-	nd.Alive = true
-	return true
-}
-
 // Remove deletes a node entirely.
 func (n *Network) Remove(id int) bool {
 	if _, ok := n.nodes[id]; !ok {
@@ -193,27 +183,6 @@ func (n *Network) IsConnected() bool {
 	return len(n.ConnectedComponents()) <= 1
 }
 
-// DegreeStats returns the minimum, maximum and mean alive-neighbor degree.
-func (n *Network) DegreeStats() (min, max int, mean float64) {
-	_, adj := n.adjacency()
-	if len(adj) == 0 {
-		return 0, 0, 0
-	}
-	min = len(adj[0])
-	total := 0
-	for _, a := range adj {
-		d := len(a)
-		if d < min {
-			min = d
-		}
-		if d > max {
-			max = d
-		}
-		total += d
-	}
-	return min, max, float64(total) / float64(len(adj))
-}
-
 // VertexConnectivity returns the vertex connectivity of the alive-node
 // graph: the minimum number of node removals that disconnect it. By
 // convention a graph with fewer than 2 nodes has connectivity 0, and the
@@ -270,15 +239,6 @@ func (n *Network) VertexConnectivity() int {
 		}
 	}
 	return best
-}
-
-// KConnected reports whether the alive graph is at least k-vertex-
-// connected.
-func (n *Network) KConnected(k int) bool {
-	if k <= 0 {
-		return true
-	}
-	return n.VertexConnectivity() >= k
 }
 
 // maxFlowSplit computes max flow from s to t in the node-split digraph of

@@ -4,50 +4,7 @@ package network
 // rc = 10·√2 precisely so that adjacent grid-cell leaders are always
 // 1-hop neighbors and "the grid-based approach [can] function without
 // the need of any routing mechanism". With smaller radii, inter-leader
-// messages must be relayed; HopDistance quantifies by how much.
-
-// HopDistance returns the minimum number of communication hops between
-// two alive nodes (0 for a==b, 1 for direct neighbors), or -1 when no
-// path exists.
-func (n *Network) HopDistance(a, b int) int {
-	if a == b {
-		na := n.nodes[a]
-		if na == nil || !na.Alive {
-			return -1
-		}
-		return 0
-	}
-	ids, adj := n.adjacency()
-	idx := make(map[int]int, len(ids))
-	for i, id := range ids {
-		idx[id] = i
-	}
-	src, okA := idx[a]
-	dst, okB := idx[b]
-	if !okA || !okB {
-		return -1
-	}
-	dist := make([]int, len(ids))
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := []int{src}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		if v == dst {
-			return dist[v]
-		}
-		for _, w := range adj[v] {
-			if dist[w] < 0 {
-				dist[w] = dist[v] + 1
-				queue = append(queue, w)
-			}
-		}
-	}
-	return -1
-}
+// messages must be relayed; AverageHopDistance quantifies by how much.
 
 // AverageHopDistance returns the mean hop distance over the given node
 // pairs, ignoring unreachable pairs; reachable reports how many pairs
@@ -99,33 +56,4 @@ func (n *Network) AverageHopDistance(pairs [][2]int) (mean float64, reachable in
 		return 0, 0
 	}
 	return float64(total) / float64(reachable), reachable
-}
-
-// Diameter returns the maximum finite hop distance between any two alive
-// nodes (0 for fewer than 2 alive nodes). It runs one BFS per node.
-func (n *Network) Diameter() int {
-	ids, adj := n.adjacency()
-	best := 0
-	for src := range ids {
-		dist := make([]int, len(ids))
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[src] = 0
-		queue := []int{src}
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for _, w := range adj[v] {
-				if dist[w] < 0 {
-					dist[w] = dist[v] + 1
-					if dist[w] > best {
-						best = dist[w]
-					}
-					queue = append(queue, w)
-				}
-			}
-		}
-	}
-	return best
 }

@@ -6,6 +6,16 @@ import (
 	"decor/internal/geom"
 )
 
+// hops is the hop distance from a to b as AverageHopDistance measures it
+// for the single pair, or -1 when b is unreachable from a.
+func hops(net *Network, a, b int) int {
+	mean, reachable := net.AverageHopDistance([][2]int{{a, b}})
+	if reachable == 0 {
+		return -1
+	}
+	return int(mean)
+}
+
 func TestHopDistanceChain(t *testing.T) {
 	net := lineNetwork(5, 3, 3.5) // 0-1-2-3-4
 	cases := []struct {
@@ -14,8 +24,8 @@ func TestHopDistanceChain(t *testing.T) {
 		{0, 0, 0}, {0, 1, 1}, {0, 4, 4}, {2, 4, 2}, {4, 0, 4},
 	}
 	for _, c := range cases {
-		if got := net.HopDistance(c.a, c.b); got != c.want {
-			t.Errorf("HopDistance(%d,%d) = %d, want %d", c.a, c.b, got, c.want)
+		if got := hops(net, c.a, c.b); got != c.want {
+			t.Errorf("hops(%d,%d) = %d, want %d", c.a, c.b, got, c.want)
 		}
 	}
 }
@@ -23,13 +33,13 @@ func TestHopDistanceChain(t *testing.T) {
 func TestHopDistanceUnreachable(t *testing.T) {
 	net := lineNetwork(4, 3, 3.5)
 	net.Fail(1) // isolate node 0
-	if got := net.HopDistance(0, 3); got != -1 {
+	if got := hops(net, 0, 3); got != -1 {
 		t.Errorf("unreachable = %d, want -1", got)
 	}
-	if got := net.HopDistance(0, 99); got != -1 {
+	if got := hops(net, 0, 99); got != -1 {
 		t.Errorf("unknown target = %d, want -1", got)
 	}
-	if got := net.HopDistance(1, 1); got != -1 {
+	if got := hops(net, 1, 1); got != -1 {
 		t.Errorf("dead self = %d, want -1", got)
 	}
 }
@@ -50,24 +60,6 @@ func TestAverageHopDistance(t *testing.T) {
 	}
 }
 
-func TestDiameter(t *testing.T) {
-	net := lineNetwork(6, 3, 3.5)
-	if got := net.Diameter(); got != 5 {
-		t.Errorf("chain diameter = %d, want 5", got)
-	}
-	// Fully connected cluster: diameter 1.
-	dense := New(geom.Square(10))
-	for i := 0; i < 4; i++ {
-		dense.Add(i, geom.Pt(float64(i), 0), 1, 20)
-	}
-	if got := dense.Diameter(); got != 1 {
-		t.Errorf("clique diameter = %d, want 1", got)
-	}
-	if got := New(geom.Square(10)).Diameter(); got != 0 {
-		t.Errorf("empty diameter = %d", got)
-	}
-}
-
 // The paper's claim behind rc = 10*sqrt(2): adjacent 5x5-cell leaders at
 // that radius are always direct neighbors, while rc = 8 can require
 // relaying.
@@ -80,7 +72,7 @@ func TestLeaderHopClaim(t *testing.T) {
 	big := New(geom.Square(100))
 	big.Add(1, a, 4, 14.142135623730951)
 	big.Add(2, b, 4, 14.142135623730951)
-	if got := big.HopDistance(1, 2); got != 1 {
+	if got := hops(big, 1, 2); got != 1 {
 		t.Errorf("big rc: hops = %d, want 1 (no routing needed)", got)
 	}
 
@@ -88,7 +80,7 @@ func TestLeaderHopClaim(t *testing.T) {
 	small.Add(1, a, 4, 8)
 	small.Add(2, b, 4, 8)
 	small.Add(3, geom.Pt(5, 5), 4, 8) // relay
-	if got := small.HopDistance(1, 2); got != 2 {
+	if got := hops(small, 1, 2); got != 2 {
 		t.Errorf("small rc: hops = %d, want 2 (relayed)", got)
 	}
 }

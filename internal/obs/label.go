@@ -129,15 +129,3 @@ func escapeLabelValue(sb *strings.Builder, v string) {
 func (r *Registry) CounterL(name string, ls LabelSet) *Counter {
 	return r.getCounter(sanitizeName(name) + ls.expo)
 }
-
-// GaugeL returns the gauge for name with the given labels.
-func (r *Registry) GaugeL(name string, ls LabelSet) *Gauge {
-	return r.getGauge(sanitizeName(name) + ls.expo)
-}
-
-// HistogramL returns the histogram for name with the given labels,
-// creating it with the bounds on first use (mismatched bounds on an
-// existing series count under ObsHistBoundsConflicts, like Histogram).
-func (r *Registry) HistogramL(name string, ls LabelSet, upperBounds []float64) *Histogram {
-	return r.getHistogram(sanitizeName(name)+ls.expo, upperBounds)
-}

@@ -17,12 +17,6 @@ func (r *Registry) StartSpan(name string) Span {
 	return Span{h: r.Histogram(name, DefLatencyBuckets), start: time.Now()}
 }
 
-// Span begins timing directly against this histogram, skipping the
-// registry name lookup — for hot loops that cache the handle.
-func (h *Histogram) Span() Span {
-	return Span{h: h, start: time.Now()}
-}
-
 // End stops the span, records its duration, and returns it. End on a
 // zero Span is a no-op.
 func (s Span) End() time.Duration {

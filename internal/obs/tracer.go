@@ -198,15 +198,6 @@ func WithSpanContext(dst, src context.Context) context.Context {
 	return dst
 }
 
-// ContextTrace returns the trace ID carried by ctx, if any.
-func ContextTrace(ctx context.Context) (TraceID, bool) {
-	if ctx == nil {
-		return 0, false
-	}
-	sc, ok := ctx.Value(ctxKey{}).(spanCtx)
-	return sc.trace, ok
-}
-
 // StartTrace opens a new trace rooted at a span with the given name and
 // returns a context carrying it. On a nil tracer it returns ctx and a
 // no-op span.

@@ -13,7 +13,7 @@ import (
 func TestStartTraceAndChildSpans(t *testing.T) {
 	tr := NewTracer(256)
 	ctx, root := tr.StartTrace(context.Background(), "request")
-	id, ok := ContextTrace(ctx)
+	id, ok := contextTrace(ctx)
 	if !ok || id == 0 {
 		t.Fatal("context does not carry the trace")
 	}
@@ -62,7 +62,7 @@ func TestStartSpanCtxWithoutTraceIsNoop(t *testing.T) {
 	if sp.End() != 0 { // nil-safe
 		t.Fatal("nil span End should return 0")
 	}
-	if _, ok := ContextTrace(ctx); ok {
+	if _, ok := contextTrace(ctx); ok {
 		t.Fatal("no-op must not invent a trace")
 	}
 	var nilTr *Tracer
@@ -77,7 +77,7 @@ func TestWithSpanContextTransplants(t *testing.T) {
 	src, root := tr.StartTrace(context.Background(), "req")
 	defer root.End()
 	dst := WithSpanContext(context.Background(), src)
-	id, ok := ContextTrace(dst)
+	id, ok := contextTrace(dst)
 	if !ok || id != root.TraceID() {
 		t.Fatalf("transplanted trace = %v/%v, want %v", id, ok, root.TraceID())
 	}
@@ -202,4 +202,10 @@ func TestParseTraceID(t *testing.T) {
 	if _, err := ParseTraceID("zz"); err == nil {
 		t.Fatal("want error on bad hex")
 	}
+}
+
+// contextTrace returns the trace ID carried by ctx, if any.
+func contextTrace(ctx context.Context) (TraceID, bool) {
+	sc, ok := ctx.Value(ctxKey{}).(spanCtx)
+	return sc.trace, ok
 }

@@ -43,9 +43,6 @@ func NewGrid(field geom.Rect, cellSize float64) *Grid {
 // Cols returns the number of cell columns.
 func (g *Grid) Cols() int { return g.cols }
 
-// Rows returns the number of cell rows.
-func (g *Grid) Rows() int { return g.rows }
-
 // NumCells returns the total number of cells.
 func (g *Grid) NumCells() int { return g.cols * g.rows }
 
@@ -115,12 +112,4 @@ func (g *Grid) AssignPoints(pts []geom.Point) [][]int {
 		cells[c] = append(cells[c], i)
 	}
 	return cells
-}
-
-// MaxLeaderDistance returns the maximum possible distance between leaders
-// of adjacent (Moore) cells: 2·cellSize·√2. The paper derives the "big"
-// Voronoi communication radius rc = 10√2 from this quantity for 5×5
-// cells.
-func (g *Grid) MaxLeaderDistance() float64 {
-	return 2 * g.cellSize * 1.4142135623730951
 }

@@ -53,11 +53,10 @@ func TestChaosTraceByteIdentical(t *testing.T) {
 		m := coverage.New(field, pts, 4, 2)
 		eng := sim.NewEngine(0.05)
 		var b strings.Builder
-		eng.SetTrace(func(tm sim.Time, s string) {
+		eng.SetTraceLine(func(line []byte) {
 			// Full precision: any divergence in event times shows up.
-			b.WriteString(s)
-			b.WriteByte(' ')
-			json.NewEncoder(&b).Encode(tm)
+			b.Write(line)
+			json.NewEncoder(&b).Encode(eng.Now())
 		})
 		eng.SetLossRate(0.15, 99)
 		eng.SetFaults(sim.FaultPlan{

@@ -113,9 +113,6 @@ func (w *World) Seed() bool {
 	return true
 }
 
-// Leaders returns the spawned leaders indexed by cell.
-func (w *World) Leaders() map[int]*CellLeader { return w.leaders }
-
 func (w *World) spawnLeader(cell int) *CellLeader {
 	l := &CellLeader{world: w, cell: cell}
 	w.leaders[cell] = l

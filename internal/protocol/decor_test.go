@@ -73,7 +73,7 @@ func TestLeaderBeliefConvergesToTruth(t *testing.T) {
 	w := eventWorld(t, 2, 50, 3)
 	RunDeployment(w)
 	w.Eng.Run(sim.Inf) // drain any in-flight notifications
-	for cell, l := range w.Leaders() {
+	for cell, l := range w.leaders {
 		for _, i := range l.pts {
 			truth := w.M.Count(i)
 			if l.counts[i] > truth {

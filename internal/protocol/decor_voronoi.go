@@ -60,9 +60,6 @@ func (w *VoronoiWorld) Start() {
 	}
 }
 
-// Nodes returns the live actor table by sensor ID.
-func (w *VoronoiWorld) Nodes() map[int]*VoronoiNode { return w.nodes }
-
 func (w *VoronoiWorld) spawnNode(id int) *VoronoiNode {
 	n := &VoronoiNode{world: w, id: id}
 	w.nodes[id] = n

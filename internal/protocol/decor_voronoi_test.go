@@ -67,7 +67,7 @@ func TestVoronoiNodesRetire(t *testing.T) {
 	w.Eng.Run(sim.Inf)
 	// After full coverage and drain, every node must either be done or
 	// have no believed deficits left.
-	for id, n := range w.Nodes() {
+	for id, n := range w.nodes {
 		if len(n.ownedDeficient()) != 0 {
 			t.Errorf("node %d still believes deficits exist", id)
 		}
@@ -78,7 +78,7 @@ func TestVoronoiBeliefUnderTruth(t *testing.T) {
 	w := voronoiWorld(t, 2, 50, 5)
 	RunVoronoiDeployment(w)
 	// Belief counts must never exceed ground truth.
-	for _, n := range w.Nodes() {
+	for _, n := range w.nodes {
 		for i := 0; i < w.M.NumPoints(); i++ {
 			p := w.M.Point(i)
 			if n.pos.Dist2(p) > w.Rc*w.Rc {

@@ -98,8 +98,8 @@ func TestPoolPoisonCatchesAliasing(t *testing.T) {
 			if i == j {
 				continue
 			}
-			cp, _ := clean[i].PeerPos(j)
-			pp, ok := poisoned[i].PeerPos(j)
+			cp, _ := peerPos(clean[i], j)
+			pp, ok := peerPos(poisoned[i], j)
 			if !ok || cp != pp {
 				t.Errorf("node %d position for %d diverged under poisoning: %v vs %v", i, j, cp, pp)
 			}

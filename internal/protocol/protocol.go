@@ -95,8 +95,6 @@ type Node struct {
 	// DetectedAt records when each failed neighbor was declared dead —
 	// the observable failure-detection latency.
 	DetectedAt map[int]sim.Time
-	// Placements records every placement notification received.
-	Placements []PlacementPayload
 
 	// lastLeader is the previous Leader() verdict, to count rotations
 	// (-1 until the first query).
@@ -210,20 +208,7 @@ func (n *Node) OnMessage(ctx *sim.Context, msg sim.Message) {
 			p.suspected = false
 			delete(n.DetectedAt, msg.From)
 		}
-	case MsgPlacement:
-		if pl, ok := msg.Payload.(PlacementPayload); ok {
-			n.Placements = append(n.Placements, pl)
-			obsPlacementsIn.Inc()
-		}
 	}
-}
-
-// AnnouncePlacement broadcasts a placement notification to all current
-// 1-hop neighbors (the message the core model's Fig. 10 accounting
-// counts).
-func (n *Node) AnnouncePlacement(ctx *sim.Context, pl PlacementPayload) {
-	n.broadcast(ctx, MsgPlacement, pl)
-	obsPlacementsOut.Inc()
 }
 
 // ID returns the node's sensor ID.
@@ -286,27 +271,9 @@ func (n *Node) electLeader(now sim.Time) int {
 	return members[epoch%len(members)]
 }
 
-// PeerPos returns the last position heard from peer.
-func (n *Node) PeerPos(peer int) (geom.Point, bool) {
-	i := sort.Search(len(n.peers), func(i int) bool { return n.peers[i].id >= peer })
-	if i < len(n.peers) && n.peers[i].id == peer {
-		return n.peers[i].pos, true
-	}
-	return geom.Point{}, false
-}
-
 func (n *Node) pos() geom.Point {
 	if nd := n.net.Node(n.id); nd != nil {
 		return nd.Pos
 	}
 	return geom.Point{}
-}
-
-// broadcast sends payload (boxed once, at the call) to every current
-// 1-hop neighbor, reusing the node's neighbor scratch buffer.
-func (n *Node) broadcast(ctx *sim.Context, kind string, payload any) {
-	n.nbScratch = n.net.NeighborsInto(n.id, n.nbScratch)
-	for _, peer := range n.nbScratch {
-		ctx.Send(peer, kind, payload)
-	}
 }

@@ -1,11 +1,14 @@
 package protocol
 
 import (
+	"sort"
+	"strings"
 	"testing"
 
 	"decor/internal/geom"
 	"decor/internal/network"
 	"decor/internal/sim"
+	"decor/internal/snap"
 )
 
 // buildCluster wires n sensors in mutual range into an engine.
@@ -48,7 +51,7 @@ func TestHeartbeatsPropagatePositions(t *testing.T) {
 			if i == j {
 				continue
 			}
-			p, ok := nd.PeerPos(j)
+			p, ok := peerPos(nd, j)
 			if !ok {
 				t.Fatalf("node %d never heard node %d", i, j)
 			}
@@ -142,44 +145,20 @@ func TestLeaderReelectionAfterFailure(t *testing.T) {
 	}
 }
 
-func TestPlacementNotification(t *testing.T) {
-	eng, _, nodes := buildCluster(3, Config{Tc: 1, TimeoutMult: 3, Cell: -1})
-	eng.Run(2)
-	// Node 0 announces a placement; both neighbors must hear exactly one.
-	// Inject via a timer-less direct call using a context from a custom
-	// actor is awkward; instead reuse OnMessage path: announce from
-	// OnTimer by wrapping. Simpler: drive via the engine by registering
-	// an auxiliary actor that triggers the announcement.
-	aux := &announcer{node: nodes[0], pl: PlacementPayload{NewID: 42, Pos: geom.Pt(1, 2)}}
-	eng.Register(100, aux)
-	eng.Run(10)
-	for _, i := range []int{1, 2} {
-		if len(nodes[i].Placements) != 1 {
-			t.Fatalf("node %d received %d placements", i, len(nodes[i].Placements))
-		}
-		got := nodes[i].Placements[0]
-		if got.NewID != 42 || !got.Pos.Eq(geom.Pt(1, 2)) {
-			t.Errorf("node %d placement = %+v", i, got)
-		}
+// Heartbeat payloads have no snapshot codec: no checkpointed world
+// sends them, so an engine whose queue holds one refuses to encode
+// rather than writing a snapshot it could not restore.
+func TestEncodeStateRefusesHeartbeatQueue(t *testing.T) {
+	eng, _, _ := buildCluster(3, Config{Tc: 1, TimeoutMult: 3, Cell: -1})
+	eng.Run(1.005) // the second round's heartbeats are in flight
+	if eng.PendingMessages() == 0 {
+		t.Fatal("no heartbeat in flight")
 	}
-	if len(nodes[0].Placements) != 0 {
-		t.Error("announcer should not hear its own placement")
+	err := eng.EncodeState(snap.NewWriter())
+	if err == nil || !strings.Contains(err.Error(), "no payload codec for *protocol.hbMsg") {
+		t.Fatalf("EncodeState = %v, want the no-payload-codec error", err)
 	}
 }
-
-// announcer triggers an AnnouncePlacement from inside the event loop.
-// Note it must send *as* the announcing node; the protocol attaches the
-// neighbor resolution to the node's own ID, so we call the node method
-// with the aux context only to reach scheduling — the message From will
-// be the aux ID, which is irrelevant to the payload assertions above.
-type announcer struct {
-	node *Node
-	pl   PlacementPayload
-}
-
-func (a *announcer) OnStart(ctx *sim.Context)                  { ctx.SetTimer(0.5, "go") }
-func (a *announcer) OnMessage(ctx *sim.Context, m sim.Message) {}
-func (a *announcer) OnTimer(ctx *sim.Context, tag string)      { a.node.AnnouncePlacement(ctx, a.pl) }
 
 func TestHeartbeatMessageVolumeScalesWithNeighbors(t *testing.T) {
 	// 2 nodes -> each heartbeat is 1 message; 5 nodes -> 4 messages.
@@ -193,4 +172,13 @@ func TestHeartbeatMessageVolumeScalesWithNeighbors(t *testing.T) {
 	if big < 6*small {
 		t.Errorf("message volume small=%d big=%d; expected ~10x", small, big)
 	}
+}
+
+// peerPos returns the last position n heard from peer in a heartbeat.
+func peerPos(n *Node, peer int) (geom.Point, bool) {
+	i := sort.Search(len(n.peers), func(i int) bool { return n.peers[i].id >= peer })
+	if i < len(n.peers) && n.peers[i].id == peer {
+		return n.peers[i].pos, true
+	}
+	return geom.Point{}, false
 }

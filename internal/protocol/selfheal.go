@@ -17,10 +17,9 @@ import (
 // synchronized rounds.
 
 const (
-	timerHeal      = "heal"
-	timerBeat      = "beat"
-	monitorBase    = 1 << 22
-	healWatchdogID = (1 << 22) - 1
+	timerHeal   = "heal"
+	timerBeat   = "beat"
+	monitorBase = 1 << 22
 )
 
 // MonitoredField wires a deployed coverage map into a self-healing

@@ -24,39 +24,16 @@ import (
 // its original never had, and the runs would diverge.
 
 // Queue-payload codecs. Codes are part of the snapshot format: never
-// renumber, only append.
+// renumber, only append. The checkpointed worlds (World, VoronoiWorld,
+// MonitoredField) queue only placements. Codes 1 and 3, the heartbeat
+// payload and its pooled box, are retired: heartbeat Nodes never run
+// checkpointed, so a queue holding one fails EncodeState with its
+// "no payload codec" error.
 func init() {
-	sim.RegisterPayloadCodec(1, HeartbeatPayload{}, sim.PayloadCodec{
-		Encode: func(w *snap.Writer, p any) { encodeHeartbeat(w, p.(HeartbeatPayload)) },
-		Decode: func(r *snap.Reader) any { return decodeHeartbeat(r) },
-	})
 	sim.RegisterPayloadCodec(2, PlacementPayload{}, sim.PayloadCodec{
 		Encode: func(w *snap.Writer, p any) { encodePlacement(w, p.(PlacementPayload)) },
 		Decode: func(r *snap.Reader) any { return decodePlacement(r) },
 	})
-	// A pooled heartbeat box encodes as its payload fields and decodes as
-	// a plain HeartbeatPayload value: Node.OnMessage accepts both forms
-	// identically, and the restored run simply has no pool reference to
-	// release — the original's box was released when its engine died with
-	// the snapshot.
-	sim.RegisterPayloadCodec(3, (*hbMsg)(nil), sim.PayloadCodec{
-		Encode: func(w *snap.Writer, p any) { encodeHeartbeat(w, p.(*hbMsg).HeartbeatPayload) },
-		Decode: func(r *snap.Reader) any { return decodeHeartbeat(r) },
-	})
-}
-
-func encodeHeartbeat(w *snap.Writer, p HeartbeatPayload) {
-	w.F64(p.Pos.X)
-	w.F64(p.Pos.Y)
-	w.Int(p.Cell)
-}
-
-func decodeHeartbeat(r *snap.Reader) HeartbeatPayload {
-	var p HeartbeatPayload
-	p.Pos.X = r.F64()
-	p.Pos.Y = r.F64()
-	p.Cell = r.Int()
-	return p
 }
 
 func encodePlacement(w *snap.Writer, p PlacementPayload) {

@@ -10,7 +10,6 @@ package relay
 
 import (
 	"math"
-	"sort"
 
 	"decor/internal/geom"
 	"decor/internal/network"
@@ -72,43 +71,4 @@ func Connect(net *network.Network, rs, rc float64, nextID int) Result {
 		}
 		res.Links++
 	}
-}
-
-// MinRelaysLowerBound returns a lower bound on the relays any solution
-// needs: for each component (beyond the first), at least
-// ceil(gap/rc) − 1 relays where gap is its distance to the nearest other
-// component. Used by tests to check Connect is not wasteful.
-func MinRelaysLowerBound(net *network.Network, rc float64) int {
-	comps := net.ConnectedComponents()
-	if len(comps) <= 1 {
-		return 0
-	}
-	// Gap from each component to its nearest neighbor component.
-	gaps := make([]float64, len(comps))
-	for i := range comps {
-		gaps[i] = math.Inf(1)
-		for j := range comps {
-			if i == j {
-				continue
-			}
-			for _, a := range comps[i] {
-				pa := net.Node(a).Pos
-				for _, b := range comps[j] {
-					if d := pa.Dist(net.Node(b).Pos); d < gaps[i] {
-						gaps[i] = d
-					}
-				}
-			}
-		}
-	}
-	// A spanning structure needs len(comps)-1 links; each link crossing
-	// gap g needs ceil(g/rc)-1 relays. Sum the smallest len-1 gaps.
-	sort.Float64s(gaps)
-	total := 0
-	for _, g := range gaps[:len(gaps)-1] {
-		if n := int(math.Ceil(g/rc)) - 1; n > 0 {
-			total += n
-		}
-	}
-	return total
 }

@@ -1,6 +1,8 @@
 package relay
 
 import (
+	"math"
+	"sort"
 	"testing"
 
 	"decor/internal/geom"
@@ -68,7 +70,7 @@ func TestConnectManyComponents(t *testing.T) {
 	if got := len(net.ConnectedComponents()); got != 5 {
 		t.Fatalf("components = %d, want 5", got)
 	}
-	lower := MinRelaysLowerBound(net, 10)
+	lower := minRelaysLowerBound(net, 10)
 	res := Connect(net, 4, 10, 1000)
 	if !net.IsConnected() {
 		t.Fatal("not connected")
@@ -113,10 +115,41 @@ func TestConnectPanicsOnBadRc(t *testing.T) {
 	Connect(network.New(geom.Square(10)), 1, 0, 0)
 }
 
-func TestMinRelaysLowerBoundConnected(t *testing.T) {
-	net := network.New(geom.Square(10))
-	net.Add(1, geom.Pt(1, 1), 1, 5)
-	if MinRelaysLowerBound(net, 5) != 0 {
-		t.Error("single component bound should be 0")
+// minRelaysLowerBound returns a lower bound on the relays any solution
+// needs: for each component (beyond the first), at least
+// ceil(gap/rc) − 1 relays where gap is its distance to the nearest other
+// component. It is the oracle that checks Connect is not wasteful.
+func minRelaysLowerBound(net *network.Network, rc float64) int {
+	comps := net.ConnectedComponents()
+	if len(comps) <= 1 {
+		return 0
 	}
+	// Gap from each component to its nearest neighbor component.
+	gaps := make([]float64, len(comps))
+	for i := range comps {
+		gaps[i] = math.Inf(1)
+		for j := range comps {
+			if i == j {
+				continue
+			}
+			for _, a := range comps[i] {
+				pa := net.Node(a).Pos
+				for _, b := range comps[j] {
+					if d := pa.Dist(net.Node(b).Pos); d < gaps[i] {
+						gaps[i] = d
+					}
+				}
+			}
+		}
+	}
+	// A spanning structure needs len(comps)-1 links; each link crossing
+	// gap g needs ceil(g/rc)-1 relays. Sum the smallest len-1 gaps.
+	sort.Float64s(gaps)
+	total := 0
+	for _, g := range gaps[:len(gaps)-1] {
+		if n := int(math.Ceil(g/rc)) - 1; n > 0 {
+			total += n
+		}
+	}
+	return total
 }

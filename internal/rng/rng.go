@@ -130,27 +130,11 @@ func (r *RNG) NormFloat64() float64 {
 	}
 }
 
-// Exp returns an exponential variate with the given rate (mean 1/rate).
-func (r *RNG) Exp(rate float64) float64 {
-	return -math.Log(1-r.Float64()) / rate
-}
-
 // PointInRect returns a uniform point in rect.
 func (r *RNG) PointInRect(rect geom.Rect) geom.Point {
 	return geom.Point{
 		X: r.Range(rect.Min.X, rect.Max.X),
 		Y: r.Range(rect.Min.Y, rect.Max.Y),
-	}
-}
-
-// PointInDisk returns a uniform point in the disk (rejection-free via the
-// sqrt radius transform).
-func (r *RNG) PointInDisk(d geom.Disk) geom.Point {
-	theta := r.Range(0, 2*math.Pi)
-	rad := d.R * math.Sqrt(r.Float64())
-	return geom.Point{
-		X: d.Center.X + rad*math.Cos(theta),
-		Y: d.Center.Y + rad*math.Sin(theta),
 	}
 }
 

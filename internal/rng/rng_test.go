@@ -159,27 +159,6 @@ func TestPointInRect(t *testing.T) {
 	}
 }
 
-func TestPointInDiskUniform(t *testing.T) {
-	r := New(17)
-	d := geom.DiskAt(5, 5, 3)
-	const n = 50000
-	inner := 0
-	for i := 0; i < n; i++ {
-		p := r.PointInDisk(d)
-		if !d.Contains(p) {
-			t.Fatalf("point %v outside disk", p)
-		}
-		// Inner disk of half radius should get 1/4 of points.
-		if d.Center.Dist(p) <= d.R/2 {
-			inner++
-		}
-	}
-	frac := float64(inner) / n
-	if math.Abs(frac-0.25) > 0.01 {
-		t.Errorf("inner fraction = %v, want ~0.25 (uniformity)", frac)
-	}
-}
-
 func TestNormFloat64Moments(t *testing.T) {
 	r := New(21)
 	const n = 200000
@@ -196,18 +175,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 	if math.Abs(variance-1) > 0.02 {
 		t.Errorf("normal variance = %v", variance)
-	}
-}
-
-func TestExpMean(t *testing.T) {
-	r := New(23)
-	const n = 200000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += r.Exp(2)
-	}
-	if mean := sum / n; math.Abs(mean-0.5) > 0.01 {
-		t.Errorf("exp mean = %v, want ~0.5", mean)
 	}
 }
 

@@ -4,7 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
+
 	"hash/fnv"
 	"math/bits"
 	"runtime"
@@ -94,10 +94,6 @@ type Manager struct {
 	closed   bool
 
 	now func() time.Time // test seam; never influences outputs
-	// replayRestore makes every restore replay the event log, ignoring
-	// the snapshot's fast section: the oracle the fast path is tested
-	// against (set by tests only, before the first operation).
-	replayRestore bool
 
 	gLive                                   *obs.Gauge
 	cCreated, cEvicted, cRestored, cDropped *obs.Counter
@@ -202,7 +198,6 @@ type op struct {
 	fromSeq uint64
 	sub     chan Delta // subscribe: the delta feed; unsubscribe: identity
 	ttl     time.Duration
-	raw     []byte       // import: the snapshot to install
 	reply   chan opReply // buffered(1): the shard never blocks on delivery
 }
 
@@ -217,8 +212,6 @@ const (
 	opUnsubscribe
 	opEvictIdle
 	opEvict
-	opExport
-	opImport
 )
 
 type opReply struct {
@@ -227,7 +220,6 @@ type opReply struct {
 	cancel  func()
 	err     error
 	evicted int
-	raw     []byte // export: the detached snapshot
 }
 
 // skey is the shard-map key for a session: field IDs are namespaced per
@@ -347,52 +339,6 @@ func (m *Manager) Subscribe(tenant, fieldID string, fromSeq uint64) (<-chan Delt
 func (m *Manager) Evict(tenant, fieldID string) error {
 	o := &op{kind: opEvict, tenant: tenant, id: fieldID, reply: make(chan opReply, 1)}
 	return m.send(m.shardFor(skey(tenant, fieldID)), o).err
-}
-
-// Export detaches the tenant's session — live or evicted — from this
-// manager and returns its portable snapshot, the shard-to-shard (and
-// manager-to-manager) migration primitive: Export here, Import there,
-// and the delta stream continues byte-identically. A live session with
-// active subscribers is not exportable (ErrSubscribed); evict-then-hand-
-// off under a live SSE feed would silently drop its deltas.
-func (m *Manager) Export(tenant, fieldID string) ([]byte, error) {
-	o := &op{kind: opExport, tenant: tenant, id: fieldID, reply: make(chan opReply, 1)}
-	r := m.send(m.shardFor(skey(tenant, fieldID)), o)
-	if r.err != nil {
-		return nil, r.err
-	}
-	m.releaseSession(tenant)
-	m.gLive.Add(-1)
-	return r.raw, nil
-}
-
-// Import installs an exported snapshot under tenant. The session lands
-// in evicted form — the first event or subscribe restores it, taking the
-// snapshot's fast path when enabled — and counts against the tenant's
-// session quota immediately.
-func (m *Manager) Import(tenant string, data []byte) error {
-	var sn Snapshot
-	if err := json.Unmarshal(data, &sn); err != nil {
-		return fmt.Errorf("session: corrupt snapshot: %w", err)
-	}
-	if sn.Tenant != tenant {
-		return ErrTenantMismatch
-	}
-	if sn.ID == "" {
-		return fmt.Errorf("session: snapshot without field id")
-	}
-	if err := m.reserveSession(tenant); err != nil {
-		m.cQuotaRejected.Inc()
-		return err
-	}
-	o := &op{kind: opImport, tenant: tenant, id: sn.ID, raw: data, reply: make(chan opReply, 1)}
-	r := m.send(m.shardFor(skey(tenant, sn.ID)), o)
-	if r.err != nil {
-		m.releaseSession(tenant)
-		return r.err
-	}
-	m.gLive.Add(1)
-	return nil
 }
 
 // EvictIdle snapshots and releases every session idle for at least ttl
@@ -543,7 +489,7 @@ func (sh *shardLoop) lookup(tenant, id string) (*state, error) {
 		return nil, ErrNotFound
 	}
 	t0 := time.Now()
-	st, err := restore(context.Background(), ent.raw, sh.m.cfg.RingDeltas, !sh.m.replayRestore)
+	st, err := restore(context.Background(), ent.raw, sh.m.cfg.RingDeltas)
 	if err != nil {
 		return nil, err
 	}
@@ -682,37 +628,9 @@ func (sh *shardLoop) handle(o *op) opReply {
 		}
 		return opReply{evicted: n}
 
-	case opExport:
-		if st, ok := sh.live[k]; ok && st.tenant == o.tenant {
-			if len(st.subs) > 0 {
-				return opReply{err: ErrSubscribed}
-			}
-			raw := st.snapshot()
-			delete(sh.live, k)
-			sh.m.cEvicted.Inc()
-			return opReply{raw: raw}
-		}
-		if ent, ok := sh.snapshot[k]; ok && ent.tenant == o.tenant {
-			delete(sh.snapshot, k)
-			return opReply{raw: ent.raw}
-		}
-		return opReply{err: ErrNotFound}
-
-	case opImport:
-		if _, ok := sh.live[k]; ok {
-			return opReply{err: ErrExists}
-		}
-		if _, ok := sh.snapshot[k]; ok {
-			return opReply{err: ErrExists}
-		}
-		sh.snapshot[k] = snapEntry{tenant: o.tenant, raw: o.raw}
-		return opReply{}
 	}
 	return opReply{err: ErrNotFound}
 }
 
 // ErrSubscribed: eviction refused because live subscribers are attached.
 var ErrSubscribed = errors.New("session: field has active subscribers")
-
-// ErrTenantMismatch: Import of a snapshot owned by a different tenant.
-var ErrTenantMismatch = errors.New("session: snapshot belongs to another tenant")

@@ -72,37 +72,16 @@ func TestRepeatedFailedIDRejected(t *testing.T) {
 	if d.Seq != 2 || !reflect.DeepEqual(d.Failed, []int{5}) {
 		t.Fatalf("delta after the rejected event = %+v", d)
 	}
-	raw, err := m.Export("acme", "field-1")
-	if err != nil {
+	if err := m.Evict("acme", "field-1"); err != nil {
 		t.Fatal(err)
 	}
+	k := skey("acme", "field-1")
 	var sn Snapshot
-	if err := json.Unmarshal(raw, &sn); err != nil {
+	if err := json.Unmarshal(m.shardFor(k).snapshot[k].raw, &sn); err != nil {
 		t.Fatal(err)
 	}
 	if want := [][]int{{0, 3}, {5}}; !reflect.DeepEqual(sn.Events, want) {
 		t.Fatalf("replay log = %v, want %v", sn.Events, want)
-	}
-}
-
-// A replay log written before repeated IDs were rejected may hold an
-// event like [5, 5], which destroyed sensor 5 once. Replay-restoring it
-// must succeed and rebuild the session that logged [5].
-func TestRestoreLogWithRepeatedID(t *testing.T) {
-	spec := testSpec(1)
-	replay := func(events [][]int) *state {
-		st, err := restore(context.Background(), mustJSON(t, Snapshot{
-			Tenant: "t", ID: "f", Spec: spec, Events: events,
-		}), 64, false)
-		if err != nil {
-			t.Fatalf("restore %v: %v", events, err)
-		}
-		return st
-	}
-	old := replay([][]int{{0, 3}, {5, 5}, {7}})
-	want := replay([][]int{{0, 3}, {5}, {7}})
-	if old.seq != 3 || !bytes.Equal(old.snapshot(), want.snapshot()) {
-		t.Fatalf("restored log with [5, 5] differs from the log with [5]:\n%s\n%s", old.snapshot(), want.snapshot())
 	}
 }
 
@@ -217,7 +196,7 @@ func TestDifferentialReplayParity(t *testing.T) {
 		// replay the full history.
 		fresh, err := restore(context.Background(), mustJSON(t, Snapshot{
 			Tenant: "t", ID: "f", Spec: spec, Events: applied,
-		}), 64, false)
+		}), 64)
 		if err != nil {
 			t.Fatalf("step %d replay: %v", step, err)
 		}

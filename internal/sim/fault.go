@@ -32,16 +32,6 @@ type GilbertElliott struct {
 	LossBad    float64 // loss probability while in the bad state
 }
 
-// StationaryLoss returns the long-run loss fraction of the channel.
-func (g GilbertElliott) StationaryLoss() float64 {
-	denom := g.PGoodToBad + g.PBadToGood
-	if denom == 0 {
-		return g.LossGood
-	}
-	piBad := g.PGoodToBad / denom
-	return (1-piBad)*g.LossGood + piBad*g.LossBad
-}
-
 func (g GilbertElliott) validate() error {
 	for _, p := range []float64{g.PGoodToBad, g.PBadToGood, g.LossGood, g.LossBad} {
 		if p < 0 || p > 1 {

@@ -145,7 +145,7 @@ func TestGilbertElliottBurstLoss(t *testing.T) {
 	e.Run(sim.Inf)
 	st := e.Stats()
 	frac := float64(st.Lost) / total
-	want := ge.StationaryLoss()
+	want := stationaryLoss(ge)
 	if frac < want-0.05 || frac > want+0.05 {
 		t.Errorf("burst loss fraction = %v, want ~%v", frac, want)
 	}
@@ -306,7 +306,7 @@ func TestFaultsDeterministic(t *testing.T) {
 			Partitions: []sim.Partition{{From: 2, Until: 6, A: []int{1}, B: []int{2, 3}}},
 		})
 		var trace string
-		e.SetTrace(func(at sim.Time, s string) { trace += fmt.Sprintf("%.6f %s\n", float64(at), s) })
+		e.SetTraceLine(func(line []byte) { trace += string(line) })
 		for id := 1; id <= 3; id++ {
 			id := id
 			e.Register(id, &simtest.Recorder{Hooks: simtest.Hooks{OnStart: func(ctx *sim.Context) {
@@ -337,4 +337,15 @@ func TestFaultsDeterministic(t *testing.T) {
 	if s1.Crashes != 1 || s1.Restarts != 1 || s1.PartitionDropped == 0 {
 		t.Errorf("plan mechanisms not exercised: %+v", s1)
 	}
+}
+
+// stationaryLoss returns the long-run loss fraction of the channel: each
+// state's loss weighted by its stationary probability.
+func stationaryLoss(g sim.GilbertElliott) float64 {
+	denom := g.PGoodToBad + g.PBadToGood
+	if denom == 0 {
+		return g.LossGood
+	}
+	piBad := g.PGoodToBad / denom
+	return (1-piBad)*g.LossGood + piBad*g.LossBad
 }

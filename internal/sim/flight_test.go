@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"testing"
 
 	"decor/internal/obs"
@@ -72,40 +71,9 @@ func TestEngineFlightRecorder(t *testing.T) {
 	}
 }
 
-// TestEngineRunSpan checks Run emits a "sim.run" span into the trace
-// carried by the engine's obs context.
-func TestEngineRunSpan(t *testing.T) {
-	tr := obs.NewTracer(64)
-	ctx, root := tr.StartTrace(context.Background(), "test")
-	e := NewEngine(0.5)
-	e.SetObsContext(ctx)
-	e.Register(1, &echoActor{onStart: func(ctx *Context) {
-		ctx.Send(1, "self", nil)
-	}})
-	e.Run(Inf)
-	root.End()
-
-	spans := tr.Trace(root.TraceID())
-	var run *obs.SpanRecord
-	for i := range spans {
-		if spans[i].Name == "sim.run" {
-			run = &spans[i]
-		}
-	}
-	if run == nil {
-		t.Fatalf("no sim.run span in %+v", spans)
-	}
-	if run.Attr != "events=1" {
-		t.Errorf("sim.run attr = %q, want events=1", run.Attr)
-	}
-	if run.Parent == "" {
-		t.Error("sim.run should be a child of the root span")
-	}
-}
-
-// TestEngineWithoutFlightOrContext is the disabled path: no recorder, no
-// context — Run must behave exactly as before (guarded by the benchmark
-// gate in make check as well).
+// TestEngineWithoutFlightOrContext is the disabled path: no recorder and
+// no trace hook — Run must behave exactly as before (guarded by the
+// benchmark gate in make check as well).
 func TestEngineWithoutFlightOrContext(t *testing.T) {
 	e := NewEngine(0.5)
 	e.Register(1, &echoActor{onStart: func(ctx *Context) {

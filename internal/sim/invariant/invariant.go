@@ -46,14 +46,9 @@ type Check func(now sim.Time) []Violation
 // FIRST observation — the earliest virtual time the condition was seen
 // broken.
 type Checker struct {
-	checks []namedCheck
+	checks []Check
 	seen   map[string]bool
 	vs     []Violation
-}
-
-type namedCheck struct {
-	name string
-	fn   Check
 }
 
 // New returns an empty checker.
@@ -61,25 +56,16 @@ func New() *Checker {
 	return &Checker{seen: map[string]bool{}}
 }
 
-// Add registers a check under a name (used in Checked()).
-func (c *Checker) Add(name string, fn Check) *Checker {
-	c.checks = append(c.checks, namedCheck{name, fn})
+// Add registers a check; its violations name their invariant.
+func (c *Checker) Add(fn Check) *Checker {
+	c.checks = append(c.checks, fn)
 	return c
-}
-
-// Checked lists the registered check names in registration order.
-func (c *Checker) Checked() []string {
-	out := make([]string, len(c.checks))
-	for i, nc := range c.checks {
-		out[i] = nc.name
-	}
-	return out
 }
 
 // RunAt evaluates every registered check at the given virtual time.
 func (c *Checker) RunAt(now sim.Time) {
-	for _, nc := range c.checks {
-		for _, v := range nc.fn(now) {
+	for _, check := range c.checks {
+		for _, v := range check(now) {
 			key := fmt.Sprintf("%s/%d/%d", v.Invariant, v.Actor, v.Subject)
 			if c.seen[key] {
 				continue

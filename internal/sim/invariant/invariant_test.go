@@ -1,6 +1,7 @@
 package invariant
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"decor/internal/geom"
 	"decor/internal/sim"
 	"decor/internal/sim/simtest"
+	"decor/internal/snap"
 )
 
 func smallMap(k int) *coverage.Map {
@@ -135,7 +137,7 @@ func TestLeaderAgreement(t *testing.T) {
 
 func TestCheckerDedupKeepsFirstObservation(t *testing.T) {
 	m := smallMap(1)
-	c := New().Add(KCoverageName, KCoverage(m, nil))
+	c := New().Add(KCoverage(m, nil))
 	c.RunAt(2)
 	c.RunAt(5)
 	vs := c.Violations()
@@ -156,15 +158,40 @@ func TestCheckerDedupKeepsFirstObservation(t *testing.T) {
 	if c.First("nonexistent") != nil {
 		t.Error("First on unknown invariant")
 	}
-	if got := c.Checked(); len(got) != 1 || got[0] != KCoverageName {
-		t.Errorf("Checked = %v", got)
+}
+
+// A checker restored from a snapshot carries the original's violations
+// and dedup index: re-running the check on the restored checker reports
+// nothing new, so a resumed run neither forgets old breaches nor
+// re-reports them at a later time.
+func TestCheckerSnapshotRoundTrip(t *testing.T) {
+	m := smallMap(1)
+	c := New().Add(KCoverage(m, nil))
+	c.RunAt(2)
+	w := snap.NewWriter()
+	c.EncodeState(w)
+	r, err := snap.Open(w.Seal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := New().Add(KCoverage(m, nil))
+	restored.RestoreState(r)
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(restored.Violations(), c.Violations()) {
+		t.Fatalf("restored violations %+v, want %+v", restored.Violations(), c.Violations())
+	}
+	restored.RunAt(5)
+	if !reflect.DeepEqual(restored.Violations(), c.Violations()) {
+		t.Errorf("restored checker re-reported old breaches: %+v", restored.Violations())
 	}
 }
 
 func TestWatchRunsPeriodically(t *testing.T) {
 	m := smallMap(1) // always deficient
 	e := sim.NewEngine(0)
-	c := New().Add(KCoverageName, After(3, KCoverage(m, nil)))
+	c := New().Add(After(3, KCoverage(m, nil)))
 	c.Watch(e, 1)
 	e.Run(10)
 	if c.OK() {

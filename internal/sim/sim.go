@@ -17,7 +17,6 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"strconv"
@@ -134,14 +133,12 @@ type Engine struct {
 	stats   Stats
 	ob      engineObs
 	flushed obsFlushed
-	trace   func(Time, string)
 	// traceLine is the allocation-free trace hook: full formatted lines
 	// ("%.9f <event>\n") appended into traceBuf, which is reused across
 	// events. See SetTraceLine.
 	traceLine func([]byte)
 	traceBuf  []byte
 	flight    *obs.FlightShard
-	obsCtx    context.Context
 
 	lossRate float64
 	lossRNG  *rng.RNG
@@ -247,18 +244,14 @@ func NewEngine(latency Time) *Engine {
 	}
 }
 
-// SetTrace installs a trace hook invoked with every processed event.
-func (e *Engine) SetTrace(fn func(Time, string)) { e.trace = fn }
-
 // SetTraceLine installs the allocation-free trace hook: fn receives each
-// event as one fully formatted line — `%.9f <event>\n`, byte-identical
-// to composing SetTrace's (time, string) pair with fmt — in a buffer the
-// engine REUSES for the next event. Hash it or copy it inside fn; never
-// retain it. Both hooks may be installed; each event fires both.
+// processed event as one fully formatted line, `%.9f <event>\n`, in a
+// buffer the engine REUSES for the next event. Hash it or copy it inside
+// fn; never retain it.
 func (e *Engine) SetTraceLine(fn func(line []byte)) { e.traceLine = fn }
 
-// tracing reports whether any trace hook is installed.
-func (e *Engine) tracing() bool { return e.trace != nil || e.traceLine != nil }
+// tracing reports whether the trace hook is installed.
+func (e *Engine) tracing() bool { return e.traceLine != nil }
 
 // lineHeader begins a trace line in the reusable buffer: the event time
 // formatted exactly as fmt's %.9f plus the separating space.
@@ -269,57 +262,45 @@ func (e *Engine) lineHeader() []byte {
 }
 
 // traceMsg emits a "<verb> <kind> <from>-><to>" trace line (deliver, cut,
-// burst-lose) through whichever hooks are installed.
+// burst-lose). Callers check tracing first, as for traceAt and
+// traceTimer.
 func (e *Engine) traceMsg(verb, kind string, from, to int) {
-	if e.traceLine != nil {
-		b := e.lineHeader()
-		b = append(b, verb...)
-		b = append(b, ' ')
-		b = append(b, kind...)
-		b = append(b, ' ')
-		b = strconv.AppendInt(b, int64(from), 10)
-		b = append(b, '-', '>')
-		b = strconv.AppendInt(b, int64(to), 10)
-		b = append(b, '\n')
-		e.traceBuf = b
-		e.traceLine(b)
-	}
-	if e.trace != nil {
-		e.trace(e.now, fmt.Sprintf("%s %s %d->%d", verb, kind, from, to))
-	}
+	b := e.lineHeader()
+	b = append(b, verb...)
+	b = append(b, ' ')
+	b = append(b, kind...)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(from), 10)
+	b = append(b, '-', '>')
+	b = strconv.AppendInt(b, int64(to), 10)
+	e.emitLine(b)
 }
 
 // traceAt emits a "<verb> @<id>" trace line (crash, restart).
 func (e *Engine) traceAt(verb string, id int) {
-	if e.traceLine != nil {
-		b := e.lineHeader()
-		b = append(b, verb...)
-		b = append(b, ' ', '@')
-		b = strconv.AppendInt(b, int64(id), 10)
-		b = append(b, '\n')
-		e.traceBuf = b
-		e.traceLine(b)
-	}
-	if e.trace != nil {
-		e.trace(e.now, fmt.Sprintf("%s @%d", verb, id))
-	}
+	b := e.lineHeader()
+	b = append(b, verb...)
+	b = append(b, ' ', '@')
+	b = strconv.AppendInt(b, int64(id), 10)
+	e.emitLine(b)
 }
 
 // traceTimer emits a "timer <kind> @<id>" trace line.
 func (e *Engine) traceTimer(kind string, id int) {
-	if e.traceLine != nil {
-		b := e.lineHeader()
-		b = append(b, "timer "...)
-		b = append(b, kind...)
-		b = append(b, ' ', '@')
-		b = strconv.AppendInt(b, int64(id), 10)
-		b = append(b, '\n')
-		e.traceBuf = b
-		e.traceLine(b)
-	}
-	if e.trace != nil {
-		e.trace(e.now, fmt.Sprintf("timer %s @%d", kind, id))
-	}
+	b := e.lineHeader()
+	b = append(b, "timer "...)
+	b = append(b, kind...)
+	b = append(b, ' ', '@')
+	b = strconv.AppendInt(b, int64(id), 10)
+	e.emitLine(b)
+}
+
+// emitLine ends a trace line and hands it to the hook; the buffer is
+// kept for the next line.
+func (e *Engine) emitLine(b []byte) {
+	b = append(b, '\n')
+	e.traceBuf = b
+	e.traceLine(b)
 }
 
 // SetFlight attaches a flight-recorder shard: every processed event
@@ -329,12 +310,6 @@ func (e *Engine) traceTimer(kind string, id int) {
 // nil check per event — the disabled path the tracing-overhead gate in
 // scripts/benchstat.sh protects.
 func (e *Engine) SetFlight(s *obs.FlightShard) { e.flight = s }
-
-// SetObsContext hands the engine a context that may carry an obs trace
-// span (obs.StartTrace); each subsequent Run then records itself as a
-// child span named "sim.run" with its processed-event count. A nil or
-// span-less context keeps Run span-free.
-func (e *Engine) SetObsContext(ctx context.Context) { e.obsCtx = ctx }
 
 // SetRegistry redirects this engine's instrumentation (event counters and
 // queue-depth gauge) to r instead of the process-wide obs.Default().
@@ -598,7 +573,6 @@ func (e *Engine) schedule(ev event) {
 // until. It returns the number of events processed.
 func (e *Engine) Run(until Time) int {
 	processed := 0
-	_, runSpan := obs.StartSpanCtx(e.obsCtx, "sim.run")
 	e.running = true
 	for e.queue.Len() > 0 {
 		if e.queue.evs[0].at > until {
@@ -708,15 +682,8 @@ func (e *Engine) Run(until Time) int {
 	if e.queue.Len() == 0 && until != Inf && e.now < until {
 		e.now = until
 	}
-	if runSpan != nil {
-		runSpan.SetAttr(fmt.Sprintf("events=%d", processed))
-		runSpan.End()
-	}
 	return processed
 }
-
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return e.queue.Len() }
 
 // PendingMessages returns the number of queued message-delivery events
 // (timers and fault-plan control events excluded), maintained as a

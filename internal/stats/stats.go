@@ -72,28 +72,6 @@ func Median(xs []float64) float64 {
 	return (s[n/2-1] + s[n/2]) / 2
 }
 
-// Quantile returns the q-quantile (0 <= q <= 1) by linear interpolation.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(s) {
-		return s[lo]
-	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
-}
-
 // MeanSeries averages runs element-wise: runs[i][j] is run i's value at
 // series position j. All runs must have equal length; it panics otherwise
 // (a harness bug).
@@ -141,27 +119,6 @@ func MaxTrueFraction(hi, tol float64, pred func(x float64) bool) float64 {
 		}
 	}
 	return lo
-}
-
-// BootstrapCI returns a (lo, hi) percentile bootstrap confidence
-// interval for the mean of xs at the given confidence level (e.g. 0.95),
-// using the supplied deterministic resampler (next() must return uniform
-// values in [0,1)). Degenerate inputs return (mean, mean).
-func BootstrapCI(xs []float64, confidence float64, resamples int, next func() float64) (lo, hi float64) {
-	m := Mean(xs)
-	if len(xs) < 2 || resamples < 2 || confidence <= 0 || confidence >= 1 {
-		return m, m
-	}
-	means := make([]float64, resamples)
-	for r := 0; r < resamples; r++ {
-		sum := 0.0
-		for range xs {
-			sum += xs[int(next()*float64(len(xs)))]
-		}
-		means[r] = sum / float64(len(xs))
-	}
-	alpha := (1 - confidence) / 2
-	return Quantile(means, alpha), Quantile(means, 1-alpha)
 }
 
 // Linspace returns n evenly spaced values from lo to hi inclusive; n must

@@ -38,25 +38,6 @@ func TestMeanMedian(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	xs := []float64{0, 1, 2, 3, 4}
-	if Quantile(xs, 0) != 0 || Quantile(xs, 1) != 4 {
-		t.Error("extreme quantiles wrong")
-	}
-	if got := Quantile(xs, 0.5); got != 2 {
-		t.Errorf("median quantile = %v", got)
-	}
-	if got := Quantile(xs, 0.25); got != 1 {
-		t.Errorf("q25 = %v", got)
-	}
-	if got := Quantile(xs, 0.875); got != 3.5 {
-		t.Errorf("q87.5 = %v", got)
-	}
-	if Quantile(nil, 0.5) != 0 {
-		t.Error("empty quantile should be 0")
-	}
-}
-
 func TestMeanSeries(t *testing.T) {
 	got := MeanSeries([][]float64{{1, 2, 3}, {3, 4, 5}})
 	want := []float64{2, 3, 4}
@@ -105,34 +86,6 @@ func TestMaxTrueFractionMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestBootstrapCI(t *testing.T) {
-	// Deterministic LCG resampler.
-	state := uint64(12345)
-	next := func() float64 {
-		state = state*6364136223846793005 + 1442695040888963407
-		return float64(state>>11) / (1 << 53)
-	}
-	xs := []float64{10, 11, 9, 10.5, 9.5, 10, 10.2, 9.8}
-	lo, hi := BootstrapCI(xs, 0.95, 2000, next)
-	m := Mean(xs)
-	if lo > m || hi < m {
-		t.Errorf("CI [%v, %v] excludes mean %v", lo, hi, m)
-	}
-	if hi-lo > 2 {
-		t.Errorf("CI [%v, %v] implausibly wide for tight data", lo, hi)
-	}
-	if hi-lo <= 0 {
-		t.Errorf("CI [%v, %v] degenerate", lo, hi)
-	}
-	// Degenerate inputs collapse to the mean.
-	if lo, hi := BootstrapCI([]float64{5}, 0.95, 100, next); lo != 5 || hi != 5 {
-		t.Errorf("singleton CI = [%v, %v]", lo, hi)
-	}
-	if lo, hi := BootstrapCI(xs, 0, 100, next); lo != hi {
-		t.Errorf("zero confidence CI = [%v, %v]", lo, hi)
 	}
 }
 

@@ -112,44 +112,3 @@ func reverse(s []geom.Point) {
 		s[i], s[j] = s[j], s[i]
 	}
 }
-
-// Exhaustive returns the optimal open tour by brute force — O(n!) —
-// intended only for cross-validating the heuristic in tests (n <= 9).
-func Exhaustive(start geom.Point, sites []geom.Point) Tour {
-	n := len(sites)
-	if n == 0 {
-		return Tour{Start: start}
-	}
-	if n > 9 {
-		panic("tour: Exhaustive limited to 9 sites")
-	}
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	best := math.Inf(1)
-	var bestOrder []int
-	var recurse func(k int, cur geom.Point, acc float64)
-	recurse = func(k int, cur geom.Point, acc float64) {
-		if acc >= best {
-			return
-		}
-		if k == n {
-			best = acc
-			bestOrder = append(bestOrder[:0], perm...)
-			return
-		}
-		for i := k; i < n; i++ {
-			perm[k], perm[i] = perm[i], perm[k]
-			p := sites[perm[k]]
-			recurse(k+1, p, acc+cur.Dist(p))
-			perm[k], perm[i] = perm[i], perm[k]
-		}
-	}
-	recurse(0, start, 0)
-	stops := make([]geom.Point, n)
-	for i, idx := range bestOrder {
-		stops[i] = sites[idx]
-	}
-	return Tour{Start: start, Stops: stops}
-}

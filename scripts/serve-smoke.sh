@@ -9,6 +9,7 @@
 # 5xx here is a real service bug, not deliberate load shedding.
 set -eu
 
+GO=${GO:-go}
 TMP="$(mktemp -d)"
 SERVER_PID=""
 cleanup() {
@@ -18,8 +19,8 @@ cleanup() {
 trap cleanup EXIT INT TERM
 
 echo "serve-smoke: building binaries"
-go build -o "$TMP/decor-serve" ./cmd/decor-serve
-go build -o "$TMP/decor-load" ./cmd/decor-load
+$GO build -o "$TMP/decor-serve" ./cmd/decor-serve
+$GO build -o "$TMP/decor-load" ./cmd/decor-load
 
 # GOMAXPROCS=4 pins the acceptance environment: the >= 500 plans/s bar must
 # hold on four cores, not however many this machine has.
