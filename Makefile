@@ -49,10 +49,10 @@ bench-large:
 
 # Chaos property gate: sweep 16 seeds per architecture under the race
 # detector, each run repeated to verify a byte-identical replay. The
-# sweep shards seeds across GOMAXPROCS workers (per-shard engines,
-# deterministic merge — output is byte-identical to -parallel 1). Any
-# invariant violation, non-convergence, or replay divergence exits
-# non-zero. Replay an individual failure with the seed it prints, e.g.
+# sweep shards seeds across GOMAXPROCS workers (one engine per run,
+# reports printed in sweep order — output is byte-identical to
+# -parallel 1). Any invariant violation, non-convergence, or replay
+# divergence exits non-zero. Replay an individual failure with the seed it prints, e.g.
 # `go run ./cmd/decor-chaos -arch grid -seed 7`.
 chaos-smoke:
 	$(GO) run -race ./cmd/decor-chaos -arch all -seeds 16

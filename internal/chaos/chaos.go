@@ -309,15 +309,9 @@ type Verdict struct {
 // It panics only on a malformed scenario (unknown arch, invalid plan) —
 // protocol misbehaviour under faults is reported in the verdict, never
 // thrown.
-func Run(sc Scenario) Verdict { return RunReg(sc, nil) }
-
-// RunReg is Run with an explicit obs registry for the engine's
-// instruments (nil: the process default). Sweep passes per-worker
-// registry shards so parallel scenarios do not contend on shared
-// counters; verdicts are unaffected — instruments never feed the trace.
-func RunReg(sc Scenario, reg *obs.Registry) Verdict {
+func Run(sc Scenario) Verdict {
 	sc = sc.withDefaults()
-	v, err := dispatch(sc, reg, nil, nil)
+	v, err := dispatch(sc, nil, nil)
 	if err != nil {
 		// Unreachable: without a snapshot there is nothing to mis-decode.
 		panic(fmt.Sprintf("chaos: %v", err))
@@ -328,13 +322,10 @@ func RunReg(sc Scenario, reg *obs.Registry) Verdict {
 // world builds the deterministic sample-point field and a traced engine
 // with a per-run flight recorder (single shard: the engine is the only
 // writer, so event sequence numbers are deterministic).
-func (sc Scenario) world(reg *obs.Registry) (*coverage.Map, *sim.Engine, hash.Hash, *int, *obs.FlightRecorder) {
+func (sc Scenario) world() (*coverage.Map, *sim.Engine, hash.Hash, *int, *obs.FlightRecorder) {
 	pts := lowdisc.Halton{}.Points(sc.Points, geom.Square(sc.Field))
 	m := coverage.New(geom.Square(sc.Field), pts, sc.Rs, sc.K)
 	eng := sim.NewEngine(sc.Latency)
-	if reg != nil {
-		eng.SetRegistry(reg)
-	}
 	fr := obs.NewFlightRecorder(1, 512)
 	eng.SetFlight(fr.Shard(0))
 	h := sha256.New()
@@ -380,8 +371,8 @@ func verdict(sc Scenario, eng *sim.Engine, chk *invariant.Checker, converged boo
 // sensor at a deficient point, so total deficit strictly decreases.
 // With a non-nil ck it emits snapshots at virtual-time boundaries; with
 // a non-nil res it restores one instead of starting fresh.
-func runDeploy(sc Scenario, reg *obs.Registry, ck *ckpt, res *snap.Reader) (Verdict, error) {
-	m, eng, h, lines, fr := sc.world(reg)
+func runDeploy(sc Scenario, ck *ckpt, res *snap.Reader) (Verdict, error) {
+	m, eng, h, lines, fr := sc.world()
 
 	var start func()
 	var seed func() bool
@@ -515,8 +506,8 @@ func (s *saboteur) liveCoverage(m *coverage.Map) *coverage.Map {
 // end while the watchdog re-checks accounting and the budget throughout.
 // With a non-nil ck it emits snapshots at virtual-time boundaries; with
 // a non-nil res it restores one instead of starting fresh.
-func runSelfheal(sc Scenario, reg *obs.Registry, ck *ckpt, res *snap.Reader) (Verdict, error) {
-	m, eng, h, lines, fr := sc.world(reg)
+func runSelfheal(sc Scenario, ck *ckpt, res *snap.Reader) (Verdict, error) {
+	m, eng, h, lines, fr := sc.world()
 
 	var f *protocol.MonitoredField
 	sab := &saboteur{failed: map[int]bool{}}

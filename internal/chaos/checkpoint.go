@@ -8,7 +8,6 @@ import (
 
 	"decor/internal/coverage"
 	"decor/internal/geom"
-	"decor/internal/obs"
 	"decor/internal/sim"
 	"decor/internal/snap"
 )
@@ -36,7 +35,7 @@ type CheckpointFunc func(at sim.Time, snapshot []byte)
 // straight run would not.
 func RunCheckpointed(sc Scenario, every sim.Time, fn CheckpointFunc) Verdict {
 	sc = sc.withDefaults()
-	v, err := dispatch(sc, nil, newCkpt(every, fn), nil)
+	v, err := dispatch(sc, newCkpt(every, fn), nil)
 	if err != nil {
 		// Unreachable: fresh runs decode nothing.
 		panic(fmt.Sprintf("chaos: %v", err))
@@ -50,12 +49,6 @@ func RunCheckpointed(sc Scenario, every sim.Time, fn CheckpointFunc) Verdict {
 // truncated or version-skewed snapshots are rejected with a typed
 // snap error.
 func Resume(data []byte, every sim.Time, fn CheckpointFunc) (Verdict, error) {
-	return ResumeReg(data, nil, every, fn)
-}
-
-// ResumeReg is Resume with an explicit obs registry (nil: the process
-// default), mirroring RunReg.
-func ResumeReg(data []byte, reg *obs.Registry, every sim.Time, fn CheckpointFunc) (Verdict, error) {
 	r, err := snap.Open(data)
 	if err != nil {
 		return Verdict{}, err
@@ -72,15 +65,15 @@ func ResumeReg(data []byte, reg *obs.Registry, every sim.Time, fn CheckpointFunc
 	if err := sc.validate(); err != nil {
 		return Verdict{}, fmt.Errorf("%w: scenario: %v", snap.ErrMalformed, err)
 	}
-	return dispatch(sc, reg, newCkpt(every, fn), r)
+	return dispatch(sc, newCkpt(every, fn), r)
 }
 
-func dispatch(sc Scenario, reg *obs.Registry, ck *ckpt, res *snap.Reader) (Verdict, error) {
+func dispatch(sc Scenario, ck *ckpt, res *snap.Reader) (Verdict, error) {
 	switch sc.Arch {
 	case ArchGrid, ArchVoronoi:
-		return runDeploy(sc, reg, ck, res)
+		return runDeploy(sc, ck, res)
 	case ArchSelfheal:
-		return runSelfheal(sc, reg, ck, res)
+		return runSelfheal(sc, ck, res)
 	default:
 		panic(fmt.Sprintf("chaos: unknown architecture %q", sc.Arch))
 	}

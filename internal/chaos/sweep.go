@@ -3,38 +3,19 @@ package chaos
 import (
 	"bytes"
 	"encoding/json"
-	"sync"
 
-	"decor/internal/obs"
 	"decor/internal/shard"
 )
 
 // This file shards chaos scenarios across the repo-wide worker pool.
 // Every Run builds its own world, engine, RNG streams, and invariant
-// checker, so scenarios are independent by construction; engines write
-// their instruments to per-worker shards of the process registry (merged
-// at scrape), so parallel scenarios do not contend on shared counters.
-// Results land in per-scenario slots and are read back in input order, so
-// a sweep's output — every Verdict, trace hash, and replay bit — is
-// byte-identical for any worker count, including the sequential one
+// checker, so scenarios are independent by construction. Engines share
+// the process registry's counters without contending on them: each
+// engine batches its counter deltas (sim.Engine.flushObs). Results land
+// in per-scenario slots and are read back in input order, so a sweep's
+// output — every Verdict, trace hash, and replay bit — is byte-identical
+// for any worker count, including the sequential one
 // (TestSweepParallelIdentical locks this in).
-
-// sweepShards caches registry shards by worker index so repeated Sweeps
-// reuse them — Registry.Shard attaches a child permanently, so growth
-// must be bounded by the maximum worker count, not the sweep count.
-var sweepShards struct {
-	mu     sync.Mutex
-	shards []*obs.Registry
-}
-
-func sweepShard(worker int) *obs.Registry {
-	sweepShards.mu.Lock()
-	defer sweepShards.mu.Unlock()
-	for len(sweepShards.shards) <= worker {
-		sweepShards.shards = append(sweepShards.shards, obs.Default().Shard())
-	}
-	return sweepShards.shards[worker]
-}
 
 // SweepResult is the outcome of one sweep cell.
 type SweepResult struct {
@@ -49,12 +30,11 @@ type SweepResult struct {
 // `decor-chaos` and `make chaos-smoke` gate on.
 func Sweep(scs []Scenario, verify bool, workers int) []SweepResult {
 	out := make([]SweepResult, len(scs))
-	shard.ForEachW(len(scs), workers, func(worker, i int) {
-		reg := sweepShard(worker)
-		v := RunReg(scs[i], reg)
+	shard.ForEach(len(scs), workers, func(i int) {
+		v := Run(scs[i])
 		res := SweepResult{Verdict: v, ReplayOK: true}
 		if verify {
-			v2 := RunReg(scs[i], reg)
+			v2 := Run(scs[i])
 			j1, _ := json.Marshal(v)
 			j2, _ := json.Marshal(v2)
 			res.ReplayOK = bytes.Equal(j1, j2)

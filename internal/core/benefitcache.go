@@ -13,6 +13,11 @@ import (
 var (
 	obsCacheDeltas    = obs.Default().Counter(obs.CoreCacheDeltaUpdates)
 	obsCacheFallbacks = obs.Default().Counter(obs.CoreCacheFallbacks)
+
+	obsRoundSeconds      = obs.Default().Histogram(obs.CoreRoundSeconds, obs.DefLatencyBuckets)
+	obsEvalSeconds       = obs.Default().Histogram(obs.CoreBenefitEvalSeconds, obs.DefLatencyBuckets)
+	obsScoringSeconds    = obs.Default().Histogram(obs.CoreCandidateScoringSeconds, obs.DefLatencyBuckets)
+	obsCacheBuildSeconds = obs.Default().Histogram(obs.CoreCacheBuildSeconds, obs.DefLatencyBuckets)
 )
 
 // benefitCache maintains, for every sample point, the benefit (Eq. 1) a
@@ -57,7 +62,7 @@ type benefitCache struct {
 // each sample point to one of cells grid cells for the cell-restricted
 // variant, or is nil for the unrestricted one.
 func newBenefitCache(m *coverage.Map, rs float64, cellOf []int, cells int) *benefitCache {
-	span := obs.StartSpan(obs.CoreCacheBuildSeconds)
+	span := obs.Start(nil, "", obsCacheBuildSeconds)
 	defer span.End()
 	n := m.NumPoints()
 	c := &benefitCache{

@@ -29,13 +29,13 @@ func (Centralized) Name() string { return "centralized" }
 func (c Centralized) Deploy(m *coverage.Map, r *rng.RNG, opt Options) Result {
 	validateDeployInputs(m, r)
 	res := Result{Method: c.Name(), NodeMessages: map[int]int{}, Cells: 1, Rounds: 1}
-	_, depSpan := obs.StartSpanCtx(opt.Ctx, "core.deploy")
+	depSpan := obs.Start(opt.Ctx, "core.deploy", nil)
 	rs := c.NewRs
 	if rs <= 0 {
 		rs = m.Rs()
 	}
 	place(m, rs, opt, &res)
-	if depSpan != nil {
+	if depSpan.TraceID() != 0 {
 		depSpan.SetAttr(fmt.Sprintf("method=%s placed=%d", res.Method, len(res.Placed)))
 		depSpan.End()
 	}
@@ -66,7 +66,7 @@ const coveredBenefit = math.MinInt32 / 2
 func place(m *coverage.Map, rs float64, opt Options, res *Result) {
 	nb := m.PointNeighborhoods(rs)
 	k := m.K()
-	span := obs.StartSpan(obs.CoreCacheBuildSeconds)
+	span := obs.Start(nil, "", obsCacheBuildSeconds)
 	benefit := make([]int32, m.NumPoints())
 	for t := 0; t < m.NumTiles(); t++ {
 		if m.DeficientInTile(t) == 0 {
@@ -95,7 +95,7 @@ func place(m *coverage.Map, rs float64, opt Options, res *Result) {
 			res.Interrupted = true
 			return
 		}
-		scoreSpan := obs.StartSpan(obs.CoreCandidateScoringSeconds)
+		scoreSpan := obs.Start(nil, "", obsScoringSeconds)
 		bestIdx, bestV := -1, int32(0)
 		for t := range memo {
 			if m.DeficientInTile(t) == 0 {
@@ -159,9 +159,9 @@ func (RandomPlacement) Name() string { return "random" }
 func (rp RandomPlacement) Deploy(m *coverage.Map, r *rng.RNG, opt Options) Result {
 	validateDeployInputs(m, r)
 	res := Result{Method: rp.Name(), NodeMessages: map[int]int{}, Cells: 1, Rounds: 1}
-	_, depSpan := obs.StartSpanCtx(opt.Ctx, "core.deploy")
+	depSpan := obs.Start(opt.Ctx, "core.deploy", nil)
 	defer func() {
-		if depSpan != nil {
+		if depSpan.TraceID() != 0 {
 			depSpan.SetAttr(fmt.Sprintf("method=%s placed=%d", res.Method, len(res.Placed)))
 			depSpan.End()
 		}

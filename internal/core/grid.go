@@ -155,7 +155,8 @@ func (g GridDECOR) Deploy(m *coverage.Map, r *rng.RNG, opt Options) Result {
 		newRs = m.Rs()
 	}
 	res := Result{Method: g.Name(), NodeMessages: map[int]int{}}
-	tctx, depSpan := obs.StartSpanCtx(opt.Ctx, "core.deploy")
+	depSpan := obs.Start(opt.Ctx, "core.deploy", nil)
+	tctx := depSpan.Context(opt.Ctx)
 	st := newGridState(m, g.CellSize, &res)
 	cache := newBenefitCache(m, newRs, st.cellOf, len(st.cells))
 	defer cache.flush()
@@ -170,9 +171,8 @@ func (g GridDECOR) Deploy(m *coverage.Map, r *rng.RNG, opt Options) Result {
 			res.Interrupted = true
 			break
 		}
-		roundSpan := obs.StartSpan(obs.CoreRoundSeconds)
-		_, trSpan := obs.StartSpanCtx(tctx, "core.round")
-		evalSpan := obs.StartSpan(obs.CoreBenefitEvalSeconds)
+		roundSpan := obs.Start(tctx, "core.round", obsRoundSeconds)
+		evalSpan := obs.Start(nil, "", obsEvalSeconds)
 		decided = g.decide(st, cache, round, decided[:0])
 		evalSpan.End()
 		if len(decided) == 0 {
@@ -182,7 +182,6 @@ func (g GridDECOR) Deploy(m *coverage.Map, r *rng.RNG, opt Options) Result {
 			u := m.LowestDeficient()
 			if u < 0 {
 				roundSpan.End()
-				trSpan.End()
 				break
 			}
 			decided = append(decided, gridPlacement{leader: -1, cell: st.cellOf[u], pos: m.Point(u), ptIdx: u})
@@ -200,13 +199,12 @@ func (g GridDECOR) Deploy(m *coverage.Map, r *rng.RNG, opt Options) Result {
 			nextID++
 		}
 		res.Rounds = round + 1
-		roundSpan.End()
-		if trSpan != nil {
-			trSpan.SetAttr(fmt.Sprintf("round=%d placed=%d", round, len(decided)))
-			trSpan.End()
+		if roundSpan.TraceID() != 0 {
+			roundSpan.SetAttr(fmt.Sprintf("round=%d placed=%d", round, len(decided)))
 		}
+		roundSpan.End()
 	}
-	if depSpan != nil {
+	if depSpan.TraceID() != 0 {
 		depSpan.SetAttr(fmt.Sprintf("method=%s rounds=%d placed=%d", res.Method, res.Rounds, len(res.Placed)))
 		depSpan.End()
 	}

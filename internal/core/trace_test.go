@@ -11,13 +11,19 @@ import (
 // TestDeployEmitsTraceSpans checks that a trace carried in Options.Ctx
 // flows into placement: every method emits a core.deploy child span, and
 // the round-based methods hang one core.round span per executed round off
-// it.
+// it. The same calls feed the round and eval histograms: one observation
+// of each per core.round span, the round's exemplar naming the trace, and
+// an untraced deploy adds the same observations and records no span.
 func TestDeployEmitsTraceSpans(t *testing.T) {
+	observations := func() (rounds, evals uint64) { return obsRoundSeconds.Count(), obsEvalSeconds.Count() }
 	for _, meth := range allMethods() {
 		tr := obs.NewTracer(4096)
-		ctx, root := tr.StartTrace(context.Background(), "req")
+		root := tr.StartTrace("req", nil)
+		ctx := root.Context(context.Background())
 		m := newField(t, 1, 30, 3)
+		r0, e0 := observations()
 		res := meth.Deploy(m, rng.New(4), Options{Ctx: ctx})
+		r1, e1 := observations()
 		root.End()
 
 		spans := tr.Trace(root.TraceID())
@@ -37,6 +43,10 @@ func TestDeployEmitsTraceSpans(t *testing.T) {
 		if deploy.Parent != spans[len(spans)-1].Span && deploy.Trace != root.TraceID().String() {
 			t.Errorf("%s: core.deploy not in the request trace", meth.Name())
 		}
+		if r1-r0 != uint64(rounds) || e1-e0 != uint64(rounds) {
+			t.Errorf("%s: %d round and %d eval observations, want one each per core.round span (%d)",
+				meth.Name(), r1-r0, e1-e0, rounds)
+		}
 		switch meth.(type) {
 		case GridDECOR, VoronoiDECOR:
 			if rounds != res.Rounds {
@@ -48,10 +58,28 @@ func TestDeployEmitsTraceSpans(t *testing.T) {
 						meth.Name(), spans[i].Parent, deploy.Span)
 				}
 			}
+			exemplared := false
+			for _, ex := range obs.Default().Snapshot().Histograms[obs.CoreRoundSeconds].Exemplars {
+				exemplared = exemplared || ex == root.TraceID().String()
+			}
+			if !exemplared {
+				t.Errorf("%s: no %s bucket names trace %s as its exemplar", meth.Name(), obs.CoreRoundSeconds, root.TraceID())
+			}
 		default:
 			if rounds != 0 {
 				t.Errorf("%s: unexpected core.round spans (%d)", meth.Name(), rounds)
 			}
+		}
+
+		recorded := len(tr.Spans())
+		m = newField(t, 1, 30, 3)
+		meth.Deploy(m, rng.New(4), Options{Ctx: context.Background()})
+		if r2, e2 := observations(); r2-r1 != r1-r0 || e2-e1 != e1-e0 {
+			t.Errorf("%s: untraced deploy added %d/%d round/eval observations, traced %d/%d",
+				meth.Name(), r2-r1, e2-e1, r1-r0, e1-e0)
+		}
+		if got := len(tr.Spans()); got != recorded {
+			t.Errorf("%s: untraced deploy recorded %d spans", meth.Name(), got-recorded)
 		}
 	}
 }

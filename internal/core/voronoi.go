@@ -100,7 +100,8 @@ func (v VoronoiDECOR) Deploy(m *coverage.Map, r *rng.RNG, opt Options) Result {
 		panic("core: VoronoiDECOR requires rs <= rc for new sensors too")
 	}
 	res := Result{Method: v.Name(), NodeMessages: map[int]int{}}
-	tctx, depSpan := obs.StartSpanCtx(opt.Ctx, "core.deploy")
+	depSpan := obs.Start(opt.Ctx, "core.deploy", nil)
+	tctx := depSpan.Context(opt.Ctx)
 
 	cells := newVoronoiCells(m, v.Rc)
 	cache := newBenefitCache(m, newRs, nil, 0)
@@ -116,10 +117,9 @@ func (v VoronoiDECOR) Deploy(m *coverage.Map, r *rng.RNG, opt Options) Result {
 			res.Interrupted = true
 			break
 		}
-		roundSpan := obs.StartSpan(obs.CoreRoundSeconds)
-		_, trSpan := obs.StartSpanCtx(tctx, "core.round")
+		roundSpan := obs.Start(tctx, "core.round", obsRoundSeconds)
 		decided = decided[:0]
-		evalSpan := obs.StartSpan(obs.CoreBenefitEvalSeconds)
+		evalSpan := obs.Start(nil, "", obsEvalSeconds)
 		// Every sensor alive at round start acts concurrently on the
 		// round-start coverage and ownership.
 		for n := 0; n < cells.NumNodes(); n++ {
@@ -142,7 +142,6 @@ func (v VoronoiDECOR) Deploy(m *coverage.Map, r *rng.RNG, opt Options) Result {
 			u := m.LowestDeficient()
 			if u < 0 {
 				roundSpan.End()
-				trSpan.End()
 				break
 			}
 			decided = append(decided, voronoiPlacement{node: -1, ptIdx: u})
@@ -179,13 +178,12 @@ func (v VoronoiDECOR) Deploy(m *coverage.Map, r *rng.RNG, opt Options) Result {
 			res.Placed = append(res.Placed, Placement{ID: id, Pos: pos, Round: round})
 		}
 		res.Rounds = round + 1
-		roundSpan.End()
-		if trSpan != nil {
-			trSpan.SetAttr(fmt.Sprintf("round=%d placed=%d", round, len(decided)))
-			trSpan.End()
+		if roundSpan.TraceID() != 0 {
+			roundSpan.SetAttr(fmt.Sprintf("round=%d placed=%d", round, len(decided)))
 		}
+		roundSpan.End()
 	}
-	if depSpan != nil {
+	if depSpan.TraceID() != 0 {
 		depSpan.SetAttr(fmt.Sprintf("method=%s rounds=%d placed=%d", res.Method, res.Rounds, len(res.Placed)))
 		depSpan.End()
 	}

@@ -67,15 +67,6 @@ func NewAccountant(model Model, capacity float64) *Accountant {
 	return &Accountant{model: model, capacity: capacity, spent: map[int]float64{}}
 }
 
-// Remaining returns the node's remaining budget (never negative).
-func (a *Accountant) Remaining(id int) float64 {
-	r := a.capacity - a.spent[id]
-	if r < 0 {
-		return 0
-	}
-	return r
-}
-
 // Depleted reports whether the node has exhausted its budget.
 func (a *Accountant) Depleted(id int) bool { return a.spent[id] >= a.capacity }
 

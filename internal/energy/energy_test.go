@@ -35,16 +35,13 @@ func TestAccountant(t *testing.T) {
 	if a.Depleted(1) {
 		t.Error("node should not be depleted")
 	}
-	if got := a.Remaining(1); math.Abs(got-6e-4) > 1e-18 {
-		t.Errorf("Remaining = %v, want 6e-4", got)
-	}
 	// Drain it.
 	a.spent[1] += 1
-	if !a.Depleted(1) || a.Remaining(1) != 0 {
-		t.Error("node should be depleted with zero remaining")
+	if !a.Depleted(1) {
+		t.Error("node should be depleted")
 	}
 	// Untouched node.
-	if a.Depleted(2) || a.Remaining(2) != 1e-3 {
+	if a.Depleted(2) {
 		t.Error("fresh node state wrong")
 	}
 }

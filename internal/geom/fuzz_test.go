@@ -35,26 +35,3 @@ func FuzzIntersectionArea(f *testing.F) {
 		}
 	})
 }
-
-// FuzzSegmentDisk checks segment-vs-disk consistency: the closest point
-// must realize the reported distance and lie on the segment.
-func FuzzSegmentDisk(f *testing.F) {
-	f.Add(0.0, 0.0, 10.0, 0.0, 5.0, 3.0)
-	f.Add(1.0, 1.0, 1.0, 1.0, 2.0, 2.0) // degenerate segment
-	f.Fuzz(func(t *testing.T, ax, ay, bx, by, px, py float64) {
-		s := Segment{
-			A: Point{sane(ax, 1e3), sane(ay, 1e3)},
-			B: Point{sane(bx, 1e3), sane(by, 1e3)},
-		}
-		p := Point{sane(px, 1e3), sane(py, 1e3)}
-		cp := s.ClosestPoint(p)
-		d := s.DistToPoint(p)
-		if math.Abs(cp.Dist(p)-d) > 1e-9*(1+d) {
-			t.Fatalf("closest point %v does not realize distance %v", cp, d)
-		}
-		// cp must not be farther than either endpoint.
-		if d > p.Dist(s.A)+1e-9 || d > p.Dist(s.B)+1e-9 {
-			t.Fatalf("distance %v exceeds endpoint distances", d)
-		}
-	})
-}

@@ -33,9 +33,6 @@ func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
 // Dot returns the dot product p·q.
 func (p Point) Dot(q Point) float64 { return p.X*q.X + p.Y*q.Y }
 
-// Cross returns the z-component of the cross product p×q.
-func (p Point) Cross(q Point) float64 { return p.X*q.Y - p.Y*q.X }
-
 // Norm2 returns the squared Euclidean length of p viewed as a vector.
 func (p Point) Norm2() float64 { return p.X*p.X + p.Y*p.Y }
 

@@ -29,9 +29,6 @@ func TestPointArithmetic(t *testing.T) {
 	if got := p.Dot(q); got != 16 {
 		t.Errorf("Dot = %v, want 16", got)
 	}
-	if got := p.Cross(q); got != -2 {
-		t.Errorf("Cross = %v, want -2", got)
-	}
 }
 
 func TestDistMatchesDist2(t *testing.T) {

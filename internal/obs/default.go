@@ -8,9 +8,6 @@ var defaultRegistry = NewRegistry()
 // Default returns the process-wide registry.
 func Default() *Registry { return defaultRegistry }
 
-// StartSpan begins timing the named phase on the default registry.
-func StartSpan(name string) Span { return defaultRegistry.StartSpan(name) }
-
 // Canonical metric names, grouped by emitting package. DESIGN.md §7
 // documents the taxonomy.
 const (

@@ -32,10 +32,6 @@ func (r *Registry) Handler() http.Handler {
 	})
 }
 
-// Handler returns the live scrape handler for the process-wide default
-// registry — what decor-serve mounts at /metrics.
-func Handler() http.Handler { return defaultRegistry.Handler() }
-
 // DebugHandler serves the tracer's ring — what decor-serve mounts at
 // /debug/traces:
 //

@@ -30,7 +30,7 @@ func TestHandlerServesLiveExposition(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("decor_test_requests_total").Add(3)
 	reg.Gauge("decor_test_depth").Set(1.5)
-	reg.Histogram("decor_test_seconds", []float64{0.1, 1}).Observe(0.05)
+	reg.Histogram("decor_test_seconds", []float64{0.1, 1}).Observe(0.05, 0)
 
 	srv := httptest.NewServer(reg.Handler())
 	defer srv.Close()
@@ -113,8 +113,9 @@ func TestHandlerDeterministicOrdering(t *testing.T) {
 
 func TestDebugTracesHandler(t *testing.T) {
 	tr := NewTracer(64)
-	ctx, root := tr.StartTrace(context.Background(), "req")
-	_, c := StartSpanCtx(ctx, "phase")
+	root := tr.StartTrace("req", nil)
+	ctx := root.Context(context.Background())
+	c := Start(ctx, "phase", nil)
 	c.End()
 	root.End()
 	id := root.TraceID()

@@ -52,7 +52,7 @@ func TestHistogramSnapshotNotTorn(t *testing.T) {
 		go func() {
 			defer ww.Done()
 			for i := 0; i < perWriter; i++ {
-				h.Observe(1)
+				h.Observe(1, 0)
 			}
 		}()
 	}
@@ -102,9 +102,9 @@ func TestHistogramBoundsConflictCounted(t *testing.T) {
 
 func TestHistogramExemplars(t *testing.T) {
 	h := newHistogram([]float64{0.1, 1})
-	h.Observe(0.05)
-	h.ObserveExemplar(0.5, TraceID(0xabc))
-	h.ObserveExemplar(7, TraceID(0xdef))
+	h.Observe(0.05, 0)
+	h.Observe(0.5, TraceID(0xabc))
+	h.Observe(7, TraceID(0xdef))
 	s := h.snapshot()
 	if s.Exemplars == nil {
 		t.Fatal("no exemplars recorded")
@@ -120,7 +120,7 @@ func TestHistogramExemplars(t *testing.T) {
 	}
 	// Plain observations leave no exemplar array at all.
 	h2 := newHistogram([]float64{1})
-	h2.Observe(0.5)
+	h2.Observe(0.5, 0)
 	if s2 := h2.snapshot(); s2.Exemplars != nil {
 		t.Fatalf("unexpected exemplars %v", s2.Exemplars)
 	}

@@ -3,6 +3,7 @@ package obs
 import (
 	"sort"
 	"strings"
+	"sync"
 )
 
 // LabelSet is an interned, canonically rendered set of label key/value
@@ -128,4 +129,39 @@ func escapeLabelValue(sb *strings.Builder, v string) {
 // single atomics.
 func (r *Registry) CounterL(name string, ls LabelSet) *Counter {
 	return r.getCounter(sanitizeName(name) + ls.expo)
+}
+
+// MaxTenantLabels caps the distinct tenant label values one TenantLabels
+// hands out.
+const MaxTenantLabels = 64
+
+// TenantLabels maps raw tenant names onto a bounded set of label values,
+// so a label-spraying client cannot grow a registry without bound: the
+// first MaxTenantLabels distinct tenants keep their name, later ones fold
+// into "other", and the empty tenant reads "none". Each owner keeps its
+// own instance. The zero value is ready to use and safe for concurrent
+// use.
+type TenantLabels struct {
+	mu   sync.Mutex
+	seen map[string]bool
+}
+
+// Label returns the label value for tenant raw.
+func (t *TenantLabels) Label(raw string) string {
+	if raw == "" {
+		return "none"
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.seen[raw] {
+		return raw
+	}
+	if len(t.seen) >= MaxTenantLabels {
+		return "other"
+	}
+	if t.seen == nil {
+		t.seen = map[string]bool{}
+	}
+	t.seen[raw] = true
+	return raw
 }

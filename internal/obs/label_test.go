@@ -2,7 +2,6 @@ package obs
 
 import (
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -88,89 +87,5 @@ func TestLabeledPrometheusExposition(t *testing.T) {
 	zi := strings.Index(out, "decor_req_zz_total 9")
 	if !(pi < ri && ri < zi) {
 		t.Fatalf("family grouping broken (plan@%d repair@%d zz@%d):\n%s", pi, ri, zi, out)
-	}
-}
-
-func TestShardMergeAtScrape(t *testing.T) {
-	parent := NewRegistry()
-	parent.Counter("decor_runs_total").Add(1)
-	parent.Gauge("decor_depth").Set(2)
-	parent.Histogram("decor_sec", []float64{1, 10}).Observe(0.5)
-
-	s1, s2 := parent.Shard(), parent.Shard()
-	s1.Counter("decor_runs_total").Add(10)
-	s2.Counter("decor_runs_total").Add(100)
-	s2.Counter("decor_only_shard_total").Add(7)
-	s1.Gauge("decor_depth").Set(3)
-	s1.Histogram("decor_sec", []float64{1, 10}).Observe(5)
-
-	snap := parent.Snapshot()
-	if got := snap.Counters["decor_runs_total"]; got != 111 {
-		t.Fatalf("merged counter = %d, want 111", got)
-	}
-	if got := snap.Counters["decor_only_shard_total"]; got != 7 {
-		t.Fatalf("shard-only counter = %d, want 7", got)
-	}
-	if got := snap.Gauges["decor_depth"]; got != 5 {
-		t.Fatalf("merged gauge = %v, want 5 (sum)", got)
-	}
-	h := snap.Histograms["decor_sec"]
-	if h.Count != 2 || h.Sum != 5.5 {
-		t.Fatalf("merged histogram count=%d sum=%v, want 2/5.5", h.Count, h.Sum)
-	}
-	if h.Counts[0] != 1 || h.Counts[1] != 1 {
-		t.Fatalf("merged buckets = %v", h.Counts)
-	}
-	// Shard updates are visible on the next scrape (live merge).
-	s1.Counter("decor_runs_total").Add(1)
-	if got := parent.Snapshot().Counters["decor_runs_total"]; got != 112 {
-		t.Fatalf("second scrape = %d, want 112", got)
-	}
-}
-
-func TestShardMergeBoundsConflictCounted(t *testing.T) {
-	parent := NewRegistry()
-	parent.Histogram("decor_sec", []float64{1}).Observe(0.5)
-	sh := parent.Shard()
-	sh.Histogram("decor_sec", []float64{2}).Observe(0.5)
-	parent.Snapshot() // first scrape detects and counts the conflict
-	snap := parent.Snapshot()
-	if got := snap.Counters[ObsHistBoundsConflicts]; got < 1 {
-		t.Fatalf("conflict counter = %d, want >= 1", got)
-	}
-	if h := snap.Histograms["decor_sec"]; h.Count != 1 {
-		t.Fatalf("parent series polluted by mismatched shard: count=%d", h.Count)
-	}
-}
-
-func TestShardConcurrentScrape(t *testing.T) {
-	parent := NewRegistry()
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		sh := parent.Shard()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c := sh.Counter("decor_x_total")
-			for i := 0; i < 1000; i++ {
-				c.Inc()
-			}
-		}()
-	}
-	done := make(chan struct{})
-	go func() {
-		for {
-			select {
-			case <-done:
-				return
-			default:
-				parent.Snapshot()
-			}
-		}
-	}()
-	wg.Wait()
-	close(done)
-	if got := parent.Snapshot().Counters["decor_x_total"]; got != 4000 {
-		t.Fatalf("merged total = %d, want 4000", got)
 	}
 }

@@ -1,8 +1,9 @@
 // Package obs is the unified instrumentation layer for the DECOR
 // reproduction: a dependency-free (stdlib only) registry of named
 // counters, gauges and fixed-bucket histograms with atomic updates,
-// hierarchical trace spans with context propagation (tracer.go), a
-// fixed-memory flight recorder of structured events (flight.go), and
+// timed phases (span.go) whose one End call feeds both a histogram and,
+// inside a trace, a bounded span ring (tracer.go), a fixed-memory
+// flight recorder of structured events (flight.go), and
 // low-alloc label sets for per-tenant/arch/route attribution (label.go).
 //
 // The paper's evaluation (§4) is entirely about measured quantities —
@@ -107,23 +108,19 @@ func newHistogram(upperBounds []float64) *Histogram {
 	}
 }
 
-// Observe records one value.
-func (h *Histogram) Observe(v float64) { h.observe(v, 0) }
-
-// ObserveExemplar records one value and remembers the trace that
-// produced it as the bucket's exemplar, so a latency outlier in the
-// exposition can be followed to its full span tree via /debug/traces.
-func (h *Histogram) ObserveExemplar(v float64, trace TraceID) { h.observe(v, uint64(trace)) }
-
-func (h *Histogram) observe(v float64, trace uint64) {
+// Observe records one value. A non-zero exemplar names the trace that
+// produced it, remembered as its bucket's exemplar so a latency outlier
+// can be followed to its span tree via /debug/traces. Span.End is the
+// one caller outside tests: a timed phase observes through its span.
+func (h *Histogram) Observe(v float64, exemplar TraceID) {
 	i := sort.SearchFloat64s(h.upper, v) // first bound >= v: inclusive le
 	h.mu.Lock()
 	h.ver.Add(1) // odd: snapshots retry until the write completes
 	h.buckets[i].Add(1)
 	h.count.Add(1)
 	h.sumBits.Store(math.Float64bits(math.Float64frombits(h.sumBits.Load()) + v))
-	if trace != 0 {
-		h.exemplars[i].Store(trace)
+	if exemplar != 0 {
+		h.exemplars[i].Store(uint64(exemplar))
 	}
 	h.ver.Add(1)
 	h.mu.Unlock()
@@ -184,10 +181,9 @@ func (h *Histogram) snapshot() HistSnapshot {
 var DefLatencyBuckets = []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1, 10}
 
 // Registry holds named instruments. The zero value is not usable; create
-// with NewRegistry (or use the process-wide Default). A registry may own
-// child shards (Shard) whose instruments are merged into its Snapshot at
-// scrape time, and labeled series (label.go) that live in the same maps
-// under their full series key `name{k="v",...}`.
+// with NewRegistry (or use the process-wide Default). Labeled series
+// (label.go) live in the same maps under their full series key
+// `name{k="v",...}`.
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
@@ -196,9 +192,6 @@ type Registry struct {
 
 	lmu      sync.RWMutex
 	interned map[string]LabelSet
-
-	shardMu sync.Mutex
-	shards  []*Registry
 }
 
 // NewRegistry creates an empty registry.
@@ -211,20 +204,6 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Shard creates a child registry bound to r: instruments created on the
-// shard are merged into r's Snapshot (counters and gauges sum, histogram
-// buckets add element-wise) at scrape time. Hot paths that would contend
-// on one shared instrument — parallel chaos sweeps, per-worker service
-// state — each take a shard and update it uncontended; the merge cost is
-// paid only by the scraper.
-func (r *Registry) Shard() *Registry {
-	s := NewRegistry()
-	r.shardMu.Lock()
-	r.shards = append(r.shards, s)
-	r.shardMu.Unlock()
-	return s
-}
-
 // sanitizeName maps an arbitrary string onto the Prometheus metric-name
 // alphabet [a-zA-Z0-9_:], so exposition output is always parseable.
 func sanitizeName(name string) string {
@@ -232,7 +211,7 @@ func sanitizeName(name string) string {
 		return "_"
 	}
 	// Fast path: canonical names are already clean; don't allocate for
-	// them (StartSpan sanitizes on every call, including round loops).
+	// them (every lookup by name sanitizes).
 	clean := true
 	for i := 0; i < len(name); i++ {
 		c := name[i]
@@ -375,29 +354,8 @@ type Snapshot struct {
 	Histograms map[string]HistSnapshot `json:"histograms,omitempty"`
 }
 
-// Snapshot captures the registry's current state, merged with every
-// shard created via Shard: counters and gauges sum, histograms with
-// matching bounds add element-wise (a shard histogram whose bounds
-// disagree with the parent's series is dropped from the merge and
-// counted under ObsHistBoundsConflicts on the next scrape).
+// Snapshot captures the registry's current state.
 func (r *Registry) Snapshot() Snapshot {
-	s := r.ownSnapshot()
-	r.shardMu.Lock()
-	shards := append([]*Registry(nil), r.shards...)
-	r.shardMu.Unlock()
-	conflicts := 0
-	for _, sh := range shards {
-		conflicts += s.merge(sh.Snapshot())
-	}
-	if conflicts > 0 {
-		r.getCounter(ObsHistBoundsConflicts).Add(int64(conflicts))
-		s.Counters[ObsHistBoundsConflicts] += int64(conflicts)
-	}
-	return s
-}
-
-// ownSnapshot copies r's own instruments, shards excluded.
-func (r *Registry) ownSnapshot() Snapshot {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	s := Snapshot{
@@ -415,46 +373,6 @@ func (r *Registry) ownSnapshot() Snapshot {
 		s.Histograms[name] = h.snapshot()
 	}
 	return s
-}
-
-// merge folds a shard snapshot into s and returns the number of
-// histogram series it had to drop for mismatched bucket bounds.
-func (s *Snapshot) merge(sh Snapshot) int {
-	for name, v := range sh.Counters {
-		s.Counters[name] += v
-	}
-	for name, v := range sh.Gauges {
-		s.Gauges[name] += v
-	}
-	conflicts := 0
-	for name, hs := range sh.Histograms {
-		base, ok := s.Histograms[name]
-		if !ok {
-			s.Histograms[name] = hs
-			continue
-		}
-		if !boundsMatch(base.Buckets, hs.Buckets) {
-			conflicts++
-			continue
-		}
-		for i := range base.Counts {
-			base.Counts[i] += hs.Counts[i]
-		}
-		base.Sum += hs.Sum
-		base.Count += hs.Count
-		if hs.Exemplars != nil {
-			if base.Exemplars == nil {
-				base.Exemplars = make([]string, len(base.Counts))
-			}
-			for i, e := range hs.Exemplars {
-				if e != "" {
-					base.Exemplars[i] = e
-				}
-			}
-		}
-		s.Histograms[name] = base
-	}
-	return conflicts
 }
 
 // seriesFamily strips the label suffix from a series key: the Prometheus

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -135,112 +134,14 @@ func (t *Tracer) record(rec spanRec) {
 	s.state.Store(0)
 }
 
-// ActiveSpan is a span in progress. End records it into the tracer's
-// ring; a nil ActiveSpan (no tracer, or no trace in the context) is a
-// valid no-op, so instrumented code never branches on "is tracing on".
-type ActiveSpan struct {
-	tr           *Tracer
-	trace        TraceID
-	span, parent uint64
-	name         string
-	start        time.Time
-	attr         string
-}
-
-// TraceID returns the trace this span belongs to (0 for a no-op span).
-func (s *ActiveSpan) TraceID() TraceID {
-	if s == nil {
-		return 0
-	}
-	return s.trace
-}
-
-// SetAttr attaches a free-form annotation exported with the record.
-func (s *ActiveSpan) SetAttr(attr string) {
-	if s != nil {
-		s.attr = attr
-	}
-}
-
-// End completes the span and returns its duration (0 for a no-op span).
-func (s *ActiveSpan) End() time.Duration {
-	if s == nil {
-		return 0
-	}
-	d := time.Since(s.start)
-	s.tr.record(spanRec{
-		trace: s.trace, span: s.span, parent: s.parent,
-		name: s.name, start: s.start.UnixNano(), dur: int64(d), attr: s.attr,
-	})
-	return d
-}
-
 // ctxKey carries the active span through a context.Context.
 type ctxKey struct{}
 
+// spanCtx is the active span a context carries (Span.Context).
 type spanCtx struct {
 	tr    *Tracer
 	trace TraceID
 	span  uint64
-}
-
-// WithSpanContext transplants the active span of src onto dst. The
-// service uses it to carry a request's trace into the job context (which
-// is deliberately NOT derived from the request context, so a client
-// hang-up doesn't cancel a coalesced plan).
-func WithSpanContext(dst, src context.Context) context.Context {
-	if src == nil {
-		return dst
-	}
-	if sc, ok := src.Value(ctxKey{}).(spanCtx); ok {
-		return context.WithValue(dst, ctxKey{}, sc)
-	}
-	return dst
-}
-
-// StartTrace opens a new trace rooted at a span with the given name and
-// returns a context carrying it. On a nil tracer it returns ctx and a
-// no-op span.
-func (t *Tracer) StartTrace(ctx context.Context, name string) (context.Context, *ActiveSpan) {
-	if t == nil {
-		return ctx, nil
-	}
-	id := TraceID(t.newID())
-	sp := &ActiveSpan{tr: t, trace: id, span: t.newID(), name: name, start: time.Now()}
-	return context.WithValue(ctx, ctxKey{}, spanCtx{tr: t, trace: id, span: sp.span}), sp
-}
-
-// StartChildSpan opens a child span of the trace carried by ctx WITHOUT
-// deriving a new context. Use it when no further children will hang off
-// the span (e.g. the serving layer's parse span): it skips the
-// context.WithValue and the spanCtx boxing, two heap allocations that
-// matter on the request hot path.
-func StartChildSpan(ctx context.Context, name string) *ActiveSpan {
-	if ctx == nil {
-		return nil
-	}
-	sc, ok := ctx.Value(ctxKey{}).(spanCtx)
-	if !ok || sc.tr == nil {
-		return nil
-	}
-	return &ActiveSpan{tr: sc.tr, trace: sc.trace, span: sc.tr.newID(), parent: sc.span, name: name, start: time.Now()}
-}
-
-// StartSpanCtx opens a child span of the trace carried by ctx and
-// returns a context in which the child is the active span. Without a
-// trace in ctx (or with a nil ctx) it is a no-op: the original context
-// and a nil span come back, so sprinkling child spans through library
-// code costs one context lookup when tracing is off.
-func StartSpanCtx(ctx context.Context, name string) (context.Context, *ActiveSpan) {
-	if ctx == nil {
-		return ctx, nil
-	}
-	sc, ok := ctx.Value(ctxKey{}).(spanCtx)
-	if !ok || sc.tr == nil {
-		return ctx, nil
-	}
-	sp := &ActiveSpan{tr: sc.tr, trace: sc.trace, span: sc.tr.newID(), parent: sc.span, name: name, start: time.Now()}
-	return context.WithValue(ctx, ctxKey{}, spanCtx{tr: sc.tr, trace: sc.trace, span: sp.span}), sp
 }
 
 // Spans returns every stable record in the ring, oldest first. Slots a
@@ -336,14 +237,9 @@ func (t *Tracer) Summaries() []TraceSummary {
 	return out
 }
 
-// The process-wide default tracer (4096-span ring). Library call sites
-// that have no explicit tracer — and the decor-* binaries — record here.
+// The process-wide default tracer (4096-span ring): the tracer of a
+// service configured without one.
 var defaultTracer = NewTracer(4096)
 
 // DefaultTracer returns the process-wide tracer.
 func DefaultTracer() *Tracer { return defaultTracer }
-
-// StartTrace opens a new trace on the process-wide tracer.
-func StartTrace(ctx context.Context, name string) (context.Context, *ActiveSpan) {
-	return defaultTracer.StartTrace(ctx, name)
-}

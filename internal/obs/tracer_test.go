@@ -12,7 +12,9 @@ import (
 
 func TestStartTraceAndChildSpans(t *testing.T) {
 	tr := NewTracer(256)
-	ctx, root := tr.StartTrace(context.Background(), "request")
+	reqH, phaseH := newHistogram(DefLatencyBuckets), newHistogram(DefLatencyBuckets)
+	root := tr.StartTrace("request", reqH)
+	ctx := root.Context(context.Background())
 	id, ok := contextTrace(ctx)
 	if !ok || id == 0 {
 		t.Fatal("context does not carry the trace")
@@ -20,8 +22,9 @@ func TestStartTraceAndChildSpans(t *testing.T) {
 	if root.TraceID() != id {
 		t.Fatalf("root span trace %s != context trace %s", root.TraceID(), id)
 	}
-	cctx, child := StartSpanCtx(ctx, "phase")
-	_, grand := StartSpanCtx(cctx, "subphase")
+	child := Start(ctx, "phase", phaseH)
+	cctx := child.Context(ctx)
+	grand := Start(cctx, "subphase", nil)
 	grand.SetAttr("round=3")
 	grand.End()
 	child.End()
@@ -52,36 +55,70 @@ func TestStartTraceAndChildSpans(t *testing.T) {
 			t.Errorf("span %s carries trace %s, want %s", s.Name, s.Trace, id)
 		}
 	}
+	// Each traced End also lands once in its histogram, exemplared with
+	// the trace.
+	for name, h := range map[string]*Histogram{"request": reqH, "phase": phaseH} {
+		hs := h.snapshot()
+		exemplared := false
+		for _, ex := range hs.Exemplars {
+			exemplared = exemplared || ex == id.String()
+		}
+		if hs.Count != 1 || !exemplared {
+			t.Errorf("%s histogram: count %d, exemplars %v; want 1 observation exemplared %s", name, hs.Count, hs.Exemplars, id)
+		}
+	}
 }
 
-func TestStartSpanCtxWithoutTraceIsNoop(t *testing.T) {
-	ctx, sp := StartSpanCtx(context.Background(), "orphan")
-	if sp != nil {
-		t.Fatal("expected nil span without a trace in context")
-	}
-	if sp.End() != 0 { // nil-safe
-		t.Fatal("nil span End should return 0")
-	}
-	if _, ok := contextTrace(ctx); ok {
-		t.Fatal("no-op must not invent a trace")
+func TestStartWithoutTraceOnlyTimes(t *testing.T) {
+	h := newHistogram(DefLatencyBuckets)
+	for _, ctx := range []context.Context{nil, context.Background()} {
+		sp := Start(ctx, "orphan", h)
+		if sp.TraceID() != 0 {
+			t.Fatal("span without a trace in its context has a trace")
+		}
+		if got := sp.Context(context.Background()); got != context.Background() {
+			t.Fatal("an untraced span derived a context")
+		}
+		if sp.End() <= 0 {
+			t.Fatal("untraced End returned no duration")
+		}
 	}
 	var nilTr *Tracer
-	ctx2, sp2 := nilTr.StartTrace(context.Background(), "x")
-	if sp2 != nil || ctx2 == nil {
-		t.Fatal("nil tracer StartTrace must be a no-op")
+	sp := nilTr.StartTrace("x", h)
+	if sp.TraceID() != 0 {
+		t.Fatal("nil tracer StartTrace opened a trace")
+	}
+	sp.End()
+	if hs := h.snapshot(); hs.Count != 3 || hs.Exemplars != nil {
+		t.Fatalf("histogram count %d, exemplars %v; want 3 observations, none exemplared", hs.Count, hs.Exemplars)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		sp := Start(context.Background(), "orphan", h)
+		sp.End()
+	}); n != 0 {
+		t.Fatalf("untraced span allocates %v times, want 0", n)
 	}
 }
 
-func TestWithSpanContextTransplants(t *testing.T) {
+// TestSpanContextTransplants: Context can hang a span on a context that
+// does not descend from the one it was started in — the service's job
+// context, which a client hang-up must not cancel.
+func TestSpanContextTransplants(t *testing.T) {
 	tr := NewTracer(64)
-	src, root := tr.StartTrace(context.Background(), "req")
+	root := tr.StartTrace("req", nil)
 	defer root.End()
-	dst := WithSpanContext(context.Background(), src)
+	base, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	dst := root.Context(base)
 	id, ok := contextTrace(dst)
 	if !ok || id != root.TraceID() {
 		t.Fatalf("transplanted trace = %v/%v, want %v", id, ok, root.TraceID())
 	}
-	_, child := StartSpanCtx(dst, "job")
+	cancel()
+	if dst.Err() == nil {
+		t.Fatal("the derived context lost its parent's cancellation")
+	}
+	child := Start(dst, "job", nil)
 	child.End()
 	if got := len(tr.Trace(id)); got != 1 {
 		t.Fatalf("child recorded %d spans, want 1", got)
@@ -90,10 +127,11 @@ func TestWithSpanContextTransplants(t *testing.T) {
 
 func TestTracerRingBounded(t *testing.T) {
 	tr := NewTracer(64) // rounds to 64 slots
-	ctx, root := tr.StartTrace(context.Background(), "root")
+	root := tr.StartTrace("root", nil)
+	ctx := root.Context(context.Background())
 	root.End()
 	for i := 0; i < 500; i++ {
-		_, sp := StartSpanCtx(ctx, "spin")
+		sp := Start(ctx, "spin", nil)
 		sp.End()
 	}
 	if got := len(tr.Spans()); got > 64 {
@@ -108,8 +146,9 @@ func TestTracerRingBounded(t *testing.T) {
 
 func TestTracerJSONLRoundTrip(t *testing.T) {
 	tr := NewTracer(64)
-	ctx, root := tr.StartTrace(context.Background(), "req")
-	_, c := StartSpanCtx(ctx, "phase")
+	root := tr.StartTrace("req", nil)
+	ctx := root.Context(context.Background())
+	c := Start(ctx, "phase", nil)
 	c.End()
 	root.End()
 	var sb strings.Builder
@@ -137,8 +176,9 @@ func TestTracerSummaries(t *testing.T) {
 	tr := NewTracer(256)
 	var ids []TraceID
 	for i := 0; i < 3; i++ {
-		ctx, root := tr.StartTrace(context.Background(), "req")
-		_, c := StartSpanCtx(ctx, "inner")
+		root := tr.StartTrace("req", nil)
+		ctx := root.Context(context.Background())
+		c := Start(ctx, "inner", nil)
 		time.Sleep(time.Millisecond)
 		c.End()
 		root.End()
@@ -167,8 +207,9 @@ func TestTracerConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				ctx, root := tr.StartTrace(context.Background(), "req")
-				_, c := StartSpanCtx(ctx, "inner")
+				root := tr.StartTrace("req", nil)
+				ctx := root.Context(context.Background())
+				c := Start(ctx, "inner", nil)
 				c.End()
 				root.End()
 			}

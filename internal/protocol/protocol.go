@@ -24,7 +24,7 @@ import (
 	"decor/internal/sim"
 )
 
-// Package-level instruments on the process-wide registry. Counters are
+// Package-level instruments on the process-wide registry. They are
 // atomic, so concurrent engines in parallel tests may share them safely.
 var (
 	obsHeartbeats       = obs.Default().Counter(obs.ProtoHeartbeats)
@@ -32,6 +32,9 @@ var (
 	obsPlacementsIn     = obs.Default().Counter(obs.ProtoPlacementsReceived)
 	obsFailuresDetected = obs.Default().Counter(obs.ProtoFailuresDetected)
 	obsLeaderChanges    = obs.Default().Counter(obs.ProtoLeaderChanges)
+
+	obsHeartbeatSeconds = obs.Default().Histogram(obs.ProtoHeartbeatRoundSeconds, obs.DefLatencyBuckets)
+	obsElectionSeconds  = obs.Default().Histogram(obs.ProtoLeaderElectionSeconds, obs.DefLatencyBuckets)
 )
 
 // Message kinds exchanged by Node actors.
@@ -152,7 +155,7 @@ func (n *Node) OnStart(ctx *sim.Context) {
 func (n *Node) OnTimer(ctx *sim.Context, tag string) {
 	switch tag {
 	case timerHeartbeat:
-		sp := obs.StartSpan(obs.ProtoHeartbeatRoundSeconds)
+		sp := obs.Start(nil, "", obsHeartbeatSeconds)
 		n.nbScratch = n.net.NeighborsInto(n.id, n.nbScratch)
 		if len(n.nbScratch) > 0 {
 			// One pooled box per round, shared by every neighbor: refs
@@ -249,7 +252,7 @@ func (n *Node) KnownAliveInCell() []int {
 // leader's energy cost across the cell (paper §3.1). With EpochLen 0 the
 // leader is simply the lowest alive ID.
 func (n *Node) Leader(now sim.Time) int {
-	sp := obs.StartSpan(obs.ProtoLeaderElectionSeconds)
+	sp := obs.Start(nil, "", obsElectionSeconds)
 	leader := n.electLeader(now)
 	sp.End()
 	if n.lastLeader >= 0 && leader != n.lastLeader {

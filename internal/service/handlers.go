@@ -22,12 +22,8 @@ const jsonContentType = "application/json; charset=utf-8"
 const traceHeader = "X-Decor-Trace"
 
 // tenantHeader optionally attributes a request to a tenant for the
-// labeled response counter. Cardinality is capped at maxTenantLabels;
-// later tenants are folded into "other" so a label-spraying client
-// cannot grow the registry unboundedly.
+// labeled response counter, under obs.TenantLabels' cardinality cap.
 const tenantHeader = "X-Decor-Tenant"
-
-const maxTenantLabels = 64
 
 // cacheStatusHeader reports how a response was produced: "miss" (a cold
 // worker computed it), "hit" (LRU cache), or "coalesced" (singleflight
@@ -136,23 +132,6 @@ func (s *Server) captureFlight() {
 	s.dumpMu.Unlock()
 }
 
-// tenantLabel maps the raw tenant header to a bounded label value.
-func (s *Server) tenantLabel(raw string) string {
-	if raw == "" {
-		return "none"
-	}
-	s.tenantMu.Lock()
-	defer s.tenantMu.Unlock()
-	if s.tenants[raw] {
-		return raw
-	}
-	if len(s.tenants) >= maxTenantLabels {
-		return "other"
-	}
-	s.tenants[raw] = true
-	return raw
-}
-
 // respKey indexes the memoized labeled response counters. The obs
 // Labels/CounterL lookups allocate (joined label strings) on every
 // call even for known series, so the server keeps its own resolved
@@ -166,7 +145,7 @@ type respKey struct {
 
 // recordResponse bumps the labeled response counter for one request.
 func (s *Server) recordResponse(route string, status int, tenant string) {
-	k := respKey{route: route, status: status, tenant: s.tenantLabel(tenant)}
+	k := respKey{route: route, status: status, tenant: s.tenants.Label(tenant)}
 	s.respMu.RLock()
 	c := s.respCounters[k]
 	s.respMu.RUnlock()
@@ -307,27 +286,21 @@ func setTraceHeader(h http.Header, id obs.TraceID) {
 // endpoints: decode+validate, cache lookup, singleflight, admission,
 // deadline, response.
 func (s *Server) servePlanLike(w http.ResponseWriter, r *http.Request, ep planEndpoint) {
-	start := time.Now()
 	route := r.URL.Path
-	tctx, root := s.cfg.Tracer.StartTrace(r.Context(), route)
+	// The root span's End also lands in the request histogram, with this
+	// trace as its bucket's exemplar: a p99 bucket names an X-Decor-Trace
+	// ID to drill into.
+	root := s.cfg.Tracer.StartTrace(route, s.hRequestSeconds)
+	tctx := root.Context(r.Context())
 	sw := s.getStatusWriter(w, route, r.Header.Get(tenantHeader))
 	defer putStatusWriter(sw) // registered first: runs after the metrics defer reads sw
 	w = sw
-	if root != nil {
-		setTraceHeader(w.Header(), root.TraceID())
+	if id := root.TraceID(); id != 0 {
+		setTraceHeader(w.Header(), id)
 	}
 	defer func() {
 		root.End()
-		status := sw.finish()
-		sec := time.Since(start).Seconds()
-		if root != nil {
-			// The exemplar ties this latency bucket to the trace: a p99
-			// scrape can name an X-Decor-Trace ID to drill into.
-			s.hRequestSeconds.ObserveExemplar(sec, root.TraceID())
-		} else {
-			s.hRequestSeconds.Observe(sec)
-		}
-		if status >= 500 {
+		if sw.finish() >= 500 {
 			s.captureFlight()
 		}
 	}()
@@ -341,12 +314,11 @@ func (s *Server) servePlanLike(w http.ResponseWriter, r *http.Request, ep planEn
 
 	// Decode and normalize into a pooled runner: the fast-path codec
 	// reads the pooled body buffer, so a cache hit allocates nothing
-	// here beyond the parse span and one exact-size copy of each sensor
-	// or failed-ID list.
+	// here beyond one exact-size copy of each sensor or failed-ID list.
 	var key reqKey
 	var timeout time.Duration
 	var runner jobRunner
-	pSpan := obs.StartChildSpan(tctx, "parse")
+	pSpan := obs.Start(tctx, "parse", nil)
 	var err error
 	switch ep {
 	case epPlan:
@@ -408,10 +380,10 @@ func (s *Server) servePlanLike(w http.ResponseWriter, r *http.Request, ep planEn
 	// plus execution, carried by the job context into the round loop; the
 	// trace's span context rides along so the planner's core.deploy and
 	// core.round spans land in this request's tree.
-	ectx, eSpan := obs.StartSpanCtx(tctx, "execute")
+	eSpan := obs.Start(tctx, "execute", nil)
 	ctx, cancel := context.WithTimeout(s.baseCtx, timeout)
 	defer cancel()
-	ctx = obs.WithSpanContext(ctx, ectx)
+	ctx = eSpan.Context(ctx)
 	j := &job{ctx: ctx, runner: runner, done: make(chan jobResult, 1), tenant: r.Header.Get(tenantHeader)}
 	admission := s.cfg.Flight.Shard(s.cfg.Workers)
 	if err := s.submit(j); err != nil {

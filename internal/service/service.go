@@ -155,8 +155,7 @@ type Server struct {
 	lastDump []obs.FlightEvent
 
 	// tenants caps the cardinality of the tenant response label.
-	tenantMu sync.Mutex
-	tenants  map[string]bool
+	tenants obs.TenantLabels
 
 	// respCounters memoizes resolved labeled response-counter handles so
 	// the per-request path is one RLock + map probe (see recordResponse).
@@ -186,7 +185,6 @@ func New(cfg Config) *Server {
 		baseCtx: ctx,
 		abort:   cancel,
 		started: time.Now(),
-		tenants: map[string]bool{},
 		queued:  map[string]int{},
 
 		respCounters: map[respKey]*obs.Counter{},
@@ -228,21 +226,25 @@ func (s *Server) worker(idx int) {
 	for j := range s.queue {
 		s.gQueueDepth.Add(-1)
 		s.gInflight.Add(1)
-		start := time.Now()
 		var res jobResult
 		// The deadline covers queue wait too: a job that spent its whole
 		// budget queued fails fast instead of planning for a client that
-		// has already given up.
-		if err := j.ctx.Err(); err != nil {
-			res = jobResult{err: err}
+		// has already given up. It is timed like any job, but plans
+		// nothing, so its span stays out of the request's trace.
+		tctx := j.ctx
+		expired := tctx.Err()
+		if expired != nil {
+			tctx = s.baseCtx
+		}
+		span := obs.Start(tctx, "plan.run", s.hPlanSeconds)
+		if expired != nil {
+			res = jobResult{err: expired}
 			fs.Record(s.uptime(), "plan.expired", idx, "deadline spent in queue")
 		} else {
-			rctx, span := obs.StartSpanCtx(j.ctx, "plan.run")
-			if span != nil {
-				span.SetAttr(fmt.Sprintf("queue_wait_ms=%.2f", start.Sub(j.enq).Seconds()*1000))
+			if span.TraceID() != 0 {
+				span.SetAttr(fmt.Sprintf("queue_wait_ms=%.2f", time.Since(j.enq).Seconds()*1000))
 			}
-			body, err := j.runner.runJob(rctx)
-			span.End()
+			body, err := j.runner.runJob(span.Context(j.ctx))
 			res = jobResult{body: body, err: err}
 			if err != nil {
 				fs.Record(s.uptime(), "plan.err", idx, err.Error())
@@ -250,9 +252,7 @@ func (s *Server) worker(idx int) {
 				fs.Record(s.uptime(), "plan.done", idx, fmt.Sprintf("bytes=%d", len(body)))
 			}
 		}
-		sec := time.Since(start).Seconds()
-		s.hPlanSeconds.Observe(sec)
-		s.ewmaPlanMS.blend(sec * 1000)
+		s.ewmaPlanMS.blend(span.End().Seconds() * 1000)
 		j.done <- res
 		s.gInflight.Add(-1)
 	}

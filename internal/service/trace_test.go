@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"decor/internal/obs"
 )
@@ -108,6 +110,97 @@ func TestResponseTraceRetrievable(t *testing.T) {
 	}
 }
 
+// TestTraceShapePinned pins each traced request's span tree as a
+// multiset of (span name, parent name, attr keys), recorded before the
+// timed phases moved onto one starter, and checks that every request adds
+// one decor_serve_request_seconds observation and every planned job one
+// decor_serve_plan_seconds observation.
+func TestTraceShapePinned(t *testing.T) {
+	s, tr, _ := tracedServer(t, Config{Workers: 2})
+	for _, tc := range []struct {
+		name, path, body string
+		want             map[string]int
+	}{
+		{"plan grid-small", "/v1/plan",
+			`{"field_side":50,"k":2,"rs":4,"num_points":500,"seed":41,"scatter":40,"method":"grid-small"}`,
+			map[string]int{
+				"/v1/plan<[]": 1, "parse</v1/plan[]": 1, "execute</v1/plan[]": 1,
+				"plan.run<execute[queue_wait_ms]":            1,
+				"core.deploy<plan.run[method,rounds,placed]": 1,
+				"core.round<core.deploy[round,placed]":       7,
+			}},
+		{"plan centralized", "/v1/plan", planBody(42), map[string]int{
+			"/v1/plan<[]": 1, "parse</v1/plan[]": 1, "execute</v1/plan[]": 1,
+			"plan.run<execute[queue_wait_ms]":     1,
+			"core.deploy<plan.run[method,placed]": 1,
+		}},
+		{"repair grid-small", "/v1/repair",
+			`{"field_side":50,"k":1,"rs":6,"num_points":400,"seed":3,
+			"sensors":[{"id":10,"x":10,"y":10},{"id":11,"x":40,"y":40},{"id":12,"x":25,"y":25}],
+			"method":"grid-small","failed":[10,12]}`,
+			map[string]int{
+				"/v1/repair<[]": 1, "parse</v1/repair[]": 1, "execute</v1/repair[]": 1,
+				"plan.run<execute[queue_wait_ms]":            1,
+				"core.deploy<plan.run[method,rounds,placed]": 1,
+				"core.round<core.deploy[round,placed]":       13,
+			}},
+	} {
+		before := s.reg.Snapshot().Histograms
+		status, hdr, body := s.post(t, tc.path, tc.body)
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d, body %s", tc.name, status, body)
+		}
+		id, err := obs.ParseTraceID(hdr.Get(traceHeader))
+		if err != nil {
+			t.Fatalf("%s: %s header: %v", tc.name, traceHeader, err)
+		}
+		got := traceShape(t, tr, id)
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: trace shape\n got %v\nwant %v", tc.name, got, tc.want)
+		}
+		after := s.reg.Snapshot().Histograms
+		for _, name := range []string{obs.ServeRequestSeconds, obs.ServePlanSeconds} {
+			if n := after[name].Count - before[name].Count; n != 1 {
+				t.Errorf("%s: %d %s observations, want 1", tc.name, n, name)
+			}
+		}
+	}
+}
+
+// traceShape waits for trace id's root span to land in tr, then returns
+// the trace's spans as a multiset of "name<parent[attr keys]".
+func traceShape(t *testing.T, tr *obs.Tracer, id obs.TraceID) map[string]int {
+	t.Helper()
+	var spans []obs.SpanRecord
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		spans = tr.Trace(id)
+		rooted := false
+		for _, sp := range spans {
+			rooted = rooted || sp.Parent == ""
+		}
+		if rooted {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("trace %s: no root span recorded", id)
+		}
+	}
+	nameOf := map[string]string{}
+	for _, sp := range spans {
+		nameOf[sp.Span] = sp.Name
+	}
+	shape := map[string]int{}
+	for _, sp := range spans {
+		var keys []string
+		for _, kv := range strings.Fields(sp.Attr) {
+			k, _, _ := strings.Cut(kv, "=")
+			keys = append(keys, k)
+		}
+		shape[sp.Name+"<"+nameOf[sp.Parent]+"["+strings.Join(keys, ",")+"]"]++
+	}
+	return shape
+}
+
 func names(spans []obs.SpanRecord) []string {
 	out := make([]string, len(spans))
 	for i, sp := range spans {
@@ -146,18 +239,58 @@ func TestLabeledResponseCounter(t *testing.T) {
 	}
 }
 
+// TestTenantCardinalityCapped: the response counter's tenant label and
+// the session's decor_session_tenant_* labels each fold tenants beyond
+// obs.MaxTenantLabels into "other", while tenants admitted before the cap
+// keep their identity.
 func TestTenantCardinalityCapped(t *testing.T) {
 	s, _, _ := tracedServer(t, Config{Workers: 2})
-	for i := 0; i < maxTenantLabels+8; i++ {
-		if got := s.svc.tenantLabel(fmt.Sprintf("tenant-%03d", i)); i < maxTenantLabels && got == "other" {
+	const n = obs.MaxTenantLabels + 8
+	tenant := func(i int) string { return fmt.Sprintf("tenant-%03d", i) }
+	for i := 0; i < n; i++ {
+		if got := s.svc.tenants.Label(tenant(i)); i < obs.MaxTenantLabels && got == "other" {
 			t.Fatalf("tenant %d folded too early", i)
-		} else if i >= maxTenantLabels && got != "other" {
+		} else if i >= obs.MaxTenantLabels && got != "other" {
 			t.Fatalf("tenant %d = %q, want other", i, got)
 		}
 	}
-	// Tenants admitted before the cap keep their identity.
-	if got := s.svc.tenantLabel("tenant-000"); got != "tenant-000" {
+	if got := s.svc.tenants.Label(tenant(0)); got != tenant(0) {
 		t.Fatalf("existing tenant remapped to %q", got)
+	}
+
+	// The session manager keeps its own cap: one field per tenant, then
+	// one event each from the first and the last tenant.
+	for i := 0; i < n; i++ {
+		if status, _, body := s.do(t, "POST", "/v1/fields", tenant(i), fieldBody("f", uint64(i+1))); status != http.StatusCreated {
+			t.Fatalf("create for %s: status %d, body %s", tenant(i), status, body)
+		}
+	}
+	for _, i := range []int{0, n - 1} {
+		if status, _, body := s.do(t, "POST", "/v1/fields/f/events", tenant(i), "{\"failed\":[1]}\n"); status != http.StatusOK {
+			t.Fatalf("event for %s: status %d, body %s", tenant(i), status, body)
+		}
+	}
+	snap := s.reg.Snapshot()
+	for _, name := range []string{obs.SessionTenantCreated, obs.SessionTenantDeltas} {
+		labels := 0
+		for key := range snap.Counters {
+			if strings.HasPrefix(key, name+"{") {
+				labels++
+			}
+		}
+		other := snap.Counters[name+`{tenant="other"}`]
+		first := snap.Counters[name+`{tenant="`+tenant(0)+`"}`]
+		switch name {
+		case obs.SessionTenantCreated:
+			if labels != obs.MaxTenantLabels+1 || other != n-obs.MaxTenantLabels || first != 1 {
+				t.Errorf("%s: %d label values, other=%d, %s=%d; want %d, %d, 1",
+					name, labels, other, tenant(0), first, obs.MaxTenantLabels+1, n-obs.MaxTenantLabels)
+			}
+		case obs.SessionTenantDeltas:
+			if labels != 2 || other != 1 || first != 1 {
+				t.Errorf("%s: %d label values, other=%d, %s=%d; want 2, 1, 1", name, labels, other, tenant(0), first)
+			}
+		}
 	}
 }
 

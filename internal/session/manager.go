@@ -71,10 +71,6 @@ func (c Config) normalized() Config {
 	return c
 }
 
-// maxTenantLabels caps the tenant label cardinality on the session
-// instruments, mirroring the service response counter's cap.
-const maxTenantLabels = 64
-
 // Manager owns every field session: a fixed set of shard goroutines,
 // each confining its sessions' deployments, plus the tenant quota table
 // shared by all shards. All methods are safe for concurrent use.
@@ -90,8 +86,9 @@ type Manager struct {
 	sessions map[string]int // per tenant
 	pending  map[string]int // per tenant
 	total    int
-	labels   map[string]bool // capped tenant label values
 	closed   bool
+
+	tenants obs.TenantLabels // caps the decor_session_tenant_* labels
 
 	now func() time.Time // test seam; never influences outputs
 
@@ -110,7 +107,6 @@ func New(cfg Config) *Manager {
 		quit:     make(chan struct{}),
 		sessions: map[string]int{},
 		pending:  map[string]int{},
-		labels:   map[string]bool{},
 		now:      time.Now,
 	}
 	r := cfg.Registry
@@ -163,29 +159,10 @@ func (m *Manager) janitor() {
 	}
 }
 
-// tenantLabel maps a raw tenant to a bounded metric label value.
-// Call with tmu held.
-func (m *Manager) tenantLabelLocked(raw string) string {
-	if raw == "" {
-		return "none"
-	}
-	if m.labels[raw] {
-		return raw
-	}
-	if len(m.labels) >= maxTenantLabels {
-		return "other"
-	}
-	m.labels[raw] = true
-	return raw
-}
-
 // tenantCounter bumps a per-tenant labeled counter under the cap.
 func (m *Manager) tenantCounter(name, tenant string) {
-	m.tmu.Lock()
-	label := m.tenantLabelLocked(tenant)
-	m.tmu.Unlock()
 	r := m.cfg.Registry
-	r.CounterL(name, r.Labels("tenant", label)).Inc()
+	r.CounterL(name, r.Labels("tenant", m.tenants.Label(tenant))).Inc()
 }
 
 // op is one session operation, executed on the owning shard's goroutine.
@@ -488,12 +465,12 @@ func (sh *shardLoop) lookup(tenant, id string) (*state, error) {
 	if !ok || ent.tenant != tenant {
 		return nil, ErrNotFound
 	}
-	t0 := time.Now()
+	span := obs.Start(nil, "", sh.m.hRestoreSeconds)
 	st, err := restore(context.Background(), ent.raw, sh.m.cfg.RingDeltas)
 	if err != nil {
 		return nil, err
 	}
-	sh.m.hRestoreSeconds.Observe(time.Since(t0).Seconds())
+	span.End()
 	delete(sh.snapshot, k)
 	sh.live[k] = st
 	sh.m.cRestored.Inc()
@@ -523,7 +500,7 @@ func (sh *shardLoop) handle(o *op) opReply {
 		if err != nil {
 			return opReply{err: err}
 		}
-		t0 := time.Now()
+		span := obs.Start(nil, "", sh.m.hDeltaSeconds)
 		subsBefore := len(st.subs)
 		delta, err := st.apply(context.Background(), o.failed, sh.m.cfg.RingDeltas)
 		if err != nil {
@@ -532,7 +509,7 @@ func (sh *shardLoop) handle(o *op) opReply {
 		if dropped := subsBefore - len(st.subs); dropped > 0 {
 			sh.m.cSubsDropped.Add(int64(dropped))
 		}
-		sh.m.hDeltaSeconds.Observe(time.Since(t0).Seconds())
+		span.End()
 		st.lastUse = sh.m.now().UnixNano()
 		return opReply{delta: delta}
 

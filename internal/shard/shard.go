@@ -33,20 +33,10 @@ func Workers(requested, n int) int {
 // single-threaded callers keep deterministic stack traces and zero
 // scheduling overhead.
 func ForEach(n, workers int, job func(i int)) {
-	ForEachW(n, workers, func(_, i int) { job(i) })
-}
-
-// ForEachW is ForEach with the worker index exposed: job(worker, i) may
-// use worker (0 ≤ worker < Workers(workers, n)) to address per-worker
-// state — a registry shard, a scratch buffer — without synchronization,
-// since one worker never runs two jobs concurrently. Job order and
-// worker→job assignment are scheduling-dependent; only per-slot results
-// are deterministic.
-func ForEachW(n, workers int, job func(worker, i int)) {
 	w := Workers(workers, n)
 	if w <= 1 {
 		for i := 0; i < n; i++ {
-			job(0, i)
+			job(i)
 		}
 		return
 	}
@@ -54,16 +44,16 @@ func ForEachW(n, workers int, job func(worker, i int)) {
 	var wg sync.WaitGroup
 	wg.Add(w)
 	for g := 0; g < w; g++ {
-		go func(worker int) {
+		go func() {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				job(worker, i)
+				job(i)
 			}
-		}(g)
+		}()
 	}
 	wg.Wait()
 }

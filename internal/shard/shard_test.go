@@ -39,31 +39,6 @@ func TestForEachZeroJobs(t *testing.T) {
 	ForEach(0, 4, func(int) { t.Fatal("job invoked for n=0") })
 }
 
-// TestForEachWWorkerIndexInRange checks every job sees a worker index
-// inside [0, Workers(workers, n)) and that per-worker state needs no
-// synchronization: each worker bumps its own slot, and the bumps sum to n.
-func TestForEachWWorkerIndexInRange(t *testing.T) {
-	for _, workers := range []int{1, 2, 7} {
-		const n = 137
-		w := Workers(workers, n)
-		perWorker := make([]atomic.Int32, w)
-		ForEachW(n, workers, func(worker, i int) {
-			if worker < 0 || worker >= w {
-				t.Errorf("workers=%d: job %d got worker index %d", workers, i, worker)
-				return
-			}
-			perWorker[worker].Add(1)
-		})
-		var total int32
-		for i := range perWorker {
-			total += perWorker[i].Load()
-		}
-		if total != n {
-			t.Fatalf("workers=%d: %d jobs ran, want %d", workers, total, n)
-		}
-	}
-}
-
 // TestForEachSlotOrderIndependentOfWorkers is the merge-determinism
 // property every sharded sweep relies on: results written to per-index
 // slots read back identically for any worker count.

@@ -7,12 +7,12 @@ import (
 )
 
 // TestEngineInstrumentation checks the engine's obs wiring: per-event
-// counters and the queue-depth gauge, observed through a private registry
-// so parallel tests sharing obs.Default() cannot interfere.
+// counters and the queue-depth gauge, read as deltas of the process
+// registry (no internal/sim test runs in parallel).
 func TestEngineInstrumentation(t *testing.T) {
-	reg := obs.NewRegistry()
+	reg := obs.Default()
+	before := reg.Snapshot()
 	e := NewEngine(0.5)
-	e.SetRegistry(reg)
 
 	e.Register(2, &echoActor{})
 	e.Register(1, &echoActor{onStart: func(ctx *Context) {
@@ -35,20 +35,11 @@ func TestEngineInstrumentation(t *testing.T) {
 		obs.SimTimers:    1,
 	}
 	for name, v := range want {
-		if got := snap.Counters[name]; got != v {
+		if got := snap.Counters[name] - before.Counters[name]; got != v {
 			t.Errorf("%s = %d, want %d", name, got, v)
 		}
 	}
 	if got := snap.Gauges[obs.SimQueueDepth]; got != 0 {
 		t.Errorf("final queue depth = %g, want 0", got)
 	}
-}
-
-func TestSetRegistryNilPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("SetRegistry(nil) should panic")
-		}
-	}()
-	NewEngine(0).SetRegistry(nil)
 }

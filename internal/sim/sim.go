@@ -131,7 +131,6 @@ type Engine struct {
 	running bool
 	ctxFree []*Context // free list of callback contexts (see Context)
 	stats   Stats
-	ob      engineObs
 	flushed obsFlushed
 	// traceLine is the allocation-free trace hook: full formatted lines
 	// ("%.9f <event>\n") appended into traceBuf, which is reused across
@@ -145,30 +144,26 @@ type Engine struct {
 	faults   *faultState
 }
 
-// engineObs caches the engine's live instruments so the event loop never
-// pays a registry lookup.
-type engineObs struct {
+// engineObs holds every engine's instruments on the process registry,
+// resolved once so the event loop never pays a registry lookup.
+var engineObs = struct {
 	events, sent, delivered, dropped, lost, timers *obs.Counter
 	delayed, duplicated, partitionDropped          *obs.Counter
 	crashes, restarts                              *obs.Counter
 	queueDepth                                     *obs.Gauge
-}
-
-func bindEngineObs(r *obs.Registry) engineObs {
-	return engineObs{
-		events:           r.Counter(obs.SimEvents),
-		sent:             r.Counter(obs.SimSent),
-		delivered:        r.Counter(obs.SimDelivered),
-		dropped:          r.Counter(obs.SimDropped),
-		lost:             r.Counter(obs.SimLost),
-		timers:           r.Counter(obs.SimTimers),
-		delayed:          r.Counter(obs.SimDelayed),
-		duplicated:       r.Counter(obs.SimDuplicated),
-		partitionDropped: r.Counter(obs.SimPartitionDropped),
-		crashes:          r.Counter(obs.SimCrashes),
-		restarts:         r.Counter(obs.SimRestarts),
-		queueDepth:       r.Gauge(obs.SimQueueDepth),
-	}
+}{
+	events:           obs.Default().Counter(obs.SimEvents),
+	sent:             obs.Default().Counter(obs.SimSent),
+	delivered:        obs.Default().Counter(obs.SimDelivered),
+	dropped:          obs.Default().Counter(obs.SimDropped),
+	lost:             obs.Default().Counter(obs.SimLost),
+	timers:           obs.Default().Counter(obs.SimTimers),
+	delayed:          obs.Default().Counter(obs.SimDelayed),
+	duplicated:       obs.Default().Counter(obs.SimDuplicated),
+	partitionDropped: obs.Default().Counter(obs.SimPartitionDropped),
+	crashes:          obs.Default().Counter(obs.SimCrashes),
+	restarts:         obs.Default().Counter(obs.SimRestarts),
+	queueDepth:       obs.Default().Gauge(obs.SimQueueDepth),
 }
 
 // obsFlushed records how much of each Stats field has already been
@@ -196,18 +191,18 @@ func (e *Engine) flushObs() {
 			*prev = cur
 		}
 	}
-	add(e.ob.events, e.events, &f.events)
-	add(e.ob.sent, s.Sent, &f.sent)
-	add(e.ob.delivered, s.Delivered, &f.delivered)
-	add(e.ob.dropped, s.Dropped, &f.dropped)
-	add(e.ob.lost, s.Lost, &f.lost)
-	add(e.ob.timers, s.Timers, &f.timers)
-	add(e.ob.delayed, s.Delayed, &f.delayed)
-	add(e.ob.duplicated, s.Duplicated, &f.duplicated)
-	add(e.ob.partitionDropped, s.PartitionDropped, &f.partitionDropped)
-	add(e.ob.crashes, s.Crashes, &f.crashes)
-	add(e.ob.restarts, s.Restarts, &f.restarts)
-	e.ob.queueDepth.Set(float64(e.queue.Len()))
+	add(engineObs.events, e.events, &f.events)
+	add(engineObs.sent, s.Sent, &f.sent)
+	add(engineObs.delivered, s.Delivered, &f.delivered)
+	add(engineObs.dropped, s.Dropped, &f.dropped)
+	add(engineObs.lost, s.Lost, &f.lost)
+	add(engineObs.timers, s.Timers, &f.timers)
+	add(engineObs.delayed, s.Delayed, &f.delayed)
+	add(engineObs.duplicated, s.Duplicated, &f.duplicated)
+	add(engineObs.partitionDropped, s.PartitionDropped, &f.partitionDropped)
+	add(engineObs.crashes, s.Crashes, &f.crashes)
+	add(engineObs.restarts, s.Restarts, &f.restarts)
+	engineObs.queueDepth.Set(float64(e.queue.Len()))
 }
 
 // Stats aggregates engine-level counters. Every message send resolves to
@@ -240,7 +235,6 @@ func NewEngine(latency Time) *Engine {
 		actors:  map[int]Actor{},
 		dead:    map[int]bool{},
 		stats:   Stats{SentBy: map[int]int{}},
-		ob:      bindEngineObs(obs.Default()),
 	}
 }
 
@@ -310,17 +304,6 @@ func (e *Engine) emitLine(b []byte) {
 // nil check per event — the disabled path the tracing-overhead gate in
 // scripts/benchstat.sh protects.
 func (e *Engine) SetFlight(s *obs.FlightShard) { e.flight = s }
-
-// SetRegistry redirects this engine's instrumentation (event counters and
-// queue-depth gauge) to r instead of the process-wide obs.Default().
-// Call it before registering actors: already-flushed deltas stay on the
-// previous registry.
-func (e *Engine) SetRegistry(r *obs.Registry) {
-	if r == nil {
-		panic("sim: nil obs registry")
-	}
-	e.ob = bindEngineObs(r)
-}
 
 // SetLossRate makes every message delivery fail independently with
 // probability p (deterministically, driven by seed) — the radio packet
@@ -551,7 +534,7 @@ func (e *Engine) dropTimers(id int) {
 	e.queue.evs = kept
 	e.queue.reheap()
 	if !e.running {
-		e.ob.queueDepth.Set(float64(e.queue.Len()))
+		engineObs.queueDepth.Set(float64(e.queue.Len()))
 	}
 }
 
@@ -565,7 +548,7 @@ func (e *Engine) schedule(ev event) {
 	if !e.running {
 		// Cold path — Register/SetFaults before (or between) Runs keep the
 		// gauge exact; inside Run it is coalesced through flushObs.
-		e.ob.queueDepth.Set(float64(e.queue.Len()))
+		engineObs.queueDepth.Set(float64(e.queue.Len()))
 	}
 }
 

@@ -268,7 +268,7 @@ func (e *Engine) RestoreState(r *snap.Reader) error {
 		lost: s.Lost, timers: s.Timers, delayed: s.Delayed, duplicated: s.Duplicated,
 		partitionDropped: s.PartitionDropped, crashes: s.Crashes, restarts: s.Restarts,
 	}
-	e.ob.queueDepth.Set(float64(e.queue.Len()))
+	engineObs.queueDepth.Set(float64(e.queue.Len()))
 	return nil
 }
 

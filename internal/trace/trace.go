@@ -7,8 +7,6 @@ package trace
 import (
 	"bufio"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"io"
 
 	"decor/internal/core"
@@ -75,16 +73,6 @@ type ObsRec struct {
 	Obs  obs.Snapshot `json:"obs"`
 }
 
-// Trace is a parsed run record.
-type Trace struct {
-	Header     Header
-	Placements []PlacementRec
-	Footer     Footer
-	// Obs holds any instrumentation snapshots found in the trace, in file
-	// order (empty for seed-format traces).
-	Obs []ObsRec
-}
-
 // Write serializes a finished run. The map must be in its post-run
 // state (Collect reads coverage and redundancy from it).
 func Write(w io.Writer, m *coverage.Map, res core.Result) error {
@@ -123,88 +111,4 @@ func Write(w io.Writer, m *coverage.Map, res core.Result) error {
 // with the same writer.
 func AppendObs(w io.Writer, snap obs.Snapshot) error {
 	return json.NewEncoder(w).Encode(ObsRec{Kind: KindObs, Obs: snap})
-}
-
-// Read parses a trace written by Write. It validates record ordering and
-// placement sequence numbers.
-func Read(r io.Reader) (Trace, error) {
-	var t Trace
-	dec := json.NewDecoder(r)
-	// Header.
-	var probe struct {
-		Kind string `json:"kind"`
-	}
-	raw := json.RawMessage{}
-	state := 0 // 0=expect header, 1=placements/footer, 2=after footer
-	for {
-		if err := dec.Decode(&raw); err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			if state == 2 {
-				break // trailing non-trace data after the footer (stream reuse)
-			}
-			return t, err
-		}
-		if err := json.Unmarshal(raw, &probe); err != nil {
-			if state == 2 {
-				break
-			}
-			return t, err
-		}
-		if state == 2 && probe.Kind != KindObs {
-			// Past the footer only appended obs records belong to this
-			// trace; anything else is the next stream's data.
-			break
-		}
-		switch probe.Kind {
-		case KindHeader:
-			if state != 0 {
-				return t, errors.New("trace: duplicate header")
-			}
-			if err := json.Unmarshal(raw, &t.Header); err != nil {
-				return t, err
-			}
-			state = 1
-		case KindPlacement:
-			if state != 1 {
-				return t, errors.New("trace: placement outside body")
-			}
-			var rec PlacementRec
-			if err := json.Unmarshal(raw, &rec); err != nil {
-				return t, err
-			}
-			if rec.Seq != len(t.Placements) {
-				return t, fmt.Errorf("trace: placement seq %d out of order", rec.Seq)
-			}
-			t.Placements = append(t.Placements, rec)
-		case KindFooter:
-			if state == 0 {
-				return t, errors.New("trace: footer without header")
-			}
-			if err := json.Unmarshal(raw, &t.Footer); err != nil {
-				return t, err
-			}
-			state = 2
-		case KindObs:
-			if state == 0 {
-				return t, errors.New("trace: obs record before header")
-			}
-			var rec ObsRec
-			if err := json.Unmarshal(raw, &rec); err != nil {
-				return t, err
-			}
-			t.Obs = append(t.Obs, rec)
-		default:
-			return t, fmt.Errorf("trace: unknown record kind %q", probe.Kind)
-		}
-	}
-	if state != 2 {
-		return t, errors.New("trace: truncated (missing footer)")
-	}
-	if t.Footer.Placed != len(t.Placements) {
-		return t, fmt.Errorf("trace: footer claims %d placements, found %d",
-			t.Footer.Placed, len(t.Placements))
-	}
-	return t, nil
 }

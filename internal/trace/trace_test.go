@@ -2,7 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -40,7 +43,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err := Write(&buf, m, res); err != nil {
 		t.Fatal(err)
 	}
-	tr, err := Read(&buf)
+	tr, err := read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +75,7 @@ func TestReplayReachesRecordedCoverage(t *testing.T) {
 	if err := Write(&buf, m, res); err != nil {
 		t.Fatal(err)
 	}
-	tr, err := Read(&buf)
+	tr, err := read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +133,7 @@ func TestChaosRunTraceReplaysIdenticalCoverage(t *testing.T) {
 	if err := Write(&buf, m, res); err != nil {
 		t.Fatal(err)
 	}
-	tr, err := Read(&buf)
+	tr, err := read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +165,7 @@ func TestReplayRejectsMismatchedMap(t *testing.T) {
 	if err := Write(&buf, m, res); err != nil {
 		t.Fatal(err)
 	}
-	tr, _ := Read(&buf)
+	tr, _ := read(&buf)
 	wrong := coverage.New(geom.Square(40), lowdisc.Halton{}.Points(100, geom.Square(40)), 4, 2)
 	if _, err := replay(wrong, tr); err == nil {
 		t.Error("mismatched map should be rejected")
@@ -181,7 +184,7 @@ func TestReadRejectsMalformedTraces(t *testing.T) {
 		"not json":          "hello\n",
 	}
 	for name, in := range cases {
-		if _, err := Read(strings.NewReader(in)); err == nil {
+		if _, err := read(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
 	}
@@ -192,7 +195,7 @@ func TestReadStopsAtFooter(t *testing.T) {
 	in := `{"kind":"header","method":"x","k":1}` + "\n" +
 		`{"kind":"footer","placed":0}` + "\n" +
 		"TRAILING GARBAGE"
-	tr, err := Read(strings.NewReader(in))
+	tr, err := read(strings.NewReader(in))
 	if err != nil {
 		t.Fatalf("unexpected error: %v", err)
 	}
@@ -206,7 +209,7 @@ func TestObsRecordRoundTrip(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("decor_sim_events_total").Add(42)
 	reg.Gauge("decor_sim_queue_depth").Set(7)
-	reg.Histogram("decor_core_round_seconds", []float64{0.001, 1}).Observe(0.01)
+	reg.Histogram("decor_core_round_seconds", []float64{0.001, 1}).Observe(0.01, 0)
 	snap := reg.Snapshot()
 
 	var buf bytes.Buffer
@@ -219,7 +222,7 @@ func TestObsRecordRoundTrip(t *testing.T) {
 	if err := AppendObs(&buf, snap); err != nil { // multiple snapshots are fine
 		t.Fatal(err)
 	}
-	tr, err := Read(&buf)
+	tr, err := read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +242,7 @@ func TestObsRecordInBody(t *testing.T) {
 	in := `{"kind":"header","method":"x","k":1}` + "\n" +
 		`{"kind":"obs","obs":{"counters":{"c_total":3}}}` + "\n" +
 		`{"kind":"footer","placed":0}` + "\n"
-	tr, err := Read(strings.NewReader(in))
+	tr, err := read(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +253,7 @@ func TestObsRecordInBody(t *testing.T) {
 
 func TestObsRecordBeforeHeaderRejected(t *testing.T) {
 	in := `{"kind":"obs","obs":{}}` + "\n" + `{"kind":"header","k":1}` + "\n"
-	if _, err := Read(strings.NewReader(in)); err == nil {
+	if _, err := read(strings.NewReader(in)); err == nil {
 		t.Error("obs before header should be rejected")
 	}
 }
@@ -263,7 +266,7 @@ func TestSeedFormatTraceStillParses(t *testing.T) {
 		`{"kind":"placement","seq":0,"id":25,"x":1.5,"y":2.5,"round":0}` + "\n" +
 		`{"kind":"placement","seq":1,"id":26,"x":3,"y":4,"round":1}` + "\n" +
 		`{"kind":"footer","placed":2,"total_nodes":27,"redundant_nodes":0,"messages":9,"messages_per_cell":0.3,"rounds":2,"seeded":0,"coverage_k":1}` + "\n"
-	tr, err := Read(strings.NewReader(in))
+	tr, err := read(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +296,7 @@ func TestReplayNamesMismatchedField(t *testing.T) {
 		h := base
 		tc.mutate(&h)
 		m := coverage.New(field, pts, 4, 2)
-		_, err := replay(m, Trace{Header: h})
+		_, err := replay(m, parsedTrace{Header: h})
 		if err == nil {
 			t.Errorf("%s: mismatch not rejected", tc.name)
 			continue
@@ -304,7 +307,7 @@ func TestReplayNamesMismatchedField(t *testing.T) {
 	}
 	// A fully matching header replays fine.
 	m := coverage.New(field, pts, 4, 2)
-	if _, err := replay(m, Trace{Header: base}); err != nil {
+	if _, err := replay(m, parsedTrace{Header: base}); err != nil {
 		t.Errorf("matching header rejected: %v", err)
 	}
 }
@@ -314,7 +317,7 @@ func TestReplayNamesMismatchedField(t *testing.T) {
 // sensors), returning the map's coverage at the end. Every header
 // parameter the map can express is validated; the error names the first
 // mismatched field.
-func replay(m *coverage.Map, t Trace) (float64, error) {
+func replay(m *coverage.Map, t parsedTrace) (float64, error) {
 	h := t.Header
 	switch {
 	case m.K() != h.K:
@@ -332,4 +335,98 @@ func replay(m *coverage.Map, t Trace) (float64, error) {
 		m.AddSensor(rec.ID, geom.Point{X: rec.X, Y: rec.Y})
 	}
 	return m.CoverageFrac(m.K()), nil
+}
+
+// parsedTrace is a run record as read parses it.
+type parsedTrace struct {
+	Header     Header
+	Placements []PlacementRec
+	Footer     Footer
+	// Obs holds any instrumentation snapshots found in the trace, in file
+	// order (empty for seed-format traces).
+	Obs []ObsRec
+}
+
+// read is the tests' parser of a trace written by Write. It validates
+// record ordering and placement sequence numbers.
+func read(r io.Reader) (parsedTrace, error) {
+	var t parsedTrace
+	dec := json.NewDecoder(r)
+	// Header.
+	var probe struct {
+		Kind string `json:"kind"`
+	}
+	raw := json.RawMessage{}
+	state := 0 // 0=expect header, 1=placements/footer, 2=after footer
+	for {
+		if err := dec.Decode(&raw); err != nil {
+			if errors.Is(err, io.EOF) {
+				break
+			}
+			if state == 2 {
+				break // trailing non-trace data after the footer (stream reuse)
+			}
+			return t, err
+		}
+		if err := json.Unmarshal(raw, &probe); err != nil {
+			if state == 2 {
+				break
+			}
+			return t, err
+		}
+		if state == 2 && probe.Kind != KindObs {
+			// Past the footer only appended obs records belong to this
+			// trace; anything else is the next stream's data.
+			break
+		}
+		switch probe.Kind {
+		case KindHeader:
+			if state != 0 {
+				return t, errors.New("trace: duplicate header")
+			}
+			if err := json.Unmarshal(raw, &t.Header); err != nil {
+				return t, err
+			}
+			state = 1
+		case KindPlacement:
+			if state != 1 {
+				return t, errors.New("trace: placement outside body")
+			}
+			var rec PlacementRec
+			if err := json.Unmarshal(raw, &rec); err != nil {
+				return t, err
+			}
+			if rec.Seq != len(t.Placements) {
+				return t, fmt.Errorf("trace: placement seq %d out of order", rec.Seq)
+			}
+			t.Placements = append(t.Placements, rec)
+		case KindFooter:
+			if state == 0 {
+				return t, errors.New("trace: footer without header")
+			}
+			if err := json.Unmarshal(raw, &t.Footer); err != nil {
+				return t, err
+			}
+			state = 2
+		case KindObs:
+			if state == 0 {
+				return t, errors.New("trace: obs record before header")
+			}
+			var rec ObsRec
+			if err := json.Unmarshal(raw, &rec); err != nil {
+				return t, err
+			}
+			t.Obs = append(t.Obs, rec)
+		default:
+			return t, fmt.Errorf("trace: unknown record kind %q", probe.Kind)
+		}
+	}
+	if state != 2 {
+		return t, errors.New("trace: truncated (missing footer)")
+	}
+	if t.Footer.Placed != len(t.Placements) {
+		return t, fmt.Errorf("trace: footer claims %d placements, found %d",
+			t.Footer.Placed, len(t.Placements))
+	}
+	return t, nil
 }

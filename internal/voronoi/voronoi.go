@@ -78,19 +78,3 @@ func clipHalfPlane(poly []geom.Point, a, b geom.Point) []geom.Point {
 	}
 	return out
 }
-
-// Contains reports whether p lies in the convex polygon (boundary
-// inclusive), assuming counter-clockwise orientation.
-func Contains(poly []geom.Point, p geom.Point) bool {
-	if len(poly) < 3 {
-		return false
-	}
-	for i := range poly {
-		a := poly[i]
-		b := poly[(i+1)%len(poly)]
-		if b.Sub(a).Cross(p.Sub(a)) < -1e-9 {
-			return false
-		}
-	}
-	return true
-}

@@ -29,7 +29,7 @@ func TestTwoSitesSplitAtBisector(t *testing.T) {
 		}
 	}
 	// The bisector is x=5: cell 0 must contain (4.9,5) and not (5.1,5).
-	if !Contains(cells[0], geom.Pt(4.9, 5)) || Contains(cells[0], geom.Pt(5.1, 5)) {
+	if !contains(cells[0], geom.Pt(4.9, 5)) || contains(cells[0], geom.Pt(5.1, 5)) {
 		t.Error("bisector split wrong")
 	}
 }
@@ -42,7 +42,7 @@ func TestFourSiteGrid(t *testing.T) {
 		if got := polygonArea(c); math.Abs(got-25) > 1e-9 {
 			t.Errorf("cell %d area = %v, want 25", i, got)
 		}
-		if !Contains(c, sites[i]) {
+		if !contains(c, sites[i]) {
 			t.Errorf("cell %d does not contain its own site", i)
 		}
 	}
@@ -89,7 +89,7 @@ func TestDiagramPartitionProperties(t *testing.T) {
 			if area <= 0 {
 				t.Fatalf("trial %d: cell %d degenerate", trial, i)
 			}
-			if !Contains(c, sites[i]) {
+			if !contains(c, sites[i]) {
 				t.Fatalf("trial %d: site %d outside its cell", trial, i)
 			}
 		}
@@ -105,7 +105,7 @@ func TestDiagramPartitionProperties(t *testing.T) {
 					best, bestD = i, d
 				}
 			}
-			if !Contains(cells[best], p) {
+			if !contains(cells[best], p) {
 				t.Fatalf("trial %d: probe %v not in nearest site %d's cell", trial, p, best)
 			}
 		}
@@ -134,7 +134,7 @@ func TestAgreesWithPartitionOwnership(t *testing.T) {
 		}
 		inCells := 0
 		for i, c := range cells {
-			if Contains(c, p) {
+			if contains(c, p) {
 				inCells++
 				if i != owner && !onSharedBoundary(p, sites, owner, i) {
 					t.Fatalf("probe %v in cell %d but nearest is %d", p, i, owner)
@@ -159,7 +159,27 @@ func polygonArea(poly []geom.Point) float64 {
 	}
 	sum := 0.0
 	for i, p := range poly {
-		sum += p.Cross(poly[(i+1)%len(poly)])
+		sum += cross(p, poly[(i+1)%len(poly)])
 	}
 	return math.Abs(sum) / 2
 }
+
+// contains is the tests' point-in-cell oracle: whether p lies in the
+// convex polygon (boundary inclusive), assuming counter-clockwise
+// orientation.
+func contains(poly []geom.Point, p geom.Point) bool {
+	if len(poly) < 3 {
+		return false
+	}
+	for i := range poly {
+		a := poly[i]
+		b := poly[(i+1)%len(poly)]
+		if cross(b.Sub(a), p.Sub(a)) < -1e-9 {
+			return false
+		}
+	}
+	return true
+}
+
+// cross returns the z-component of the cross product p×q.
+func cross(p, q geom.Point) float64 { return p.X*q.Y - p.Y*q.X }

@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -18,6 +19,7 @@ import (
 var surfaceAllowlist = map[string]string{
 	"internal/chaos.DecodeScenario":            "the fuzz decoder shared by the chaos and protocol fuzzers",
 	"internal/geom.Disk.IntersectionArea":      "the exact-area oracle of the percover, lowdisc and geom tests",
+	"internal/geom.Pt":                         "the point constructor of about 25 packages' tests",
 	"internal/sim/invariant.LeaderAgreement":   "the invariant of the protocol crash/partition test",
 	"internal/lowdisc.StarDiscrepancy":         "EXPERIMENTS.md reports its values",
 	"internal/lowdisc.EstimateStarDiscrepancy": "EXPERIMENTS.md reports its values",
@@ -41,23 +43,18 @@ type surfaceDecl struct {
 	pos  token.Position
 }
 
-// surfaceScan parses every non-test Go file below root and returns the
-// functions and methods declared under internal/ and cmd/ whose name no
-// non-test file uses outside the declaration itself. A function counts
-// as used when its name appears as any identifier; a method when its
-// name appears as a selector or as an interface method.
-func surfaceScan(t *testing.T, root string) (decls map[string]surfaceDecl, unused []surfaceDecl) {
+// parsedFile is one non-test Go file and its directory relative to the
+// module root.
+type parsedFile struct {
+	dir string
+	f   *ast.File
+}
+
+// parseNonTest parses every non-test Go file below root, skipping
+// testdata and hidden or underscore directories.
+func parseNonTest(t *testing.T, fset *token.FileSet, root string) []parsedFile {
 	t.Helper()
-	fset := token.NewFileSet()
-	decls = map[string]surfaceDecl{}
-	idents := map[string]map[string]bool{}    // name -> owners of its uses
-	selectors := map[string]map[string]bool{} // name -> owners of its uses
-	note := func(m map[string]map[string]bool, name, owner string) {
-		if m[name] == nil {
-			m[name] = map[string]bool{}
-		}
-		m[name][owner] = true
-	}
+	var files []parsedFile
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -80,7 +77,58 @@ func surfaceScan(t *testing.T, root string) (decls map[string]surfaceDecl, unuse
 		if err != nil {
 			return err
 		}
-		dir := filepath.ToSlash(rel)
+		files = append(files, parsedFile{filepath.ToSlash(rel), f})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// surfaceScan parses every non-test Go file below root and returns the
+// functions and methods declared under internal/ and cmd/ that no
+// non-test file uses outside the declaration itself. A package-level
+// function counts as used only through pkg.Name in a file that imports
+// its package, or through a bare Name inside its own package; a method
+// when its name appears as a selector or as an interface method.
+func surfaceScan(t *testing.T, root string) (decls map[string]surfaceDecl, unused []surfaceDecl) {
+	t.Helper()
+	fset := token.NewFileSet()
+	files := parseNonTest(t, fset, root)
+	pkgName := map[string]string{} // dir -> package name
+	for _, pf := range files {
+		pkgName[pf.dir] = pf.f.Name.Name
+	}
+
+	decls = map[string]surfaceDecl{}
+	funcUses := map[string]map[string]bool{}  // dir.Name -> owners of its uses
+	selectors := map[string]map[string]bool{} // method name -> owners of its uses
+	note := func(m map[string]map[string]bool, name, owner string) {
+		if m[name] == nil {
+			m[name] = map[string]bool{}
+		}
+		m[name][owner] = true
+	}
+	for _, pf := range files {
+		dir, f := pf.dir, pf.f
+		// imports maps each local package name to the imported module dir.
+		imports := map[string]string{}
+		for _, imp := range f.Imports {
+			path, err := strconv.Unquote(imp.Path.Value)
+			if err != nil || (path != "decor" && !strings.HasPrefix(path, "decor/")) {
+				continue
+			}
+			idir := strings.TrimPrefix(strings.TrimPrefix(path, "decor"), "/")
+			if idir == "" {
+				idir = "."
+			}
+			local := pkgName[idir]
+			if imp.Name != nil {
+				local = imp.Name.Name
+			}
+			imports[local] = idir
+		}
 		// internal/sim/simtest is a test-support package: everything in
 		// it exists for tests.
 		scanned := (strings.HasPrefix(dir, "internal/") || strings.HasPrefix(dir, "cmd/")) && dir != "internal/sim/simtest"
@@ -101,14 +149,19 @@ func surfaceScan(t *testing.T, root string) (decls map[string]surfaceDecl, unuse
 					decls[owner] = surfaceDecl{key: owner, name: fd.Name.Name, recv: recv, pos: fset.Position(fd.Pos())}
 				}
 			}
+			sels := map[*ast.Ident]bool{} // selected names: never bare uses
 			ast.Inspect(decl, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.Ident:
-					if n != own {
-						note(idents, n.Name, owner)
+					if n != own && !sels[n] {
+						note(funcUses, dir+"."+n.Name, owner)
 					}
 				case *ast.SelectorExpr:
+					sels[n.Sel] = true
 					note(selectors, n.Sel.Name, owner)
+					if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
+						note(funcUses, imports[x.Name]+"."+n.Sel.Name, owner)
+					}
 				case *ast.InterfaceType:
 					for _, m := range n.Methods.List {
 						for _, id := range m.Names {
@@ -119,10 +172,6 @@ func surfaceScan(t *testing.T, root string) (decls map[string]surfaceDecl, unuse
 				return true
 			})
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	usedOutside := func(owners map[string]bool, self string) bool {
 		for o := range owners {
@@ -135,7 +184,7 @@ func surfaceScan(t *testing.T, root string) (decls map[string]surfaceDecl, unuse
 	for _, d := range decls {
 		var used bool
 		if d.recv == "" {
-			used = usedOutside(idents[d.name], d.key)
+			used = usedOutside(funcUses[d.key], d.key)
 		} else {
 			used = stdInterfaceMethods[d.name] || usedOutside(selectors[d.name], d.key)
 		}
@@ -188,5 +237,27 @@ func TestNoTestOnlySurface(t *testing.T) {
 		case !isUnused[key]:
 			t.Errorf("surfaceAllowlist entry %s now has a production caller; drop the entry", key)
 		}
+	}
+}
+
+// TestTimingGoesThroughSpans keeps timing to one call: outside
+// internal/obs a phase is timed with obs.Start or Tracer.StartTrace,
+// whose End feeds both the histogram and the trace, so no production
+// file observes a histogram by hand.
+func TestTimingGoesThroughSpans(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, pf := range parseNonTest(t, fset, ".") {
+		if pf.dir == "internal/obs" {
+			continue
+		}
+		ast.Inspect(pf.f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Observe" || sel.Sel.Name == "ObserveExemplar") {
+					p := fset.Position(sel.Sel.Pos())
+					t.Errorf("%s:%d: %s observes a histogram by hand; time the phase with obs.Start", p.Filename, p.Line, sel.Sel.Name)
+				}
+			}
+			return true
+		})
 	}
 }
