@@ -69,11 +69,12 @@ snapshot-smoke:
 # NDJSON streams, mid-stream evict/restore) run twice under the race
 # detector, asserting the two runs produce byte-identical delta streams
 # — the session subsystem's determinism contract end to end (DESIGN.md
-# §14). Quota isolation and the fast-restore differential (binary
-# restore byte-equal to replay restore) are asserted in the same package
-# run.
+# §14). Quota isolation, the per-field locks (a held field blocks only
+# itself; the admission bound answers ErrSaturated) and the fast-restore
+# differential (binary restore byte-equal to replay restore) are
+# asserted in the same package run.
 session-smoke:
-	$(GO) test -race -run '^TestSessionSoak$$|^TestSoakQuotaIsolation$$|^TestFastRestoreMatchesReplay$$' -count=1 -timeout 300s ./internal/session/
+	$(GO) test -race -run '^TestSessionSoak$$|^TestSoakQuotaIsolation$$|^TestBusyFieldBlocksOnlyItself$$|^TestAdmissionBoundSaturates$$|^TestFastRestoreMatchesReplay$$' -count=1 -timeout 300s ./internal/session/
 
 # Fuzz smoke: the number parser's and the request decoders' parity
 # fuzzers each run 20000 generated inputs past their committed corpora,

@@ -63,7 +63,6 @@ func run() int {
 		enablePprof  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		traceCap     = flag.Int("trace-cap", 4096, "trace ring capacity in spans (rounded up to a power of two)")
 
-		sessShards    = flag.Int("session-shards", 0, "field-session worker shards (0 = GOMAXPROCS)")
 		sessMax       = flag.Int("session-max", 0, "global live field-session cap (0 = default 4096)")
 		sessMaxTenant = flag.Int("session-max-per-tenant", 0, "per-tenant field-session cap (0 = default 64); excess creates get 429")
 		sessIdleTTL   = flag.Duration("session-idle-ttl", 0, "idle time before a session is snapshotted and evicted (0 = built-in default)")
@@ -94,7 +93,6 @@ func run() int {
 			MaxTimeout:     *maxTimeout,
 		},
 		Sessions: session.Config{
-			Shards:               *sessShards,
 			MaxSessions:          *sessMax,
 			MaxSessionsPerTenant: *sessMaxTenant,
 			IdleTTL:              *sessIdleTTL,

@@ -106,14 +106,14 @@ func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 //
 // # Concurrency contract
 //
-// A Deployment is confined to a single goroutine: every method —
-// including apparent reads like Coverage and Sensors — may touch shared
-// mutable state (coverage counts, spatial indexes, the RNG stream)
-// without synchronization. Callers that need concurrency take one of two
-// shapes: give each goroutine its own Deployment built from its own
-// Params (deployments built from equal Params behave identically), or
-// build one and hand each goroutine a private Clone. The decor-serve
-// request path does the latter for every request; see DESIGN.md §9.
+// A Deployment is not safe for concurrent use: every method — including
+// apparent reads like Coverage and Sensors — may touch shared mutable
+// state (coverage counts, spatial indexes, the RNG stream) without
+// synchronization. Callers serialize access in one of two ways. Each
+// goroutine can own a private Deployment: one built from equal Params,
+// which behaves identically, or a Clone; the decor-serve request path
+// clones for every request (DESIGN.md §9). Or a lock guards a shared
+// Deployment, as each field session's lock does (DESIGN.md §14).
 type Deployment struct {
 	params Params
 	m      *coverage.Map
@@ -316,7 +316,7 @@ func (d *Deployment) FailArea(center Point, radius float64) []int {
 // (paper §2 corollary). This is exponential-ish in network size; intended
 // for modest deployments.
 func (d *Deployment) Connectivity() int {
-	net := network.New(d.m.Field())
+	net := network.New()
 	for _, s := range d.Sensors() {
 		net.Add(s.ID, geom.Point(s.Pos), d.params.Rs, d.params.Rc)
 	}

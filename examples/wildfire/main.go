@@ -42,7 +42,7 @@ func main() {
 	// Mirror the deployment into the protocol simulator: every sensor
 	// heartbeats with period Tc = 30s and suspects a neighbor after 3
 	// silent periods.
-	net := network.New(geom.Square(80))
+	net := network.New()
 	eng := sim.NewEngine(0.05)
 	cfg := protocol.Config{Tc: 30, TimeoutMult: 3, Cell: -1}
 	nodes := map[int]*protocol.Node{}

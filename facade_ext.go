@@ -110,7 +110,7 @@ var errInvalidK = errors.New("decor: K must be at least 1")
 // when already connected). Relays participate in coverage like any
 // other sensor.
 func (d *Deployment) ConnectRelays() []Point {
-	net := network.New(d.m.Field())
+	net := network.New()
 	for _, s := range d.Sensors() {
 		net.Add(s.ID, geom.Point(s.Pos), d.params.Rs, d.params.Rc)
 	}

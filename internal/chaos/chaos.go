@@ -320,14 +320,14 @@ func Run(sc Scenario) Verdict {
 }
 
 // world builds the deterministic sample-point field and a traced engine
-// with a per-run flight recorder (single shard: the engine is the only
-// writer, so event sequence numbers are deterministic).
+// with a per-run flight recorder (the engine is its only writer, so
+// event sequence numbers are deterministic).
 func (sc Scenario) world() (*coverage.Map, *sim.Engine, hash.Hash, *int, *obs.FlightRecorder) {
 	pts := lowdisc.Halton{}.Points(sc.Points, geom.Square(sc.Field))
 	m := coverage.New(geom.Square(sc.Field), pts, sc.Rs, sc.K)
 	eng := sim.NewEngine(sc.Latency)
-	fr := obs.NewFlightRecorder(1, 512)
-	eng.SetFlight(fr.Shard(0))
+	fr := obs.NewFlightRecorder(512)
+	eng.SetFlight(fr)
 	h := sha256.New()
 	lines := new(int)
 	// The engine formats each line into a reused buffer (byte-identical

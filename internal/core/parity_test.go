@@ -188,7 +188,7 @@ func BenchmarkBenefitRadius(b *testing.B) {
 	b.Run("grid-rescan", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			snap := m.Counts()
+			snap := m.CountsInto(nil)
 			for c := range cells {
 				perceive := func(i int) int {
 					if cellOf[i] != c {
@@ -217,7 +217,7 @@ func BenchmarkBenefitRadius(b *testing.B) {
 	b.Run("voronoi-rescan", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			snap := m.Counts()
+			snap := m.CountsInto(nil)
 			for _, id := range ids {
 				owned := vor.OwnedPoints(id)
 				if len(owned) == 0 {

@@ -15,7 +15,10 @@ import (
 // of each per core.round span, the round's exemplar naming the trace, and
 // an untraced deploy adds the same observations and records no span.
 func TestDeployEmitsTraceSpans(t *testing.T) {
-	observations := func() (rounds, evals uint64) { return obsRoundSeconds.Count(), obsEvalSeconds.Count() }
+	observations := func() (rounds, evals uint64) {
+		hs := obs.Default().Snapshot().Histograms
+		return hs[obs.CoreRoundSeconds].Count, hs[obs.CoreBenefitEvalSeconds].Count
+	}
 	for _, meth := range allMethods() {
 		tr := obs.NewTracer(4096)
 		root := tr.StartTrace("req", nil)

@@ -224,9 +224,14 @@ func TestVoronoiRepairParity(t *testing.T) {
 // through the map's point index. Only the new-sensor radius's adjacency
 // (the benefit cache's) lands in the map's point set.
 func TestVoronoiDeployBuildsNoRcAdjacency(t *testing.T) {
-	m := parityMap(3, 2)
+	field := geom.Square(40)
+	ps := coverage.NewPointSet(field, lowdisc.Halton{}.Points(300, field), 4)
+	m := coverage.NewMap(ps, 2)
+	r := rng.New(3)
+	for id := 0; id < 20; id++ {
+		m.AddSensor(id, r.PointInRect(field))
+	}
 	VoronoiDECOR{Rc: 8}.Deploy(m, rng.New(3), Options{})
-	ps := m.PointSet()
 	if ps.BuiltNeighborhoods(8) != nil {
 		t.Fatal("Deploy built the rc adjacency")
 	}

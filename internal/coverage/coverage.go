@@ -83,9 +83,6 @@ func (m *Map) dec(i int) {
 	m.counts[i]--
 }
 
-// PointSet returns the map's sample-point set.
-func (m *Map) PointSet() *PointSet { return m.ps }
-
 // Field returns the monitored rectangle.
 func (m *Map) Field() geom.Rect { return m.ps.field }
 
@@ -127,12 +124,6 @@ func (m *Map) Point(i int) geom.Point { return m.ps.pts[i] }
 
 // Count returns the current coverage count k_p of sample point i.
 func (m *Map) Count(i int) int { return m.counts[i] }
-
-// Counts returns a copy of all coverage counts (a snapshot, used by the
-// round-based distributed simulation).
-func (m *Map) Counts() []int {
-	return append([]int(nil), m.counts...)
-}
 
 // CountsInto copies all coverage counts into dst, growing it only when
 // too small, and returns the snapshot. Round loops that need a fresh

@@ -47,7 +47,7 @@ func assertRecount(t *testing.T, m *Map, live map[int]disk) {
 			}
 		}
 	}
-	if got := m.Counts(); !reflect.DeepEqual(got, want) {
+	if got := m.CountsInto(nil); !reflect.DeepEqual(got, want) {
 		t.Fatalf("counts diverge from the recount:\n got %v\nwant %v", got, want)
 	}
 	if m.NumDeficient() != deficient || m.FullyCovered() != (deficient == 0) {

@@ -175,7 +175,7 @@ func ExtConnectivity(cfg Config) Figure {
 			for run := 0; run < small.Runs; run++ {
 				m := small.NewMap(int(kf), run)
 				meth.Deploy(m, small.DeployRNG(run), core.Options{})
-				net := network.New(m.Field())
+				net := network.New()
 				for _, id := range m.SensorIDs() {
 					p, _ := m.SensorPos(id)
 					net.Add(id, p, small.Rs, 2*small.Rs)
@@ -274,7 +274,7 @@ func ExtHops(cfg Config) Figure {
 			for run := 0; run < cfg.Runs; run++ {
 				m := cfg.NewMap(int(kf), run)
 				(core.GridDECOR{CellSize: cellSize}).Deploy(m, cfg.DeployRNG(run), core.Options{})
-				net := network.New(m.Field())
+				net := network.New()
 				part := partitionGrid(m, cellSize)
 				leaders := map[int]int{} // cell -> lowest sensor ID
 				for _, id := range m.SensorIDs() {

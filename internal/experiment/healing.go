@@ -81,7 +81,7 @@ func ExtRelay(cfg Config) Figure {
 		for run := 0; run < cfg.Runs; run++ {
 			m := cfg.NewMap(int(kf), run)
 			(core.VoronoiDECOR{Rc: 2 * cfg.Rs}).Deploy(m, cfg.DeployRNG(run), core.Options{})
-			net := network.New(m.Field())
+			net := network.New()
 			for _, id := range m.SensorIDs() {
 				p, _ := m.SensorPos(id)
 				net.Add(id, p, cfg.Rs, rc)

@@ -30,7 +30,7 @@ func ExtLocalization(cfg Config) Figure {
 			for run := 0; run < cfg.Runs; run++ {
 				m := cfg.NewMap(3, run)
 				(core.VoronoiDECOR{Rc: rc}).Deploy(m, cfg.DeployRNG(run), core.Options{})
-				net := network.New(m.Field())
+				net := network.New()
 				ids := m.SensorIDs()
 				for _, id := range ids {
 					p, _ := m.SensorPos(id)

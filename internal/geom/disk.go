@@ -27,14 +27,6 @@ func (d Disk) IntersectsRect(r Rect) bool {
 	return r.DistToPoint(d.Center) <= d.R
 }
 
-// Bounds returns the axis-aligned bounding box of d.
-func (d Disk) Bounds() Rect {
-	return Rect{
-		Min: Point{d.Center.X - d.R, d.Center.Y - d.R},
-		Max: Point{d.Center.X + d.R, d.Center.Y + d.R},
-	}
-}
-
 // PointAt returns the boundary point of d at angle theta (radians).
 func (d Disk) PointAt(theta float64) Point {
 	return Point{d.Center.X + d.R*math.Cos(theta), d.Center.Y + d.R*math.Sin(theta)}

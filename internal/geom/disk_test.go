@@ -34,6 +34,15 @@ func TestDiskIntersectsRect(t *testing.T) {
 	}
 }
 
+// Bounds returns the axis-aligned bounding box of d: the sampling box
+// and disjointness oracle of the intersection-area tests.
+func (d Disk) Bounds() Rect {
+	return Rect{
+		Min: Point{d.Center.X - d.R, d.Center.Y - d.R},
+		Max: Point{d.Center.X + d.R, d.Center.Y + d.R},
+	}
+}
+
 func TestDiskBounds(t *testing.T) {
 	b := DiskAt(3, 4, 2).Bounds()
 	if !b.Min.Eq(Pt(1, 2)) || !b.Max.Eq(Pt(5, 6)) {

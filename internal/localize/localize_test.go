@@ -11,7 +11,7 @@ import (
 
 // denseNetwork builds a connected random network with rc-range links.
 func denseNetwork(n int, side, rc float64, seed uint64) *network.Network {
-	net := network.New(geom.Square(side))
+	net := network.New()
 	r := rng.New(seed)
 	for id := 0; id < n; id++ {
 		net.Add(id, r.PointInRect(geom.Square(side)), rc/2, rc)
@@ -126,7 +126,7 @@ func TestDVHopDisconnectedNodesUnlocalized(t *testing.T) {
 
 func TestEvaluateAccuracyEmpty(t *testing.T) {
 	res := Result{Estimates: map[int]Estimate{}}
-	if a, b := EvaluateAccuracy(network.New(geom.Square(10)), &res); a != 0 || b != 0 {
+	if a, b := EvaluateAccuracy(network.New(), &res); a != 0 || b != 0 {
 		t.Error("empty accuracy should be zero")
 	}
 }

@@ -47,21 +47,6 @@ func RadicalInverse(base, i uint64) float64 {
 	return result
 }
 
-// VanDerCorput is the 1-D van der Corput sequence in the given base,
-// exposed for completeness and used by tests.
-type VanDerCorput struct {
-	Base uint64
-}
-
-// At returns the i-th element of the sequence.
-func (v VanDerCorput) At(i uint64) float64 {
-	b := v.Base
-	if b == 0 {
-		b = 2
-	}
-	return RadicalInverse(b, i)
-}
-
 // Halton is the 2-D Halton sequence with the given coprime bases
 // (default 2 and 3). It is the paper's primary field approximation.
 type Halton struct {

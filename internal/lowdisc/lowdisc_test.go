@@ -57,13 +57,6 @@ func TestRadicalInversePanicsOnBadBase(t *testing.T) {
 	RadicalInverse(1, 5)
 }
 
-func TestVanDerCorputDefaultsBase2(t *testing.T) {
-	v := VanDerCorput{}
-	if v.At(1) != 0.5 || v.At(3) != 0.75 {
-		t.Errorf("default base wrong: At(1)=%v At(3)=%v", v.At(1), v.At(3))
-	}
-}
-
 func allInside(t *testing.T, name string, pts []geom.Point, rect geom.Rect) {
 	t.Helper()
 	for i, p := range pts {

@@ -26,17 +26,13 @@ type Node struct {
 // the two communication radii (in the paper's homogeneous setting both
 // radii are equal, but heterogeneous deployments are supported per §2).
 type Network struct {
-	field geom.Rect
 	nodes map[int]*Node
 }
 
-// New creates an empty network over the given field.
-func New(field geom.Rect) *Network {
-	return &Network{field: field, nodes: make(map[int]*Node)}
+// New creates an empty network.
+func New() *Network {
+	return &Network{nodes: make(map[int]*Node)}
 }
-
-// Field returns the monitored area.
-func (n *Network) Field() geom.Rect { return n.field }
 
 // Add inserts a new alive node. It panics on duplicate ID.
 func (n *Network) Add(id int, pos geom.Point, rs, rc float64) {
@@ -60,15 +56,6 @@ func (n *Network) Fail(id int) bool {
 		return false
 	}
 	nd.Alive = false
-	return true
-}
-
-// Remove deletes a node entirely.
-func (n *Network) Remove(id int) bool {
-	if _, ok := n.nodes[id]; !ok {
-		return false
-	}
-	delete(n.nodes, id)
 	return true
 }
 

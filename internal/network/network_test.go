@@ -8,15 +8,15 @@ import (
 )
 
 func lineNetwork(n int, spacing, rc float64) *Network {
-	net := New(geom.Square(100))
+	net := New()
 	for i := 0; i < n; i++ {
 		net.Add(i, geom.Pt(float64(i)*spacing, 0), rc/2, rc)
 	}
 	return net
 }
 
-func TestAddFailRemove(t *testing.T) {
-	net := New(geom.Square(10))
+func TestAddFail(t *testing.T) {
+	net := New()
 	net.Add(1, geom.Pt(1, 1), 1, 2)
 	if net.Len() != 1 || net.Node(1) == nil {
 		t.Fatal("Add failed")
@@ -27,13 +27,10 @@ func TestAddFailRemove(t *testing.T) {
 	if len(net.AliveIDs()) != 0 {
 		t.Error("failed node reported alive")
 	}
-	if !net.Remove(1) || net.Remove(1) {
-		t.Error("Remove semantics wrong")
-	}
 }
 
 func TestAddPanics(t *testing.T) {
-	net := New(geom.Square(10))
+	net := New()
 	net.Add(1, geom.Pt(1, 1), 1, 2)
 	for _, bad := range []func(){
 		func() { net.Add(1, geom.Pt(2, 2), 1, 2) },
@@ -69,7 +66,7 @@ func TestNeighbors(t *testing.T) {
 }
 
 func TestHeterogeneousLink(t *testing.T) {
-	net := New(geom.Square(100))
+	net := New()
 	net.Add(1, geom.Pt(0, 0), 1, 10)
 	net.Add(2, geom.Pt(5, 0), 1, 3) // b's radius too small to reach
 	if got := net.NeighborsOf(1); len(got) != 0 {
@@ -104,7 +101,7 @@ func TestConnectedComponents(t *testing.T) {
 }
 
 func TestEmptyNetwork(t *testing.T) {
-	net := New(geom.Square(10))
+	net := New()
 	if !net.IsConnected() {
 		t.Error("empty network should be vacuously connected")
 	}
@@ -121,7 +118,7 @@ func TestVertexConnectivityChain(t *testing.T) {
 }
 
 func TestVertexConnectivityComplete(t *testing.T) {
-	net := New(geom.Square(10))
+	net := New()
 	// 4 nodes all within range: complete graph, connectivity 3.
 	pts := []geom.Point{{X: 1, Y: 1}, {X: 2, Y: 1}, {X: 1, Y: 2}, {X: 2, Y: 2}}
 	for i, p := range pts {
@@ -135,7 +132,7 @@ func TestVertexConnectivityComplete(t *testing.T) {
 func TestVertexConnectivityCycle(t *testing.T) {
 	// 6 nodes in a ring, each reaching only its two ring neighbors:
 	// connectivity 2.
-	net := New(geom.Square(100))
+	net := New()
 	ring := []geom.Point{
 		{X: 50, Y: 60}, {X: 58.66, Y: 55}, {X: 58.66, Y: 45},
 		{X: 50, Y: 40}, {X: 41.34, Y: 45}, {X: 41.34, Y: 55},
@@ -149,7 +146,7 @@ func TestVertexConnectivityCycle(t *testing.T) {
 }
 
 func TestVertexConnectivityDisconnected(t *testing.T) {
-	net := New(geom.Square(100))
+	net := New()
 	net.Add(1, geom.Pt(0, 0), 1, 2)
 	net.Add(2, geom.Pt(50, 50), 1, 2)
 	if got := net.VertexConnectivity(); got != 0 {
@@ -160,7 +157,7 @@ func TestVertexConnectivityDisconnected(t *testing.T) {
 func TestVertexConnectivityStar(t *testing.T) {
 	// Hub with 4 spokes out of each other's reach: connectivity 1 (the
 	// hub is a cut vertex).
-	net := New(geom.Square(100))
+	net := New()
 	net.Add(0, geom.Pt(50, 50), 1, 12)
 	spokes := []geom.Point{{X: 60, Y: 50}, {X: 40, Y: 50}, {X: 50, Y: 60}, {X: 50, Y: 40}}
 	for i, p := range spokes {
@@ -179,7 +176,7 @@ func TestKCoverageImpliesKConnectivity(t *testing.T) {
 	field := geom.Square(24)
 	const rs, rc = 4.0, 8.0
 	for _, k := range []int{1, 2, 3} {
-		net := New(field)
+		net := New()
 		// Drop sensors on a dense jittered lattice until each lattice
 		// point is k-covered; lattice pitch rs/2 guarantees area coverage.
 		id := 0

@@ -69,14 +69,14 @@ func TestLeaderHopClaim(t *testing.T) {
 	a := geom.Pt(0.0, 0.0)
 	b := geom.Pt(10, 10)
 
-	big := New(geom.Square(100))
+	big := New()
 	big.Add(1, a, 4, 14.142135623730951)
 	big.Add(2, b, 4, 14.142135623730951)
 	if got := hops(big, 1, 2); got != 1 {
 		t.Errorf("big rc: hops = %d, want 1 (no routing needed)", got)
 	}
 
-	small := New(geom.Square(100))
+	small := New()
 	small.Add(1, a, 4, 8)
 	small.Add(2, b, 4, 8)
 	small.Add(3, geom.Pt(5, 5), 4, 8) // relay

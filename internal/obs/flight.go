@@ -3,16 +3,14 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // FlightEvent is one structured entry in the flight recorder: a sim
 // engine event, a protocol message, an admission decision. T is
-// domain-defined time — virtual seconds for simulator shards, wall
-// seconds since recorder start for service shards. Seq totally orders
-// events across shards.
+// domain-defined time — virtual seconds for a simulator's recorder, wall
+// seconds since recorder start for the service's. Seq is the record
+// order.
 type FlightEvent struct {
 	Seq    uint64  `json:"seq"`
 	T      float64 `json:"t"`
@@ -21,7 +19,7 @@ type FlightEvent struct {
 	Detail string  `json:"detail,omitempty"`
 
 	// Structured message fields recorded by RecordMsg on the hot path;
-	// snapshot materializes them into Detail lazily so recording never
+	// Dump materializes them into Detail lazily so recording never
 	// formats (and never allocates). hasMsg distinguishes "structured,
 	// not yet materialized" from a plain Record.
 	msgKind  string
@@ -38,119 +36,90 @@ func (e FlightEvent) String() string {
 }
 
 // FlightRecorder keeps the last events of a running system in fixed
-// memory: per-shard ring buffers that overwrite their oldest entries.
-// Nothing is ever written out during normal operation — the recorder
-// exists to be dumped when something goes wrong (an invariant fires, a
-// 5xx is served, SIGQUIT arrives), turning "the run failed" into a
-// readable event timeline. A nil *FlightRecorder and a nil *FlightShard
-// are valid no-ops.
+// memory: one ring buffer that overwrites its oldest entries. Nothing is
+// ever written out during normal operation — the recorder exists to be
+// dumped when something goes wrong (an invariant fires, a 5xx is
+// served, SIGQUIT arrives), turning "the run failed" into a readable
+// event timeline. Writers share it through a short mutex: a chaos run's
+// engine is its recorder's only writer, and the service's workers and
+// admission path write two records per request. A nil *FlightRecorder
+// is a valid no-op.
 type FlightRecorder struct {
-	seq    atomic.Uint64
-	shards []*FlightShard
-}
-
-// NewFlightRecorder creates a recorder with the given shard count and
-// per-shard ring capacity (minimums 1 and 16). Memory is fixed at
-// shards × perShard events for the recorder's lifetime.
-func NewFlightRecorder(shards, perShard int) *FlightRecorder {
-	if shards < 1 {
-		shards = 1
-	}
-	if perShard < 16 {
-		perShard = 16
-	}
-	r := &FlightRecorder{shards: make([]*FlightShard, shards)}
-	for i := range r.shards {
-		r.shards[i] = &FlightShard{rec: r, evs: make([]FlightEvent, perShard)}
-	}
-	return r
-}
-
-// Shards returns the shard count (0 on nil).
-func (r *FlightRecorder) Shards() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.shards)
-}
-
-// Shard returns shard i (nil on a nil recorder), the handle a
-// single-writer domain — one sim engine, one service worker — records
-// through without contending with the others.
-func (r *FlightRecorder) Shard(i int) *FlightShard {
-	if r == nil {
-		return nil
-	}
-	return r.shards[i]
-}
-
-// FlightShard is one ring. Writers share it safely (a short mutex), but
-// the intended shape is one writing goroutine per shard so the mutex
-// never contends.
-type FlightShard struct {
-	rec  *FlightRecorder
 	mu   sync.Mutex
+	seq  uint64
 	evs  []FlightEvent
 	next int
 	n    int
 }
 
+// NewFlightRecorder creates a recorder holding the last capacity events
+// (minimum 16). Memory is fixed for the recorder's lifetime.
+func NewFlightRecorder(capacity int) *FlightRecorder {
+	if capacity < 16 {
+		capacity = 16
+	}
+	return &FlightRecorder{evs: make([]FlightEvent, capacity)}
+}
+
 // Record appends one event, overwriting the ring's oldest when full.
-// On a nil shard it is a no-op, so call sites need no enable checks.
-func (s *FlightShard) Record(t float64, kind string, actor int, detail string) {
-	if s == nil {
+// On a nil recorder it is a no-op, so call sites need no enable checks.
+func (r *FlightRecorder) Record(t float64, kind string, actor int, detail string) {
+	if r == nil {
 		return
 	}
-	seq := s.rec.seq.Add(1)
-	s.mu.Lock()
-	s.evs[s.next] = FlightEvent{Seq: seq, T: t, Kind: kind, Actor: actor, Detail: detail}
-	s.next++
-	if s.next == len(s.evs) {
-		s.next = 0
-	}
-	if s.n < len(s.evs) {
-		s.n++
-	}
-	s.mu.Unlock()
+	r.mu.Lock()
+	r.push(FlightEvent{T: t, Kind: kind, Actor: actor, Detail: detail})
+	r.mu.Unlock()
 }
 
 // RecordMsg appends one message-shaped event (deliver, drop, lose, cut)
 // without formatting anything: the message fields are stored raw and the
-// human-readable Detail — "<msgKind> <from>-><to>[ dead]", exactly what
-// callers used to Sprintf — is materialized only if the ring is ever
-// dumped. Recording stays allocation-free on the sim engine's hot path.
-func (s *FlightShard) RecordMsg(t float64, kind string, actor int, msgKind string, from, to int, dead bool) {
-	if s == nil {
+// human-readable Detail — "<msgKind> <from>-><to>[ dead]" — is
+// materialized only if the ring is ever dumped. Recording stays
+// allocation-free on the sim engine's hot path.
+func (r *FlightRecorder) RecordMsg(t float64, kind string, actor int, msgKind string, from, to int, dead bool) {
+	if r == nil {
 		return
 	}
-	seq := s.rec.seq.Add(1)
-	s.mu.Lock()
-	s.evs[s.next] = FlightEvent{
-		Seq: seq, T: t, Kind: kind, Actor: actor,
+	r.mu.Lock()
+	r.push(FlightEvent{
+		T: t, Kind: kind, Actor: actor,
 		msgKind: msgKind, from: from, to: to, dead: dead, hasMsg: true,
-	}
-	s.next++
-	if s.next == len(s.evs) {
-		s.next = 0
-	}
-	if s.n < len(s.evs) {
-		s.n++
-	}
-	s.mu.Unlock()
+	})
+	r.mu.Unlock()
 }
 
-// snapshot copies the shard's valid events in write order, materializing
-// lazily recorded message details.
-func (s *FlightShard) snapshot() []FlightEvent {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]FlightEvent, 0, s.n)
-	start := s.next - s.n
-	if start < 0 {
-		start += len(s.evs)
+// push numbers ev and writes it over the oldest slot. r.mu is held, so
+// ring order is Seq order.
+func (r *FlightRecorder) push(ev FlightEvent) {
+	r.seq++
+	ev.Seq = r.seq
+	r.evs[r.next] = ev
+	r.next++
+	if r.next == len(r.evs) {
+		r.next = 0
 	}
-	for i := 0; i < s.n; i++ {
-		ev := s.evs[(start+i)%len(s.evs)]
+	if r.n < len(r.evs) {
+		r.n++
+	}
+}
+
+// Dump copies the surviving events in Seq order — the record order,
+// which for a single-goroutine sim run is exactly the deterministic
+// event order — materializing lazily recorded message details.
+func (r *FlightRecorder) Dump() []FlightEvent {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]FlightEvent, 0, r.n)
+	start := r.next - r.n
+	if start < 0 {
+		start += len(r.evs)
+	}
+	for i := 0; i < r.n; i++ {
+		ev := r.evs[(start+i)%len(r.evs)]
 		if ev.hasMsg {
 			if ev.dead {
 				ev.Detail = fmt.Sprintf("%s %d->%d dead", ev.msgKind, ev.from, ev.to)
@@ -162,21 +131,6 @@ func (s *FlightShard) snapshot() []FlightEvent {
 		out = append(out, ev)
 	}
 	return out
-}
-
-// Dump merges every shard's surviving events into one timeline ordered
-// by Seq — the global record order, which for a single-goroutine sim
-// run is exactly the deterministic event order.
-func (r *FlightRecorder) Dump() []FlightEvent {
-	if r == nil {
-		return nil
-	}
-	var all []FlightEvent
-	for _, s := range r.shards {
-		all = append(all, s.snapshot()...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Seq < all[j].Seq })
-	return all
 }
 
 // Tail returns the last n events of a dump (the whole dump if shorter).

@@ -6,11 +6,10 @@ import (
 	"testing"
 )
 
-func TestFlightShardRingOverwrite(t *testing.T) {
-	r := NewFlightRecorder(1, 16)
-	s := r.Shard(0)
+func TestFlightRingOverwrite(t *testing.T) {
+	r := NewFlightRecorder(16)
 	for i := 0; i < 40; i++ {
-		s.Record(float64(i), "ev", i, "")
+		r.Record(float64(i), "ev", i, "")
 	}
 	got := r.Dump()
 	if len(got) != 16 {
@@ -24,41 +23,50 @@ func TestFlightShardRingOverwrite(t *testing.T) {
 	}
 }
 
-func TestFlightDumpMergesShardsBySeq(t *testing.T) {
-	r := NewFlightRecorder(3, 32)
-	for i := 0; i < 30; i++ {
-		r.Shard(i%3).Record(float64(i), "ev", i, "d")
+// TestFlightDumpInSeqOrder: events from several writers come out of one
+// dump numbered 1..n without a gap, in record order.
+func TestFlightDumpInSeqOrder(t *testing.T) {
+	r := NewFlightRecorder(32)
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				r.Record(float64(i), "ev", g, "d")
+			}
+		}()
 	}
+	wg.Wait()
 	got := r.Dump()
 	if len(got) != 30 {
 		t.Fatalf("dump = %d events, want 30", len(got))
 	}
-	for i := 1; i < len(got); i++ {
-		if got[i].Seq <= got[i-1].Seq {
-			t.Fatalf("dump not seq-ordered at %d: %d after %d", i, got[i].Seq, got[i-1].Seq)
+	for i, ev := range got {
+		if ev.Seq != uint64(i+1) {
+			t.Fatalf("dump event %d has seq %d, want %d", i, ev.Seq, i+1)
 		}
 	}
 }
 
 func TestFlightNilSafe(t *testing.T) {
 	var r *FlightRecorder
-	var s *FlightShard
-	s.Record(0, "x", 0, "") // must not panic
-	if r.Dump() != nil || r.Shards() != 0 || r.Shard(0) != nil {
+	r.Record(0, "x", 0, "") // must not panic
+	r.RecordMsg(0, "deliver", 1, "hb", 0, 1, false)
+	if r.Dump() != nil {
 		t.Fatal("nil recorder must be inert")
 	}
 }
 
 func TestFlightConcurrentRecordAndDump(t *testing.T) {
-	r := NewFlightRecorder(4, 64)
+	r := NewFlightRecorder(4 * 64)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
-		sh := r.Shard(g)
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				sh.Record(float64(i), "tick", id, "")
+				r.Record(float64(i), "tick", id, "")
 			}
 		}(g)
 	}
@@ -75,15 +83,21 @@ func TestFlightConcurrentRecordAndDump(t *testing.T) {
 	}()
 	wg.Wait()
 	close(done)
-	if got := len(r.Dump()); got != 4*64 {
-		t.Fatalf("final dump = %d, want %d", got, 4*64)
+	got := r.Dump()
+	if len(got) != 4*64 {
+		t.Fatalf("final dump = %d, want %d", len(got), 4*64)
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i].Seq != got[i-1].Seq+1 {
+			t.Fatalf("dump not in seq order at %d: %d after %d", i, got[i].Seq, got[i-1].Seq)
+		}
 	}
 }
 
 func TestFlightTailAndTimeline(t *testing.T) {
-	r := NewFlightRecorder(1, 32)
-	r.Shard(0).Record(1.5, "deliver", 7, "hb 3->7")
-	r.Shard(0).Record(2.0, "crash", 3, "")
+	r := NewFlightRecorder(32)
+	r.Record(1.5, "deliver", 7, "hb 3->7")
+	r.Record(2.0, "crash", 3, "")
 	evs := Tail(r.Dump(), 10)
 	if len(evs) != 2 {
 		t.Fatalf("tail = %d", len(evs))

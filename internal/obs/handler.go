@@ -84,22 +84,3 @@ func (t *Tracer) DebugHandler() http.Handler {
 		_ = enc.Encode(sums)
 	})
 }
-
-// DebugHandler serves the flight recorder's merged dump as JSON — what
-// decor-serve mounts at /debug/flight for live post-mortems.
-func (r *FlightRecorder) DebugHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet && req.Method != http.MethodHead {
-			w.Header().Set("Allow", "GET, HEAD")
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		if req.Method == http.MethodHead {
-			return
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(r.Dump())
-	})
-}

@@ -95,7 +95,7 @@ func TestHistogramBoundsConflictCounted(t *testing.T) {
 		t.Fatalf("false positive: conflict counter = %d, want 1", got)
 	}
 	// The existing series' buckets are authoritative.
-	if b := h2.Bounds(); len(b) != 2 || b[0] != 1 || b[1] != 10 {
+	if b := h2.snapshot().Buckets; len(b) != 2 || b[0] != 1 || b[1] != 10 {
 		t.Fatalf("bounds = %v", b)
 	}
 }

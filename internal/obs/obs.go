@@ -126,15 +126,6 @@ func (h *Histogram) Observe(v float64, exemplar TraceID) {
 	h.mu.Unlock()
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
-
-// Bounds returns the histogram's bucket upper bounds (not aliased).
-func (h *Histogram) Bounds() []float64 { return append([]float64(nil), h.upper...) }
-
 // snapshot captures a consistent view: it retries while a writer holds
 // the seqlock odd or bumped it mid-read, so Count always equals the sum
 // of Counts and Sum matches exactly those observations.

@@ -95,10 +95,10 @@ func TestConcurrentUpdates(t *testing.T) {
 	if got := r.Gauge("depth").Value(); got != float64(total) {
 		t.Errorf("gauge = %g, want %d", got, total)
 	}
-	if got := r.Histogram("lat_seconds", DefLatencyBuckets).Count(); got != uint64(total) {
+	if got := r.Histogram("lat_seconds", DefLatencyBuckets).snapshot().Count; got != uint64(total) {
 		t.Errorf("histogram count = %d, want %d", got, total)
 	}
-	if got := r.Histogram("span_seconds", DefLatencyBuckets).Count(); got != uint64(total) {
+	if got := r.Histogram("span_seconds", DefLatencyBuckets).snapshot().Count; got != uint64(total) {
 		t.Errorf("span count = %d, want %d", got, total)
 	}
 }

@@ -77,12 +77,11 @@ type spanSlot struct {
 // never grows: once full, new spans overwrite the oldest. A nil *Tracer
 // is a valid no-op tracer, so call sites need no guards.
 type Tracer struct {
-	slots   []spanSlot
-	mask    uint64
-	pos     atomic.Uint64 // claimed slots, monotonic
-	ids     atomic.Uint64
-	seed    uint64
-	dropped atomic.Uint64
+	slots []spanSlot
+	mask  uint64
+	pos   atomic.Uint64 // claimed slots, monotonic
+	ids   atomic.Uint64
+	seed  uint64
 }
 
 // NewTracer creates a tracer whose ring holds at least capacity spans
@@ -97,14 +96,6 @@ func NewTracer(capacity int) *Tracer {
 		mask:  uint64(n - 1),
 		seed:  uint64(time.Now().UnixNano()),
 	}
-}
-
-// Dropped returns the number of spans lost to slot contention.
-func (t *Tracer) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.dropped.Load()
 }
 
 // newID derives a unique random-looking 64-bit ID (splitmix64 over a
@@ -126,8 +117,7 @@ func (t *Tracer) record(rec spanRec) {
 	i := t.pos.Add(1) - 1
 	s := &t.slots[i&t.mask]
 	if !s.state.CompareAndSwap(0, 1) {
-		t.dropped.Add(1)
-		return
+		return // the slot is being written: drop this span
 	}
 	rec.seq = i
 	s.rec = rec

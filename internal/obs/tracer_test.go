@@ -228,7 +228,8 @@ func TestTracerConcurrent(t *testing.T) {
 	}()
 	wg.Wait()
 	close(done)
-	// Recorded + dropped must account for every span that completed.
+	// Spans that met a contended slot were dropped; the ring never
+	// holds more than its capacity.
 	if got := len(tr.Spans()); got > 256 {
 		t.Fatalf("ring overflow: %d records", got)
 	}

@@ -40,14 +40,8 @@ func NewGrid(field geom.Rect, cellSize float64) *Grid {
 	return &Grid{field: field, cellSize: cellSize, cols: cols, rows: rows}
 }
 
-// Cols returns the number of cell columns.
-func (g *Grid) Cols() int { return g.cols }
-
 // NumCells returns the total number of cells.
 func (g *Grid) NumCells() int { return g.cols * g.rows }
-
-// CellSize returns the nominal cell edge length.
-func (g *Grid) CellSize() float64 { return g.cellSize }
 
 // CellIndex returns the cell containing p. Points outside the field are
 // clamped to the nearest border cell, so every point maps to exactly one

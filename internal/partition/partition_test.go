@@ -9,8 +9,8 @@ import (
 
 func TestNewGridDimensions(t *testing.T) {
 	g := NewGrid(geom.Square(100), 5)
-	if g.Cols() != 20 || g.NumCells() != 400 {
-		t.Errorf("5x5 grid: %d cols, %d cells", g.Cols(), g.NumCells())
+	if g.cols != 20 || g.NumCells() != 400 {
+		t.Errorf("5x5 grid: %d cols, %d cells", g.cols, g.NumCells())
 	}
 	g = NewGrid(geom.Square(100), 10)
 	if g.NumCells() != 100 {
@@ -18,8 +18,8 @@ func TestNewGridDimensions(t *testing.T) {
 	}
 	// Non-divisible: 100/7 -> 15 columns.
 	g = NewGrid(geom.Square(100), 7)
-	if g.Cols() != 15 {
-		t.Errorf("7-unit grid cols = %d, want 15", g.Cols())
+	if g.cols != 15 {
+		t.Errorf("7-unit grid cols = %d, want 15", g.cols)
 	}
 }
 

@@ -65,7 +65,7 @@ func BenchmarkHeartbeatSteadyState(b *testing.B) {
 }
 
 func newBenchNetwork(m *coverage.Map) *network.Network {
-	n := network.New(m.Field())
+	n := network.New()
 	for _, id := range m.SensorIDs() {
 		p, _ := m.SensorPos(id)
 		n.Add(id, p, 4, 8)

@@ -93,8 +93,7 @@ func TestChaosTraceByteIdentical(t *testing.T) {
 // horizon plus detection timeout every live node agrees on one live
 // leader per cell.
 func TestLeaderAgreementUnderCrashAndPartition(t *testing.T) {
-	field := geom.Square(100)
-	net := network.New(field)
+	net := network.New()
 	eng := sim.NewEngine(0.05)
 	cfg := func(cell int) protocol.Config {
 		return protocol.Config{Tc: 1, TimeoutMult: 3, Cell: cell}

@@ -249,9 +249,6 @@ func (l *CellLeader) OnTimer(ctx *sim.Context, tag string) {
 	l.done = true
 }
 
-// Done reports whether the leader has retired.
-func (l *CellLeader) Done() bool { return l.done }
-
 // bestDeficient returns the own-cell deficient point with maximal
 // benefit under the leader's belief.
 func (l *CellLeader) bestDeficient() (int, bool) {

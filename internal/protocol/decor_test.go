@@ -85,7 +85,7 @@ func TestLeaderBeliefConvergesToTruth(t *testing.T) {
 					cell, l.counts[i], truth, i)
 			}
 		}
-		if !l.Done() {
+		if !l.done {
 			t.Errorf("cell %d: leader still active after completion", cell)
 		}
 	}

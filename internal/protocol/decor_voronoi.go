@@ -264,9 +264,6 @@ func (n *VoronoiNode) OnTimer(ctx *sim.Context, tag string) {
 	ctx.SetTimer(w.Period, timerPlace)
 }
 
-// Done reports whether this node has retired.
-func (n *VoronoiNode) Done() bool { return n.done }
-
 // RunVoronoiDeployment drives the event-driven Voronoi scheme to full
 // coverage, seeding stalled orphan regions; returns the seed count.
 func RunVoronoiDeployment(w *VoronoiWorld) int {

@@ -16,7 +16,7 @@ import (
 // buildLossyCluster wires n mutually-reachable nodes on a lossy engine
 // (shared setup from simtest, same as the sim-level loss suite).
 func buildLossyCluster(n int, cfg Config, loss float64) (*sim.Engine, []*Node) {
-	net := network.New(geom.Square(100))
+	net := network.New()
 	eng := simtest.NewLossyEngine(0.01, loss, 99)
 	nodes := make([]*Node, n)
 	for i := 0; i < n; i++ {

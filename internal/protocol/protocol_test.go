@@ -13,7 +13,7 @@ import (
 
 // buildCluster wires n sensors in mutual range into an engine.
 func buildCluster(n int, cfg Config) (*sim.Engine, *network.Network, []*Node) {
-	net := network.New(geom.Square(100))
+	net := network.New()
 	eng := sim.NewEngine(0.01)
 	nodes := make([]*Node, n)
 	for i := 0; i < n; i++ {
@@ -27,7 +27,7 @@ func buildCluster(n int, cfg Config) (*sim.Engine, *network.Network, []*Node) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	net := network.New(geom.Square(10))
+	net := network.New()
 	for _, cfg := range []Config{
 		{Tc: 0, TimeoutMult: 3},
 		{Tc: 1, TimeoutMult: 1},
@@ -123,7 +123,7 @@ func TestLeaderElectionConvergesAndRotates(t *testing.T) {
 		t.Errorf("rotation covered %d distinct leaders, want 3", len(seen))
 	}
 	// EpochLen 0 means stable lowest-ID leader.
-	stable := NewNode(9, network.New(geom.Square(10)), Config{Tc: 1, TimeoutMult: 3, Cell: 7})
+	stable := NewNode(9, network.New(), Config{Tc: 1, TimeoutMult: 3, Cell: 7})
 	if stable.Leader(123) != 9 {
 		t.Errorf("solo leader = %d", stable.Leader(123))
 	}

@@ -11,7 +11,7 @@ import (
 )
 
 func TestConnectTwoIslands(t *testing.T) {
-	net := network.New(geom.Square(100))
+	net := network.New()
 	// Two clusters 30 apart, rc = 8.
 	net.Add(1, geom.Pt(10, 50), 4, 8)
 	net.Add(2, geom.Pt(12, 50), 4, 8)
@@ -40,7 +40,7 @@ func TestConnectTwoIslands(t *testing.T) {
 }
 
 func TestConnectAlreadyConnected(t *testing.T) {
-	net := network.New(geom.Square(10))
+	net := network.New()
 	net.Add(1, geom.Pt(1, 1), 1, 5)
 	net.Add(2, geom.Pt(3, 1), 1, 5)
 	res := Connect(net, 1, 5, 10)
@@ -48,7 +48,7 @@ func TestConnectAlreadyConnected(t *testing.T) {
 		t.Errorf("connected network got relays: %+v", res)
 	}
 	// Empty network too.
-	empty := network.New(geom.Square(10))
+	empty := network.New()
 	if res := Connect(empty, 1, 5, 0); len(res.Relays) != 0 {
 		t.Error("empty network got relays")
 	}
@@ -56,7 +56,7 @@ func TestConnectAlreadyConnected(t *testing.T) {
 
 func TestConnectManyComponents(t *testing.T) {
 	r := rng.New(5)
-	net := network.New(geom.Square(200))
+	net := network.New()
 	// Five well-separated clusters of three nodes each.
 	id := 0
 	centers := []geom.Point{{X: 20, Y: 20}, {X: 170, Y: 30}, {X: 40, Y: 160}, {X: 180, Y: 180}, {X: 100, Y: 90}}
@@ -91,7 +91,7 @@ func TestConnectBridgesSubRcGap(t *testing.T) {
 	// Components separated by just over rc: a single midpoint relay
 	// suffices (its distance to both endpoints is ~rc/2... actually
 	// just over rc/2, still within range).
-	net := network.New(geom.Square(50))
+	net := network.New()
 	net.Add(1, geom.Pt(10, 10), 4, 8)
 	net.Add(2, geom.Pt(19, 10), 4, 8) // gap 9 > rc
 	if net.IsConnected() {
@@ -112,7 +112,7 @@ func TestConnectPanicsOnBadRc(t *testing.T) {
 			t.Error("rc <= 0 should panic")
 		}
 	}()
-	Connect(network.New(geom.Square(10)), 1, 0, 0)
+	Connect(network.New(), 1, 0, 0)
 }
 
 // minRelaysLowerBound returns a lower bound on the relays any solution

@@ -385,11 +385,10 @@ func (s *Server) servePlanLike(w http.ResponseWriter, r *http.Request, ep planEn
 	defer cancel()
 	ctx = eSpan.Context(ctx)
 	j := &job{ctx: ctx, runner: runner, done: make(chan jobResult, 1), tenant: r.Header.Get(tenantHeader)}
-	admission := s.cfg.Flight.Shard(s.cfg.Workers)
 	if err := s.submit(j); err != nil {
 		eSpan.End()
 		s.cRejected.Inc()
-		admission.Record(s.uptime(), "admit.reject", -1, route)
+		s.cfg.Flight.Record(s.uptime(), "admit.reject", -1, route)
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
 		if errors.Is(err, errTenantOverloaded) {
 			// The tenant's fair share is spoken for; followers of the same
@@ -403,7 +402,7 @@ func (s *Server) servePlanLike(w http.ResponseWriter, r *http.Request, ep planEn
 		s.writeError(w, http.StatusServiceUnavailable, "admission queue full; retry later")
 		return
 	}
-	admission.Record(s.uptime(), "admit.ok", -1, route)
+	s.cfg.Flight.Record(s.uptime(), "admit.ok", -1, route)
 	res := <-j.done
 	s.release(j)
 	eSpan.End()

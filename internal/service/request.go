@@ -166,9 +166,7 @@ func decodeJSON(r io.Reader, dst any) error {
 // init (read from lowdisc.Names and probed through the method
 // constructor, so they can never drift), turning per-request validation
 // into an alloc-free map probe instead of boxing a generator/method
-// value into an interface every time. Method names outside the set
-// still go through the constructor, so a vocabulary addition the init
-// probe missed only costs the old boxing, never a wrong rejection.
+// value into an interface every time.
 var validGenSet = func() map[string]bool {
 	m := make(map[string]bool)
 	for _, n := range lowdisc.Names() {
@@ -189,13 +187,7 @@ var validMethodSet = func() map[string]bool {
 
 func validGenerator(name string) bool { return validGenSet[name] }
 
-func validMethod(name string, rs float64) bool {
-	if validMethodSet[name] {
-		return true
-	}
-	_, err := core.MethodByName(name, rs)
-	return err == nil
-}
+func validMethod(name string) bool { return validMethodSet[name] }
 
 // maxSensorID caps explicit sensor IDs at 2^53-1, the top of the
 // integer range I-JSON (RFC 7493) readers handle exactly. It keeps IDs
@@ -291,7 +283,7 @@ func (pr PlanRequest) normalizeIDs(lim Limits, ids map[int]bool) (PlanRequest, e
 	if pr.Method == "" {
 		pr.Method = "voronoi-big"
 	}
-	if !validMethod(pr.Method, pr.Rs) {
+	if !validMethod(pr.Method) {
 		return pr, badRequest("unknown method %q", pr.Method)
 	}
 	if pr.TimeoutMS < 0 {

@@ -48,8 +48,8 @@ type Config struct {
 	Tracer *obs.Tracer
 	// Flight is the structured event recorder dumped at /debug/flight;
 	// workers and the admission path write to it, and the dump taken when
-	// a 5xx is served is kept for post-mortem (default: one shard per
-	// worker plus one for admission decisions, 256 events each).
+	// a 5xx is served is kept for post-mortem (default: one ring of the
+	// last (Workers+1) × 256 events, shared by all writers).
 	Flight *obs.FlightRecorder
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
 	EnablePprof bool
@@ -82,7 +82,7 @@ func (c Config) normalized() Config {
 		c.Tracer = obs.DefaultTracer()
 	}
 	if c.Flight == nil {
-		c.Flight = obs.NewFlightRecorder(c.Workers+1, 256)
+		c.Flight = obs.NewFlightRecorder((c.Workers + 1) * 256)
 	}
 	if c.MaxQueuePerTenant <= 0 {
 		c.MaxQueuePerTenant = c.QueueDepth / 4
@@ -222,7 +222,6 @@ func (s *Server) Config() Config { return s.cfg }
 
 func (s *Server) worker(idx int) {
 	defer s.wg.Done()
-	fs := s.cfg.Flight.Shard(idx)
 	for j := range s.queue {
 		s.gQueueDepth.Add(-1)
 		s.gInflight.Add(1)
@@ -239,7 +238,7 @@ func (s *Server) worker(idx int) {
 		span := obs.Start(tctx, "plan.run", s.hPlanSeconds)
 		if expired != nil {
 			res = jobResult{err: expired}
-			fs.Record(s.uptime(), "plan.expired", idx, "deadline spent in queue")
+			s.cfg.Flight.Record(s.uptime(), "plan.expired", idx, "deadline spent in queue")
 		} else {
 			if span.TraceID() != 0 {
 				span.SetAttr(fmt.Sprintf("queue_wait_ms=%.2f", time.Since(j.enq).Seconds()*1000))
@@ -247,9 +246,9 @@ func (s *Server) worker(idx int) {
 			body, err := j.runner.runJob(span.Context(j.ctx))
 			res = jobResult{body: body, err: err}
 			if err != nil {
-				fs.Record(s.uptime(), "plan.err", idx, err.Error())
+				s.cfg.Flight.Record(s.uptime(), "plan.err", idx, err.Error())
 			} else {
-				fs.Record(s.uptime(), "plan.done", idx, fmt.Sprintf("bytes=%d", len(body)))
+				s.cfg.Flight.Record(s.uptime(), "plan.done", idx, fmt.Sprintf("bytes=%d", len(body)))
 			}
 		}
 		s.ewmaPlanMS.blend(span.End().Seconds() * 1000)

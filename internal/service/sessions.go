@@ -65,10 +65,6 @@ func (fr FieldRequest) spec() session.Spec {
 	}
 }
 
-// Sessions exposes the field-session manager (decor-load drives it
-// directly in-process for its session soak mode).
-func (s *Server) Sessions() *session.Manager { return s.sessions }
-
 // writeSessionError maps the session package's sentinel errors onto the
 // HTTP statuses the API documents. Non-sentinel errors are client
 // errors: the only way to produce one on an established session is to

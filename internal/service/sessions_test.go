@@ -137,7 +137,7 @@ func TestFieldSessionMatchesStatelessReplay(t *testing.T) {
 		return stream.Bytes()
 	}
 	a := run(newTestServer(t, Config{Workers: 1}))
-	b := run(newTestServer(t, Config{Workers: 2, Sessions: session.Config{Shards: 4}}))
+	b := run(newTestServer(t, Config{Workers: 2}))
 	if !bytes.Equal(a, b) {
 		t.Errorf("delta streams differ across servers:\n%s\nvs\n%s", a, b)
 	}
@@ -321,6 +321,47 @@ func TestFieldSSEStream(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Error("stream did not close after drop")
+	}
+}
+
+// TestEventsInOneRequestKeepTheirIDs: the events of one NDJSON request
+// are decoded into one reused scratch slice, yet every delta the
+// session keeps for SSE replay names its own event's sensors.
+func TestEventsInOneRequestKeepTheirIDs(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	if status, _, body := s.do(t, "POST", "/v1/fields", "t", fieldBody("f", 7)); status != http.StatusCreated {
+		t.Fatalf("create: %d %s", status, body)
+	}
+	if status, _, body := s.do(t, "POST", "/v1/fields/f/events", "t", "{\"failed\":[1]}\n{\"failed\":[2]}\n"); status != http.StatusOK {
+		t.Fatalf("events: %d %s", status, body)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, "GET", s.ts.URL+"/v1/fields/f/stream?from_seq=1", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(tenantHeader, "t")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	var replayed []session.Delta
+	for len(replayed) < 2 && sc.Scan() {
+		if data, ok := strings.CutPrefix(sc.Text(), "data: "); ok {
+			replayed = append(replayed, decodeDelta(t, []byte(data)))
+		}
+	}
+	if len(replayed) != 2 {
+		t.Fatalf("replayed %d deltas, want 2", len(replayed))
+	}
+	for i, d := range replayed {
+		if want := i + 1; d.Seq != uint64(want) || len(d.Failed) != 1 || d.Failed[0] != want {
+			t.Errorf("replayed seq %d names failed %v, want [%d]", d.Seq, d.Failed, want)
+		}
 	}
 }
 

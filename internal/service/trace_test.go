@@ -19,7 +19,7 @@ import (
 func tracedServer(t *testing.T, cfg Config) (*testServer, *obs.Tracer, *obs.FlightRecorder) {
 	t.Helper()
 	tr := obs.NewTracer(1024)
-	fr := obs.NewFlightRecorder(4, 128)
+	fr := obs.NewFlightRecorder(4 * 128)
 	cfg.Tracer = tr
 	cfg.Flight = fr
 	return newTestServer(t, cfg), tr, fr

@@ -84,7 +84,7 @@ func checkGolden(t *testing.T, method string, stream *bytes.Buffer) {
 }
 
 func TestGoldenDeltaStreams(t *testing.T) {
-	m := newTestManager(t, Config{Shards: 2})
+	m := newTestManager(t, Config{})
 	events := goldenEvents()
 	for method := range goldenDeltaStreams {
 		var stream bytes.Buffer
@@ -98,7 +98,7 @@ func TestGoldenDeltaStreams(t *testing.T) {
 // using it: filling the registry with distinct sets between two halves
 // of the event list leaves every pinned stream unchanged.
 func TestGoldenDeltaStreamsSurvivePointSetEviction(t *testing.T) {
-	m := newTestManager(t, Config{Shards: 2})
+	m := newTestManager(t, Config{})
 	events := goldenEvents()
 	half := len(events) / 2
 	streams := make(map[string]*bytes.Buffer)

@@ -6,11 +6,12 @@
 //
 // The paper's restoration loop (§3) is inherently continuous — holes
 // open under ongoing failures and are healed as they appear — and this
-// package is that loop as a service primitive. Sessions are sharded by
-// consistent hash of the field ID across a fixed set of shard
-// goroutines; every operation on a session executes on its shard's
-// goroutine, which is exactly the single-goroutine confinement the decor
-// facade documents. Determinism is load-bearing throughout: a session's
+// package is that loop as a service primitive. Each field has its own
+// lock, and every operation on a session runs on its caller's goroutine
+// while holding it: the decor facade's Deployment is not safe for
+// concurrent use, and the lock gives it one goroutine at a time without
+// making any field wait behind another. Determinism is load-bearing
+// throughout: a session's
 // delta stream is a pure function of its spec and its event sequence, so
 // an evicted session restores by replay and the restored session's
 // future deltas are byte-identical to the unevicted ones.
@@ -132,15 +133,16 @@ var (
 	ErrTenantSessions = errors.New("session: tenant session quota exhausted")
 	// ErrTenantBusy: too many of the tenant's events are pending (429).
 	ErrTenantBusy = errors.New("session: tenant event quota exhausted")
-	// ErrSaturated: a shard mailbox or the global session table is full (503).
+	// ErrSaturated: the manager's admission bound or the global session
+	// table is full (503).
 	ErrSaturated = errors.New("session: saturated")
 	// ErrClosed: the manager is shut down (503).
 	ErrClosed = errors.New("session: manager closed")
 )
 
-// state is one live session. It is owned by exactly one shard goroutine:
-// no field here is ever touched from anywhere else, which honors the
-// facade's single-goroutine contract for the Deployment.
+// state is one live session. Only the goroutine holding its field's
+// lock touches it, which keeps the facade's rule that a Deployment is
+// not used concurrently.
 type state struct {
 	tenant string
 	id     string
@@ -202,8 +204,12 @@ func (st *state) apply(ctx context.Context, failed []int, ringCap int) (Delta, e
 		return Delta{}, err
 	}
 	st.seq++
-	st.events = append(st.events, append([]int(nil), failed...))
-	delta := st.deltaFrom(rep, failed)
+	// The log keeps a copy: failed is the caller's, often a reused
+	// scratch slice. The delta shares that copy, so the ring and the
+	// subscribers never see a later event's IDs.
+	event := append([]int(nil), failed...)
+	st.events = append(st.events, event)
+	delta := st.deltaFrom(rep, event)
 	st.pushRing(delta, ringCap)
 	for key, ch := range st.subs {
 		select {
@@ -216,6 +222,14 @@ func (st *state) apply(ctx context.Context, failed []int, ringCap int) (Delta, e
 		}
 	}
 	return delta, nil
+}
+
+// closeSubs closes and forgets every subscriber channel.
+func (st *state) closeSubs() {
+	for key, ch := range st.subs {
+		close(ch)
+		delete(st.subs, key)
+	}
 }
 
 func (st *state) deltaFrom(rep decor.Report, failed []int) Delta {

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -75,9 +76,8 @@ func TestRepeatedFailedIDRejected(t *testing.T) {
 	if err := m.Evict("acme", "field-1"); err != nil {
 		t.Fatal(err)
 	}
-	k := skey("acme", "field-1")
 	var sn Snapshot
-	if err := json.Unmarshal(m.shardFor(k).snapshot[k].raw, &sn); err != nil {
+	if err := json.Unmarshal(m.fields[skey("acme", "field-1")].snap, &sn); err != nil {
 		t.Fatal(err)
 	}
 	if want := [][]int{{0, 3}, {5}}; !reflect.DeepEqual(sn.Events, want) {
@@ -141,12 +141,12 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 }
 
-// TestDeltaStreamDeterminism: two managers fed the same creates and
-// events produce byte-identical delta streams, regardless of shard count.
+// TestDeltaStreamDeterminism: a session's delta stream is the same
+// bytes across identical runs, and whether it runs alone or while other
+// sessions on the same manager take events concurrently.
 func TestDeltaStreamDeterminism(t *testing.T) {
 	events := [][]int{{0}, {4, 7}, {1}, {12, 2, 19}, {5}}
-	stream := func(shards int) []byte {
-		m := newTestManager(t, Config{Shards: shards})
+	stream := func(m *Manager) []byte {
 		var buf bytes.Buffer
 		_, initial, err := m.Create("t", "f", testSpec(9))
 		if err != nil {
@@ -162,13 +162,166 @@ func TestDeltaStreamDeterminism(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	a, b, c := stream(1), stream(4), stream(1)
-	if !bytes.Equal(a, b) {
-		t.Error("delta stream differs across shard counts")
+	alone, again := stream(newTestManager(t, Config{})), stream(newTestManager(t, Config{}))
+
+	// Four other fields fail their scattered sensors one by one, from
+	// before the stream starts until it is done.
+	m := newTestManager(t, Config{})
+	stop := make(chan struct{})
+	var wg, started sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		id := fmt.Sprintf("other-%d", i)
+		spec := testSpec(uint64(20 + i))
+		spec.Scatter = 200
+		if _, _, err := m.Create("t", id, spec); err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		started.Add(1)
+		go func() {
+			defer wg.Done()
+			for s := 0; s < spec.Scatter; s++ {
+				if _, err := m.Apply("t", id, []int{s}); err != nil {
+					t.Errorf("%s: %v", id, err)
+				}
+				if s == 0 {
+					started.Done()
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
 	}
-	if !bytes.Equal(a, c) {
+	started.Wait()
+	busy := stream(m)
+	close(stop)
+	wg.Wait()
+	if !bytes.Equal(alone, again) {
 		t.Error("delta stream differs across identical runs")
 	}
+	if !bytes.Equal(alone, busy) {
+		t.Error("delta stream differs when other fields take events concurrently")
+	}
+}
+
+// TestBusyFieldBlocksOnlyItself: while one field's lock is held, as
+// during a long repair, Apply, Get and Subscribe on another field
+// complete, and a call on the held field waits for it.
+func TestBusyFieldBlocksOnlyItself(t *testing.T) {
+	m := newTestManager(t, Config{})
+	for _, id := range []string{"a", "b"} {
+		if _, _, err := m.Create("t", id, testSpec(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := m.fields[skey("t", "a")]
+	held.mu.Lock()
+	waiting := make(chan error, 1)
+	go func() {
+		_, err := m.Apply("t", "a", []int{1})
+		waiting <- err
+	}()
+
+	done := make(chan error, 1)
+	go func() {
+		if _, err := m.Apply("t", "b", []int{1}); err != nil {
+			done <- err
+			return
+		}
+		if _, err := m.Get("t", "b"); err != nil {
+			done <- err
+			return
+		}
+		ch, cancel, err := m.Subscribe("t", "b", 1)
+		if err == nil {
+			<-ch
+			cancel()
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Error(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("calls on field b waited for field a's lock")
+	}
+	select {
+	case err := <-waiting:
+		t.Errorf("apply on the held field returned while its lock was held: %v", err)
+	default:
+	}
+	held.mu.Unlock()
+	if err := <-waiting; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAdmissionBoundSaturates: with the admission bound lowered to one
+// call, a call waiting for a held field fills it, the next call on any
+// field gets ErrSaturated, and calls admit again once the first is done.
+// A subscriber's cancel needs no admission, so one made past the bound
+// still detaches it and leaves its field evictable.
+func TestAdmissionBoundSaturates(t *testing.T) {
+	m := newTestManager(t, Config{})
+	for _, id := range []string{"a", "b"} {
+		if _, _, err := m.Create("t", id, testSpec(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, cancel, err := m.Subscribe("t", "b", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer SetMaxAdmitted(1)()
+	held := m.fields[skey("t", "a")]
+	held.mu.Lock()
+	waiting := make(chan error, 1)
+	go func() {
+		_, err := m.Apply("t", "a", []int{1})
+		waiting <- err
+	}()
+	for deadline := time.Now().Add(10 * time.Second); m.admittedCount() != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			held.mu.Unlock()
+			t.Fatal("the waiting apply was never admitted")
+		}
+	}
+	if _, err := m.Apply("t", "b", []int{1}); !errors.Is(err, ErrSaturated) {
+		t.Errorf("apply past the bound: err = %v, want ErrSaturated", err)
+	}
+	if _, err := m.Get("t", "b"); !errors.Is(err, ErrSaturated) {
+		t.Errorf("get past the bound: err = %v, want ErrSaturated", err)
+	}
+	cancel()
+	held.mu.Unlock()
+	if err := <-waiting; err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Apply("t", "b", []int{1}); err != nil {
+		t.Errorf("apply after the bound freed: %v", err)
+	}
+	if err := m.Evict("t", "b"); err != nil {
+		t.Errorf("evict after a cancel made past the bound: %v", err)
+	}
+}
+
+// admittedCount reads how many calls are admitted right now.
+func (m *Manager) admittedCount() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.admitted
+}
+
+// sessionCount reads the live+evicted session total.
+func (m *Manager) sessionCount() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.total
 }
 
 // TestDifferentialReplayParity is the delta-repair correctness gate: at
@@ -277,8 +430,8 @@ func TestEvictIdleAndJanitorAccounting(t *testing.T) {
 	}
 	// Evicted sessions still count against the tenant (they are owned
 	// state), and restore transparently on the next event.
-	if st := m.Stats(); st.Sessions != 3 {
-		t.Errorf("stats after evict = %+v, want 3 sessions", st)
+	if n := m.sessionCount(); n != 3 {
+		t.Errorf("sessions after evict = %d, want 3", n)
 	}
 	if _, err := m.Apply("t", "f1", []int{3}); err != nil {
 		t.Fatal(err)

@@ -18,7 +18,7 @@ type benchActor struct {
 
 func (a *benchActor) OnStart(ctx *Context) {
 	// De-phase like protocol.Node so simultaneous wakeups don't pile up.
-	phase := Time(float64(ctx.ID()%17) / 17.0 * float64(a.period))
+	phase := Time(float64(ctx.id%17) / 17.0 * float64(a.period))
 	ctx.SetTimer(phase, "tick")
 }
 
@@ -64,7 +64,7 @@ func BenchmarkEngineRun(b *testing.B) {
 }
 
 // BenchmarkEngineRunRecorded is BenchmarkEngineRun/actors=64 with a
-// flight-recorder shard attached: the price of structured event capture
+// flight recorder attached: the price of structured event capture
 // on every delivery and timer. scripts/benchstat.sh compares this against
 // the recorder-disabled run to measure tracing overhead; the disabled
 // path itself is gated against the committed baseline.
@@ -72,9 +72,9 @@ func BenchmarkEngineRunRecorded(b *testing.B) {
 	b.ReportAllocs()
 	events := 0
 	for i := 0; i < b.N; i++ {
-		fr := obs.NewFlightRecorder(1, 4096)
+		fr := obs.NewFlightRecorder(4096)
 		e := benchEngine(64)
-		e.SetFlight(fr.Shard(0))
+		e.SetFlight(fr)
 		events = e.Run(25)
 	}
 	b.ReportMetric(float64(events), "events/op")

@@ -7,12 +7,12 @@ import (
 )
 
 // TestEngineFlightRecorder drives crashes, restarts, deliveries, timers,
-// and dead-target drops through an engine wired to a flight-recorder
-// shard and checks the structured event stream mirrors the run.
+// and dead-target drops through an engine wired to a flight recorder
+// and checks the structured event stream mirrors the run.
 func TestEngineFlightRecorder(t *testing.T) {
-	fr := obs.NewFlightRecorder(1, 128)
+	fr := obs.NewFlightRecorder(128)
 	e := NewEngine(0.25)
-	e.SetFlight(fr.Shard(0))
+	e.SetFlight(fr)
 
 	e.Register(1, &echoActor{onStart: func(ctx *Context) {
 		ctx.Send(2, "ping", nil)
@@ -45,9 +45,9 @@ func TestEngineFlightRecorder(t *testing.T) {
 	}
 	// Flight events carry only virtual time, so a re-run with a fresh
 	// recorder replays the identical timeline (determinism for chaos).
-	fr2 := obs.NewFlightRecorder(1, 128)
+	fr2 := obs.NewFlightRecorder(128)
 	e2 := NewEngine(0.25)
-	e2.SetFlight(fr2.Shard(0))
+	e2.SetFlight(fr2)
 	e2.Register(1, &echoActor{onStart: func(ctx *Context) {
 		ctx.Send(2, "ping", nil)
 		ctx.SetTimer(1, "tick")

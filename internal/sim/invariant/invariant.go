@@ -79,20 +79,6 @@ func (c *Checker) RunAt(now sim.Time) {
 // Violations returns the recorded violations in observation order.
 func (c *Checker) Violations() []Violation { return append([]Violation(nil), c.vs...) }
 
-// OK reports whether no violation has been recorded.
-func (c *Checker) OK() bool { return len(c.vs) == 0 }
-
-// First returns the earliest-recorded violation of the named invariant,
-// or nil.
-func (c *Checker) First(invariant string) *Violation {
-	for i := range c.vs {
-		if c.vs[i].Invariant == invariant {
-			return &c.vs[i]
-		}
-	}
-	return nil
-}
-
 // watchdog is the actor that re-runs the checker on a period. It uses a
 // dedicated high actor id so it never collides with protocol actors.
 type watchdog struct {

@@ -56,9 +56,6 @@ type Context struct {
 	id  int
 }
 
-// ID returns the actor's ID.
-func (c *Context) ID() int { return c.id }
-
 // Now returns the current virtual time.
 func (c *Context) Now() Time { return c.eng.now }
 
@@ -137,7 +134,7 @@ type Engine struct {
 	// events. See SetTraceLine.
 	traceLine func([]byte)
 	traceBuf  []byte
-	flight    *obs.FlightShard
+	flight    *obs.FlightRecorder
 
 	lossRate float64
 	lossRNG  *rng.RNG
@@ -297,13 +294,13 @@ func (e *Engine) emitLine(b []byte) {
 	e.traceLine(b)
 }
 
-// SetFlight attaches a flight-recorder shard: every processed event
+// SetFlight attaches a flight recorder: every processed event
 // (deliveries, drops, losses, crashes, restarts, timers) is recorded as
-// a structured FlightEvent at its virtual time. The shard's ring bounds
-// memory; nil detaches. With no shard attached the event loop pays one
-// nil check per event — the disabled path the tracing-overhead gate in
-// scripts/benchstat.sh protects.
-func (e *Engine) SetFlight(s *obs.FlightShard) { e.flight = s }
+// a structured FlightEvent at its virtual time. The recorder's ring
+// bounds memory; nil detaches. With no recorder attached the event loop
+// pays one nil check per event — the disabled path the tracing-overhead
+// gate in scripts/benchstat.sh protects.
+func (e *Engine) SetFlight(r *obs.FlightRecorder) { e.flight = r }
 
 // SetLossRate makes every message delivery fail independently with
 // probability p (deterministically, driven by seed) — the radio packet

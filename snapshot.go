@@ -13,8 +13,8 @@ import (
 // such that RestoreDeployment yields a field observably identical to the
 // original: equal operation sequences on both produce equal results,
 // including every future random draw. The session layer uses this as the
-// fast evict/restore and cross-shard migration path, with full event-log
-// replay kept as the differential oracle.
+// fast evict/restore path, with full event-log replay kept as the
+// differential oracle.
 
 // Snapshot serializes the deployment to the snap envelope format.
 func (d *Deployment) Snapshot() []byte {

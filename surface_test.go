@@ -2,12 +2,14 @@ package decor
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -86,130 +88,148 @@ func parseNonTest(t *testing.T, fset *token.FileSet, root string) []parsedFile {
 	return files
 }
 
-// surfaceScan parses every non-test Go file below root and returns the
-// functions and methods declared under internal/ and cmd/ that no
-// non-test file uses outside the declaration itself. A package-level
-// function counts as used only through pkg.Name in a file that imports
-// its package, or through a bare Name inside its own package; a method
-// when its name appears as a selector or as an interface method.
+// moduleImporter type-checks the module's packages from the parsed
+// non-test files, on demand and once each, recording every package's
+// uses in one types.Info; it hands every other path to std.
+type moduleImporter struct {
+	fset  *token.FileSet
+	files map[string][]*ast.File // import path -> non-test files
+	pkgs  map[string]*types.Package
+	info  *types.Info
+	std   types.Importer
+}
+
+func (im *moduleImporter) Import(path string) (*types.Package, error) {
+	if p, ok := im.pkgs[path]; ok {
+		return p, nil
+	}
+	files, ok := im.files[path]
+	if !ok {
+		return im.std.Import(path)
+	}
+	conf := types.Config{Importer: im}
+	p, err := conf.Check(path, im.fset, files, im.info)
+	if err != nil {
+		return nil, err
+	}
+	im.pkgs[path] = p
+	return p, nil
+}
+
+// surfaceScan type-checks every non-test Go file below root and returns
+// the functions and methods declared under internal/ and cmd/ that no
+// non-test file uses outside the declaration itself. A use is a
+// types.Info.Uses entry that resolves to the function or method. A
+// method also counts as used when its receiver implements an interface
+// that has a method of its name and that the module declares or calls a
+// method of, or when stdInterfaceMethods exempts its name.
 func surfaceScan(t *testing.T, root string) (decls map[string]surfaceDecl, unused []surfaceDecl) {
 	t.Helper()
 	fset := token.NewFileSet()
 	files := parseNonTest(t, fset, root)
-	pkgName := map[string]string{} // dir -> package name
+
+	// The standard library is type-checked from source, without cgo so
+	// that the scan needs no C toolchain.
+	defer func(cgo bool) { build.Default.CgoEnabled = cgo }(build.Default.CgoEnabled)
+	build.Default.CgoEnabled = false
+	im := &moduleImporter{
+		fset:  fset,
+		files: map[string][]*ast.File{},
+		pkgs:  map[string]*types.Package{},
+		info:  &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}},
+		std:   importer.ForCompiler(fset, "source", nil),
+	}
+	importPath := func(dir string) string {
+		if dir == "." {
+			return "decor"
+		}
+		return "decor/" + dir
+	}
 	for _, pf := range files {
-		pkgName[pf.dir] = pf.f.Name.Name
+		path := importPath(pf.dir)
+		im.files[path] = append(im.files[path], pf.f)
+	}
+	for path := range im.files {
+		if _, err := im.Import(path); err != nil {
+			t.Fatalf("type-checking %s: %v", path, err)
+		}
 	}
 
 	decls = map[string]surfaceDecl{}
-	funcUses := map[string]map[string]bool{}  // dir.Name -> owners of its uses
-	selectors := map[string]map[string]bool{} // method name -> owners of its uses
-	note := func(m map[string]map[string]bool, name, owner string) {
-		if m[name] == nil {
-			m[name] = map[string]bool{}
-		}
-		m[name][owner] = true
-	}
+	funcs := map[*types.Func]string{} // scanned declaration -> its key
+	used := map[*types.Func]bool{}
+	var ifaces []*types.Interface
 	for _, pf := range files {
-		dir, f := pf.dir, pf.f
-		// imports maps each local package name to the imported module dir.
-		imports := map[string]string{}
-		for _, imp := range f.Imports {
-			path, err := strconv.Unquote(imp.Path.Value)
-			if err != nil || (path != "decor" && !strings.HasPrefix(path, "decor/")) {
-				continue
-			}
-			idir := strings.TrimPrefix(strings.TrimPrefix(path, "decor"), "/")
-			if idir == "" {
-				idir = "."
-			}
-			local := pkgName[idir]
-			if imp.Name != nil {
-				local = imp.Name.Name
-			}
-			imports[local] = idir
-		}
 		// internal/sim/simtest is a test-support package: everything in
 		// it exists for tests.
-		scanned := (strings.HasPrefix(dir, "internal/") || strings.HasPrefix(dir, "cmd/")) && dir != "internal/sim/simtest"
-		for _, decl := range f.Decls {
-			owner := ""
-			var own *ast.Ident
+		scanned := (strings.HasPrefix(pf.dir, "internal/") || strings.HasPrefix(pf.dir, "cmd/")) && pf.dir != "internal/sim/simtest"
+		for _, decl := range pf.f.Decls {
+			var own *types.Func
 			if fd, ok := decl.(*ast.FuncDecl); ok {
-				own = fd.Name
+				own = im.info.Defs[fd.Name].(*types.Func)
 				recv := ""
-				if fd.Recv != nil && len(fd.Recv.List) == 1 {
-					recv = receiverType(fd.Recv.List[0].Type)
+				if r := own.Type().(*types.Signature).Recv(); r != nil {
+					recv = deref(r.Type()).(*types.Named).Obj().Name()
 				}
-				owner = dir + "." + fd.Name.Name
+				key := pf.dir + "." + fd.Name.Name
 				if recv != "" {
-					owner = dir + "." + recv + "." + fd.Name.Name
+					key = pf.dir + "." + recv + "." + fd.Name.Name
 				}
 				if scanned && fd.Name.Name != "main" && fd.Name.Name != "init" && fd.Name.Name != "_" {
-					decls[owner] = surfaceDecl{key: owner, name: fd.Name.Name, recv: recv, pos: fset.Position(fd.Pos())}
+					decls[key] = surfaceDecl{key: key, name: fd.Name.Name, recv: recv, pos: fset.Position(fd.Pos())}
+					funcs[own] = key
 				}
 			}
-			sels := map[*ast.Ident]bool{} // selected names: never bare uses
 			ast.Inspect(decl, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.Ident:
-					if n != own && !sels[n] {
-						note(funcUses, dir+"."+n.Name, owner)
+					fn, ok := im.info.Uses[n].(*types.Func)
+					if !ok || fn.Origin() == own {
+						return true
 					}
-				case *ast.SelectorExpr:
-					sels[n.Sel] = true
-					note(selectors, n.Sel.Name, owner)
-					if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
-						note(funcUses, imports[x.Name]+"."+n.Sel.Name, owner)
-					}
-				case *ast.InterfaceType:
-					for _, m := range n.Methods.List {
-						for _, id := range m.Names {
-							note(selectors, id.Name, "interface")
+					used[fn.Origin()] = true
+					// A call through an interface reaches every
+					// implementation of that interface.
+					if r := fn.Type().(*types.Signature).Recv(); r != nil {
+						if it, ok := r.Type().Underlying().(*types.Interface); ok {
+							ifaces = append(ifaces, it)
 						}
 					}
+				case *ast.InterfaceType:
+					ifaces = append(ifaces, im.info.Types[n].Type.(*types.Interface))
 				}
 				return true
 			})
 		}
 	}
-	usedOutside := func(owners map[string]bool, self string) bool {
-		for o := range owners {
-			if o != self {
-				return true
+	implemented := func(fn *types.Func) bool {
+		recv := deref(fn.Type().(*types.Signature).Recv().Type())
+		for _, it := range ifaces {
+			for i := 0; i < it.NumMethods(); i++ {
+				if it.Method(i).Name() == fn.Name() && (types.Implements(recv, it) || types.Implements(types.NewPointer(recv), it)) {
+					return true
+				}
 			}
 		}
 		return false
 	}
-	for _, d := range decls {
-		var used bool
-		if d.recv == "" {
-			used = usedOutside(funcUses[d.key], d.key)
-		} else {
-			used = stdInterfaceMethods[d.name] || usedOutside(selectors[d.name], d.key)
+	for fn, key := range funcs {
+		d := decls[key]
+		if used[fn] || (d.recv != "" && (stdInterfaceMethods[d.name] || implemented(fn))) {
+			continue
 		}
-		if !used {
-			unused = append(unused, d)
-		}
+		unused = append(unused, d)
 	}
 	sort.Slice(unused, func(i, j int) bool { return unused[i].key < unused[j].key })
 	return decls, unused
 }
 
-// receiverType names a method's receiver type, without pointer or type
-// parameters.
-func receiverType(e ast.Expr) string {
-	switch e := e.(type) {
-	case *ast.StarExpr:
-		return receiverType(e.X)
-	case *ast.IndexExpr:
-		return receiverType(e.X)
-	case *ast.IndexListExpr:
-		return receiverType(e.X)
-	case *ast.Ident:
-		return e.Name
+// deref strips one pointer from a receiver type.
+func deref(t types.Type) types.Type {
+	if p, ok := t.(*types.Pointer); ok {
+		return p.Elem()
 	}
-	return ""
+	return t
 }
 
 // TestNoTestOnlySurface keeps production code to what production runs:
