@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test test-short check bench bench-json bench-large serve-smoke chaos-smoke session-smoke snapshot-smoke fuzz-smoke cover figures extensions summary clean
+.PHONY: all build vet fmt-check test test-short check bench bench-json bench-large serve-smoke chaos-smoke session-smoke gate-smoke snapshot-smoke fuzz-smoke cover figures extensions summary clean
 
 all: build vet test
 
@@ -17,8 +17,9 @@ all: build vet test
 # pins (bench-large), the decor-serve end-to-end smoke (throughput +
 # graceful drain), the chaos sweep (invariants + determinism under fault
 # injection), the field-session soak (byte-identical delta streams
-# across two seeded multi-tenant runs; see session-smoke), a fixed
-# number of fresh inputs for the decode parity fuzzers (fuzz-smoke), and
+# across two seeded multi-tenant runs; see session-smoke), the admission
+# gate's concurrency tests ten times over (gate-smoke), a fixed number of
+# fresh inputs for the decode parity fuzzers (fuzz-smoke), and
 # the sim+protocol statement-coverage floor (cover).
 check:
 	$(GO) vet ./...
@@ -32,6 +33,7 @@ check:
 	$(MAKE) chaos-smoke
 	$(MAKE) snapshot-smoke
 	$(MAKE) session-smoke
+	$(MAKE) gate-smoke
 	$(MAKE) fuzz-smoke
 	$(MAKE) cover
 
@@ -75,6 +77,17 @@ snapshot-smoke:
 # asserted in the same package run.
 session-smoke:
 	$(GO) test -race -run '^TestSessionSoak$$|^TestSoakQuotaIsolation$$|^TestBusyFieldBlocksOnlyItself$$|^TestAdmissionBoundSaturates$$|^TestFastRestoreMatchesReplay$$' -count=1 -timeout 300s ./internal/session/
+
+# Admission gates (internal/admit): plans and repairs pass one, field
+# sessions another. A gate's books balance under concurrent Enter/Run/
+# Done/Leave with refusals mixed in and Close landing mid-burst; a field
+# event does not wait for the plans' run slots; a coalesced request
+# outlives its leader's deadline, refusal or panic; and a mixed overload
+# burst leaves the books empty and no goroutine behind. Each test runs
+# ten times under the race detector.
+gate-smoke:
+	$(GO) test -race -count=10 -run '^TestGateBooksBalanceUnderConcurrency$$|^TestCloseDrainsAdmittedCalls$$' -timeout 300s ./internal/admit/
+	$(GO) test -race -count=10 -run '^TestFieldEventsDoNotWaitBehindPlans$$|^TestFollowerOutlivesLeaderDeadline$$|^TestFollowerOfRefusedLeaderTakesItsOwnTurn$$|^TestPanickingLeaderReleasesFollowers$$|^TestOverloadBurstLeavesNothingBehind$$' -timeout 300s ./internal/service/
 
 # Fuzz smoke: the number parser's and the request decoders' parity
 # fuzzers each run 20000 generated inputs past their committed corpora,

@@ -14,7 +14,7 @@
 // Examples:
 //
 //	decor-serve -addr :8080
-//	decor-serve -addr 127.0.0.1:0 -workers 4 -queue 64
+//	decor-serve -addr 127.0.0.1:0 -timeout 500ms -session-idle-ttl 10m
 //
 // SIGINT/SIGTERM triggers a graceful drain: the listener stops accepting,
 // in-flight plans run to completion (bounded by -drain-timeout), then the
@@ -51,8 +51,6 @@ func main() {
 func run() int {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port; the chosen address is printed)")
-		workers      = flag.Int("workers", 0, "planner worker goroutines (0 = GOMAXPROCS)")
-		queue        = flag.Int("queue", 0, "admission queue depth (0 = default 256); a full queue answers 503 + Retry-After")
 		cacheEntries = flag.Int("cache", 0, "LRU plan cache entries (0 = default 512, negative disables)")
 		maxBody      = flag.Int64("max-body", 0, "request body size cap in bytes (0 = default 1 MiB); larger bodies get 413")
 		maxPoints    = flag.Int("max-points", 0, "per-request num_points cap (0 = default)")
@@ -65,7 +63,7 @@ func run() int {
 
 		sessMax       = flag.Int("session-max", 0, "global live field-session cap (0 = default 4096)")
 		sessMaxTenant = flag.Int("session-max-per-tenant", 0, "per-tenant field-session cap (0 = default 64); excess creates get 429")
-		sessIdleTTL   = flag.Duration("session-idle-ttl", 0, "idle time before a session is snapshotted and evicted (0 = built-in default)")
+		sessIdleTTL   = flag.Duration("session-idle-ttl", 0, "idle time before a session is snapshotted and evicted (0 = never evict idle sessions)")
 	)
 	var ofl obs.RunFlags
 	ofl.Register(flag.CommandLine)
@@ -82,8 +80,6 @@ func run() int {
 
 	tracer := obs.NewTracer(*traceCap)
 	svc := service.New(service.Config{
-		Workers:      *workers,
-		QueueDepth:   *queue,
 		CacheEntries: *cacheEntries,
 		Limits: service.Limits{
 			MaxBodyBytes:   *maxBody,
@@ -150,7 +146,8 @@ func run() int {
 	}
 
 	// Drain order matters: stop the listener and wait for in-flight
-	// handlers (which wait for their jobs), then retire the worker pool.
+	// handlers (which plan on their own goroutines), then drain the
+	// admission gate.
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	code := 0
@@ -159,7 +156,7 @@ func run() int {
 		code = 1
 	}
 	if err := svc.Shutdown(ctx); err != nil && !errors.Is(err, context.Canceled) {
-		fmt.Fprintf(os.Stderr, "decor-serve: pool shutdown: %v\n", err)
+		fmt.Fprintf(os.Stderr, "decor-serve: service shutdown: %v\n", err)
 		code = 1
 	}
 	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {

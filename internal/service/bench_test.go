@@ -140,7 +140,7 @@ func repairBody(n int) string {
 // cache-hit /v1/plan, request decode through the fast parser, response
 // straight from the byte cache. Gated at <= 10 allocs/request.
 func BenchmarkServePlanCacheHit(b *testing.B) {
-	p := newPlanRig(b, Config{Workers: 1}, planBody(7))
+	p := newPlanRig(b, Config{}, planBody(7))
 	p.run() // cold miss populates the cache; everything after hits
 	if p.w.status != 0 && p.w.status != http.StatusOK {
 		b.Fatalf("warmup status = %d", p.w.status)
@@ -157,7 +157,7 @@ func BenchmarkServePlanCacheHit(b *testing.B) {
 // (~34 KB), where decode, validation and the cache key each walk the
 // whole sensor list. Gated exactly in benchstat.sh.
 func BenchmarkServeRepairCacheHit(b *testing.B) {
-	p := newRepairRig(b, Config{Workers: 1}, repairBody(900))
+	p := newRepairRig(b, Config{}, repairBody(900))
 	p.warmHit(b)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -171,7 +171,7 @@ func BenchmarkServeRepairCacheHit(b *testing.B) {
 // request is fixed, so the planner work (and its allocations) are
 // deterministic run to run.
 func BenchmarkServePlanCacheMiss(b *testing.B) {
-	p := newPlanRig(b, Config{Workers: 1, CacheEntries: -1}, planBody(7))
+	p := newPlanRig(b, Config{CacheEntries: -1}, planBody(7))
 	p.run() // warm the pools
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -186,7 +186,7 @@ func BenchmarkServePlanCacheMiss(b *testing.B) {
 // GC is paused so a mid-run sync.Pool flush cannot inflate the average.
 func TestServePlanCacheHitAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	p := newPlanRig(t, Config{Workers: 1}, planBody(7))
+	p := newPlanRig(t, Config{}, planBody(7))
 	p.run()
 	if p.w.status != 0 && p.w.status != http.StatusOK {
 		t.Fatalf("warmup status = %d", p.w.status)
@@ -215,7 +215,7 @@ func TestServeRepairCacheHitAllocs(t *testing.T) {
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	hit := func(n int) float64 {
-		p := newRepairRig(t, Config{Workers: 1}, repairBody(n))
+		p := newRepairRig(t, Config{}, repairBody(n))
 		p.warmHit(t)
 		return testing.AllocsPerRun(100, p.run)
 	}
@@ -249,7 +249,7 @@ type eventRig struct {
 
 func newEventRig(tb testing.TB) *eventRig {
 	tb.Helper()
-	svc := newBenchServer(tb, Config{Workers: 1})
+	svc := newBenchServer(tb, Config{})
 	e := &eventRig{
 		svc: svc,
 		w:   newBenchWriter(),

@@ -88,7 +88,7 @@ func (c *planCache) Len() int {
 // flightGroup coalesces concurrent identical requests: the first caller
 // of begin for a key becomes the leader and computes the plan once;
 // followers block on the call's done channel and replay the leader's
-// exact response bytes and status.
+// exact response bytes, or its planning error, with its status.
 type flightGroup struct {
 	mu    sync.Mutex
 	calls map[reqKey]*flightCall
@@ -96,7 +96,8 @@ type flightGroup struct {
 
 type flightCall struct {
 	done chan struct{}
-	// Set by the leader before close(done); immutable afterwards.
+	// Set by the leader before close(done); immutable afterwards. Status
+	// 0: the leader got no outcome a follower may share (see lead).
 	body   []byte
 	err    error
 	status int
@@ -120,11 +121,15 @@ func (g *flightGroup) begin(key reqKey) (call *flightCall, leader bool) {
 }
 
 // finish publishes the leader's outcome to all followers and retires the
-// key; later requests start a fresh flight (or hit the cache).
+// key; later requests start a fresh flight (or hit the cache). Only the
+// first finish of a call publishes; later ones do nothing.
 func (g *flightGroup) finish(key reqKey, call *flightCall, body []byte, status int, err error) {
-	call.body, call.status, call.err = body, status, err
 	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.calls[key] != call {
+		return
+	}
+	call.body, call.status, call.err = body, status, err
 	delete(g.calls, key)
-	g.mu.Unlock()
 	close(call.done)
 }

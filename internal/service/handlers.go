@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/pprof"
 	"runtime/metrics"
@@ -11,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"decor/internal/admit"
 	"decor/internal/jsonx"
 	"decor/internal/obs"
 )
@@ -25,8 +27,8 @@ const traceHeader = "X-Decor-Trace"
 // labeled response counter, under obs.TenantLabels' cardinality cap.
 const tenantHeader = "X-Decor-Tenant"
 
-// cacheStatusHeader reports how a response was produced: "miss" (a cold
-// worker computed it), "hit" (LRU cache), or "coalesced" (singleflight
+// cacheStatusHeader reports how a response was produced: "miss" (this
+// request planned it), "hit" (LRU cache), or "coalesced" (singleflight
 // follower). The body is byte-identical across all three — only this
 // header differs, which is why it is a header and not a body field.
 const cacheStatusHeader = "X-Decor-Cache"
@@ -233,40 +235,40 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Write([]byte("{\"status\":\"ok\"}\n"))
 }
 
-// planEndpoint selects which request shape servePlanLike decodes.
-type planEndpoint int
+// planCall holds one decoded /v1/plan or /v1/repair request while it is
+// served. Holders are pooled: the stdlib decode fallback takes the
+// request as an interface, so a local would move to the heap on every
+// request, cache hits included.
+type planCall struct {
+	rr     RepairRequest // a plan uses rr.PlanRequest alone
+	repair bool
+}
 
-const (
-	epPlan planEndpoint = iota
-	epRepair
-)
+var planCallPool = sync.Pool{New: func() any { return new(planCall) }}
 
-// planRunner / repairRunner carry a decoded request into the worker
-// pool. They are pooled so the hot path allocates neither a closure nor
-// a heap copy of the request; the leader recycles its runner after the
-// worker's result is consumed (the handler owns it for the whole
-// request — workers never touch a runner after sending the result).
-type planRunner struct{ pr PlanRequest }
+func (c *planCall) key() reqKey {
+	if c.repair {
+		return c.rr.key()
+	}
+	return c.rr.PlanRequest.key()
+}
 
-func (p *planRunner) runJob(ctx context.Context) ([]byte, error) { return executePlan(ctx, p.pr) }
-
-type repairRunner struct{ rr RepairRequest }
-
-func (p *repairRunner) runJob(ctx context.Context) ([]byte, error) { return executeRepair(ctx, p.rr) }
-
-var (
-	planRunnerPool   = sync.Pool{New: func() any { return new(planRunner) }}
-	repairRunnerPool = sync.Pool{New: func() any { return new(repairRunner) }}
-)
+// execute plans the request on a private Deployment.
+func (c *planCall) execute(ctx context.Context) ([]byte, error) {
+	if c.repair {
+		return executeRepair(ctx, c.rr)
+	}
+	return executePlan(ctx, c.rr.PlanRequest)
+}
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	s.cPlanReqs.Inc()
-	s.servePlanLike(w, r, epPlan)
+	s.servePlanLike(w, r, false)
 }
 
 func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	s.cRepairReqs.Inc()
-	s.servePlanLike(w, r, epRepair)
+	s.servePlanLike(w, r, true)
 }
 
 // setTraceHeader writes the trace ID in TraceID.String's fixed-width
@@ -285,14 +287,15 @@ func setTraceHeader(h http.Header, id obs.TraceID) {
 // servePlanLike is the shared request path of the two planning
 // endpoints: decode+validate, cache lookup, singleflight, admission,
 // deadline, response.
-func (s *Server) servePlanLike(w http.ResponseWriter, r *http.Request, ep planEndpoint) {
+func (s *Server) servePlanLike(w http.ResponseWriter, r *http.Request, repair bool) {
 	route := r.URL.Path
 	// The root span's End also lands in the request histogram, with this
 	// trace as its bucket's exemplar: a p99 bucket names an X-Decor-Trace
 	// ID to drill into.
 	root := s.cfg.Tracer.StartTrace(route, s.hRequestSeconds)
 	tctx := root.Context(r.Context())
-	sw := s.getStatusWriter(w, route, r.Header.Get(tenantHeader))
+	tenant := r.Header.Get(tenantHeader)
+	sw := s.getStatusWriter(w, route, tenant)
 	defer putStatusWriter(sw) // registered first: runs after the metrics defer reads sw
 	w = sw
 	if id := root.TraceID(); id != 0 {
@@ -312,32 +315,14 @@ func (s *Server) servePlanLike(w http.ResponseWriter, r *http.Request, ep planEn
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.Limits.MaxBodyBytes)
 
-	// Decode and normalize into a pooled runner: the fast-path codec
+	// Decode and normalize into a pooled holder: the fast-path codec
 	// reads the pooled body buffer, so a cache hit allocates nothing
 	// here beyond one exact-size copy of each sensor or failed-ID list.
-	var key reqKey
-	var timeout time.Duration
-	var runner jobRunner
+	c := planCallPool.Get().(*planCall)
+	defer planCallPool.Put(c)
+	*c = planCall{repair: repair}
 	pSpan := obs.Start(tctx, "parse", nil)
-	var err error
-	switch ep {
-	case epPlan:
-		p := planRunnerPool.Get().(*planRunner)
-		defer planRunnerPool.Put(p)
-		p.pr = PlanRequest{}
-		err = s.parseInto(r, &p.pr, nil)
-		if err == nil {
-			key, timeout, runner = p.pr.key(), p.pr.timeout(s.cfg.Limits), p
-		}
-	case epRepair:
-		p := repairRunnerPool.Get().(*repairRunner)
-		defer repairRunnerPool.Put(p)
-		p.rr = RepairRequest{}
-		err = s.parseInto(r, &p.rr.PlanRequest, &p.rr)
-		if err == nil {
-			key, timeout, runner = p.rr.key(), p.rr.timeout(s.cfg.Limits), p
-		}
-	}
+	err := s.parseInto(r, c)
 	pSpan.End()
 	if err != nil {
 		s.cBadReqs.Inc()
@@ -350,81 +335,98 @@ func (s *Server) servePlanLike(w http.ResponseWriter, r *http.Request, ep planEn
 		return
 	}
 
+	key := c.key()
 	if body, clen, ok := s.cache.Get(key); ok {
 		s.cCacheHits.Inc()
 		s.writePlan(w, body, clen, headerValHit)
 		return
 	}
 
-	call, leader := s.flight.begin(key)
-	if !leader {
-		// Identical request already in flight: wait for its leader, but
-		// never longer than this request's own deadline.
-		s.cCoalesced.Inc()
-		deadline := time.NewTimer(timeout)
-		defer deadline.Stop()
-		select {
-		case <-call.done:
-			s.replayFlight(w, call)
-		case <-deadline.C:
-			s.cTimeouts.Inc()
-			s.writeError(w, http.StatusGatewayTimeout, "deadline exceeded waiting for identical in-flight plan")
-		case <-r.Context().Done():
-			// Client hung up; the leader still completes and caches.
-			s.writeError(w, http.StatusGatewayTimeout, "client cancelled")
-		}
-		return
-	}
-
-	// Leader: admit into the bounded pool. The deadline spans queue wait
-	// plus execution, carried by the job context into the round loop; the
-	// trace's span context rides along so the planner's core.deploy and
-	// core.round spans land in this request's tree.
-	eSpan := obs.Start(tctx, "execute", nil)
-	ctx, cancel := context.WithTimeout(s.baseCtx, timeout)
+	// A miss. The request's own deadline starts now and bounds all that
+	// follows: waiting for an identical in-flight plan, waiting for a run
+	// slot, and planning. A forced shutdown cancels it through baseCtx.
+	ctx, cancel := context.WithTimeout(s.baseCtx, c.rr.timeout(s.cfg.Limits))
 	defer cancel()
-	ctx = eSpan.Context(ctx)
-	j := &job{ctx: ctx, runner: runner, done: make(chan jobResult, 1), tenant: r.Header.Get(tenantHeader)}
-	if err := s.submit(j); err != nil {
-		eSpan.End()
-		s.cRejected.Inc()
-		s.cfg.Flight.Record(s.uptime(), "admit.reject", -1, route)
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-		if errors.Is(err, errTenantOverloaded) {
-			// The tenant's fair share is spoken for; followers of the same
-			// key should not inherit a 429 another tenant earned, but
-			// identical keys imply identical tenants in practice.
-			s.flight.finish(key, call, nil, http.StatusTooManyRequests, err)
-			s.writeError(w, http.StatusTooManyRequests, "tenant admission quota exhausted; retry later")
+	for {
+		call, leader := s.flight.begin(key)
+		if leader {
+			s.lead(w, tctx, ctx, route, tenant, key, call, c)
 			return
 		}
-		s.flight.finish(key, call, nil, http.StatusServiceUnavailable, errOverloaded)
-		s.writeError(w, http.StatusServiceUnavailable, "admission queue full; retry later")
-		return
+		// Identical request already in flight: wait for its leader. The
+		// request counts as coalesced once, when it is served the leader's
+		// outcome or gives up waiting.
+		select {
+		case <-call.done:
+		case <-ctx.Done():
+			s.cCoalesced.Inc()
+			if ctx.Err() == context.Canceled {
+				s.cErrors.Inc()
+				s.writeError(w, http.StatusServiceUnavailable, "server shutting down")
+				return
+			}
+			s.cTimeouts.Inc()
+			s.writeError(w, http.StatusGatewayTimeout, "deadline exceeded waiting for identical in-flight plan")
+			return
+		case <-r.Context().Done():
+			// Client hung up; the leader still completes and caches.
+			s.cCoalesced.Inc()
+			s.writeError(w, http.StatusGatewayTimeout, "client cancelled")
+			return
+		}
+		if call.status != 0 {
+			s.cCoalesced.Inc()
+			s.replayFlight(w, call)
+			return
+		}
+		// The leader was refused admission, ran out of its own deadline,
+		// was cut off by shutdown or panicked. None of that is this
+		// request's outcome: it takes its own turn, and may lead, within
+		// its own deadline.
 	}
-	s.cfg.Flight.Record(s.uptime(), "admit.ok", -1, route)
-	res := <-j.done
-	s.release(j)
+}
+
+// lead serves c as the leader of call: plan, publish the outcome to the
+// followers, respond. tctx carries the request's trace and ctx its
+// deadline.
+func (s *Server) lead(w http.ResponseWriter, tctx, ctx context.Context, route, tenant string, key reqKey, call *flightCall, c *planCall) {
+	// Unless an outcome they may share is published below, the followers
+	// take their own turns (status 0): after a refusal, this request's own
+	// deadline or shutdown, and after a panic while planning, which
+	// unwinds this goroutine (net/http recovers it).
+	defer s.flight.finish(key, call, nil, 0, nil)
+	// The trace's span context rides along with the deadline, so the
+	// planner's core.deploy and core.round spans land in this request's
+	// tree.
+	eSpan := obs.Start(tctx, "execute", nil)
+	body, err := s.plan(eSpan.Context(ctx), route, tenant, c)
 	eSpan.End()
 	switch {
-	case res.err == nil:
+	case err == nil:
 		s.cCacheMisses.Inc()
-		clen := s.cache.Put(key, res.body)
-		s.flight.finish(key, call, res.body, http.StatusOK, nil)
-		s.writePlan(w, res.body, clen, headerValMiss)
-	case errors.Is(res.err, context.DeadlineExceeded):
+		clen := s.cache.Put(key, body)
+		s.flight.finish(key, call, body, http.StatusOK, nil)
+		s.writePlan(w, body, clen, headerValMiss)
+	case errors.Is(err, admit.ErrTenant), errors.Is(err, admit.ErrSaturated), errors.Is(err, admit.ErrClosed):
+		s.cRejected.Inc()
+		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
+		if errors.Is(err, admit.ErrTenant) {
+			s.writeError(w, http.StatusTooManyRequests, "tenant admission quota exhausted; retry later")
+		} else {
+			s.writeError(w, http.StatusServiceUnavailable, "admission queue full; retry later")
+		}
+	case errors.Is(err, context.DeadlineExceeded):
 		s.cTimeouts.Inc()
-		s.flight.finish(key, call, nil, http.StatusGatewayTimeout, res.err)
 		s.writeError(w, http.StatusGatewayTimeout, "deadline exceeded while planning")
-	case errors.Is(res.err, context.Canceled):
+	case errors.Is(err, context.Canceled):
 		// Base context cancelled: the server is being torn down.
 		s.cErrors.Inc()
-		s.flight.finish(key, call, nil, http.StatusServiceUnavailable, res.err)
 		s.writeError(w, http.StatusServiceUnavailable, "server shutting down")
 	default:
+		// A planning error: every identical request would get it too.
 		status := http.StatusInternalServerError
 		var ae *apiError
-		if errors.As(res.err, &ae) {
+		if errors.As(err, &ae) {
 			status = ae.status
 		}
 		if status >= 500 {
@@ -432,44 +434,75 @@ func (s *Server) servePlanLike(w http.ResponseWriter, r *http.Request, ep planEn
 		} else {
 			s.cBadReqs.Inc()
 		}
-		s.flight.finish(key, call, nil, status, res.err)
-		s.writeError(w, status, res.err.Error())
+		s.flight.finish(key, call, nil, status, err)
+		s.writeError(w, status, err.Error())
 	}
+}
+
+// plan runs c through the gate on the calling goroutine: admission for
+// tenant, a run slot within ctx's deadline, then the plan itself. The
+// gate's refusals and ctx's error come back unwrapped.
+func (s *Server) plan(ctx context.Context, route, tenant string, c *planCall) ([]byte, error) {
+	if err := s.gate.Enter(tenant); err != nil {
+		s.cfg.Flight.Record(s.uptime(), "admit.reject", -1, route)
+		return nil, err
+	}
+	defer s.gate.Leave(tenant)
+	s.cfg.Flight.Record(s.uptime(), "admit.ok", -1, route)
+	enq := time.Now()
+	s.gQueueDepth.Add(1)
+	err := s.gate.Run(ctx)
+	s.gQueueDepth.Add(-1)
+	if err != nil {
+		s.cfg.Flight.Record(s.uptime(), "plan.expired", -1, err.Error())
+		return nil, err
+	}
+	defer s.gate.Done()
+	s.gInflight.Add(1)
+	defer s.gInflight.Add(-1)
+	span := obs.Start(ctx, "plan.run", s.hPlanSeconds)
+	if span.TraceID() != 0 {
+		span.SetAttr(fmt.Sprintf("queue_wait_ms=%.2f", time.Since(enq).Seconds()*1000))
+	}
+	body, err := c.execute(span.Context(ctx))
+	if err != nil {
+		s.cfg.Flight.Record(s.uptime(), "plan.err", -1, err.Error())
+	} else {
+		s.cfg.Flight.Record(s.uptime(), "plan.done", -1, fmt.Sprintf("bytes=%d", len(body)))
+	}
+	s.ewmaPlanMS.blend(span.End().Seconds() * 1000)
+	return body, err
 }
 
 // parseInto reads the request body into a pooled buffer and decodes it
 // through the fast-path codec (stdlib fallback on a bail), then
-// normalizes. rr is non-nil for /v1/repair, where the failed-ID list
-// rides along and repair-specific validation applies.
-func (s *Server) parseInto(r *http.Request, pr *PlanRequest, rr *RepairRequest) error {
+// normalizes. A repair's failed-ID list rides along, and
+// repair-specific validation applies.
+func (s *Server) parseInto(r *http.Request, c *planCall) error {
 	buf := jsonx.GetBuf()
 	defer jsonx.PutBuf(buf)
 	data, err := readBody(r.Body, buf)
 	if err != nil {
 		return err
 	}
-	if rr != nil {
-		if err := decodeRepairRequest(data, rr); err != nil {
+	if c.repair {
+		if err := decodeRepairRequest(data, &c.rr); err != nil {
 			return err
 		}
-		*rr, err = rr.normalize(s.cfg.Limits)
+		c.rr, err = c.rr.normalize(s.cfg.Limits)
 		return err
 	}
-	if err := decodePlanRequest(data, pr); err != nil {
+	if err := decodePlanRequest(data, &c.rr.PlanRequest); err != nil {
 		return err
 	}
-	*pr, err = pr.normalize(s.cfg.Limits)
+	c.rr.PlanRequest, err = c.rr.PlanRequest.normalize(s.cfg.Limits)
 	return err
 }
 
-var errOverloaded = errors.New("service overloaded")
-
-// replayFlight serves a follower the leader's exact outcome.
+// replayFlight serves a follower the leader's outcome: its plan bytes,
+// or a planning error that any identical request would get.
 func (s *Server) replayFlight(w http.ResponseWriter, call *flightCall) {
 	if call.err != nil {
-		if errors.Is(call.err, errOverloaded) {
-			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-		}
 		s.writeError(w, call.status, call.err.Error())
 		return
 	}

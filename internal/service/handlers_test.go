@@ -19,7 +19,7 @@ func (s *testServer) get(t *testing.T, path string) (int, http.Header, []byte) {
 // JSON content type, and a body that parses back into the dump shape —
 // including after a 5xx has populated the last_5xx snapshot.
 func TestDebugFlightHandler(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1})
+	s := newTestServer(t, Config{})
 	status, hdr, body := s.get(t, "/debug/flight")
 	if status != http.StatusOK {
 		t.Fatalf("status = %d, body %s", status, body)
@@ -49,7 +49,7 @@ func TestDebugFlightHandler(t *testing.T) {
 // table of messages needing JSON escaping: each body must be exactly
 // what json.Marshal + newline produced before the codec swap.
 func TestWriteErrorEscaping(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1})
+	s := newTestServer(t, Config{})
 	msgs := []string{
 		"use POST",
 		"use GET",
@@ -80,7 +80,7 @@ func TestWriteErrorEscaping(t *testing.T) {
 // runtime allocation gauge before rendering, so decor-load can derive
 // allocs_per_request from consecutive scrapes.
 func TestMetricsExposesHeapAllocsGauge(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1})
+	s := newTestServer(t, Config{})
 	_, _, body := s.get(t, "/metrics")
 	line := ""
 	for _, l := range strings.Split(string(body), "\n") {

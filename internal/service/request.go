@@ -55,8 +55,8 @@ type PlanRequest struct {
 	Scatter int          `json:"scatter,omitempty"`
 	// Method is one of the paper's six algorithms (default "voronoi-big").
 	Method string `json:"method,omitempty"`
-	// TimeoutMS bounds this request's planning time, including queue
-	// wait (0 = server default; clamped to the server maximum).
+	// TimeoutMS bounds this request's planning time, including the wait
+	// for a run slot (0 = server default; clamped to the server maximum).
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 }
 

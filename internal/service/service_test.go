@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"decor/internal/admit"
 	"decor/internal/obs"
 )
 
@@ -26,10 +27,20 @@ type testServer struct {
 
 func newTestServer(t *testing.T, cfg Config) *testServer {
 	t.Helper()
+	return newTestServerGate(t, cfg, nil)
+}
+
+// newTestServerGate is newTestServer with g, when non-nil, as the gate
+// plans and repairs pass.
+func newTestServerGate(t *testing.T, cfg Config, g *admit.Gate) *testServer {
+	t.Helper()
 	if cfg.Registry == nil {
 		cfg.Registry = obs.NewRegistry()
 	}
 	svc := New(cfg)
+	if g != nil {
+		svc.gate = g
+	}
 	ts := httptest.NewServer(svc.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -72,7 +83,7 @@ func decodePlan(t *testing.T, b []byte) PlanResponse {
 }
 
 func TestPlanEndToEnd(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 2})
+	s := newTestServer(t, Config{})
 	status, hdr, body := s.post(t, "/v1/plan", planBody(1))
 	if status != http.StatusOK {
 		t.Fatalf("status = %d, body %s", status, body)
@@ -96,7 +107,7 @@ func TestPlanEndToEnd(t *testing.T) {
 }
 
 func TestPlanCacheHitIsByteIdentical(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 2})
+	s := newTestServer(t, Config{})
 	_, hdr1, body1 := s.post(t, "/v1/plan", planBody(7))
 	_, hdr2, body2 := s.post(t, "/v1/plan", planBody(7))
 	if hdr1.Get(cacheStatusHeader) != "miss" || hdr2.Get(cacheStatusHeader) != "hit" {
@@ -127,7 +138,7 @@ func TestPlanCacheHitIsByteIdentical(t *testing.T) {
 }
 
 func TestConcurrentIdenticalRequestsCoalesce(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 2})
+	s := newTestServer(t, Config{})
 	const n = 8
 	bodies := make([][]byte, n)
 	statuses := make([]int, n)
@@ -160,7 +171,7 @@ func TestConcurrentIdenticalRequestsCoalesce(t *testing.T) {
 }
 
 func TestRepairEndToEnd(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 2})
+	s := newTestServer(t, Config{})
 	// A deployment with explicit IDs; fail two of them.
 	body := `{"field_side":50,"k":1,"rs":6,"num_points":400,"seed":3,
 		"sensors":[{"id":10,"x":10,"y":10},{"id":11,"x":40,"y":40},{"id":12,"x":25,"y":25}],
@@ -211,34 +222,81 @@ func TestPlanAndRepairKeysAreDisjoint(t *testing.T) {
 	}
 }
 
-func TestBackpressure503WithRetryAfter(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
-	// Deterministically occupy the pool: one job running (blocked on a
-	// channel), one job queued.
-	release := make(chan struct{})
-	blocked := make(chan struct{})
-	mk := func(block bool) *job {
-		return &job{
-			ctx: context.Background(),
-			runner: runnerFunc(func(context.Context) ([]byte, error) {
-				if block {
-					close(blocked)
-					<-release
-				}
-				return []byte("{}"), nil
-			}),
-			done: make(chan jobResult, 1),
-		}
-	}
-	j1, j2 := mk(true), mk(false)
-	if err := s.svc.submit(j1); err != nil {
-		t.Fatalf("first priming job should be admitted: %v", err)
-	}
-	<-blocked // the worker is now executing j1 and the queue is empty
-	if err := s.svc.submit(j2); err != nil {
-		t.Fatalf("second priming job should fill the queue: %v", err)
-	}
+// gatedServer is a testServer whose plans and repairs pass a gate with
+// one run slot, which the test can hold through the gate itself.
+func gatedServer(t *testing.T) (*testServer, *admit.Gate) {
+	t.Helper()
+	g := admit.New(1)
+	return newTestServerGate(t, Config{}, g), g
+}
 
+// holdSlot takes the gate's only run slot, as a running call would, and
+// returns the function that gives it back. Cleanup gives it back too, so
+// a failed test still drains.
+func holdSlot(t *testing.T, g *admit.Gate) (release func()) {
+	t.Helper()
+	if err := g.Enter(""); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var once sync.Once
+	release = func() { once.Do(func() { g.Done(); g.Leave("") }) }
+	t.Cleanup(release)
+	return release
+}
+
+// fill admits calls for tenant until the gate refuses one, as calls
+// waiting for a slot would, and returns the function that lets them leave.
+func fill(t *testing.T, g *admit.Gate, tenant string) (leave func()) {
+	t.Helper()
+	n := 0
+	for g.Enter(tenant) == nil {
+		n++
+	}
+	var once sync.Once
+	leave = func() {
+		once.Do(func() {
+			for i := 0; i < n; i++ {
+				g.Leave(tenant)
+			}
+		})
+	}
+	t.Cleanup(leave)
+	return leave
+}
+
+// async issues a request on its own goroutine and delivers its status
+// (0 if the request itself failed, which is reported).
+func async(t *testing.T, method, url, tenant, body string) <-chan int {
+	done := make(chan int, 1)
+	go func() {
+		req, err := http.NewRequest(method, url, strings.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			done <- 0
+			return
+		}
+		if tenant != "" {
+			req.Header.Set(tenantHeader, tenant)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Error(err)
+			done <- 0
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		done <- resp.StatusCode
+	}()
+	return done
+}
+
+func TestBackpressure503WithRetryAfter(t *testing.T) {
+	s, g := gatedServer(t)
+	leave := fill(t, g, "") // the admitted bound is full
 	status, hdr, body := s.post(t, "/v1/plan", planBody(1))
 	if status != http.StatusServiceUnavailable {
 		t.Fatalf("saturated status = %d, body %s", status, body)
@@ -249,60 +307,33 @@ func TestBackpressure503WithRetryAfter(t *testing.T) {
 	if s.counter(obs.ServeRejected) != 1 {
 		t.Errorf("rejected counter = %d, want 1", s.counter(obs.ServeRejected))
 	}
-	close(release)
-	<-j1.done
-	<-j2.done
 
 	// Capacity freed: the same request now succeeds.
+	leave()
 	status, _, body = s.post(t, "/v1/plan", planBody(1))
 	if status != http.StatusOK {
 		t.Errorf("post-drain status = %d, body %s", status, body)
 	}
 }
 
+// TestDeadlineExceededReturns504: the deadline covers the wait for a run
+// slot, so a plan whose 1 ms budget runs out while the only slot is held
+// gets its 504 at once, without planning and without waiting for the
+// slot to free.
 func TestDeadlineExceededReturns504(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
-	// Deterministic expiry: block the only worker so the request's 1 ms
-	// budget burns away while its job is still queued. The deadline covers
-	// queue wait, so once the worker frees up the job fails fast without
-	// planning — no race against how quickly this machine can plan.
-	release := make(chan struct{})
-	blocked := make(chan struct{})
-	blocker := &job{
-		ctx: context.Background(),
-		runner: runnerFunc(func(context.Context) ([]byte, error) {
-			close(blocked)
-			<-release
-			return []byte("{}"), nil
-		}),
-		done: make(chan jobResult, 1),
-	}
-	if err := s.svc.submit(blocker); err != nil {
-		t.Fatalf("blocker job should be admitted: %v", err)
-	}
-	<-blocked
-	go func() {
-		// The gauge rises when the plan's job is enqueued; its deadline
-		// started even earlier (in the handler), so sleeping well past
-		// 1 ms before releasing guarantees the job is dequeued expired.
-		// (No t.Fatal here — this is not the test goroutine; a missed
-		// condition just releases early and fails the assertions below.)
-		for end := time.Now().Add(5 * time.Second); time.Now().Before(end); time.Sleep(time.Millisecond) {
-			if s.reg.Gauge(obs.ServeQueueDepth).Value() >= 1 {
-				break
-			}
-		}
-		time.Sleep(20 * time.Millisecond)
-		close(release)
-	}()
+	s, g := gatedServer(t)
+	release := holdSlot(t, g)
 	status, _, body := s.post(t, "/v1/plan",
 		`{"field_side":100,"k":8,"rs":4,"num_points":2000,"method":"centralized","timeout_ms":1}`)
-	<-blocker.done
+	release()
 	if status != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, body %s", status, body)
 	}
 	if s.counter(obs.ServeTimeouts) != 1 {
 		t.Errorf("timeout counter = %d, want 1", s.counter(obs.ServeTimeouts))
+	}
+	if n := s.reg.Snapshot().Histograms[obs.ServePlanSeconds].Count; n != 0 {
+		t.Errorf("%d plan runs timed, want 0: the plan never got a slot", n)
 	}
 	// A timed-out plan must not be cached.
 	if s.svc.cache.Len() != 0 {
@@ -438,26 +469,17 @@ func TestHealthzAndMetrics(t *testing.T) {
 
 func TestGracefulShutdownDrainsInflight(t *testing.T) {
 	reg := obs.NewRegistry()
-	svc := New(Config{Workers: 1, Registry: reg})
+	g := admit.New(1)
+	svc := New(Config{Registry: reg})
+	svc.gate = g
 	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
 
-	// Put a controllable job in flight, bypassing HTTP so the drain
-	// window is deterministic.
-	release := make(chan struct{})
-	running := make(chan struct{})
-	j := &job{
-		ctx: context.Background(),
-		runner: runnerFunc(func(context.Context) ([]byte, error) {
-			close(running)
-			<-release
-			return []byte(`{"drained":true}`), nil
-		}),
-		done: make(chan jobResult, 1),
-	}
-	if err := svc.submit(j); err != nil {
-		t.Fatalf("job not admitted: %v", err)
-	}
-	<-running
+	// A real plan in flight: admitted, and waiting for the run slot the
+	// test holds, so the drain window is deterministic.
+	release := holdSlot(t, g)
+	inflight := async(t, http.MethodPost, ts.URL+"/v1/plan", "", planBody(1))
+	waitFor(t, func() bool { return reg.Gauge(obs.ServeQueueDepth).Value() == 1 })
 
 	shutdownErr := make(chan error, 1)
 	go func() {
@@ -476,26 +498,24 @@ func TestGracefulShutdownDrainsInflight(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("draining healthz = %d, want 503", resp.StatusCode)
 	}
-	status, _, _ := postRaw(t, ts.URL+"/v1/plan", planBody(1))
-	if status != http.StatusServiceUnavailable {
-		t.Errorf("draining plan = %d, want 503", status)
+	status, hdr, _ := postRaw(t, ts.URL+"/v1/plan", planBody(2))
+	if status != http.StatusServiceUnavailable || hdr.Get("Retry-After") == "" {
+		t.Errorf("draining plan = %d (Retry-After %q), want 503 with Retry-After", status, hdr.Get("Retry-After"))
 	}
 
-	// The in-flight job completes before Shutdown returns.
+	// The in-flight plan completes before Shutdown returns.
 	select {
 	case err := <-shutdownErr:
 		t.Fatalf("Shutdown returned before the in-flight plan finished: %v", err)
 	case <-time.After(50 * time.Millisecond):
 	}
-	close(release)
+	release()
+	if status := <-inflight; status != http.StatusOK {
+		t.Errorf("in-flight plan status = %d, want 200", status)
+	}
 	if err := <-shutdownErr; err != nil {
 		t.Fatalf("Shutdown = %v", err)
 	}
-	res := <-j.done
-	if res.err != nil || !bytes.Contains(res.body, []byte("drained")) {
-		t.Errorf("in-flight job result = %+v", res)
-	}
-	ts.Close()
 }
 
 func postRaw(t *testing.T, url, body string) (int, http.Header, []byte) {

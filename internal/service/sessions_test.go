@@ -54,7 +54,7 @@ func decodeDelta(t *testing.T, b []byte) session.Delta {
 }
 
 func TestFieldSessionLifecycle(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 2})
+	s := newTestServer(t, Config{})
 
 	status, hdr, body := s.do(t, "POST", "/v1/fields", "acme", fieldBody("f1", 5))
 	if status != http.StatusCreated {
@@ -136,8 +136,8 @@ func TestFieldSessionMatchesStatelessReplay(t *testing.T) {
 		stream.Write(body)
 		return stream.Bytes()
 	}
-	a := run(newTestServer(t, Config{Workers: 1}))
-	b := run(newTestServer(t, Config{Workers: 2}))
+	a := run(newTestServer(t, Config{}))
+	b := run(newTestServer(t, Config{}))
 	if !bytes.Equal(a, b) {
 		t.Errorf("delta streams differ across servers:\n%s\nvs\n%s", a, b)
 	}
@@ -159,7 +159,7 @@ func TestFieldSessionMatchesStatelessReplay(t *testing.T) {
 }
 
 func TestFieldTenantIsolation(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1})
+	s := newTestServer(t, Config{})
 	if status, _, body := s.do(t, "POST", "/v1/fields", "a", fieldBody("shared", 1)); status != http.StatusCreated {
 		t.Fatalf("tenant a create: %d %s", status, body)
 	}
@@ -188,10 +188,7 @@ func TestFieldTenantIsolation(t *testing.T) {
 // quota gets 429 + Retry-After while another tenant's sessions keep
 // planning deltas with zero failures.
 func TestFieldQuota429DoesNotDisturbOtherTenants(t *testing.T) {
-	s := newTestServer(t, Config{
-		Workers:  2,
-		Sessions: session.Config{MaxSessionsPerTenant: 2},
-	})
+	s := newTestServer(t, Config{Sessions: session.Config{MaxSessionsPerTenant: 2}})
 	for i := 0; i < 2; i++ {
 		if status, _, body := s.do(t, "POST", "/v1/fields", "noisy", fieldBody(fmt.Sprintf("n%d", i), uint64(i))); status != http.StatusCreated {
 			t.Fatalf("noisy create %d: %d %s", i, status, body)
@@ -233,7 +230,7 @@ func TestFieldQuota429DoesNotDisturbOtherTenants(t *testing.T) {
 // TestFieldSSEStream covers the live feed: ring replay from from_seq,
 // live deltas as events apply, and prompt stream teardown on drop.
 func TestFieldSSEStream(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1})
+	s := newTestServer(t, Config{})
 	if status, _, body := s.do(t, "POST", "/v1/fields", "t", fieldBody("f", 7)); status != http.StatusCreated {
 		t.Fatalf("create: %d %s", status, body)
 	}
@@ -328,7 +325,7 @@ func TestFieldSSEStream(t *testing.T) {
 // are decoded into one reused scratch slice, yet every delta the
 // session keeps for SSE replay names its own event's sensors.
 func TestEventsInOneRequestKeepTheirIDs(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1})
+	s := newTestServer(t, Config{})
 	if status, _, body := s.do(t, "POST", "/v1/fields", "t", fieldBody("f", 7)); status != http.StatusCreated {
 		t.Fatalf("create: %d %s", status, body)
 	}
@@ -365,67 +362,27 @@ func TestEventsInOneRequestKeepTheirIDs(t *testing.T) {
 	}
 }
 
-// TestPlanTenantFairness429 exercises the per-tenant admission bound on
-// the stateless plan path: one tenant saturating its share gets 429
-// while the queue still has room for others.
+// TestPlanTenantFairness429 exercises the per-tenant admission share on
+// the stateless plan path: a tenant holding its whole share gets 429
+// while another tenant's plan still admits and waits for a run slot.
 func TestPlanTenantFairness429(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, QueueDepth: 8, MaxQueuePerTenant: 1})
-	// Occupy the single worker so admitted jobs stay queued.
-	release := make(chan struct{})
-	var releaseOnce sync.Once
-	unblock := func() { releaseOnce.Do(func() { close(release) }) }
-	defer unblock()
-	blocked := make(chan struct{})
-	blocker := &job{
-		ctx: context.Background(),
-		runner: runnerFunc(func(ctx context.Context) ([]byte, error) {
-			close(blocked)
-			<-release
-			return []byte("{}"), nil
-		}),
-		done: make(chan jobResult, 1),
-	}
-	if err := s.svc.submit(blocker); err != nil {
-		t.Fatalf("blocker: %v", err)
-	}
-	<-blocked
-
-	// The hog's first plan occupies its whole per-tenant share (queued
-	// behind the blocker); fire it asynchronously.
-	hogDone := make(chan struct{})
-	go func() {
-		defer close(hogDone)
-		s.do(t, "POST", "/v1/plan", "hog", planBody(50))
-	}()
-	waitFor(t, func() bool { return s.svc.queuedFor("hog") == 1 })
+	s, g := gatedServer(t)
+	release := holdSlot(t, g)
+	fill(t, g, "hog")
 
 	status, hdr, body := s.do(t, "POST", "/v1/plan", "hog", planBody(51))
 	if status != http.StatusTooManyRequests {
-		t.Fatalf("hog second plan status = %d, body %s", status, body)
+		t.Fatalf("hog plan status = %d, body %s", status, body)
 	}
 	if hdr.Get("Retry-After") == "" {
 		t.Errorf("429 must carry Retry-After")
 	}
 
-	// Another tenant still admits into the same queue.
-	otherDone := make(chan int, 1)
-	go func() {
-		status, _, _ := s.do(t, "POST", "/v1/plan", "polite", planBody(52))
-		otherDone <- status
-	}()
-	waitFor(t, func() bool { return s.svc.queuedFor("polite") == 1 })
-
-	unblock()
-	<-blocker.done
-	<-hogDone
-	if status := <-otherDone; status != http.StatusOK {
+	// Another tenant still admits into the same gate.
+	polite := async(t, "POST", s.ts.URL+"/v1/plan", "polite", planBody(52))
+	waitFor(t, func() bool { return s.reg.Gauge(obs.ServeQueueDepth).Value() == 1 })
+	release()
+	if status := <-polite; status != http.StatusOK {
 		t.Errorf("polite tenant status = %d, want 200", status)
 	}
-}
-
-// queuedFor reports a tenant's current admission-share occupancy.
-func (s *Server) queuedFor(tenant string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.queued[tenant]
 }

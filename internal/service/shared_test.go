@@ -67,12 +67,12 @@ func privatePlan(t *testing.T, pr PlanRequest) []byte {
 
 // Goroutines each plan one request at once through the service, every
 // method twice over one point set that no other test uses, so the
-// workers race to build the set, its index and its adjacency, then read
+// plans race to build the set, its index and its adjacency, then read
 // them together. Each body equals the plan built on a private
 // coverage.New map; under -race the shared set is also read without a
 // data race.
 func TestConcurrentPlansShareOnePointSet(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 4, CacheEntries: -1})
+	s := newTestServer(t, Config{CacheEntries: -1})
 	var reqs []PlanRequest
 	for i, method := range core.AllMethodNames() {
 		for j := range 2 {

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -48,7 +47,7 @@ func getJSON(t *testing.T, url string, into any) int {
 // request returns X-Decor-Trace, and /debug/traces?trace=<id> serves that
 // request's span tree, including the spans recorded inside the planner.
 func TestResponseTraceRetrievable(t *testing.T) {
-	s, _, _ := tracedServer(t, Config{Workers: 2})
+	s, _, _ := tracedServer(t, Config{})
 	status, hdr, _ := s.post(t, "/v1/plan", planBody(31))
 	if status != http.StatusOK {
 		t.Fatalf("plan status = %d", status)
@@ -74,7 +73,7 @@ func TestResponseTraceRetrievable(t *testing.T) {
 		}
 	}
 	// The tree hangs together: parse and execute under the root, the
-	// worker's plan.run under execute, the planner's core.deploy below.
+	// plan.run under execute, the planner's core.deploy below.
 	rootSpan := byName["/v1/plan"]
 	if rootSpan.Parent != "" {
 		t.Errorf("root has parent %q", rootSpan.Parent)
@@ -113,10 +112,10 @@ func TestResponseTraceRetrievable(t *testing.T) {
 // TestTraceShapePinned pins each traced request's span tree as a
 // multiset of (span name, parent name, attr keys), recorded before the
 // timed phases moved onto one starter, and checks that every request adds
-// one decor_serve_request_seconds observation and every planned job one
+// one decor_serve_request_seconds observation and every planned request one
 // decor_serve_plan_seconds observation.
 func TestTraceShapePinned(t *testing.T) {
-	s, tr, _ := tracedServer(t, Config{Workers: 2})
+	s, tr, _ := tracedServer(t, Config{})
 	for _, tc := range []struct {
 		name, path, body string
 		want             map[string]int
@@ -210,7 +209,7 @@ func names(spans []obs.SpanRecord) []string {
 }
 
 func TestLabeledResponseCounter(t *testing.T) {
-	s, _, _ := tracedServer(t, Config{Workers: 2})
+	s, _, _ := tracedServer(t, Config{})
 	req, err := http.NewRequest(http.MethodPost, s.ts.URL+"/v1/plan", strings.NewReader(planBody(32)))
 	if err != nil {
 		t.Fatal(err)
@@ -244,7 +243,7 @@ func TestLabeledResponseCounter(t *testing.T) {
 // obs.MaxTenantLabels into "other", while tenants admitted before the cap
 // keep their identity.
 func TestTenantCardinalityCapped(t *testing.T) {
-	s, _, _ := tracedServer(t, Config{Workers: 2})
+	s, _, _ := tracedServer(t, Config{})
 	const n = obs.MaxTenantLabels + 8
 	tenant := func(i int) string { return fmt.Sprintf("tenant-%03d", i) }
 	for i := 0; i < n; i++ {
@@ -294,37 +293,13 @@ func TestTenantCardinalityCapped(t *testing.T) {
 	}
 }
 
-// TestFlightCapturedOn5xx forces a 503 (queue full) and checks the
-// flight recorder's contents were frozen for /debug/flight.
+// TestFlightCapturedOn5xx forces a 503 (admitted bound full) and checks
+// the flight recorder's contents were frozen for /debug/flight.
 func TestFlightCapturedOn5xx(t *testing.T) {
-	s, _, _ := tracedServer(t, Config{Workers: 1, QueueDepth: 1})
-	release := make(chan struct{})
-	blocked := make(chan struct{})
-	blocker := func(signal bool) *job {
-		return &job{
-			ctx: context.Background(),
-			runner: runnerFunc(func(context.Context) ([]byte, error) {
-				if signal {
-					close(blocked)
-				}
-				<-release
-				return []byte("{}"), nil
-			}),
-			done: make(chan jobResult, 1),
-		}
-	}
-	b1, b2 := blocker(true), blocker(false)
-	if err := s.svc.submit(b1); err != nil {
-		t.Fatalf("first blocker rejected: %v", err)
-	}
-	<-blocked // worker busy
-	if err := s.svc.submit(b2); err != nil {
-		t.Fatalf("second blocker rejected: %v", err)
-	}
+	s, g := gatedServer(t)
+	leave := fill(t, g, "")
 	status, _, _ := s.post(t, "/v1/plan", planBody(33))
-	close(release)
-	<-b1.done
-	<-b2.done
+	leave()
 	if status != http.StatusServiceUnavailable {
 		t.Fatalf("status = %d, want 503", status)
 	}

@@ -1,9 +1,11 @@
 package session
 
-// SetMaxAdmitted sets the admission bound for a test and returns the
-// function that restores it.
-func SetMaxAdmitted(n int) (restore func()) {
-	old := maxAdmitted
-	maxAdmitted = n
-	return func() { maxAdmitted = old }
+import "decor/internal/admit"
+
+// UseGate makes every Manager built until restore is called admit its
+// calls through g, and returns restore.
+func UseGate(g *admit.Gate) (restore func()) {
+	old := newGate
+	newGate = func() *admit.Gate { return g }
+	return func() { newGate = old }
 }

@@ -7,16 +7,20 @@ import (
 	"strings"
 	"testing"
 
+	"decor/internal/admit"
 	"decor/internal/obs"
 	"decor/internal/service"
 	"decor/internal/session"
 )
 
-// TestSaturatedCallIs503: a call past the manager's admission bound
-// reaches the HTTP client as 503 with Retry-After, and the field answers
-// again once the bound has room.
+// TestSaturatedCallIs503: a call past the session manager's admission
+// bound reaches the HTTP client as 503 with Retry-After, and the field
+// answers again once the bound has room.
 func TestSaturatedCallIs503(t *testing.T) {
-	svc := service.New(service.Config{Workers: 1, Registry: obs.NewRegistry()})
+	g := admit.New(1)
+	restore := session.UseGate(g)
+	svc := service.New(service.Config{Registry: obs.NewRegistry()})
+	restore()
 	defer svc.Shutdown(context.Background())
 	h := svc.Handler()
 	do := func(method, path, body string) *httptest.ResponseRecorder {
@@ -31,9 +35,14 @@ func TestSaturatedCallIs503(t *testing.T) {
 		t.Fatalf("create: %d %s", rec.Code, rec.Body)
 	}
 
-	restore := session.SetMaxAdmitted(0)
+	held := 0
+	for g.Enter("") == nil {
+		held++
+	}
 	rec := do("POST", "/v1/fields/f/events", `{"failed":[1]}`)
-	restore()
+	for ; held > 0; held-- {
+		g.Leave("")
+	}
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Errorf("event past the admission bound: status %d, want 503 (%s)", rec.Code, rec.Body)
 	}

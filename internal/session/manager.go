@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"decor/internal/admit"
 	"decor/internal/obs"
 )
 
@@ -20,13 +21,6 @@ type Config struct {
 	// MaxSessionsPerTenant caps one tenant's sessions, live or evicted
 	// (429 on overflow). Default 64.
 	MaxSessionsPerTenant int
-	// MaxPendingPerTenant caps one tenant's concurrently pending events
-	// — the fairness bound that keeps one tenant from monopolizing the
-	// manager's admission bound (429 on overflow). Default 32.
-	MaxPendingPerTenant int
-	// RingDeltas is the per-session replay ring for SSE catch-up reads.
-	// Default 64.
-	RingDeltas int
 	// IdleTTL evicts sessions idle longer than this to snapshots (0
 	// disables the janitor; EvictIdle can still be called manually).
 	IdleTTL time.Duration
@@ -42,49 +36,36 @@ func (c Config) normalized() Config {
 	if c.MaxSessionsPerTenant <= 0 {
 		c.MaxSessionsPerTenant = 64
 	}
-	if c.MaxPendingPerTenant <= 0 {
-		c.MaxPendingPerTenant = 32
-	}
-	if c.RingDeltas <= 0 {
-		c.RingDeltas = 64
-	}
 	if c.Registry == nil {
 		c.Registry = obs.Default()
 	}
 	return c
 }
 
-// The manager's two resource bounds derive from GOMAXPROCS; they are not
-// settings. At most runSlots operations run at once, so planning never
-// oversubscribes the processors; an operation takes its run slot only
-// once it holds its field's lock, so a call waiting for a busy field
-// holds no slot. At most maxAdmitted calls are admitted at once, running
-// or waiting; the next one gets ErrSaturated (503) instead of queueing
-// without bound.
-var (
-	runSlots    = runtime.GOMAXPROCS(0)
-	maxAdmitted = 256 * runSlots
-)
+// ringDeltas is each session's replay ring for SSE catch-up reads.
+const ringDeltas = 64
+
+// newGate builds a manager's own admission gate, GOMAXPROCS run slots,
+// not the one plans pass (DESIGN.md §9, *Why two gates*). A variable so
+// a test can hand the managers it builds a smaller gate.
+var newGate = func() *admit.Gate { return admit.New(runtime.GOMAXPROCS(0)) }
 
 // Manager owns every field session. Each field has its own lock, and an
 // operation runs on its caller's goroutine while holding it, so a
 // Deployment is used by one goroutine at a time and no field waits
 // behind an unrelated one. All methods are safe for concurrent use.
 type Manager struct {
-	cfg   Config
-	slots chan struct{} // run slots, runSlots deep
-	quit  chan struct{}
-	wg    sync.WaitGroup // the idle janitor
+	cfg  Config
+	gate *admit.Gate // admits every call and bounds how many run at once
+	quit chan struct{}
+	wg   sync.WaitGroup // the idle janitor
 
-	// mu guards the field table, the tenant accounting and the admission
-	// count. Lock order: a field's mu before mu; nothing waits for a
-	// field while holding mu.
+	// mu guards the field table and the session accounting. Lock order:
+	// a field's mu before mu; nothing waits for a field while holding mu.
 	mu       sync.Mutex
 	fields   map[string]*field // by skey
 	sessions map[string]int    // per tenant, live + evicted
-	pending  map[string]int    // per tenant
 	total    int
-	admitted int
 	closed   bool
 
 	tenants obs.TenantLabels // caps the decor_session_tenant_* labels
@@ -116,11 +97,10 @@ func New(cfg Config) *Manager {
 	cfg = cfg.normalized()
 	m := &Manager{
 		cfg:      cfg,
-		slots:    make(chan struct{}, runSlots),
+		gate:     newGate(),
 		quit:     make(chan struct{}),
 		fields:   map[string]*field{},
 		sessions: map[string]int{},
-		pending:  map[string]int{},
 		now:      time.Now,
 	}
 	r := cfg.Registry
@@ -172,54 +152,60 @@ func (m *Manager) tenantCounter(name, tenant string) {
 // neither can detect the other's choice of names.
 func skey(tenant, id string) string { return tenant + "\x00" + id }
 
-// admit counts one call against maxAdmitted. m.mu is held.
-func (m *Manager) admit() error {
+// enter admits one call for tenant through the gate, answering a refusal
+// with this package's error for it. The gate is never closed; m.closed is.
+func (m *Manager) enter(tenant string) error {
+	err := m.gate.Enter(tenant)
 	switch {
-	case m.closed:
-		return ErrClosed
-	case m.admitted >= maxAdmitted:
-		return ErrSaturated
+	case err == nil:
+		return nil
+	case errors.Is(err, admit.ErrTenant):
+		m.cQuotaRejected.Inc()
+		return ErrTenantBusy
 	}
-	m.admitted++
-	return nil
+	return ErrSaturated
 }
+
+// run waits for a run slot. A session call has no deadline, so the wait
+// ends only when a slot frees and Run cannot fail.
+func (m *Manager) run() { _ = m.gate.Run(context.Background()) }
 
 // acquire admits one call on the tenant's field, then waits for the
 // field's lock and a run slot. The caller runs its operation and calls
 // release.
 func (m *Manager) acquire(tenant, id string) (*field, error) {
-	m.mu.Lock()
-	f := m.fields[skey(tenant, id)]
-	err := m.admit()
-	if err == nil && (f == nil || f.tenant != tenant) {
-		m.admitted--
-		err = ErrNotFound
-	}
-	m.mu.Unlock()
-	if err != nil {
+	if err := m.enter(tenant); err != nil {
 		return nil, err
+	}
+	m.mu.Lock()
+	f, closed := m.fields[skey(tenant, id)], m.closed
+	m.mu.Unlock()
+	switch {
+	case closed:
+		m.gate.Leave(tenant)
+		return nil, ErrClosed
+	case f == nil || f.tenant != tenant:
+		m.gate.Leave(tenant)
+		return nil, ErrNotFound
 	}
 	f.mu.Lock()
 	if err := f.gone; err != nil {
 		f.mu.Unlock()
-		m.leave()
+		m.gate.Leave(tenant)
 		return nil, err
 	}
-	m.slots <- struct{}{}
+	// The field's lock is held across the wait for a run slot, not taken
+	// after it: a call waiting for a busy field then holds no slot, so
+	// one long repair cannot idle the processors other fields could use.
+	m.run()
 	return f, nil
 }
 
 // release gives back what acquire took.
 func (m *Manager) release(f *field) {
-	<-m.slots
+	m.gate.Done()
 	f.mu.Unlock()
-	m.leave()
-}
-
-func (m *Manager) leave() {
-	m.mu.Lock()
-	m.admitted--
-	m.mu.Unlock()
+	m.gate.Leave(f.tenant)
 }
 
 // live returns a locked field's session, restoring an evicted one from
@@ -229,7 +215,7 @@ func (m *Manager) live(f *field) (*state, error) {
 		return f.st, nil
 	}
 	span := obs.Start(nil, "", m.hRestoreSeconds)
-	st, err := restore(context.Background(), f.snap, m.cfg.RingDeltas)
+	st, err := restore(context.Background(), f.snap, ringDeltas)
 	if err != nil {
 		return nil, err
 	}
@@ -261,27 +247,33 @@ func (m *Manager) Create(tenant, fieldID string, spec Spec) (Info, Delta, error)
 		m.cQuotaRejected.Inc()
 		return Info{}, Delta{}, err
 	}
-	k := skey(tenant, fieldID)
-	f := &field{tenant: tenant}
-	m.mu.Lock()
-	err := m.admit()
-	if err == nil && m.fields[k] != nil {
-		m.admitted--
-		err = ErrExists
-	}
-	if err == nil {
-		f.mu.Lock()
-		m.fields[k] = f
-	}
-	m.mu.Unlock()
-	if err != nil {
+	if err := m.enter(tenant); err != nil {
 		m.releaseSession(tenant)
 		return Info{}, Delta{}, err
 	}
-	m.slots <- struct{}{}
+	k := skey(tenant, fieldID)
+	f := &field{tenant: tenant}
+	f.mu.Lock()
+	m.mu.Lock()
+	// Once Close has begun, its sweep of the table may be past already,
+	// so the field must not enter it.
+	err := ErrClosed
+	if !m.closed {
+		err = ErrExists
+		if m.fields[k] == nil {
+			m.fields[k], err = f, nil
+		}
+	}
+	m.mu.Unlock()
+	if err != nil {
+		m.gate.Leave(tenant)
+		m.releaseSession(tenant)
+		return Info{}, Delta{}, err
+	}
+	m.run()
 	defer m.release(f)
 
-	st, delta, err := newState(context.Background(), tenant, fieldID, spec, m.cfg.RingDeltas)
+	st, delta, err := newState(context.Background(), tenant, fieldID, spec, ringDeltas)
 	if err != nil {
 		f.gone = ErrNotFound
 		m.mu.Lock()
@@ -302,11 +294,6 @@ func (m *Manager) Create(tenant, fieldID string, spec Spec) (Info, Delta, error)
 // the incremental repair delta. An evicted session is restored
 // transparently first.
 func (m *Manager) Apply(tenant, fieldID string, failed []int) (Delta, error) {
-	if err := m.reservePending(tenant); err != nil {
-		m.cQuotaRejected.Inc()
-		return Delta{}, err
-	}
-	defer m.releasePending(tenant)
 	f, err := m.acquire(tenant, fieldID)
 	if err != nil {
 		return Delta{}, err
@@ -318,7 +305,7 @@ func (m *Manager) Apply(tenant, fieldID string, failed []int) (Delta, error) {
 	}
 	span := obs.Start(nil, "", m.hDeltaSeconds)
 	subsBefore := len(st.subs)
-	delta, err := st.apply(context.Background(), failed, m.cfg.RingDeltas)
+	delta, err := st.apply(context.Background(), failed, ringDeltas)
 	if err != nil {
 		return Delta{}, err
 	}
@@ -391,7 +378,7 @@ func (m *Manager) Subscribe(tenant, fieldID string, fromSeq uint64) (<-chan Delt
 		return nil, nil, err
 	}
 	// Buffered to hold a full ring replay plus a burst of live deltas.
-	ch := make(chan Delta, m.cfg.RingDeltas+16)
+	ch := make(chan Delta, ringDeltas+16)
 	for _, d := range st.ring {
 		if d.Seq >= fromSeq {
 			ch <- d // fits: buffer >= ring capacity
@@ -443,9 +430,9 @@ func (m *Manager) EvictIdle(ttl time.Duration) int {
 	for _, f := range m.fieldList() {
 		f.mu.Lock()
 		if st := f.st; f.gone == nil && st != nil && len(st.subs) == 0 && st.lastUse <= cutoff {
-			m.slots <- struct{}{}
+			m.run()
 			f.snap, f.st = st.snapshot(), nil
-			<-m.slots
+			m.gate.Done()
 			n++
 		}
 		f.mu.Unlock()
@@ -509,30 +496,6 @@ func (m *Manager) releaseSession(tenant string) {
 	}
 	if m.total > 0 {
 		m.total--
-	}
-}
-
-func (m *Manager) reservePending(tenant string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return ErrClosed
-	}
-	if m.pending[tenant] >= m.cfg.MaxPendingPerTenant {
-		return ErrTenantBusy
-	}
-	m.pending[tenant]++
-	return nil
-}
-
-func (m *Manager) releasePending(tenant string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.pending[tenant] > 0 {
-		m.pending[tenant]--
-		if m.pending[tenant] == 0 {
-			delete(m.pending, tenant)
-		}
 	}
 }
 

@@ -131,9 +131,10 @@ var (
 	ErrExists = errors.New("session: field already exists")
 	// ErrTenantSessions: the tenant's session quota is exhausted (429).
 	ErrTenantSessions = errors.New("session: tenant session quota exhausted")
-	// ErrTenantBusy: too many of the tenant's events are pending (429).
+	// ErrTenantBusy: the tenant holds its whole share of the admission
+	// gate's bound (429).
 	ErrTenantBusy = errors.New("session: tenant event quota exhausted")
-	// ErrSaturated: the manager's admission bound or the global session
+	// ErrSaturated: the admission gate's bound or the global session
 	// table is full (503).
 	ErrSaturated = errors.New("session: saturated")
 	// ErrClosed: the manager is shut down (503).
@@ -153,7 +154,7 @@ type state struct {
 	events [][]int
 	seq    uint64
 	// ring holds the most recent deltas (including Seq 0) for SSE
-	// catch-up reads; capacity is Config.RingDeltas.
+	// catch-up reads; the manager gives it ringDeltas entries.
 	ring []Delta
 	// subs receive every new delta; a subscriber that falls behind is
 	// dropped (closed channel tells the SSE handler to hang up).

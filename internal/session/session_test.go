@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"decor/internal/admit"
 	"decor/internal/obs"
 )
 
@@ -261,47 +262,36 @@ func TestBusyFieldBlocksOnlyItself(t *testing.T) {
 	}
 }
 
-// TestAdmissionBoundSaturates: with the admission bound lowered to one
-// call, a call waiting for a held field fills it, the next call on any
-// field gets ErrSaturated, and calls admit again once the first is done.
-// A subscriber's cancel needs no admission, so one made past the bound
+// TestAdmissionBoundSaturates: with every admission of the gate held, as
+// by calls waiting for busy fields, the next call on any field gets
+// ErrSaturated, and calls admit again once the bound has room. A
+// subscriber's cancel needs no admission, so one made past the bound
 // still detaches it and leaves its field evictable.
 func TestAdmissionBoundSaturates(t *testing.T) {
-	m := newTestManager(t, Config{})
-	for _, id := range []string{"a", "b"} {
-		if _, _, err := m.Create("t", id, testSpec(1)); err != nil {
-			t.Fatal(err)
-		}
+	m, g := newTestManager(t, Config{}), admit.New(1)
+	m.gate = g
+	if _, _, err := m.Create("t", "b", testSpec(1)); err != nil {
+		t.Fatal(err)
 	}
 	_, cancel, err := m.Subscribe("t", "b", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer SetMaxAdmitted(1)()
-	held := m.fields[skey("t", "a")]
-	held.mu.Lock()
-	waiting := make(chan error, 1)
-	go func() {
-		_, err := m.Apply("t", "a", []int{1})
-		waiting <- err
-	}()
-	for deadline := time.Now().Add(10 * time.Second); m.admittedCount() != 1; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			held.mu.Unlock()
-			t.Fatal("the waiting apply was never admitted")
-		}
-	}
+	leave := fill(g, "")
 	if _, err := m.Apply("t", "b", []int{1}); !errors.Is(err, ErrSaturated) {
 		t.Errorf("apply past the bound: err = %v, want ErrSaturated", err)
 	}
 	if _, err := m.Get("t", "b"); !errors.Is(err, ErrSaturated) {
 		t.Errorf("get past the bound: err = %v, want ErrSaturated", err)
 	}
-	cancel()
-	held.mu.Unlock()
-	if err := <-waiting; err != nil {
-		t.Fatal(err)
+	if _, _, err := m.Create("t", "c", testSpec(2)); !errors.Is(err, ErrSaturated) {
+		t.Errorf("create past the bound: err = %v, want ErrSaturated", err)
 	}
+	if n := m.sessionCount(); n != 1 {
+		t.Errorf("%d sessions after a refused create, want 1", n)
+	}
+	cancel()
+	leave()
 	if _, err := m.Apply("t", "b", []int{1}); err != nil {
 		t.Errorf("apply after the bound freed: %v", err)
 	}
@@ -310,11 +300,18 @@ func TestAdmissionBoundSaturates(t *testing.T) {
 	}
 }
 
-// admittedCount reads how many calls are admitted right now.
-func (m *Manager) admittedCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.admitted
+// fill admits calls for tenant until g refuses one, as calls waiting for
+// busy fields would, and returns the function that lets them leave.
+func fill(g *admit.Gate, tenant string) (leave func()) {
+	n := 0
+	for g.Enter(tenant) == nil {
+		n++
+	}
+	return func() {
+		for ; n > 0; n-- {
+			g.Leave(tenant)
+		}
+	}
 }
 
 // sessionCount reads the live+evicted session total.
@@ -449,7 +446,8 @@ func TestEvictIdleAndJanitorAccounting(t *testing.T) {
 }
 
 func TestTenantQuotas(t *testing.T) {
-	m := newTestManager(t, Config{MaxSessionsPerTenant: 2, MaxSessions: 3})
+	m, g := newTestManager(t, Config{MaxSessionsPerTenant: 2, MaxSessions: 3}), admit.New(1)
+	m.gate = g
 	if _, _, err := m.Create("a", "a1", testSpec(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -475,20 +473,18 @@ func TestTenantQuotas(t *testing.T) {
 		t.Errorf("create after drop: %v", err)
 	}
 
-	// Pending-event quota: the fairness bound on concurrent events.
-	if err := m.reservePending("a"); err != nil {
-		t.Fatal(err)
+	// The tenant's share of the admission gate: a tenant holding all of
+	// it gets ErrTenantBusy, and other tenants are not disturbed.
+	leave := fill(g, "a")
+	if _, err := m.Apply("a", "a2", []int{1}); !errors.Is(err, ErrTenantBusy) {
+		t.Errorf("apply past the tenant's share: err = %v, want ErrTenantBusy", err)
 	}
-	for i := 1; i < m.cfg.MaxPendingPerTenant; i++ {
-		if err := m.reservePending("a"); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := m.Apply("b", "b1", []int{1}); err != nil {
+		t.Errorf("tenant b disturbed by tenant a's share: %v", err)
 	}
-	if err := m.reservePending("a"); !errors.Is(err, ErrTenantBusy) {
-		t.Errorf("over-pending err = %v", err)
-	}
-	if err := m.reservePending("b"); err != nil {
-		t.Errorf("tenant b disturbed by tenant a's pending: %v", err)
+	leave()
+	if _, err := m.Apply("a", "a2", []int{1}); err != nil {
+		t.Errorf("apply once the share frees: %v", err)
 	}
 }
 

@@ -2,10 +2,12 @@ package session
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 
+	"decor/internal/admit"
 	"decor/internal/chaos"
 	"decor/internal/obs"
 )
@@ -108,25 +110,34 @@ func TestSessionSoak(t *testing.T) {
 	}
 }
 
-// TestSoakQuotaIsolation floods one tenant past its quotas while a
-// well-behaved tenant works; the victim tenant must see zero failures.
+// TestSoakQuotaIsolation floods one tenant past its session quota and its
+// share of the admission gate while a well-behaved tenant works; every
+// flooding call is refused, and the victim tenant sees zero failures.
 func TestSoakQuotaIsolation(t *testing.T) {
 	reg := obs.NewRegistry()
-	m := newTestManager(t, Config{
-		Registry:             reg,
-		MaxSessionsPerTenant: 2,
-		MaxPendingPerTenant:  2,
-	})
-	if _, _, err := m.Create("good", "g1", testSpec(1)); err != nil {
-		t.Fatal(err)
+	m, g := newTestManager(t, Config{Registry: reg, MaxSessionsPerTenant: 2}), admit.New(1)
+	m.gate = g
+	for _, f := range []struct{ tenant, id string }{{"good", "g1"}, {"noisy", "n0"}, {"noisy", "n1"}} {
+		if _, _, err := m.Create(f.tenant, f.id, testSpec(1)); err != nil {
+			t.Fatal(err)
+		}
 	}
+	// The noisy tenant holds its whole admission share, as a burst of
+	// its pending events would.
+	defer fill(g, "noisy")()
 
+	const flood = 32
 	var wg sync.WaitGroup
 	wg.Add(1)
-	go func() { // the flood: creates far past the session quota
+	go func() { // creates past the session quota, events past the share
 		defer wg.Done()
-		for i := 0; i < 32; i++ {
-			m.Create("noisy", fmt.Sprintf("n%d", i), testSpec(uint64(i)))
+		for i := 0; i < flood; i++ {
+			if _, _, err := m.Create("noisy", fmt.Sprintf("x%d", i), testSpec(uint64(i))); !errors.Is(err, ErrTenantSessions) {
+				t.Errorf("noisy create %d: err = %v, want ErrTenantSessions", i, err)
+			}
+			if _, err := m.Apply("noisy", "n0", []int{i}); !errors.Is(err, ErrTenantBusy) {
+				t.Errorf("noisy event %d: err = %v, want ErrTenantBusy", i, err)
+			}
 		}
 	}()
 
@@ -136,11 +147,11 @@ func TestSoakQuotaIsolation(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	if got := reg.Counter(obs.SessionQuotaRejected).Value(); got < 1 {
-		t.Errorf("quota rejections = %d, want >= 1 (the flood must have been clipped)", got)
+	if got := reg.Counter(obs.SessionQuotaRejected).Value(); got != 2*flood {
+		t.Errorf("quota rejections = %d, want %d (every flooding call)", got, 2*flood)
 	}
-	if n := m.sessionCount(); n > 3 {
-		t.Errorf("noisy tenant exceeded its quota: %d sessions", n)
+	if n := m.sessionCount(); n != 3 {
+		t.Errorf("%d sessions, want 3: the noisy tenant exceeded its quota", n)
 	}
 }
 

@@ -5,8 +5,9 @@
 # load summary goes to a temp dir; throughput and latency are measured
 # by perfbench (BENCHMARK.json), not by this smoke.
 #
-# Concurrency 8 is far below the default 256-deep admission queue, so any
-# 5xx here is a real service bug, not deliberate load shedding.
+# Concurrency 8 is far below the admission gate's bound (256 calls per
+# run slot, GOMAXPROCS slots), so any 5xx here is a real service bug,
+# not deliberate load shedding.
 set -eu
 
 GO=${GO:-go}
