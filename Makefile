@@ -72,11 +72,13 @@ snapshot-smoke:
 # detector, asserting the two runs produce byte-identical delta streams
 # — the session subsystem's determinism contract end to end (DESIGN.md
 # §14). Quota isolation, the per-field locks (a held field blocks only
-# itself; the admission bound answers ErrSaturated) and the fast-restore
-# differential (binary restore byte-equal to replay restore) are
+# itself; the admission bound answers ErrSaturated), the sealed record
+# (a restored session byte-equal to the replay oracle, a damaged record
+# a restore error, an evicted field's metadata unchanged) and the
+# bound on a session's state (heap and record flat over 1e5 events) are
 # asserted in the same package run.
 session-smoke:
-	$(GO) test -race -run '^TestSessionSoak$$|^TestSoakQuotaIsolation$$|^TestBusyFieldBlocksOnlyItself$$|^TestAdmissionBoundSaturates$$|^TestFastRestoreMatchesReplay$$' -count=1 -timeout 300s ./internal/session/
+	$(GO) test -race -run '^TestSessionSoak$$|^TestSoakQuotaIsolation$$|^TestBusyFieldBlocksOnlyItself$$|^TestAdmissionBoundSaturates$$|^TestRestoreMatchesReplay$$|^TestDamagedRecordFailsRestore$$|^TestSessionStateBoundedByField$$|^TestEvictedGetReportsTheField$$' -count=1 -timeout 300s ./internal/session/
 
 # Admission gates (internal/admit): plans and repairs pass one, field
 # sessions another. A gate's books balance under concurrent Enter/Run/

@@ -65,27 +65,45 @@ func (fr FieldRequest) spec() session.Spec {
 	}
 }
 
-// writeSessionError maps the session package's sentinel errors onto the
-// HTTP statuses the API documents. Non-sentinel errors are client
-// errors: the only way to produce one on an established session is to
-// reference sensors that do not exist.
-func (s *Server) writeSessionError(w http.ResponseWriter, err error) {
+// sessionStatus maps the session package's sentinel errors onto the
+// HTTP status and message the API documents. Non-sentinel errors are
+// client errors: the only way to produce one on an established session
+// is to reference sensors that do not exist.
+func sessionStatus(err error) (int, string) {
 	switch {
 	case errors.Is(err, session.ErrNotFound):
-		s.writeError(w, http.StatusNotFound, "field not found")
+		return http.StatusNotFound, "field not found"
 	case errors.Is(err, session.ErrExists):
-		s.writeError(w, http.StatusConflict, "field already exists")
+		return http.StatusConflict, "field already exists"
 	case errors.Is(err, session.ErrSubscribed):
-		s.writeError(w, http.StatusConflict, err.Error())
+		return http.StatusConflict, err.Error()
 	case errors.Is(err, session.ErrTenantSessions), errors.Is(err, session.ErrTenantBusy):
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-		s.writeError(w, http.StatusTooManyRequests, err.Error())
+		return http.StatusTooManyRequests, err.Error()
 	case errors.Is(err, session.ErrSaturated), errors.Is(err, session.ErrClosed):
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-		s.writeError(w, http.StatusServiceUnavailable, err.Error())
-	default:
-		s.writeError(w, http.StatusBadRequest, err.Error())
+		return http.StatusServiceUnavailable, err.Error()
 	}
+	return http.StatusBadRequest, err.Error()
+}
+
+// sessionRetryAfter is the delay, in seconds, after which a client should
+// retry a session call refused with 429 or 503, and 0 for any other
+// error. writeSessionError sends it as Retry-After; a refusal after
+// deltas have been streamed carries it in-band.
+func (s *Server) sessionRetryAfter(err error) int {
+	if status, _ := sessionStatus(err); status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
+		return s.retryAfterSeconds()
+	}
+	return 0
+}
+
+// writeSessionError answers a refused session call with its status,
+// and with Retry-After when the client should come back later.
+func (s *Server) writeSessionError(w http.ResponseWriter, err error) {
+	if n := s.sessionRetryAfter(err); n > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(n))
+	}
+	status, msg := sessionStatus(err)
+	s.writeError(w, status, msg)
 }
 
 // withSessionMetrics wraps a session handler with the same response
@@ -163,10 +181,17 @@ func (s *Server) badSessionRequest(w http.ResponseWriter, err error) {
 
 // writeInbandError reports a failure after deltas have already been
 // streamed: the status line is gone, so the error travels in-band as the
-// stream's last object. Byte-identical to the json.Encoder construction
-// it replaced.
-func writeInbandError(w http.ResponseWriter, buf *[]byte, msg string) {
-	*buf = appendErrorBody((*buf)[:0], msg)
+// stream's last object. A refusal the client should retry later carries
+// its Retry-After delay as "retry_after" (seconds); without one the
+// object is appendErrorBody's.
+func writeInbandError(w http.ResponseWriter, buf *[]byte, msg string, retryAfter int) {
+	b := append((*buf)[:0], `{"error":`...)
+	b = jsonx.AppendString(b, msg)
+	if retryAfter > 0 {
+		b = append(b, `,"retry_after":`...)
+		b = jsonx.AppendInt(b, int64(retryAfter))
+	}
+	*buf = append(b, '}', '\n')
 	w.Write(*buf)
 }
 
@@ -202,7 +227,7 @@ func (s *Server) handleFieldEvents(w http.ResponseWriter, r *http.Request) {
 			}
 			// Mid-stream garbage after successful deltas: the status line
 			// is gone, so report in-band and hang up.
-			writeInbandError(w, out, fmt.Sprintf("invalid event JSON: %v", err))
+			writeInbandError(w, out, fmt.Sprintf("invalid event JSON: %v", err), 0)
 			return
 		}
 		if len(failed) == 0 {
@@ -210,7 +235,7 @@ func (s *Server) handleFieldEvents(w http.ResponseWriter, r *http.Request) {
 			if !wrote {
 				s.badSessionRequest(w, err)
 			} else {
-				writeInbandError(w, out, err.Error())
+				writeInbandError(w, out, err.Error(), 0)
 			}
 			return
 		}
@@ -219,7 +244,7 @@ func (s *Server) handleFieldEvents(w http.ResponseWriter, r *http.Request) {
 			if !wrote {
 				s.writeSessionError(w, err)
 			} else {
-				writeInbandError(w, out, err.Error())
+				writeInbandError(w, out, err.Error(), s.sessionRetryAfter(err))
 			}
 			return
 		}

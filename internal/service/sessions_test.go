@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -359,6 +360,54 @@ func TestEventsInOneRequestKeepTheirIDs(t *testing.T) {
 		if want := i + 1; d.Seq != uint64(want) || len(d.Failed) != 1 || d.Failed[0] != want {
 			t.Errorf("replayed seq %d names failed %v, want [%d]", d.Seq, d.Failed, want)
 		}
+	}
+}
+
+// TestMidStreamRefusalCarriesRetryAfter: once a stream has sent deltas
+// under its 200, a refusal the client should retry later travels
+// in-band with the delay Retry-After would have carried. The manager is
+// closed between the two events of one piped stream.
+func TestMidStreamRefusalCarriesRetryAfter(t *testing.T) {
+	s := newTestServer(t, Config{})
+	if status, _, body := s.do(t, "POST", "/v1/fields", "t", fieldBody("f", 7)); status != http.StatusCreated {
+		t.Fatalf("create: %d %s", status, body)
+	}
+	pr, pw := io.Pipe()
+	req := httptest.NewRequest("POST", "/v1/fields/f/events", pr)
+	req.Header.Set(tenantHeader, "t")
+	rec := httptest.NewRecorder()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		s.svc.Handler().ServeHTTP(rec, req)
+	}()
+	// A pipe write returns once the handler has read it, and the handler
+	// reads past the first event only after writing its delta.
+	for _, chunk := range []string{`{"failed":[1]}`, "\n"} {
+		if _, err := io.WriteString(pw, chunk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.svc.sessions.Close()
+	if _, err := io.WriteString(pw, `{"failed":[2]}`+"\n"); err != nil {
+		t.Fatal(err)
+	}
+	pw.Close()
+	<-served
+
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d, want the 200 of the first delta", rec.Code)
+	}
+	lines := bytes.Split(bytes.TrimSpace(rec.Body.Bytes()), []byte("\n"))
+	if len(lines) != 2 {
+		t.Fatalf("got %d lines, want a delta and an error:\n%s", len(lines), rec.Body)
+	}
+	if d := decodeDelta(t, lines[0]); d.Seq != 1 {
+		t.Errorf("first line is delta seq %d, want 1", d.Seq)
+	}
+	want := fmt.Sprintf(`{"error":%q,"retry_after":%d}`, session.ErrClosed.Error(), s.svc.retryAfterSeconds())
+	if got := string(lines[1]); got != want {
+		t.Errorf("in-band refusal = %s, want %s", got, want)
 	}
 }
 

@@ -37,19 +37,21 @@ func benchSpec() Spec {
 // list, updated from each delta's Placed count. The planner assigns
 // placements sequential IDs starting at (largest live ID)+1, so since
 // victims always come off the top of the list the new IDs are exactly
-// the next integers after the surviving maximum.
+// the next integers after the surviving maximum. ring is the session's
+// delta-ring capacity; the benchmarks keep none.
 type benchSession struct {
 	st    *state
 	alive []int
+	ring  int
 }
 
-func newBenchSession(tb testing.TB, spec Spec) *benchSession {
+func newBenchSession(tb testing.TB, spec Spec, ring int) *benchSession {
 	tb.Helper()
-	st, initial, err := newState(context.Background(), "bench", "f", spec, 0)
+	st, initial, err := newState(context.Background(), "bench", "f", spec, ring)
 	if err != nil {
 		tb.Fatalf("build session: %v", err)
 	}
-	b := &benchSession{st: st}
+	b := &benchSession{st: st, ring: ring}
 	for id := 0; id < spec.Scatter; id++ {
 		b.alive = append(b.alive, id)
 	}
@@ -71,7 +73,7 @@ func (b *benchSession) grow(placed int) {
 // step fails the three most recently placed sensors and repairs.
 func (b *benchSession) step(tb testing.TB) Delta {
 	victims := append([]int(nil), b.alive[len(b.alive)-3:]...)
-	d, err := b.st.apply(context.Background(), victims, 0)
+	d, err := b.st.apply(context.Background(), victims, b.ring)
 	if err != nil {
 		tb.Fatalf("apply: %v", err)
 	}
@@ -84,7 +86,7 @@ func (b *benchSession) step(tb testing.TB) Delta {
 // on a warm 1e5-point session. Setup (field build + initial deploy) is
 // excluded; each iteration is exactly what one streamed event costs.
 func BenchmarkSessionDelta(b *testing.B) {
-	s := newBenchSession(b, benchSpec())
+	s := newBenchSession(b, benchSpec(), 0)
 	s.step(b) // warm the incremental path before measuring
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -243,7 +245,7 @@ func TestDeltaAllocAdvantage(t *testing.T) {
 		t.Skip("1e5-point field build in -short mode")
 	}
 	spec := benchSpec()
-	s := newBenchSession(t, spec)
+	s := newBenchSession(t, spec, 0)
 	s.step(t) // warm
 	delta := testing.AllocsPerRun(3, func() { s.step(t) })
 

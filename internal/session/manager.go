@@ -2,7 +2,6 @@ package session
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"runtime"
 	"sync"
@@ -21,7 +20,7 @@ type Config struct {
 	// MaxSessionsPerTenant caps one tenant's sessions, live or evicted
 	// (429 on overflow). Default 64.
 	MaxSessionsPerTenant int
-	// IdleTTL evicts sessions idle longer than this to snapshots (0
+	// IdleTTL seals sessions idle longer than this into their records (0
 	// disables the janitor; EvictIdle can still be called manually).
 	IdleTTL time.Duration
 	// Registry receives the decor_session_* instruments (default:
@@ -85,7 +84,11 @@ type field struct {
 	mu     sync.Mutex
 	tenant string
 	st     *state // nil while evicted
-	snap   []byte // the evicted session's snapshot
+	snap   []byte // the evicted session's record
+	// info is the evicted session's metadata, captured at eviction. An
+	// evicted session cannot change: every call that would change it
+	// restores it first.
+	info Info
 	// gone is set when the field is dropped (ErrNotFound) or the manager
 	// closes (ErrClosed); a caller that waited for mu returns it.
 	gone error
@@ -209,13 +212,13 @@ func (m *Manager) release(f *field) {
 }
 
 // live returns a locked field's session, restoring an evicted one from
-// its snapshot first.
+// its record first.
 func (m *Manager) live(f *field) (*state, error) {
 	if f.st != nil {
 		return f.st, nil
 	}
 	span := obs.Start(nil, "", m.hRestoreSeconds)
-	st, err := restore(context.Background(), f.snap, ringDeltas)
+	st, err := restore(f.snap)
 	if err != nil {
 		return nil, err
 	}
@@ -329,16 +332,7 @@ func (m *Manager) Get(tenant, fieldID string) (Info, error) {
 	if f.st != nil {
 		return f.st.info(false), nil
 	}
-	var snap Snapshot
-	if err := json.Unmarshal(f.snap, &snap); err != nil {
-		return Info{}, err
-	}
-	return Info{
-		FieldID: snap.ID,
-		Tenant:  snap.Tenant,
-		Seq:     uint64(len(snap.Events)),
-		Evicted: true,
-	}, nil
+	return f.info, nil
 }
 
 // Drop removes the session (live or evicted) entirely. Calls that were
@@ -401,9 +395,9 @@ func (m *Manager) Subscribe(tenant, fieldID string, fromSeq uint64) (<-chan Delt
 	return ch, cancel, nil
 }
 
-// Evict snapshots the session and releases its live state now,
-// regardless of idle time (tests and admin tooling; the janitor uses
-// EvictIdle). Sessions with active subscribers are not evictable.
+// Evict seals the session into its record and releases its live state
+// now, regardless of idle time (tests and admin tooling; the janitor
+// uses EvictIdle). Sessions with active subscribers are not evictable.
 func (m *Manager) Evict(tenant, fieldID string) error {
 	f, err := m.acquire(tenant, fieldID)
 	if err != nil {
@@ -416,14 +410,20 @@ func (m *Manager) Evict(tenant, fieldID string) error {
 	case len(f.st.subs) > 0:
 		return ErrSubscribed
 	}
-	f.snap, f.st = f.st.snapshot(), nil
+	f.evict()
 	m.cEvicted.Inc()
 	return nil
 }
 
-// EvictIdle snapshots and releases every session idle for at least ttl
-// (and without active subscribers), returning how many were evicted. It
-// locks one field at a time.
+// evict seals a locked field's live session into its record and keeps
+// the session's metadata for Get.
+func (f *field) evict() {
+	f.snap, f.info, f.st = f.st.snapshot(), f.st.info(true), nil
+}
+
+// EvictIdle seals into its record and releases every session idle for
+// at least ttl (and without active subscribers), returning how many were
+// evicted. It locks one field at a time.
 func (m *Manager) EvictIdle(ttl time.Duration) int {
 	cutoff := m.now().Add(-ttl).UnixNano()
 	n := 0
@@ -431,7 +431,7 @@ func (m *Manager) EvictIdle(ttl time.Duration) int {
 		f.mu.Lock()
 		if st := f.st; f.gone == nil && st != nil && len(st.subs) == 0 && st.lastUse <= cutoff {
 			m.run()
-			f.snap, f.st = st.snapshot(), nil
+			f.evict()
 			m.gate.Done()
 			n++
 		}
@@ -445,9 +445,9 @@ func (m *Manager) EvictIdle(ttl time.Duration) int {
 
 // Close shuts the manager down: new calls and calls still waiting for a
 // field get ErrClosed, running ones finish, subscriber channels close.
-// Session state is discarded — sessions are rebuildable by design
-// (snapshots are replay logs), and durable persistence is a deliberate
-// non-goal here.
+// Session state is discarded, live sessions and sealed records alike: a
+// record never leaves the process that sealed it, and durable
+// persistence is a deliberate non-goal here.
 func (m *Manager) Close() {
 	m.mu.Lock()
 	if m.closed {

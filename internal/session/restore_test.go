@@ -3,107 +3,134 @@ package session
 import (
 	"bytes"
 	"context"
-	"encoding/json"
-
+	"errors"
+	"reflect"
+	"runtime"
 	"testing"
+
+	"decor/internal/snap"
 )
 
-// TestFastRestoreMatchesReplay is the fast path's differential oracle:
-// restoring a snapshot via the binary fast section and via full event
-// replay (the same snapshot without its fast section) must yield sessions with identical persistent state, identical
-// rings, and byte-identical future deltas.
-func TestFastRestoreMatchesReplay(t *testing.T) {
+// replay is the restore oracle: it builds the spec's field as tenant "t"
+// and field "f", runs the initial deploy, and applies every event in
+// order, exactly as a live session that was never evicted would.
+func replay(t *testing.T, spec Spec, events [][]int) *state {
+	t.Helper()
 	ctx := context.Background()
-	st, _, err := newState(ctx, "t", "f", testSpec(3), 64)
+	st, _, err := newState(ctx, "t", "f", spec, ringDeltas)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("replay build: %v", err)
 	}
-	for _, ev := range [][]int{{1}, {6, 13}, {0, 9}, {17}} {
-		if _, err := st.apply(ctx, ev, 64); err != nil {
-			t.Fatal(err)
+	for i, ev := range events {
+		if _, err := st.apply(ctx, ev, ringDeltas); err != nil {
+			t.Fatalf("replay event %d: %v", i, err)
 		}
 	}
-	raw := st.snapshot()
+	return st
+}
 
-	fast, err := restore(ctx, raw, 64)
-	if err != nil {
-		t.Fatalf("fast restore: %v", err)
+// sameSession byte-compares two sessions' sequence numbers, rings and
+// next deltas for the event next, which they both apply. The next deltas
+// match only if the deployment's RNG resumed mid-stream.
+func sameSession(t *testing.T, got, want *state, next []int) {
+	t.Helper()
+	if got.tenant != want.tenant || got.id != want.id || got.method != want.method || got.seq != want.seq {
+		t.Fatalf("session %s/%s %s seq %d, want %s/%s %s seq %d",
+			got.tenant, got.id, got.method, got.seq, want.tenant, want.id, want.method, want.seq)
 	}
-	var sn Snapshot
-	if err := json.Unmarshal(raw, &sn); err != nil {
+	// DeepEqual tells a nil Failed from an empty one, which JSON omits
+	// alike; the bytes tell -0 from 0.
+	if g, w := mustJSON(t, got.ring), mustJSON(t, want.ring); !bytes.Equal(g, w) || !reflect.DeepEqual(got.ring, want.ring) {
+		t.Fatalf("rings differ:\ngot:  %s\nwant: %s", g, w)
+	}
+	ctx := context.Background()
+	gd, err := got.apply(ctx, next, ringDeltas)
+	if err != nil {
 		t.Fatal(err)
 	}
-	sn.Fast = nil
-	replayed, err := restore(ctx, mustJSON(t, sn), 64)
+	wd, err := want.apply(ctx, next, ringDeltas)
 	if err != nil {
-		t.Fatalf("replay restore: %v", err)
+		t.Fatal(err)
 	}
-	if fast.seq != replayed.seq || fast.seq != st.seq {
-		t.Fatalf("seq: fast %d, replayed %d, live %d", fast.seq, replayed.seq, st.seq)
-	}
-	fr := mustJSON(t, fast.ring)
-	rr := mustJSON(t, replayed.ring)
-	if !bytes.Equal(fr, rr) {
-		t.Errorf("rings differ:\nfast:     %s\nreplayed: %s", fr, rr)
-	}
-	// The decisive check: both continue identically, which only holds if
-	// the fast path restored the deployment's RNG mid-stream.
-	for _, s := range []*state{st, fast, replayed} {
-		if _, err := s.apply(ctx, []int{4, 2}, 64); err != nil {
-			t.Fatal(err)
-		}
-	}
-	live := mustJSON(t, st.ring[len(st.ring)-1])
-	f := mustJSON(t, fast.ring[len(fast.ring)-1])
-	r := mustJSON(t, replayed.ring[len(replayed.ring)-1])
-	if !bytes.Equal(live, f) || !bytes.Equal(live, r) {
-		t.Errorf("post-restore deltas diverged:\nlive:     %s\nfast:     %s\nreplayed: %s", live, f, r)
+	if g, w := mustJSON(t, gd), mustJSON(t, wd); !bytes.Equal(g, w) {
+		t.Fatalf("next deltas differ:\ngot:  %s\nwant: %s", g, w)
 	}
 }
 
-// TestFastRestoreFallsBackOnCorruption: a damaged (or stale) fast
-// section must never fail the restore — the replay log is authoritative
-// and the fall-back reproduces the session exactly.
-func TestFastRestoreFallsBackOnCorruption(t *testing.T) {
-	ctx := context.Background()
-	st, _, err := newState(ctx, "t", "f", testSpec(4), 64)
-	if err != nil {
-		t.Fatal(err)
+// TestRestoreMatchesReplay: a session restored from its record equals
+// the replay of its spec and events, on seq, ring and next delta: at
+// Seq 0, mid-stream, and once the ring has dropped its oldest deltas.
+func TestRestoreMatchesReplay(t *testing.T) {
+	spec := testSpec(3)
+	// Each wrapped event fails the newest sensor.
+	wrap := replay(t, spec, nil)
+	var wrapped [][]int
+	for len(wrapped) < ringDeltas+8 {
+		wrapped = append(wrapped, []int{newest(wrap)})
+		if _, err := wrap.apply(context.Background(), wrapped[len(wrapped)-1], ringDeltas); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := st.apply(ctx, []int{2, 8}, 64); err != nil {
-		t.Fatal(err)
+	if wrap.ring[0].Seq == 0 {
+		t.Fatal("the ring still holds Seq 0: the wrapped case proves nothing")
 	}
-	var sn Snapshot
-	if err := json.Unmarshal(st.snapshot(), &sn); err != nil {
-		t.Fatal(err)
-	}
-	want := mustJSON(t, st.ring)
-
-	corrupt := func(name string, mutate func(*Snapshot)) {
-		c := sn
-		c.Fast = append([]byte(nil), sn.Fast...)
-		mutate(&c)
-		got, err := restore(ctx, mustJSON(t, c), 64)
+	for _, events := range [][][]int{nil, {{1}, {6, 13}, {0, 9}, {17}}, wrapped} {
+		restored, err := restore(replay(t, spec, events).snapshot())
 		if err != nil {
-			t.Fatalf("%s: fall-back restore failed: %v", name, err)
+			t.Fatalf("%d events: restore: %v", len(events), err)
 		}
-		if g := mustJSON(t, got.ring); !bytes.Equal(g, want) {
-			t.Errorf("%s: fall-back ring differs:\n%s\nvs\n%s", name, g, want)
-		}
+		want := replay(t, spec, events)
+		sameSession(t, restored, want, []int{newest(want)})
 	}
-	corrupt("bit flip", func(c *Snapshot) { c.Fast[len(c.Fast)/2] ^= 0x40 })
-	corrupt("truncated", func(c *Snapshot) { c.Fast = c.Fast[:len(c.Fast)/3] })
+}
 
-	// A fast section whose sequence number disagrees with the replay log
-	// is rejected even though it decodes cleanly: the log is the truth,
-	// so the restored session reflects the (shortened) log, not the cache.
-	stale := sn
-	stale.Events = nil
-	got, err := restore(ctx, mustJSON(t, stale), 64)
-	if err != nil {
-		t.Fatalf("stale seq: fall-back restore failed: %v", err)
+// newest is the largest live sensor ID: the last sensor a repair placed.
+func newest(st *state) int {
+	s := st.d.Sensors()
+	return s[len(s)-1].ID
+}
+
+// TestDamagedRecordFailsRestore: a bit flip or a truncation in a record
+// is a restore error, never a session.
+func TestDamagedRecordFailsRestore(t *testing.T) {
+	raw := replay(t, testSpec(4), [][]int{{2, 8}}).snapshot()
+	flipped := append([]byte(nil), raw...)
+	flipped[len(flipped)/2] ^= 0x40
+	for name, damaged := range map[string][]byte{"bit flip": flipped, "truncated": raw[:len(raw)/3]} {
+		if st, err := restore(damaged); !errors.Is(err, snap.ErrCorrupt) {
+			t.Errorf("%s: restored a session: %t, err %v; want snap.ErrCorrupt", name, st != nil, err)
+		}
 	}
-	if got.seq != 0 {
-		t.Errorf("stale seq: restored seq %d from a cache the log disowns", got.seq)
+}
+
+// TestSessionStateBoundedByField: a session's memory and its record are
+// bounded by its field, not by the events it has applied. A paper-scale
+// field (side 100, k 3, 2000 points, 200 scattered) takes 1e5 events,
+// each failing the three newest sensors, with a full-size ring.
+func TestSessionStateBoundedByField(t *testing.T) {
+	spec := Spec{
+		FieldSide: 100, K: 3, Rs: 4, NumPoints: 2000,
+		Generator: "halton", Seed: 1, Scatter: 200, Method: "centralized",
 	}
+	b := newBenchSession(t, spec, ringDeltas)
+	created := len(b.st.snapshot())
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	before := ms.HeapAlloc
+	for i := 0; i < 100_000; i++ {
+		b.step(t)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	grown := int64(ms.HeapAlloc) - int64(before)
+	evicted := len(b.st.snapshot())
+	t.Logf("heap grew %d B over 1e5 events; record %d B at create, %d B after", grown, created, evicted)
+	if grown >= 1<<20 {
+		t.Errorf("heap grew %d B over 1e5 events, want under 1 MB", grown)
+	}
+	if evicted > 2*created {
+		t.Errorf("record grew from %d B at create to %d B, want at most twice", created, evicted)
+	}
+	runtime.KeepAlive(b)
 }

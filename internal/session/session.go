@@ -11,10 +11,13 @@
 // while holding it: the decor facade's Deployment is not safe for
 // concurrent use, and the lock gives it one goroutine at a time without
 // making any field wait behind another. Determinism is load-bearing
-// throughout: a session's
-// delta stream is a pure function of its spec and its event sequence, so
-// an evicted session restores by replay and the restored session's
-// future deltas are byte-identical to the unevicted ones.
+// throughout: a session's delta stream is a pure function of its spec
+// and its event sequence. A session is its field, not its history: an
+// evicted session is sealed into one record of its deployment, sequence
+// number and delta ring, and the restored session's future deltas are
+// byte-identical to the unevicted ones. A damaged record is a restore
+// error. Replaying the spec and every event from genesis is the tests'
+// oracle for that, not a production path.
 package session
 
 import (
@@ -35,29 +38,29 @@ type Point struct {
 // Sensor is one pre-deployed sensor in a Spec, with an explicit ID so
 // failure events are unambiguous.
 type Sensor struct {
-	ID int     `json:"id"`
-	X  float64 `json:"x"`
-	Y  float64 `json:"y"`
+	ID int
+	X  float64
+	Y  float64
 }
 
 // Spec is the canonical description of a session's initial field: the
 // deployment parameters plus the pre-deployed network. It must already
 // be validated and defaulted (the service layer reuses its request
-// normalization); Spec fields are stored verbatim in snapshots, so the
-// same Spec always rebuilds the same field.
+// normalization). Create reads it once; the session keeps only the
+// field it builds and the method.
 type Spec struct {
-	FieldSide float64  `json:"field_side"`
-	K         int      `json:"k"`
-	Rs        float64  `json:"rs"`
-	Rc        float64  `json:"rc,omitempty"`
-	NumPoints int      `json:"num_points"`
-	Generator string   `json:"generator,omitempty"`
-	Seed      uint64   `json:"seed,omitempty"`
-	Sensors   []Sensor `json:"sensors,omitempty"`
-	Scatter   int      `json:"scatter,omitempty"`
+	FieldSide float64
+	K         int
+	Rs        float64
+	Rc        float64
+	NumPoints int
+	Generator string
+	Seed      uint64
+	Sensors   []Sensor
+	Scatter   int
 	// Method is the planner used for the initial deploy and every delta
 	// repair.
-	Method string `json:"method"`
+	Method string
 }
 
 // build constructs the spec's deployment: explicit sensors first, then
@@ -118,8 +121,8 @@ type Info struct {
 	TotalSensors int     `json:"total_sensors"`
 	CoverageK    float64 `json:"coverage_k"`
 	Covered      bool    `json:"fully_covered"`
-	// Evicted reports that the session currently lives as a snapshot;
-	// the next event restores it transparently.
+	// Evicted reports that the session currently lives as its sealed
+	// record; the next event restores it transparently.
 	Evicted bool `json:"evicted"`
 }
 
@@ -147,11 +150,9 @@ var (
 type state struct {
 	tenant string
 	id     string
-	spec   Spec
+	// method is the planner of the initial deploy and every repair.
+	method string
 	d      *decor.Deployment
-	// events records every applied failure batch in order — the replay
-	// log that snapshots persist and restores re-run.
-	events [][]int
 	seq    uint64
 	// ring holds the most recent deltas (including Seq 0) for SSE
 	// catch-up reads; the manager gives it ringDeltas entries.
@@ -176,7 +177,7 @@ func newState(ctx context.Context, tenant, id string, spec Spec, ringCap int) (*
 	st := &state{
 		tenant: tenant,
 		id:     id,
-		spec:   spec,
+		method: spec.Method,
 		d:      d,
 		subs:   map[int]chan Delta{},
 	}
@@ -190,9 +191,9 @@ func newState(ctx context.Context, tenant, id string, spec Spec, ringCap int) (*
 }
 
 // apply destroys one failure batch and repairs the hole incrementally on
-// the live coverage map. The event is appended to the replay log only
-// after the repair succeeds, so a rejected event (unknown sensor ID)
-// leaves the session byte-identical to before.
+// the live coverage map. FailSensors checks every ID before it destroys
+// any, so a rejected event (an unknown or repeated sensor ID) leaves the
+// session byte-identical to before.
 func (st *state) apply(ctx context.Context, failed []int, ringCap int) (Delta, error) {
 	if len(failed) == 0 {
 		return Delta{}, fmt.Errorf("session: event with no failed sensors")
@@ -200,17 +201,15 @@ func (st *state) apply(ctx context.Context, failed []int, ringCap int) (Delta, e
 	if err := st.d.FailSensors(failed...); err != nil {
 		return Delta{}, err
 	}
-	rep, err := st.d.DeployContext(ctx, st.spec.Method)
+	rep, err := st.d.DeployContext(ctx, st.method)
 	if err != nil {
 		return Delta{}, err
 	}
 	st.seq++
-	// The log keeps a copy: failed is the caller's, often a reused
-	// scratch slice. The delta shares that copy, so the ring and the
-	// subscribers never see a later event's IDs.
-	event := append([]int(nil), failed...)
-	st.events = append(st.events, event)
-	delta := st.deltaFrom(rep, event)
+	// The delta keeps a copy: failed is the caller's, often a reused
+	// scratch slice, and the ring and the subscribers must never see a
+	// later event's IDs.
+	delta := st.deltaFrom(rep, append([]int(nil), failed...))
 	st.pushRing(delta, ringCap)
 	for key, ch := range st.subs {
 		select {
@@ -248,7 +247,7 @@ func (st *state) deltaFrom(rep decor.Report, failed []int) Delta {
 		TotalSensors: rep.TotalSensors,
 		Messages:     rep.Messages,
 		Rounds:       rep.Rounds,
-		CoverageK:    st.d.Coverage(st.spec.K),
+		CoverageK:    st.d.Coverage(st.d.Params().K),
 		Covered:      st.d.FullyCovered(),
 	}
 }
@@ -269,7 +268,7 @@ func (st *state) info(evicted bool) Info {
 		Tenant:       st.tenant,
 		Seq:          st.seq,
 		TotalSensors: st.d.NumSensors(),
-		CoverageK:    st.d.Coverage(st.spec.K),
+		CoverageK:    st.d.Coverage(st.d.Params().K),
 		Covered:      st.d.FullyCovered(),
 		Evicted:      evicted,
 	}

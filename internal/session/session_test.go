@@ -2,7 +2,6 @@ package session
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -51,39 +50,38 @@ func mustJSON(t *testing.T, v any) []byte {
 }
 
 // An event naming one sensor twice is rejected like an unknown ID: the
-// sequence number and the replay log stay as they were, and the same
-// sensor can still fail in a later, valid event.
+// session stays as it was, and the same sensor can still fail in a
+// later, valid event.
 func TestRepeatedFailedIDRejected(t *testing.T) {
 	m := newTestManager(t, Config{})
-	if _, _, err := m.Create("acme", "field-1", testSpec(1)); err != nil {
+	if _, _, err := m.Create("t", "f", testSpec(1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Apply("acme", "field-1", []int{0, 3}); err != nil {
+	if _, err := m.Apply("t", "f", []int{0, 3}); err != nil {
 		t.Fatal(err)
 	}
-	if d, err := m.Apply("acme", "field-1", []int{5, 5}); err == nil {
+	if d, err := m.Apply("t", "f", []int{5, 5}); err == nil {
 		t.Fatalf("repeated sensor id accepted: delta %+v", d)
 	}
-	if got, err := m.Get("acme", "field-1"); err != nil || got.Seq != 1 {
+	if got, err := m.Get("t", "f"); err != nil || got.Seq != 1 {
 		t.Fatalf("after the rejected event: info = %+v, err %v", got, err)
 	}
-	d, err := m.Apply("acme", "field-1", []int{5})
+	d, err := m.Apply("t", "f", []int{5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d.Seq != 2 || !reflect.DeepEqual(d.Failed, []int{5}) {
 		t.Fatalf("delta after the rejected event = %+v", d)
 	}
-	if err := m.Evict("acme", "field-1"); err != nil {
+	if err := m.Evict("t", "f"); err != nil {
 		t.Fatal(err)
 	}
-	var sn Snapshot
-	if err := json.Unmarshal(m.fields[skey("acme", "field-1")].snap, &sn); err != nil {
+	restored, err := restore(m.fields[skey("t", "f")].snap)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if want := [][]int{{0, 3}, {5}}; !reflect.DeepEqual(sn.Events, want) {
-		t.Fatalf("replay log = %v, want %v", sn.Events, want)
-	}
+	want := replay(t, testSpec(1), [][]int{{0, 3}, {5}})
+	sameSession(t, restored, want, []int{newest(want)})
 }
 
 func TestSessionLifecycle(t *testing.T) {
@@ -344,12 +342,7 @@ func TestDifferentialReplayParity(t *testing.T) {
 
 		// Stateless full replan: rebuild everything from the spec and
 		// replay the full history.
-		fresh, err := restore(context.Background(), mustJSON(t, Snapshot{
-			Tenant: "t", ID: "f", Spec: spec, Events: applied,
-		}), 64)
-		if err != nil {
-			t.Fatalf("step %d replay: %v", step, err)
-		}
+		fresh := replay(t, spec, applied)
 		want := fresh.ring[len(fresh.ring)-1]
 		if !bytes.Equal(mustJSON(t, d), mustJSON(t, want)) {
 			t.Fatalf("step %d: session delta diverged from stateless replan\nsession: %s\nreplan:  %s",
@@ -407,6 +400,34 @@ func TestEvictRestoreDeterminism(t *testing.T) {
 	interrupted := run(map[int]bool{0: true, 2: true, 3: true})
 	if !bytes.Equal(straight, interrupted) {
 		t.Error("evict/restore changed the delta stream")
+	}
+}
+
+// TestEvictedGetReportsTheField: Get on an evicted session reports the
+// field as it was sealed, so whether the field is k-covered has the same
+// answer before and after eviction.
+func TestEvictedGetReportsTheField(t *testing.T) {
+	m := newTestManager(t, Config{})
+	if _, _, err := m.Create("t", "f", testSpec(6)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Apply("t", "f", []int{2, 7}); err != nil {
+		t.Fatal(err)
+	}
+	want, err := m.Get("t", "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Evict("t", "f"); err != nil {
+		t.Fatal(err)
+	}
+	got, err := m.Get("t", "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.Evicted = true
+	if got != want {
+		t.Errorf("evicted info = %+v, want %+v", got, want)
 	}
 }
 

@@ -1,137 +1,91 @@
 package session
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
 
 	"decor"
 	"decor/internal/snap"
 )
 
-// Snapshot is the persistent form of a session: its spec plus the replay
-// log of applied failure batches. Restoration replays the log against a
-// freshly built field — every step is seeded and deterministic, so the
-// restored session (coverage map, RNG position, delta ring, sequence
-// number) is byte-for-byte the session that was evicted, and its future
-// deltas are identical to the ones the unevicted session would have
-// produced. That replay-equals-live property is exactly what the
-// differential tests assert (DESIGN.md §14).
-type Snapshot struct {
-	Tenant string  `json:"tenant"`
-	ID     string  `json:"field_id"`
-	Spec   Spec    `json:"spec"`
-	Events [][]int `json:"events,omitempty"`
-	// Fast is the binary capture of the post-replay state — deployment
-	// snapshot, sequence number, delta ring — letting restore skip the
-	// O(events) replay loop (DESIGN.md §15). It is strictly an
-	// accelerator: the replay log above stays authoritative, any decode
-	// problem falls back to replaying Events, and the differential tests
-	// pin fast-restored sessions byte-equal to replayed ones.
-	Fast []byte `json:"fast,omitempty"`
-}
-
-// snapshot captures the session's persistent state. Live-only state (the
-// subscriber set, the coverage map itself) is reconstructed on restore.
+// snapshot seals the session into one record of its field: tenant, field
+// ID, method, sequence number, the deployment's own snapshot (sensors
+// and the RNG mid-stream), and the delta ring that SSE catch-up reads
+// depend on, written field by field. No part of it grows with the number
+// of events applied. The subscriber set is live-only and is not kept.
 func (st *state) snapshot() []byte {
-	b, err := json.Marshal(Snapshot{
-		Tenant: st.tenant,
-		ID:     st.id,
-		Spec:   st.spec,
-		Events: st.events,
-		Fast:   st.fastState(),
-	})
-	if err != nil {
-		// Spec and events are plain structs of finite numbers.
-		panic(fmt.Sprintf("session: snapshot marshal: %v", err))
-	}
-	return b
-}
-
-// fastState seals the state a replay would otherwise recompute: the
-// deployment (sensors + mid-stream RNG), the sequence number, and the
-// delta ring that SSE catch-up reads depend on.
-func (st *state) fastState() []byte {
-	ringJS, err := json.Marshal(st.ring)
-	if err != nil {
-		panic(fmt.Sprintf("session: ring marshal: %v", err))
-	}
 	w := snap.NewWriter()
-	w.Bytes(st.d.Snapshot())
+	w.Str(st.tenant)
+	w.Str(st.id)
+	w.Str(st.method)
 	w.U64(st.seq)
-	w.Bytes(ringJS)
+	w.Bytes(st.d.Snapshot())
+	w.Int(len(st.ring))
+	for i := range st.ring {
+		d := &st.ring[i]
+		w.U64(d.Seq)
+		w.Str(d.Method)
+		w.Int(len(d.Failed))
+		for _, id := range d.Failed {
+			w.Int(id)
+		}
+		w.Int(d.Placed)
+		w.Int(len(d.Placements))
+		for _, p := range d.Placements {
+			w.F64(p.X)
+			w.F64(p.Y)
+		}
+		w.Int(d.TotalSensors)
+		w.Int(d.Messages)
+		w.Int(d.Rounds)
+		w.F64(d.CoverageK)
+		w.Bool(d.Covered)
+	}
 	return w.Seal()
 }
 
-// restore rebuilds a session from its snapshot. With fast set and an
-// intact Fast section it restores the deployment directly; otherwise it
-// replays the event log — initial deploy, then every failure batch in
-// order — against a fresh field. Either way the delta ring holds the
-// same entries, so SSE catch-up reads spanning an evict/restore boundary
-// see one seamless stream.
-func restore(ctx context.Context, raw []byte, ringCap int) (*state, error) {
-	var sn Snapshot
-	if err := json.Unmarshal(raw, &sn); err != nil {
-		return nil, fmt.Errorf("session: corrupt snapshot: %w", err)
-	}
-	if len(sn.Fast) > 0 {
-		if st, err := restoreFast(sn, ringCap); err == nil {
-			return st, nil
-		}
-		// The replay log is authoritative; a bad Fast section only costs
-		// the replay below.
-	}
-	st, _, err := newState(ctx, sn.Tenant, sn.ID, sn.Spec, ringCap)
+// restore rebuilds a session from its record. A record that does not
+// open, read or restore is an error, never a partial session: a record
+// never leaves the process that sealed it (DESIGN.md §15), so only a bug
+// can damage one. Each ring delta reads back as deltaFrom made it:
+// Failed nil when empty, Placements non-nil.
+func restore(raw []byte) (*state, error) {
+	r, err := snap.Open(raw)
 	if err != nil {
-		return nil, fmt.Errorf("session: restore build: %w", err)
+		return nil, fmt.Errorf("session: restore: %w", err)
 	}
-	for i, failed := range sn.Events {
-		if _, err := st.apply(ctx, failed, ringCap); err != nil {
-			return nil, fmt.Errorf("session: restore replay event %d: %w", i, err)
-		}
-	}
-	return st, nil
-}
-
-// restoreFast decodes the Fast section. The sequence number must agree
-// with the replay log's length — a snapshot whose cache and log disagree
-// is rejected here and replayed instead.
-func restoreFast(sn Snapshot, ringCap int) (*state, error) {
-	r, err := snap.Open(sn.Fast)
-	if err != nil {
-		return nil, err
+	st := &state{
+		tenant: r.Str(),
+		id:     r.Str(),
+		method: r.Str(),
+		seq:    r.U64(),
+		subs:   map[int]chan Delta{},
 	}
 	db := r.Bytes()
-	seq := r.U64()
-	ringJS := r.Bytes()
-	if err := r.Close(); err != nil {
-		return nil, err
-	}
-	if seq != uint64(len(sn.Events)) {
-		return nil, fmt.Errorf("%w: fast seq %d over %d logged events",
-			snap.ErrMalformed, seq, len(sn.Events))
-	}
-	d, err := decor.RestoreDeployment(db)
-	if err != nil {
-		return nil, err
-	}
-	var ring []Delta
-	if len(ringJS) > 0 {
-		if err := json.Unmarshal(ringJS, &ring); err != nil {
-			return nil, fmt.Errorf("%w: fast ring: %v", snap.ErrMalformed, err)
+	for n := r.CollectionLen(); n > 0 && r.Err() == nil; n-- {
+		d := Delta{FieldID: st.id, Seq: r.U64(), Method: r.Str()}
+		if m := r.CollectionLen(); m > 0 {
+			d.Failed = make([]int, m)
+			for i := range d.Failed {
+				d.Failed[i] = r.Int()
+			}
 		}
+		d.Placed = r.Int()
+		d.Placements = make([]Point, r.CollectionLen())
+		for i := range d.Placements {
+			d.Placements[i] = Point{X: r.F64(), Y: r.F64()}
+		}
+		d.TotalSensors = r.Int()
+		d.Messages = r.Int()
+		d.Rounds = r.Int()
+		d.CoverageK = r.F64()
+		d.Covered = r.Bool()
+		st.ring = append(st.ring, d)
 	}
-	if ringCap > 0 && len(ring) > ringCap {
-		ring = ring[len(ring)-ringCap:]
+	if err := r.Close(); err != nil {
+		return nil, fmt.Errorf("session: restore: %w", err)
 	}
-	return &state{
-		tenant: sn.Tenant,
-		id:     sn.ID,
-		spec:   sn.Spec,
-		d:      d,
-		events: sn.Events,
-		seq:    seq,
-		ring:   ring,
-		subs:   map[int]chan Delta{},
-	}, nil
+	if st.d, err = decor.RestoreDeployment(db); err != nil {
+		return nil, fmt.Errorf("session: restore deployment: %w", err)
+	}
+	return st, nil
 }

@@ -1,6 +1,6 @@
 // Package snap is the versioned binary snapshot codec shared by every
 // Snapshot()/Restore() pair in the tree (engine, protocol worlds, the
-// decor facade, chaos checkpoints, session fast-restore). The format is
+// decor facade, chaos checkpoints, session records). The format is
 // deliberately dumb — varint integers, IEEE-754 float bits, length-
 // prefixed byte strings — because determinism is the whole point: the
 // same state always encodes to the same bytes, and decoding never

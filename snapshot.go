@@ -12,9 +12,10 @@ import (
 // parameters, sensors (with per-sensor radii) and the exact RNG state —
 // such that RestoreDeployment yields a field observably identical to the
 // original: equal operation sequences on both produce equal results,
-// including every future random draw. The session layer uses this as the
-// fast evict/restore path, with full event-log replay kept as the
-// differential oracle.
+// including every future random draw. A session's sealed record carries
+// these bytes, so a session is its field, not its history: restore
+// reads the record back and a damaged one is an error. Replaying the
+// session's spec and events from genesis is the tests' oracle only.
 
 // Snapshot serializes the deployment to the snap envelope format.
 func (d *Deployment) Snapshot() []byte {
