@@ -91,15 +91,18 @@ gate-smoke:
 	$(GO) test -race -count=10 -run '^TestGateBooksBalanceUnderConcurrency$$|^TestCloseDrainsAdmittedCalls$$' -timeout 300s ./internal/admit/
 	$(GO) test -race -count=10 -run '^TestFieldEventsDoNotWaitBehindPlans$$|^TestFollowerOutlivesLeaderDeadline$$|^TestFollowerOfRefusedLeaderTakesItsOwnTurn$$|^TestPanickingLeaderReleasesFollowers$$|^TestOverloadBurstLeavesNothingBehind$$' -timeout 300s ./internal/service/
 
-# Fuzz smoke: the number parser's and the request decoders' parity
-# fuzzers each run 20000 generated inputs past their committed corpora,
-# so the fast paths keep being explored against their oracles (the
-# number() + strconv readers, encoding/json). A failing input is written
-# under the package's testdata/fuzz/ for replay with plain `go test`.
+# Fuzz smoke: the parity fuzzers of the number and string readers, the
+# request decoders and the event-stream scanner each run 20000 generated
+# inputs past their committed corpora, so the one decoder keeps being
+# explored against its oracles (the number() + strconv readers,
+# encoding/json plus the key rules). A failing input is written under
+# the package's testdata/fuzz/ for replay with plain `go test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecNumberParity$$' -fuzztime 20000x ./internal/jsonx/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecStringParity$$' -fuzztime 20000x ./internal/jsonx/
 	$(GO) test -run '^$$' -fuzz '^FuzzRequestDecodeParity$$' -fuzztime 20000x ./internal/service/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRepairRequest$$' -fuzztime 20000x ./internal/service/
+	$(GO) test -run '^$$' -fuzz '^FuzzEventStreamParity$$' -fuzztime 20000x ./internal/service/
 
 # Coverage gate: combined statement coverage of internal/sim (with
 # invariant and simtest) and internal/protocol, exercised by their own

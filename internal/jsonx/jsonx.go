@@ -1,7 +1,7 @@
 // Package jsonx is the serving layer's hand-rolled JSON kernel: pooled
 // byte buffers, append-based encoders whose output is byte-identical to
-// encoding/json, and zero-allocation decode primitives for the common
-// wire shapes (DESIGN.md §16).
+// encoding/json, and the tokenizer that reads every request body and
+// event stream (DESIGN.md §16).
 //
 // The rules of the game:
 //
@@ -14,13 +14,10 @@
 //     single response byte. Parity is enforced by fuzz + table tests in
 //     the consuming packages.
 //
-//   - Decoding is fast-path-or-bail: Dec's primitives accept only the
-//     unambiguous common grammar (exact lowercase keys, escape-free
-//     ASCII strings, plain number literals) and report ok=false for
-//     anything else. Callers MUST fall back to encoding/json on a bail,
-//     which keeps acceptance, results, and error messages identical to
-//     the stdlib by construction — the fast path is an optimization,
-//     never a second grammar.
+//   - Decoding has one path: Dec's primitives decode keys, strings and
+//     numbers to the values encoding/json gives them, and report
+//     ok=false where the input leaves the grammar. encoding/json lives
+//     on in the tests, here and in the consuming packages, as the oracle.
 package jsonx
 
 import (

@@ -170,17 +170,22 @@ func TestDecPrimitives(t *testing.T) {
 	}
 }
 
+// TestDecBails: every primitive fails where its input leaves the
+// grammar.
 func TestDecBails(t *testing.T) {
 	bails := []struct {
 		name string
 		run  func() bool
 	}{
-		{"key with uppercase", func() bool { _, ok := (&Dec{Data: []byte(`"Kk":`)}).Key(); return ok }},
-		{"key with escape", func() bool { _, ok := (&Dec{Data: []byte(`"a\"b":`)}).Key(); return ok }},
 		{"key missing colon", func() bool { _, ok := (&Dec{Data: []byte(`"k" 1`)}).Key(); return ok }},
-		{"string with escape", func() bool { _, ok := (&Dec{Data: []byte(`"a\"b"`)}).Str(); return ok }},
-		{"string non-ascii", func() bool { _, ok := (&Dec{Data: []byte(`"héllo"`)}).Str(); return ok }},
+		{"key unterminated", func() bool { _, ok := (&Dec{Data: []byte(`"kk`)}).Key(); return ok }},
+		{"key with bad escape", func() bool { _, ok := (&Dec{Data: []byte(`"K\x":`)}).Key(); return ok }},
 		{"string unterminated", func() bool { _, ok := (&Dec{Data: []byte(`"abc`)}).Str(); return ok }},
+		{"string with control byte", func() bool { _, ok := (&Dec{Data: []byte("\"a\nb\"")}).Str(); return ok }},
+		{"string with bad escape", func() bool { _, ok := (&Dec{Data: []byte(`"a\'b"`)}).Str(); return ok }},
+		{"string with short \\u", func() bool { _, ok := (&Dec{Data: []byte(`"\u12"`)}).Str(); return ok }},
+		{"string ending in \\", func() bool { _, ok := (&Dec{Data: []byte(`"a\`)}).Str(); return ok }},
+		{"null cut short", func() bool { return (&Dec{Data: []byte(`nul`)}).Null() }},
 		{"int with fraction", func() bool { _, ok := (&Dec{Data: []byte(`3.0`)}).Int(); return ok }},
 		{"int with exponent", func() bool { _, ok := (&Dec{Data: []byte(`1e2`)}).Int(); return ok }},
 		{"int overflow", func() bool { _, ok := (&Dec{Data: []byte(`99999999999999999999`)}).Int(); return ok }},
@@ -195,6 +200,72 @@ func TestDecBails(t *testing.T) {
 			t.Errorf("%s: ok=true, want bail", c.name)
 		}
 	}
+}
+
+// strOracle reads data as one JSON string with encoding/json, the way
+// callers read a string with Str: ok is false for anything else, null
+// included.
+func strOracle(data []byte) (string, bool) {
+	var s *string
+	if err := json.Unmarshal(data, &s); err != nil || s == nil {
+		return "", false
+	}
+	return *s, true
+}
+
+// checkStringParity reads data as a string value with Str, and as an
+// object key with Key, and fails unless both agree with the oracle on
+// acceptance and decoded bytes.
+func checkStringParity(t testing.TB, data []byte) {
+	want, wantOK := strOracle(data)
+	d := Dec{Data: data}
+	s, ok := d.Str()
+	if ok = ok && d.AtEnd(); ok != wantOK || ok && string(s) != want {
+		t.Fatalf("Str(%q) = %q, %v; encoding/json: %q, %v", data, s, ok, want, wantOK)
+	}
+	d = Dec{Data: append(append([]byte(nil), data...), ':')}
+	k, ok := d.Key()
+	if ok = ok && d.AtEnd(); ok != wantOK || ok && string(k) != want {
+		t.Fatalf("Key(%q:) = %q, %v; encoding/json: %q, %v", data, k, ok, want, wantOK)
+	}
+}
+
+// stringEdges are string literals at the edges of JSON's string grammar
+// and of UTF-8 and UTF-16.
+var stringEdges = []string{
+	`""`, `"a"`, `"field_side"`, `"Field_Side"`, `"halton-scrambled"`, ` "ws" `,
+	`"\"\\\/\b\f\n\r\t"`, `"\u0041\u00e9\u4e16\uFFFD"`, `"\u0000"`,
+	`"\ud83c\udf89"`, `"\uD83C\uDF89"`, `"\ud83c"`, `"\udf89"`, `"\udf89\ud83c"`,
+	`"\ud83c\u0041"`, `"\ud83c\ud83c\udf89"`, `"\ud83cx"`, `"\ud83c\"`, `"\ud83c\u12"`,
+	"\"h\xc3\xa9llo \xe4\xb8\x96 \xf0\x9f\x8e\x89\"", "\"\xff\xfe\"", "\"\xed\xa0\x80\"",
+	"\"\xe2\x82\"", "\"\xef\xbf\xbd\"", "\"\x7f\"", "\"\x1f\"", "\"\t\"",
+	`"\x"`, `"\'"`, `"\U0041"`, `"\u00g0"`, `"\u12`, `"\`, `"abc`, `abc"`, `null`, `"a" "b"`,
+}
+
+func TestDecStringParity(t *testing.T) {
+	for _, s := range stringEdges {
+		checkStringParity(t, []byte(s))
+	}
+	// An escape-free ASCII string is a view of Data, never a copy.
+	d := Dec{Data: []byte(`"plain"`)}
+	if s, ok := d.Str(); !ok || &s[0] != &d.Data[1] {
+		t.Errorf("Str copied an escape-free string")
+	}
+	data := []byte(`"Plain ASCII, not a key"`)
+	if n := testing.AllocsPerRun(100, func() {
+		d := Dec{Data: data}
+		d.Str()
+	}); n != 0 {
+		t.Errorf("Str of an escape-free string: %v allocs", n)
+	}
+}
+
+// FuzzDecStringParity holds Str and Key to encoding/json on any input.
+func FuzzDecStringParity(f *testing.F) {
+	for _, s := range stringEdges {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { checkStringParity(t, data) })
 }
 
 func TestDecNumberForms(t *testing.T) {

@@ -33,8 +33,7 @@ func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 // already skipped) and builds its value in the same pass. It stops at
 // the first byte outside the number grammar ("01" scans as "0" leaving
 // "1"), so callers must keep checking structure afterwards — a leftover
-// byte fails the next Consume and routes the request to the stdlib
-// fallback. On a grammar error d.Pos does not move.
+// byte fails the next Consume. On a grammar error d.Pos does not move.
 func (d *Dec) scan() (n number, ok bool) {
 	data, i := d.Data, d.Pos
 	if i < len(data) && data[i] == '-' {
@@ -117,9 +116,9 @@ func digits(data []byte, i int, man uint64, nd int, trunc bool) (int, uint64, in
 }
 
 // Int consumes an integer literal that fits in int64. Fractions,
-// exponents and overflow bail, exactly where strconv.ParseInt errs (the
-// stdlib rejects those into Go ints too, so the fallback reproduces its
-// error).
+// exponents and overflow fail, exactly where strconv.ParseInt errs, as
+// encoding/json refuses them into Go ints. A literal that scans but
+// fails leaves d.Pos past it.
 func (d *Dec) Int() (v int64, ok bool) {
 	d.SkipWS()
 	n, ok := d.scan()
@@ -162,7 +161,7 @@ func (d *Dec) Uint() (v uint64, ok bool) {
 // (more than 19 significant digits, or a halfway case Eisel–Lemire
 // declines). Each returns the correctly rounded value, so accepted
 // values are bit-identical to strconv.ParseFloat's, the routine
-// encoding/json uses; a range error bails to the stdlib's error.
+// encoding/json uses; a range error fails, as it does there.
 func (d *Dec) Float() (f float64, ok bool) {
 	d.SkipWS()
 	start := d.Pos

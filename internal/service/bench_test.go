@@ -24,7 +24,9 @@ import (
 
 // benchWriter is a minimal ResponseWriter: a persistent header map, a
 // counting Write, and an optional capture buffer for setup phases that
-// need to read the response back. Steady-state use allocates nothing.
+// need to read the response back. Like net/http's own writers, it takes
+// the NDJSON handler's full-duplex switch. Steady-state use allocates
+// nothing.
 type benchWriter struct {
 	h       http.Header
 	status  int
@@ -33,8 +35,9 @@ type benchWriter struct {
 
 func newBenchWriter() *benchWriter { return &benchWriter{h: make(http.Header, 8)} }
 
-func (w *benchWriter) Header() http.Header { return w.h }
-func (w *benchWriter) WriteHeader(s int)   { w.status = s }
+func (w *benchWriter) Header() http.Header     { return w.h }
+func (w *benchWriter) WriteHeader(s int)       { w.status = s }
+func (w *benchWriter) EnableFullDuplex() error { return nil }
 func (w *benchWriter) Write(b []byte) (int, error) {
 	if w.capture != nil {
 		w.capture.Write(b)
@@ -137,7 +140,7 @@ func repairBody(n int) string {
 }
 
 // BenchmarkServePlanCacheHit is the acceptance hot path: a warm
-// cache-hit /v1/plan, request decode through the fast parser, response
+// cache-hit /v1/plan, request decode through the codec's parser, response
 // straight from the byte cache. Gated at <= 10 allocs/request.
 func BenchmarkServePlanCacheHit(b *testing.B) {
 	p := newPlanRig(b, Config{}, planBody(7))

@@ -1,10 +1,8 @@
 package service
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -17,11 +15,11 @@ import (
 
 // This file is the serving layer's hand-rolled codec (DESIGN.md §16):
 // append-based encoders whose bytes are identical to encoding/json's,
-// and fast-path request parsers that bail to encoding/json on anything
-// outside the common grammar. Byte parity is a hard invariant — the
-// plan cache, the flight group, and X-Decor-Cache all promise that one
-// request body maps to one response byte string regardless of which
-// path (miss, hit, coalesced, replayed delta) produced it.
+// and the one parser of request bodies and event streams, on jsonx.Dec.
+// Byte parity is a hard invariant — the plan cache, the flight group,
+// and X-Decor-Cache all promise that one request body maps to one
+// response byte string regardless of which path (miss, hit, coalesced,
+// replayed delta) produced it.
 
 // reqKey is the canonical request hash used by the plan cache and the
 // flight group (requestKey). A fixed-size array key costs no allocation
@@ -187,9 +185,8 @@ func appendKeyName(b []byte, s string) []byte {
 // ---------------------------------------------------------------------
 
 // readBody drains r into the pooled buffer *buf and returns the bytes.
-// A MaxBytesReader limit trip maps to the same 413 apiError decodeJSON
-// produced; any other read failure wraps exactly as the stream decoder
-// used to surface it.
+// A MaxBytesReader limit trip is a 413; any other read failure is a
+// 400.
 func readBody(r io.Reader, buf *[]byte) ([]byte, error) {
 	b := (*buf)[:0]
 	for {
@@ -215,50 +212,60 @@ func readBody(r io.Reader, buf *[]byte) ([]byte, error) {
 }
 
 // ---------------------------------------------------------------------
-// Fast-path request decoding
+// Request decoding
 // ---------------------------------------------------------------------
 
-// internName returns a copy of b as a string, reusing the static name
-// for the generator/method vocabulary so the hot path never allocates
-// for a name the server actually recognizes.
-func internName(b []byte) string {
-	switch string(b) { // compiled to an alloc-free comparison
-	case "halton":
-		return "halton"
-	case "hammersley":
-		return "hammersley"
-	case "sobol":
-		return "sobol"
-	case "uniform":
-		return "uniform"
-	case "jittered":
-		return "jittered"
-	case "lhs":
-		return "lhs"
-	case "faure":
-		return "faure"
-	case "halton-scrambled":
-		return "halton-scrambled"
-	case "centralized":
-		return "centralized"
-	case "random":
-		return "random"
-	case "grid-small":
-		return "grid-small"
-	case "grid-big":
-		return "grid-big"
-	case "voronoi-small":
-		return "voronoi-small"
-	case "voronoi-big":
-		return "voronoi-big"
-	case "lattice":
-		return "lattice"
-	}
-	return string(b)
+// The request keys, one bit each. Keys match exactly, and a key seen
+// twice in one object is refused: encoding/json would fold case, and
+// decode a second "sensors" array into the first one's elements.
+const (
+	keyFieldSide uint16 = 1 << iota
+	keyK
+	keyRs
+	keyRc
+	keyNumPoints
+	keyGenerator
+	keySeed
+	keySensors
+	keyScatter
+	keyMethod
+	keyTimeoutMS
+	keyFailed
+	keyFieldID
+	planKeys = keyFailed - 1
+)
+
+var requestKeys = map[string]uint16{
+	"field_side": keyFieldSide, "k": keyK, "rs": keyRs, "rc": keyRc,
+	"num_points": keyNumPoints, "generator": keyGenerator, "seed": keySeed,
+	"sensors": keySensors, "scatter": keyScatter, "method": keyMethod,
+	"timeout_ms": keyTimeoutMS, "failed": keyFailed, "field_id": keyFieldID,
 }
 
-// decInt narrows a fast-parsed integer into int, bailing on platforms
-// where it would not round-trip.
+// knownNames maps each generator and method name the server accepts to
+// itself.
+var knownNames = func() map[string]string {
+	m := make(map[string]string)
+	for _, set := range []map[string]bool{validGenSet, validMethodSet} {
+		for n := range set {
+			m[n] = n
+		}
+	}
+	return m
+}()
+
+// readName reads a generator or method name. A name the server accepts
+// comes back as its static string, so it costs no allocation.
+func readName(d *jsonx.Dec) (string, bool) {
+	s, ok := d.Str()
+	if n, known := knownNames[string(s)]; known {
+		return n, ok
+	}
+	return string(s), ok
+}
+
+// decInt narrows an integer into int, failing on platforms where it
+// would not round-trip.
 func decInt(d *jsonx.Dec) (int, bool) {
 	v, ok := d.Int()
 	if !ok || int64(int(v)) != v {
@@ -267,138 +274,235 @@ func decInt(d *jsonx.Dec) (int, bool) {
 	return int(v), true
 }
 
-// fastParsePlanFields parses one JSON object's worth of PlanRequest
-// fields into pr. Keys outside the plan vocabulary go to extra (nil
-// extra means bail); any grammar the fast path cannot prove equivalent
-// to encoding/json's reading — escapes, nulls, case-folded keys,
-// unknown fields, a repeated key — reports false, and the caller MUST
-// rerun the stdlib decoder over the same bytes for exact acceptance and
-// error parity. (On a repeated "sensors" key encoding/json decodes the
-// second array into the first array's elements.)
-func fastParsePlanFields(d *decoder, pr *PlanRequest, extra func(key []byte, d *decoder) bool) bool {
+// decoder is the per-body decode state: the cursor, plus the scratch a
+// sensor or failed list is parsed into. Decoders are pooled to keep
+// that scratch warm; what a pooled decoder retains is bounded by the
+// body size limit.
+type decoder struct {
+	jsonx.Dec
+	sensors []rawSensor
+	ints    []int
+}
+
+// rawSensor is one parsed sensor object before its ID is interned.
+type rawSensor struct {
+	x, y  float64
+	id    int
+	hasID bool
+}
+
+var decPool = sync.Pool{New: func() any { return new(decoder) }}
+
+func getDecoder(data []byte) *decoder {
+	d := decPool.Get().(*decoder)
+	d.Data, d.Pos = data, 0
+	return d
+}
+
+func putDecoder(d *decoder) {
+	d.Data = nil // don't pin the (pooled) body buffer
+	decPool.Put(d)
+}
+
+// decodeRequest decodes one request body: the plan fields into pr, and
+// "failed" and "field_id" into failed and fieldID, each nil where the
+// endpoint does not take it. A failed list is copied out of the
+// decoder's scratch at its exact size.
+func decodeRequest(data []byte, pr *PlanRequest, failed *[]int, fieldID *string) error {
+	d := getDecoder(data)
+	defer putDecoder(d)
+	if err := d.object(pr, failed, fieldID); err != nil {
+		return badRequest("invalid JSON: %v", err)
+	}
+	if !d.AtEnd() {
+		return badRequest("trailing data after request object")
+	}
+	if failed != nil && *failed != nil {
+		*failed = append(make([]int, 0, len(*failed)), *failed...)
+	}
+	return nil
+}
+
+// object decodes one request object. A key whose destination is nil is
+// unknown; a failed list is left in the decoder's scratch. null, as the
+// object, a field or a list element, leaves its destination as it is.
+func (d *decoder) object(pr *PlanRequest, failed *[]int, fieldID *string) error {
 	if !d.Consume('{') {
-		return false
+		if d.Null() {
+			return nil
+		}
+		return d.syntaxError()
 	}
-	if d.Consume('}') {
-		return true
+	var allowed, seen uint16
+	if pr != nil {
+		allowed |= planKeys
 	}
-	var seen uint16 // one bit per key; every extra hook takes one key
-	for {
+	if failed != nil {
+		allowed |= keyFailed
+	}
+	if fieldID != nil {
+		allowed |= keyFieldID
+	}
+	for !d.Consume('}') {
+		if seen != 0 && !d.Consume(',') {
+			return d.syntaxError()
+		}
+		at := d.Pos
 		key, ok := d.Key()
 		if !ok {
-			return false
+			return d.syntaxError()
 		}
-		var bit uint16
-		switch string(key) {
-		case "field_side":
-			bit = 1 << 0
-			pr.FieldSide, ok = d.Float()
-		case "k":
-			bit = 1 << 1
-			pr.K, ok = decInt(&d.Dec)
-		case "rs":
-			bit = 1 << 2
-			pr.Rs, ok = d.Float()
-		case "rc":
-			bit = 1 << 3
-			pr.Rc, ok = d.Float()
-		case "num_points":
-			bit = 1 << 4
-			pr.NumPoints, ok = decInt(&d.Dec)
-		case "generator":
-			bit = 1 << 5
-			var s []byte
-			s, ok = d.Str()
-			pr.Generator = internName(s)
-		case "seed":
-			bit = 1 << 6
-			pr.Seed, ok = d.Uint()
-		case "sensors":
-			bit = 1 << 7
-			pr.Sensors, ok = d.sensorList()
-		case "scatter":
-			bit = 1 << 8
-			pr.Scatter, ok = decInt(&d.Dec)
-		case "method":
-			bit = 1 << 9
-			var s []byte
-			s, ok = d.Str()
-			pr.Method = internName(s)
-		case "timeout_ms":
-			bit = 1 << 10
-			pr.TimeoutMS, ok = decInt(&d.Dec)
-		default:
-			bit = 1 << 15
-			ok = extra != nil && extra(key, d)
-		}
-		if !ok || seen&bit != 0 {
-			return false
+		bit := requestKeys[string(key)]
+		switch {
+		case bit&allowed == 0:
+			return d.keyError("unknown key", at)
+		case bit&seen != 0:
+			return d.keyError("repeated key", at)
 		}
 		seen |= bit
-		if d.Consume(',') {
-			continue
+		var err error
+		if !d.Null() { // null leaves the destination as it is
+			switch bit {
+			case keyFieldSide:
+				pr.FieldSide, ok = d.Float()
+			case keyK:
+				pr.K, ok = decInt(&d.Dec)
+			case keyRs:
+				pr.Rs, ok = d.Float()
+			case keyRc:
+				pr.Rc, ok = d.Float()
+			case keyNumPoints:
+				pr.NumPoints, ok = decInt(&d.Dec)
+			case keyGenerator:
+				pr.Generator, ok = readName(&d.Dec)
+			case keySeed:
+				pr.Seed, ok = d.Uint()
+			case keySensors:
+				pr.Sensors, ok, err = d.sensorList()
+			case keyScatter:
+				pr.Scatter, ok = decInt(&d.Dec)
+			case keyMethod:
+				pr.Method, ok = readName(&d.Dec)
+			case keyTimeoutMS:
+				pr.TimeoutMS, ok = decInt(&d.Dec)
+			case keyFailed:
+				*failed, ok = d.intList()
+			case keyFieldID:
+				var s []byte
+				s, ok = d.Str()
+				*fieldID = string(s)
+			}
 		}
-		return d.Consume('}')
+		if err != nil {
+			return err
+		}
+		if !ok {
+			return d.keyError("invalid value for key", at)
+		}
+	}
+	return nil
+}
+
+// syntaxError reports the byte where the input leaves JSON's grammar.
+func (d *decoder) syntaxError() error {
+	if d.Pos >= len(d.Data) {
+		return errors.New("unexpected end of input")
+	}
+	return fmt.Errorf("invalid character %q at byte %d", d.Data[d.Pos], d.Pos)
+}
+
+// keyError names the key at at, after any whitespace, and its offset.
+func (d *decoder) keyError(what string, at int) error {
+	d.Pos = at
+	d.SkipWS()
+	at = d.Pos
+	key, _ := d.Key()
+	return fmt.Errorf("%s %q at byte %d", what, key, at)
+}
+
+// sensorList parses a sensor array through the decoder's scratch, and
+// internSensors copies it out. It reports false for a value that is no
+// such list, and an error for a key inside a sensor that is unknown,
+// repeated or holds an invalid value.
+func (d *decoder) sensorList() ([]SensorSpec, bool, error) {
+	if !d.Consume('[') {
+		return nil, false, nil
+	}
+	raw := d.sensors[:0]
+	if !d.Consume(']') {
+		for {
+			var s rawSensor
+			if ok, err := d.sensor(&s); !ok {
+				return nil, false, err
+			}
+			raw = append(raw, s)
+			if d.Consume(',') {
+				continue
+			}
+			if !d.Consume(']') {
+				return nil, false, nil
+			}
+			break
+		}
+	}
+	d.sensors = raw
+	return internSensors(raw), true, nil
+}
+
+// sensor parses one sensor object, or null, into s, reporting as
+// sensorList does.
+func (d *decoder) sensor(s *rawSensor) (bool, error) {
+	if !d.Consume('{') {
+		return d.Null(), nil
+	}
+	if d.Consume('}') {
+		return true, nil
+	}
+	var seen uint8
+	for {
+		at := d.Pos
+		key, ok := d.Key()
+		if !ok {
+			return false, nil
+		}
+		start := d.Pos
+		var bit uint8
+		switch string(key) {
+		case "id":
+			bit = 1
+			s.id, s.hasID = decInt(&d.Dec)
+			ok = s.hasID
+		case "x":
+			bit = 2
+			s.x, ok = d.Float()
+		case "y":
+			bit = 4
+			s.y, ok = d.Float()
+		default:
+			return false, d.keyError("unknown key", at)
+		}
+		if !ok {
+			ok = d.nullAt(start)
+		}
+		switch {
+		case seen&bit != 0:
+			return false, d.keyError("repeated key", at)
+		case !ok:
+			return false, d.keyError("invalid value for key", at)
+		}
+		seen |= bit
+		if !d.Consume(',') {
+			return d.Consume('}'), nil
+		}
 	}
 }
 
-// sensorList parses a sensor array into the decoder's scratch, then
-// hands it to internSensors.
-func (d *decoder) sensorList() ([]SensorSpec, bool) {
-	if !d.Consume('[') {
-		return nil, false
-	}
-	raw := d.sensors[:0]
-	if d.Consume(']') {
-		return internSensors(raw), true
-	}
-	for {
-		var s rawSensor
-		if !d.Consume('{') {
-			return nil, false
-		}
-		if !d.Consume('}') {
-			for {
-				key, ok := d.Key()
-				if !ok {
-					return nil, false
-				}
-				switch string(key) {
-				case "id":
-					if s.id, ok = decInt(&d.Dec); !ok {
-						return nil, false
-					}
-					s.hasID = true
-				case "x":
-					if s.x, ok = d.Float(); !ok {
-						return nil, false
-					}
-				case "y":
-					if s.y, ok = d.Float(); !ok {
-						return nil, false
-					}
-				default:
-					return nil, false
-				}
-				if d.Consume(',') {
-					continue
-				}
-				if d.Consume('}') {
-					break
-				}
-				return nil, false
-			}
-		}
-		raw = append(raw, s)
-		if d.Consume(',') {
-			continue
-		}
-		if d.Consume(']') {
-			d.sensors = raw
-			return internSensors(raw), true
-		}
-		return nil, false
-	}
+// nullAt reads null at the start of a value that failed to read as a
+// number, leaving the number's destination zero. It restarts there
+// because where a failed number stopped, "1.5null" would read as null.
+func (d *decoder) nullAt(start int) bool {
+	d.Pos = start
+	return d.Null()
 }
 
 // internSensors copies parsed sensors out at their exact size, with
@@ -424,138 +528,30 @@ func internSensors(raw []rawSensor) []SensorSpec {
 	return out
 }
 
-// intList parses an integer array through the decoder's scratch and
-// copies it out at its exact size.
+// intList parses an integer array into the decoder's scratch: "[]" is
+// a non-nil empty list, as encoding/json reads it, and a null element
+// reads as 0.
 func (d *decoder) intList() ([]int, bool) {
-	v, ok := fastParseInts(&d.Dec, d.ints)
-	if !ok {
-		return nil, false
-	}
-	d.ints = v[:0]
-	return append(make([]int, 0, len(v)), v...), true
-}
-
-// fastParseInts parses a JSON array of integers into scratch's backing
-// array. "[]"-for-empty matches stdlib's non-nil empty slice.
-func fastParseInts(d *jsonx.Dec, scratch []int) ([]int, bool) {
 	if !d.Consume('[') {
 		return nil, false
 	}
-	out := scratch[:0]
+	out := d.ints[:0]
 	if out == nil {
 		out = make([]int, 0)
 	}
-	if d.Consume(']') {
-		return out, true
-	}
-	for {
-		v, ok := decInt(d)
-		if !ok {
+	for !d.Consume(']') {
+		if len(out) > 0 && !d.Consume(',') {
+			return nil, false
+		}
+		start := d.Pos
+		v, ok := decInt(&d.Dec)
+		if !ok && !d.nullAt(start) {
 			return nil, false
 		}
 		out = append(out, v)
-		if d.Consume(',') {
-			continue
-		}
-		if d.Consume(']') {
-			return out, true
-		}
-		return nil, false
 	}
-}
-
-// finishFast applies decodeJSON's trailing-data rule to a fast-parsed
-// body: trailing whitespace is fine, anything else is the same 400.
-func finishFast(d *jsonx.Dec) error {
-	if !d.AtEnd() {
-		return badRequest("trailing data after request object")
-	}
-	return nil
-}
-
-// decoder is the per-body decode state: the cursor, plus the scratch a
-// sensor or failed list is parsed into before it is copied out. It is
-// pooled: a stack value would be free, but the field-hook closure in
-// fastParsePlanFields makes escape analysis move it to the heap on every
-// call, and the pool also keeps the scratch warm. The scratch a pooled
-// decoder retains is bounded by the body size limit.
-type decoder struct {
-	jsonx.Dec
-	sensors []rawSensor
-	ints    []int
-}
-
-// rawSensor is one parsed sensor object before its ID is interned.
-type rawSensor struct {
-	x, y  float64
-	id    int
-	hasID bool
-}
-
-var decPool = sync.Pool{New: func() any { return new(decoder) }}
-
-func getDecoder(data []byte) *decoder {
-	d := decPool.Get().(*decoder)
-	d.Dec = jsonx.Dec{Data: data}
-	return d
-}
-
-func putDecoder(d *decoder) {
-	d.Data = nil // don't pin the (pooled) body buffer
-	decPool.Put(d)
-}
-
-// decodePlanRequest decodes one /v1/plan body: fast path first, stdlib
-// fallback (over the identical bytes, after resetting pr) on any bail.
-func decodePlanRequest(data []byte, pr *PlanRequest) error {
-	d := getDecoder(data)
-	defer putDecoder(d)
-	if fastParsePlanFields(d, pr, nil) {
-		return finishFast(&d.Dec)
-	}
-	*pr = PlanRequest{}
-	return decodeJSON(bytes.NewReader(data), pr)
-}
-
-// decodeRepairRequest decodes one /v1/repair body the same way.
-func decodeRepairRequest(data []byte, rr *RepairRequest) error {
-	d := getDecoder(data)
-	defer putDecoder(d)
-	ok := fastParsePlanFields(d, &rr.PlanRequest, func(key []byte, d *decoder) bool {
-		if string(key) != "failed" {
-			return false
-		}
-		var ok bool
-		rr.Failed, ok = d.intList()
-		return ok
-	})
-	if ok {
-		return finishFast(&d.Dec)
-	}
-	*rr = RepairRequest{}
-	return decodeJSON(bytes.NewReader(data), rr)
-}
-
-// decodeFieldRequest decodes one POST /v1/fields body.
-func decodeFieldRequest(data []byte, fr *FieldRequest) error {
-	d := getDecoder(data)
-	defer putDecoder(d)
-	ok := fastParsePlanFields(d, &fr.PlanRequest, func(key []byte, d *decoder) bool {
-		if string(key) != "field_id" {
-			return false
-		}
-		s, ok := d.Str()
-		if !ok {
-			return false
-		}
-		fr.FieldID = string(s)
-		return true
-	})
-	if ok {
-		return finishFast(&d.Dec)
-	}
-	*fr = FieldRequest{}
-	return decodeJSON(bytes.NewReader(data), fr)
+	d.ints = out
+	return out, true
 }
 
 // ---------------------------------------------------------------------
@@ -563,20 +559,17 @@ func decodeFieldRequest(data []byte, fr *FieldRequest) error {
 // ---------------------------------------------------------------------
 
 // eventScanner reads the whitespace-separated stream of failure-event
-// objects from a request body the way json.Decoder did, without a
-// json.Unmarshal per event: objects are lexed out of a single pooled
-// buffer and fast-parsed into a reused []int. The moment the stream
-// leaves the fast grammar — a non-object value, a mid-object EOF, an
-// escape, an unknown field — the scanner hands the unconsumed bytes to
-// a real json.Decoder and stays there, so every acceptance decision and
-// error string on the slow path is the stdlib's.
+// objects from a request body: each object is lexed out of a single
+// pooled buffer, then decoded by the request parser with "failed" as its
+// only key, into a failed list that stays in the scanner's scratch. An
+// event must be an object; any other value, null included, ends the
+// stream with an error, as a malformed or cut-off object does.
 type eventScanner struct {
-	body     io.Reader
-	bufp     *[]byte
-	pos      int
-	eof      bool
-	fallback *json.Decoder
-	scratch  []int
+	body io.Reader
+	bufp *[]byte
+	pos  int
+	eof  bool
+	dec  decoder
 }
 
 func newEventScanner(body io.Reader) *eventScanner {
@@ -612,33 +605,11 @@ func (sc *eventScanner) fill() (bool, error) {
 	return n > 0 || !sc.eof, nil
 }
 
-// switchToFallback routes everything from the current position on
-// through a stdlib decoder with the stream semantics the old handler
-// used, then serves the next event from it.
-func (sc *eventScanner) switchToFallback() ([]int, error) {
-	rest := (*sc.bufp)[sc.pos:]
-	var r io.Reader = sc.body
-	if sc.eof {
-		r = bytes.NewReader(rest)
-	} else if len(rest) > 0 {
-		r = io.MultiReader(bytes.NewReader(rest), sc.body)
-	}
-	sc.fallback = json.NewDecoder(r)
-	sc.fallback.DisallowUnknownFields()
-	return sc.next()
-}
-
 // next returns the failed-sensor list of the next event, io.EOF at the
-// clean end of the stream, or the error the old json.Decoder loop would
-// have surfaced. The returned slice is valid until the next call.
+// clean end of the stream, or the error that ends it, with offsets
+// counted from the stream's start. The slice is valid until the next
+// call.
 func (sc *eventScanner) next() ([]int, error) {
-	if sc.fallback != nil {
-		var ev EventRequest
-		if err := sc.fallback.Decode(&ev); err != nil {
-			return nil, err
-		}
-		return ev.Failed, nil
-	}
 	// Skip inter-value whitespace, filling as needed.
 	for {
 		b := *sc.bufp
@@ -657,7 +628,7 @@ func (sc *eventScanner) next() ([]int, error) {
 		}
 	}
 	if (*sc.bufp)[sc.pos] != '{' {
-		return sc.switchToFallback()
+		return nil, fmt.Errorf("event at byte %d is not an object", sc.pos)
 	}
 	// Lex one balanced object, filling as needed.
 	start := sc.pos
@@ -694,53 +665,15 @@ func (sc *eventScanner) next() ([]int, error) {
 			return nil, err
 		}
 		if !more && i >= len(*sc.bufp) {
-			// EOF mid-object: the stdlib decoder turns this into
-			// io.ErrUnexpectedEOF (or a syntax error); reproduce it.
-			return sc.switchToFallback()
+			return nil, fmt.Errorf("event at byte %d is cut off by the end of the stream", start)
 		}
 	}
 object:
-	obj := (*sc.bufp)[start:i]
 	sc.pos = i
-	if failed, ok := fastParseEvent(obj, sc.scratch); ok {
-		sc.scratch = failed[:0]
-		return failed, nil
-	}
-	// The object is balanced but outside the fast grammar: decode just
-	// its bytes with the stdlib for exact field/error semantics.
-	dec := json.NewDecoder(bytes.NewReader(obj))
-	dec.DisallowUnknownFields()
-	var ev EventRequest
-	if err := dec.Decode(&ev); err != nil {
+	sc.dec.Data, sc.dec.Pos = (*sc.bufp)[:i], start
+	var failed []int
+	if err := sc.dec.object(nil, &failed, nil); err != nil {
 		return nil, err
 	}
-	return ev.Failed, nil
-}
-
-// fastParseEvent parses {"failed":[ints]} into scratch's backing array.
-func fastParseEvent(data []byte, scratch []int) ([]int, bool) {
-	d := jsonx.Dec{Data: data}
-	if !d.Consume('{') {
-		return nil, false
-	}
-	if d.Consume('}') {
-		return scratch[:0], true
-	}
-	var failed []int
-	for {
-		key, ok := d.Key()
-		if !ok || string(key) != "failed" {
-			return nil, false
-		}
-		if failed, ok = fastParseInts(&d, scratch); !ok {
-			return nil, false
-		}
-		if d.Consume(',') {
-			continue
-		}
-		if !d.Consume('}') {
-			return nil, false
-		}
-		return failed, d.AtEnd()
-	}
+	return failed, nil
 }

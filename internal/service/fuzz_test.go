@@ -3,7 +3,6 @@ package service
 import (
 	"encoding/json"
 	"math"
-	"strings"
 	"testing"
 
 	"decor/internal/core"
@@ -38,10 +37,14 @@ func FuzzDecodePlanRequest(f *testing.F) {
 	// A repeated "sensors" key, which the fast decoder once read apart
 	// from encoding/json.
 	f.Add(`{"field_side":50,"k":1,"rs":4,"num_points":200,"sensors":[{"id":1,"x":1,"y":2}],"sensors":[{"x":5}],"method":"centralized"}`)
+	// Divergences from encoding/json, which accepts each: a case-folded
+	// key, and a repeated one.
+	f.Add(`{"field_side":50,"K":1,"rs":4}`)
+	f.Add(`{"field_side":50,"k":1,"rs":4,"k":2}`)
 	f.Fuzz(func(t *testing.T, body string) {
 		lim := DefaultLimits()
 		var pr PlanRequest
-		if err := decodeJSON(strings.NewReader(body), &pr); err != nil {
+		if err := decodeRequest([]byte(body), &pr, nil, nil); err != nil {
 			return // rejected at decode: fine, and no panic happened
 		}
 		norm, err := pr.normalize(lim)
@@ -105,7 +108,7 @@ func FuzzDecodePlanRequest(f *testing.F) {
 			t.Fatal(err)
 		}
 		var again PlanRequest
-		if err := decodePlanRequest(b, &again); err != nil {
+		if err := decodeRequest(b, &again, nil, nil); err != nil {
 			t.Fatalf("re-decoding %s: %v", b, err)
 		}
 		if again, err = again.normalize(lim); err != nil {
@@ -118,16 +121,23 @@ func FuzzDecodePlanRequest(f *testing.F) {
 }
 
 // FuzzDecodeRepairRequest extends the fuzz surface to the repair
-// decoder: failure references must never panic validation.
+// decoder: it must agree with the oracle, and failure references must
+// never panic validation.
 func FuzzDecodeRepairRequest(f *testing.F) {
 	f.Add(`{"field_side":50,"k":1,"rs":4,"sensors":[{"x":1,"y":1}],"failed":[0]}`)
 	f.Add(`{"field_side":50,"k":1,"rs":4,"failed":[99999999]}`)
 	f.Add(`{"field_side":50,"k":1,"rs":4,"scatter":3,"failed":[2,2]}`)
 	f.Add(`{"field_side":50,"k":1,"rs":4,"sensors":[{"id":7,"x":1,"y":1}],"scatter":3,"failed":[10,7,8]}`)
 	f.Add(`{"field_side":50,"k":1,"rs":4,"scatter":3,"failed":[]}`)
+	f.Add(`{"field_side":50,"k":1,"rs":4,"scatter":3,"failed":[1,null]}`)
+	// Divergences from encoding/json, which accepts each: a case-folded
+	// key inside a sensor, and a repeated failed list.
+	f.Add(`{"field_side":50,"k":1,"rs":4,"sensors":[{"X":1,"y":1}],"failed":[0]}`)
+	f.Add(`{"field_side":50,"k":1,"rs":4,"scatter":3,"failed":[0],"failed":[1]}`)
 	f.Fuzz(func(t *testing.T, body string) {
+		checkDecodeParity(t, "repair", []byte(body))
 		var rr RepairRequest
-		if err := decodeJSON(strings.NewReader(body), &rr); err != nil {
+		if err := decodeRequest([]byte(body), &rr.PlanRequest, &rr.Failed, nil); err != nil {
 			return
 		}
 		norm, err := rr.normalize(DefaultLimits())
@@ -143,7 +153,7 @@ func FuzzDecodeRepairRequest(f *testing.F) {
 			t.Fatal(err)
 		}
 		var again RepairRequest
-		if err := decodeRepairRequest(b, &again); err != nil {
+		if err := decodeRequest(b, &again.PlanRequest, &again.Failed, nil); err != nil {
 			t.Fatalf("re-decoding %s: %v", b, err)
 		}
 		if again, err = again.normalize(DefaultLimits()); err != nil {

@@ -216,6 +216,10 @@ func (sw *statusWriter) Write(b []byte) (int, error) {
 	return sw.ResponseWriter.Write(b)
 }
 
+// Unwrap lets http.ResponseController reach net/http's writer, as the
+// NDJSON event handler's full-duplex switch must.
+func (sw *statusWriter) Unwrap() http.ResponseWriter { return sw.ResponseWriter }
+
 // Flush forwards to the underlying writer so the SSE and NDJSON
 // streaming handlers still flush through the metrics wrapper.
 func (sw *statusWriter) Flush() {
@@ -236,15 +240,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // planCall holds one decoded /v1/plan or /v1/repair request while it is
-// served. Holders are pooled: the stdlib decode fallback takes the
-// request as an interface, so a local would move to the heap on every
-// request, cache hits included.
+// served.
 type planCall struct {
 	rr     RepairRequest // a plan uses rr.PlanRequest alone
 	repair bool
 }
-
-var planCallPool = sync.Pool{New: func() any { return new(planCall) }}
 
 func (c *planCall) key() reqKey {
 	if c.repair {
@@ -315,12 +315,10 @@ func (s *Server) servePlanLike(w http.ResponseWriter, r *http.Request, repair bo
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.Limits.MaxBodyBytes)
 
-	// Decode and normalize into a pooled holder: the fast-path codec
-	// reads the pooled body buffer, so a cache hit allocates nothing
-	// here beyond one exact-size copy of each sensor or failed-ID list.
-	c := planCallPool.Get().(*planCall)
-	defer planCallPool.Put(c)
-	*c = planCall{repair: repair}
+	// Decode and normalize: the codec reads the pooled body buffer, so a
+	// cache hit allocates nothing here beyond one exact-size copy of each
+	// sensor or failed-ID list.
+	c := &planCall{repair: repair}
 	pSpan := obs.Start(tctx, "parse", nil)
 	err := s.parseInto(r, c)
 	pSpan.End()
@@ -474,9 +472,8 @@ func (s *Server) plan(ctx context.Context, route, tenant string, c *planCall) ([
 	return body, err
 }
 
-// parseInto reads the request body into a pooled buffer and decodes it
-// through the fast-path codec (stdlib fallback on a bail), then
-// normalizes. A repair's failed-ID list rides along, and
+// parseInto reads the request body into a pooled buffer, decodes it
+// and normalizes it. A repair's failed-ID list rides along, and
 // repair-specific validation applies.
 func (s *Server) parseInto(r *http.Request, c *planCall) error {
 	buf := jsonx.GetBuf()
@@ -486,13 +483,13 @@ func (s *Server) parseInto(r *http.Request, c *planCall) error {
 		return err
 	}
 	if c.repair {
-		if err := decodeRepairRequest(data, &c.rr); err != nil {
+		if err := decodeRequest(data, &c.rr.PlanRequest, &c.rr.Failed, nil); err != nil {
 			return err
 		}
 		c.rr, err = c.rr.normalize(s.cfg.Limits)
 		return err
 	}
-	if err := decodePlanRequest(data, &c.rr.PlanRequest); err != nil {
+	if err := decodeRequest(data, &c.rr.PlanRequest, nil, nil); err != nil {
 		return err
 	}
 	c.rr.PlanRequest, err = c.rr.PlanRequest.normalize(s.cfg.Limits)

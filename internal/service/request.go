@@ -1,10 +1,7 @@
 package service
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"sync"
@@ -138,28 +135,6 @@ func (e *apiError) Error() string { return e.msg }
 
 func badRequest(format string, args ...any) error {
 	return &apiError{status: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
-}
-
-// decodeJSON strictly decodes one JSON object from r into dst: unknown
-// fields, trailing data and oversized bodies are errors. The returned
-// error is already an *apiError (400 or 413).
-func decodeJSON(r io.Reader, dst any) error {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			return &apiError{status: http.StatusRequestEntityTooLarge,
-				msg: fmt.Sprintf("request body exceeds %d bytes", maxErr.Limit)}
-		}
-		return badRequest("invalid JSON: %v", err)
-	}
-	// A second value after the object is a malformed request, not data
-	// for a future handler.
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		return badRequest("trailing data after request object")
-	}
-	return nil
 }
 
 // validGenSet / validMethodSet memoize the accepted name vocabularies at

@@ -144,15 +144,21 @@ func TestTimeoutResolution(t *testing.T) {
 	}
 }
 
+// TestDecodeJSONStrictness: the parser and its encoding/json oracle
+// both refuse a trailing value and an unknown key, and both allow
+// trailing whitespace.
 func TestDecodeJSONStrictness(t *testing.T) {
-	var pr PlanRequest
-	if err := decodeJSON(strings.NewReader(`{"field_side":50} {"k":1}`), &pr); err == nil {
-		t.Error("trailing object accepted")
-	}
-	if err := decodeJSON(strings.NewReader(`{"nope":1}`), &pr); err == nil {
-		t.Error("unknown field accepted")
-	}
-	if err := decodeJSON(strings.NewReader(`{"field_side":50}   `), &pr); err != nil {
-		t.Errorf("trailing whitespace rejected: %v", err)
+	for body, ok := range map[string]bool{
+		`{"field_side":50} {"k":1}`: false,
+		`{"nope":1}`:                false,
+		`{"field_side":50}   `:      true,
+	} {
+		var pr, std PlanRequest
+		if err := decodeRequest([]byte(body), &pr, nil, nil); (err == nil) != ok {
+			t.Errorf("%q: parser err %v, want accepted %v", body, err, ok)
+		}
+		if err := decodeJSON(strings.NewReader(body), &std); (err == nil) != ok {
+			t.Errorf("%q: encoding/json err %v, want accepted %v", body, err, ok)
+		}
 	}
 }

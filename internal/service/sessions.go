@@ -39,11 +39,6 @@ type FieldRequest struct {
 // hash input and a log token, not a document.
 const maxFieldIDLen = 128
 
-// EventRequest is one failure event on the NDJSON event stream.
-type EventRequest struct {
-	Failed []int `json:"failed"`
-}
-
 // spec converts the normalized request into the session's canonical
 // field description.
 func (fr FieldRequest) spec() session.Spec {
@@ -68,7 +63,8 @@ func (fr FieldRequest) spec() session.Spec {
 // sessionStatus maps the session package's sentinel errors onto the
 // HTTP status and message the API documents. Non-sentinel errors are
 // client errors: the only way to produce one on an established session
-// is to reference sensors that do not exist.
+// is to reference sensors that do not exist. A record that fails to
+// restore is the server's fault.
 func sessionStatus(err error) (int, string) {
 	switch {
 	case errors.Is(err, session.ErrNotFound):
@@ -81,6 +77,8 @@ func sessionStatus(err error) (int, string) {
 		return http.StatusTooManyRequests, err.Error()
 	case errors.Is(err, session.ErrSaturated), errors.Is(err, session.ErrClosed):
 		return http.StatusServiceUnavailable, err.Error()
+	case errors.Is(err, session.ErrRestore):
+		return http.StatusInternalServerError, err.Error()
 	}
 	return http.StatusBadRequest, err.Error()
 }
@@ -129,7 +127,7 @@ func (s *Server) handleFieldCreate(w http.ResponseWriter, r *http.Request) {
 	var fr FieldRequest
 	data, err := readBody(r.Body, buf)
 	if err == nil {
-		err = decodeFieldRequest(data, &fr)
+		err = decodeRequest(data, &fr.PlanRequest, nil, &fr.FieldID)
 	}
 	if err != nil {
 		s.badSessionRequest(w, err)
@@ -201,12 +199,17 @@ func writeInbandError(w http.ResponseWriter, buf *[]byte, msg string, retryAfter
 // works too, so `curl -d '{"failed":[3]}'` behaves as expected.
 //
 // Events pass through the pooled eventScanner: each object is lexed out
-// of a reused read buffer and fast-parsed into a reused failed-ID
-// scratch slice (the session manager copies what it retains), so a
-// steady event stream allocates nothing per event on the decode side.
+// of a reused read buffer and parsed into a reused failed-ID scratch
+// slice (the session manager copies what it retains), so a steady event
+// stream allocates nothing per event on the decode side.
 func (s *Server) handleFieldEvents(w http.ResponseWriter, r *http.Request) {
 	tenant := r.Header.Get(tenantHeader)
 	id := r.PathValue("id")
+	// Events are read while deltas are written. Over HTTP/1.1, net/http
+	// would otherwise drain the body before the first delta, and a client
+	// waiting for each delta before its next event would wait forever.
+	// HTTP/2 is always full duplex, so the error is not worth handling.
+	_ = http.NewResponseController(w).EnableFullDuplex()
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.Limits.MaxBodyBytes)
 	sc := newEventScanner(r.Body)
 	defer sc.close()

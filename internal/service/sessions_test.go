@@ -16,6 +16,7 @@ import (
 
 	"decor/internal/obs"
 	"decor/internal/session"
+	"decor/internal/snap"
 )
 
 // do issues a request with a tenant header against the test server.
@@ -408,6 +409,97 @@ func TestMidStreamRefusalCarriesRetryAfter(t *testing.T) {
 	want := fmt.Sprintf(`{"error":%q,"retry_after":%d}`, session.ErrClosed.Error(), s.svc.retryAfterSeconds())
 	if got := string(lines[1]); got != want {
 		t.Errorf("in-band refusal = %s, want %s", got, want)
+	}
+}
+
+// TestFieldEventsInterleaveOverHTTP1: one HTTP/1.1 request can carry a
+// conversation, a client waiting for each delta before it sends its
+// next event. Without full duplex, net/http drains the unread body
+// before the first delta's headers, and that client waits forever.
+func TestFieldEventsInterleaveOverHTTP1(t *testing.T) {
+	s := newTestServer(t, Config{})
+	if status, _, body := s.do(t, "POST", "/v1/fields", "t", fieldBody("f", 7)); status != http.StatusCreated {
+		t.Fatalf("create: %d %s", status, body)
+	}
+	pr, pw := io.Pipe()
+	t.Cleanup(func() { pw.Close() }) // runs before the server closes
+	req, err := http.NewRequest("POST", s.ts.URL+"/v1/fields/f/events", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(tenantHeader, "t")
+	type result struct {
+		resp *http.Response
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		done <- result{resp, err}
+	}()
+	if _, err := io.WriteString(pw, `{"failed":[1]}`+"\n"); err != nil {
+		t.Fatal(err)
+	}
+	var res result
+	select {
+	case res = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no response headers 10 s after the first event")
+	}
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	defer res.resp.Body.Close()
+	br := bufio.NewReader(res.resp.Body)
+	for seq := 1; seq <= 2; seq++ {
+		if seq == 2 {
+			if _, err := io.WriteString(pw, `{"failed":[2]}`+"\n"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		line, err := br.ReadBytes('\n')
+		if err != nil {
+			t.Fatalf("reading delta %d: %v", seq, err)
+		}
+		if d := decodeDelta(t, line); d.Seq != uint64(seq) || len(d.Failed) != 1 || d.Failed[0] != seq {
+			t.Errorf("delta seq %d names failed %v, want seq %d naming [%d]", d.Seq, d.Failed, seq, seq)
+		}
+	}
+	pw.Close()
+	if rest, err := io.ReadAll(br); err != nil || len(rest) != 0 {
+		t.Errorf("after the last event: %q, %v; want a clean end", rest, err)
+	}
+}
+
+// TestNonObjectEventRefused: an event must be an object. encoding/json
+// read a null event as one naming no sensor; the parser ends the stream
+// at any value that is not an object, with its own message and the same
+// status as before: a 400 ahead of the first delta, in-band after it.
+func TestNonObjectEventRefused(t *testing.T) {
+	s := newTestServer(t, Config{})
+	if status, _, body := s.do(t, "POST", "/v1/fields", "t", fieldBody("f", 7)); status != http.StatusCreated {
+		t.Fatalf("create: %d %s", status, body)
+	}
+	status, _, body := s.do(t, "POST", "/v1/fields/f/events", "t", " null")
+	if want := `{"error":"invalid event JSON: event at byte 1 is not an object"}` + "\n"; status != http.StatusBadRequest || string(body) != want {
+		t.Errorf("null event: %d %s, want 400 %s", status, body, want)
+	}
+	status, _, body = s.do(t, "POST", "/v1/fields/f/events", "t", "{\"failed\":[1]}\n[2]\n")
+	lines := bytes.Split(bytes.TrimSpace(body), []byte("\n"))
+	if status != http.StatusOK || len(lines) != 2 {
+		t.Fatalf("event then array: %d, %d lines, want 200 with a delta and an error:\n%s", status, len(lines), body)
+	}
+	if want := `{"error":"invalid event JSON: event at byte 15 is not an object"}`; string(lines[1]) != want {
+		t.Errorf("in-band refusal = %s, want %s", lines[1], want)
+	}
+}
+
+// TestRestoreFailureIs500: an evicted record that fails to restore is
+// the server's fault, not the client's.
+func TestRestoreFailureIs500(t *testing.T) {
+	err := fmt.Errorf("%w: %w", session.ErrRestore, snap.ErrCorrupt)
+	if status, msg := sessionStatus(err); status != http.StatusInternalServerError || msg != err.Error() {
+		t.Errorf("restore failure maps to %d %q, want 500 %q", status, msg, err.Error())
 	}
 }
 

@@ -3,6 +3,7 @@ package session
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"time"
@@ -212,7 +213,7 @@ func (m *Manager) release(f *field) {
 }
 
 // live returns a locked field's session, restoring an evicted one from
-// its record first.
+// its record first. A restore failure is an ErrRestore.
 func (m *Manager) live(f *field) (*state, error) {
 	if f.st != nil {
 		return f.st, nil
@@ -220,7 +221,7 @@ func (m *Manager) live(f *field) (*state, error) {
 	span := obs.Start(nil, "", m.hRestoreSeconds)
 	st, err := restore(f.snap)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrRestore, err)
 	}
 	span.End()
 	f.st, f.snap = st, nil

@@ -103,6 +103,28 @@ func TestDamagedRecordFailsRestore(t *testing.T) {
 	}
 }
 
+// TestDamagedEvictedRecordIsErrRestore: an event on an evicted session
+// whose record was damaged fails with ErrRestore, wrapping the record's
+// own error, so the service can answer it as the server fault it is.
+func TestDamagedEvictedRecordIsErrRestore(t *testing.T) {
+	m := newTestManager(t, Config{})
+	if _, _, err := m.Create("t", "f", testSpec(4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Evict("t", "f"); err != nil {
+		t.Fatal(err)
+	}
+	m.mu.Lock()
+	f := m.fields[skey("t", "f")]
+	m.mu.Unlock()
+	f.mu.Lock()
+	f.snap[len(f.snap)/2] ^= 0x40
+	f.mu.Unlock()
+	if _, err := m.Apply("t", "f", []int{2}); !errors.Is(err, ErrRestore) || !errors.Is(err, snap.ErrCorrupt) {
+		t.Fatalf("event on a damaged record: err %v; want ErrRestore wrapping snap.ErrCorrupt", err)
+	}
+}
+
 // TestSessionStateBoundedByField: a session's memory and its record are
 // bounded by its field, not by the events it has applied. A paper-scale
 // field (side 100, k 3, 2000 points, 200 scattered) takes 1e5 events,

@@ -142,6 +142,10 @@ var (
 	ErrSaturated = errors.New("session: saturated")
 	// ErrClosed: the manager is shut down (503).
 	ErrClosed = errors.New("session: manager closed")
+	// ErrRestore: an evicted session's record failed to restore, which
+	// only a fault on the server's side can cause (500). The error
+	// returned wraps both it and the restore error.
+	ErrRestore = errors.New("session: evicted record failed to restore")
 )
 
 // state is one live session. Only the goroutine holding its field's
