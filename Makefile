@@ -52,20 +52,21 @@ bench-large:
 # Chaos property gate: sweep 16 seeds per architecture under the race
 # detector, each run repeated to verify a byte-identical replay. The
 # sweep shards seeds across GOMAXPROCS workers (one engine per run,
-# reports printed in sweep order — output is byte-identical to
-# -parallel 1). Any invariant violation, non-convergence, or replay
+# reports printed in sweep order — output is byte-identical to a
+# sequential sweep). Any invariant violation, non-convergence, or replay
 # divergence exits non-zero. Replay an individual failure with the seed it prints, e.g.
 # `go run ./cmd/decor-chaos -arch grid -seed 7`.
 chaos-smoke:
 	$(GO) run -race ./cmd/decor-chaos -arch all -seeds 16
 
-# Snapshot/differential gate: the checkpoint parity suite (snapshot ->
-# restore -> run-to-end must be byte-equal to the straight run for every
-# architecture at randomized cut points, second-generation resumes
-# included), the typed-rejection corruption matrix, and the snapshot
-# fuzz seed corpus, all under the race detector (DESIGN.md §15).
+# Snapshot/differential gate: the checkpoint parity suite (checkpoint ->
+# resume must give the straight run's whole verdict, timeline included,
+# for every architecture at randomized cut points, second-generation
+# resumes included), the typed-rejection corruption matrix, the refusal
+# of a checkpoint whose trace differs at its cut, and the snapshot fuzz
+# seed corpus, all under the race detector (DESIGN.md §15).
 snapshot-smoke:
-	$(GO) test -race -run '^TestCheckpointedRunMatchesStraightRun$$|^TestResumeParity$$|^TestResumeEmitsFurtherCheckpoints$$|^TestResumeRejectsCorruption$$|^FuzzSnapshotRoundTrip$$' -count=1 -timeout 300s ./internal/chaos/
+	$(GO) test -race -run '^TestCheckpointedRunMatchesStraightRun$$|^TestResumeParity$$|^TestResumeEmitsFurtherCheckpoints$$|^TestResumeRejectsCorruption$$|^TestResumeRefusesDivergentCheckpoint$$|^FuzzSnapshotRoundTrip$$' -count=1 -timeout 300s ./internal/chaos/
 
 # Field-session soak: a seeded multi-tenant event storm (concurrent
 # NDJSON streams, mid-stream evict/restore) run twice under the race
@@ -106,8 +107,8 @@ fuzz-smoke:
 
 # Coverage gate: combined statement coverage of internal/sim (with
 # invariant and simtest) and internal/protocol, exercised by their own
-# tests and by internal/chaos's checkpoint suite, must stay at or above
-# the 95% floor in scripts/cover.sh.
+# tests and by internal/chaos's suite, must stay at or above the 95%
+# floor in scripts/cover.sh.
 cover:
 	GO=$(GO) sh scripts/cover.sh
 

@@ -35,7 +35,6 @@ func main() {
 		reportPath = flag.String("report", "", "write the complete Markdown reproduction report to this file and exit")
 		deployK    = flag.Int("deployments", 0, "run each method once at this coverage requirement and report per-deployment metrics (0 = off)")
 		jsonOut    = flag.String("json", "", `with -deployments, write the deployments as a JSON array to this file ("-" = stdout)`)
-		parallel   = flag.Int("parallel", 0, "worker goroutines for the independent experiment cells (0 = GOMAXPROCS); output is identical for any value")
 	)
 	var ofl obs.RunFlags
 	ofl.Register(flag.CommandLine)
@@ -62,9 +61,6 @@ func main() {
 	}
 	if *gen != "" {
 		cfg.Generator = *gen
-	}
-	if *parallel > 0 {
-		cfg.Parallel = *parallel
 	}
 
 	if *deployK > 0 {

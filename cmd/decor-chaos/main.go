@@ -2,7 +2,10 @@
 // protocols and reports an invariant verdict per run. It is the replay
 // tool for any failing seed surfaced by the property tests, the fuzzer,
 // or `make chaos-smoke`: the same arch+seed (plus any plan overrides)
-// reproduces the identical trace, byte for byte.
+// reproduces the identical trace, byte for byte. A checkpoint
+// (-checkpoint-to) is therefore just the scenario and its cut;
+// -resume-from re-runs the scenario and refuses a checkpoint whose trace
+// differs at the cut.
 //
 // Examples:
 //
@@ -33,7 +36,6 @@ func main() {
 		seeds    = flag.Int("seeds", 1, "number of consecutive seeds to sweep")
 		jsonOut  = flag.Bool("json", false, "emit one JSON verdict per line")
 		noVerify = flag.Bool("no-verify", false, "skip the determinism double-run")
-		parallel = flag.Int("parallel", 0, "worker goroutines sharding the seed sweep (0 = GOMAXPROCS); reports print in sweep order either way")
 
 		// Plan overrides; negative means keep the seed-derived value.
 		delayProb = flag.Float64("delay-prob", -1, "override message delay probability")
@@ -43,12 +45,14 @@ func main() {
 		loss      = flag.Float64("loss", -1, "override uniform loss rate")
 		burst     = flag.String("burst", "", "override burst channel as pG2B,pB2G,lossGood,lossBad ('off' to disable)")
 
-		// Checkpoint/resume (single run only): the snapshot is the complete
-		// run state, so a resumed run finishes with the identical verdict
-		// and trace hash the uninterrupted one would have produced.
-		ckEvery    = flag.Float64("checkpoint-every", 0, "emit a snapshot every this many virtual seconds (requires -checkpoint-to)")
-		ckTo       = flag.String("checkpoint-to", "", "file holding the latest snapshot (atomically replaced at each boundary)")
-		resumeFrom = flag.String("resume-from", "", "resume from a snapshot file; scenario flags are ignored, -checkpoint-* still apply")
+		// Checkpoint/resume (single run only): a checkpoint is the scenario
+		// and its cut (the trace's line count and digest at a virtual-time
+		// boundary). A resumed run re-runs the scenario, refuses a record
+		// whose trace differs at the cut, and finishes with the verdict and
+		// trace hash the uninterrupted run produced.
+		ckEvery    = flag.Float64("checkpoint-every", 0, "emit a checkpoint every this many virtual seconds (requires -checkpoint-to)")
+		ckTo       = flag.String("checkpoint-to", "", "file holding the latest checkpoint (atomically replaced at each boundary)")
+		resumeFrom = flag.String("resume-from", "", "re-run a checkpoint's scenario, checking its trace at the cut; scenario flags are ignored, -checkpoint-* apply past the cut")
 	)
 	flag.Parse()
 
@@ -97,8 +101,8 @@ func main() {
 	}
 
 	// Build the full (arch, seed) scenario list up front, then shard it
-	// across the worker pool; results come back in list order, so output
-	// is byte-identical to a sequential sweep for any -parallel value.
+	// across GOMAXPROCS workers; results come back in list order, so
+	// output is byte-identical to a sequential sweep.
 	var scs []chaos.Scenario
 	for _, a := range archs {
 		for s := *seed; s < *seed+uint64(*seeds); s++ {
@@ -125,7 +129,7 @@ func main() {
 	}
 
 	failures := 0
-	for _, res := range chaos.Sweep(scs, !*noVerify, *parallel) {
+	for _, res := range chaos.Sweep(scs, !*noVerify) {
 		if !res.Verdict.OK || !res.ReplayOK {
 			failures++
 		}
@@ -137,8 +141,8 @@ func main() {
 	}
 }
 
-// checkpointWriter persists each snapshot over the previous one via
-// write-then-rename, so a kill mid-write leaves the last good snapshot
+// checkpointWriter persists each checkpoint over the previous one via
+// write-then-rename, so a kill mid-write leaves the last good record
 // intact and -resume-from always reads a sealed envelope.
 func checkpointWriter(path string) chaos.CheckpointFunc {
 	return func(at sim.Time, data []byte) {

@@ -6,7 +6,7 @@
 //	decor-sim -k 3 -method voronoi-big
 //	decor-sim -k 2 -method grid-small -fail-area 24 -restore voronoi-small
 //	decor-sim -k 1 -method centralized -ascii
-//	decor-sim -method grid-small,voronoi-big -parallel 2
+//	decor-sim -method grid-small,voronoi-big
 package main
 
 import (
@@ -39,7 +39,6 @@ func main() {
 		restore    = flag.String("restore", "", "method used to restore coverage after failures (default: same as -method)")
 		ascii      = flag.Bool("ascii", false, "print an ASCII rendering of the final field")
 		showTour   = flag.Bool("tour", false, "plan and report the deployment robot's tour over the placed sensors")
-		parallel   = flag.Int("parallel", 0, "worker goroutines when -method lists several scenarios (0 = GOMAXPROCS); reports print in list order either way")
 		ckTo       = flag.String("checkpoint-to", "", "write the final field (sensors + RNG state) to this snapshot file")
 		resumeFrom = flag.String("resume-from", "", "start from a field snapshot instead of a fresh scatter; -field/-k/-rs/-points/-gen/-seed/-initial are taken from the snapshot")
 	)
@@ -73,12 +72,12 @@ func main() {
 	}
 
 	// Each method is an independent scenario over its own deployment, so
-	// a list fans out across workers; buffered reports print in list
-	// order, making the output independent of the worker count. Jobs
+	// a list fans out across GOMAXPROCS workers; buffered reports print in
+	// list order, making the output independent of the worker count. Jobs
 	// write only to their own result slots.
 	outs := make([]string, len(methods))
 	errs := make([]error, len(methods))
-	shard.ForEach(len(methods), *parallel, func(i int) {
+	shard.ForEach(len(methods), func(i int) {
 		var b strings.Builder
 		errs[i] = sc.run(&b, methods[i])
 		outs[i] = b.String()

@@ -14,7 +14,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
-	"sort"
 
 	"decor/internal/coverage"
 	"decor/internal/geom"
@@ -25,7 +24,6 @@ import (
 	"decor/internal/rng"
 	"decor/internal/sim"
 	"decor/internal/sim/invariant"
-	"decor/internal/snap"
 )
 
 // timelineTail bounds the flight-recorder excerpt attached to a failed
@@ -311,48 +309,54 @@ type Verdict struct {
 // thrown.
 func Run(sc Scenario) Verdict {
 	sc = sc.withDefaults()
-	v, err := dispatch(sc, nil, nil)
+	v, err := dispatch(sc, nil)
 	if err != nil {
-		// Unreachable: without a snapshot there is nothing to mis-decode.
+		// Unreachable: only a resumed run checks a cut.
 		panic(fmt.Sprintf("chaos: %v", err))
 	}
 	return v
 }
 
+// trace digests a run's engine trace: the SHA-256 of every line so far
+// and their count.
+type trace struct {
+	h     hash.Hash
+	lines int
+}
+
 // world builds the deterministic sample-point field and a traced engine
 // with a per-run flight recorder (the engine is its only writer, so
 // event sequence numbers are deterministic).
-func (sc Scenario) world() (*coverage.Map, *sim.Engine, hash.Hash, *int, *obs.FlightRecorder) {
+func (sc Scenario) world() (*coverage.Map, *sim.Engine, *trace, *obs.FlightRecorder) {
 	pts := lowdisc.Halton{}.Points(sc.Points, geom.Square(sc.Field))
 	m := coverage.New(geom.Square(sc.Field), pts, sc.Rs, sc.K)
 	eng := sim.NewEngine(sc.Latency)
 	fr := obs.NewFlightRecorder(512)
 	eng.SetFlight(fr)
-	h := sha256.New()
-	lines := new(int)
+	tr := &trace{h: sha256.New()}
 	// The engine formats each line into a reused buffer (byte-identical
 	// to the former fmt composition — the golden hashes in replay_test.go
 	// prove it), so hashing the trace allocates nothing per event.
 	eng.SetTraceLine(func(line []byte) {
-		h.Write(line)
-		*lines++
+		tr.h.Write(line)
+		tr.lines++
 	})
 	if sc.Loss > 0 {
 		eng.SetLossRate(sc.Loss, sc.Seed^0x10c0)
 	}
 	eng.SetFaults(sc.Plan)
-	return m, eng, h, lines, fr
+	return m, eng, tr, fr
 }
 
-func verdict(sc Scenario, eng *sim.Engine, chk *invariant.Checker, converged bool, h hash.Hash, lines int, fr *obs.FlightRecorder) Verdict {
+func verdict(sc Scenario, eng *sim.Engine, chk *invariant.Checker, converged bool, tr *trace, fr *obs.FlightRecorder) Verdict {
 	st := eng.Totals() // SentBy omitted: verdicts stay compact and comparable
 	v := Verdict{
 		Arch:       sc.Arch,
 		Seed:       sc.Seed,
 		Converged:  converged,
 		Violations: chk.Violations(),
-		TraceHash:  hex.EncodeToString(h.Sum(nil)),
-		TraceLines: lines,
+		TraceHash:  hex.EncodeToString(tr.h.Sum(nil)),
+		TraceLines: tr.lines,
 		FinalTime:  eng.Now(),
 		Stats:      st,
 	}
@@ -369,35 +373,27 @@ func verdict(sc Scenario, eng *sim.Engine, chk *invariant.Checker, converged boo
 // the end. The seed fallback guarantees convergence under any bounded
 // plan: each drain that leaves coverage deficient places at least one
 // sensor at a deficient point, so total deficit strictly decreases.
-// With a non-nil ck it emits snapshots at virtual-time boundaries; with
-// a non-nil res it restores one instead of starting fresh.
-func runDeploy(sc Scenario, ck *ckpt, res *snap.Reader) (Verdict, error) {
-	m, eng, h, lines, fr := sc.world()
+// With a non-nil ck it stops at checkpoint boundaries.
+func runDeploy(sc Scenario, ck *ckpt) (Verdict, error) {
+	m, eng, tr, fr := sc.world()
 
-	var start func()
 	var seed func() bool
 	var placed func() int
 	var actorFor func(point int) int
-	var encodeWorld func(*snap.Writer)
-	var restoreWorld func(*snap.Reader) error
 	if sc.Arch == ArchGrid {
 		w := protocol.NewWorld(m, sc.CellSize, eng, sc.Period)
-		start = w.Start
+		w.Start()
 		seed = w.Seed
 		placed = func() int { return len(w.PlacementLog) }
 		actorFor = func(point int) int {
 			return protocol.LeaderActor(w.Part.CellIndex(m.Point(point)))
 		}
-		encodeWorld = w.EncodeState
-		restoreWorld = w.RestoreState
 	} else {
 		w := protocol.NewVoronoiWorld(m, sc.Rc, eng, sc.Period)
-		start = w.Start
+		w.Start()
 		seed = w.Seed
 		placed = func() int { return len(w.PlacementLog) }
 		actorFor = nil // points have no statically responsible node
-		encodeWorld = w.EncodeState
-		restoreWorld = w.RestoreState
 	}
 
 	chk := invariant.New().
@@ -405,41 +401,10 @@ func runDeploy(sc Scenario, ck *ckpt, res *snap.Reader) (Verdict, error) {
 		Add(invariant.Budget(m, sc.Budget))
 
 	seeds := 0
-	if res != nil {
-		// Restore over the fresh world: the engine snapshot wholesale
-		// replaces the queue/RNG state world() just initialized, and the
-		// protocol worlds re-attach their actors without OnStart.
-		if err := restoreCommon(res, h, lines, eng, m); err != nil {
+	for !m.FullyCovered() {
+		if err := ck.drive(eng, tr, sim.Inf); err != nil {
 			return Verdict{}, err
 		}
-		seeds = res.Int()
-		if err := restoreWorld(res); err != nil {
-			return Verdict{}, err
-		}
-		chk.RestoreState(res)
-		if err := res.Close(); err != nil {
-			return Verdict{}, err
-		}
-	} else {
-		start()
-	}
-	if ck != nil {
-		ck.snap = func() []byte {
-			w := encodeCommon(sc, h, *lines, eng, m)
-			w.Int(seeds)
-			encodeWorld(w)
-			chk.EncodeState(w)
-			return w.Seal()
-		}
-		ck.alignAfter(eng.Now())
-	}
-	// A restored run always finishes its interrupted drain first: the
-	// checkpoint may have been cut after the last placement made coverage
-	// whole but while notifications were still in flight, and the straight
-	// run delivers those before its loop re-checks coverage.
-	for res != nil || !m.FullyCovered() {
-		res = nil
-		ck.drive(eng, sim.Inf)
 		chk.RunAt(eng.Now())
 		if m.FullyCovered() || m.NumSensors() > sc.Budget {
 			break
@@ -454,7 +419,7 @@ func runDeploy(sc Scenario, ck *ckpt, res *snap.Reader) (Verdict, error) {
 	chk.Add(invariant.KCoverage(m, actorFor))
 	chk.RunAt(eng.Now())
 
-	v := verdict(sc, eng, chk, m.FullyCovered(), h, *lines, fr)
+	v := verdict(sc, eng, chk, m.FullyCovered(), tr, fr)
 	v.Placed = placed()
 	v.Seeds = seeds
 	return v, nil
@@ -504,67 +469,44 @@ func (s *saboteur) liveCoverage(m *coverage.Map) *coverage.Map {
 // monitored-field protocol, injects seeded sensor failures in the first
 // third of the horizon, and requires coverage to be whole again by the
 // end while the watchdog re-checks accounting and the budget throughout.
-// With a non-nil ck it emits snapshots at virtual-time boundaries; with
-// a non-nil res it restores one instead of starting fresh.
-func runSelfheal(sc Scenario, ck *ckpt, res *snap.Reader) (Verdict, error) {
-	m, eng, h, lines, fr := sc.world()
+// With a non-nil ck it stops at checkpoint boundaries.
+func runSelfheal(sc Scenario, ck *ckpt) (Verdict, error) {
+	m, eng, tr, fr := sc.world()
 
-	var f *protocol.MonitoredField
-	sab := &saboteur{failed: map[int]bool{}}
-	if res != nil {
-		if err := restoreCommon(res, h, lines, eng, m); err != nil {
-			return Verdict{}, err
-		}
-		f = protocol.NewMonitoredField(m, eng, sc.CellSize, sc.Tc, sc.TimeoutMult)
-		sab.field = f
-		for n := res.CollectionLen(); n > 0; n-- {
-			sab.victims = append(sab.victims, res.Int())
-			sab.times = append(sab.times, sim.Time(res.F64()))
-		}
-		for n := res.CollectionLen(); n > 0; n-- {
-			sab.failed[res.Int()] = true
-		}
-		if err := f.RestoreState(res); err != nil {
-			return Verdict{}, err
-		}
-		// The saboteur's fail timers live in the restored queue.
-		eng.RegisterRestored(saboteurActor, sab)
-	} else {
-		// Deterministic initial deployment: greedily drop a sensor on the
-		// lowest-index uncovered point until every point is k-covered. The
-		// scan reads counts directly instead of materializing the uncovered
-		// set per iteration — same placement sequence, zero allocations.
-		next := 0
-		for !m.FullyCovered() {
-			idx := -1
-			for i := 0; i < m.NumPoints(); i++ {
-				if m.Count(i) < m.K() {
-					idx = i
-					break
-				}
+	// Deterministic initial deployment: greedily drop a sensor on the
+	// lowest-index uncovered point until every point is k-covered. The
+	// scan reads counts directly instead of materializing the uncovered
+	// set per iteration — same placement sequence, zero allocations.
+	next := 0
+	for !m.FullyCovered() {
+		idx := -1
+		for i := 0; i < m.NumPoints(); i++ {
+			if m.Count(i) < m.K() {
+				idx = i
+				break
 			}
-			m.AddSensor(next, m.Point(idx))
-			next++
 		}
-
-		f = protocol.NewMonitoredField(m, eng, sc.CellSize, sc.Tc, sc.TimeoutMult)
-		f.Start()
-
-		// Seeded victims among the deployed sensors, all failing inside the
-		// fault horizon so healing has the rest of the run.
-		ids := m.SensorIDs() // already ascending
-		r := rng.New(sc.Seed ^ 0x5ab07)
-		n := sc.Failures
-		if n > len(ids)/4 {
-			n = len(ids) / 4
-		}
-		sab.field = f
-		for _, i := range r.Sample(len(ids), n) {
-			sab.victims = append(sab.victims, ids[i])
-			sab.times = append(sab.times, sim.Time(r.Range(0.5, float64(sc.faultHorizon()))))
-		}
-		eng.Register(saboteurActor, sab)
+		m.AddSensor(next, m.Point(idx))
+		next++
 	}
+
+	f := protocol.NewMonitoredField(m, eng, sc.CellSize, sc.Tc, sc.TimeoutMult)
+	f.Start()
+
+	// Seeded victims among the deployed sensors, all failing inside the
+	// fault horizon so healing has the rest of the run.
+	ids := m.SensorIDs() // already ascending
+	r := rng.New(sc.Seed ^ 0x5ab07)
+	n := sc.Failures
+	if n > len(ids)/4 {
+		n = len(ids) / 4
+	}
+	sab := &saboteur{field: f, failed: map[int]bool{}}
+	for _, i := range r.Sample(len(ids), n) {
+		sab.victims = append(sab.victims, ids[i])
+		sab.times = append(sab.times, sim.Time(r.Range(0.5, float64(sc.faultHorizon()))))
+	}
+	eng.Register(saboteurActor, sab)
 
 	// Coverage is checked against LIVE sensors: a failed sensor still sits
 	// in the map until its monitor detects the silence, but it no longer
@@ -579,44 +521,14 @@ func runSelfheal(sc Scenario, ck *ckpt, res *snap.Reader) (Verdict, error) {
 		Add(invariant.Accounting(eng)).
 		Add(invariant.Budget(m, sc.Budget)).
 		Add(invariant.After(sc.Horizon, liveKCoverage))
-	if res != nil {
-		chk.RestoreState(res)
-		if err := res.Close(); err != nil {
-			return Verdict{}, err
-		}
-		chk.WatchRestored(eng, sc.Tc)
-	} else {
-		chk.Watch(eng, sc.Tc)
-	}
+	chk.Watch(eng, sc.Tc)
 
-	if ck != nil {
-		ck.snap = func() []byte {
-			w := encodeCommon(sc, h, *lines, eng, m)
-			w.Int(len(sab.victims))
-			for i := range sab.victims {
-				w.Int(sab.victims[i])
-				w.F64(float64(sab.times[i]))
-			}
-			failed := make([]int, 0, len(sab.failed))
-			for id := range sab.failed {
-				failed = append(failed, id)
-			}
-			sort.Ints(failed)
-			w.Int(len(failed))
-			for _, id := range failed {
-				w.Int(id)
-			}
-			f.EncodeState(w)
-			chk.EncodeState(w)
-			return w.Seal()
-		}
-		ck.alignAfter(eng.Now())
+	if err := ck.drive(eng, tr, sc.Horizon); err != nil {
+		return Verdict{}, err
 	}
-
-	ck.drive(eng, sc.Horizon)
 	chk.RunAt(sc.Horizon) // final check, with the coverage gate open
 
-	v := verdict(sc, eng, chk, sab.liveCoverage(m).FullyCovered(), h, *lines, fr)
+	v := verdict(sc, eng, chk, sab.liveCoverage(m).FullyCovered(), tr, fr)
 	v.Placed = m.NumSensors()
 	v.Repairs = len(f.Repairs)
 	return v, nil

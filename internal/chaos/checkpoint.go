@@ -1,60 +1,65 @@
 package chaos
 
 import (
-	"encoding"
+	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
-	"hash"
 
-	"decor/internal/coverage"
-	"decor/internal/geom"
 	"decor/internal/sim"
 	"decor/internal/snap"
 )
 
-// Checkpoint/resume for chaos runs. A checkpoint is a sealed snap
-// envelope capturing the complete run state at a virtual-time boundary —
-// scenario, mid-stream trace-hash state, engine (clock, queue, RNGs,
-// stats), coverage sensors, protocol world, saboteur and invariant
-// checker — such that Resume continues the run with the SAME remaining
-// event sequence, trace bytes and verdict as the uninterrupted original.
-// The differential parity suite (checkpoint_test.go) proves byte
-// equality against the golden replay hashes at randomized cut points;
-// the fuzz suite proves corrupted envelopes are rejected with typed
-// errors, never a panic.
+// Checkpoint/resume for chaos runs. A run is a pure function of its
+// scenario, so a checkpoint is the scenario and its cut: a sealed snap
+// record of the scenario JSON, the virtual-time boundary, and the
+// trace's line count and SHA-256 digest there. Resume runs the scenario
+// from the start through the same drive loop, emits nothing up to the
+// cut, and refuses with a typed snap error when the trace there differs
+// from the record (a record written by another build, or altered);
+// past the cut it continues, and checkpoints, as the original did. The
+// parity suite (checkpoint_test.go) compares whole verdicts, timeline
+// included; the fuzz suite proves damaged records are refused with
+// typed errors, never a panic.
 
 // CheckpointFunc receives each checkpoint: the virtual-time boundary it
-// represents and the sealed snapshot bytes. The callback must not retain
-// the engine — the snapshot is self-contained.
+// represents and the sealed record.
 type CheckpointFunc func(at sim.Time, snapshot []byte)
 
-// RunCheckpointed is Run, additionally emitting a snapshot every `every`
-// virtual seconds (no checkpoints if every <= 0 or fn is nil). The run's
-// verdict — including the trace hash — is identical to Run's: snapshots
-// are taken between events, never by slicing the clock in a way the
-// straight run would not.
+// RunCheckpointed is Run, additionally emitting a checkpoint every
+// `every` virtual seconds (none if every <= 0 or fn is nil). The run's
+// verdict — including the trace hash — is identical to Run's:
+// checkpoints are taken between events, never by slicing the clock in a
+// way the straight run would not.
 func RunCheckpointed(sc Scenario, every sim.Time, fn CheckpointFunc) Verdict {
 	sc = sc.withDefaults()
-	v, err := dispatch(sc, newCkpt(every, fn), nil)
+	var ck *ckpt
+	if every > 0 && fn != nil {
+		ck = newCkpt(sc, every, fn)
+		ck.next = every
+	}
+	v, err := dispatch(sc, ck)
 	if err != nil {
-		// Unreachable: fresh runs decode nothing.
+		// Unreachable: only a resumed run checks a cut.
 		panic(fmt.Sprintf("chaos: %v", err))
 	}
 	return v
 }
 
-// Resume continues a checkpointed run from snapshot bytes, emitting
-// further checkpoints every `every` virtual seconds (none if <= 0). The
-// resumed run's verdict equals the uninterrupted run's. Corrupt,
-// truncated or version-skewed snapshots are rejected with a typed
-// snap error.
+// Resume re-runs a checkpointed run from its record, emitting further
+// checkpoints every `every` virtual seconds past the cut (none if
+// <= 0). The resumed run's verdict equals the uninterrupted run's.
+// Corrupt, truncated or version-skewed records, and records whose trace
+// at the cut differs from this build's, are rejected with a typed snap
+// error.
 func Resume(data []byte, every sim.Time, fn CheckpointFunc) (Verdict, error) {
 	r, err := snap.Open(data)
 	if err != nil {
 		return Verdict{}, err
 	}
 	js := r.Bytes()
-	if err := r.Err(); err != nil {
+	c := cut{at: sim.Time(r.F64()), lines: r.Int(), digest: r.Bytes()}
+	if err := r.Close(); err != nil {
 		return Verdict{}, err
 	}
 	var sc Scenario
@@ -65,15 +70,29 @@ func Resume(data []byte, every sim.Time, fn CheckpointFunc) (Verdict, error) {
 	if err := sc.validate(); err != nil {
 		return Verdict{}, fmt.Errorf("%w: scenario: %v", snap.ErrMalformed, err)
 	}
-	return dispatch(sc, newCkpt(every, fn), r)
+	if !(c.at > 0) || c.lines < 0 || len(c.digest) != sha256.Size {
+		return Verdict{}, fmt.Errorf("%w: cut at t=%v after %d lines, %d-byte digest",
+			snap.ErrMalformed, c.at, c.lines, len(c.digest))
+	}
+	ck := newCkpt(sc, every, fn)
+	ck.next, ck.resume = c.at, &c
+	v, err := dispatch(sc, ck)
+	if err == nil && ck.resume != nil {
+		err = fmt.Errorf("%w: the run ended at t=%v, before the cut at t=%v",
+			snap.ErrMalformed, v.FinalTime, c.at)
+	}
+	if err != nil {
+		return Verdict{}, err
+	}
+	return v, nil
 }
 
-func dispatch(sc Scenario, ck *ckpt, res *snap.Reader) (Verdict, error) {
+func dispatch(sc Scenario, ck *ckpt) (Verdict, error) {
 	switch sc.Arch {
 	case ArchGrid, ArchVoronoi:
-		return runDeploy(sc, ck, res)
+		return runDeploy(sc, ck)
 	case ArchSelfheal:
-		return runSelfheal(sc, ck, res)
+		return runSelfheal(sc, ck)
 	default:
 		panic(fmt.Sprintf("chaos: unknown architecture %q", sc.Arch))
 	}
@@ -111,32 +130,31 @@ func (sc Scenario) validate() error {
 	return sc.Plan.Validate()
 }
 
-// ckpt drives an engine toward a time bound while emitting snapshots at
-// every-multiples of virtual time. A nil *ckpt (or zero period) is plain
-// Engine.Run.
+// cut is a record's boundary and the trace a run had there.
+type cut struct {
+	at     sim.Time
+	lines  int
+	digest []byte
+}
+
+// ckpt drives an engine toward a time bound, stopping at every-multiples
+// of virtual time to seal a checkpoint; a resumed run's first stop is
+// its record's cut, where the trace is checked instead. A nil *ckpt is
+// plain Engine.Run.
 type ckpt struct {
-	every sim.Time
-	next  sim.Time
-	fn    CheckpointFunc
-	snap  func() []byte // bound by the run once its world exists
+	scenario []byte // the scenario's JSON, the head of every record
+	every    sim.Time
+	next     sim.Time
+	fn       CheckpointFunc
+	resume   *cut // the cut a resumed run has yet to pass
 }
 
-func newCkpt(every sim.Time, fn CheckpointFunc) *ckpt {
-	if every <= 0 || fn == nil {
-		return nil
+func newCkpt(sc Scenario, every sim.Time, fn CheckpointFunc) *ckpt {
+	js, err := json.Marshal(sc)
+	if err != nil {
+		panic(fmt.Sprintf("chaos: scenario marshal: %v", err))
 	}
-	return &ckpt{every: every, next: every, fn: fn}
-}
-
-// alignAfter moves the next boundary past the (restored) clock so a
-// resumed run does not re-emit its past checkpoints.
-func (c *ckpt) alignAfter(now sim.Time) {
-	if c == nil {
-		return
-	}
-	for c.next <= now {
-		c.next += c.every
-	}
+	return &ckpt{scenario: js, every: every, fn: fn}
 }
 
 // drive is Engine.Run(until) with checkpoint boundaries. It advances in
@@ -144,11 +162,14 @@ func (c *ckpt) alignAfter(now sim.Time) {
 // never triggers Run's empty-queue clock jump, so the processed event
 // sequence (and hence the trace) is exactly the straight run's; the
 // final Run(until) reproduces the straight run's end-of-queue clock
-// semantics, including the jump to a finite horizon.
-func (c *ckpt) drive(eng *sim.Engine, until sim.Time) {
+// semantics, including the jump to a finite horizon. A boundary is
+// passed at the first head event beyond it, in whichever drive call
+// that is, so a resumed run meets its cut at the very event the
+// original sealed it.
+func (c *ckpt) drive(eng *sim.Engine, tr *trace, until sim.Time) error {
 	if c == nil {
 		eng.Run(until)
-		return
+		return nil
 	}
 	for {
 		at, ok := eng.NextEventTime()
@@ -156,78 +177,42 @@ func (c *ckpt) drive(eng *sim.Engine, until sim.Time) {
 			break
 		}
 		if at > c.next {
-			c.fn(c.next, c.snap())
-			c.next += c.every
+			if err := c.stop(tr); err != nil {
+				return err
+			}
 			continue
 		}
 		eng.Run(at)
 	}
 	eng.Run(until)
+	return nil
 }
 
-// encodeCommon starts a snapshot with the sections every architecture
-// shares: scenario, trace-hash state, engine, coverage sensors. It
-// panics only on wiring errors (unregistered payload codec) — a
-// checkpoint of a healthy run cannot fail.
-func encodeCommon(sc Scenario, h hash.Hash, lines int, eng *sim.Engine, m *coverage.Map) *snap.Writer {
+// stop passes the boundary at c.next: a resumed run checks its trace
+// against the record there, then aligns to the first every-multiple
+// past the cut (none without a checkpoint period); any other boundary
+// seals a checkpoint.
+func (c *ckpt) stop(tr *trace) error {
+	if cu := c.resume; cu != nil {
+		if sum := tr.h.Sum(nil); tr.lines != cu.lines || !bytes.Equal(sum, cu.digest) {
+			return fmt.Errorf("%w: trace at the cut t=%v is %d lines, digest %x; the checkpoint holds %d lines, digest %x",
+				snap.ErrMalformed, cu.at, tr.lines, sum, cu.lines, cu.digest)
+		}
+		c.resume = nil
+		if c.every <= 0 || c.fn == nil {
+			c.next = sim.Inf
+			return nil
+		}
+		for c.next = c.every; c.next <= cu.at; c.next += c.every {
+		}
+		return nil
+	}
 	w := snap.NewWriter()
-	js, err := json.Marshal(sc)
-	if err != nil {
-		panic(fmt.Sprintf("chaos: scenario marshal: %v", err))
-	}
-	w.Bytes(js)
-	hb, err := h.(encoding.BinaryMarshaler).MarshalBinary()
-	if err != nil {
-		panic(fmt.Sprintf("chaos: trace hash marshal: %v", err))
-	}
-	w.Bytes(hb)
-	w.Int(lines)
-	if err := eng.EncodeState(w); err != nil {
-		panic(fmt.Sprintf("chaos: %v", err))
-	}
-	w.Int(m.NumSensors())
-	m.VisitSensors(func(id int, p geom.Point, rs float64) {
-		w.Int(id)
-		w.F64(p.X)
-		w.F64(p.Y)
-		w.F64(rs)
-	})
-	return w
-}
-
-// restoreCommon decodes encodeCommon's sections onto the freshly built
-// world: trace hash mid-state, line count, engine, sensors.
-func restoreCommon(r *snap.Reader, h hash.Hash, lines *int, eng *sim.Engine, m *coverage.Map) error {
-	hb := r.Bytes()
-	n := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	um, ok := h.(encoding.BinaryUnmarshaler)
-	if !ok {
-		return fmt.Errorf("%w: trace hash does not support state restore", snap.ErrMalformed)
-	}
-	if err := um.UnmarshalBinary(hb); err != nil {
-		return fmt.Errorf("%w: trace hash state: %v", snap.ErrMalformed, err)
-	}
-	*lines = n
-	if err := eng.RestoreState(r); err != nil {
-		return err
-	}
-	for cnt := r.CollectionLen(); cnt > 0; cnt-- {
-		id := r.Int()
-		p := geom.Point{X: r.F64(), Y: r.F64()}
-		rs := r.F64()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if id < 0 || rs <= 0 {
-			return fmt.Errorf("%w: sensor %d radius %v", snap.ErrMalformed, id, rs)
-		}
-		if _, exists := m.SensorPos(id); exists {
-			return fmt.Errorf("%w: duplicate sensor id %d", snap.ErrMalformed, id)
-		}
-		m.AddSensorRadius(id, p, rs)
-	}
-	return r.Err()
+	w.Bytes(c.scenario)
+	w.F64(float64(c.next))
+	w.Int(tr.lines)
+	w.Bytes(tr.h.Sum(nil))
+	c.fn(c.next, w.Seal())
+	c.next += c.every
+	return nil
 }

@@ -8,7 +8,7 @@ import (
 	"decor/internal/snap"
 )
 
-// realCheckpoint produces a genuine mid-run snapshot for the fuzz seed
+// realCheckpoint produces a genuine mid-run checkpoint for the fuzz seed
 // corpus: the interesting byte layout is the real one, and the committed
 // corpus under testdata/fuzz covers the envelope-violation classes.
 func realCheckpoint(tb testing.TB, arch string) []byte {
@@ -29,8 +29,8 @@ func realCheckpoint(tb testing.TB, arch string) []byte {
 // checkpoints of every architecture and their corrupted, truncated and
 // version-bumped variants — through Resume. The contract: Resume either
 // rejects with a typed snap error or completes a valid run; it never
-// panics and never silently mis-restores (an accepted snapshot must
-// carry a structurally complete verdict).
+// panics, and an accepted record yields a structurally complete
+// verdict.
 func FuzzSnapshotRoundTrip(f *testing.F) {
 	for _, arch := range Archs() {
 		real := realCheckpoint(f, arch)
@@ -58,7 +58,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			}
 			t.Fatalf("untyped rejection: %v", err)
 		}
-		// Accepted: the restore must have been complete, not partial.
+		// Accepted: the resumed run must have completed.
 		switch v.Arch {
 		case ArchGrid, ArchVoronoi, ArchSelfheal:
 		default:

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"encoding/json"
+	"runtime"
 	"testing"
 )
 
@@ -48,7 +49,7 @@ func TestTraceHashesMatchPreOverhaulGolden(t *testing.T) {
 
 // TestSweepParallelIdentical is the seed-sharding determinism property:
 // the sweep's verdicts (including replay verification) must be
-// byte-identical for any worker count.
+// byte-identical for any GOMAXPROCS.
 func TestSweepParallelIdentical(t *testing.T) {
 	var scs []Scenario
 	for _, arch := range Archs() {
@@ -63,10 +64,14 @@ func TestSweepParallelIdentical(t *testing.T) {
 		}
 		return string(b)
 	}
-	want := marshal(Sweep(scs, true, 1))
-	for _, workers := range []int{2, 4, 8} {
-		if got := marshal(Sweep(scs, true, workers)); got != want {
-			t.Errorf("workers=%d: sweep results diverged from sequential", workers)
+	sweep := func(procs int) string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return marshal(Sweep(scs, true))
+	}
+	want := sweep(1)
+	for _, procs := range []int{2, 4, 8} {
+		if got := sweep(procs); got != want {
+			t.Errorf("GOMAXPROCS=%d: sweep results diverged from sequential", procs)
 		}
 	}
 }
@@ -74,7 +79,7 @@ func TestSweepParallelIdentical(t *testing.T) {
 // TestSweepReportsReplayDivergence would only fire on a real determinism
 // bug; here it checks the plumbing — verify off always reports ReplayOK.
 func TestSweepNoVerify(t *testing.T) {
-	rs := Sweep([]Scenario{DefaultScenario(ArchGrid, 1)}, false, 1)
+	rs := Sweep([]Scenario{DefaultScenario(ArchGrid, 1)}, false)
 	if len(rs) != 1 || !rs[0].ReplayOK {
 		t.Fatalf("no-verify sweep = %+v", rs)
 	}

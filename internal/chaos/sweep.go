@@ -7,14 +7,14 @@ import (
 	"decor/internal/shard"
 )
 
-// This file shards chaos scenarios across the repo-wide worker pool.
-// Every Run builds its own world, engine, RNG streams, and invariant
-// checker, so scenarios are independent by construction. Engines share
-// the process registry's counters without contending on them: each
-// engine batches its counter deltas (sim.Engine.flushObs). Results land
-// in per-scenario slots and are read back in input order, so a sweep's
-// output — every Verdict, trace hash, and replay bit — is byte-identical
-// for any worker count, including the sequential one
+// This file shards chaos scenarios across the repo-wide worker pool of
+// GOMAXPROCS goroutines. Every Run builds its own world, engine, RNG
+// streams, and invariant checker, so scenarios are independent by
+// construction. Engines share the process registry's counters without
+// contending on them: each engine batches its counter deltas
+// (sim.Engine.flushObs). Results land in per-scenario slots and are read
+// back in input order, so a sweep's output — every Verdict, trace hash,
+// and replay bit — is byte-identical for any GOMAXPROCS, including 1
 // (TestSweepParallelIdentical locks this in).
 
 // SweepResult is the outcome of one sweep cell.
@@ -23,14 +23,14 @@ type SweepResult struct {
 	ReplayOK bool // replay matched (always true when verify was off)
 }
 
-// Sweep runs every scenario across up to `workers` goroutines
-// (non-positive: GOMAXPROCS) and returns results in input order. With
-// verify set, each scenario is run twice and ReplayOK reports whether the
-// two verdicts were byte-identical — the determinism double-run
+// Sweep runs every scenario across the worker pool and returns results
+// in input order. With verify set, each scenario is run twice and
+// ReplayOK reports whether the two verdicts were byte-identical — the
+// determinism double-run
 // `decor-chaos` and `make chaos-smoke` gate on.
-func Sweep(scs []Scenario, verify bool, workers int) []SweepResult {
+func Sweep(scs []Scenario, verify bool) []SweepResult {
 	out := make([]SweepResult, len(scs))
-	shard.ForEach(len(scs), workers, func(i int) {
+	shard.ForEach(len(scs), func(i int) {
 		v := Run(scs[i])
 		res := SweepResult{Verdict: v, ReplayOK: true}
 		if verify {

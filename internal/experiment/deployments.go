@@ -12,7 +12,7 @@ import (
 func Deployments(cfg Config, k int) []metrics.Deployment {
 	methods := cfg.Methods()
 	out := make([]metrics.Deployment, len(methods))
-	cfg.forEachCell(len(methods), func(i int) {
+	forEachCell(len(methods), func(i int) {
 		m := cfg.NewMap(k, 0)
 		res := methods[i].Deploy(m, cfg.DeployRNG(0), core.Options{})
 		out[i] = metrics.Collect(m, res)

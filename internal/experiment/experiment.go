@@ -32,10 +32,6 @@ type Config struct {
 	// FailureDraws averages this many random failure samples per
 	// deployment in Figs. 11–12.
 	FailureDraws int
-	// Parallel is the worker count for fanning independent
-	// (method, k, run) cells across goroutines; 0 means GOMAXPROCS.
-	// Results are byte-identical for any value (see parallel.go).
-	Parallel int
 }
 
 // Default returns the paper's configuration.

@@ -30,7 +30,7 @@ func Fig7(cfg Config) Figure {
 	for mi := range runs {
 		runs[mi] = make([][]float64, cfg.Runs)
 	}
-	cfg.forEachCell(len(methods)*cfg.Runs, func(cell int) {
+	forEachCell(len(methods)*cfg.Runs, func(cell int) {
 		mi, run := cell/cfg.Runs, cell%cfg.Runs
 		m := cfg.NewMap(k, run)
 		res := methods[mi].Deploy(m, cfg.DeployRNG(run), core.Options{MaxPlacements: int(xmax)})
@@ -111,7 +111,7 @@ func forEachMethodK(cfg Config, methods []core.Method, fig *Figure, measure func
 	ks := kRange()
 	perK := len(ks) * cfg.Runs
 	vals := make([]float64, len(methods)*perK) // [method][k][run] flattened
-	cfg.forEachCell(len(vals), func(cell int) {
+	forEachCell(len(vals), func(cell int) {
 		mi, rem := cell/perK, cell%perK
 		ki, run := rem/cfg.Runs, rem%cfg.Runs
 		m := cfg.NewMap(int(ks[ki]), run)
@@ -146,7 +146,7 @@ func Fig11(cfg Config) Figure {
 	for mi := range runs {
 		runs[mi] = make([][]float64, cfg.Runs)
 	}
-	cfg.forEachCell(len(methods)*cfg.Runs, func(cell int) {
+	forEachCell(len(methods)*cfg.Runs, func(cell int) {
 		mi, run := cell/cfg.Runs, cell%cfg.Runs
 		m := cfg.NewMap(k, run)
 		methods[mi].Deploy(m, cfg.DeployRNG(run), core.Options{})
@@ -181,7 +181,7 @@ func Fig12(cfg Config) Figure {
 	methods := cfg.Methods()
 	perK := len(ks) * cfg.Runs
 	vals := make([]float64, len(methods)*perK) // [method][k][run] flattened
-	cfg.forEachCell(len(vals), func(cell int) {
+	forEachCell(len(vals), func(cell int) {
 		mi, rem := cell/perK, cell%perK
 		ki, run := rem/cfg.Runs, rem%cfg.Runs
 		m := cfg.NewMap(int(ks[ki]), run)
@@ -243,7 +243,7 @@ func Fig14(cfg Config) Figure {
 	methods := cfg.Methods()
 	perK := len(ks) * cfg.Runs
 	vals := make([]float64, len(methods)*perK) // [method][k][run] flattened
-	cfg.forEachCell(len(vals), func(cell int) {
+	forEachCell(len(vals), func(cell int) {
 		mi, rem := cell/perK, cell%perK
 		ki, run := rem/cfg.Runs, rem%cfg.Runs
 		m := cfg.NewMap(int(ks[ki]), run)

@@ -1,8 +1,6 @@
 package experiment
 
 import (
-	"runtime"
-
 	"decor/internal/coverage"
 	"decor/internal/shard"
 )
@@ -10,26 +8,17 @@ import (
 // The figure workloads are embarrassingly parallel: every (method, k, run)
 // cell builds its own map from deterministic RNG streams (DeployRNG,
 // failRNG, restoreRNG) and writes one indexed result slot. The shared
-// pool in internal/shard fans those cells across goroutines; because each
-// cell's inputs are derived only from (Config, cell index) and
-// aggregation happens after the join in slot order, figure output is
-// byte-identical for any worker count — the property
+// pool in internal/shard fans those cells across GOMAXPROCS goroutines;
+// because each cell's inputs are derived only from (Config, cell index)
+// and aggregation happens after the join in slot order, figure output is
+// byte-identical for any GOMAXPROCS — the property
 // TestParallelFiguresIdentical locks in.
 
-// Workers resolves the effective worker count: Parallel when positive,
-// otherwise GOMAXPROCS.
-func (c Config) Workers() int {
-	if c.Parallel > 0 {
-		return c.Parallel
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// forEachCell executes job(0..n-1), fanning across Workers() goroutines.
-// Jobs must be independent and write only to their own result slots. The
-// call blocks until every job has finished.
-func (c Config) forEachCell(n int, job func(i int)) {
-	shard.ForEach(n, c.Workers(), job)
+// forEachCell executes job(0..n-1) on the shared pool. Jobs must be
+// independent and write only to their own result slots. The call blocks
+// until every job has finished.
+func forEachCell(n int, job func(i int)) {
+	shard.ForEach(n, job)
 }
 
 // failureEval answers "what fraction of points stays level-covered if

@@ -2,55 +2,48 @@ package experiment
 
 import (
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
+
+	"decor/internal/metrics"
 )
 
+// withProcs runs f with GOMAXPROCS set to procs, restoring it after.
+func withProcs(procs int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+}
+
 func TestForEachCellCoversAllCells(t *testing.T) {
-	for _, workers := range []int{0, 1, 3, 16} {
-		cfg := Quick()
-		cfg.Parallel = workers
+	for _, procs := range []int{1, 3, 16} {
 		var hits [97]atomic.Int32
-		cfg.forEachCell(len(hits), func(i int) { hits[i].Add(1) })
+		withProcs(procs, func() {
+			forEachCell(len(hits), func(i int) { hits[i].Add(1) })
+			// n == 0 must be a no-op, not a hang.
+			forEachCell(0, func(i int) { t.Fatalf("job ran for n=0") })
+		})
 		for i := range hits {
 			if got := hits[i].Load(); got != 1 {
-				t.Fatalf("workers=%d: cell %d executed %d times", workers, i, got)
+				t.Fatalf("GOMAXPROCS=%d: cell %d executed %d times", procs, i, got)
 			}
 		}
-		// n == 0 must be a no-op, not a hang.
-		cfg.forEachCell(0, func(i int) { t.Fatalf("job ran for n=0") })
 	}
 }
 
-func TestWorkersResolution(t *testing.T) {
-	cfg := Quick()
-	if cfg.Workers() < 1 {
-		t.Fatalf("default Workers() = %d, want >= 1", cfg.Workers())
-	}
-	cfg.Parallel = 7
-	if cfg.Workers() != 7 {
-		t.Fatalf("Workers() = %d, want 7", cfg.Workers())
-	}
-}
-
-// The headline property: figure output is byte-identical for any worker
-// count. Run under -race (make check does) this also proves the fan-out
-// is data-race-free.
+// The headline property: figure output is byte-identical for any
+// GOMAXPROCS. Run under -race (make check does) this also proves the
+// fan-out is data-race-free.
 func TestParallelFiguresIdentical(t *testing.T) {
 	cfg := Quick()
 	cfg.Runs = 2
 	for _, id := range []string{"fig8", "fig10", "fig11", "fig13"} {
-		seq := cfg
-		seq.Parallel = 1
-		par := cfg
-		par.Parallel = 4
-		fseq, err := ByID(id, seq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fpar, err := ByID(id, par)
-		if err != nil {
-			t.Fatal(err)
+		var fseq, fpar Figure
+		var errSeq, errPar error
+		withProcs(1, func() { fseq, errSeq = ByID(id, cfg) })
+		withProcs(4, func() { fpar, errPar = ByID(id, cfg) })
+		if errSeq != nil || errPar != nil {
+			t.Fatal(errSeq, errPar)
 		}
 		if !reflect.DeepEqual(fseq, fpar) {
 			t.Errorf("%s: parallel output differs from sequential\nseq:\n%s\npar:\n%s",
@@ -60,12 +53,9 @@ func TestParallelFiguresIdentical(t *testing.T) {
 }
 
 func TestParallelDeploymentsIdentical(t *testing.T) {
-	seq := Quick()
-	seq.Parallel = 1
-	par := Quick()
-	par.Parallel = 4
-	a := Deployments(seq, 2)
-	b := Deployments(par, 2)
+	var a, b []metrics.Deployment
+	withProcs(1, func() { a = Deployments(Quick(), 2) })
+	withProcs(4, func() { b = Deployments(Quick(), 2) })
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("parallel Deployments differ from sequential")
 	}

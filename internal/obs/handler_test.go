@@ -30,7 +30,7 @@ func TestHandlerServesLiveExposition(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("decor_test_requests_total").Add(3)
 	reg.Gauge("decor_test_depth").Set(1.5)
-	reg.Histogram("decor_test_seconds", []float64{0.1, 1}).Observe(0.05, 0)
+	reg.Histogram("decor_test_seconds", []float64{0.1, 1}).Observe(0.05)
 
 	srv := httptest.NewServer(reg.Handler())
 	defer srv.Close()

@@ -52,7 +52,7 @@ func TestHistogramSnapshotNotTorn(t *testing.T) {
 		go func() {
 			defer ww.Done()
 			for i := 0; i < perWriter; i++ {
-				h.Observe(1, 0)
+				h.Observe(1)
 			}
 		}()
 	}
@@ -97,31 +97,5 @@ func TestHistogramBoundsConflictCounted(t *testing.T) {
 	// The existing series' buckets are authoritative.
 	if b := h2.snapshot().Buckets; len(b) != 2 || b[0] != 1 || b[1] != 10 {
 		t.Fatalf("bounds = %v", b)
-	}
-}
-
-func TestHistogramExemplars(t *testing.T) {
-	h := newHistogram([]float64{0.1, 1})
-	h.Observe(0.05, 0)
-	h.Observe(0.5, TraceID(0xabc))
-	h.Observe(7, TraceID(0xdef))
-	s := h.snapshot()
-	if s.Exemplars == nil {
-		t.Fatal("no exemplars recorded")
-	}
-	if s.Exemplars[0] != "" {
-		t.Errorf("untraced bucket has exemplar %q", s.Exemplars[0])
-	}
-	if s.Exemplars[1] != TraceID(0xabc).String() {
-		t.Errorf("bucket 1 exemplar = %q", s.Exemplars[1])
-	}
-	if s.Exemplars[2] != TraceID(0xdef).String() {
-		t.Errorf("overflow exemplar = %q", s.Exemplars[2])
-	}
-	// Plain observations leave no exemplar array at all.
-	h2 := newHistogram([]float64{1})
-	h2.Observe(0.5, 0)
-	if s2 := h2.snapshot(); s2.Exemplars != nil {
-		t.Fatalf("unexpected exemplars %v", s2.Exemplars)
 	}
 }

@@ -84,11 +84,6 @@ type Histogram struct {
 	buckets []atomic.Uint64 // len(upper)+1; last = overflow
 	count   atomic.Uint64
 	sumBits atomic.Uint64
-
-	// exemplars[i] holds the raw TraceID of the most recent traced
-	// observation that landed in bucket i (0 = none) — the link from a
-	// p99 bucket back to a retrievable trace.
-	exemplars []atomic.Uint64
 }
 
 func newHistogram(upperBounds []float64) *Histogram {
@@ -102,26 +97,20 @@ func newHistogram(upperBounds []float64) *Histogram {
 		}
 	}
 	return &Histogram{
-		upper:     upper,
-		buckets:   make([]atomic.Uint64, len(upper)+1),
-		exemplars: make([]atomic.Uint64, len(upper)+1),
+		upper:   upper,
+		buckets: make([]atomic.Uint64, len(upper)+1),
 	}
 }
 
-// Observe records one value. A non-zero exemplar names the trace that
-// produced it, remembered as its bucket's exemplar so a latency outlier
-// can be followed to its span tree via /debug/traces. Span.End is the
-// one caller outside tests: a timed phase observes through its span.
-func (h *Histogram) Observe(v float64, exemplar TraceID) {
+// Observe records one value. Span.End is the one caller outside tests:
+// a timed phase observes through its span.
+func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.upper, v) // first bound >= v: inclusive le
 	h.mu.Lock()
 	h.ver.Add(1) // odd: snapshots retry until the write completes
 	h.buckets[i].Add(1)
 	h.count.Add(1)
 	h.sumBits.Store(math.Float64bits(math.Float64frombits(h.sumBits.Load()) + v))
-	if exemplar != 0 {
-		h.exemplars[i].Store(uint64(exemplar))
-	}
 	h.ver.Add(1)
 	h.mu.Unlock()
 }
@@ -134,7 +123,6 @@ func (h *Histogram) snapshot() HistSnapshot {
 		Buckets: append([]float64(nil), h.upper...),
 		Counts:  make([]uint64, len(h.buckets)),
 	}
-	var ex []uint64
 	for {
 		v1 := h.ver.Load()
 		if v1&1 == 1 {
@@ -146,22 +134,10 @@ func (h *Histogram) snapshot() HistSnapshot {
 		}
 		hs.Sum = math.Float64frombits(h.sumBits.Load())
 		hs.Count = h.count.Load()
-		ex = ex[:0]
-		for i := range h.exemplars {
-			ex = append(ex, h.exemplars[i].Load())
-		}
 		if h.ver.Load() == v1 {
 			break
 		}
 		runtime.Gosched()
-	}
-	for i, id := range ex {
-		if id != 0 {
-			if hs.Exemplars == nil {
-				hs.Exemplars = make([]string, len(ex))
-			}
-			hs.Exemplars[i] = TraceID(id).String()
-		}
 	}
 	return hs
 }
@@ -324,15 +300,12 @@ func (r *Registry) Histogram(name string, upperBounds []float64) *Histogram {
 }
 
 // HistSnapshot is the exported state of one histogram. Counts has one
-// entry per bucket plus a trailing overflow bucket (+Inf). Exemplars,
-// when present, is parallel to Counts and holds the trace ID of the most
-// recent traced observation per bucket ("" = none).
+// entry per bucket plus a trailing overflow bucket (+Inf).
 type HistSnapshot struct {
-	Buckets   []float64 `json:"buckets"`
-	Counts    []uint64  `json:"counts"`
-	Sum       float64   `json:"sum"`
-	Count     uint64    `json:"count"`
-	Exemplars []string  `json:"exemplars,omitempty"`
+	Buckets []float64 `json:"buckets"`
+	Counts  []uint64  `json:"counts"`
+	Sum     float64   `json:"sum"`
+	Count   uint64    `json:"count"`
 }
 
 // Snapshot is a point-in-time copy of every instrument in a registry; it

@@ -33,7 +33,7 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	// le semantics are inclusive: 1 lands in bucket 0, 2 in bucket 1,
 	// anything above the last bound in the overflow bucket.
 	for _, v := range []float64{0.5, 1, 1.0000001, 2, 2.5, 100} {
-		h.Observe(v, 0)
+		h.Observe(v)
 	}
 	snap := r.Snapshot().Histograms["h_seconds"]
 	wantCounts := []uint64{2, 2, 2}
@@ -77,7 +77,7 @@ func TestConcurrentUpdates(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				r.Counter("shared_total").Inc()
 				r.Gauge("depth").Add(1)
-				r.Histogram("lat_seconds", DefLatencyBuckets).Observe(1e-4, 0)
+				r.Histogram("lat_seconds", DefLatencyBuckets).Observe(1e-4)
 				sp := Start(nil, "", r.Histogram("span_seconds", DefLatencyBuckets))
 				sp.End()
 			}
@@ -132,7 +132,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c_total").Add(3)
 	r.Gauge("g").Set(1.25)
-	r.Histogram("h_seconds", []float64{1, 2}).Observe(1.5, 0)
+	r.Histogram("h_seconds", []float64{1, 2}).Observe(1.5)
 	snap := r.Snapshot()
 	data, err := json.Marshal(snap)
 	if err != nil {

@@ -13,10 +13,10 @@ func TestPrometheusGolden(t *testing.T) {
 	r.Counter("decor_a_total").Add(2)
 	r.Gauge("decor_queue_depth").Set(3)
 	h := r.Histogram("decor_round_seconds", []float64{0.001, 0.01, 0.1})
-	h.Observe(0.0005, 0)
-	h.Observe(0.002, 0)
-	h.Observe(0.002, 0)
-	h.Observe(5, 0) // overflow
+	h.Observe(0.0005)
+	h.Observe(0.002)
+	h.Observe(0.002)
+	h.Observe(5) // overflow
 
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {

@@ -67,13 +67,12 @@ func (s *Span) TraceID() TraceID { return s.trace }
 func (s *Span) SetAttr(attr string) { s.attr = attr }
 
 // End stops the span and returns its duration. It reads the clock once,
-// observes the duration in seconds in the histogram, with the span's
-// trace as the bucket's exemplar when traced, and records a traced span
-// in its tracer's ring.
+// observes the duration in seconds in the histogram, and records a
+// traced span in its tracer's ring.
 func (s *Span) End() time.Duration {
 	d := time.Since(s.start)
 	if s.h != nil {
-		s.h.Observe(d.Seconds(), s.trace)
+		s.h.Observe(d.Seconds())
 	}
 	if s.tr != nil {
 		s.tr.record(spanRec{

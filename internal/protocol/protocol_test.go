@@ -2,13 +2,11 @@ package protocol
 
 import (
 	"sort"
-	"strings"
 	"testing"
 
 	"decor/internal/geom"
 	"decor/internal/network"
 	"decor/internal/sim"
-	"decor/internal/snap"
 )
 
 // buildCluster wires n sensors in mutual range into an engine.
@@ -142,21 +140,6 @@ func TestLeaderReelectionAfterFailure(t *testing.T) {
 		if l := nodes[observer].Leader(30); l != 1 {
 			t.Errorf("node %d leader after failure = %d, want 1", observer, l)
 		}
-	}
-}
-
-// Heartbeat payloads have no snapshot codec: no checkpointed world
-// sends them, so an engine whose queue holds one refuses to encode
-// rather than writing a snapshot it could not restore.
-func TestEncodeStateRefusesHeartbeatQueue(t *testing.T) {
-	eng, _, _ := buildCluster(3, Config{Tc: 1, TimeoutMult: 3, Cell: -1})
-	eng.Run(1.005) // the second round's heartbeats are in flight
-	if eng.PendingMessages() == 0 {
-		t.Fatal("no heartbeat in flight")
-	}
-	err := eng.EncodeState(snap.NewWriter())
-	if err == nil || !strings.Contains(err.Error(), "no payload codec for *protocol.hbMsg") {
-		t.Fatalf("EncodeState = %v, want the no-payload-codec error", err)
 	}
 }
 

@@ -201,14 +201,23 @@ func readBody(r io.Reader, buf *[]byte) ([]byte, error) {
 		}
 		if err != nil {
 			*buf = b
-			var maxErr *http.MaxBytesError
-			if errors.As(err, &maxErr) {
-				return nil, &apiError{status: http.StatusRequestEntityTooLarge,
-					msg: fmt.Sprintf("request body exceeds %d bytes", maxErr.Limit)}
+			if ae := tooLarge(err); ae != nil {
+				return nil, ae
 			}
 			return nil, badRequest("invalid JSON: %v", err)
 		}
 	}
+}
+
+// tooLarge returns the 413 for a MaxBytesReader limit trip, nil for any
+// other read error.
+func tooLarge(err error) error {
+	var maxErr *http.MaxBytesError
+	if !errors.As(err, &maxErr) {
+		return nil
+	}
+	return &apiError{status: http.StatusRequestEntityTooLarge,
+		msg: fmt.Sprintf("request body exceeds %d bytes", maxErr.Limit)}
 }
 
 // ---------------------------------------------------------------------
@@ -568,7 +577,7 @@ type eventScanner struct {
 	body io.Reader
 	bufp *[]byte
 	pos  int
-	eof  bool
+	err  error // the body's read error, io.EOF at its end
 	dec  decoder
 }
 
@@ -584,10 +593,12 @@ func (sc *eventScanner) close() {
 	sc.bufp = nil
 }
 
-// fill reads more body bytes into the buffer; returns false at EOF.
-func (sc *eventScanner) fill() (bool, error) {
-	if sc.eof {
-		return false, nil
+// fill reads more body bytes into the buffer. The body's read error,
+// io.EOF included, is returned only by a call that adds no bytes, so
+// the events completed by the bytes read with it come first.
+func (sc *eventScanner) fill() error {
+	if sc.err != nil {
+		return sc.err
 	}
 	b := *sc.bufp
 	if len(b) == cap(b) {
@@ -595,14 +606,11 @@ func (sc *eventScanner) fill() (bool, error) {
 	}
 	n, err := sc.body.Read(b[len(b):cap(b)])
 	*sc.bufp = b[: len(b)+n : cap(b)]
-	if err == io.EOF {
-		sc.eof = true
-		return n > 0, nil
+	sc.err = err
+	if n > 0 {
+		return nil
 	}
-	if err != nil {
-		return false, err
-	}
-	return n > 0 || !sc.eof, nil
+	return err
 }
 
 // next returns the failed-sensor list of the next event, io.EOF at the
@@ -619,12 +627,8 @@ func (sc *eventScanner) next() ([]int, error) {
 		if sc.pos < len(b) {
 			break
 		}
-		more, err := sc.fill()
-		if err != nil {
+		if err := sc.fill(); err != nil {
 			return nil, err
-		}
-		if !more && sc.pos >= len(*sc.bufp) {
-			return nil, io.EOF
 		}
 	}
 	if (*sc.bufp)[sc.pos] != '{' {
@@ -660,12 +664,10 @@ func (sc *eventScanner) next() ([]int, error) {
 				}
 			}
 		}
-		more, err := sc.fill()
-		if err != nil {
-			return nil, err
-		}
-		if !more && i >= len(*sc.bufp) {
+		if err := sc.fill(); err == io.EOF {
 			return nil, fmt.Errorf("event at byte %d is cut off by the end of the stream", start)
+		} else if err != nil {
+			return nil, err
 		}
 	}
 object:

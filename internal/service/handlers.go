@@ -289,9 +289,7 @@ func setTraceHeader(h http.Header, id obs.TraceID) {
 // deadline, response.
 func (s *Server) servePlanLike(w http.ResponseWriter, r *http.Request, repair bool) {
 	route := r.URL.Path
-	// The root span's End also lands in the request histogram, with this
-	// trace as its bucket's exemplar: a p99 bucket names an X-Decor-Trace
-	// ID to drill into.
+	// The root span's End also lands in the request histogram.
 	root := s.cfg.Tracer.StartTrace(route, s.hRequestSeconds)
 	tctx := root.Context(r.Context())
 	tenant := r.Header.Get(tenantHeader)

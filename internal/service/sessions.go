@@ -217,6 +217,21 @@ func (s *Server) handleFieldEvents(w http.ResponseWriter, r *http.Request) {
 	defer jsonx.PutBuf(out)
 
 	flusher, _ := w.(http.Flusher)
+	// A stream that ends early (a bad event, a refusal, an in-band
+	// error) leaves body unread. Under full duplex net/http drains it
+	// after the handler, once it has stopped watching the connection, and
+	// the drain's end of body then panics the connection's next request.
+	// So the answer goes out first and the rest is drained here
+	// (net/http reads at most 256 KB of it before it closes the
+	// connection instead).
+	defer func() {
+		if sc.err != io.EOF {
+			if flusher != nil {
+				flusher.Flush()
+			}
+			r.Body.Close()
+		}
+	}()
 	wrote := false
 	for {
 		failed, err := sc.next()
@@ -224,13 +239,18 @@ func (s *Server) handleFieldEvents(w http.ResponseWriter, r *http.Request) {
 			if errors.Is(err, io.EOF) {
 				break
 			}
+			if ae := tooLarge(err); ae != nil {
+				err = ae
+			} else {
+				err = badRequest("invalid event JSON: %v", err)
+			}
 			if !wrote {
-				s.badSessionRequest(w, badRequest("invalid event JSON: %v", err))
+				s.badSessionRequest(w, err)
 				return
 			}
 			// Mid-stream garbage after successful deltas: the status line
 			// is gone, so report in-band and hang up.
-			writeInbandError(w, out, fmt.Sprintf("invalid event JSON: %v", err), 0)
+			writeInbandError(w, out, err.Error(), 0)
 			return
 		}
 		if len(failed) == 0 {

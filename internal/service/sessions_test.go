@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -468,6 +469,166 @@ func TestFieldEventsInterleaveOverHTTP1(t *testing.T) {
 	pw.Close()
 	if rest, err := io.ReadAll(br); err != nil || len(rest) != 0 {
 		t.Errorf("after the last event: %q, %v; want a clean end", rest, err)
+	}
+}
+
+// lockedBuffer is a bytes.Buffer safe for the server's error log.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// TestEarlyEndedStreamKeepsItsConnection: a stream the handler ends
+// before its body is read (a bad first event, or an in-band error after
+// a delta) with kilobytes still to come must not break its connection.
+// With full duplex on, net/http drains what the handler left unread
+// only after it stopped watching the connection, and the next request
+// on it panicked the server ("invalid concurrent Body.Read call").
+func TestEarlyEndedStreamKeepsItsConnection(t *testing.T) {
+	svc := New(Config{Registry: obs.NewRegistry()})
+	ts := httptest.NewUnstartedServer(svc.Handler())
+	var errLog lockedBuffer
+	ts.Config.ErrorLog = log.New(&errLog, "", 0)
+	ts.Start()
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		svc.Shutdown(ctx)
+	})
+	client := ts.Client()
+	post := func(path, body string) (int, []byte) {
+		t.Helper()
+		req, err := http.NewRequest("POST", ts.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(tenantHeader, "t")
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("POST %s: reading the answer: %v", path, err)
+		}
+		return resp.StatusCode, b
+	}
+	if status, body := post("/v1/fields", fieldBody("f", 7)); status != http.StatusCreated {
+		t.Fatalf("create: %d %s", status, body)
+	}
+	tail := strings.Repeat(`{"failed":[3]}`+"\n", 1500) // 22.5 KB never read
+	for i := 0; i < 6; i++ {
+		stream, want := `{"failed":[]}`+"\n"+tail, http.StatusBadRequest
+		if i%2 == 1 {
+			stream, want = fmt.Sprintf(`{"failed":[%d]}`+"\n[2]\n", 10+i)+tail, http.StatusOK
+		}
+		if status, body := post("/v1/fields/f/events", stream); status != want {
+			t.Fatalf("stream %d: %d %s, want %d", i, status, body, want)
+		}
+		if status, body := post("/v1/fields/f/events", fmt.Sprintf(`{"failed":[%d]}`, 4+i)); status != http.StatusOK {
+			t.Fatalf("event after stream %d: %d %s", i, status, body)
+		}
+	}
+	ts.Close() // flush the connections' goroutines before reading the log
+	if strings.Contains(errLog.String(), "panic serving") {
+		t.Errorf("server log:\n%s", errLog.String())
+	}
+}
+
+// TestEarlyEndReachesAnInteractiveClient: a client that writes each
+// event only after it read the previous answer, and keeps its body open,
+// still gets the answer that ends its stream, a 400 ahead of the first
+// delta or an in-band error after it, before the rest of its body is
+// drained.
+func TestEarlyEndReachesAnInteractiveClient(t *testing.T) {
+	s := newTestServer(t, Config{})
+	if status, _, body := s.do(t, "POST", "/v1/fields", "t", fieldBody("f", 7)); status != http.StatusCreated {
+		t.Fatalf("create: %d %s", status, body)
+	}
+	within := func(what string, f func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() { f(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("no %s within 10 s", what)
+		}
+	}
+	for _, tc := range []struct {
+		events []string
+		status int
+		last   string
+	}{
+		{[]string{`{"failed":[]}`}, http.StatusBadRequest, `{"error":"event must name at least one failed sensor"}`},
+		{[]string{`{"failed":[1]}`, `[2]`}, http.StatusOK, `{"error":"invalid event JSON: event at byte 15 is not an object"}`},
+	} {
+		pr, pw := io.Pipe()
+		t.Cleanup(func() { pw.Close() }) // runs before the server closes
+		req, err := http.NewRequest("POST", s.ts.URL+"/v1/fields/f/events", pr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(tenantHeader, "t")
+		var resp *http.Response
+		go io.WriteString(pw, tc.events[0]+"\n")
+		within("response", func() { resp, err = http.DefaultClient.Do(req) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		br := bufio.NewReader(resp.Body)
+		var line []byte
+		for _, ev := range tc.events[1:] {
+			within("delta", func() { line, err = br.ReadBytes('\n') })
+			go io.WriteString(pw, ev+"\n")
+		}
+		within("last answer", func() { line, err = br.ReadBytes('\n') })
+		if resp.StatusCode != tc.status || string(bytes.TrimSpace(line)) != tc.last {
+			t.Errorf("%v: %d %s (%v), want %d %s", tc.events, resp.StatusCode, line, err, tc.status, tc.last)
+		}
+		pw.Close()
+		resp.Body.Close()
+	}
+}
+
+// TestEventStreamOverBodyLimit: the body limit bounds a whole stream.
+// The events that arrived within it are applied, and passing it is the
+// 413 every body-reading route answers: before the first delta as the
+// status, after it in-band.
+func TestEventStreamOverBodyLimit(t *testing.T) {
+	s := newTestServer(t, Config{Limits: Limits{MaxBodyBytes: 200}})
+	if status, _, body := s.do(t, "POST", "/v1/fields", "t", fieldBody("f", 7)); status != http.StatusCreated {
+		t.Fatalf("create: %d %s", status, body)
+	}
+	long := `{"failed":[1` + strings.Repeat(",1", 195) + `]}` + "\n"
+	status, _, body := s.do(t, "POST", "/v1/fields/f/events", "t", `{"failed":[1]}`+"\n"+long)
+	lines := bytes.Split(bytes.TrimSpace(body), []byte("\n"))
+	if status != http.StatusOK || len(lines) != 2 {
+		t.Fatalf("event then a long one: %d, %d lines, want 200 with a delta and an error:\n%s", status, len(lines), body)
+	}
+	if d := decodeDelta(t, lines[0]); d.Seq != 1 || len(d.Failed) != 1 || d.Failed[0] != 1 {
+		t.Errorf("first line = %s, want the delta of the first event", lines[0])
+	}
+	if want := `{"error":"request body exceeds 200 bytes"}`; string(lines[1]) != want {
+		t.Errorf("in-band refusal = %s, want %s", lines[1], want)
+	}
+	status, _, body = s.do(t, "POST", "/v1/fields/f/events", "t", long)
+	if want := `{"error":"request body exceeds 200 bytes"}` + "\n"; status != http.StatusRequestEntityTooLarge || string(body) != want {
+		t.Errorf("a long first event: %d %s, want 413 %s", status, body, want)
 	}
 }
 

@@ -92,21 +92,6 @@ func TestResponseTraceRetrievable(t *testing.T) {
 			byName["core.deploy"].Parent, byName["plan.run"].Span)
 	}
 
-	// The exemplar on the request-latency histogram names the same trace.
-	snap := s.reg.Snapshot()
-	h, ok := snap.Histograms[obs.ServeRequestSeconds]
-	if !ok {
-		t.Fatal("no request histogram in snapshot")
-	}
-	found := false
-	for _, ex := range h.Exemplars {
-		if ex == id {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("histogram exemplars %v do not include trace %s", h.Exemplars, id)
-	}
 }
 
 // TestTraceShapePinned pins each traced request's span tree as a

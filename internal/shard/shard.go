@@ -13,27 +13,12 @@ import (
 	"sync/atomic"
 )
 
-// Workers resolves a requested worker count: non-positive means
-// GOMAXPROCS, and the result never exceeds n (one goroutine per job is
-// the useful maximum).
-func Workers(requested, n int) int {
-	w := requested
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	return w
-}
-
-// ForEach runs job(0), …, job(n-1) across up to `workers` goroutines
-// (non-positive: GOMAXPROCS) and blocks until every job has finished.
-// With one effective worker it runs inline — no goroutines, so
-// single-threaded callers keep deterministic stack traces and zero
-// scheduling overhead.
-func ForEach(n, workers int, job func(i int)) {
-	w := Workers(workers, n)
+// ForEach runs job(0), …, job(n-1) across up to GOMAXPROCS goroutines
+// (never more than n) and blocks until every job has finished. With one
+// effective worker it runs inline — no goroutines, so single-threaded
+// callers keep deterministic stack traces and zero scheduling overhead.
+func ForEach(n int, job func(i int)) {
+	w := min(runtime.GOMAXPROCS(0), n)
 	if w <= 1 {
 		for i := 0; i < n; i++ {
 			job(i)

@@ -1,7 +1,6 @@
 package invariant
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -9,7 +8,6 @@ import (
 	"decor/internal/geom"
 	"decor/internal/sim"
 	"decor/internal/sim/simtest"
-	"decor/internal/snap"
 )
 
 func smallMap(k int) *coverage.Map {
@@ -157,34 +155,6 @@ func TestCheckerDedupKeepsFirstObservation(t *testing.T) {
 	}
 	if first(c, "nonexistent") != nil {
 		t.Error("First on unknown invariant")
-	}
-}
-
-// A checker restored from a snapshot carries the original's violations
-// and dedup index: re-running the check on the restored checker reports
-// nothing new, so a resumed run neither forgets old breaches nor
-// re-reports them at a later time.
-func TestCheckerSnapshotRoundTrip(t *testing.T) {
-	m := smallMap(1)
-	c := New().Add(KCoverage(m, nil))
-	c.RunAt(2)
-	w := snap.NewWriter()
-	c.EncodeState(w)
-	r, err := snap.Open(w.Seal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored := New().Add(KCoverage(m, nil))
-	restored.RestoreState(r)
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(restored.Violations(), c.Violations()) {
-		t.Fatalf("restored violations %+v, want %+v", restored.Violations(), c.Violations())
-	}
-	restored.RunAt(5)
-	if !reflect.DeepEqual(restored.Violations(), c.Violations()) {
-		t.Errorf("restored checker re-reported old breaches: %+v", restored.Violations())
 	}
 }
 

@@ -1,10 +1,10 @@
 // Package snap is the versioned binary snapshot codec shared by every
-// Snapshot()/Restore() pair in the tree (engine, protocol worlds, the
-// decor facade, chaos checkpoints, session records). The format is
-// deliberately dumb — varint integers, IEEE-754 float bits, length-
-// prefixed byte strings — because determinism is the whole point: the
-// same state always encodes to the same bytes, and decoding never
-// allocates proportionally to attacker-controlled lengths.
+// sealed record in the tree (the decor facade's deployment snapshots,
+// chaos checkpoints, session records). The format is deliberately dumb
+// — varint integers, IEEE-754 float bits, length-prefixed byte strings
+// — because determinism is the whole point: the same state always
+// encodes to the same bytes, and decoding never allocates
+// proportionally to attacker-controlled lengths.
 //
 // A sealed snapshot is
 //
@@ -90,9 +90,6 @@ func (w *Writer) Bool(b bool) {
 		w.buf = append(w.buf, 0)
 	}
 }
-
-// Byte appends one raw byte (payload type codes).
-func (w *Writer) Byte(b byte) { w.buf = append(w.buf, b) }
 
 // Bytes appends a length-prefixed byte string.
 func (w *Writer) Bytes(b []byte) {

@@ -17,7 +17,6 @@ func roundTrip() []byte {
 	w.F64(math.Copysign(0, -1))
 	w.Bool(true)
 	w.Bool(false)
-	w.Byte(7)
 	w.Str("hello")
 	w.Bytes([]byte{1, 2, 3})
 	return w.Seal()
@@ -51,9 +50,6 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if got := r.Bool(); got {
 		t.Errorf("Bool = %v", got)
-	}
-	if got := r.Byte(); got != 7 {
-		t.Errorf("Byte = %d", got)
 	}
 	if got := r.Str(); got != "hello" {
 		t.Errorf("Str = %q", got)

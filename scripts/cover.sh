@@ -1,8 +1,9 @@
 #!/bin/sh
 # Coverage gate for the chaos-critical packages: the combined statement
 # coverage of internal/sim (+invariant, +simtest) and internal/protocol
-# must not drop below FLOOR. Their checkpoint code is exercised from
-# internal/chaos, so its tests run too. The profile goes to a temp dir.
+# must not drop below FLOOR. The chaos harness drives them through
+# paths their own tests do not, so internal/chaos's tests run too. The
+# profile goes to a temp dir.
 set -e
 
 GO=${GO:-go}

@@ -272,7 +272,7 @@ func TestTimingGoesThroughSpans(t *testing.T) {
 		}
 		ast.Inspect(pf.f, func(n ast.Node) bool {
 			if call, ok := n.(*ast.CallExpr); ok {
-				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Observe" || sel.Sel.Name == "ObserveExemplar") {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Observe" {
 					p := fset.Position(sel.Sel.Pos())
 					t.Errorf("%s:%d: %s observes a histogram by hand; time the phase with obs.Start", p.Filename, p.Line, sel.Sel.Name)
 				}
