@@ -11,14 +11,16 @@
 //
 //	go test -run '^$' -bench=. -benchmem -count=3 ./internal/sim/ | decor-benchjson -o BENCH_sim.json
 //
-// With -gate it reads a gate table (BENCH_gates.tsv, whose header
+// With -gate it reads a gate table (BENCH_gates.txt, whose header
 // documents the format). For each run line it prints the committed
-// baseline beside the table against the same-named file in FRESHDIR,
-// then one verdict line per gate row, and exits 1 if any row fails.
+// baseline beside the table against the same-named file in FRESHDIR, a
+// STALE line for each benchmark whose allocs/op or B/op moved more than
+// 10% from its baseline, then one verdict line per gate row, and exits
+// 1 if any row fails (STALE lines never do).
 // Every file and row is checked before the exit status is decided;
 // scripts/benchstat.sh fills FRESHDIR and calls it:
 //
-//	decor-benchjson -gate BENCH_gates.tsv FRESHDIR
+//	decor-benchjson -gate BENCH_gates.txt FRESHDIR
 package main
 
 import (
@@ -303,6 +305,7 @@ func runGate(tablePath, freshDir string, w io.Writer) (int, error) {
 		}
 		base, fresh := sides[0], sides[1]
 		printDiff(w, run.file, base, fresh)
+		printStale(w, base, fresh)
 		for _, r := range run.rows {
 			if !check(w, r, base, fresh) {
 				failed++
@@ -340,6 +343,43 @@ func printDiff(w io.Writer, file string, base, fresh map[string]*Entry) {
 			show(value(o, "ns")), show(value(e, "ns")), speed,
 			show(value(o, "allocs")), show(value(e, "allocs")),
 			show(value(o, "bytes")), show(value(e, "bytes")))
+	}
+}
+
+// staleMove is how far, as a share of its baseline, a benchmark's
+// allocs/op or B/op may move before the gate calls its entry stale.
+const staleMove = 0.10
+
+// printStale prints a STALE line for each benchmark in both files whose
+// allocs/op or B/op moved more than staleMove from its baseline, either
+// way, gated or not. A baseline the code has moved away from widens
+// every band over it, so the lines say which entries to re-record; they
+// never fail the gate.
+func printStale(w io.Writer, base, fresh map[string]*Entry) {
+	names := make([]string, 0, len(base))
+	for n := range base {
+		if fresh[n] != nil {
+			names = append(names, n)
+		}
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		var moved []string
+		for _, metric := range []string{"allocs", "bytes"} {
+			b, okB := value(base[n], metric)
+			f, okF := value(fresh[n], metric)
+			if !okB || !okF || math.Abs(f-b) <= staleMove*b {
+				continue
+			}
+			change := "from 0"
+			if b != 0 {
+				change = fmt.Sprintf("%+.1f%%", (f-b)/b*100)
+			}
+			moved = append(moved, fmt.Sprintf("%s %s -> %s (%s)", metric, show(b, true), show(f, true), change))
+		}
+		if len(moved) > 0 {
+			fmt.Fprintf(w, "STALE %-44s %s\n", n, strings.Join(moved, ", "))
+		}
 	}
 }
 

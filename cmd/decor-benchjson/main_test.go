@@ -91,6 +91,62 @@ func TestRunDiffGate(t *testing.T) {
 	}
 }
 
+// TestGateNamesStaleEntries: a benchmark in both files whose allocs/op
+// or B/op moved more than 10% from its baseline, either way, gets one
+// STALE line naming what moved, whether a row gates it or not; the
+// lines never change the failure count.
+func TestGateNamesStaleEntries(t *testing.T) {
+	const bench = "BenchmarkPlace/pts=1e5/grid"
+	for _, tc := range []struct {
+		name        string
+		base, fresh fig
+		rows        string
+		stale       string // the STALE line's tail, "" for none
+		failures    int
+	}{
+		{"unmoved", fig{100, 100, 1000}, fig{90, 100, 1000}, "", "", 0},
+		{"within 10%", fig{100, 100, 1000}, fig{100, 110, 900}, "", "", 0},
+		{"allocs up", fig{100, 100, 1000}, fig{100, 111, 1000}, "", "allocs 100 -> 111 (+11.0%)", 0},
+		{"bytes down", fig{100, 100, 1000}, fig{100, 100, 800}, "", "bytes 1000 -> 800 (-20.0%)", 0},
+		{"both", fig{100, 479, 1000}, fig{100, 400, 1200},
+			"", "allocs 479 -> 400 (-16.5%), bytes 1000 -> 1200 (+20.0%)", 0},
+		{"from zero", fig{100, 0, 0}, fig{100, 1, 0}, "", "allocs 0 -> 1 (from 0)", 0},
+		{"gated and holding", fig{100, 100, 1000}, fig{100, 120, 1000},
+			bench + " allocs band 25\n", "allocs 100 -> 120 (+20.0%)", 0},
+		{"gated and failing", fig{100, 100, 1000}, fig{100, 130, 1000},
+			bench + " allocs band 25\n", "allocs 100 -> 130 (+30.0%)", 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir, freshDir := t.TempDir(), t.TempDir()
+			table := filepath.Join(dir, "gates.txt")
+			if err := os.WriteFile(table, []byte("run bench.json 1x 3 BenchmarkPlace ./internal/core/\n"+tc.rows), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			// A bench in one file only is new or gone, never stale.
+			writeEntries(t, filepath.Join(dir, "bench.json"), map[string]fig{bench: tc.base, "BenchmarkGone": {1, 1, 1}})
+			writeEntries(t, filepath.Join(freshDir, "bench.json"), map[string]fig{bench: tc.fresh, "BenchmarkNew": {1, 9, 9}})
+			var out strings.Builder
+			n, err := runGate(table, freshDir, &out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var stale []string
+			for _, line := range strings.Split(out.String(), "\n") {
+				if strings.HasPrefix(line, "STALE") {
+					stale = append(stale, strings.Join(strings.Fields(line), " "))
+				}
+			}
+			var want []string
+			if tc.stale != "" {
+				want = []string{"STALE " + bench + " " + tc.stale}
+			}
+			if strings.Join(stale, "\n") != strings.Join(want, "\n") || n != tc.failures {
+				t.Errorf("STALE lines %q and %d failures, want %q and %d\n%s", stale, n, want, tc.failures, out.String())
+			}
+		})
+	}
+}
+
 func TestReadTableRejectsMalformedRows(t *testing.T) {
 	for _, body := range []string{
 		"BenchmarkX ns band 10\n",      // before any run line

@@ -46,8 +46,8 @@ func (w *benchWriter) Write(b []byte) (int, error) {
 }
 
 // rewindCloser lets one bytes.Reader serve as the request body for
-// every iteration: Seek back to 0 and reassign (servePlanLike replaces
-// r.Body with a MaxBytesReader each call).
+// every iteration: Reset it and reassign (servePlanLike replaces r.Body
+// with a MaxBytesReader each call).
 type rewindCloser struct{ *bytes.Reader }
 
 func (rewindCloser) Close() error { return nil }
@@ -62,10 +62,10 @@ func newBenchServer(tb testing.TB, cfg Config) *Server {
 	return svc
 }
 
-// planRig drives s.handlePlan or s.handleRepair directly with a fixed
-// body. Calling the handler (not mux.ServeHTTP) avoids the per-match
-// request clone the Go 1.22 pattern mux performs, which is outside the
-// codec layer.
+// planRig drives s.handlePlan or s.handleRepair directly, cycling
+// through fixed bodies. Calling the handler (not mux.ServeHTTP) avoids
+// the per-match request clone the Go 1.22 pattern mux performs, which
+// is outside the codec layer.
 type planRig struct {
 	svc    *Server
 	handle http.HandlerFunc
@@ -73,23 +73,25 @@ type planRig struct {
 	req    *http.Request
 	rd     *bytes.Reader
 	rc     io.ReadCloser
+	bodies [][]byte
+	n      int // requests sent
 }
 
-func newPlanRig(tb testing.TB, cfg Config, body string) *planRig {
+func newPlanRig(tb testing.TB, cfg Config, bodies ...string) *planRig {
 	tb.Helper()
 	svc := newBenchServer(tb, cfg)
-	return newRig(svc, svc.handlePlan, "/v1/plan", body)
+	return newRig(svc, svc.handlePlan, "/v1/plan", bodies)
 }
 
-func newRepairRig(tb testing.TB, cfg Config, body string) *planRig {
+func newRepairRig(tb testing.TB, cfg Config, bodies ...string) *planRig {
 	tb.Helper()
 	svc := newBenchServer(tb, cfg)
-	return newRig(svc, svc.handleRepair, "/v1/repair", body)
+	return newRig(svc, svc.handleRepair, "/v1/repair", bodies)
 }
 
-func newRig(svc *Server, handle http.HandlerFunc, path, body string) *planRig {
-	rd := bytes.NewReader([]byte(body))
-	return &planRig{
+func newRig(svc *Server, handle http.HandlerFunc, path string, bodies []string) *planRig {
+	rd := bytes.NewReader(nil)
+	p := &planRig{
 		svc:    svc,
 		handle: handle,
 		w:      newBenchWriter(),
@@ -97,10 +99,15 @@ func newRig(svc *Server, handle http.HandlerFunc, path, body string) *planRig {
 		rd:     rd,
 		rc:     rewindCloser{rd},
 	}
+	for _, b := range bodies {
+		p.bodies = append(p.bodies, []byte(b))
+	}
+	return p
 }
 
 func (p *planRig) run() {
-	p.rd.Seek(0, io.SeekStart)
+	p.rd.Reset(p.bodies[p.n%len(p.bodies)])
+	p.n++
 	p.req.Body = p.rc
 	p.handle(p.w, p.req)
 }
@@ -139,9 +146,15 @@ func repairBody(n int) string {
 	return string(append(b, `],"method":"voronoi-big","failed":[3,7]}`...))
 }
 
+// reencoded is body with a timeout_ms in front: other bytes, the same
+// request and cache key.
+func reencoded(body string) string {
+	return `{"timeout_ms":2000,` + body[1:]
+}
+
 // BenchmarkServePlanCacheHit is the acceptance hot path: a warm
-// cache-hit /v1/plan, request decode through the codec's parser, response
-// straight from the byte cache. Gated at <= 10 allocs/request.
+// cache-hit /v1/plan, found by the body's raw digest, response straight
+// from the byte cache. Gated at <= 10 allocs/request.
 func BenchmarkServePlanCacheHit(b *testing.B) {
 	p := newPlanRig(b, Config{}, planBody(7))
 	p.run() // cold miss populates the cache; everything after hits
@@ -157,10 +170,25 @@ func BenchmarkServePlanCacheHit(b *testing.B) {
 
 // BenchmarkServeRepairCacheHit is the repair-cached workload's hot
 // path: a warm cache-hit /v1/repair carrying 900 explicit sensors
-// (~34 KB), where decode, validation and the cache key each walk the
-// whole sensor list. Gated exactly in benchstat.sh.
+// (~50 KB), sent byte for byte again, so the body's raw digest finds
+// the plan and nothing decodes. Gated exactly in benchstat.sh.
 func BenchmarkServeRepairCacheHit(b *testing.B) {
 	p := newRepairRig(b, Config{}, repairBody(900))
+	p.warmHit(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.run()
+	}
+}
+
+// BenchmarkServeRepairCacheHitDecode reaches the same entry through
+// the decode path: two encodings of the request alternate, so each body
+// differs from the entry's alias, and decode, validation and the
+// canonical key each walk the whole sensor list before the hit (which
+// then takes the alias over). Gated exactly in benchstat.sh.
+func BenchmarkServeRepairCacheHitDecode(b *testing.B) {
+	p := newRepairRig(b, Config{}, repairBody(900), reencoded(repairBody(900)))
 	p.warmHit(b)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -205,31 +233,46 @@ func TestServePlanCacheHitAllocs(t *testing.T) {
 // raceEnabled is set by race_test.go in -race builds.
 var raceEnabled bool
 
-// TestServeRepairCacheHitAllocs pins that a cache hit pays for its
-// sensor list per list, not per sensor: a warm 900-sensor /v1/repair
-// hit costs at most 16 allocations, and at most 2 more than the same
-// request with 9 sensors. GC is paused as in TestServePlanCacheHitAllocs.
-// Under -race the pools drop entries at random, so the 50-KB body
-// buffer and the decode scratch regrow on some hits; plain `go test`
-// and the exact BENCH_serve_allocs.json gate enforce the count.
+// TestServeRepairCacheHitAllocs pins what a cache hit pays for its
+// sensor list on each path. A repeated body's raw hit pays nothing for
+// it: the same allocations at 9 and at 900 sensors, and fewer than a
+// decode-path hit. A hit through the decode path (two encodings
+// alternated) pays per list, not per sensor: at most 16 allocations at
+// 900 sensors, and at most 2 more than at 9. GC is paused as in
+// TestServePlanCacheHitAllocs. Under -race the pools drop entries at
+// random, so the 50-KB body buffer and the decode scratch regrow on
+// some hits; plain `go test` and the exact BENCH_serve_allocs.json gate
+// enforce the count.
 func TestServeRepairCacheHitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	hit := func(n int) float64 {
-		p := newRepairRig(t, Config{}, repairBody(n))
+	hit := func(n int, decode bool) float64 {
+		bodies := []string{repairBody(n)}
+		if decode {
+			bodies = append(bodies, reencoded(bodies[0]))
+		}
+		p := newRepairRig(t, Config{}, bodies...)
 		p.warmHit(t)
 		return testing.AllocsPerRun(100, p.run)
 	}
-	small, large := hit(9), hit(900)
-	t.Logf("cache-hit /v1/repair: %.1f allocs/request with 9 sensors, %.1f with 900", small, large)
-	if large > 16 {
-		t.Errorf("900-sensor cache hit costs %.1f allocs/request, want <= 16", large)
+	rawSmall, rawLarge := hit(9, false), hit(900, false)
+	decSmall, decLarge := hit(9, true), hit(900, true)
+	t.Logf("cache-hit /v1/repair: raw %.1f allocs/request with 9 sensors, %.1f with 900; decode path %.1f and %.1f",
+		rawSmall, rawLarge, decSmall, decLarge)
+	if rawLarge != rawSmall {
+		t.Errorf("900-sensor raw hit costs %.1f allocs/request, %.1f with 9 sensors; want equal", rawLarge, rawSmall)
 	}
-	if large > small+2 {
-		t.Errorf("900-sensor cache hit costs %.1f allocs/request, %.1f more than with 9 sensors; want <= 2",
-			large, large-small)
+	if rawLarge >= decLarge {
+		t.Errorf("900-sensor raw hit costs %.1f allocs/request, a decode-path hit %.1f; want fewer", rawLarge, decLarge)
+	}
+	if decLarge > 16 {
+		t.Errorf("900-sensor decode-path hit costs %.1f allocs/request, want <= 16", decLarge)
+	}
+	if decLarge > decSmall+2 {
+		t.Errorf("900-sensor decode-path hit costs %.1f allocs/request, %.1f more than with 9 sensors; want <= 2",
+			decLarge, decLarge-decSmall)
 	}
 }
 

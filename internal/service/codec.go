@@ -21,9 +21,10 @@ import (
 // response byte string regardless of which path (miss, hit, coalesced,
 // replayed delta) produced it.
 
-// reqKey is the canonical request hash used by the plan cache and the
-// flight group (requestKey). A fixed-size array key costs no allocation
-// per lookup, unlike a hex string.
+// reqKey is a request digest: the canonical request hash used by the
+// plan cache and the flight group (requestKey), or a body's raw digest,
+// the plan cache's alias for its exact bytes (readKeyed). A fixed-size
+// array key costs no allocation per lookup, unlike a hex string.
 type reqKey [32]byte
 
 // ---------------------------------------------------------------------
@@ -184,11 +185,11 @@ func appendKeyName(b []byte, s string) []byte {
 // Request body reading
 // ---------------------------------------------------------------------
 
-// readBody drains r into the pooled buffer *buf and returns the bytes.
-// A MaxBytesReader limit trip is a 413; any other read failure is a
-// 400.
+// readBody drains r onto the end of the pooled buffer *buf and returns
+// the bytes it read. A MaxBytesReader limit trip is a 413; any other
+// read failure is a 400.
 func readBody(r io.Reader, buf *[]byte) ([]byte, error) {
-	b := (*buf)[:0]
+	b, start := *buf, len(*buf)
 	for {
 		if len(b) == cap(b) {
 			b = append(b, 0)[:len(b)]
@@ -197,7 +198,7 @@ func readBody(r io.Reader, buf *[]byte) ([]byte, error) {
 		b = b[:len(b)+n]
 		if err == io.EOF {
 			*buf = b
-			return b, nil
+			return b[start:], nil
 		}
 		if err != nil {
 			*buf = b
@@ -207,6 +208,21 @@ func readBody(r io.Reader, buf *[]byte) ([]byte, error) {
 			return nil, badRequest("invalid JSON: %v", err)
 		}
 	}
+}
+
+// readKeyed reads a /v1/plan or /v1/repair body (tag keyTagPlan or
+// keyTagRepair) into the pooled buffer *buf behind its tag and returns
+// it with its raw key: SHA-256 over the tag and the exact bytes, the
+// plan cache's alias for them. The tag keeps the two endpoints' aliases
+// disjoint, and hashing the buffer in place allocates nothing. Only a
+// body read to its end is keyed.
+func readKeyed(r io.Reader, buf *[]byte, tag byte) ([]byte, reqKey, error) {
+	*buf = append((*buf)[:0], tag)
+	data, err := readBody(r, buf)
+	if err != nil {
+		return nil, reqKey{}, err
+	}
+	return data, sha256.Sum256(*buf), nil
 }
 
 // tooLarge returns the 413 for a MaxBytesReader limit trip, nil for any

@@ -89,8 +89,8 @@ func TestFollowerOfRefusedLeaderTakesItsOwnTurn(t *testing.T) {
 	fill(t, g, "hog")
 	body := planBody(61)
 	c := &planCall{}
-	if err := s.svc.parseInto(httptest.NewRequest(http.MethodPost, "/v1/plan", strings.NewReader(body)), c); err != nil {
-		t.Fatal(err)
+	if cached, _, err := s.svc.parseInto(httptest.NewRequest(http.MethodPost, "/v1/plan", strings.NewReader(body)), c); err != nil || cached != nil {
+		t.Fatalf("parse: cached %q, err %v; want a decoded request", cached, err)
 	}
 	key := c.key()
 
@@ -125,8 +125,8 @@ func TestPanickingLeaderReleasesFollowers(t *testing.T) {
 	s, _ := gatedServer(t)
 	body := planBody(63)
 	c := &planCall{}
-	if err := s.svc.parseInto(httptest.NewRequest(http.MethodPost, "/v1/plan", strings.NewReader(body)), c); err != nil {
-		t.Fatal(err)
+	if cached, _, err := s.svc.parseInto(httptest.NewRequest(http.MethodPost, "/v1/plan", strings.NewReader(body)), c); err != nil || cached != nil {
+		t.Fatalf("parse: cached %q, err %v; want a decoded request", cached, err)
 	}
 	key := c.key()
 	call, leader := s.svc.flight.begin(key)

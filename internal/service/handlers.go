@@ -244,6 +244,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 type planCall struct {
 	rr     RepairRequest // a plan uses rr.PlanRequest alone
 	repair bool
+	raw    reqKey // the body's raw digest (readKeyed)
 }
 
 func (c *planCall) key() reqKey {
@@ -251,6 +252,14 @@ func (c *planCall) key() reqKey {
 		return c.rr.key()
 	}
 	return c.rr.PlanRequest.key()
+}
+
+// tag is the endpoint tag of the call's keys.
+func (c *planCall) tag() byte {
+	if c.repair {
+		return keyTagRepair
+	}
+	return keyTagPlan
 }
 
 // execute plans the request on a private Deployment.
@@ -285,8 +294,8 @@ func setTraceHeader(h http.Header, id obs.TraceID) {
 }
 
 // servePlanLike is the shared request path of the two planning
-// endpoints: decode+validate, cache lookup, singleflight, admission,
-// deadline, response.
+// endpoints: raw body lookup, decode+validate, cache lookup,
+// singleflight, admission, deadline, response.
 func (s *Server) servePlanLike(w http.ResponseWriter, r *http.Request, repair bool) {
 	route := r.URL.Path
 	// The root span's End also lands in the request histogram.
@@ -313,12 +322,13 @@ func (s *Server) servePlanLike(w http.ResponseWriter, r *http.Request, repair bo
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.Limits.MaxBodyBytes)
 
-	// Decode and normalize: the codec reads the pooled body buffer, so a
-	// cache hit allocates nothing here beyond one exact-size copy of each
+	// A body whose exact bytes already reached a cached plan is served
+	// by its raw digest. Any other is decoded and normalized from the
+	// pooled body buffer, which costs a hit one exact-size copy of each
 	// sensor or failed-ID list.
 	c := &planCall{repair: repair}
 	pSpan := obs.Start(tctx, "parse", nil)
-	err := s.parseInto(r, c)
+	body, clen, err := s.parseInto(r, c)
 	pSpan.End()
 	if err != nil {
 		s.cBadReqs.Inc()
@@ -330,9 +340,14 @@ func (s *Server) servePlanLike(w http.ResponseWriter, r *http.Request, repair bo
 		}
 		return
 	}
+	if body != nil {
+		s.cCacheHits.Inc()
+		s.writePlan(w, body, clen, headerValHit)
+		return
+	}
 
 	key := c.key()
-	if body, clen, ok := s.cache.Get(key); ok {
+	if body, clen, ok := s.cache.Get(key, c.raw); ok {
 		s.cCacheHits.Inc()
 		s.writePlan(w, body, clen, headerValHit)
 		return
@@ -400,7 +415,7 @@ func (s *Server) lead(w http.ResponseWriter, tctx, ctx context.Context, route, t
 	switch {
 	case err == nil:
 		s.cCacheMisses.Inc()
-		clen := s.cache.Put(key, body)
+		clen := s.cache.Put(key, c.raw, body)
 		s.flight.finish(key, call, body, http.StatusOK, nil)
 		s.writePlan(w, body, clen, headerValMiss)
 	case errors.Is(err, admit.ErrTenant), errors.Is(err, admit.ErrSaturated), errors.Is(err, admit.ErrClosed):
@@ -470,28 +485,35 @@ func (s *Server) plan(ctx context.Context, route, tenant string, c *planCall) ([
 	return body, err
 }
 
-// parseInto reads the request body into a pooled buffer, decodes it
-// and normalizes it. A repair's failed-ID list rides along, and
-// repair-specific validation applies.
-func (s *Server) parseInto(r *http.Request, c *planCall) error {
+// parseInto reads the request body into a pooled buffer and keys its
+// exact bytes into c.raw. When those bytes are a cached plan's alias it
+// returns that plan's body and Content-Length value; otherwise it
+// decodes and normalizes the body into c and returns a nil body. A
+// repair's failed-ID list rides along, and repair-specific validation
+// applies.
+func (s *Server) parseInto(r *http.Request, c *planCall) ([]byte, []string, error) {
 	buf := jsonx.GetBuf()
 	defer jsonx.PutBuf(buf)
-	data, err := readBody(r.Body, buf)
+	data, raw, err := readKeyed(r.Body, buf, c.tag())
 	if err != nil {
-		return err
+		return nil, nil, err
+	}
+	c.raw = raw
+	if body, clen, ok := s.cache.Raw(raw); ok {
+		return body, clen, nil
 	}
 	if c.repair {
 		if err := decodeRequest(data, &c.rr.PlanRequest, &c.rr.Failed, nil); err != nil {
-			return err
+			return nil, nil, err
 		}
 		c.rr, err = c.rr.normalize(s.cfg.Limits)
-		return err
+		return nil, nil, err
 	}
 	if err := decodeRequest(data, &c.rr.PlanRequest, nil, nil); err != nil {
-		return err
+		return nil, nil, err
 	}
 	c.rr.PlanRequest, err = c.rr.PlanRequest.normalize(s.cfg.Limits)
-	return err
+	return nil, nil, err
 }
 
 // replayFlight serves a follower the leader's outcome: its plan bytes,

@@ -8,10 +8,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	stdiotest "testing/iotest"
 	"time"
 
 	"decor/internal/admit"
@@ -354,6 +356,70 @@ func TestOversizedBodyFailsFastWith413(t *testing.T) {
 	}
 }
 
+// TestBadBodiesLeaveNothingBehind: on /v1/plan and /v1/repair, a body
+// over MaxBodyBytes and a body whose read is cut off keep their status
+// and error text, make no cache entry or alias, and get the same answer
+// when repeated, also when the bytes read before the cut are a cached
+// body's. After Shutdown the goroutine count is back where it started.
+func TestBadBodiesLeaveNothingBehind(t *testing.T) {
+	const limit = 2048
+	before := runtime.NumGoroutine()
+	svc := New(Config{Registry: obs.NewRegistry(), Limits: Limits{MaxBodyBytes: limit}})
+	h := svc.Handler()
+	serve := func(path string, body io.Reader) (int, string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, body))
+		return rec.Code, rec.Body.String()
+	}
+	cut := func(prefix string) io.Reader {
+		return io.MultiReader(strings.NewReader(prefix), stdiotest.ErrReader(io.ErrUnexpectedEOF))
+	}
+	const tooLarge = `{"error":"request body exceeds 2048 bytes"}` + "\n"
+	const cutOff = `{"error":"invalid JSON: unexpected EOF"}` + "\n"
+	for _, path := range []string{"/v1/plan", "/v1/repair"} {
+		cached := planBody(91)
+		if path == "/v1/repair" {
+			cached = smallRepair
+		}
+		if status, body := serve(path, strings.NewReader(cached)); status != http.StatusOK {
+			t.Fatalf("%s: priming: %d %s", path, status, body)
+		}
+		for _, tc := range []struct {
+			name   string
+			body   func() io.Reader
+			status int
+			want   string
+		}{
+			{"one byte over", func() io.Reader { return strings.NewReader(cached + strings.Repeat(" ", limit+1-len(cached))) },
+				http.StatusRequestEntityTooLarge, tooLarge},
+			{"far over", func() io.Reader { return strings.NewReader(strings.Repeat(" ", 4*limit) + cached) },
+				http.StatusRequestEntityTooLarge, tooLarge},
+			{"cut mid-body", func() io.Reader { return cut(cached[:len(cached)/2]) }, http.StatusBadRequest, cutOff},
+			{"cut after a cached body", func() io.Reader { return cut(cached) }, http.StatusBadRequest, cutOff},
+			{"cut at the first byte", func() io.Reader { return cut("") }, http.StatusBadRequest, cutOff},
+		} {
+			for i := 0; i < 2; i++ {
+				status, body := serve(path, tc.body())
+				if status != tc.status || body != tc.want {
+					t.Errorf("%s %s, request %d: %d %q, want %d %q", path, tc.name, i, status, body, tc.status, tc.want)
+				}
+				svc.cache.mu.Lock()
+				entries, aliases := len(svc.cache.items), len(svc.cache.raw)
+				svc.cache.mu.Unlock()
+				if want := map[string]int{"/v1/plan": 1, "/v1/repair": 2}[path]; entries != want || aliases != want {
+					t.Errorf("%s %s: %d entries and %d aliases, want %d of each: the cached bodies'", path, tc.name, entries, aliases, want)
+				}
+			}
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := svc.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	waitFor(t, func() bool { return runtime.NumGoroutine() <= before })
+}
+
 func TestValidationRejections(t *testing.T) {
 	s := newTestServer(t, Config{})
 	cases := []struct {
@@ -543,16 +609,23 @@ func waitFor(t *testing.T, cond func() bool) {
 func TestLRUCacheEvicts(t *testing.T) {
 	c := newPlanCache(2)
 	ka, kb, kc := testKey("a"), testKey("b"), testKey("c")
-	c.Put(ka, []byte("A"))
-	c.Put(kb, []byte("B"))
-	if _, _, ok := c.Get(ka); !ok {
+	ra, rb, rc := testKey("a's body"), testKey("b's body"), testKey("c's body")
+	c.Put(ka, ra, []byte("A"))
+	c.Put(kb, rb, []byte("B"))
+	if _, _, ok := c.Get(ka, ra); !ok {
 		t.Fatal("a evicted too early")
 	}
-	c.Put(kc, []byte("C")) // evicts b (a was refreshed)
-	if _, _, ok := c.Get(kb); ok {
+	c.Put(kc, rc, []byte("C")) // evicts b (a was refreshed)
+	if _, _, ok := c.Get(kb, rb); ok {
 		t.Error("b should have been evicted")
 	}
-	if body, clen, ok := c.Get(ka); !ok {
+	if _, _, ok := c.Raw(rb); ok {
+		t.Error("b's alias outlived its entry")
+	}
+	if body, _, ok := c.Raw(ra); !ok || string(body) != "A" {
+		t.Errorf("a's alias: %q, %v; want A", body, ok)
+	}
+	if body, clen, ok := c.Get(ka, ra); !ok {
 		t.Error("a should survive (recently used)")
 	} else if len(clen) != 1 || clen[0] != strconv.Itoa(len(body)) {
 		t.Errorf("cached Content-Length %v, want [%d]", clen, len(body))
