@@ -86,12 +86,15 @@ session-smoke:
 # Done/Leave with refusals mixed in and Close landing mid-burst; a field
 # event does not wait for the plans' run slots; a coalesced request
 # outlives its leader's deadline, refusal or panic; a mixed overload
-# burst leaves the books empty and no goroutine behind; and oversized
-# or cut-off bodies leave no cache entry, alias or goroutine behind.
-# Each test runs ten times under the race detector.
+# burst leaves the books empty and no goroutine behind; oversized or
+# cut-off bodies leave no cache entry or goroutine behind; and an NDJSON
+# client that hangs up mid-stream leaves the sessions' gate books empty
+# and no handler or goroutine behind. Each test runs ten times under
+# the race detector.
 gate-smoke:
 	$(GO) test -race -count=10 -run '^TestGateBooksBalanceUnderConcurrency$$|^TestCloseDrainsAdmittedCalls$$' -timeout 300s ./internal/admit/
 	$(GO) test -race -count=10 -run '^TestFieldEventsDoNotWaitBehindPlans$$|^TestFollowerOutlivesLeaderDeadline$$|^TestFollowerOfRefusedLeaderTakesItsOwnTurn$$|^TestPanickingLeaderReleasesFollowers$$|^TestOverloadBurstLeavesNothingBehind$$|^TestBadBodiesLeaveNothingBehind$$' -timeout 300s ./internal/service/
+	$(GO) test -race -count=10 -run '^TestVanishedNDJSONClientLeavesNothingBehind$$' -timeout 300s ./internal/session/
 
 # Fuzz smoke: the parity fuzzers of the number and string readers, the
 # request decoders and the event-stream scanner each run 20000 generated

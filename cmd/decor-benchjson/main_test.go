@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -225,6 +226,48 @@ func TestCommittedGateTable(t *testing.T) {
 	var out strings.Builder
 	if n, err := runGate(committedTable, filepath.Dir(committedTable), &out); err != nil || n != 0 {
 		t.Fatalf("committed baselines against themselves: %d failures, err %v\n%s", n, err, out.String())
+	}
+}
+
+// TestGatedBenchmarksExist holds the committed table to the tree: the
+// benchmark each row gates, and the other one of a ratio, is declared as
+// `func BenchmarkX(` in some _test.go file, X being its name up to the
+// first '/'. Without it, a deleted gated benchmark passes `go test ./...`
+// and fails only when scripts/benchstat.sh runs its row.
+func TestGatedBenchmarksExist(t *testing.T) {
+	runs, err := readTable(committedTable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decl := regexp.MustCompile(`(?m)^func (Benchmark\w*)\(`)
+	declared := map[string]bool{}
+	root := filepath.Dir(committedTable)
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata"):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range decl.FindAllSubmatch(src, -1) {
+			declared[string(m[1])] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, run := range runs {
+		for _, r := range run.rows {
+			for _, name := range []string{r.bench, r.other} {
+				if fn, _, _ := strings.Cut(name, "/"); fn != "" && !declared[fn] {
+					t.Errorf("%s: a row gates %s, but no _test.go file declares func %s(", run.file, name, fn)
+				}
+			}
+		}
 	}
 }
 

@@ -36,9 +36,6 @@ type Options struct {
 	// MaxPlacements stops the run after this many new sensors
 	// (0 = unlimited). Runs stopped early have Result.Capped set.
 	MaxPlacements int
-	// MaxRounds bounds distributed rounds (0 = unlimited); a safety net
-	// against livelock bugs, not expected to trigger.
-	MaxRounds int
 	// Ctx, when non-nil, is polled at round boundaries (distributed
 	// methods) or per placement (centralized/random): once it is done the
 	// run stops early with Result.Interrupted set. Placements applied
@@ -53,13 +50,6 @@ func (o Options) maxPlacements() int {
 		return int(^uint(0) >> 1)
 	}
 	return o.MaxPlacements
-}
-
-func (o Options) maxRounds() int {
-	if o.MaxRounds <= 0 {
-		return int(^uint(0) >> 1)
-	}
-	return o.MaxRounds
 }
 
 // interrupted reports whether the run's context (if any) is done.

@@ -163,7 +163,7 @@ func (g GridDECOR) Deploy(m *coverage.Map, r *rng.RNG, opt Options) Result {
 
 	nextID := nextSensorID(m)
 	var decided []gridPlacement
-	for round := 0; !m.FullyCovered() && round < opt.maxRounds(); round++ {
+	for round := 0; !m.FullyCovered(); round++ {
 		if res.Capped {
 			break
 		}

@@ -51,7 +51,7 @@ func gridRescan(g GridDECOR, m *coverage.Map, opt Options) Result {
 	nextID := nextSensorID(m)
 	var decided []gridPlacement
 	var snapBuf []int
-	for round := 0; !m.FullyCovered() && round < opt.maxRounds(); round++ {
+	for round := 0; !m.FullyCovered(); round++ {
 		if res.Capped {
 			break
 		}
@@ -174,7 +174,7 @@ func voronoiRescan(v VoronoiDECOR, m *coverage.Map, opt Options) Result {
 	nextID := nextSensorID(m)
 	var decided []placement
 	var snapBuf []int
-	for round := 0; !m.FullyCovered() && round < opt.maxRounds(); round++ {
+	for round := 0; !m.FullyCovered(); round++ {
 		if res.Capped {
 			break
 		}

@@ -109,7 +109,7 @@ func (v VoronoiDECOR) Deploy(m *coverage.Map, r *rng.RNG, opt Options) Result {
 
 	nextID := nextSensorID(m)
 	var decided []voronoiPlacement
-	for round := 0; !m.FullyCovered() && round < opt.maxRounds(); round++ {
+	for round := 0; !m.FullyCovered(); round++ {
 		if res.Capped {
 			break
 		}

@@ -146,14 +146,8 @@ func repairBody(n int) string {
 	return string(append(b, `],"method":"voronoi-big","failed":[3,7]}`...))
 }
 
-// reencoded is body with a timeout_ms in front: other bytes, the same
-// request and cache key.
-func reencoded(body string) string {
-	return `{"timeout_ms":2000,` + body[1:]
-}
-
 // BenchmarkServePlanCacheHit is the acceptance hot path: a warm
-// cache-hit /v1/plan, found by the body's raw digest, response straight
+// cache-hit /v1/plan, found by the body's digest, response straight
 // from the byte cache. Gated at <= 10 allocs/request.
 func BenchmarkServePlanCacheHit(b *testing.B) {
 	p := newPlanRig(b, Config{}, planBody(7))
@@ -170,25 +164,10 @@ func BenchmarkServePlanCacheHit(b *testing.B) {
 
 // BenchmarkServeRepairCacheHit is the repair-cached workload's hot
 // path: a warm cache-hit /v1/repair carrying 900 explicit sensors
-// (~50 KB), sent byte for byte again, so the body's raw digest finds
-// the plan and nothing decodes. Gated exactly in benchstat.sh.
+// (~50 KB), sent byte for byte again, so the body's digest finds the
+// plan and nothing decodes. Gated exactly in benchstat.sh.
 func BenchmarkServeRepairCacheHit(b *testing.B) {
 	p := newRepairRig(b, Config{}, repairBody(900))
-	p.warmHit(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.run()
-	}
-}
-
-// BenchmarkServeRepairCacheHitDecode reaches the same entry through
-// the decode path: two encodings of the request alternate, so each body
-// differs from the entry's alias, and decode, validation and the
-// canonical key each walk the whole sensor list before the hit (which
-// then takes the alias over). Gated exactly in benchstat.sh.
-func BenchmarkServeRepairCacheHitDecode(b *testing.B) {
-	p := newRepairRig(b, Config{}, repairBody(900), reencoded(repairBody(900)))
 	p.warmHit(b)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -234,13 +213,10 @@ func TestServePlanCacheHitAllocs(t *testing.T) {
 var raceEnabled bool
 
 // TestServeRepairCacheHitAllocs pins what a cache hit pays for its
-// sensor list on each path. A repeated body's raw hit pays nothing for
-// it: the same allocations at 9 and at 900 sensors, and fewer than a
-// decode-path hit. A hit through the decode path (two encodings
-// alternated) pays per list, not per sensor: at most 16 allocations at
-// 900 sensors, and at most 2 more than at 9. GC is paused as in
-// TestServePlanCacheHitAllocs. Under -race the pools drop entries at
-// random, so the 50-KB body buffer and the decode scratch regrow on
+// sensor list: nothing, since the body's digest finds the plan before
+// anything decodes, so a hit costs the same allocations at 9 and at 900
+// sensors. GC is paused as in TestServePlanCacheHitAllocs. Under -race
+// the pools drop entries at random, so the 50-KB body buffer regrows on
 // some hits; plain `go test` and the exact BENCH_serve_allocs.json gate
 // enforce the count.
 func TestServeRepairCacheHitAllocs(t *testing.T) {
@@ -248,31 +224,50 @@ func TestServeRepairCacheHitAllocs(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	hit := func(n int, decode bool) float64 {
-		bodies := []string{repairBody(n)}
-		if decode {
-			bodies = append(bodies, reencoded(bodies[0]))
-		}
-		p := newRepairRig(t, Config{}, bodies...)
+	hit := func(n int) float64 {
+		p := newRepairRig(t, Config{}, repairBody(n))
 		p.warmHit(t)
 		return testing.AllocsPerRun(100, p.run)
 	}
-	rawSmall, rawLarge := hit(9, false), hit(900, false)
-	decSmall, decLarge := hit(9, true), hit(900, true)
-	t.Logf("cache-hit /v1/repair: raw %.1f allocs/request with 9 sensors, %.1f with 900; decode path %.1f and %.1f",
-		rawSmall, rawLarge, decSmall, decLarge)
-	if rawLarge != rawSmall {
-		t.Errorf("900-sensor raw hit costs %.1f allocs/request, %.1f with 9 sensors; want equal", rawLarge, rawSmall)
+	small, large := hit(9), hit(900)
+	t.Logf("cache-hit /v1/repair: %.1f allocs/request with 9 sensors, %.1f with 900", small, large)
+	if large != small {
+		t.Errorf("900-sensor hit costs %.1f allocs/request, %.1f with 9 sensors; want equal", large, small)
 	}
-	if rawLarge >= decLarge {
-		t.Errorf("900-sensor raw hit costs %.1f allocs/request, a decode-path hit %.1f; want fewer", rawLarge, decLarge)
+}
+
+// TestDecodeCostsPerList pins what decoding and validating a body pays
+// for its sensor and failed-ID lists: a few allocations per list, not
+// per sensor. decodeRequest and normalize of a 900-sensor repair body
+// cost at most 16 allocations, and at most 2 more than a 9-sensor one.
+// GC is paused and the pools are warm, as in the cache-hit tests.
+func TestDecodeCostsPerList(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	if decLarge > 16 {
-		t.Errorf("900-sensor decode-path hit costs %.1f allocs/request, want <= 16", decLarge)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	lim := DefaultLimits()
+	cost := func(n int) float64 {
+		data := []byte(repairBody(n))
+		decode := func() {
+			var rr RepairRequest
+			if err := decodeRequest(data, &rr.PlanRequest, &rr.Failed, nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := rr.normalize(lim); err != nil {
+				t.Fatal(err)
+			}
+		}
+		decode() // warm the decoder and ID-set pools
+		return testing.AllocsPerRun(100, decode)
 	}
-	if decLarge > decSmall+2 {
-		t.Errorf("900-sensor decode-path hit costs %.1f allocs/request, %.1f more than with 9 sensors; want <= 2",
-			decLarge, decLarge-decSmall)
+	small, large := cost(9), cost(900)
+	t.Logf("decode + normalize of a repair body: %.1f allocs with 9 sensors, %.1f with 900", small, large)
+	if large > 16 {
+		t.Errorf("900-sensor body costs %.1f allocs, want <= 16", large)
+	}
+	if large > small+2 {
+		t.Errorf("900-sensor body costs %.1f allocs, %.1f more than with 9 sensors; want <= 2", large, large-small)
 	}
 }
 

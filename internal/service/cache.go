@@ -6,32 +6,22 @@ import (
 	"sync"
 )
 
-// planCache is a fixed-capacity LRU over canonical request keys. Values
-// are the finished response bodies — immutable byte slices served
-// verbatim, so a hit is byte-identical to the miss that populated it.
-// Keys are fixed-size digests (reqKey), so the map probes without
-// hashing a string and Get allocates nothing.
-//
-// In front of the canonical keys sits a tier keyed by raw body digests
-// (readKeyed): each entry carries at most one alias, the digest of the
-// last exact body that decoded, validated and reached it. A repeated
-// body is looked up by its bytes alone, so it skips decoding,
-// normalization and the canonical key. The tier holds no bodies of its
-// own: an alias lives and dies with its entry, so the capacity bounds
-// both tiers, and a disabled cache disables both.
+// planCache is a fixed-capacity LRU over request keys: the digest of an
+// endpoint tag and a body's exact bytes (readKeyed). Values are the
+// finished response bodies — immutable byte slices served verbatim, so
+// a hit is byte-identical to the miss that populated it. A hit is found
+// before the body is decoded, so it pays no decoding, validation or
+// copy of its lists. Keys are fixed-size digests (reqKey), so the map
+// probes without hashing a string and Get allocates nothing.
 type planCache struct {
 	mu    sync.Mutex
 	max   int
 	order *list.List // front = most recently used
 	items map[reqKey]*list.Element
-	// raw maps an alias to its entry; raw[k] == el implies el's entry
-	// has alias k, so an entry whose alias moved on no longer owns it.
-	raw map[reqKey]*list.Element
 }
 
 type cacheEntry struct {
 	key  reqKey
-	raw  reqKey // the alias, when raw[raw] is this entry's element
 	body []byte
 	// clen is the pre-rendered Content-Length header value, shared by
 	// every hit so serving one assigns a slice instead of allocating it.
@@ -45,31 +35,12 @@ func newPlanCache(max int) *planCache {
 		max:   max,
 		order: list.New(),
 		items: make(map[reqKey]*list.Element),
-		raw:   make(map[reqKey]*list.Element),
 	}
-}
-
-// Raw returns the cached body and its shared Content-Length value for
-// the body whose raw digest is raw, refreshing the entry's recency.
-func (c *planCache) Raw(raw reqKey) ([]byte, []string, bool) {
-	if c.max <= 0 {
-		return nil, nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.raw[raw]
-	if !ok {
-		return nil, nil, false
-	}
-	c.order.MoveToFront(el)
-	e := el.Value.(*cacheEntry)
-	return e.body, e.clen, true
 }
 
 // Get returns the cached body and its shared Content-Length value for
-// key, refreshing the entry's recency, and makes raw — the digest of
-// the body that decoded to key — the entry's alias.
-func (c *planCache) Get(key, raw reqKey) ([]byte, []string, bool) {
+// key, refreshing the entry's recency.
+func (c *planCache) Get(key reqKey) ([]byte, []string, bool) {
 	if c.max <= 0 {
 		return nil, nil, false
 	}
@@ -80,16 +51,15 @@ func (c *planCache) Get(key, raw reqKey) ([]byte, []string, bool) {
 		return nil, nil, false
 	}
 	c.order.MoveToFront(el)
-	c.alias(el, raw)
 	e := el.Value.(*cacheEntry)
 	return e.body, e.clen, true
 }
 
-// Put stores body under key with raw as its alias, evicting the least
-// recently used entry when full. Callers must never mutate body
-// afterwards. The returned slice is the entry's shared Content-Length
-// value (nil when caching is off).
-func (c *planCache) Put(key, raw reqKey, body []byte) []string {
+// Put stores body under key, evicting the least recently used entry
+// when full. Callers must never mutate body afterwards. The returned
+// slice is the entry's shared Content-Length value (nil when caching is
+// off).
+func (c *planCache) Put(key reqKey, body []byte) []string {
 	if c.max <= 0 {
 		return nil
 	}
@@ -99,35 +69,16 @@ func (c *planCache) Put(key, raw reqKey, body []byte) []string {
 		// A singleflight leader already stored this key; keep the
 		// existing bytes (identical by determinism) and just refresh.
 		c.order.MoveToFront(el)
-		c.alias(el, raw)
 		return el.Value.(*cacheEntry).clen
 	}
 	e := &cacheEntry{key: key, body: body, clen: []string{strconv.Itoa(len(body))}}
-	el := c.order.PushFront(e)
-	c.items[key] = el
-	c.alias(el, raw)
+	c.items[key] = c.order.PushFront(e)
 	for c.order.Len() > c.max {
 		old := c.order.Back()
 		c.order.Remove(old)
-		c.unalias(old)
 		delete(c.items, old.Value.(*cacheEntry).key)
 	}
 	return e.clen
-}
-
-// alias makes raw el's only alias, replacing the one it had. Callers
-// hold c.mu.
-func (c *planCache) alias(el *list.Element, raw reqKey) {
-	c.unalias(el)
-	c.raw[raw] = el
-	el.Value.(*cacheEntry).raw = raw
-}
-
-// unalias drops el's alias if el still owns it. Callers hold c.mu.
-func (c *planCache) unalias(el *list.Element) {
-	if raw := el.Value.(*cacheEntry).raw; c.raw[raw] == el {
-		delete(c.raw, raw)
-	}
 }
 
 // Len returns the current entry count.

@@ -9,7 +9,7 @@ import (
 )
 
 // testKey derives a distinct reqKey from an arbitrary label, standing in
-// for the canonical request digest in cache/flight unit tests.
+// for a body's digest in cache/flight unit tests.
 func testKey(label string) reqKey {
 	return sha256.Sum256([]byte(label))
 }
@@ -47,13 +47,13 @@ func TestSingleflightSurvivesEvictionChurn(t *testing.T) {
 					return
 				default:
 					k := testKey(fmt.Sprintf("junk-%d-%d", g, i%8))
-					cache.Put(k, k, []byte("junk"))
+					cache.Put(k, []byte("junk"))
 				}
 			}
 		}(g)
 	}
 
-	hot, hotRaw := testKey("hot-key"), testKey("hot-body")
+	hot := testKey("hot-key")
 	for r := 0; r < rounds; r++ {
 		want := []byte(fmt.Sprintf("round-%d-body", r))
 
@@ -71,7 +71,7 @@ func TestSingleflightSurvivesEvictionChurn(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if body, _, ok := cache.Get(hot, hotRaw); ok {
+				if body, _, ok := cache.Get(hot); ok {
 					// Only this round's leader ever stores the hot key
 					// (the previous round's entry was flushed), so a hit
 					// must be this round's exact bytes — anything else is
@@ -86,7 +86,7 @@ func TestSingleflightSurvivesEvictionChurn(t *testing.T) {
 					mu.Lock()
 					leaders++
 					mu.Unlock()
-					cache.Put(hot, hotRaw, want)
+					cache.Put(hot, want)
 					flights.finish(hot, call, want, 200, nil)
 					return
 				}
@@ -114,92 +114,9 @@ func TestSingleflightSurvivesEvictionChurn(t *testing.T) {
 		// leader-election path is exercised again.
 		for i := 0; i <= capacity; i++ {
 			k := testKey(fmt.Sprintf("flush-%d-%d", r, i))
-			cache.Put(k, k, []byte("junk"))
+			cache.Put(k, []byte("junk"))
 		}
 	}
 	close(stop)
 	churn.Wait()
-}
-
-// TestRawAliasesSurviveEvictionChurn churns raw-body hits against
-// evictions: goroutines look bodies up by alias, re-alias entries
-// through canonical hits with two encodings of each request, and put
-// entries back when both miss, while a four-entry cache evicts all the
-// time. A raw hit must serve the bytes of the request whose body it
-// names, never another's, and after every round each alias must name a
-// live entry that names it back, so aliases never outnumber entries.
-// Run under -race this also checks the tiers share one lock.
-func TestRawAliasesSurviveEvictionChurn(t *testing.T) {
-	const (
-		requests = 16
-		workers  = 4
-		rounds   = 200
-		capacity = 4
-	)
-	cache := newPlanCache(capacity)
-	type request struct {
-		key  reqKey
-		raw  [2]reqKey // two encodings of one request
-		body []byte
-	}
-	reqs := make([]request, requests)
-	for i := range reqs {
-		reqs[i] = request{
-			key:  testKey(fmt.Sprintf("key-%d", i)),
-			raw:  [2]reqKey{testKey(fmt.Sprintf("body-%d-a", i)), testKey(fmt.Sprintf("body-%d-b", i))},
-			body: []byte(fmt.Sprintf("plan-%d", i)),
-		}
-	}
-	for r := 0; r < rounds; r++ {
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func(w int) {
-				defer wg.Done()
-				for i := 0; i < 4*requests; i++ {
-					q := &reqs[(i*(w+1)+r)%requests]
-					raw := q.raw[(i+w)%2]
-					if body, _, ok := cache.Raw(raw); ok {
-						if !bytes.Equal(body, q.body) {
-							t.Errorf("raw hit served %q, want %q", body, q.body)
-						}
-						continue
-					}
-					if body, _, ok := cache.Get(q.key, raw); ok {
-						if !bytes.Equal(body, q.body) {
-							t.Errorf("canonical hit served %q, want %q", body, q.body)
-						}
-						continue
-					}
-					cache.Put(q.key, raw, q.body)
-				}
-			}(w)
-		}
-		wg.Wait()
-		checkAliases(t, cache)
-	}
-}
-
-// checkAliases holds the cache's alias invariant: every alias names a
-// live entry whose alias it is, so an entry has at most one and an
-// evicted entry none.
-func checkAliases(t *testing.T, c *planCache) {
-	t.Helper()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.items) > c.max || c.order.Len() != len(c.items) {
-		t.Fatalf("%d entries in the map, %d in the list, capacity %d", len(c.items), c.order.Len(), c.max)
-	}
-	if len(c.raw) > len(c.items) {
-		t.Fatalf("%d aliases for %d entries", len(c.raw), len(c.items))
-	}
-	for raw, el := range c.raw {
-		e := el.Value.(*cacheEntry)
-		if c.items[e.key] != el {
-			t.Fatalf("alias %x names an evicted entry", raw[:4])
-		}
-		if e.raw != raw {
-			t.Fatalf("alias %x names an entry whose alias is %x", raw[:4], e.raw[:4])
-		}
-	}
 }

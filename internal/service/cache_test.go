@@ -20,31 +20,24 @@ const smallRepair = `{"field_side":50,"k":1,"rs":6,"num_points":400,"seed":3,` +
 	`"sensors":[{"id":10,"x":10,"y":10},{"id":11,"x":40,"y":40},{"id":12,"x":25,"y":25}],` +
 	`"method":"grid-small","failed":[10,12]}`
 
-// rawKeyOf is the raw digest the server keys body by on path.
-func rawKeyOf(t *testing.T, path, body string) reqKey {
+// cached reports whether the server's plan cache holds an entry for
+// body sent to path, without touching the entry's recency.
+func (s *testServer) cached(t *testing.T, path, body string) bool {
 	t.Helper()
 	tag := keyTagPlan
 	if path == "/v1/repair" {
 		tag = keyTagRepair
 	}
 	var buf []byte
-	_, raw, err := readKeyed(strings.NewReader(body), &buf, tag)
+	_, key, err := readKeyed(strings.NewReader(body), &buf, tag)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return raw
-}
-
-// aliases returns how many aliases the server's plan cache holds and
-// whether body, sent to path, is one of them.
-func (s *testServer) aliases(t *testing.T, path, body string) (int, bool) {
-	t.Helper()
-	raw := rawKeyOf(t, path, body)
 	c := s.svc.cache
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, ok := c.raw[raw]
-	return len(c.raw), ok
+	_, ok := c.items[key]
+	return ok
 }
 
 // postCache posts body to path and returns its status, X-Decor-Cache
@@ -55,12 +48,12 @@ func (s *testServer) postCache(t *testing.T, path, body string) (int, string, []
 	return status, hdr.Get(cacheStatusHeader), b
 }
 
-// TestRawAliasesArePerEndpoint: the same bytes sent to /v1/plan and to
-// /v1/repair are two requests, so they never share an alias. A plan
-// body sent to /v1/repair is a repair with no failures: a miss of its
-// own, though the plan's alias exists. A repair body stays a 400 on
-// /v1/plan, whose requests have no failed list, after /v1/repair has
-// cached it.
+// TestRawAliasesArePerEndpoint: the raw bytes' digest, the cache key,
+// is per endpoint, so the same bytes sent to /v1/plan and to /v1/repair
+// never share a cache entry. A plan body sent to /v1/repair is a repair
+// with no failures: a miss of its own, though the plan's entry exists.
+// A repair body stays a 400 on /v1/plan, whose requests have no failed
+// list, after /v1/repair has cached it.
 func TestRawAliasesArePerEndpoint(t *testing.T) {
 	s := newTestServer(t, Config{})
 	plan := planBody(21)
@@ -85,17 +78,27 @@ func TestRawAliasesArePerEndpoint(t *testing.T) {
 			t.Errorf("%s: status %d, %s %q; want 200, %q", step.path, status, cacheStatusHeader, cache, step.want)
 		}
 	}
-	n, planAliased := s.aliases(t, "/v1/plan", plan)
-	_, repairAliased := s.aliases(t, "/v1/repair", plan)
-	if n != 3 || !planAliased || !repairAliased || s.svc.cache.Len() != 3 {
-		t.Errorf("%d aliases for %d entries (plan body aliased on /v1/plan %v, on /v1/repair %v); want 3, 3, both",
-			n, s.svc.cache.Len(), planAliased, repairAliased)
+	for _, e := range []struct {
+		path, body string
+		want       bool
+	}{
+		{"/v1/plan", plan, true},
+		{"/v1/repair", plan, true},
+		{"/v1/repair", smallRepair, true},
+		{"/v1/plan", smallRepair, false},
+	} {
+		if got := s.cached(t, e.path, e.body); got != e.want {
+			t.Errorf("%s %.30s…: cached %v, want %v", e.path, e.body, got, e.want)
+		}
+	}
+	if n := s.svc.cache.Len(); n != 3 {
+		t.Errorf("%d entries, want 3", n)
 	}
 }
 
 // TestRefusedBodiesAreNeverAliased: a body that gets a 400, a 413 or a
-// 504, or whose plan fails, leaves no alias, so its next request is
-// refused, or planned, as the first one was.
+// 504, or whose plan fails, leaves no cache entry under its bytes, so
+// its next request is refused, or planned, as the first one was.
 func TestRefusedBodiesAreNeverAliased(t *testing.T) {
 	g := admit.New(1)
 	s := newTestServerGate(t, Config{Limits: Limits{MaxBodyBytes: 1024}}, g)
@@ -112,8 +115,8 @@ func TestRefusedBodiesAreNeverAliased(t *testing.T) {
 		if status != tc.status || again != tc.status || !bytes.Equal(first, second) {
 			t.Errorf("%s: %d %s then %d %s; want %d twice, same body", tc.name, status, first, again, second, tc.status)
 		}
-		if n, _ := s.aliases(t, tc.path, tc.body); n != 0 || s.svc.cache.Len() != 0 {
-			t.Errorf("%s: %d aliases, %d entries; want none", tc.name, n, s.svc.cache.Len())
+		if n := s.svc.cache.Len(); n != 0 || s.cached(t, tc.path, tc.body) {
+			t.Errorf("%s: %d entries; want none", tc.name, n)
 		}
 	}
 
@@ -126,11 +129,11 @@ func TestRefusedBodiesAreNeverAliased(t *testing.T) {
 	if status != http.StatusGatewayTimeout {
 		t.Fatalf("timed-out plan: %d %s, want 504", status, first)
 	}
-	if n, _ := s.aliases(t, "/v1/plan", timed); n != 0 || s.svc.cache.Len() != 0 {
-		t.Errorf("after a 504: %d aliases, %d entries; want none", n, s.svc.cache.Len())
+	if n := s.svc.cache.Len(); n != 0 {
+		t.Errorf("after a 504: %d entries; want none", n)
 	}
 	// Sent again, it is planned, or runs out of its budget again on a
-	// slow host; either way it is not served from an alias.
+	// slow host; either way it is not served from the cache.
 	status, cache, body := s.postCache(t, "/v1/plan", timed)
 	if !(status == http.StatusOK && cache == "miss") && status != http.StatusGatewayTimeout {
 		t.Errorf("the 504's body again: %d, %s %q, %s; want a 200 miss or a 504", status, cacheStatusHeader, cache, body)
@@ -139,78 +142,72 @@ func TestRefusedBodiesAreNeverAliased(t *testing.T) {
 	// A failed plan: no parsed request names an unknown generator, so
 	// planning one fails after validation.
 	failing := planBody(65)
-	c := &planCall{}
-	if cached, _, err := s.svc.parseInto(httptest.NewRequest(http.MethodPost, "/v1/plan", strings.NewReader(failing)), c); err != nil || cached != nil {
-		t.Fatalf("parse: cached %q, err %v; want a decoded request", cached, err)
-	}
+	c, call := s.beginLead(t, failing)
 	c.rr.Generator = "dice"
-	key := c.key()
-	call, leader := s.svc.flight.begin(key)
-	if !leader {
-		t.Fatal("a fresh key already has a flight")
-	}
 	rec := httptest.NewRecorder()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	s.svc.lead(rec, ctx, ctx, "/v1/plan", "", key, call, c)
+	s.svc.lead(rec, ctx, ctx, "/v1/plan", "", call, c)
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("failed plan: %d %s, want 500", rec.Code, rec.Body)
 	}
-	want := 0 // the 504 body's alias, if its second request was planned
+	want := 0 // the 504 body's entry, if its second request was planned
 	if status == http.StatusOK {
 		want = 1
 	}
-	if n, aliased := s.aliases(t, "/v1/plan", failing); n != want || aliased {
-		t.Errorf("after a failed plan: %d aliases (its body aliased: %v); want %d, none its", n, aliased, want)
+	if n, cached := s.svc.cache.Len(), s.cached(t, "/v1/plan", failing); n != want || cached {
+		t.Errorf("after a failed plan: %d entries (its body's among them: %v); want %d, not its", n, cached, want)
 	}
 }
 
-// TestReencodedBodyTakesOverTheAlias: an equivalent body in other bytes
-// (another key order, whitespace, a timeout_ms) reaches the entry
-// through the decode path and becomes its alias; the bytes it replaced
-// decode again on their next request, and take the alias back.
-func TestReencodedBodyTakesOverTheAlias(t *testing.T) {
+// TestEachEncodingIsItsOwnEntry: the cache keys a request by its exact
+// bytes, so each encoding of one request (another key order,
+// whitespace, a timeout_ms, explicit instead of implicit IDs, defaults
+// spelled out) is planned once, a miss, then hits an entry of its own.
+// Decoding, validation and planning are deterministic, so every reply
+// carries the same bytes.
+func TestEachEncodingIsItsOwnEntry(t *testing.T) {
 	s := newTestServer(t, Config{})
-	first := planBody(22)
-	others := []string{
-		reencoded(first),
-		`{"method":"centralized","scatter":40,"seed":22,"num_points":500,"rs":4,"k":2,"field_side":50}`,
-		strings.ReplaceAll(first, ",", ", "),
-		first,
+	base := `{"field_side":50,"k":2,"rs":4,"num_points":500,"seed":24,` +
+		`"sensors":[{"x":10,"y":10},{"x":40,"y":40}],"scatter":40,"method":"centralized"}`
+	encodings := []struct{ name, body string }{
+		{"base", base},
+		{"key order", `{"method":"centralized","scatter":40,"sensors":[{"y":10,"x":10},{"y":40,"x":40}],` +
+			`"seed":24,"num_points":500,"rs":4,"k":2,"field_side":50}`},
+		{"whitespace", strings.ReplaceAll(base, ",", ",\n  ")},
+		{"timeout_ms", `{"timeout_ms":20000,` + base[1:]},
+		{"explicit ids", strings.NewReplacer(`{"x":10`, `{"id":0,"x":10`, `{"x":40`, `{"id":1,"x":40`).Replace(base)},
+		{"defaults spelled out", `{"rc":8,"generator":"halton",` + base[1:]},
 	}
-	if status, cache, _ := s.postCache(t, "/v1/plan", first); status != http.StatusOK || cache != "miss" {
-		t.Fatalf("first body: %d %q, want a 200 miss", status, cache)
+	var first []byte
+	for i, enc := range encodings {
+		for _, want := range []string{"miss", "hit"} {
+			status, cache, body := s.postCache(t, "/v1/plan", enc.body)
+			if status != http.StatusOK || cache != want {
+				t.Errorf("%s: %d, %s %q; want 200, %q", enc.name, status, cacheStatusHeader, cache, want)
+			}
+			if first == nil {
+				first = body
+			} else if !bytes.Equal(body, first) {
+				t.Errorf("%s (%s) differs from the first reply:\n%s\nvs\n%s", enc.name, want, body, first)
+			}
+		}
+		if n, own := s.svc.cache.Len(), s.cached(t, "/v1/plan", enc.body); n != i+1 || !own {
+			t.Errorf("after %s: %d entries (its own among them: %v); want %d", enc.name, n, own, i+1)
+		}
 	}
-	prev := first
-	for i, body := range others {
-		if n, aliased := s.aliases(t, "/v1/plan", body); n != 1 || aliased {
-			t.Errorf("body %d before its request: %d aliases (it among them: %v); want one, another's", i, n, aliased)
-		}
-		if status, cache, _ := s.postCache(t, "/v1/plan", body); status != http.StatusOK || cache != "hit" {
-			t.Errorf("body %d: %d %q, want a 200 hit", i, status, cache)
-		}
-		if n, aliased := s.aliases(t, "/v1/plan", body); n != 1 || !aliased {
-			t.Errorf("body %d after its request: %d aliases (it among them: %v); want only its own", i, n, aliased)
-		}
-		if _, aliased := s.aliases(t, "/v1/plan", prev); aliased {
-			t.Errorf("body %d: the body before it kept its alias", i)
-		}
-		prev = body
-	}
-	if hits, misses := s.counter(obs.ServeCacheHits), s.counter(obs.ServeCacheMisses); hits != 4 || misses != 1 {
-		t.Errorf("hits %d, misses %d; want 4 and 1", hits, misses)
+	n := int64(len(encodings))
+	if hits, misses := s.counter(obs.ServeCacheHits), s.counter(obs.ServeCacheMisses); hits != n || misses != n {
+		t.Errorf("hits %d, misses %d; want %d of each", hits, misses, n)
 	}
 }
 
-// TestEveryDeliveryPathServesTheSameBytes: a miss, a coalesced reply, a
-// raw hit and a hit through the decode path serve one byte string, and
-// X-Decor-Cache names each: miss, coalesced, hit and hit.
+// TestEveryDeliveryPathServesTheSameBytes: a miss, a coalesced reply
+// and a hit serve one byte string, and X-Decor-Cache names each.
 func TestEveryDeliveryPathServesTheSameBytes(t *testing.T) {
 	s, g := gatedServer(t)
-	// Two encodings of one request, each with a deadline that outlasts
-	// the wait for the held run slot on a slow host.
+	// The deadline outlasts the wait for the held run slot on a slow host.
 	body := `{"timeout_ms":20000,` + planBody(23)[1:]
-	other := `{"timeout_ms":20001,` + planBody(23)[1:]
 	type reply struct {
 		status int
 		cache  string
@@ -237,15 +234,13 @@ func TestEveryDeliveryPathServesTheSameBytes(t *testing.T) {
 	release := holdSlot(t, g)
 	leader := send(body)
 	waitFor(t, func() bool { return s.reg.Gauge(obs.ServeQueueDepth).Value() == 1 })
-	follower := send(other)
+	follower := send(body)
 	waitFollowers(t, 1)
 	release()
 	replies := []reply{<-leader, <-follower}
-	for _, b := range []string{body, other, other} {
-		status, cache, resp := s.postCache(t, "/v1/plan", b)
-		replies = append(replies, reply{status, cache, resp})
-	}
-	want := []string{"miss", "coalesced", "hit", "hit", "hit"}
+	status, cache, resp := s.postCache(t, "/v1/plan", body)
+	replies = append(replies, reply{status, cache, resp})
+	want := []string{"miss", "coalesced", "hit"}
 	for i, r := range replies {
 		if r.status != http.StatusOK || r.cache != want[i] {
 			t.Errorf("reply %d: %d %q, want 200 %q", i, r.status, r.cache, want[i])

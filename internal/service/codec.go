@@ -2,11 +2,9 @@ package service
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"sync"
 
@@ -21,10 +19,10 @@ import (
 // response byte string regardless of which path (miss, hit, coalesced,
 // replayed delta) produced it.
 
-// reqKey is a request digest: the canonical request hash used by the
-// plan cache and the flight group (requestKey), or a body's raw digest,
-// the plan cache's alias for its exact bytes (readKeyed). A fixed-size
-// array key costs no allocation per lookup, unlike a hex string.
+// reqKey is a request's key in the plan cache and the flight group:
+// SHA-256 over its endpoint tag and its body's exact bytes (readKeyed).
+// A fixed-size array key costs no allocation per lookup, unlike a hex
+// string.
 type reqKey [32]byte
 
 // ---------------------------------------------------------------------
@@ -113,75 +111,6 @@ func errNonFinite(field string, v float64) error {
 }
 
 // ---------------------------------------------------------------------
-// Cache key
-// ---------------------------------------------------------------------
-
-// Endpoint tags: the first byte of every key's binary form, so /v1/plan
-// and /v1/repair keys stay disjoint even for identical field bodies.
-const (
-	keyTagPlan   byte = 'P'
-	keyTagRepair byte = 'R'
-)
-
-// requestKey hashes a normalized request into its cache key: SHA-256
-// over a fixed-width binary form of the values, never a re-rendering of
-// them. Fixed-width numbers and length-prefixed names make the form
-// injective, and it tracks json.Marshal's identity exactly: float64 bits
-// tell -0 from 0 as the rendered "-0" does, an empty and an absent
-// sensor list both encode as count 0 (omitempty drops both), while
-// failed carries a presence byte because Marshal renders nil as null and
-// empty as []. timeout_ms is left out: it bounds how long a client
-// waits, never what the plan contains. A plan's failed section is
-// always "absent", so the tag alone separates it from a repair.
-func requestKey(tag byte, pr *PlanRequest, failed []int) reqKey {
-	buf := jsonx.GetBuf()
-	defer jsonx.PutBuf(buf)
-	b := append((*buf)[:0], tag)
-	b = appendKeyFloat(b, pr.FieldSide)
-	b = appendKeyInt(b, pr.K)
-	b = appendKeyFloat(b, pr.Rs)
-	b = appendKeyFloat(b, pr.Rc)
-	b = appendKeyInt(b, pr.NumPoints)
-	b = appendKeyName(b, pr.Generator)
-	b = binary.LittleEndian.AppendUint64(b, pr.Seed)
-	b = appendKeyInt(b, len(pr.Sensors))
-	for i := range pr.Sensors {
-		s := &pr.Sensors[i]
-		if s.ID == nil {
-			b = append(b, 0)
-		} else {
-			b = appendKeyInt(append(b, 1), *s.ID)
-		}
-		b = appendKeyFloat(b, s.X)
-		b = appendKeyFloat(b, s.Y)
-	}
-	b = appendKeyInt(b, pr.Scatter)
-	b = appendKeyName(b, pr.Method)
-	if failed == nil {
-		b = append(b, 0)
-	} else {
-		b = appendKeyInt(append(b, 1), len(failed))
-		for _, id := range failed {
-			b = appendKeyInt(b, id)
-		}
-	}
-	*buf = b
-	return sha256.Sum256(b)
-}
-
-func appendKeyInt(b []byte, v int) []byte {
-	return binary.LittleEndian.AppendUint64(b, uint64(v))
-}
-
-func appendKeyFloat(b []byte, f float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
-}
-
-func appendKeyName(b []byte, s string) []byte {
-	return append(appendKeyInt(b, len(s)), s...)
-}
-
-// ---------------------------------------------------------------------
 // Request body reading
 // ---------------------------------------------------------------------
 
@@ -210,12 +139,18 @@ func readBody(r io.Reader, buf *[]byte) ([]byte, error) {
 	}
 }
 
+// Endpoint tags: the first byte hashed into every request key, so the
+// same bytes sent to /v1/plan and to /v1/repair are two requests.
+const (
+	keyTagPlan   byte = 'P'
+	keyTagRepair byte = 'R'
+)
+
 // readKeyed reads a /v1/plan or /v1/repair body (tag keyTagPlan or
 // keyTagRepair) into the pooled buffer *buf behind its tag and returns
-// it with its raw key: SHA-256 over the tag and the exact bytes, the
-// plan cache's alias for them. The tag keeps the two endpoints' aliases
-// disjoint, and hashing the buffer in place allocates nothing. Only a
-// body read to its end is keyed.
+// it with its key: SHA-256 over the tag and the exact bytes. Hashing the
+// buffer in place allocates nothing. Only a body read to its end is
+// keyed.
 func readKeyed(r io.Reader, buf *[]byte, tag byte) ([]byte, reqKey, error) {
 	*buf = append((*buf)[:0], tag)
 	data, err := readBody(r, buf)
@@ -260,7 +195,7 @@ const (
 	planKeys = keyFailed - 1
 )
 
-var requestKeys = map[string]uint16{
+var keyBits = map[string]uint16{
 	"field_side": keyFieldSide, "k": keyK, "rs": keyRs, "rc": keyRc,
 	"num_points": keyNumPoints, "generator": keyGenerator, "seed": keySeed,
 	"sensors": keySensors, "scatter": keyScatter, "method": keyMethod,
@@ -377,7 +312,7 @@ func (d *decoder) object(pr *PlanRequest, failed *[]int, fieldID *string) error 
 		if !ok {
 			return d.syntaxError()
 		}
-		bit := requestKeys[string(key)]
+		bit := keyBits[string(key)]
 		switch {
 		case bit&allowed == 0:
 			return d.keyError("unknown key", at)

@@ -91,146 +91,6 @@ func TestAppendPlanResponseParity(t *testing.T) {
 	}
 }
 
-// TestRequestKeyIdentity pins what the cache key identifies: two
-// normalized requests share a key exactly when they came to the same
-// endpoint and their json.Marshal forms, timeout zeroed, are equal. The
-// corpus holds the pairs where the two could part ways: signed zeros,
-// neighbouring floats, reordered sensors, implicit vs explicit IDs,
-// defaulted vs explicit fields, and nil vs empty vs non-empty failed.
-func TestRequestKeyIdentity(t *testing.T) {
-	lim := DefaultLimits()
-	base := PlanRequest{FieldSide: 50, K: 2, Rs: 4, Seed: 7}
-	plan := func(mut func(*PlanRequest)) PlanRequest {
-		pr := base
-		mut(&pr)
-		return pr
-	}
-	at := func(x, y float64) []SensorSpec { return []SensorSpec{{X: x, Y: y}} }
-	scattered := plan(func(p *PlanRequest) { p.Scatter = 5 })
-	plans := map[string]PlanRequest{
-		"defaults": base,
-		"explicit defaults": plan(func(p *PlanRequest) {
-			p.Rc, p.NumPoints, p.Generator, p.Method = 8, 2000, "halton", "voronoi-big"
-		}),
-		"timeout":       plan(func(p *PlanRequest) { p.TimeoutMS = 900 }),
-		"rc 10":         plan(func(p *PlanRequest) { p.Rc = 10 }),
-		"sobol":         plan(func(p *PlanRequest) { p.Generator = "sobol" }),
-		"centralized":   plan(func(p *PlanRequest) { p.Method = "centralized" }),
-		"seed 0":        plan(func(p *PlanRequest) { p.Seed = 0 }),
-		"seed max":      plan(func(p *PlanRequest) { p.Seed = math.MaxUint64 }),
-		"empty sensors": plan(func(p *PlanRequest) { p.Sensors = []SensorSpec{} }),
-		"x=0":           plan(func(p *PlanRequest) { p.Sensors = at(0, 1) }),
-		"x=-0":          plan(func(p *PlanRequest) { p.Sensors = at(math.Copysign(0, -1), 1) }),
-		"x=1":           plan(func(p *PlanRequest) { p.Sensors = at(1, 1) }),
-		"x=1+ulp":       plan(func(p *PlanRequest) { p.Sensors = at(math.Nextafter(1, 2), 1) }),
-		"id 0": plan(func(p *PlanRequest) {
-			p.Sensors = []SensorSpec{{ID: intPtr(0), X: 1, Y: 1}}
-		}),
-		"ids 3,4": plan(func(p *PlanRequest) {
-			p.Sensors = []SensorSpec{{ID: intPtr(3), X: 1, Y: 2}, {ID: intPtr(4), X: 3, Y: 4}}
-		}),
-		"ids 4,3": plan(func(p *PlanRequest) {
-			p.Sensors = []SensorSpec{{ID: intPtr(4), X: 3, Y: 4}, {ID: intPtr(3), X: 1, Y: 2}}
-		}),
-		"scatter 5": scattered,
-	}
-	repairs := map[string]RepairRequest{
-		"failed absent": {PlanRequest: scattered},
-		"failed []":     {PlanRequest: scattered, Failed: []int{}},
-		"failed [0]":    {PlanRequest: scattered, Failed: []int{0}},
-		"failed [0,1]":  {PlanRequest: scattered, Failed: []int{0, 1}},
-		"failed [1,0]":  {PlanRequest: scattered, Failed: []int{1, 0}},
-		"failed [0] timeout": {PlanRequest: plan(func(p *PlanRequest) {
-			p.Scatter, p.TimeoutMS = 5, 750
-		}), Failed: []int{0}},
-		"id 0 failed absent": {PlanRequest: plans["id 0"]},
-		"x=1 failed absent":  {PlanRequest: plans["x=1"]},
-	}
-
-	type keyed struct {
-		key  reqKey
-		form string // endpoint + json.Marshal, timeout zeroed
-	}
-	cases := map[string]keyed{}
-	marshal := func(endpoint string, v any) string {
-		b, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return endpoint + "\x00" + string(b)
-	}
-	for name, pr := range plans {
-		norm, err := pr.normalize(lim)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		timeout := norm.TimeoutMS
-		k := norm.key()
-		if norm.TimeoutMS != timeout {
-			t.Errorf("%s: key() changed TimeoutMS to %d", name, norm.TimeoutMS)
-		}
-		norm.TimeoutMS = 0
-		cases["plan "+name] = keyed{k, marshal("plan", norm)}
-	}
-	for name, rr := range repairs {
-		norm, err := rr.normalize(lim)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		timeout := norm.TimeoutMS
-		k := norm.key()
-		if norm.TimeoutMS != timeout {
-			t.Errorf("%s: key() changed TimeoutMS to %d", name, norm.TimeoutMS)
-		}
-		norm.TimeoutMS = 0
-		cases["repair "+name] = keyed{k, marshal("repair", norm)}
-	}
-
-	for a, ka := range cases {
-		for b, kb := range cases {
-			if a >= b {
-				continue
-			}
-			if (ka.key == kb.key) != (ka.form == kb.form) {
-				t.Errorf("%s vs %s: keys equal %v, forms equal %v\n %s\n %s",
-					a, b, ka.key == kb.key, ka.form == kb.form, ka.form, kb.form)
-			}
-			if strings.HasPrefix(a, "plan ") != strings.HasPrefix(b, "plan ") && ka.key == kb.key {
-				t.Errorf("plan and repair keys collide: %s vs %s", a, b)
-			}
-		}
-	}
-
-	// The corpus must exercise both sides of the equivalence.
-	for _, pair := range [][2]string{
-		{"plan defaults", "plan explicit defaults"},
-		{"plan defaults", "plan timeout"},
-		{"plan defaults", "plan empty sensors"},
-		{"plan x=1", "plan id 0"},
-		{"repair failed [0]", "repair failed [0] timeout"},
-		{"repair id 0 failed absent", "repair x=1 failed absent"},
-	} {
-		if cases[pair[0]].key != cases[pair[1]].key {
-			t.Errorf("%s and %s must share a key", pair[0], pair[1])
-		}
-	}
-	for _, pair := range [][2]string{
-		{"plan x=0", "plan x=-0"},
-		{"plan x=1", "plan x=1+ulp"},
-		{"plan ids 3,4", "plan ids 4,3"},
-		{"plan defaults", "plan rc 10"},
-		{"plan seed 0", "plan seed max"},
-		{"repair failed absent", "repair failed []"},
-		{"repair failed []", "repair failed [0]"},
-		{"repair failed [0,1]", "repair failed [1,0]"},
-		{"plan scatter 5", "repair failed absent"},
-	} {
-		if cases[pair[0]].key == cases[pair[1]].key {
-			t.Errorf("%s and %s must not share a key", pair[0], pair[1])
-		}
-	}
-}
-
 func intPtr(i int) *int { return &i }
 
 // ---------------------------------------------------------------------

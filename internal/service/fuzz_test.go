@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 
 	"decor/internal/core"
@@ -59,8 +60,8 @@ func FuzzDecodePlanRequest(f *testing.F) {
 		if n := len(norm.Sensors) + norm.Scatter; n > lim.MaxSensors || norm.Scatter < 0 {
 			t.Fatalf("accepted sensor count %d (scatter %d) over limit", n, norm.Scatter)
 		}
-		if norm.K < 1 || norm.K > lim.MaxK {
-			t.Fatalf("accepted k %d outside [1, %d]", norm.K, lim.MaxK)
+		if norm.K < 1 || norm.K > maxK {
+			t.Fatalf("accepted k %d outside [1, %d]", norm.K, maxK)
 		}
 		if !isFinite(norm.FieldSide) || norm.FieldSide <= 0 ||
 			!isFinite(norm.Rs) || norm.Rs <= 0 || !isFinite(norm.Rc) || norm.Rc < norm.Rs {
@@ -96,13 +97,8 @@ func FuzzDecodePlanRequest(f *testing.F) {
 				t.Fatalf("accepted field_side %g with %s: %d cells", norm.FieldSide, norm.Method, n)
 			}
 		}
-		// The canonical key must be stable and cheap for anything accepted
-		// (a sha256 digest is never the zero array), and must survive a
-		// round trip through the request's own JSON form.
-		k := norm.key()
-		if k == (reqKey{}) {
-			t.Fatal("empty cache key")
-		}
+		// An accepted request survives a round trip through its own JSON
+		// form: decoded and normalized again, it is the same request.
 		b, err := json.Marshal(norm)
 		if err != nil {
 			t.Fatal(err)
@@ -114,10 +110,19 @@ func FuzzDecodePlanRequest(f *testing.F) {
 		if again, err = again.normalize(lim); err != nil {
 			t.Fatalf("re-normalizing %s: %v", b, err)
 		}
-		if again.key() != k {
-			t.Fatalf("key changed across a JSON round trip of %s", b)
+		if !reflect.DeepEqual(marshalForm(norm), again) {
+			t.Fatalf("%s changed across a JSON round trip:\n%+v\n%+v", b, norm, again)
 		}
 	})
+}
+
+// marshalForm is pr as its json.Marshal form reads back: omitempty
+// drops an empty sensor list, so it returns as nil.
+func marshalForm(pr PlanRequest) PlanRequest {
+	if len(pr.Sensors) == 0 {
+		pr.Sensors = nil
+	}
+	return pr
 }
 
 // FuzzDecodeRepairRequest extends the fuzz surface to the repair
@@ -144,10 +149,6 @@ func FuzzDecodeRepairRequest(f *testing.F) {
 		if err != nil {
 			return
 		}
-		k := norm.key()
-		if k == (reqKey{}) {
-			t.Fatal("empty cache key")
-		}
 		b, err := json.Marshal(norm)
 		if err != nil {
 			t.Fatal(err)
@@ -159,8 +160,9 @@ func FuzzDecodeRepairRequest(f *testing.F) {
 		if again, err = again.normalize(DefaultLimits()); err != nil {
 			t.Fatalf("re-normalizing %s: %v", b, err)
 		}
-		if again.key() != k {
-			t.Fatalf("key changed across a JSON round trip of %s", b)
+		norm.PlanRequest = marshalForm(norm.PlanRequest)
+		if !reflect.DeepEqual(norm, again) {
+			t.Fatalf("%s changed across a JSON round trip:\n%+v\n%+v", b, norm, again)
 		}
 	})
 }

@@ -43,6 +43,21 @@ func waitFollowers(t *testing.T, n int) {
 	})
 }
 
+// beginLead decodes body as a /v1/plan request and wins its flight, as
+// a leader does before it reaches the gate; the test then calls lead.
+func (s *testServer) beginLead(t *testing.T, body string) (*planCall, *flightCall) {
+	t.Helper()
+	c := &planCall{}
+	if cached, _, err := s.svc.parseInto(httptest.NewRequest(http.MethodPost, "/v1/plan", strings.NewReader(body)), c); err != nil || cached != nil {
+		t.Fatalf("parse: cached %q, err %v; want a decoded request", cached, err)
+	}
+	call, leader := s.svc.flight.begin(c.key)
+	if !leader {
+		t.Fatal("a fresh key already has a flight")
+	}
+	return c, call
+}
+
 // TestFollowerOutlivesLeaderDeadline: a request coalesced onto a leader
 // whose own, shorter budget runs out while it waits for a run slot does
 // not inherit the leader's 504. It takes its own turn, leads, and gets
@@ -51,18 +66,25 @@ func waitFollowers(t *testing.T, n int) {
 func TestFollowerOutlivesLeaderDeadline(t *testing.T) {
 	s, g := gatedServer(t)
 	release := holdSlot(t, g)
-	body := func(timeoutMS int) string {
-		return fmt.Sprintf(`{"field_side":50,"k":2,"rs":4,"num_points":500,"seed":60,"scatter":40,"method":"centralized","timeout_ms":%d}`, timeoutMS)
-	}
-	leader := async(t, http.MethodPost, s.ts.URL+"/v1/plan", "", body(300))
-	waitFor(t, func() bool { return s.reg.Gauge(obs.ServeQueueDepth).Value() == 1 })
-	follower := async(t, http.MethodPost, s.ts.URL+"/v1/plan", "", body(20000))
-	waitFollowers(t, 1)
+	body := `{"field_side":50,"k":2,"rs":4,"num_points":500,"seed":60,"scatter":40,"method":"centralized","timeout_ms":20000}`
 
+	// The leader wins the flight with a 300-ms budget, and the follower
+	// coalesces onto it before the leader reaches the gate.
+	c, call := s.beginLead(t, body)
+	follower := async(t, http.MethodPost, s.ts.URL+"/v1/plan", "", body)
+	waitFollowers(t, 1)
+	rec := httptest.NewRecorder()
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel()
+	led := make(chan struct{})
+	go func() {
+		defer close(led)
+		s.svc.lead(rec, ctx, ctx, "/v1/plan", "", call, c)
+	}()
 	select {
-	case status := <-leader:
-		if status != http.StatusGatewayTimeout {
-			t.Fatalf("leader status = %d, want 504 once its own 300 ms are spent", status)
+	case <-led:
+		if rec.Code != http.StatusGatewayTimeout {
+			t.Fatalf("leader status = %d, want 504 once its own 300 ms are spent", rec.Code)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("the leader waited past its deadline for the held slot")
@@ -88,24 +110,16 @@ func TestFollowerOfRefusedLeaderTakesItsOwnTurn(t *testing.T) {
 	s, g := gatedServer(t)
 	fill(t, g, "hog")
 	body := planBody(61)
-	c := &planCall{}
-	if cached, _, err := s.svc.parseInto(httptest.NewRequest(http.MethodPost, "/v1/plan", strings.NewReader(body)), c); err != nil || cached != nil {
-		t.Fatalf("parse: cached %q, err %v; want a decoded request", cached, err)
-	}
-	key := c.key()
 
 	// The hog's request wins the flight, and the polite request coalesces
 	// onto it before the hog reaches the gate.
-	call, leader := s.svc.flight.begin(key)
-	if !leader {
-		t.Fatal("a fresh key already has a flight")
-	}
+	c, call := s.beginLead(t, body)
 	polite := async(t, http.MethodPost, s.ts.URL+"/v1/plan", "polite", body)
 	waitFollowers(t, 1)
 	rec := httptest.NewRecorder()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	s.svc.lead(rec, ctx, ctx, "/v1/plan", "hog", key, call, c)
+	s.svc.lead(rec, ctx, ctx, "/v1/plan", "hog", call, c)
 	if rec.Code != http.StatusTooManyRequests || rec.Header().Get("Retry-After") == "" {
 		t.Fatalf("hog status = %d (Retry-After %q), want 429 with Retry-After", rec.Code, rec.Header().Get("Retry-After"))
 	}
@@ -124,15 +138,7 @@ func TestFollowerOfRefusedLeaderTakesItsOwnTurn(t *testing.T) {
 func TestPanickingLeaderReleasesFollowers(t *testing.T) {
 	s, _ := gatedServer(t)
 	body := planBody(63)
-	c := &planCall{}
-	if cached, _, err := s.svc.parseInto(httptest.NewRequest(http.MethodPost, "/v1/plan", strings.NewReader(body)), c); err != nil || cached != nil {
-		t.Fatalf("parse: cached %q, err %v; want a decoded request", cached, err)
-	}
-	key := c.key()
-	call, leader := s.svc.flight.begin(key)
-	if !leader {
-		t.Fatal("a fresh key already has a flight")
-	}
+	c, call := s.beginLead(t, body)
 	follower := async(t, http.MethodPost, s.ts.URL+"/v1/plan", "", body)
 	waitFollowers(t, 1)
 
@@ -147,7 +153,7 @@ func TestPanickingLeaderReleasesFollowers(t *testing.T) {
 				t.Error("planning a sensor without an ID did not panic")
 			}
 		}()
-		s.svc.lead(httptest.NewRecorder(), ctx, ctx, "/v1/plan", "", key, call, c)
+		s.svc.lead(httptest.NewRecorder(), ctx, ctx, "/v1/plan", "", call, c)
 	}()
 	if status := <-follower; status != http.StatusOK {
 		t.Errorf("follower status = %d, want 200 on its own turn", status)

@@ -244,17 +244,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 type planCall struct {
 	rr     RepairRequest // a plan uses rr.PlanRequest alone
 	repair bool
-	raw    reqKey // the body's raw digest (readKeyed)
+	key    reqKey // the body's digest (readKeyed): its cache and flight key
 }
 
-func (c *planCall) key() reqKey {
-	if c.repair {
-		return c.rr.key()
-	}
-	return c.rr.PlanRequest.key()
-}
-
-// tag is the endpoint tag of the call's keys.
+// tag is the endpoint tag of the call's key.
 func (c *planCall) tag() byte {
 	if c.repair {
 		return keyTagRepair
@@ -294,8 +287,8 @@ func setTraceHeader(h http.Header, id obs.TraceID) {
 }
 
 // servePlanLike is the shared request path of the two planning
-// endpoints: raw body lookup, decode+validate, cache lookup,
-// singleflight, admission, deadline, response.
+// endpoints: body digest, cache lookup, decode+validate, singleflight,
+// admission, deadline, response.
 func (s *Server) servePlanLike(w http.ResponseWriter, r *http.Request, repair bool) {
 	route := r.URL.Path
 	// The root span's End also lands in the request histogram.
@@ -322,10 +315,9 @@ func (s *Server) servePlanLike(w http.ResponseWriter, r *http.Request, repair bo
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.Limits.MaxBodyBytes)
 
-	// A body whose exact bytes already reached a cached plan is served
-	// by its raw digest. Any other is decoded and normalized from the
-	// pooled body buffer, which costs a hit one exact-size copy of each
-	// sensor or failed-ID list.
+	// A body whose exact bytes already produced a cached plan is served
+	// by their digest. Any other is decoded and normalized from the
+	// pooled body buffer.
 	c := &planCall{repair: repair}
 	pSpan := obs.Start(tctx, "parse", nil)
 	body, clen, err := s.parseInto(r, c)
@@ -346,22 +338,15 @@ func (s *Server) servePlanLike(w http.ResponseWriter, r *http.Request, repair bo
 		return
 	}
 
-	key := c.key()
-	if body, clen, ok := s.cache.Get(key, c.raw); ok {
-		s.cCacheHits.Inc()
-		s.writePlan(w, body, clen, headerValHit)
-		return
-	}
-
 	// A miss. The request's own deadline starts now and bounds all that
 	// follows: waiting for an identical in-flight plan, waiting for a run
 	// slot, and planning. A forced shutdown cancels it through baseCtx.
 	ctx, cancel := context.WithTimeout(s.baseCtx, c.rr.timeout(s.cfg.Limits))
 	defer cancel()
 	for {
-		call, leader := s.flight.begin(key)
+		call, leader := s.flight.begin(c.key)
 		if leader {
-			s.lead(w, tctx, ctx, route, tenant, key, call, c)
+			s.lead(w, tctx, ctx, route, tenant, call, c)
 			return
 		}
 		// Identical request already in flight: wait for its leader. The
@@ -400,12 +385,12 @@ func (s *Server) servePlanLike(w http.ResponseWriter, r *http.Request, repair bo
 // lead serves c as the leader of call: plan, publish the outcome to the
 // followers, respond. tctx carries the request's trace and ctx its
 // deadline.
-func (s *Server) lead(w http.ResponseWriter, tctx, ctx context.Context, route, tenant string, key reqKey, call *flightCall, c *planCall) {
+func (s *Server) lead(w http.ResponseWriter, tctx, ctx context.Context, route, tenant string, call *flightCall, c *planCall) {
 	// Unless an outcome they may share is published below, the followers
 	// take their own turns (status 0): after a refusal, this request's own
 	// deadline or shutdown, and after a panic while planning, which
 	// unwinds this goroutine (net/http recovers it).
-	defer s.flight.finish(key, call, nil, 0, nil)
+	defer s.flight.finish(c.key, call, nil, 0, nil)
 	// The trace's span context rides along with the deadline, so the
 	// planner's core.deploy and core.round spans land in this request's
 	// tree.
@@ -415,8 +400,8 @@ func (s *Server) lead(w http.ResponseWriter, tctx, ctx context.Context, route, t
 	switch {
 	case err == nil:
 		s.cCacheMisses.Inc()
-		clen := s.cache.Put(key, c.raw, body)
-		s.flight.finish(key, call, body, http.StatusOK, nil)
+		clen := s.cache.Put(c.key, body)
+		s.flight.finish(c.key, call, body, http.StatusOK, nil)
 		s.writePlan(w, body, clen, headerValMiss)
 	case errors.Is(err, admit.ErrTenant), errors.Is(err, admit.ErrSaturated), errors.Is(err, admit.ErrClosed):
 		s.cRejected.Inc()
@@ -445,7 +430,7 @@ func (s *Server) lead(w http.ResponseWriter, tctx, ctx context.Context, route, t
 		} else {
 			s.cBadReqs.Inc()
 		}
-		s.flight.finish(key, call, nil, status, err)
+		s.flight.finish(c.key, call, nil, status, err)
 		s.writeError(w, status, err.Error())
 	}
 }
@@ -486,20 +471,19 @@ func (s *Server) plan(ctx context.Context, route, tenant string, c *planCall) ([
 }
 
 // parseInto reads the request body into a pooled buffer and keys its
-// exact bytes into c.raw. When those bytes are a cached plan's alias it
-// returns that plan's body and Content-Length value; otherwise it
-// decodes and normalizes the body into c and returns a nil body. A
-// repair's failed-ID list rides along, and repair-specific validation
-// applies.
+// exact bytes into c.key. When that key holds a cached plan it returns
+// the plan's body and Content-Length value; otherwise it decodes and
+// normalizes the body into c and returns a nil body. A repair's
+// failed-ID list rides along, and repair-specific validation applies.
 func (s *Server) parseInto(r *http.Request, c *planCall) ([]byte, []string, error) {
 	buf := jsonx.GetBuf()
 	defer jsonx.PutBuf(buf)
-	data, raw, err := readKeyed(r.Body, buf, c.tag())
+	data, key, err := readKeyed(r.Body, buf, c.tag())
 	if err != nil {
 		return nil, nil, err
 	}
-	c.raw = raw
-	if body, clen, ok := s.cache.Raw(raw); ok {
+	c.key = key
+	if body, clen, ok := s.cache.Get(key); ok {
 		return body, clen, nil
 	}
 	if c.repair {

@@ -74,11 +74,10 @@ type Limits struct {
 	// MaxBodyBytes caps the request body (http.MaxBytesReader); larger
 	// bodies fail with 413 without being read further.
 	MaxBodyBytes int64
-	// MaxPoints / MaxSensors / MaxK cap the work one plan may demand.
+	// MaxPoints / MaxSensors cap the work one plan may demand.
 	// MaxSensors bounds len(Sensors)+Scatter.
 	MaxPoints  int
 	MaxSensors int
-	MaxK       int
 	// DefaultTimeout applies when a request carries no timeout_ms;
 	// MaxTimeout clamps explicit ones.
 	DefaultTimeout time.Duration
@@ -93,7 +92,6 @@ func DefaultLimits() Limits {
 		MaxBodyBytes:   1 << 20, // 1 MiB ≈ 25k sensors with explicit IDs
 		MaxPoints:      20000,
 		MaxSensors:     10000,
-		MaxK:           64,
 		DefaultTimeout: 2 * time.Second,
 		MaxTimeout:     15 * time.Second,
 	}
@@ -109,9 +107,6 @@ func (l Limits) normalized() Limits {
 	}
 	if l.MaxSensors <= 0 {
 		l.MaxSensors = d.MaxSensors
-	}
-	if l.MaxK <= 0 {
-		l.MaxK = d.MaxK
 	}
 	if l.DefaultTimeout <= 0 {
 		l.DefaultTimeout = d.DefaultTimeout
@@ -164,6 +159,11 @@ func validGenerator(name string) bool { return validGenSet[name] }
 
 func validMethod(name string) bool { return validMethodSet[name] }
 
+// maxK caps the coverage requirement k. Like the caps below, it bounds
+// the work one request may demand whatever the deployment, so it is a
+// constant, not a Limits field.
+const maxK = 64
+
 // maxSensorID caps explicit sensor IDs at 2^53-1, the top of the
 // integer range I-JSON (RFC 7493) readers handle exactly. It keeps IDs
 // echoed in session deltas exact in any reader, and leaves room above
@@ -202,8 +202,8 @@ var methodCellSize = func() map[string]float64 {
 }()
 
 // normalize validates pr against lim and fills defaults, returning the
-// canonical form that execution and request hashing share. Every
-// rejection is an *apiError carrying the client-facing message.
+// form execution runs. Every rejection is an *apiError carrying the
+// client-facing message.
 func (pr PlanRequest) normalize(lim Limits) (PlanRequest, error) {
 	ids := getIDSet()
 	defer putIDSet(ids)
@@ -219,8 +219,8 @@ func (pr PlanRequest) normalizeIDs(lim Limits, ids map[int]bool) (PlanRequest, e
 	if pr.K < 1 {
 		return pr, badRequest("k must be at least 1")
 	}
-	if pr.K > lim.MaxK {
-		return pr, badRequest("k %d exceeds the server limit %d", pr.K, lim.MaxK)
+	if pr.K > maxK {
+		return pr, badRequest("k %d exceeds the server limit %d", pr.K, maxK)
 	}
 	if !isFinite(pr.Rs) || pr.Rs <= 0 {
 		return pr, badRequest("rs must be positive and finite")
@@ -286,8 +286,8 @@ func (pr PlanRequest) normalizeIDs(lim Limits, ids map[int]bool) (PlanRequest, e
 
 	// Sensors: finite in-field positions; IDs all explicit or all
 	// implicit, non-negative, at most maxSensorID and distinct.
-	// Normalizing to explicit IDs here keeps the request hash and the
-	// repair ID space canonical.
+	// Normalizing to explicit IDs here gives execution and the repair ID
+	// space one form.
 	if len(pr.Sensors) == 0 {
 		return pr, nil
 	}
@@ -393,20 +393,6 @@ func (pr PlanRequest) timeout(lim Limits) time.Duration {
 		return lim.MaxTimeout
 	}
 	return d
-}
-
-// key hashes the canonical (normalized) request into the plan-cache
-// key (requestKey in codec.go). Two normalized requests share a key
-// exactly when their json.Marshal forms, timeout zeroed, are equal and
-// they came to the same endpoint. The timeout is excluded: it bounds
-// how long a client waits, never what a completed plan contains, so
-// requests differing only in timeout_ms share one cache entry.
-func (pr PlanRequest) key() reqKey {
-	return requestKey(keyTagPlan, &pr, nil)
-}
-
-func (rr RepairRequest) key() reqKey {
-	return requestKey(keyTagRepair, &rr.PlanRequest, rr.Failed)
 }
 
 func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

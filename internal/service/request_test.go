@@ -97,40 +97,6 @@ func TestNormalizeSizeLimits(t *testing.T) {
 	}
 }
 
-func TestCacheKeySemantics(t *testing.T) {
-	lim := DefaultLimits()
-	base := PlanRequest{FieldSide: 100, K: 3, Rs: 4, Seed: 1}
-	a, _ := base.normalize(lim)
-
-	// Explicit defaults hash identically to implicit ones.
-	explicit, _ := PlanRequest{FieldSide: 100, K: 3, Rs: 4, Rc: 8, NumPoints: 2000,
-		Generator: "halton", Method: "voronoi-big", Seed: 1}.normalize(lim)
-	if a.key() != explicit.key() {
-		t.Errorf("defaulted and explicit requests must share a key")
-	}
-
-	// The timeout never affects the key.
-	timed := a
-	timed.TimeoutMS = 9999
-	if a.key() != timed.key() {
-		t.Errorf("timeout_ms must not affect the cache key")
-	}
-
-	// Any plan-affecting field does.
-	for name, mut := range map[string]func(*PlanRequest){
-		"seed":   func(p *PlanRequest) { p.Seed = 2 },
-		"k":      func(p *PlanRequest) { p.K = 4 },
-		"method": func(p *PlanRequest) { p.Method = "centralized" },
-		"points": func(p *PlanRequest) { p.NumPoints = 1000 },
-	} {
-		m := a
-		mut(&m)
-		if m.key() == a.key() {
-			t.Errorf("changing %s must change the key", name)
-		}
-	}
-}
-
 func TestTimeoutResolution(t *testing.T) {
 	lim := Limits{DefaultTimeout: time.Second, MaxTimeout: 2 * time.Second}.normalized()
 	if d := (PlanRequest{}).timeout(lim); d != time.Second {

@@ -10,8 +10,9 @@
 // queueing unboundedly; field sessions have a gate of their own),
 // per-request deadlines carried by context.Context through the gate's
 // wait and into the placement round loop, an LRU cache of finished plans
-// keyed by the canonical request hash with singleflight coalescing of
-// identical in-flight requests, and a graceful drain on shutdown.
+// keyed by the digest of each request's exact bytes, with singleflight
+// coalescing of identical in-flight requests on the same key, and a
+// graceful drain on shutdown.
 // DESIGN.md §9 documents the invariants.
 package service
 

@@ -123,11 +123,13 @@ func TestPlanCacheHitIsByteIdentical(t *testing.T) {
 		t.Errorf("hits=%d misses=%d, want 1/1",
 			s.counter(obs.ServeCacheHits), s.counter(obs.ServeCacheMisses))
 	}
-	// A different timeout_ms is the same plan: still a hit.
+	// A timeout_ms makes other bytes, so another entry: a miss, planned
+	// again into the same bytes.
 	_, hdr3, body3 := s.post(t, "/v1/plan",
 		`{"field_side":50,"k":2,"rs":4,"num_points":500,"seed":7,"scatter":40,"method":"centralized","timeout_ms":5000}`)
-	if hdr3.Get(cacheStatusHeader) != "hit" || !bytes.Equal(body1, body3) {
-		t.Errorf("timeout_ms should not change the cache key (status %q)", hdr3.Get(cacheStatusHeader))
+	if hdr3.Get(cacheStatusHeader) != "miss" || !bytes.Equal(body1, body3) {
+		t.Errorf("body with a timeout_ms: status %q, bytes equal %v; want a miss with the same bytes",
+			hdr3.Get(cacheStatusHeader), bytes.Equal(body1, body3))
 	}
 	// A different seed is a different plan: miss, different bytes.
 	_, hdr4, body4 := s.post(t, "/v1/plan", planBody(8))
@@ -209,17 +211,21 @@ func TestRepairEndToEnd(t *testing.T) {
 	}
 }
 
+// TestPlanAndRepairKeysAreDisjoint: readKeyed digests the endpoint tag
+// with the body, so identical bytes read for /v1/plan and /v1/repair
+// get different keys.
 func TestPlanAndRepairKeysAreDisjoint(t *testing.T) {
-	pr := PlanRequest{FieldSide: 50, K: 1, Rs: 4}
-	npr, err := pr.normalize(DefaultLimits())
+	const body = `{"field_side":50,"k":1,"rs":4}`
+	var buf []byte
+	_, plan, err := readKeyed(strings.NewReader(body), &buf, keyTagPlan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := (RepairRequest{PlanRequest: pr}).normalize(DefaultLimits())
+	_, repair, err := readKeyed(strings.NewReader(body), &buf, keyTagRepair)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if npr.key() == rr.key() {
+	if plan == repair {
 		t.Errorf("plan and repair keys must differ for identical bodies")
 	}
 }
@@ -358,7 +364,7 @@ func TestOversizedBodyFailsFastWith413(t *testing.T) {
 
 // TestBadBodiesLeaveNothingBehind: on /v1/plan and /v1/repair, a body
 // over MaxBodyBytes and a body whose read is cut off keep their status
-// and error text, make no cache entry or alias, and get the same answer
+// and error text, make no cache entry, and get the same answer
 // when repeated, also when the bytes read before the cut are a cached
 // body's. After Shutdown the goroutine count is back where it started.
 func TestBadBodiesLeaveNothingBehind(t *testing.T) {
@@ -403,11 +409,8 @@ func TestBadBodiesLeaveNothingBehind(t *testing.T) {
 				if status != tc.status || body != tc.want {
 					t.Errorf("%s %s, request %d: %d %q, want %d %q", path, tc.name, i, status, body, tc.status, tc.want)
 				}
-				svc.cache.mu.Lock()
-				entries, aliases := len(svc.cache.items), len(svc.cache.raw)
-				svc.cache.mu.Unlock()
-				if want := map[string]int{"/v1/plan": 1, "/v1/repair": 2}[path]; entries != want || aliases != want {
-					t.Errorf("%s %s: %d entries and %d aliases, want %d of each: the cached bodies'", path, tc.name, entries, aliases, want)
+				if want, entries := map[string]int{"/v1/plan": 1, "/v1/repair": 2}[path], svc.cache.Len(); entries != want {
+					t.Errorf("%s %s: %d entries, want %d: the cached bodies'", path, tc.name, entries, want)
 				}
 			}
 		}
@@ -609,24 +612,17 @@ func waitFor(t *testing.T, cond func() bool) {
 func TestLRUCacheEvicts(t *testing.T) {
 	c := newPlanCache(2)
 	ka, kb, kc := testKey("a"), testKey("b"), testKey("c")
-	ra, rb, rc := testKey("a's body"), testKey("b's body"), testKey("c's body")
-	c.Put(ka, ra, []byte("A"))
-	c.Put(kb, rb, []byte("B"))
-	if _, _, ok := c.Get(ka, ra); !ok {
+	c.Put(ka, []byte("A"))
+	c.Put(kb, []byte("B"))
+	if _, _, ok := c.Get(ka); !ok {
 		t.Fatal("a evicted too early")
 	}
-	c.Put(kc, rc, []byte("C")) // evicts b (a was refreshed)
-	if _, _, ok := c.Get(kb, rb); ok {
+	c.Put(kc, []byte("C")) // evicts b (a was refreshed)
+	if _, _, ok := c.Get(kb); ok {
 		t.Error("b should have been evicted")
 	}
-	if _, _, ok := c.Raw(rb); ok {
-		t.Error("b's alias outlived its entry")
-	}
-	if body, _, ok := c.Raw(ra); !ok || string(body) != "A" {
-		t.Errorf("a's alias: %q, %v; want A", body, ok)
-	}
-	if body, clen, ok := c.Get(ka, ra); !ok {
-		t.Error("a should survive (recently used)")
+	if body, clen, ok := c.Get(ka); !ok || string(body) != "A" {
+		t.Errorf("a: %q, %v; want A (recently used)", body, ok)
 	} else if len(clen) != 1 || clen[0] != strconv.Itoa(len(body)) {
 		t.Errorf("cached Content-Length %v, want [%d]", clen, len(body))
 	}
