@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test test-short check bench bench-json bench-large serve-smoke chaos-smoke session-smoke gate-smoke snapshot-smoke fuzz-smoke cover figures extensions summary clean
+.PHONY: all build vet fmt-check test test-short check bench bench-json bench-large serve-smoke chaos-smoke session-smoke gate-smoke fuzz-smoke cover figures extensions summary clean
 
 all: build vet test
 
@@ -19,8 +19,9 @@ all: build vet test
 # injection), the field-session soak (byte-identical delta streams
 # across two seeded multi-tenant runs; see session-smoke), the admission
 # gate's concurrency tests ten times over (gate-smoke), a fixed number of
-# fresh inputs for the decode parity fuzzers (fuzz-smoke), and
-# the sim+protocol statement-coverage floor (cover).
+# fresh inputs for the decode parity fuzzers and the deployment-snapshot
+# reader (fuzz-smoke), and the sim+protocol statement-coverage floor
+# (cover).
 check:
 	$(GO) vet ./...
 	$(MAKE) fmt-check
@@ -31,7 +32,6 @@ check:
 	$(MAKE) bench-large
 	$(MAKE) serve-smoke
 	$(MAKE) chaos-smoke
-	$(MAKE) snapshot-smoke
 	$(MAKE) session-smoke
 	$(MAKE) gate-smoke
 	$(MAKE) fuzz-smoke
@@ -59,15 +59,6 @@ bench-large:
 chaos-smoke:
 	$(GO) run -race ./cmd/decor-chaos -arch all -seeds 16
 
-# Snapshot/differential gate: the checkpoint parity suite (checkpoint ->
-# resume must give the straight run's whole verdict, timeline included,
-# for every architecture at randomized cut points, second-generation
-# resumes included), the typed-rejection corruption matrix, the refusal
-# of a checkpoint whose trace differs at its cut, and the snapshot fuzz
-# seed corpus, all under the race detector (DESIGN.md §15).
-snapshot-smoke:
-	$(GO) test -race -run '^TestCheckpointedRunMatchesStraightRun$$|^TestResumeParity$$|^TestResumeEmitsFurtherCheckpoints$$|^TestResumeRejectsCorruption$$|^TestResumeRefusesDivergentCheckpoint$$|^FuzzSnapshotRoundTrip$$' -count=1 -timeout 300s ./internal/chaos/
-
 # Field-session soak: a seeded multi-tenant event storm (concurrent
 # NDJSON streams, mid-stream evict/restore) run twice under the race
 # detector, asserting the two runs produce byte-identical delta streams
@@ -87,22 +78,26 @@ session-smoke:
 # event does not wait for the plans' run slots; a coalesced request
 # outlives its leader's deadline, refusal or panic; a mixed overload
 # burst leaves the books empty and no goroutine behind; oversized or
-# cut-off bodies leave no cache entry or goroutine behind; and an NDJSON
-# client that hangs up mid-stream leaves the sessions' gate books empty
-# and no handler or goroutine behind. Each test runs ten times under
-# the race detector.
+# cut-off bodies leave no cache entry or goroutine behind; a drain wakes
+# an events stream blocked reading its body and refuses later ones; and
+# an NDJSON client that hangs up mid-stream leaves the sessions' gate
+# books empty and no handler or goroutine behind. Each test runs ten
+# times under the race detector.
 gate-smoke:
 	$(GO) test -race -count=10 -run '^TestGateBooksBalanceUnderConcurrency$$|^TestCloseDrainsAdmittedCalls$$' -timeout 300s ./internal/admit/
-	$(GO) test -race -count=10 -run '^TestFieldEventsDoNotWaitBehindPlans$$|^TestFollowerOutlivesLeaderDeadline$$|^TestFollowerOfRefusedLeaderTakesItsOwnTurn$$|^TestPanickingLeaderReleasesFollowers$$|^TestOverloadBurstLeavesNothingBehind$$|^TestBadBodiesLeaveNothingBehind$$' -timeout 300s ./internal/service/
+	$(GO) test -race -count=10 -run '^TestFieldEventsDoNotWaitBehindPlans$$|^TestFollowerOutlivesLeaderDeadline$$|^TestFollowerOfRefusedLeaderTakesItsOwnTurn$$|^TestPanickingLeaderReleasesFollowers$$|^TestOverloadBurstLeavesNothingBehind$$|^TestBadBodiesLeaveNothingBehind$$|^TestEndStreamsWakesEventStreams$$' -timeout 300s ./internal/service/
 	$(GO) test -race -count=10 -run '^TestVanishedNDJSONClientLeavesNothingBehind$$' -timeout 300s ./internal/session/
 
 # Fuzz smoke: the parity fuzzers of the number and string readers, the
 # request decoders and the event-stream scanner each run 20000 generated
 # inputs past their committed corpora, so the one decoder keeps being
 # explored against its oracles (the number() + strconv readers,
-# encoding/json plus the key rules). A failing input is written under
-# the package's testdata/fuzz/ for replay with plain `go test`.
+# encoding/json plus the key rules); so does the reader of sealed
+# deployment snapshots (a typed error or a restore that re-snapshots to
+# the same bytes, never a panic). A failing input is written under the
+# package's testdata/fuzz/ for replay with plain `go test`.
 fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzRestoreDeployment$$' -fuzztime 20000x ./
 	$(GO) test -run '^$$' -fuzz '^FuzzDecNumberParity$$' -fuzztime 20000x ./internal/jsonx/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecStringParity$$' -fuzztime 20000x ./internal/jsonx/
 	$(GO) test -run '^$$' -fuzz '^FuzzRequestDecodeParity$$' -fuzztime 20000x ./internal/service/

@@ -17,8 +17,10 @@
 //	decor-serve -addr 127.0.0.1:0 -timeout 500ms -session-idle-ttl 10m
 //
 // SIGINT/SIGTERM triggers a graceful drain: the listener stops accepting,
-// in-flight plans run to completion (bounded by -drain-timeout), then the
-// process exits 0.
+// the field streams end (an SSE feed closes; an NDJSON events stream
+// answers "server shutting down", in-band once it has sent a delta),
+// in-flight plans run to completion (bounded by -drain-timeout), then
+// the process exits 0.
 //
 // Every response carries its trace ID in X-Decor-Trace; GET /debug/traces
 // serves recent span trees (summarizable offline with decor-trace) and
@@ -117,6 +119,9 @@ func run() int {
 		Handler:           svc.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
+	// Shutdown waits for every handler, and a field stream's handler
+	// ends only when its stream does: end them as the drain starts.
+	httpSrv.RegisterOnShutdown(svc.EndStreams)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 
@@ -145,9 +150,9 @@ func run() int {
 		return 1
 	}
 
-	// Drain order matters: stop the listener and wait for in-flight
-	// handlers (which plan on their own goroutines), then drain the
-	// admission gate.
+	// Drain order matters: stop the listener, end the field streams and
+	// wait for in-flight handlers (which plan on their own goroutines),
+	// then drain the admission gate.
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	code := 0

@@ -309,12 +309,14 @@ type Verdict struct {
 // thrown.
 func Run(sc Scenario) Verdict {
 	sc = sc.withDefaults()
-	v, err := dispatch(sc, nil)
-	if err != nil {
-		// Unreachable: only a resumed run checks a cut.
-		panic(fmt.Sprintf("chaos: %v", err))
+	switch sc.Arch {
+	case ArchGrid, ArchVoronoi:
+		return runDeploy(sc)
+	case ArchSelfheal:
+		return runSelfheal(sc)
+	default:
+		panic(fmt.Sprintf("chaos: unknown architecture %q", sc.Arch))
 	}
-	return v
 }
 
 // trace digests a run's engine trace: the SHA-256 of every line so far
@@ -373,8 +375,7 @@ func verdict(sc Scenario, eng *sim.Engine, chk *invariant.Checker, converged boo
 // the end. The seed fallback guarantees convergence under any bounded
 // plan: each drain that leaves coverage deficient places at least one
 // sensor at a deficient point, so total deficit strictly decreases.
-// With a non-nil ck it stops at checkpoint boundaries.
-func runDeploy(sc Scenario, ck *ckpt) (Verdict, error) {
+func runDeploy(sc Scenario) Verdict {
 	m, eng, tr, fr := sc.world()
 
 	var seed func() bool
@@ -402,9 +403,7 @@ func runDeploy(sc Scenario, ck *ckpt) (Verdict, error) {
 
 	seeds := 0
 	for !m.FullyCovered() {
-		if err := ck.drive(eng, tr, sim.Inf); err != nil {
-			return Verdict{}, err
-		}
+		eng.Run(sim.Inf)
 		chk.RunAt(eng.Now())
 		if m.FullyCovered() || m.NumSensors() > sc.Budget {
 			break
@@ -422,7 +421,7 @@ func runDeploy(sc Scenario, ck *ckpt) (Verdict, error) {
 	v := verdict(sc, eng, chk, m.FullyCovered(), tr, fr)
 	v.Placed = placed()
 	v.Seeds = seeds
-	return v, nil
+	return v
 }
 
 // saboteur fails sensors (hardware death, not actor crash) at scheduled
@@ -469,8 +468,7 @@ func (s *saboteur) liveCoverage(m *coverage.Map) *coverage.Map {
 // monitored-field protocol, injects seeded sensor failures in the first
 // third of the horizon, and requires coverage to be whole again by the
 // end while the watchdog re-checks accounting and the budget throughout.
-// With a non-nil ck it stops at checkpoint boundaries.
-func runSelfheal(sc Scenario, ck *ckpt) (Verdict, error) {
+func runSelfheal(sc Scenario) Verdict {
 	m, eng, tr, fr := sc.world()
 
 	// Deterministic initial deployment: greedily drop a sensor on the
@@ -523,13 +521,11 @@ func runSelfheal(sc Scenario, ck *ckpt) (Verdict, error) {
 		Add(invariant.After(sc.Horizon, liveKCoverage))
 	chk.Watch(eng, sc.Tc)
 
-	if err := ck.drive(eng, tr, sc.Horizon); err != nil {
-		return Verdict{}, err
-	}
+	eng.Run(sc.Horizon)
 	chk.RunAt(sc.Horizon) // final check, with the coverage gate open
 
 	v := verdict(sc, eng, chk, sab.liveCoverage(m).FullyCovered(), tr, fr)
 	v.Placed = m.NumSensors()
 	v.Repairs = len(f.Repairs)
-	return v, nil
+	return v
 }

@@ -20,26 +20,20 @@ import (
 // SweepResult is the outcome of one sweep cell.
 type SweepResult struct {
 	Verdict  Verdict
-	ReplayOK bool // replay matched (always true when verify was off)
+	ReplayOK bool // the replay's verdict was byte-identical
 }
 
-// Sweep runs every scenario across the worker pool and returns results
-// in input order. With verify set, each scenario is run twice and
-// ReplayOK reports whether the two verdicts were byte-identical — the
-// determinism double-run
-// `decor-chaos` and `make chaos-smoke` gate on.
-func Sweep(scs []Scenario, verify bool) []SweepResult {
+// Sweep runs every scenario twice across the worker pool and returns
+// results in input order. ReplayOK reports whether the two verdicts
+// were byte-identical — the determinism double-run `decor-chaos` and
+// `make chaos-smoke` gate on.
+func Sweep(scs []Scenario) []SweepResult {
 	out := make([]SweepResult, len(scs))
 	shard.ForEach(len(scs), func(i int) {
 		v := Run(scs[i])
-		res := SweepResult{Verdict: v, ReplayOK: true}
-		if verify {
-			v2 := Run(scs[i])
-			j1, _ := json.Marshal(v)
-			j2, _ := json.Marshal(v2)
-			res.ReplayOK = bytes.Equal(j1, j2)
-		}
-		out[i] = res
+		j1, _ := json.Marshal(v)
+		j2, _ := json.Marshal(Run(scs[i]))
+		out[i] = SweepResult{Verdict: v, ReplayOK: bytes.Equal(j1, j2)}
 	})
 	return out
 }

@@ -90,8 +90,10 @@ type Server struct {
 	baseCtx context.Context
 	abort   context.CancelFunc
 
-	// sessions owns the stateful field sessions (see sessions.go).
+	// sessions owns the stateful field sessions (see sessions.go), and
+	// streams their open NDJSON event streams (see EndStreams).
 	sessions *session.Manager
+	streams  streamSet
 
 	// started anchors the flight recorder's relative timestamps.
 	started time.Time
@@ -204,10 +206,10 @@ func (s *Server) Draining() bool { return s.gate.Closed() }
 func (s *Server) Shutdown(ctx context.Context) error {
 	drained := s.gate.Close()
 	stop := context.AfterFunc(ctx, s.abort)
-	// Close the session manager: it closes every subscriber channel,
-	// which unblocks SSE handlers so http.Server.Shutdown can finish.
-	// Idempotent, and session state is rebuildable by design.
-	s.sessions.Close()
+	// End the field streams, if the drain has not already: their
+	// handlers return, so http.Server.Shutdown can finish. Session state
+	// is rebuildable by design.
+	s.EndStreams()
 	<-drained
 	if stop() {
 		return nil

@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
+	"time"
 
 	"decor/internal/jsonx"
 	"decor/internal/session"
@@ -60,8 +62,9 @@ func (fr FieldRequest) spec() session.Spec {
 	}
 }
 
-// sessionStatus maps the session package's sentinel errors onto the
-// HTTP status and message the API documents. Non-sentinel errors are
+// sessionStatus maps the session package's sentinel errors, and the
+// drain's errShuttingDown, onto the HTTP status and message the API
+// documents. Non-sentinel errors are
 // client errors: the only way to produce one on an established session
 // is to reference sensors that do not exist. A record that fails to
 // restore is the server's fault.
@@ -75,7 +78,7 @@ func sessionStatus(err error) (int, string) {
 		return http.StatusConflict, err.Error()
 	case errors.Is(err, session.ErrTenantSessions), errors.Is(err, session.ErrTenantBusy):
 		return http.StatusTooManyRequests, err.Error()
-	case errors.Is(err, session.ErrSaturated), errors.Is(err, session.ErrClosed):
+	case errors.Is(err, session.ErrSaturated), errors.Is(err, session.ErrClosed), errors.Is(err, errShuttingDown):
 		return http.StatusServiceUnavailable, err.Error()
 	case errors.Is(err, session.ErrRestore):
 		return http.StatusInternalServerError, err.Error()
@@ -193,6 +196,77 @@ func writeInbandError(w http.ResponseWriter, buf *[]byte, msg string, retryAfter
 	w.Write(*buf)
 }
 
+// streamSet holds the open NDJSON event streams, so a drain can wake
+// each one blocked reading its body. Once closed it admits no stream.
+type streamSet struct {
+	mu     sync.Mutex
+	closed bool
+	open   map[http.ResponseWriter]struct{}
+}
+
+// add registers an open stream, or reports false once the drain began.
+func (ss *streamSet) add(w http.ResponseWriter) bool {
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	if ss.closed {
+		return false
+	}
+	if ss.open == nil {
+		ss.open = map[http.ResponseWriter]struct{}{}
+	}
+	ss.open[w] = struct{}{}
+	return true
+}
+
+func (ss *streamSet) remove(w http.ResponseWriter) {
+	ss.mu.Lock()
+	delete(ss.open, w)
+	ss.mu.Unlock()
+}
+
+func (ss *streamSet) ended() bool {
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	return ss.closed
+}
+
+// close refuses further streams and expires the read deadline of every
+// open one, so a body read blocked in it returns at once. A stream
+// removes itself under the same lock before its handler returns, so
+// no writer here outlives its request.
+func (ss *streamSet) close() {
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	ss.closed = true
+	for w := range ss.open {
+		_ = http.NewResponseController(w).SetReadDeadline(time.Unix(1, 0))
+	}
+}
+
+// EndStreams ends the field streams for a drain: closing the session
+// manager ends every SSE subscription, and every open NDJSON event
+// stream is woken from its body read to answer "server shutting down".
+// Plans and repairs in flight are untouched. http.Server.Shutdown
+// waits for these handlers and nothing else ends them, so register
+// this with http.Server.RegisterOnShutdown. Idempotent.
+func (s *Server) EndStreams() {
+	s.sessions.Close()
+	s.streams.close()
+}
+
+// errShuttingDown refuses an events stream the drain ended.
+var errShuttingDown = errors.New("server shutting down")
+
+// refuseStream answers a refused events stream: with the refusal's
+// status before its first delta, in-band after.
+func (s *Server) refuseStream(w http.ResponseWriter, out *[]byte, wrote bool, err error) {
+	if !wrote {
+		s.writeSessionError(w, err)
+		return
+	}
+	writeInbandError(w, out, err.Error(), s.sessionRetryAfter(err))
+}
+
 // handleFieldEvents serves POST /v1/fields/{id}/events: a stream of
 // NDJSON failure events in, one NDJSON delta per event out, flushed as
 // each repair completes. A single JSON object (no trailing newline)
@@ -217,13 +291,18 @@ func (s *Server) handleFieldEvents(w http.ResponseWriter, r *http.Request) {
 	defer jsonx.PutBuf(out)
 
 	flusher, _ := w.(http.Flusher)
+	if !s.streams.add(w) {
+		s.writeSessionError(w, errShuttingDown)
+		return
+	}
 	// A stream that ends early (a bad event, a refusal, an in-band
 	// error) leaves body unread. Under full duplex net/http drains it
 	// after the handler, once it has stopped watching the connection, and
 	// the drain's end of body then panics the connection's next request.
 	// So the answer goes out first and the rest is drained here
 	// (net/http reads at most 256 KB of it before it closes the
-	// connection instead).
+	// connection instead). The stream stays in s.streams until then, so
+	// a drain also wakes this read.
 	defer func() {
 		if sc.err != io.EOF {
 			if flusher != nil {
@@ -231,6 +310,7 @@ func (s *Server) handleFieldEvents(w http.ResponseWriter, r *http.Request) {
 			}
 			r.Body.Close()
 		}
+		s.streams.remove(w)
 	}()
 	wrote := false
 	for {
@@ -238,6 +318,10 @@ func (s *Server) handleFieldEvents(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				break
+			}
+			if s.streams.ended() {
+				s.refuseStream(w, out, wrote, errShuttingDown)
+				return
 			}
 			if ae := tooLarge(err); ae != nil {
 				err = ae
@@ -264,11 +348,7 @@ func (s *Server) handleFieldEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		delta, err := s.sessions.Apply(tenant, id, failed)
 		if err != nil {
-			if !wrote {
-				s.writeSessionError(w, err)
-			} else {
-				writeInbandError(w, out, err.Error(), s.sessionRetryAfter(err))
-			}
+			s.refuseStream(w, out, wrote, err)
 			return
 		}
 		if !wrote {

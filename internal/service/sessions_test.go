@@ -472,6 +472,63 @@ func TestFieldEventsInterleaveOverHTTP1(t *testing.T) {
 	}
 }
 
+// TestEndStreamsWakesEventStreams: a drain wakes an events stream
+// blocked reading its body before its first event, which answers 503
+// with Retry-After, and refuses a stream that arrives after it the same
+// way, before reading any of its body.
+func TestEndStreamsWakesEventStreams(t *testing.T) {
+	s := newTestServer(t, Config{})
+	if status, _, body := s.do(t, "POST", "/v1/fields", "t", fieldBody("f", 7)); status != http.StatusCreated {
+		t.Fatalf("create: %d %s", status, body)
+	}
+	pr, pw := io.Pipe()
+	defer pw.Close()
+	req, err := http.NewRequest("POST", s.ts.URL+"/v1/fields/f/events", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(tenantHeader, "t")
+	type result struct {
+		resp *http.Response
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		done <- result{resp, err}
+	}()
+	waitFor(t, func() bool {
+		s.svc.streams.mu.Lock()
+		defer s.svc.streams.mu.Unlock()
+		return len(s.svc.streams.open) == 1
+	})
+	s.svc.EndStreams()
+
+	var res result
+	select {
+	case res = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the woken stream sent no response in 10 s")
+	}
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	body, _ := io.ReadAll(res.resp.Body)
+	res.resp.Body.Close()
+	const want = `{"error":"server shutting down"}`
+	if res.resp.StatusCode != http.StatusServiceUnavailable || res.resp.Header.Get("Retry-After") == "" ||
+		strings.TrimSpace(string(body)) != want {
+		t.Errorf("woken stream: %d, Retry-After %q, %s; want 503 with Retry-After and %s",
+			res.resp.StatusCode, res.resp.Header.Get("Retry-After"), body, want)
+	}
+
+	status, hdr, late := s.do(t, "POST", "/v1/fields/f/events", "t", `{"failed":[1]}`)
+	if status != http.StatusServiceUnavailable || hdr.Get("Retry-After") == "" || strings.TrimSpace(string(late)) != want {
+		t.Errorf("stream after the drain: %d, Retry-After %q, %s; want 503 with Retry-After and %s",
+			status, hdr.Get("Retry-After"), late, want)
+	}
+}
+
 // lockedBuffer is a bytes.Buffer safe for the server's error log.
 type lockedBuffer struct {
 	mu sync.Mutex

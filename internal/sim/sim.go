@@ -549,16 +549,6 @@ func (e *Engine) schedule(ev event) {
 	}
 }
 
-// NextEventTime returns the virtual time of the earliest queued event,
-// if any. Checkpoint drivers use it to slice Run into exact-replay
-// chunks without triggering Run's empty-queue clock jump.
-func (e *Engine) NextEventTime() (Time, bool) {
-	if e.queue.Len() == 0 {
-		return 0, false
-	}
-	return e.queue.evs[0].at, true
-}
-
 // Run processes events until the queue is empty or virtual time exceeds
 // until. It returns the number of events processed.
 func (e *Engine) Run(until Time) int {

@@ -1,6 +1,6 @@
 // Package snap is the versioned binary snapshot codec shared by every
-// sealed record in the tree (the decor facade's deployment snapshots,
-// chaos checkpoints, session records). The format is deliberately dumb
+// sealed record in the tree (the decor facade's deployment snapshots
+// and the session records that carry them). The format is deliberately dumb
 // — varint integers, IEEE-754 float bits, length-prefixed byte strings
 // — because determinism is the whole point: the same state always
 // encodes to the same bytes, and decoding never allocates
@@ -13,9 +13,9 @@
 // and Open rejects anything else with a typed error (ErrMagic,
 // ErrVersion, ErrTruncated, ErrCorrupt) — never a panic, never a silent
 // partial restore. Decoders drain a Reader and then call Close, which
-// surfaces any mid-stream truncation plus trailing garbage; the fuzz
-// suite in internal/chaos drives arbitrary corruptions through this
-// contract.
+// surfaces any mid-stream truncation plus trailing garbage;
+// FuzzRestoreDeployment in the decor package drives arbitrary
+// corruptions through this contract.
 package snap
 
 import (

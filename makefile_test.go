@@ -57,6 +57,37 @@ func TestMakefileTestNamesExist(t *testing.T) {
 	}
 }
 
+// TestMakefileTargetsExist keeps the Makefile's own references honest:
+// make fails only when a missing target is reached, so a deleted target
+// left in `check` would surface only under `make check`. Every .PHONY
+// name and every $(MAKE) X must have a rule.
+func TestMakefileTargetsExist(t *testing.T) {
+	mk, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := strings.ReplaceAll(string(mk), "\\\n", " ")
+	rules := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^([A-Za-z0-9_.-]+):([^=]|$)`).FindAllStringSubmatch(text, -1) {
+		rules[m[1]] = true
+	}
+	var named []string
+	for _, m := range regexp.MustCompile(`(?m)^\.PHONY:(.*)$`).FindAllStringSubmatch(text, -1) {
+		named = append(named, strings.Fields(m[1])...)
+	}
+	for _, m := range regexp.MustCompile(`\$\(MAKE\)\s+([A-Za-z0-9_.-]+)`).FindAllStringSubmatch(text, -1) {
+		named = append(named, m[1])
+	}
+	if len(named) == 0 {
+		t.Fatal("found no .PHONY names or $(MAKE) targets in the Makefile")
+	}
+	for _, name := range named {
+		if !rules[name] {
+			t.Errorf("the Makefile names target %s, but no rule defines it", name)
+		}
+	}
+}
+
 // testSources concatenates the _test.go files of the given package
 // patterns: a directory, or a directory/... tree, which like the go
 // command skips directories named testdata or starting with . or _.

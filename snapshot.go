@@ -67,7 +67,7 @@ func RestoreDeployment(data []byte) (*Deployment, error) {
 
 	d, err := NewDeployment(p)
 	if err != nil {
-		return nil, fmt.Errorf("decor: invalid snapshot params: %w", err)
+		return nil, fmt.Errorf("%w: params: %v", snap.ErrMalformed, err)
 	}
 	// Continue the original's stream mid-draw rather than restarting it.
 	d.r = rng.FromState(hi, lo)
