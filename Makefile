@@ -79,13 +79,15 @@ session-smoke:
 # outlives its leader's deadline, refusal or panic; a mixed overload
 # burst leaves the books empty and no goroutine behind; oversized or
 # cut-off bodies leave no cache entry or goroutine behind; a drain wakes
-# an events stream blocked reading its body and refuses later ones; and
-# an NDJSON client that hangs up mid-stream leaves the sessions' gate
-# books empty and no handler or goroutine behind. Each test runs ten
-# times under the race detector.
+# an events stream blocked reading its body and refuses later ones
+# without a panic on their connections; a drain ends an SSE feed
+# blocked writing to a client that stopped reading; and an NDJSON client
+# that hangs up mid-stream leaves the sessions' gate books empty and no
+# handler or goroutine behind. Each test runs ten times under the race
+# detector.
 gate-smoke:
 	$(GO) test -race -count=10 -run '^TestGateBooksBalanceUnderConcurrency$$|^TestCloseDrainsAdmittedCalls$$' -timeout 300s ./internal/admit/
-	$(GO) test -race -count=10 -run '^TestFieldEventsDoNotWaitBehindPlans$$|^TestFollowerOutlivesLeaderDeadline$$|^TestFollowerOfRefusedLeaderTakesItsOwnTurn$$|^TestPanickingLeaderReleasesFollowers$$|^TestOverloadBurstLeavesNothingBehind$$|^TestBadBodiesLeaveNothingBehind$$|^TestEndStreamsWakesEventStreams$$' -timeout 300s ./internal/service/
+	$(GO) test -race -count=10 -run '^TestFieldEventsDoNotWaitBehindPlans$$|^TestFollowerOutlivesLeaderDeadline$$|^TestFollowerOfRefusedLeaderTakesItsOwnTurn$$|^TestPanickingLeaderReleasesFollowers$$|^TestOverloadBurstLeavesNothingBehind$$|^TestBadBodiesLeaveNothingBehind$$|^TestEndStreamsWakesEventStreams$$|^TestEndStreamsEndsStalledSSE$$' -timeout 300s ./internal/service/
 	$(GO) test -race -count=10 -run '^TestVanishedNDJSONClientLeavesNothingBehind$$' -timeout 300s ./internal/session/
 
 # Fuzz smoke: the parity fuzzers of the number and string readers, the

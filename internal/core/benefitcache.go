@@ -14,10 +14,10 @@ var (
 	obsCacheDeltas    = obs.Default().Counter(obs.CoreCacheDeltaUpdates)
 	obsCacheFallbacks = obs.Default().Counter(obs.CoreCacheFallbacks)
 
-	obsRoundSeconds      = obs.Default().Histogram(obs.CoreRoundSeconds, obs.DefLatencyBuckets)
-	obsEvalSeconds       = obs.Default().Histogram(obs.CoreBenefitEvalSeconds, obs.DefLatencyBuckets)
-	obsScoringSeconds    = obs.Default().Histogram(obs.CoreCandidateScoringSeconds, obs.DefLatencyBuckets)
-	obsCacheBuildSeconds = obs.Default().Histogram(obs.CoreCacheBuildSeconds, obs.DefLatencyBuckets)
+	obsRoundSeconds      = obs.Default().Histogram(obs.CoreRoundSeconds)
+	obsEvalSeconds       = obs.Default().Histogram(obs.CoreBenefitEvalSeconds)
+	obsScoringSeconds    = obs.Default().Histogram(obs.CoreCandidateScoringSeconds)
+	obsCacheBuildSeconds = obs.Default().Histogram(obs.CoreCacheBuildSeconds)
 )
 
 // benefitCache maintains, for every sample point, the benefit (Eq. 1) a

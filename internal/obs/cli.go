@@ -31,11 +31,10 @@ func (f *RunFlags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.MemProfile, "memprofile", "", "write a pprof heap profile to this file at exit")
 }
 
-// Start pre-registers the standard instrument set on the default registry
-// (so the exit dump exposes the full taxonomy even for phases this run
-// never enters) and begins CPU profiling if requested.
+// Start begins CPU profiling if requested. The exit dump still exposes
+// every instrument, even of phases this run never enters: the packages
+// that own them create them at init.
 func (f *RunFlags) Start() error {
-	RegisterStandard(Default())
 	if f.CPUProfile != "" {
 		fh, err := os.Create(f.CPUProfile)
 		if err != nil {

@@ -8,8 +8,11 @@ var defaultRegistry = NewRegistry()
 // Default returns the process-wide registry.
 func Default() *Registry { return defaultRegistry }
 
-// Canonical metric names, grouped by emitting package. DESIGN.md §7
-// documents the taxonomy.
+// Canonical metric names, grouped by emitting package. Each owner
+// creates its instruments when it starts (sim, protocol and core at
+// package init, service.New and session.New on their registry), so an
+// export exposes every one of them at zero from the first scrape.
+// DESIGN.md §7 documents the taxonomy.
 const (
 	// internal/sim engine event counters and queue-depth gauge.
 	SimEvents     = "decor_sim_events_total"
@@ -79,15 +82,11 @@ const (
 	SessionTenantCreated = "decor_session_tenant_created_total"
 	SessionTenantDeltas  = "decor_session_tenant_deltas_total"
 
-	// internal/obs self-observation: histogram lookups whose bucket
-	// bounds disagreed with the live series (the caller's bounds were
-	// dropped — a misconfiguration that used to be silent).
-	ObsHistBoundsConflicts = "decor_obs_histogram_bounds_conflicts_total"
-
-	// decor-serve labeled series (obs v2): responses by route/status
-	// class (and tenant when the X-Decor-Tenant header is present, up to
-	// the cardinality cap). Label handles are interned once per
-	// combination, so the hot path is one map probe + one atomic.
+	// decor-serve labeled series: responses by route, status and tenant
+	// ("none" without an X-Decor-Tenant header; tenants past the
+	// cardinality cap fold into "other"). The service resolves each
+	// combination's counter once, so the hot path is one map probe + one
+	// atomic.
 	ServeResponses = "decor_serve_responses_total"
 
 	// Phase-latency histograms (span names, unit: seconds).
@@ -100,61 +99,3 @@ const (
 	ProtoLeaderElectionSeconds  = "decor_protocol_leader_election_seconds"
 	ProtoHeartbeatRoundSeconds  = "decor_protocol_heartbeat_round_seconds"
 )
-
-// RegisterStandard eagerly creates the full standard instrument set on r,
-// so an export after a zero-activity run (or a run that never touches the
-// sim engine, like a pure round-based deployment) still exposes every
-// series at zero — the Prometheus convention that lets rate() work from
-// the first scrape.
-func RegisterStandard(r *Registry) {
-	for _, name := range []string{
-		SimEvents, SimSent, SimDelivered, SimDropped, SimLost, SimTimers,
-		SimDelayed, SimDuplicated, SimPartitionDropped, SimCrashes, SimRestarts,
-		ProtoHeartbeats, ProtoPlacementsAnnounced, ProtoPlacementsReceived,
-		ProtoFailuresDetected, ProtoLeaderChanges,
-		CoreCacheDeltaUpdates, CoreCacheFallbacks,
-	} {
-		r.Counter(name)
-	}
-	r.Gauge(SimQueueDepth)
-	for _, name := range []string{
-		CoreRoundSeconds, CoreBenefitEvalSeconds, CoreCandidateScoringSeconds,
-		CoreCacheBuildSeconds,
-		ProtoLeaderElectionSeconds, ProtoHeartbeatRoundSeconds,
-	} {
-		r.Histogram(name, DefLatencyBuckets)
-	}
-}
-
-// RegisterSession eagerly creates the field-session instrument set on r,
-// so the first scrape of a fresh server exposes every session series at
-// zero.
-func RegisterSession(r *Registry) {
-	for _, name := range []string{
-		SessionCreated, SessionEvicted, SessionRestored, SessionDropped,
-		SessionDeltas, SessionQuotaRejected, SessionSubsDropped,
-	} {
-		r.Counter(name)
-	}
-	r.Gauge(SessionLive)
-	r.Histogram(SessionDeltaSeconds, DefLatencyBuckets)
-	r.Histogram(SessionRestoreSeconds, DefLatencyBuckets)
-}
-
-// RegisterServe eagerly creates the decor-serve instrument set on r, so
-// the first /metrics scrape of a fresh server already exposes every
-// series at zero (rate() works from scrape one).
-func RegisterServe(r *Registry) {
-	for _, name := range []string{
-		ServePlanRequests, ServeRepairRequests, ServeBadRequests,
-		ServeRejected, ServeTimeouts, ServeErrors,
-		ServeCacheHits, ServeCacheMisses, ServeCoalesced,
-	} {
-		r.Counter(name)
-	}
-	r.Gauge(ServeQueueDepth)
-	r.Gauge(ServeInflight)
-	r.Gauge(ServeHeapAllocs)
-	r.Histogram(ServePlanSeconds, DefLatencyBuckets)
-	r.Histogram(ServeRequestSeconds, DefLatencyBuckets)
-}

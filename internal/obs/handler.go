@@ -14,7 +14,8 @@ const promContentType = "text/plain; version=0.0.4; charset=utf-8"
 // Prometheus scrape endpoint: every GET renders a fresh Snapshot, so a
 // scraper sees the counters move while a run is in flight — unlike the
 // -metrics flag, which only dumps once at process exit. The handler is
-// safe for concurrent scrapes (Snapshot holds only read locks).
+// safe for concurrent scrapes (Snapshot holds the registry's read lock
+// and each histogram's mutex only while it copies that histogram).
 func (r *Registry) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if req.Method != http.MethodGet && req.Method != http.MethodHead {

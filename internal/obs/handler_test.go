@@ -30,7 +30,7 @@ func TestHandlerServesLiveExposition(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("decor_test_requests_total").Add(3)
 	reg.Gauge("decor_test_depth").Set(1.5)
-	reg.Histogram("decor_test_seconds", []float64{0.1, 1}).Observe(0.05)
+	reg.Histogram("decor_test_seconds").Observe(0.05)
 
 	srv := httptest.NewServer(reg.Handler())
 	defer srv.Close()
@@ -89,8 +89,8 @@ func TestHandlerDeterministicOrdering(t *testing.T) {
 	for i := len(names) - 1; i >= 0; i-- {
 		reg2.Counter(names[i]).Inc()
 	}
-	reg1.CounterL("decor_a_total", reg1.Labels("r", "x")).Inc()
-	reg2.CounterL("decor_a_total", reg2.Labels("r", "x")).Inc()
+	reg1.CounterL("decor_a_total", "r", "x").Inc()
+	reg2.CounterL("decor_a_total", "r", "x").Inc()
 	var b1, b2 strings.Builder
 	if err := reg1.WritePrometheus(&b1); err != nil {
 		t.Fatal(err)
@@ -160,26 +160,5 @@ func TestDebugTracesHandler(t *testing.T) {
 	}
 	if status, _, _ = scrape(t, srv.URL+"?trace=not-hex"); status != http.StatusBadRequest {
 		t.Fatalf("bad trace id status = %d, want 400", status)
-	}
-}
-
-func TestRegisterServeExposesAllSeriesAtZero(t *testing.T) {
-	reg := NewRegistry()
-	RegisterServe(reg)
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, name := range []string{
-		ServePlanRequests, ServeRepairRequests, ServeBadRequests,
-		ServeRejected, ServeTimeouts, ServeErrors,
-		ServeCacheHits, ServeCacheMisses, ServeCoalesced,
-		ServeQueueDepth, ServeInflight,
-		ServePlanSeconds, ServeRequestSeconds,
-	} {
-		if !strings.Contains(out, name) {
-			t.Errorf("fresh serve registry missing series %s", name)
-		}
 	}
 }

@@ -11,10 +11,10 @@ import (
 // Sum is exactly attributable to those observations (all observations
 // have value 1, so Sum must equal Count). The pre-fix Observe bumped
 // count and sum in separate unsynchronized atomics, so a concurrent
-// snapshot could see them torn; run with -race to also prove the seqlock
-// is data-race-free.
+// snapshot could see them torn; run with -race to also prove the shared
+// mutex is data-race-free.
 func TestHistogramSnapshotNotTorn(t *testing.T) {
-	h := newHistogram([]float64{0.5, 2})
+	h := new(Histogram)
 	const writers, perWriter = 4, 5000
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -78,24 +78,3 @@ func (e *tornError) Error() string {
 }
 
 func (e *tornError) String() string { return e.Error() }
-
-func TestHistogramBoundsConflictCounted(t *testing.T) {
-	r := NewRegistry()
-	h1 := r.Histogram("decor_sec", []float64{1, 10})
-	h2 := r.Histogram("decor_sec", []float64{5}) // different bounds: conflict
-	if h1 != h2 {
-		t.Fatal("existing histogram must win")
-	}
-	if got := r.Counter(ObsHistBoundsConflicts).Value(); got != 1 {
-		t.Fatalf("conflict counter = %d, want 1", got)
-	}
-	// Matching bounds (even via a distinct slice) are not a conflict.
-	r.Histogram("decor_sec", []float64{1, 10})
-	if got := r.Counter(ObsHistBoundsConflicts).Value(); got != 1 {
-		t.Fatalf("false positive: conflict counter = %d, want 1", got)
-	}
-	// The existing series' buckets are authoritative.
-	if b := h2.snapshot().Buckets; len(b) != 2 || b[0] != 1 || b[1] != 10 {
-		t.Fatalf("bounds = %v", b)
-	}
-}

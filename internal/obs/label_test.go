@@ -5,44 +5,28 @@ import (
 	"testing"
 )
 
-func TestLabelsInternCanonical(t *testing.T) {
-	r := NewRegistry()
-	a := r.Labels("route", "plan", "tenant", "acme")
-	b := r.Labels("tenant", "acme", "route", "plan") // different order, same set
-	if a.String() != b.String() {
-		t.Fatalf("label order not canonicalized: %q vs %q", a, b)
-	}
-	if want := `{route="plan",tenant="acme"}`; a.String() != want {
-		t.Fatalf("rendered labels = %q, want %q", a, want)
-	}
-	// Same input pairs must yield the identical interned handle.
-	if c := r.Labels("route", "plan", "tenant", "acme"); c != a {
-		t.Fatalf("re-interning returned a different handle")
-	}
-	if z := r.Labels(); z.String() != "" {
-		t.Fatalf("empty Labels = %q, want unlabeled", z)
-	}
-}
-
+// TestLabelsEscapingAndSanitizing: a label value is escaped into its
+// series key, so a hostile value cannot break the exposition.
 func TestLabelsEscapingAndSanitizing(t *testing.T) {
 	r := NewRegistry()
-	ls := r.Labels("bad key!", `va"l\ue`+"\n")
-	if want := `{bad_key_="va\"l\\ue\n"}`; ls.String() != want {
-		t.Fatalf("escaped labels = %q, want %q", ls, want)
+	r.CounterL("decor_x_total", "route", "plan", "tenant", `va"l\ue`+"\n").Inc()
+	want := `decor_x_total{route="plan",tenant="va\"l\\ue\n"}`
+	if _, ok := r.Snapshot().Counters[want]; !ok {
+		t.Fatalf("series %s missing from %v", want, r.Snapshot().Counters)
 	}
 }
 
 func TestLabeledSeriesAreDistinct(t *testing.T) {
 	r := NewRegistry()
 	base := r.Counter("decor_test_total")
-	plan := r.CounterL("decor_test_total", r.Labels("route", "plan"))
-	repair := r.CounterL("decor_test_total", r.Labels("route", "repair"))
+	plan := r.CounterL("decor_test_total", "route", "plan")
+	repair := r.CounterL("decor_test_total", "route", "repair")
 	if base == plan || plan == repair {
 		t.Fatal("labeled series must be distinct instruments")
 	}
 	// The handle is stable: looking the series up again returns the same
 	// counter (hot paths cache this pointer and stay atomic-only).
-	if again := r.CounterL("decor_test_total", r.Labels("route", "plan")); again != plan {
+	if again := r.CounterL("decor_test_total", "route", "plan"); again != plan {
 		t.Fatal("labeled lookup not stable")
 	}
 	base.Add(1)
@@ -59,8 +43,8 @@ func TestLabeledSeriesAreDistinct(t *testing.T) {
 
 func TestLabeledPrometheusExposition(t *testing.T) {
 	r := NewRegistry()
-	r.CounterL("decor_req_total", r.Labels("route", "plan")).Add(2)
-	r.CounterL("decor_req_total", r.Labels("route", "repair")).Add(5)
+	r.CounterL("decor_req_total", "route", "plan").Add(2)
+	r.CounterL("decor_req_total", "route", "repair").Add(5)
 	r.Counter("decor_req_zz_total").Add(9) // sorts between family and labeled series by raw byte order
 
 	var sb strings.Builder

@@ -1,10 +1,10 @@
 // Package obs is the unified instrumentation layer for the DECOR
 // reproduction: a dependency-free (stdlib only) registry of named
-// counters, gauges and fixed-bucket histograms with atomic updates,
-// timed phases (span.go) whose one End call feeds both a histogram and,
-// inside a trace, a bounded span ring (tracer.go), a fixed-memory
-// flight recorder of structured events (flight.go), and
-// low-alloc label sets for per-tenant/arch/route attribution (label.go).
+// counters and gauges with atomic updates and histograms with one fixed
+// bucket layout, timed phases (span.go) whose one End call feeds both a
+// histogram and, inside a trace, a bounded span ring (tracer.go), a
+// fixed-memory flight recorder of structured events (flight.go), and
+// labeled counters for per-tenant/route attribution (label.go).
 //
 // The paper's evaluation (§4) is entirely about measured quantities —
 // messages per cell, rounds, redundant nodes, coverage fractions — but
@@ -18,14 +18,13 @@
 //
 // All instruments are safe for concurrent use; Registry lookups use a
 // read-mostly map and counter/gauge updates are single atomic operations,
-// so instrumented hot paths stay cheap. Histogram observations serialize
-// writers behind a mutex and publish through a seqlock so snapshots are
-// never torn (count, sum and buckets always agree).
+// so instrumented hot paths stay cheap. A histogram's observations and
+// snapshots share one mutex, so snapshots are never torn (count, sum and
+// buckets always agree). Every histogram has the same buckets.
 package obs
 
 import (
 	"math"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -65,100 +64,58 @@ func (g *Gauge) Add(d float64) {
 // Value returns the current gauge value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// Histogram counts observations into fixed buckets. Bucket i counts
-// observations v with v <= upper[i] (and > upper[i-1]); one extra
-// overflow bucket holds everything above the last bound (+Inf in the
-// Prometheus exposition).
+// latencyBounds are the upper bounds, in seconds, of every histogram's
+// buckets: 1µs..10s, wide enough for a single benefit evaluation and a
+// full deployment round alike.
+var latencyBounds = [...]float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1, 10}
+
+// Histogram counts observations into the latencyBounds buckets. Bucket i
+// counts observations v with v <= latencyBounds[i] (and above the bound
+// before it); one extra overflow bucket holds everything above the last
+// bound (+Inf in the Prometheus exposition). The zero value is ready to
+// use.
 //
-// Writers are serialized by a mutex and bracket their updates with a
-// seqlock version, so a concurrent snapshot always sees count, sum and
-// the bucket array from the same set of completed observations — the
-// torn count/sum reads the original atomic-only Observe allowed are
-// gone. Individual getters (Count, Sum) stay lock-free.
+// Observe and snapshot take the same mutex, so a snapshot's buckets and
+// sum always come from the same set of completed observations.
 type Histogram struct {
-	upper []float64
-
-	mu  sync.Mutex    // serializes writers
-	ver atomic.Uint64 // seqlock: odd while a write is in flight
-
-	buckets []atomic.Uint64 // len(upper)+1; last = overflow
-	count   atomic.Uint64
-	sumBits atomic.Uint64
-}
-
-func newHistogram(upperBounds []float64) *Histogram {
-	if len(upperBounds) == 0 {
-		panic("obs: histogram needs at least one bucket bound")
-	}
-	upper := append([]float64(nil), upperBounds...)
-	for i := 1; i < len(upper); i++ {
-		if upper[i] <= upper[i-1] {
-			panic("obs: histogram bounds must be strictly increasing")
-		}
-	}
-	return &Histogram{
-		upper:   upper,
-		buckets: make([]atomic.Uint64, len(upper)+1),
-	}
+	mu      sync.Mutex
+	buckets [len(latencyBounds) + 1]uint64 // last = overflow
+	sum     float64
 }
 
 // Observe records one value. Span.End is the one caller outside tests:
 // a timed phase observes through its span.
 func (h *Histogram) Observe(v float64) {
-	i := sort.SearchFloat64s(h.upper, v) // first bound >= v: inclusive le
+	i := sort.SearchFloat64s(latencyBounds[:], v) // first bound >= v: inclusive le
 	h.mu.Lock()
-	h.ver.Add(1) // odd: snapshots retry until the write completes
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	h.sumBits.Store(math.Float64bits(math.Float64frombits(h.sumBits.Load()) + v))
-	h.ver.Add(1)
+	h.buckets[i]++
+	h.sum += v
 	h.mu.Unlock()
 }
 
-// snapshot captures a consistent view: it retries while a writer holds
-// the seqlock odd or bumped it mid-read, so Count always equals the sum
-// of Counts and Sum matches exactly those observations.
+// snapshot captures a consistent view: Count is the sum of Counts, and
+// Sum covers exactly those observations.
 func (h *Histogram) snapshot() HistSnapshot {
-	hs := HistSnapshot{
-		Buckets: append([]float64(nil), h.upper...),
-		Counts:  make([]uint64, len(h.buckets)),
-	}
-	for {
-		v1 := h.ver.Load()
-		if v1&1 == 1 {
-			runtime.Gosched()
-			continue
-		}
-		for i := range h.buckets {
-			hs.Counts[i] = h.buckets[i].Load()
-		}
-		hs.Sum = math.Float64frombits(h.sumBits.Load())
-		hs.Count = h.count.Load()
-		if h.ver.Load() == v1 {
-			break
-		}
-		runtime.Gosched()
+	hs := HistSnapshot{Buckets: append([]float64(nil), latencyBounds[:]...)}
+	h.mu.Lock()
+	hs.Counts = append([]uint64(nil), h.buckets[:]...)
+	hs.Sum = h.sum
+	h.mu.Unlock()
+	for _, c := range hs.Counts {
+		hs.Count += c
 	}
 	return hs
 }
 
-// DefLatencyBuckets are the default span-duration bounds in seconds,
-// spanning 1µs..10s — wide enough for a single benefit evaluation and a
-// full deployment round alike.
-var DefLatencyBuckets = []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1, 10}
-
 // Registry holds named instruments. The zero value is not usable; create
-// with NewRegistry (or use the process-wide Default). Labeled series
-// (label.go) live in the same maps under their full series key
+// with NewRegistry (or use the process-wide Default). Labeled counters
+// (CounterL) live in the same map under their full series key
 // `name{k="v",...}`.
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-
-	lmu      sync.RWMutex
-	interned map[string]LabelSet
 }
 
 // NewRegistry creates an empty registry.
@@ -167,137 +124,35 @@ func NewRegistry() *Registry {
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
-		interned: map[string]LabelSet{},
 	}
 }
 
-// sanitizeName maps an arbitrary string onto the Prometheus metric-name
-// alphabet [a-zA-Z0-9_:], so exposition output is always parseable.
-func sanitizeName(name string) string {
-	if name == "" {
-		return "_"
-	}
-	// Fast path: canonical names are already clean; don't allocate for
-	// them (every lookup by name sanitizes).
-	clean := true
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		ok := c == '_' || c == ':' ||
-			('a' <= c && c <= 'z') || ('A' <= c && c <= 'Z') ||
-			('0' <= c && c <= '9' && i > 0)
-		if !ok {
-			clean = false
-			break
-		}
-	}
-	if clean {
-		return name
-	}
-	b := []byte(name)
-	for i, c := range b {
-		ok := c == '_' || c == ':' ||
-			('a' <= c && c <= 'z') || ('A' <= c && c <= 'Z') ||
-			('0' <= c && c <= '9' && i > 0)
-		if !ok {
-			b[i] = '_'
-		}
-	}
-	return string(b)
-}
-
-// getCounter returns the counter stored under a full series key (already
-// sanitized, possibly carrying a label suffix), creating it on first use.
-func (r *Registry) getCounter(key string) *Counter {
+// instrument returns the instrument stored in m under a full series key,
+// creating it on first use.
+func instrument[T any](r *Registry, m map[string]*T, key string) *T {
 	r.mu.RLock()
-	c, ok := r.counters[key]
+	v, ok := m[key]
 	r.mu.RUnlock()
 	if ok {
-		return c
+		return v
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if c, ok = r.counters[key]; !ok {
-		c = &Counter{}
-		r.counters[key] = c
+	if v, ok = m[key]; !ok {
+		v = new(T)
+		m[key] = v
 	}
-	return c
-}
-
-func (r *Registry) getGauge(key string) *Gauge {
-	r.mu.RLock()
-	g, ok := r.gauges[key]
-	r.mu.RUnlock()
-	if ok {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok = r.gauges[key]; !ok {
-		g = &Gauge{}
-		r.gauges[key] = g
-	}
-	return g
-}
-
-func (r *Registry) getHistogram(key string, upperBounds []float64) *Histogram {
-	r.mu.RLock()
-	h, ok := r.hists[key]
-	r.mu.RUnlock()
-	if !ok {
-		r.mu.Lock()
-		if h, ok = r.hists[key]; !ok {
-			h = newHistogram(upperBounds)
-			r.hists[key] = h
-		}
-		r.mu.Unlock()
-	}
-	if !boundsMatch(h.upper, upperBounds) {
-		// The caller asked for different buckets than the live series
-		// has. Silently dropping the caller's bounds used to be invisible
-		// — now every occurrence is surfaced as a counter (and the
-		// existing series still wins, so concurrent observers never see
-		// the bucket layout change underneath them).
-		r.getCounter(ObsHistBoundsConflicts).Inc()
-	}
-	return h
-}
-
-// boundsMatch reports whether two bucket-bound slices are identical. The
-// pointer fast path covers the common case of a shared bounds slice
-// (DefLatencyBuckets) without walking it.
-func boundsMatch(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	if len(a) == 0 || &a[0] == &b[0] {
-		return true
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return v
 }
 
 // Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
-	return r.getCounter(sanitizeName(name))
-}
+func (r *Registry) Counter(name string) *Counter { return instrument(r, r.counters, name) }
 
 // Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	return r.getGauge(sanitizeName(name))
-}
+func (r *Registry) Gauge(name string) *Gauge { return instrument(r, r.gauges, name) }
 
-// Histogram returns the named histogram, creating it with the given
-// bucket upper bounds on first use. An existing histogram is returned
-// as-is — its original buckets win — but a call whose bounds disagree
-// with the live series is no longer silent: it increments
-// ObsHistBoundsConflicts so the misconfiguration shows up on a scrape.
-func (r *Registry) Histogram(name string, upperBounds []float64) *Histogram {
-	return r.getHistogram(sanitizeName(name), upperBounds)
-}
+// Histogram returns the named histogram, creating it on first use.
+func (r *Registry) Histogram(name string) *Histogram { return instrument(r, r.hists, name) }
 
 // HistSnapshot is the exported state of one histogram. Counts has one
 // entry per bucket plus a trailing overflow bucket (+Inf).
@@ -310,7 +165,7 @@ type HistSnapshot struct {
 
 // Snapshot is a point-in-time copy of every instrument in a registry; it
 // shares no state with the live registry and marshals directly to JSON
-// (the payload of the trace package's "obs" record). Labeled series
+// (the payload of the trace package's "obs" record). Labeled counters
 // appear under their full series key (`name{k="v"}`).
 type Snapshot struct {
 	Counters   map[string]int64        `json:"counters,omitempty"`

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -12,11 +14,11 @@ func TestPrometheusGolden(t *testing.T) {
 	r.Counter("decor_b_total").Add(7)
 	r.Counter("decor_a_total").Add(2)
 	r.Gauge("decor_queue_depth").Set(3)
-	h := r.Histogram("decor_round_seconds", []float64{0.001, 0.01, 0.1})
+	h := r.Histogram("decor_round_seconds")
 	h.Observe(0.0005)
 	h.Observe(0.002)
 	h.Observe(0.002)
-	h.Observe(5) // overflow
+	h.Observe(50) // overflow
 
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
@@ -29,11 +31,16 @@ decor_b_total 7
 # TYPE decor_queue_depth gauge
 decor_queue_depth 3
 # TYPE decor_round_seconds histogram
+decor_round_seconds_bucket{le="1e-06"} 0
+decor_round_seconds_bucket{le="1e-05"} 0
+decor_round_seconds_bucket{le="0.0001"} 0
 decor_round_seconds_bucket{le="0.001"} 1
 decor_round_seconds_bucket{le="0.01"} 3
 decor_round_seconds_bucket{le="0.1"} 3
+decor_round_seconds_bucket{le="1"} 3
+decor_round_seconds_bucket{le="10"} 3
 decor_round_seconds_bucket{le="+Inf"} 4
-decor_round_seconds_sum 5.0045
+decor_round_seconds_sum 50.0045
 decor_round_seconds_count 4
 `
 	if got := b.String(); got != want {
@@ -41,13 +48,21 @@ decor_round_seconds_count 4
 	}
 }
 
-// TestPrometheusParseable runs a coarse parser over a standard-registry
-// dump: every non-comment line must be "name[{le="..."}] value".
+// promLine is the text exposition's line grammar: a # TYPE line, or a
+// sample with an optional set of quoted, escaped label values and one
+// value.
+var promLine = regexp.MustCompile(`^(?:# TYPE [a-zA-Z_:][a-zA-Z0-9_:]* (?:counter|gauge|histogram)|` +
+	`[a-zA-Z_:][a-zA-Z0-9_:]*(?:\{[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\[\\"n])*"(?:,[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\[\\"n])*")*\})? (\S+))$`)
+
+// TestPrometheusParseable: every line of an exposition with each kind of
+// instrument, and a label value that needs escaping, parses under the
+// strict grammar with a numeric sample value.
 func TestPrometheusParseable(t *testing.T) {
 	r := NewRegistry()
-	RegisterStandard(r)
 	r.Counter(SimEvents).Add(11)
-	sp := Start(nil, "", r.Histogram(CoreRoundSeconds, DefLatencyBuckets))
+	r.CounterL(ServeResponses, "route", "/v1/plan", "status", "200", "tenant", `a"b\c`+"\n").Inc()
+	r.Gauge(SimQueueDepth).Set(0.5)
+	sp := Start(nil, "", r.Histogram(CoreRoundSeconds))
 	sp.End()
 
 	var b strings.Builder
@@ -55,26 +70,11 @@ func TestPrometheusParseable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, line := range strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n") {
-		if strings.HasPrefix(line, "# TYPE ") {
-			parts := strings.Fields(line)
-			if len(parts) != 4 {
-				t.Errorf("malformed TYPE line %q", line)
-			}
-			continue
-		}
-		sp := strings.LastIndexByte(line, ' ')
-		if sp <= 0 {
-			t.Fatalf("malformed sample line %q", line)
-		}
-		name := line[:sp]
-		if i := strings.IndexByte(name, '{'); i >= 0 {
-			if !strings.HasSuffix(name, "\"}") || !strings.Contains(name, `le="`) {
-				t.Errorf("malformed label set in %q", line)
-			}
-			name = name[:i]
-		}
-		if sanitizeName(name) != name {
-			t.Errorf("invalid metric name %q", name)
+		m := promLine.FindStringSubmatch(line)
+		if m == nil {
+			t.Errorf("malformed line %q", line)
+		} else if _, err := strconv.ParseFloat(m[1], 64); m[1] != "" && err != nil {
+			t.Errorf("sample value in %q: %v", line, err)
 		}
 	}
 }

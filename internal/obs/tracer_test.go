@@ -12,7 +12,7 @@ import (
 
 func TestStartTraceAndChildSpans(t *testing.T) {
 	tr := NewTracer(256)
-	reqH, phaseH := newHistogram(DefLatencyBuckets), newHistogram(DefLatencyBuckets)
+	reqH, phaseH := new(Histogram), new(Histogram)
 	root := tr.StartTrace("request", reqH)
 	ctx := root.Context(context.Background())
 	id, ok := contextTrace(ctx)
@@ -64,7 +64,7 @@ func TestStartTraceAndChildSpans(t *testing.T) {
 }
 
 func TestStartWithoutTraceOnlyTimes(t *testing.T) {
-	h := newHistogram(DefLatencyBuckets)
+	h := new(Histogram)
 	for _, ctx := range []context.Context{nil, context.Background()} {
 		sp := Start(ctx, "orphan", h)
 		if sp.TraceID() != 0 {

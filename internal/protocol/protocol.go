@@ -33,8 +33,8 @@ var (
 	obsFailuresDetected = obs.Default().Counter(obs.ProtoFailuresDetected)
 	obsLeaderChanges    = obs.Default().Counter(obs.ProtoLeaderChanges)
 
-	obsHeartbeatSeconds = obs.Default().Histogram(obs.ProtoHeartbeatRoundSeconds, obs.DefLatencyBuckets)
-	obsElectionSeconds  = obs.Default().Histogram(obs.ProtoLeaderElectionSeconds, obs.DefLatencyBuckets)
+	obsHeartbeatSeconds = obs.Default().Histogram(obs.ProtoHeartbeatRoundSeconds)
+	obsElectionSeconds  = obs.Default().Histogram(obs.ProtoLeaderElectionSeconds)
 )
 
 // Message kinds exchanged by Node actors.

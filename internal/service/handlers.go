@@ -27,6 +27,11 @@ const traceHeader = "X-Decor-Trace"
 // labeled response counter, under obs.TenantLabels' cardinality cap.
 const tenantHeader = "X-Decor-Tenant"
 
+// maxTenantLen bounds the tenant header: a tenant keys the admission
+// books, the session table and the response counter, so a longer one is
+// refused (refuseLongTenant) before anything keys on it.
+const maxTenantLen = 128
+
 // cacheStatusHeader reports how a response was produced: "miss" (this
 // request planned it), "hit" (LRU cache), or "coalesced" (singleflight
 // follower). The body is byte-identical across all three — only this
@@ -134,11 +139,10 @@ func (s *Server) captureFlight() {
 	s.dumpMu.Unlock()
 }
 
-// respKey indexes the memoized labeled response counters. The obs
-// Labels/CounterL lookups allocate (joined label strings) on every
-// call even for known series, so the server keeps its own resolved
-// handle per combination — the map stays bounded by routes × statuses ×
-// the capped tenant label set.
+// respKey indexes the memoized labeled response counters. CounterL
+// renders the series key on every call, so the server keeps its own
+// resolved handle per combination — the map stays bounded by routes ×
+// statuses × the capped tenant label set.
 type respKey struct {
 	route  string
 	status int
@@ -146,15 +150,18 @@ type respKey struct {
 }
 
 // recordResponse bumps the labeled response counter for one request.
+// A tenant over maxTenantLen, refused with 400, counts as "other".
 func (s *Server) recordResponse(route string, status int, tenant string) {
-	k := respKey{route: route, status: status, tenant: s.tenants.Label(tenant)}
+	label := "other"
+	if len(tenant) <= maxTenantLen {
+		label = s.tenants.Label(tenant)
+	}
+	k := respKey{route: route, status: status, tenant: label}
 	s.respMu.RLock()
 	c := s.respCounters[k]
 	s.respMu.RUnlock()
 	if c == nil {
-		reg := s.cfg.Registry
-		ls := reg.Labels("route", k.route, "status", strconv.Itoa(k.status), "tenant", k.tenant)
-		c = reg.CounterL(obs.ServeResponses, ls)
+		c = s.cfg.Registry.CounterL(obs.ServeResponses, "route", k.route, "status", strconv.Itoa(k.status), "tenant", k.tenant)
 		s.respMu.Lock()
 		s.respCounters[k] = c
 		s.respMu.Unlock()
@@ -308,6 +315,9 @@ func (s *Server) servePlanLike(w http.ResponseWriter, r *http.Request, repair bo
 		}
 	}()
 
+	if s.refuseLongTenant(w, tenant) {
+		return
+	}
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", "POST")
 		s.writeError(w, http.StatusMethodNotAllowed, "use POST")
@@ -498,6 +508,17 @@ func (s *Server) parseInto(r *http.Request, c *planCall) ([]byte, []string, erro
 	}
 	c.rr.PlanRequest, err = c.rr.PlanRequest.normalize(s.cfg.Limits)
 	return nil, nil, err
+}
+
+// refuseLongTenant answers 400 to a request whose tenant is longer than
+// maxTenantLen, and reports whether it did.
+func (s *Server) refuseLongTenant(w http.ResponseWriter, tenant string) bool {
+	if len(tenant) <= maxTenantLen {
+		return false
+	}
+	s.cBadReqs.Inc()
+	s.writeError(w, http.StatusBadRequest, fmt.Sprintf("%s must be at most %d bytes", tenantHeader, maxTenantLen))
+	return true
 }
 
 // replayFlight serves a follower the leader's outcome: its plan bytes,

@@ -114,7 +114,7 @@ type Server struct {
 	// ewmaPlanMS tracks recent plan latency for Retry-After estimates.
 	ewmaPlanMS atomicFloat
 
-	// Instruments (see obs.RegisterServe for the taxonomy).
+	// Instruments (obs/default.go names them).
 	cPlanReqs, cRepairReqs, cBadReqs     *obs.Counter
 	cRejected, cTimeouts, cErrors        *obs.Counter
 	cCacheHits, cCacheMisses, cCoalesced *obs.Counter
@@ -139,7 +139,6 @@ func New(cfg Config) *Server {
 	}
 	s.sessions = session.New(cfg.Sessions)
 	r := cfg.Registry
-	obs.RegisterServe(r)
 	s.cPlanReqs = r.Counter(obs.ServePlanRequests)
 	s.cRepairReqs = r.Counter(obs.ServeRepairRequests)
 	s.cBadReqs = r.Counter(obs.ServeBadRequests)
@@ -152,8 +151,8 @@ func New(cfg Config) *Server {
 	s.gQueueDepth = r.Gauge(obs.ServeQueueDepth)
 	s.gInflight = r.Gauge(obs.ServeInflight)
 	s.gHeapAllocs = r.Gauge(obs.ServeHeapAllocs)
-	s.hPlanSeconds = r.Histogram(obs.ServePlanSeconds, obs.DefLatencyBuckets)
-	s.hRequestSeconds = r.Histogram(obs.ServeRequestSeconds, obs.DefLatencyBuckets)
+	s.hPlanSeconds = r.Histogram(obs.ServePlanSeconds)
+	s.hRequestSeconds = r.Histogram(obs.ServeRequestSeconds)
 	return s
 }
 

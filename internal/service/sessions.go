@@ -109,12 +109,16 @@ func (s *Server) writeSessionError(w http.ResponseWriter, err error) {
 
 // withSessionMetrics wraps a session handler with the same response
 // accounting as the plan path, under an explicit low-cardinality route
-// label (the raw path would explode on field IDs).
+// label (the raw path would explode on field IDs), and the same refusal
+// of an over-long tenant.
 func (s *Server) withSessionMetrics(route string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		sw := s.getStatusWriter(w, route, r.Header.Get(tenantHeader))
+		tenant := r.Header.Get(tenantHeader)
+		sw := s.getStatusWriter(w, route, tenant)
 		defer putStatusWriter(sw)
-		h(sw, r)
+		if !s.refuseLongTenant(sw, tenant) {
+			h(sw, r)
+		}
 		if sw.finish() >= 500 {
 			s.captureFlight()
 		}
@@ -196,25 +200,27 @@ func writeInbandError(w http.ResponseWriter, buf *[]byte, msg string, retryAfter
 	w.Write(*buf)
 }
 
-// streamSet holds the open NDJSON event streams, so a drain can wake
-// each one blocked reading its body. Once closed it admits no stream.
+// streamSet holds the open field streams, so a drain can wake each one:
+// an NDJSON events stream blocked reading its body, and an SSE feed
+// blocked writing to a client that stopped reading. Once closed it
+// admits no stream.
 type streamSet struct {
 	mu     sync.Mutex
 	closed bool
-	open   map[http.ResponseWriter]struct{}
+	open   map[http.ResponseWriter]bool // true: an SSE feed
 }
 
 // add registers an open stream, or reports false once the drain began.
-func (ss *streamSet) add(w http.ResponseWriter) bool {
+func (ss *streamSet) add(w http.ResponseWriter, sse bool) bool {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	if ss.closed {
 		return false
 	}
 	if ss.open == nil {
-		ss.open = map[http.ResponseWriter]struct{}{}
+		ss.open = map[http.ResponseWriter]bool{}
 	}
-	ss.open[w] = struct{}{}
+	ss.open[w] = sse
 	return true
 }
 
@@ -230,23 +236,31 @@ func (ss *streamSet) ended() bool {
 	return ss.closed
 }
 
-// close refuses further streams and expires the read deadline of every
-// open one, so a body read blocked in it returns at once. A stream
+// close refuses further streams and expires a deadline of every open
+// one: an events stream's read deadline, so a body read blocked in it
+// returns at once and the stream can still write its answer, and an SSE
+// feed's write deadline, so a write blocked in it does. A stream
 // removes itself under the same lock before its handler returns, so
 // no writer here outlives its request.
 func (ss *streamSet) close() {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	ss.closed = true
-	for w := range ss.open {
-		_ = http.NewResponseController(w).SetReadDeadline(time.Unix(1, 0))
+	for w, sse := range ss.open {
+		rc := http.NewResponseController(w)
+		if sse {
+			_ = rc.SetWriteDeadline(time.Unix(1, 0))
+		} else {
+			_ = rc.SetReadDeadline(time.Unix(1, 0))
+		}
 	}
 }
 
 // EndStreams ends the field streams for a drain: closing the session
-// manager ends every SSE subscription, and every open NDJSON event
-// stream is woken from its body read to answer "server shutting down".
-// Plans and repairs in flight are untouched. http.Server.Shutdown
+// manager ends every SSE subscription, an SSE feed blocked writing to a
+// client that stopped reading has its write cut, and every open NDJSON
+// event stream is woken from its body read to answer "server shutting
+// down". Plans and repairs in flight are untouched. http.Server.Shutdown
 // waits for these handlers and nothing else ends them, so register
 // this with http.Server.RegisterOnShutdown. Idempotent.
 func (s *Server) EndStreams() {
@@ -291,18 +305,14 @@ func (s *Server) handleFieldEvents(w http.ResponseWriter, r *http.Request) {
 	defer jsonx.PutBuf(out)
 
 	flusher, _ := w.(http.Flusher)
-	if !s.streams.add(w) {
-		s.writeSessionError(w, errShuttingDown)
-		return
-	}
-	// A stream that ends early (a bad event, a refusal, an in-band
-	// error) leaves body unread. Under full duplex net/http drains it
-	// after the handler, once it has stopped watching the connection, and
-	// the drain's end of body then panics the connection's next request.
-	// So the answer goes out first and the rest is drained here
-	// (net/http reads at most 256 KB of it before it closes the
-	// connection instead). The stream stays in s.streams until then, so
-	// a drain also wakes this read.
+	// A stream that ends early (refused by a drain, a bad event, a
+	// refusal, an in-band error) leaves body unread. Under full duplex
+	// net/http drains it after the handler, once it has stopped watching
+	// the connection, and the drain's end of body then panics the
+	// connection's next request. So the answer goes out first and the
+	// rest is drained here (net/http reads at most 256 KB of it before it
+	// closes the connection instead). The stream stays in s.streams until
+	// then, so a drain also wakes this read.
 	defer func() {
 		if sc.err != io.EOF {
 			if flusher != nil {
@@ -312,6 +322,10 @@ func (s *Server) handleFieldEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		s.streams.remove(w)
 	}()
+	if !s.streams.add(w, false) {
+		s.writeSessionError(w, errShuttingDown)
+		return
+	}
 	wrote := false
 	for {
 		failed, err := sc.next()
@@ -400,6 +414,18 @@ func (s *Server) handleFieldStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
+	if !s.streams.add(w, true) {
+		s.writeSessionError(w, errShuttingDown)
+		return
+	}
+	// A drain cuts a write blocked on a client that stopped reading by
+	// expiring the write deadline. It may also expire it just after the
+	// feed ended, so it is lifted once the stream has left the set: the
+	// response's end still reaches a client that reads.
+	defer func() {
+		s.streams.remove(w)
+		_ = http.NewResponseController(w).SetWriteDeadline(time.Time{})
+	}()
 
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-store")

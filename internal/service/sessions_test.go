@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -475,9 +476,10 @@ func TestFieldEventsInterleaveOverHTTP1(t *testing.T) {
 // TestEndStreamsWakesEventStreams: a drain wakes an events stream
 // blocked reading its body before its first event, which answers 503
 // with Retry-After, and refuses a stream that arrives after it the same
-// way, before reading any of its body.
+// way, before reading any of its body. Neither breaks its connection:
+// the server logs no panic.
 func TestEndStreamsWakesEventStreams(t *testing.T) {
-	s := newTestServer(t, Config{})
+	s, errLog := newLoggedTestServer(t)
 	if status, _, body := s.do(t, "POST", "/v1/fields", "t", fieldBody("f", 7)); status != http.StatusCreated {
 		t.Fatalf("create: %d %s", status, body)
 	}
@@ -527,6 +529,127 @@ func TestEndStreamsWakesEventStreams(t *testing.T) {
 		t.Errorf("stream after the drain: %d, Retry-After %q, %s; want 503 with Retry-After and %s",
 			status, hdr.Get("Retry-After"), late, want)
 	}
+	pw.Close()
+	s.ts.Close() // flush the connections' goroutines before reading the log
+	if strings.Contains(errLog.String(), "panic") {
+		t.Errorf("server log:\n%s", errLog.String())
+	}
+}
+
+// smallSendBuffers shrinks the send buffer of every accepted
+// connection, so a handler writing to a client that stopped reading
+// blocks after a few kilobytes.
+type smallSendBuffers struct{ net.Listener }
+
+func (l smallSendBuffers) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if tc, ok := c.(*net.TCPConn); ok {
+		_ = tc.SetWriteBuffer(2048)
+	}
+	return c, err
+}
+
+// TestEndStreamsEndsStalledSSE: an SSE feed whose client stopped
+// reading blocks writing once the socket buffers fill, and the session
+// drops it as a lagging subscriber. Closing its channel cannot wake that
+// write, so a drain cuts it: the handler ends within 2 s of EndStreams.
+func TestEndStreamsEndsStalledSSE(t *testing.T) {
+	svc := New(Config{Registry: obs.NewRegistry()})
+	sseDone := make(chan struct{})
+	api := svc.Handler()
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		api.ServeHTTP(w, r)
+		if strings.HasSuffix(r.URL.Path, "/stream") {
+			close(sseDone)
+		}
+	}))
+	ts.Listener = smallSendBuffers{ts.Listener}
+	ts.Start()
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		svc.Shutdown(ctx)
+	})
+	s := &testServer{svc: svc, ts: ts, reg: svc.cfg.Registry}
+	// Each event fails 16 sensors, so each delta frame is about a
+	// kilobyte and the feed's backlog outgrows the socket buffers.
+	const perEvent = 16
+	status, _, body := s.do(t, "POST", "/v1/fields", "t",
+		`{"field_id":"f","field_side":60,"k":2,"rs":4,"num_points":1000,"seed":7,"scatter":100,"method":"centralized"}`)
+	if status != http.StatusCreated {
+		t.Fatalf("create: %d %s", status, body)
+	}
+	alive := make([]int, 100) // the field's scattered sensors, then its placements
+	for i := range alive {
+		alive[i] = i
+	}
+	grow := func(placed int) {
+		for next := alive[len(alive)-1] + 1; placed > 0; placed-- {
+			alive = append(alive, next)
+			next++
+		}
+	}
+	grow(decodeDelta(t, body).Placed)
+
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() }) // runs before the server closes
+	_ = conn.(*net.TCPConn).SetReadBuffer(2048)
+	if _, err := io.WriteString(conn, "GET /v1/fields/f/stream HTTP/1.1\r\nHost: decor\r\n"+tenantHeader+": t\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	// The header is flushed once the feed is subscribed; nothing after it
+	// is read.
+	br := bufio.NewReader(conn)
+	if line, err := br.ReadString('\n'); err != nil || !strings.Contains(line, " 200 ") {
+		t.Fatalf("stream status line %q, %v; want 200", line, err)
+	}
+	for line := ""; line != "\r\n"; {
+		if line, err = br.ReadString('\n'); err != nil {
+			t.Fatalf("stream header: %v", err)
+		}
+	}
+	dropped := s.reg.Counter(obs.SessionSubsDropped)
+	for dropped.Value() == 0 {
+		if len(alive) < perEvent {
+			t.Fatal("the field ran out of sensors before its subscriber was dropped")
+		}
+		victims := append([]int(nil), alive[len(alive)-perEvent:]...)
+		alive = alive[:len(alive)-perEvent]
+		d, err := svc.sessions.Apply("t", "f", victims)
+		if err != nil {
+			t.Fatalf("event failing %v: %v", victims, err)
+		}
+		grow(d.Placed)
+	}
+
+	svc.EndStreams()
+	select {
+	case <-sseDone:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the stalled SSE handler did not end within 2 s of EndStreams")
+	}
+}
+
+// newLoggedTestServer is newTestServer on a default Config whose HTTP
+// server logs into the returned buffer.
+func newLoggedTestServer(t *testing.T) (*testServer, *lockedBuffer) {
+	t.Helper()
+	svc := New(Config{Registry: obs.NewRegistry()})
+	ts := httptest.NewUnstartedServer(svc.Handler())
+	errLog := new(lockedBuffer)
+	ts.Config.ErrorLog = log.New(errLog, "", 0)
+	ts.Start()
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		svc.Shutdown(ctx)
+	})
+	return &testServer{svc: svc, ts: ts, reg: svc.cfg.Registry}, errLog
 }
 
 // lockedBuffer is a bytes.Buffer safe for the server's error log.
@@ -554,17 +677,8 @@ func (l *lockedBuffer) String() string {
 // only after it stopped watching the connection, and the next request
 // on it panicked the server ("invalid concurrent Body.Read call").
 func TestEarlyEndedStreamKeepsItsConnection(t *testing.T) {
-	svc := New(Config{Registry: obs.NewRegistry()})
-	ts := httptest.NewUnstartedServer(svc.Handler())
-	var errLog lockedBuffer
-	ts.Config.ErrorLog = log.New(&errLog, "", 0)
-	ts.Start()
-	t.Cleanup(func() {
-		ts.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		svc.Shutdown(ctx)
-	})
+	s, errLog := newLoggedTestServer(t)
+	ts := s.ts
 	client := ts.Client()
 	post := func(path, body string) (int, []byte) {
 		t.Helper()

@@ -93,6 +93,10 @@ type field struct {
 	// gone is set when the field is dropped (ErrNotFound) or the manager
 	// closes (ErrClosed); a caller that waited for mu returns it.
 	gone error
+	// deltas counts the field's deltas under its tenant's label. It is
+	// resolved at the field's first delta, so a field that never has one
+	// adds no series.
+	deltas *obs.Counter
 }
 
 // New builds a Manager (and starts the idle janitor when IdleTTL is
@@ -108,7 +112,6 @@ func New(cfg Config) *Manager {
 		now:      time.Now,
 	}
 	r := cfg.Registry
-	obs.RegisterSession(r)
 	m.gLive = r.Gauge(obs.SessionLive)
 	m.cCreated = r.Counter(obs.SessionCreated)
 	m.cEvicted = r.Counter(obs.SessionEvicted)
@@ -117,8 +120,8 @@ func New(cfg Config) *Manager {
 	m.cDeltas = r.Counter(obs.SessionDeltas)
 	m.cQuotaRejected = r.Counter(obs.SessionQuotaRejected)
 	m.cSubsDropped = r.Counter(obs.SessionSubsDropped)
-	m.hDeltaSeconds = r.Histogram(obs.SessionDeltaSeconds, obs.DefLatencyBuckets)
-	m.hRestoreSeconds = r.Histogram(obs.SessionRestoreSeconds, obs.DefLatencyBuckets)
+	m.hDeltaSeconds = r.Histogram(obs.SessionDeltaSeconds)
+	m.hRestoreSeconds = r.Histogram(obs.SessionRestoreSeconds)
 
 	if cfg.IdleTTL > 0 {
 		m.wg.Add(1)
@@ -145,10 +148,9 @@ func (m *Manager) janitor() {
 	}
 }
 
-// tenantCounter bumps a per-tenant labeled counter under the cap.
-func (m *Manager) tenantCounter(name, tenant string) {
-	r := m.cfg.Registry
-	r.CounterL(name, r.Labels("tenant", m.tenants.Label(tenant))).Inc()
+// tenantCounter resolves a per-tenant labeled counter under the cap.
+func (m *Manager) tenantCounter(name, tenant string) *obs.Counter {
+	return m.cfg.Registry.CounterL(name, "tenant", m.tenants.Label(tenant))
 }
 
 // skey is the field-table key for a session: field IDs are namespaced
@@ -289,7 +291,7 @@ func (m *Manager) Create(tenant, fieldID string, spec Spec) (Info, Delta, error)
 	st.lastUse = m.now().UnixNano()
 	f.st = st
 	m.cCreated.Inc()
-	m.tenantCounter(obs.SessionTenantCreated, tenant)
+	m.tenantCounter(obs.SessionTenantCreated, tenant).Inc()
 	m.gLive.Add(1)
 	return st.info(false), delta, nil
 }
@@ -319,7 +321,10 @@ func (m *Manager) Apply(tenant, fieldID string, failed []int) (Delta, error) {
 	span.End()
 	st.lastUse = m.now().UnixNano()
 	m.cDeltas.Inc()
-	m.tenantCounter(obs.SessionTenantDeltas, tenant)
+	if f.deltas == nil {
+		f.deltas = m.tenantCounter(obs.SessionTenantDeltas, tenant)
+	}
+	f.deltas.Inc()
 	return delta, nil
 }
 

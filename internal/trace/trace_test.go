@@ -209,7 +209,7 @@ func TestObsRecordRoundTrip(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("decor_sim_events_total").Add(42)
 	reg.Gauge("decor_sim_queue_depth").Set(7)
-	reg.Histogram("decor_core_round_seconds", []float64{0.001, 1}).Observe(0.01)
+	reg.Histogram("decor_core_round_seconds").Observe(0.01)
 	snap := reg.Snapshot()
 
 	var buf bytes.Buffer
