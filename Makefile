@@ -75,19 +75,20 @@ session-smoke:
 # Admission gates (internal/admit): plans and repairs pass one, field
 # sessions another. A gate's books balance under concurrent Enter/Run/
 # Done/Leave with refusals mixed in and Close landing mid-burst; a field
-# event does not wait for the plans' run slots; a coalesced request
-# outlives its leader's deadline, refusal or panic; a mixed overload
-# burst leaves the books empty and no goroutine behind; oversized or
-# cut-off bodies leave no cache entry or goroutine behind; a drain wakes
-# an events stream blocked reading its body and refuses later ones
-# without a panic on their connections; a drain ends an SSE feed
+# event does not wait for the plans' run slots; a plan that panics gives
+# back its admission and run slot; a plan cut off or refused by a drain
+# gets 503 with Retry-After; a mixed overload burst leaves the books
+# empty and no goroutine behind; oversized or cut-off bodies leave no
+# cache entry or goroutine behind; a drain wakes an events stream
+# blocked reading its body and refuses later ones without a panic on
+# their connections; a drain ends an SSE feed
 # blocked writing to a client that stopped reading; and an NDJSON client
 # that hangs up mid-stream leaves the sessions' gate books empty and no
 # handler or goroutine behind. Each test runs ten times under the race
 # detector.
 gate-smoke:
 	$(GO) test -race -count=10 -run '^TestGateBooksBalanceUnderConcurrency$$|^TestCloseDrainsAdmittedCalls$$' -timeout 300s ./internal/admit/
-	$(GO) test -race -count=10 -run '^TestFieldEventsDoNotWaitBehindPlans$$|^TestFollowerOutlivesLeaderDeadline$$|^TestFollowerOfRefusedLeaderTakesItsOwnTurn$$|^TestPanickingLeaderReleasesFollowers$$|^TestOverloadBurstLeavesNothingBehind$$|^TestBadBodiesLeaveNothingBehind$$|^TestEndStreamsWakesEventStreams$$|^TestEndStreamsEndsStalledSSE$$' -timeout 300s ./internal/service/
+	$(GO) test -race -count=10 -run '^TestFieldEventsDoNotWaitBehindPlans$$|^TestPanickingPlanReleasesItsSlot$$|^TestPlanDrainRefusalsCarryRetryAfter$$|^TestOverloadBurstLeavesNothingBehind$$|^TestBadBodiesLeaveNothingBehind$$|^TestEndStreamsWakesEventStreams$$|^TestEndStreamsEndsStalledSSE$$' -timeout 300s ./internal/service/
 	$(GO) test -race -count=10 -run '^TestVanishedNDJSONClientLeavesNothingBehind$$' -timeout 300s ./internal/session/
 
 # Fuzz smoke: the parity fuzzers of the number and string readers, the

@@ -9,7 +9,7 @@
 // measures sustainable throughput rather than piling up an open-loop
 // backlog. -unique cycles that many distinct seeds so the run exercises
 // the worker pool, not just the plan cache; -unique 1 measures the pure
-// cache/singleflight path.
+// cache path.
 //
 // Examples:
 //
@@ -67,7 +67,7 @@ type config struct {
 type sample struct {
 	latency time.Duration
 	status  int
-	cache   string // X-Decor-Cache header: miss|hit|coalesced|"" on errors
+	cache   string // X-Decor-Cache header: miss|hit|"" on errors
 }
 
 func run() int {
@@ -262,9 +262,8 @@ type summary struct {
 		Transport int `json:"transport_errors"`
 	} `json:"status"`
 	Cache struct {
-		Hit       int `json:"hit"`
-		Miss      int `json:"miss"`
-		Coalesced int `json:"coalesced"`
+		Hit  int `json:"hit"`
+		Miss int `json:"miss"`
 	} `json:"cache"`
 	LatencyMS struct {
 		Mean float64 `json:"mean"`
@@ -312,8 +311,6 @@ func summarize(cfg config, samples []sample, elapsed time.Duration) *summary {
 			s.Cache.Hit++
 		case "miss":
 			s.Cache.Miss++
-		case "coalesced":
-			s.Cache.Coalesced++
 		}
 	}
 	sort.Float64s(lats)
@@ -336,8 +333,7 @@ func (s *summary) print(w io.Writer) {
 	fmt.Fprintf(w, "  throughput: %.1f plans/s\n", s.PlansPerSec)
 	fmt.Fprintf(w, "  status:     %d 2xx, %d 4xx, %d 5xx, %d transport errors\n",
 		s.Status.OK2xx, s.Status.Client4xx, s.Status.Server5xx, s.Status.Transport)
-	fmt.Fprintf(w, "  cache:      %d hit, %d miss, %d coalesced\n",
-		s.Cache.Hit, s.Cache.Miss, s.Cache.Coalesced)
+	fmt.Fprintf(w, "  cache:      %d hit, %d miss\n", s.Cache.Hit, s.Cache.Miss)
 	fmt.Fprintf(w, "  latency ms: mean %.2f, p50 %.2f, p90 %.2f, p99 %.2f, max %.2f\n",
 		s.LatencyMS.Mean, s.LatencyMS.P50, s.LatencyMS.P90, s.LatencyMS.P99, s.LatencyMS.Max)
 	if s.AllocsPerReq > 0 {

@@ -53,7 +53,6 @@ func main() {
 func run() int {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port; the chosen address is printed)")
-		cacheEntries = flag.Int("cache", 0, "LRU plan cache entries (0 = default 512, negative disables)")
 		maxBody      = flag.Int64("max-body", 0, "request body size cap in bytes (0 = default 1 MiB); larger bodies get 413")
 		maxPoints    = flag.Int("max-points", 0, "per-request num_points cap (0 = default)")
 		maxSensors   = flag.Int("max-sensors", 0, "per-request sensors+scatter cap (0 = default)")
@@ -82,7 +81,6 @@ func run() int {
 
 	tracer := obs.NewTracer(*traceCap)
 	svc := service.New(service.Config{
-		CacheEntries: *cacheEntries,
 		Limits: service.Limits{
 			MaxBodyBytes:   *maxBody,
 			MaxPoints:      *maxPoints,

@@ -59,9 +59,6 @@ func (n *Network) Fail(id int) bool {
 	return true
 }
 
-// Len returns the total number of nodes (alive or dead).
-func (n *Network) Len() int { return len(n.nodes) }
-
 // AliveIDs returns the IDs of alive nodes, ascending.
 func (n *Network) AliveIDs() []int {
 	out := make([]int, 0, len(n.nodes))

@@ -18,7 +18,7 @@ func lineNetwork(n int, spacing, rc float64) *Network {
 func TestAddFail(t *testing.T) {
 	net := New()
 	net.Add(1, geom.Pt(1, 1), 1, 2)
-	if net.Len() != 1 || net.Node(1) == nil {
+	if len(net.nodes) != 1 || net.Node(1) == nil {
 		t.Fatal("Add failed")
 	}
 	if !net.Fail(1) || net.Fail(1) {

@@ -54,7 +54,6 @@ const (
 	ServeErrors         = "decor_serve_errors_total" // 5xx other than rejection
 	ServeCacheHits      = "decor_serve_cache_hits_total"
 	ServeCacheMisses    = "decor_serve_cache_misses_total"
-	ServeCoalesced      = "decor_serve_coalesced_total" // singleflight followers
 	ServeQueueDepth     = "decor_serve_queue_depth"
 	ServeInflight       = "decor_serve_inflight_plans"
 	// ServeHeapAllocs exposes the process's cumulative heap allocation

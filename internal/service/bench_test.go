@@ -176,17 +176,33 @@ func BenchmarkServeRepairCacheHit(b *testing.B) {
 	}
 }
 
+// forget empties the cache, so the next request for any body misses.
+func (c *planCache) forget() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.order.Init()
+	clear(c.items)
+}
+
 // BenchmarkServePlanCacheMiss runs the full pipeline every iteration —
-// decode, normalize, queue, plan, encode — by disabling the cache. The
-// request is fixed, so the planner work (and its allocations) are
-// deterministic run to run.
+// decode, normalize, queue, plan, encode, cache — by emptying the cache
+// after each request. The request is fixed, so the planner work (and
+// its allocations) are deterministic run to run.
 func BenchmarkServePlanCacheMiss(b *testing.B) {
-	p := newPlanRig(b, Config{CacheEntries: -1}, planBody(7))
-	p.run() // warm the pools
+	p := newPlanRig(b, Config{}, planBody(7))
+	miss := func() {
+		p.run()
+		p.svc.cache.forget()
+	}
+	miss() // warm the pools
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.run()
+		miss()
+	}
+	b.StopTimer()
+	if p.w.status != http.StatusOK || p.w.h.Get(cacheStatusHeader) != "miss" {
+		b.Fatalf("last request: status %d, %s %q; want a 200 miss", p.w.status, cacheStatusHeader, p.w.h.Get(cacheStatusHeader))
 	}
 }
 
@@ -449,9 +465,8 @@ func TestSSEFrameAllocFreeAndWellFormed(t *testing.T) {
 	}
 }
 
-// BenchmarkServeErrorBody: the writeError slow path (dynamic message)
-// through the pooled append encoder. The static fast paths (use POST /
-// use GET) never allocate at all.
+// BenchmarkServeErrorBody: writeError's body rendered through the
+// pooled append encoder, every error body's one path.
 func BenchmarkServeErrorBody(b *testing.B) {
 	buf := jsonx.GetBuf()
 	defer jsonx.PutBuf(buf)

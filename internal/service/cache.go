@@ -6,6 +6,10 @@ import (
 	"sync"
 )
 
+// planCacheSize is how many finished plans the cache holds: a
+// constant, like the point-set registry's byte budget (DESIGN.md §9).
+const planCacheSize = 512
+
 // planCache is a fixed-capacity LRU over request keys: the digest of an
 // endpoint tag and a body's exact bytes (readKeyed). Values are the
 // finished response bodies — immutable byte slices served verbatim, so
@@ -24,12 +28,12 @@ type cacheEntry struct {
 	key  reqKey
 	body []byte
 	// clen is the pre-rendered Content-Length header value, shared by
-	// every hit so serving one assigns a slice instead of allocating it.
+	// every response served from the entry so serving one assigns a
+	// slice instead of allocating it.
 	clen []string
 }
 
-// newPlanCache returns a cache holding up to max entries; max <= 0
-// disables caching (every lookup misses, Put is a no-op).
+// newPlanCache returns a cache holding up to max entries.
 func newPlanCache(max int) *planCache {
 	return &planCache{
 		max:   max,
@@ -41,9 +45,6 @@ func newPlanCache(max int) *planCache {
 // Get returns the cached body and its shared Content-Length value for
 // key, refreshing the entry's recency.
 func (c *planCache) Get(key reqKey) ([]byte, []string, bool) {
-	if c.max <= 0 {
-		return nil, nil, false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
@@ -56,20 +57,18 @@ func (c *planCache) Get(key reqKey) ([]byte, []string, bool) {
 }
 
 // Put stores body under key, evicting the least recently used entry
-// when full. Callers must never mutate body afterwards. The returned
-// slice is the entry's shared Content-Length value (nil when caching is
-// off).
-func (c *planCache) Put(key reqKey, body []byte) []string {
-	if c.max <= 0 {
-		return nil
-	}
+// when full, and returns the entry's body and shared Content-Length
+// value. When key already holds an entry — a concurrent miss of the
+// same bytes stored it first — Put keeps the first bytes (identical by
+// determinism) and returns them. Callers must never mutate body
+// afterwards.
+func (c *planCache) Put(key reqKey, body []byte) ([]byte, []string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
-		// A singleflight leader already stored this key; keep the
-		// existing bytes (identical by determinism) and just refresh.
 		c.order.MoveToFront(el)
-		return el.Value.(*cacheEntry).clen
+		e := el.Value.(*cacheEntry)
+		return e.body, e.clen
 	}
 	e := &cacheEntry{key: key, body: body, clen: []string{strconv.Itoa(len(body))}}
 	c.items[key] = c.order.PushFront(e)
@@ -78,61 +77,5 @@ func (c *planCache) Put(key reqKey, body []byte) []string {
 		c.order.Remove(old)
 		delete(c.items, old.Value.(*cacheEntry).key)
 	}
-	return e.clen
-}
-
-// Len returns the current entry count.
-func (c *planCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
-
-// flightGroup coalesces concurrent identical requests: the first caller
-// of begin for a key becomes the leader and computes the plan once;
-// followers block on the call's done channel and replay the leader's
-// exact response bytes, or its planning error, with its status.
-type flightGroup struct {
-	mu    sync.Mutex
-	calls map[reqKey]*flightCall
-}
-
-type flightCall struct {
-	done chan struct{}
-	// Set by the leader before close(done); immutable afterwards. Status
-	// 0: the leader got no outcome a follower may share (see lead).
-	body   []byte
-	err    error
-	status int
-}
-
-func newFlightGroup() *flightGroup {
-	return &flightGroup{calls: make(map[reqKey]*flightCall)}
-}
-
-// begin joins the in-flight computation for key, creating it when
-// absent. leader reports whether the caller must compute and finish.
-func (g *flightGroup) begin(key reqKey) (call *flightCall, leader bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if call, ok := g.calls[key]; ok {
-		return call, false
-	}
-	call = &flightCall{done: make(chan struct{})}
-	g.calls[key] = call
-	return call, true
-}
-
-// finish publishes the leader's outcome to all followers and retires the
-// key; later requests start a fresh flight (or hit the cache). Only the
-// first finish of a call publishes; later ones do nothing.
-func (g *flightGroup) finish(key reqKey, call *flightCall, body []byte, status int, err error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.calls[key] != call {
-		return
-	}
-	call.body, call.status, call.err = body, status, err
-	delete(g.calls, key)
-	close(call.done)
+	return e.body, e.clen
 }

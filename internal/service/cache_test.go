@@ -3,12 +3,11 @@ package service
 import (
 	"bytes"
 	"context"
-	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"decor/internal/admit"
 	"decor/internal/obs"
@@ -19,6 +18,13 @@ import (
 const smallRepair = `{"field_side":50,"k":1,"rs":6,"num_points":400,"seed":3,` +
 	`"sensors":[{"id":10,"x":10,"y":10},{"id":11,"x":40,"y":40},{"id":12,"x":25,"y":25}],` +
 	`"method":"grid-small","failed":[10,12]}`
+
+// Len returns the current entry count.
+func (c *planCache) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.order.Len()
+}
 
 // cached reports whether the server's plan cache holds an entry for
 // body sent to path, without touching the entry's recency.
@@ -142,12 +148,10 @@ func TestRefusedBodiesAreNeverAliased(t *testing.T) {
 	// A failed plan: no parsed request names an unknown generator, so
 	// planning one fails after validation.
 	failing := planBody(65)
-	c, call := s.beginLead(t, failing)
+	c := s.parseMiss(t, failing)
 	c.rr.Generator = "dice"
 	rec := httptest.NewRecorder()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	s.svc.lead(rec, ctx, ctx, "/v1/plan", "", call, c)
+	s.svc.serveMiss(rec, context.Background(), "/v1/plan", "", c)
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("failed plan: %d %s, want 500", rec.Code, rec.Body)
 	}
@@ -202,51 +206,27 @@ func TestEachEncodingIsItsOwnEntry(t *testing.T) {
 	}
 }
 
-// TestEveryDeliveryPathServesTheSameBytes: a miss, a coalesced reply
-// and a hit serve one byte string, and X-Decor-Cache names each.
+// TestEveryDeliveryPathServesTheSameBytes: on both endpoints, the miss
+// that plans a body and the hit that finds its plan serve one byte
+// string under the cache entry's Content-Length, and X-Decor-Cache names
+// each.
 func TestEveryDeliveryPathServesTheSameBytes(t *testing.T) {
-	s, g := gatedServer(t)
-	// The deadline outlasts the wait for the held run slot on a slow host.
-	body := `{"timeout_ms":20000,` + planBody(23)[1:]
-	type reply struct {
-		status int
-		cache  string
-		body   []byte
-	}
-	send := func(b string) <-chan reply {
-		ch := make(chan reply, 1)
-		go func() {
-			resp, err := http.Post(s.ts.URL+"/v1/plan", "application/json", strings.NewReader(b))
-			if err != nil {
-				t.Error(err)
-				ch <- reply{}
-				return
+	s := newTestServer(t, Config{})
+	for _, e := range []struct{ path, body string }{{"/v1/plan", planBody(23)}, {"/v1/repair", smallRepair}} {
+		var first []byte
+		for _, want := range []string{"miss", "hit"} {
+			status, hdr, body := s.post(t, e.path, e.body)
+			if status != http.StatusOK || hdr.Get(cacheStatusHeader) != want {
+				t.Errorf("%s %s: %d %q, want 200 %q", e.path, want, status, hdr.Get(cacheStatusHeader), want)
 			}
-			defer resp.Body.Close()
-			data, err := io.ReadAll(resp.Body)
-			if err != nil {
-				t.Error(err)
+			if clen := hdr.Get("Content-Length"); clen != strconv.Itoa(len(body)) {
+				t.Errorf("%s %s: Content-Length %s for a %d-byte body", e.path, want, clen, len(body))
 			}
-			ch <- reply{resp.StatusCode, resp.Header.Get(cacheStatusHeader), data}
-		}()
-		return ch
-	}
-	release := holdSlot(t, g)
-	leader := send(body)
-	waitFor(t, func() bool { return s.reg.Gauge(obs.ServeQueueDepth).Value() == 1 })
-	follower := send(body)
-	waitFollowers(t, 1)
-	release()
-	replies := []reply{<-leader, <-follower}
-	status, cache, resp := s.postCache(t, "/v1/plan", body)
-	replies = append(replies, reply{status, cache, resp})
-	want := []string{"miss", "coalesced", "hit"}
-	for i, r := range replies {
-		if r.status != http.StatusOK || r.cache != want[i] {
-			t.Errorf("reply %d: %d %q, want 200 %q", i, r.status, r.cache, want[i])
-		}
-		if !bytes.Equal(r.body, replies[0].body) {
-			t.Errorf("reply %d (%s) differs from the miss:\n%s\nvs\n%s", i, want[i], r.body, replies[0].body)
+			if first == nil {
+				first = body
+			} else if !bytes.Equal(body, first) {
+				t.Errorf("%s: the hit differs from the miss:\n%s\nvs\n%s", e.path, body, first)
+			}
 		}
 	}
 }

@@ -14,12 +14,11 @@ import (
 // This file is the serving layer's hand-rolled codec (DESIGN.md §16):
 // append-based encoders whose bytes are identical to encoding/json's,
 // and the one parser of request bodies and event streams, on jsonx.Dec.
-// Byte parity is a hard invariant — the plan cache, the flight group,
-// and X-Decor-Cache all promise that one request body maps to one
-// response byte string regardless of which path (miss, hit, coalesced,
-// replayed delta) produced it.
+// Byte parity is a hard invariant — the plan cache and X-Decor-Cache
+// both promise that one request body maps to one response byte string
+// regardless of which path (miss, hit, replayed delta) produced it.
 
-// reqKey is a request's key in the plan cache and the flight group:
+// reqKey is a request's key in the plan cache:
 // SHA-256 over its endpoint tag and its body's exact bytes (readKeyed).
 // A fixed-size array key costs no allocation per lookup, unlike a hex
 // string.

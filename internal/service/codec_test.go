@@ -48,13 +48,6 @@ func TestAppendErrorBodyParity(t *testing.T) {
 			t.Errorf("error body for %q:\n got %q\nwant %q", msg, got, want)
 		}
 	}
-	// The preformatted static bodies must equal the rendered form.
-	if got := appendErrorBody(nil, "use POST"); !bytes.Equal(errBodyUsePost, got) {
-		t.Errorf("static use-POST body %q != rendered %q", errBodyUsePost, got)
-	}
-	if got := appendErrorBody(nil, "use GET"); !bytes.Equal(errBodyUseGet, got) {
-		t.Errorf("static use-GET body %q != rendered %q", errBodyUseGet, got)
-	}
 }
 
 func respParity(t *testing.T, resp *PlanResponse) {

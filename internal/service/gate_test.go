@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -15,154 +16,133 @@ import (
 	"decor/internal/obs"
 )
 
-// waitFollowers waits until n requests wait on an identical in-flight
-// plan. Only a follower parks in servePlanLike's own select; a leader
-// waits inside the gate or the planner.
-func waitFollowers(t *testing.T, n int) {
-	t.Helper()
-	buf := make([]byte, 1<<20)
-	waitFor(t, func() bool {
-		dump := string(buf[:runtime.Stack(buf, true)])
-		k := 0
-		for _, g := range strings.Split(dump, "\n\n") {
-			lines := strings.Split(g, "\n")
-			if !strings.Contains(lines[0], "[select") {
-				continue
-			}
-			for _, l := range lines[1:] {
-				if strings.HasPrefix(l, "\t") || strings.HasPrefix(l, "runtime.") {
-					continue
-				}
-				if strings.HasPrefix(l, "decor/internal/service.(*Server).servePlanLike(") {
-					k++
-				}
-				break
-			}
-		}
-		return k == n
-	})
-}
-
-// beginLead decodes body as a /v1/plan request and wins its flight, as
-// a leader does before it reaches the gate; the test then calls lead.
-func (s *testServer) beginLead(t *testing.T, body string) (*planCall, *flightCall) {
+// parseMiss decodes body as a /v1/plan request that misses the cache,
+// as servePlanLike does before it calls serveMiss; the test then calls
+// serveMiss.
+func (s *testServer) parseMiss(t *testing.T, body string) *planCall {
 	t.Helper()
 	c := &planCall{}
 	if cached, _, err := s.svc.parseInto(httptest.NewRequest(http.MethodPost, "/v1/plan", strings.NewReader(body)), c); err != nil || cached != nil {
 		t.Fatalf("parse: cached %q, err %v; want a decoded request", cached, err)
 	}
-	call, leader := s.svc.flight.begin(c.key)
-	if !leader {
-		t.Fatal("a fresh key already has a flight")
-	}
-	return c, call
+	return c
 }
 
-// TestFollowerOutlivesLeaderDeadline: a request coalesced onto a leader
-// whose own, shorter budget runs out while it waits for a run slot does
-// not inherit the leader's 504. It takes its own turn, leads, and gets
-// the plan within its own deadline once the slot frees. Each request is
-// counted once: the leader as a timeout, the follower as a miss.
-func TestFollowerOutlivesLeaderDeadline(t *testing.T) {
-	s, g := gatedServer(t)
-	release := holdSlot(t, g)
-	body := `{"field_side":50,"k":2,"rs":4,"num_points":500,"seed":60,"scatter":40,"method":"centralized","timeout_ms":20000}`
-
-	// The leader wins the flight with a 300-ms budget, and the follower
-	// coalesces onto it before the leader reaches the gate.
-	c, call := s.beginLead(t, body)
-	follower := async(t, http.MethodPost, s.ts.URL+"/v1/plan", "", body)
-	waitFollowers(t, 1)
-	rec := httptest.NewRecorder()
-	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
-	defer cancel()
-	led := make(chan struct{})
-	go func() {
-		defer close(led)
-		s.svc.lead(rec, ctx, ctx, "/v1/plan", "", call, c)
-	}()
-	select {
-	case <-led:
-		if rec.Code != http.StatusGatewayTimeout {
-			t.Fatalf("leader status = %d, want 504 once its own 300 ms are spent", rec.Code)
+// checkBooksEmpty fails t unless g grants each of tenants its whole
+// share ("" the whole admitted bound) and its run slot is free, as on a
+// one-slot gate no call holds.
+func checkBooksEmpty(t *testing.T, g *admit.Gate, tenants ...string) {
+	t.Helper()
+	for _, tenant := range tenants {
+		n := 0
+		for g.Enter(tenant) == nil {
+			n++
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("the leader waited past its deadline for the held slot")
+		for i := 0; i < n; i++ {
+			g.Leave(tenant)
+		}
+		want := admit.Depth
+		if tenant != "" {
+			want = admit.Depth / 4
+		}
+		if n != want {
+			t.Errorf("tenant %q: %d admissions free, want %d", tenant, n, want)
+		}
 	}
-	waitFor(t, func() bool { return s.reg.Gauge(obs.ServeQueueDepth).Value() == 1 })
-	release()
-	if status := <-follower; status != http.StatusOK {
-		t.Errorf("follower status = %d, want 200 within its own 20 s", status)
-	}
-	if misses := s.counter(obs.ServeCacheMisses); misses != 1 {
-		t.Errorf("%d plans computed, want 1 (the follower's own turn)", misses)
-	}
-	if timeouts, coalesced := s.counter(obs.ServeTimeouts), s.counter(obs.ServeCoalesced); timeouts != 1 || coalesced != 0 {
-		t.Errorf("timeouts %d, coalesced %d; want 1 and 0, one count per request", timeouts, coalesced)
-	}
-}
-
-// TestFollowerOfRefusedLeaderTakesItsOwnTurn: a polite tenant's request
-// coalesced onto an identical one from a tenant whose admission share is
-// spoken for does not inherit that tenant's 429; it takes its own turn,
-// is admitted under its own share, and gets the plan.
-func TestFollowerOfRefusedLeaderTakesItsOwnTurn(t *testing.T) {
-	s, g := gatedServer(t)
-	fill(t, g, "hog")
-	body := planBody(61)
-
-	// The hog's request wins the flight, and the polite request coalesces
-	// onto it before the hog reaches the gate.
-	c, call := s.beginLead(t, body)
-	polite := async(t, http.MethodPost, s.ts.URL+"/v1/plan", "polite", body)
-	waitFollowers(t, 1)
-	rec := httptest.NewRecorder()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	s.svc.lead(rec, ctx, ctx, "/v1/plan", "hog", call, c)
-	if rec.Code != http.StatusTooManyRequests || rec.Header().Get("Retry-After") == "" {
-		t.Fatalf("hog status = %d (Retry-After %q), want 429 with Retry-After", rec.Code, rec.Header().Get("Retry-After"))
+	if err := g.Run(ctx); err != nil {
+		t.Fatalf("the run slot is still held: %v", err)
 	}
-	if status := <-polite; status != http.StatusOK {
-		t.Errorf("polite follower status = %d, want 200", status)
-	}
-	if coalesced := s.counter(obs.ServeCoalesced); coalesced != 0 {
-		t.Errorf("coalesced = %d, want 0: the follower planned on its own turn", coalesced)
-	}
+	g.Done()
 }
 
-// TestPanickingLeaderReleasesFollowers: a plan that panics unwinds its
-// leader's goroutine, yet the flight still ends. The follower takes its
-// own turn within its own deadline instead of waiting it out, and the
-// panicking plan gave back the gate's only run slot.
-func TestPanickingLeaderReleasesFollowers(t *testing.T) {
-	s, _ := gatedServer(t)
+// TestPanickingPlanReleasesItsSlot: a plan that panics unwinds its
+// request's goroutine (net/http recovers it), yet it gives back its
+// admission and the gate's only run slot, the in-flight gauge reads 0
+// again, and the same request then plans.
+func TestPanickingPlanReleasesItsSlot(t *testing.T) {
+	s, g := gatedServer(t)
 	body := planBody(63)
-	c, call := s.beginLead(t, body)
-	follower := async(t, http.MethodPost, s.ts.URL+"/v1/plan", "", body)
-	waitFollowers(t, 1)
+	c := s.parseMiss(t, body)
 
 	// No parsed request holds a sensor without an ID; planning one
 	// dereferences the nil ID and panics.
 	c.rr.Sensors = []SensorSpec{{X: 1, Y: 1}}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
 	func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("planning a sensor without an ID did not panic")
 			}
 		}()
-		s.svc.lead(httptest.NewRecorder(), ctx, ctx, "/v1/plan", "", call, c)
+		s.svc.serveMiss(httptest.NewRecorder(), context.Background(), "/v1/plan", "", c)
 	}()
-	if status := <-follower; status != http.StatusOK {
-		t.Errorf("follower status = %d, want 200 on its own turn", status)
+
+	checkBooksEmpty(t, g, "")
+	if v := s.reg.Gauge(obs.ServeInflight).Value(); v != 0 {
+		t.Errorf("%s = %v after the panic, want 0", obs.ServeInflight, v)
 	}
-	s.svc.flight.mu.Lock()
-	n := len(s.svc.flight.calls)
-	s.svc.flight.mu.Unlock()
-	if n != 0 {
-		t.Errorf("%d flights still open after the panic, want 0", n)
+	if status, cache, resp := s.postCache(t, "/v1/plan", body); status != http.StatusOK || cache != "miss" {
+		t.Errorf("the same request after the panic: %d, %s %q, %s; want a 200 miss", status, cacheStatusHeader, cache, resp)
+	}
+}
+
+// TestPlanDrainRefusalsCarryRetryAfter: a plan waiting for a run slot
+// when the drain's budget runs out, and a plan that reaches the closed
+// gate, each get 503 "server shutting down" with Retry-After, the
+// backoff signal every other refusal carries. The first counts as an
+// error, the second as a rejection.
+func TestPlanDrainRefusalsCarryRetryAfter(t *testing.T) {
+	s, g := gatedServer(t)
+	release := holdSlot(t, g)
+	type reply struct {
+		status int
+		header http.Header
+		body   []byte
+	}
+	send := func(body string) <-chan reply {
+		ch := make(chan reply, 1)
+		go func() {
+			resp, err := http.Post(s.ts.URL+"/v1/plan", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				ch <- reply{}
+				return
+			}
+			defer resp.Body.Close()
+			b, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Error(err)
+			}
+			ch <- reply{resp.StatusCode, resp.Header, b}
+		}()
+		return ch
+	}
+	waiting := send(`{"timeout_ms":20000,` + planBody(66)[1:])
+	waitFor(t, func() bool { return s.reg.Gauge(obs.ServeQueueDepth).Value() == 1 })
+
+	// The drain's budget is spent before it starts: the waiting plan is
+	// cut off at once, and Shutdown returns once the test's slot is free.
+	spent, cancel := context.WithCancel(context.Background())
+	cancel()
+	shutdown := make(chan error, 1)
+	go func() { shutdown <- s.svc.Shutdown(spent) }()
+	waitFor(t, s.svc.Draining)
+	replies := []reply{<-waiting, <-send(planBody(67))}
+	release()
+	if err := <-shutdown; err != context.Canceled {
+		t.Errorf("Shutdown = %v, want %v", err, context.Canceled)
+	}
+
+	const want = `{"error":"server shutting down"}` + "\n"
+	for i, r := range replies {
+		if r.status != http.StatusServiceUnavailable || string(r.body) != want || r.header.Get("Retry-After") == "" {
+			t.Errorf("plan %d: %d %q, Retry-After %q; want 503 %q with Retry-After",
+				i, r.status, r.body, r.header.Get("Retry-After"), want)
+		}
+	}
+	if errs, rejected := s.counter(obs.ServeErrors), s.counter(obs.ServeRejected); errs != 1 || rejected != 1 {
+		t.Errorf("errors %d, rejected %d; want 1 each: the cut-off plan and the refused one", errs, rejected)
 	}
 }
 
@@ -233,8 +213,7 @@ func TestOverloadBurstLeavesNothingBehind(t *testing.T) {
 		held--
 	}
 
-	// Every body is distinct, so no call coalesces onto another and each
-	// one either holds an admission or is refused.
+	// Each call either holds an admission or is refused.
 	type call struct{ method, path, tenant, body string }
 	var burst []call
 	for i, tn := range tenants {
@@ -294,31 +273,9 @@ func TestOverloadBurstLeavesNothingBehind(t *testing.T) {
 		t.Errorf("%d of %d calls refused, want 5: c's three plans and two of a's and b's six", refused, len(burst))
 	}
 
-	// The books: the whole admitted bound, each tenant's whole share and
-	// the run slot are free again.
-	for _, tenant := range append([]string{""}, tenants...) {
-		n := 0
-		for g.Enter(tenant) == nil {
-			n++
-		}
-		for i := 0; i < n; i++ {
-			g.Leave(tenant)
-		}
-		want := admit.Depth
-		if tenant != "" {
-			want = admit.Depth / 4
-		}
-		if n != want {
-			t.Errorf("tenant %q: %d admissions free after the burst, want %d", tenant, n, want)
-		}
-	}
+	checkBooksEmpty(t, g, append([]string{""}, tenants...)...)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := g.Run(ctx); err != nil {
-		t.Fatalf("the run slot is still held after the burst: %v", err)
-	}
-	g.Done()
-
 	if err := svc.Shutdown(ctx); err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}

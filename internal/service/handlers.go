@@ -33,9 +33,9 @@ const tenantHeader = "X-Decor-Tenant"
 const maxTenantLen = 128
 
 // cacheStatusHeader reports how a response was produced: "miss" (this
-// request planned it), "hit" (LRU cache), or "coalesced" (singleflight
-// follower). The body is byte-identical across all three — only this
-// header differs, which is why it is a header and not a body field.
+// request planned it) or "hit" (served from the plan cache). The body is
+// byte-identical either way — only this header differs, which is why it
+// is a header and not a body field.
 const cacheStatusHeader = "X-Decor-Cache"
 
 // Shared header values, assigned into the header map directly (keys are
@@ -43,10 +43,9 @@ const cacheStatusHeader = "X-Decor-Cache"
 // slice per call; these are written by the server and only read by
 // net/http, so sharing is safe and the hot path pays zero allocations.
 var (
-	headerValJSON      = []string{jsonContentType}
-	headerValHit       = []string{"hit"}
-	headerValMiss      = []string{"miss"}
-	headerValCoalesced = []string{"coalesced"}
+	headerValJSON = []string{jsonContentType}
+	headerValHit  = []string{"hit"}
+	headerValMiss = []string{"miss"}
 )
 
 // Handler returns the service's HTTP API:
@@ -251,7 +250,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 type planCall struct {
 	rr     RepairRequest // a plan uses rr.PlanRequest alone
 	repair bool
-	key    reqKey // the body's digest (readKeyed): its cache and flight key
+	key    reqKey // the body's digest (readKeyed): its cache key
 }
 
 // tag is the endpoint tag of the call's key.
@@ -294,8 +293,8 @@ func setTraceHeader(h http.Header, id obs.TraceID) {
 }
 
 // servePlanLike is the shared request path of the two planning
-// endpoints: body digest, cache lookup, decode+validate, singleflight,
-// admission, deadline, response.
+// endpoints: parse (body digest, cache lookup, decode and validate on a
+// miss), then the miss path: admission, deadline, plan, cache, response.
 func (s *Server) servePlanLike(w http.ResponseWriter, r *http.Request, repair bool) {
 	route := r.URL.Path
 	// The root span's End also lands in the request histogram.
@@ -348,59 +347,18 @@ func (s *Server) servePlanLike(w http.ResponseWriter, r *http.Request, repair bo
 		return
 	}
 
-	// A miss. The request's own deadline starts now and bounds all that
-	// follows: waiting for an identical in-flight plan, waiting for a run
-	// slot, and planning. A forced shutdown cancels it through baseCtx.
-	ctx, cancel := context.WithTimeout(s.baseCtx, c.rr.timeout(s.cfg.Limits))
-	defer cancel()
-	for {
-		call, leader := s.flight.begin(c.key)
-		if leader {
-			s.lead(w, tctx, ctx, route, tenant, call, c)
-			return
-		}
-		// Identical request already in flight: wait for its leader. The
-		// request counts as coalesced once, when it is served the leader's
-		// outcome or gives up waiting.
-		select {
-		case <-call.done:
-		case <-ctx.Done():
-			s.cCoalesced.Inc()
-			if ctx.Err() == context.Canceled {
-				s.cErrors.Inc()
-				s.writeError(w, http.StatusServiceUnavailable, "server shutting down")
-				return
-			}
-			s.cTimeouts.Inc()
-			s.writeError(w, http.StatusGatewayTimeout, "deadline exceeded waiting for identical in-flight plan")
-			return
-		case <-r.Context().Done():
-			// Client hung up; the leader still completes and caches.
-			s.cCoalesced.Inc()
-			s.writeError(w, http.StatusGatewayTimeout, "client cancelled")
-			return
-		}
-		if call.status != 0 {
-			s.cCoalesced.Inc()
-			s.replayFlight(w, call)
-			return
-		}
-		// The leader was refused admission, ran out of its own deadline,
-		// was cut off by shutdown or panicked. None of that is this
-		// request's outcome: it takes its own turn, and may lead, within
-		// its own deadline.
-	}
+	s.serveMiss(w, tctx, route, tenant, c)
 }
 
-// lead serves c as the leader of call: plan, publish the outcome to the
-// followers, respond. tctx carries the request's trace and ctx its
-// deadline.
-func (s *Server) lead(w http.ResponseWriter, tctx, ctx context.Context, route, tenant string, call *flightCall, c *planCall) {
-	// Unless an outcome they may share is published below, the followers
-	// take their own turns (status 0): after a refusal, this request's own
-	// deadline or shutdown, and after a panic while planning, which
-	// unwinds this goroutine (net/http recovers it).
-	defer s.flight.finish(c.key, call, nil, 0, nil)
+// serveMiss plans c under its own deadline and tenant, caches the plan
+// and serves it. tctx carries the request's trace. The deadline starts
+// now and bounds the wait for a run slot and the plan itself. It derives
+// from the server's base context, not the request's: a forced shutdown
+// cancels it, a client that hangs up does not, so the plan is still
+// cached for the client's retry.
+func (s *Server) serveMiss(w http.ResponseWriter, tctx context.Context, route, tenant string, c *planCall) {
+	ctx, cancel := context.WithTimeout(s.baseCtx, c.rr.timeout(s.cfg.Limits))
+	defer cancel()
 	// The trace's span context rides along with the deadline, so the
 	// planner's core.deploy and core.round spans land in this request's
 	// tree.
@@ -410,26 +368,26 @@ func (s *Server) lead(w http.ResponseWriter, tctx, ctx context.Context, route, t
 	switch {
 	case err == nil:
 		s.cCacheMisses.Inc()
-		clen := s.cache.Put(c.key, body)
-		s.flight.finish(c.key, call, body, http.StatusOK, nil)
-		s.writePlan(w, body, clen, headerValMiss)
-	case errors.Is(err, admit.ErrTenant), errors.Is(err, admit.ErrSaturated), errors.Is(err, admit.ErrClosed):
+		cached, clen := s.cache.Put(c.key, body)
+		s.writePlan(w, cached, clen, headerValMiss)
+	case errors.Is(err, admit.ErrTenant):
 		s.cRejected.Inc()
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-		if errors.Is(err, admit.ErrTenant) {
-			s.writeError(w, http.StatusTooManyRequests, "tenant admission quota exhausted; retry later")
-		} else {
-			s.writeError(w, http.StatusServiceUnavailable, "admission queue full; retry later")
-		}
+		s.refuse(w, http.StatusTooManyRequests, "tenant admission quota exhausted; retry later")
+	case errors.Is(err, admit.ErrSaturated):
+		s.cRejected.Inc()
+		s.refuse(w, http.StatusServiceUnavailable, "admission queue full; retry later")
+	case errors.Is(err, admit.ErrClosed):
+		// The drain closed the gate.
+		s.cRejected.Inc()
+		s.refuse(w, http.StatusServiceUnavailable, errShuttingDown.Error())
 	case errors.Is(err, context.DeadlineExceeded):
 		s.cTimeouts.Inc()
 		s.writeError(w, http.StatusGatewayTimeout, "deadline exceeded while planning")
 	case errors.Is(err, context.Canceled):
-		// Base context cancelled: the server is being torn down.
+		// The base context was cancelled: the drain's budget ran out.
 		s.cErrors.Inc()
-		s.writeError(w, http.StatusServiceUnavailable, "server shutting down")
+		s.refuse(w, http.StatusServiceUnavailable, errShuttingDown.Error())
 	default:
-		// A planning error: every identical request would get it too.
 		status := http.StatusInternalServerError
 		var ae *apiError
 		if errors.As(err, &ae) {
@@ -440,9 +398,15 @@ func (s *Server) lead(w http.ResponseWriter, tctx, ctx context.Context, route, t
 		} else {
 			s.cBadReqs.Inc()
 		}
-		s.flight.finish(c.key, call, nil, status, err)
 		s.writeError(w, status, err.Error())
 	}
+}
+
+// refuse answers a plan the gate or the drain turned away with status,
+// msg and the Retry-After a client can back off by.
+func (s *Server) refuse(w http.ResponseWriter, status int, msg string) {
+	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
+	s.writeError(w, status, msg)
 }
 
 // plan runs c through the gate on the calling goroutine: admission for
@@ -521,51 +485,23 @@ func (s *Server) refuseLongTenant(w http.ResponseWriter, tenant string) bool {
 	return true
 }
 
-// replayFlight serves a follower the leader's outcome: its plan bytes,
-// or a planning error that any identical request would get.
-func (s *Server) replayFlight(w http.ResponseWriter, call *flightCall) {
-	if call.err != nil {
-		s.writeError(w, call.status, call.err.Error())
-		return
-	}
-	s.writePlan(w, call.body, nil, headerValCoalesced)
-}
-
-// writePlan serves the canonical response bytes. clen is the shared
-// pre-rendered Content-Length value stored with the cache entry (nil
-// means render it now — the miss and coalesced paths).
+// writePlan serves the canonical response bytes with clen, the cache
+// entry's shared Content-Length value.
 func (s *Server) writePlan(w http.ResponseWriter, body []byte, clen []string, cacheStatus []string) {
 	h := w.Header()
 	h["Content-Type"] = headerValJSON
 	h[cacheStatusHeader] = cacheStatus
-	if clen == nil {
-		clen = []string{strconv.Itoa(len(body))}
-	}
 	h["Content-Length"] = clen
 	w.WriteHeader(http.StatusOK)
 	w.Write(body)
 }
 
-// Preformatted bodies for the fixed error strings on hot method-check
-// paths; everything else renders through the pooled append encoder.
-// Byte-identical to the json.Marshal construction they replaced.
-var (
-	errBodyUsePost = []byte(`{"error":"use POST"}` + "\n")
-	errBodyUseGet  = []byte(`{"error":"use GET"}` + "\n")
-)
-
+// writeError serves {"error": msg} through the pooled append encoder.
 func (s *Server) writeError(w http.ResponseWriter, status int, msg string) {
 	w.Header()["Content-Type"] = headerValJSON
 	w.WriteHeader(status)
-	switch msg {
-	case "use POST":
-		w.Write(errBodyUsePost)
-	case "use GET":
-		w.Write(errBodyUseGet)
-	default:
-		buf := jsonx.GetBuf()
-		*buf = appendErrorBody((*buf)[:0], msg)
-		w.Write(*buf)
-		jsonx.PutBuf(buf)
-	}
+	buf := jsonx.GetBuf()
+	*buf = appendErrorBody((*buf)[:0], msg)
+	w.Write(*buf)
+	jsonx.PutBuf(buf)
 }

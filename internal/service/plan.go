@@ -61,8 +61,8 @@ func buildDeployment(pr PlanRequest) (*decor.Deployment, error) {
 
 // respond encodes a completed plan into its canonical byte form through
 // the append codec (byte-identical to json.Marshal — the parity the
-// codec tests pin). One encode produces the bytes every delivery path
-// (cold plan, cache hit, coalesced follower) serves verbatim; the
+// codec tests pin). One encode produces the bytes both delivery paths
+// (the miss that planned them and every cache hit) serve verbatim; the
 // slice is freshly sized, never pooled, because the cache retains it.
 func respond(pr PlanRequest, rep decor.Report, d *decor.Deployment, failed int) ([]byte, error) {
 	placements := make([]PointSpec, len(rep.Placements))

@@ -10,9 +10,8 @@
 // queueing unboundedly; field sessions have a gate of their own),
 // per-request deadlines carried by context.Context through the gate's
 // wait and into the placement round loop, an LRU cache of finished plans
-// keyed by the digest of each request's exact bytes, with singleflight
-// coalescing of identical in-flight requests on the same key, and a
-// graceful drain on shutdown.
+// keyed by the digest of each request's exact bytes (every miss is
+// planned by the request that missed), and a graceful drain on shutdown.
 // DESIGN.md §9 documents the invariants.
 package service
 
@@ -29,10 +28,10 @@ import (
 )
 
 // Config sizes a Server. The zero value gets sensible defaults from
-// normalization: a 512-entry plan cache and DefaultLimits.
+// normalization: DefaultLimits and the process-wide registry and
+// tracer. The plan cache is not configured: it holds the last
+// planCacheSize finished plans.
 type Config struct {
-	// CacheEntries sizes the LRU plan cache (negative disables it).
-	CacheEntries int
 	// Limits bounds individual requests; see Limits.
 	Limits Limits
 	// Registry receives the decor_serve_* instruments and is exposed at
@@ -55,9 +54,6 @@ type Config struct {
 }
 
 func (c Config) normalized() Config {
-	if c.CacheEntries == 0 {
-		c.CacheEntries = 512
-	}
 	c.Limits = c.Limits.normalized()
 	if c.Registry == nil {
 		c.Registry = obs.Default()
@@ -77,9 +73,8 @@ func (c Config) normalized() Config {
 // Server is the restoration-planning service. Create with New, mount
 // Handler on an http.Server, and Shutdown to drain.
 type Server struct {
-	cfg    Config
-	cache  *planCache
-	flight *flightGroup
+	cfg   Config
+	cache *planCache
 
 	// gate admits every plan and repair that misses the cache; session
 	// calls pass the manager's own gate (DESIGN.md §9, *Why two gates*).
@@ -115,11 +110,11 @@ type Server struct {
 	ewmaPlanMS atomicFloat
 
 	// Instruments (obs/default.go names them).
-	cPlanReqs, cRepairReqs, cBadReqs     *obs.Counter
-	cRejected, cTimeouts, cErrors        *obs.Counter
-	cCacheHits, cCacheMisses, cCoalesced *obs.Counter
-	gQueueDepth, gInflight, gHeapAllocs  *obs.Gauge
-	hPlanSeconds, hRequestSeconds        *obs.Histogram
+	cPlanReqs, cRepairReqs, cBadReqs    *obs.Counter
+	cRejected, cTimeouts, cErrors       *obs.Counter
+	cCacheHits, cCacheMisses            *obs.Counter
+	gQueueDepth, gInflight, gHeapAllocs *obs.Gauge
+	hPlanSeconds, hRequestSeconds       *obs.Histogram
 }
 
 // New builds a Server.
@@ -128,8 +123,7 @@ func New(cfg Config) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:     cfg,
-		cache:   newPlanCache(cfg.CacheEntries),
-		flight:  newFlightGroup(),
+		cache:   newPlanCache(planCacheSize),
 		gate:    admit.New(runtime.GOMAXPROCS(0)),
 		baseCtx: ctx,
 		abort:   cancel,
@@ -147,7 +141,6 @@ func New(cfg Config) *Server {
 	s.cErrors = r.Counter(obs.ServeErrors)
 	s.cCacheHits = r.Counter(obs.ServeCacheHits)
 	s.cCacheMisses = r.Counter(obs.ServeCacheMisses)
-	s.cCoalesced = r.Counter(obs.ServeCoalesced)
 	s.gQueueDepth = r.Gauge(obs.ServeQueueDepth)
 	s.gInflight = r.Gauge(obs.ServeInflight)
 	s.gHeapAllocs = r.Gauge(obs.ServeHeapAllocs)

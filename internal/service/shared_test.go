@@ -72,7 +72,7 @@ func privatePlan(t *testing.T, pr PlanRequest) []byte {
 // coverage.New map; under -race the shared set is also read without a
 // data race.
 func TestConcurrentPlansShareOnePointSet(t *testing.T) {
-	s := newTestServer(t, Config{CacheEntries: -1})
+	s := newTestServer(t, Config{})
 	var reqs []PlanRequest
 	for i, method := range core.AllMethodNames() {
 		for j := range 2 {

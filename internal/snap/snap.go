@@ -103,9 +103,6 @@ func (w *Writer) Str(s string) {
 	w.buf = append(w.buf, s...)
 }
 
-// Len returns the current body length in bytes.
-func (w *Writer) Len() int { return len(w.buf) }
-
 // Seal wraps the body in the snapshot envelope — magic, version,
 // checksum — and returns the complete snapshot. The Writer may keep
 // accumulating afterwards, but the returned slice is independent.

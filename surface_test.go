@@ -22,6 +22,7 @@ var surfaceAllowlist = map[string]string{
 	"internal/chaos.DecodeScenario":            "the fuzz decoder shared by the chaos and protocol fuzzers",
 	"internal/geom.Disk.IntersectionArea":      "the exact-area oracle of the percover, lowdisc and geom tests",
 	"internal/geom.Pt":                         "the point constructor of about 25 packages' tests",
+	"internal/index.Neighborhoods.Len":         "the coverage tests check a built adjacency's size",
 	"internal/sim/invariant.LeaderAgreement":   "the invariant of the protocol crash/partition test",
 	"internal/lowdisc.StarDiscrepancy":         "EXPERIMENTS.md reports its values",
 	"internal/lowdisc.EstimateStarDiscrepancy": "EXPERIMENTS.md reports its values",
@@ -29,18 +30,54 @@ var surfaceAllowlist = map[string]string{
 	"internal/sim.FaultPlan.Bounded":           "the fuzzers' severity check",
 }
 
-// stdInterfaceMethods are methods the standard library calls through
-// its own interfaces (fmt.Stringer, error, http.Handler, sort and heap,
-// JSON marshalling), so no selector in this module need name them.
-var stdInterfaceMethods = map[string]bool{
-	"String": true, "Error": true, "Unwrap": true, "ServeHTTP": true,
-	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
-	"MarshalJSON": true, "UnmarshalJSON": true,
+// stdInterfaces lists the standard-library interfaces through which
+// the standard library calls a module's methods, so no selector in this
+// module need name them: "path.Name" for a declared interface, and for
+// the two that the library only looks for by type assertion, the
+// method's signature.
+var stdInterfaces = []string{
+	"error", "fmt.Stringer", "sort.Interface", "container/heap.Interface",
+	"net/http.Handler", "encoding/json.Marshaler", "encoding/json.Unmarshaler",
+	"Unwrap() error",               // errors.Is, errors.As and errors.Unwrap
+	"Unwrap() http.ResponseWriter", // http.ResponseController
+}
+
+// stdInterface resolves one stdInterfaces entry through im.
+func stdInterface(t *testing.T, im *moduleImporter, name string) *types.Interface {
+	t.Helper()
+	unwrap := func(result types.Type) *types.Interface {
+		sig := types.NewSignatureType(nil, nil, nil, nil, types.NewTuple(types.NewVar(token.NoPos, nil, "", result)), false)
+		return types.NewInterfaceType([]*types.Func{types.NewFunc(token.NoPos, nil, "Unwrap", sig)}, nil).Complete()
+	}
+	errorType := types.Universe.Lookup("error").Type()
+	switch name {
+	case "error":
+		return errorType.Underlying().(*types.Interface)
+	case "Unwrap() error":
+		return unwrap(errorType)
+	case "Unwrap() http.ResponseWriter":
+		return unwrap(stdType(t, im, "net/http.ResponseWriter"))
+	}
+	return stdType(t, im, name).Underlying().(*types.Interface)
+}
+
+// stdType looks up the type "path.Name" through im.
+func stdType(t *testing.T, im *moduleImporter, name string) types.Type {
+	t.Helper()
+	dot := strings.LastIndex(name, ".")
+	pkg, err := im.Import(name[:dot])
+	if err != nil {
+		t.Fatalf("importing %s: %v", name[:dot], err)
+	}
+	obj := pkg.Scope().Lookup(name[dot+1:])
+	if obj == nil {
+		t.Fatalf("%s declares no %s", name[:dot], name[dot+1:])
+	}
+	return obj.Type()
 }
 
 type surfaceDecl struct {
 	key  string // dir.Name or dir.Type.Method
-	name string
 	recv string
 	pos  token.Position
 }
@@ -122,7 +159,7 @@ func (im *moduleImporter) Import(path string) (*types.Package, error) {
 // types.Info.Uses entry that resolves to the function or method. A
 // method also counts as used when its receiver implements an interface
 // that has a method of its name and that the module declares or calls a
-// method of, or when stdInterfaceMethods exempts its name.
+// method of, or that stdInterfaces names.
 func surfaceScan(t *testing.T, root string) (decls map[string]surfaceDecl, unused []surfaceDecl) {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -159,6 +196,9 @@ func surfaceScan(t *testing.T, root string) (decls map[string]surfaceDecl, unuse
 	funcs := map[*types.Func]string{} // scanned declaration -> its key
 	used := map[*types.Func]bool{}
 	var ifaces []*types.Interface
+	for _, name := range stdInterfaces {
+		ifaces = append(ifaces, stdInterface(t, im, name))
+	}
 	for _, pf := range files {
 		// internal/sim/simtest is a test-support package: everything in
 		// it exists for tests.
@@ -176,7 +216,7 @@ func surfaceScan(t *testing.T, root string) (decls map[string]surfaceDecl, unuse
 					key = pf.dir + "." + recv + "." + fd.Name.Name
 				}
 				if scanned && fd.Name.Name != "main" && fd.Name.Name != "init" && fd.Name.Name != "_" {
-					decls[key] = surfaceDecl{key: key, name: fd.Name.Name, recv: recv, pos: fset.Position(fd.Pos())}
+					decls[key] = surfaceDecl{key: key, recv: recv, pos: fset.Position(fd.Pos())}
 					funcs[own] = key
 				}
 			}
@@ -215,7 +255,7 @@ func surfaceScan(t *testing.T, root string) (decls map[string]surfaceDecl, unuse
 	}
 	for fn, key := range funcs {
 		d := decls[key]
-		if used[fn] || (d.recv != "" && (stdInterfaceMethods[d.name] || implemented(fn))) {
+		if used[fn] || (d.recv != "" && implemented(fn)) {
 			continue
 		}
 		unused = append(unused, d)
